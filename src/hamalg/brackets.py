@@ -25,6 +25,7 @@ derivation; the unsymmetrized bracket breaks all three.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -89,6 +90,13 @@ def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
     return out
 
 
+@functools.lru_cache(maxsize=4096)
+def _monomial_poisson(ea: tuple, eb: tuple, num_pairs: int) -> tuple:
+    """{x^ea, x^eb}_P as (exponents, coefficient) items.  Term-pair loops
+    bracket the same few monomial pairs over and over."""
+    return tuple(_poly_poisson({ea: 1.0}, {eb: 1.0}, num_pairs).items())
+
+
 def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
     """Simple-product definition extended bilinearly: each monomial term
     A x^m is a simple product, so
@@ -108,8 +116,7 @@ def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> Hy
             comm = (ma @ mb - mb @ ma) / (1j * hbar)
             anti = 0.5 * (ma @ mb + mb @ ma)
             _acc(tuple(a + b for a, b in zip(ea, eb)), comm)
-            pb = _poly_poisson({ea: 1.0}, {eb: 1.0}, u.num_pairs)
-            for ec, c in pb.items():
+            for ec, c in _monomial_poisson(ea, eb, u.num_pairs):
                 _acc(ec, c * anti)
     return HybridElement._trusted(u.dim, u.num_pairs, out,
                                   u.hermitian and v.hermitian)

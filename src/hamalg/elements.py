@@ -5,7 +5,8 @@ Two concrete realizations are supported:
 * quantum observables: finite-dimensional complex matrices, flagged
   Hermitian when they represent physical observables;
 * classical observables: sparse real-coefficient polynomials in canonical
-  phase-space pairs (x1, p1, x2, p2, ...).
+  phase-space pairs (x1, p1, x2, p2, ...), whose products and Poisson
+  brackets run on the numpy kernel in :mod:`hamalg.kernels`.
 
 Both are immutable values; every operation returns a new element.
 """
@@ -173,6 +174,22 @@ class PhaseSpacePoly:
         self.num_pairs = int(num_pairs)
         self.terms = _validate_terms(terms or {}, 2 * self.num_pairs)
 
+    @classmethod
+    def _trusted(cls, num_pairs: int, terms: dict) -> "PhaseSpacePoly":
+        """Internal constructor for terms derived from validated inputs.
+
+        Skips the exponent checks, whose inputs already passed them, but
+        still rejects non-finite coefficients (a product or sum can
+        overflow) and drops zeros.
+        """
+        for exps, coeff in terms.items():
+            if not math.isfinite(coeff):
+                raise AlgebraError(f"non-finite coefficient {coeff} at {exps}")
+        self = object.__new__(cls)
+        self.num_pairs = num_pairs
+        self.terms = {e: c for e, c in terms.items() if c != 0.0}
+        return self
+
     @property
     def nvars(self) -> int:
         return 2 * self.num_pairs
@@ -212,7 +229,7 @@ class PhaseSpacePoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0.0) + c
-        return PhaseSpacePoly(self.num_pairs, out)
+        return PhaseSpacePoly._trusted(self.num_pairs, out)
 
     def __sub__(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         return self + other.scale(-1.0)
@@ -222,7 +239,8 @@ class PhaseSpacePoly:
 
     def scale(self, c: float) -> "PhaseSpacePoly":
         c = float(c)
-        return PhaseSpacePoly(self.num_pairs, {e: c * v for e, v in self.terms.items()})
+        return PhaseSpacePoly._trusted(self.num_pairs,
+                                       {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, c):
         return self.scale(c)
@@ -231,11 +249,12 @@ class PhaseSpacePoly:
 
     def product(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         self._check_like(other)
-        return PhaseSpacePoly(self.num_pairs, _poly_mul(self.terms, other.terms, self.nvars))
+        return PhaseSpacePoly._trusted(self.num_pairs,
+                                       _poly_mul(self.terms, other.terms, self.nvars))
 
     def poisson(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         self._check_like(other)
-        return PhaseSpacePoly(
+        return PhaseSpacePoly._trusted(
             self.num_pairs, _poly_poisson(self.terms, other.terms, self.num_pairs)
         )
 

@@ -91,6 +91,20 @@ class TestPhaseSpacePoly:
         with pytest.raises(AlgebraError):
             PhaseSpacePoly(1, {(1, 0): float("inf")})
 
+    def test_derived_coefficients_checked_finite(self):
+        p = PhaseSpacePoly(1, {(1, 0): 1e200})
+        with pytest.raises(AlgebraError):
+            p.product(p)  # 1e400 overflows to inf
+        with pytest.raises(AlgebraError):
+            p.scale(1e200)
+
+    def test_derived_zero_terms_dropped(self):
+        p = PhaseSpacePoly(1, {(1, 0): 1.5, (0, 1): -2.0})
+        q = PhaseSpacePoly(1, {(1, 0): -1.5, (2, 0): 1.0})
+        assert (p + q).terms == {(0, 1): -2.0, (2, 0): 1.0}
+        assert (p - p).terms == {}
+        assert p.scale(0).terms == {}
+
     def test_variable_constructor(self):
         x1 = PhaseSpacePoly.variable(2, "x1")
         p2 = PhaseSpacePoly.variable(2, "p2")
