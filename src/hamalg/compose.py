@@ -20,6 +20,10 @@ and serves as a cross-check against the sigma/alpha composition path.
 Supported pairings: quantum (x) quantum, quantum (x) classical, and
 classical (x) classical.  The classical pair composes to an ordinary
 phase-space algebra on the disjoint union of canonical pairs.
+
+Quantum (x) classical products and the mixed brackets run on one batched
+term-pair engine, ``term_pair_sum``: the polynomial kernel's packing and
+its one slotting routine for scalar and matrix coefficients.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .elements import (
     is_hermitian,
 )
 from .errors import AlgebraError, ShapeError
+from .kernels import accumulate, keys_of, pack, poisson_weights, row_blocks
 
 
 class KroneckerElement:
@@ -152,20 +157,23 @@ class HybridElement:
 
     @classmethod
     def _trusted(cls, dim: int, num_pairs: int, terms: dict,
-                 hermitian: bool) -> "HybridElement":
-        """Internal constructor for derived values: prunes exact zeros but
+                 hermitian: bool, pruned: bool = False) -> "HybridElement":
+        """Internal constructor for derived values: prunes exact zeros, unless
+        the terms are already ``pruned`` read-only complex matrices, but
         skips per-coefficient Hermitian re-validation."""
         self = object.__new__(cls)
         self.dim = int(dim)
         self.num_pairs = int(num_pairs)
-        clean = {}
-        for e, mat in terms.items():
-            arr = np.asarray(mat, dtype=np.complex128)
-            if np.any(arr != 0):
-                if arr.flags.writeable:
-                    arr.setflags(write=False)
-                clean[e] = arr
-        self.terms = clean
+        if not pruned:
+            clean = {}
+            for e, mat in terms.items():
+                arr = np.asarray(mat, dtype=np.complex128)
+                if np.any(arr != 0):
+                    if arr.flags.writeable:
+                        arr.setflags(write=False)
+                    clean[e] = arr
+            terms = clean
+        self.terms = terms
         self.hermitian = hermitian
         return self
 
@@ -221,17 +229,7 @@ class HybridElement:
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written
         order, classical monomials multiply commutatively."""
-        self._check_like(other)
-        out: dict = {}
-        for ea, ma in self.terms.items():
-            for eb, mb in other.terms.items():
-                ec = tuple(a + b for a, b in zip(ea, eb))
-                prod = ma @ mb
-                if ec in out:
-                    out[ec] = out[ec] + prod
-                else:
-                    out[ec] = prod
-        return HybridElement._trusted(self.dim, self.num_pairs, out, False)
+        return term_pair_sum(self, other, lambda A, B: A @ B, False)
 
     def classical_poly(self) -> PhaseSpacePoly | None:
         """If every coefficient is a real multiple of the identity, return
@@ -248,6 +246,49 @@ class HybridElement:
     def __repr__(self):
         return (f"HybridElement(dim={self.dim}, num_pairs={self.num_pairs}, "
                 f"nterms={len(self.terms)}, hermitian={self.hermitian})")
+
+
+def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
+                  poisson: bool = False) -> HybridElement:
+    """Batched term-pair loop: the sum over term pairs of u and v of
+    ``combine(A, B)`` at exponent ea + eb.  With ``poisson``, combine gives
+    (plain, anti): plain goes to ea + eb, then, k ascending, w_k * anti to
+    ea + eb - e_xk - e_pk wherever w_k = xa_k pb_k - pa_k xb_k is nonzero.
+
+    ``combine`` maps stacks (Na, 1, d, d) and (1, Nb, d, d) to (Na, Nb, d, d).
+    Broadcast ``@`` equals per-pair ``A @ B`` to the bit (``einsum`` does
+    not) and sums run in loop order, so the result, key order included, is
+    the written-out double loop's to the bit.  Where packed keys would
+    overflow int64, the exponent rows are the keys (the loop summed Python
+    ints); ``ShapeError`` only where a Poisson weight could overflow.
+    """
+    u._check_like(v)
+    if not u.terms or not v.terms:
+        return HybridElement._trusted(u.dim, u.num_pairs, {}, hermitian)
+    shape = (u.dim, u.dim)
+    ea, eb, A, B, radix, strides = pack(u.terms, v.terms, u.nvars, np.complex128,
+                                        row_keys=True)
+    ka, kb = keys_of(ea, strides), keys_of(eb, strides)
+    # exponent shift per contribution: the plain term, then each canonical pair
+    shifts = np.eye(1 + u.num_pairs, u.num_pairs, -1, dtype=np.int64).repeat(2, axis=1)
+    shifts = shifts[:1 + u.num_pairs * poisson]
+    offsets = keys_of(shifts, strides)
+
+    def blocks():
+        for rows in row_blocks(len(ka), len(kb) * len(offsets) * u.dim ** 2):
+            keys = (ka[rows, None] + kb)[:, :, None] - offsets
+            vals = combine(A[rows, None], B[None])
+            if poisson:
+                plain, anti = vals
+                w = poisson_weights(ea[rows], eb)
+                weighted = w.astype(np.complex128)[..., None, None] * anti[:, :, None]
+                vals = np.concatenate([plain[:, :, None], weighted], axis=2)
+                live = np.concatenate([np.ones_like(w[..., :1], dtype=bool), w != 0], axis=2)
+                keys, vals = keys[live], vals[live]
+            yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
+
+    terms = accumulate(blocks(), radix, strides, shape, np.complex128)
+    return HybridElement._trusted(u.dim, u.num_pairs, terms, hermitian, pruned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +459,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         if self.kind == "qc":
             # cross term carries sqrt(a1 * a2) = 0 for a classical right
             # component, so only the factorwise symmetric products remain
-            out: dict = {}
-            for ea, ma in u.terms.items():
-                for eb, mb in v.terms.items():
-                    ec = tuple(a + b for a, b in zip(ea, eb))
-                    prod = 0.5 * (ma @ mb + mb @ ma)
-                    out[ec] = out[ec] + prod if ec in out else prod
-            return HybridElement._trusted(u.dim, u.num_pairs, out, herm)
+            return term_pair_sum(u, v, lambda A, B: 0.5 * (A @ B + B @ A), herm)
         return u.product(v)
 
     def alpha(self, u, v):
@@ -448,13 +483,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         # quantum (x) classical: c2 = 0 kills the classical-bracket term,
         # which is the algebraic root of the no-back-reaction result
         h1 = self.left.constant.hbar
-        out: dict = {}
-        for ea, ma in u.terms.items():
-            for eb, mb in v.terms.items():
-                ec = tuple(a + b for a, b in zip(ea, eb))
-                brack = c1 * (ma @ mb - mb @ ma) / (1j * h1)
-                out[ec] = out[ec] + brack if ec in out else brack
-        return HybridElement._trusted(u.dim, u.num_pairs, out, herm)
+        return term_pair_sum(u, v, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1), herm)
 
     def tau(self, u, v):
         """Envelope product, computed on the independent route: plain

@@ -16,6 +16,9 @@ coefficient is accumulated sequentially in the order of the loop
 
 with results listed in first-occurrence order, so every coefficient and
 its position in the returned dict equal that loop's to the bit.
+
+``pack`` and ``accumulate`` also serve the term-pair engine of
+``compose``: one slotting routine sums scalar and matrix coefficients.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from .errors import ShapeError
 
 BACKEND = "numpy"
 
-#: term pairs (times canonical pairs, for ``poisson``) formed at once;
-#: bounds the temporaries whatever the input size
+#: term pairs formed at once, times canonical pairs for ``poisson`` and
+#: times contributions and matrix entries in ``compose``; bounds the
+#: temporaries whatever the number of terms
 BLOCK_PAIRS = 8192
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -44,14 +48,14 @@ def mul(a: dict, b: dict, nvars: int) -> dict:
     """Exact product of two sparse polynomials (no degree truncation)."""
     if not a or not b:
         return {}
-    ea, eb, ca, cb, radix, strides = _pack(a, b, nvars)
+    ea, eb, ca, cb, radix, strides = pack(a, b, nvars)
     ka, kb = ea @ strides, eb @ strides
 
     def blocks():
-        for rows in _row_blocks(len(a), len(b)):
+        for rows in row_blocks(len(a), len(b)):
             yield (ka[rows, None] + kb).ravel(), (ca[rows, None] * cb).ravel()
 
-    return _accumulate(blocks(), radix, strides)
+    return accumulate(blocks(), radix, strides)
 
 
 @_ieee_quiet
@@ -65,78 +69,103 @@ def poisson(a: dict, b: dict, num_pairs: int) -> dict:
     """
     if not a or not b:
         return {}
-    ea, eb, ca, cb, radix, strides = _pack(a, b, 2 * num_pairs)
+    ea, eb, ca, cb, radix, strides = pack(a, b, 2 * num_pairs)
     ka, kb = ea @ strides, eb @ strides
     shift = strides[0::2] + strides[1::2]
 
     def blocks():
-        for rows in _row_blocks(len(a), len(b) * num_pairs):
-            # exponents are below their radix and the radix product fits
-            # int64, so neither product overflows
-            w = (ea[rows, None, 0::2] * eb[:, 1::2]
-                 - ea[rows, None, 1::2] * eb[:, 0::2])
+        for rows in row_blocks(len(a), len(b) * num_pairs):
+            w = poisson_weights(ea[rows], eb)
             live = w != 0
             keys = (ka[rows, None, None] + kb[:, None]) - shift
             vals = (ca[rows, None] * cb)[:, :, None] * w
             yield keys[live], vals[live]
 
-    return _accumulate(blocks(), radix, strides)
+    return accumulate(blocks(), radix, strides)
 
 
-def _pack(a: dict, b: dict, nvars: int):
+def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """x_k(a) p_k(b) - p_k(a) x_k(b) by (a-term, b-term, k); below int64 max
+    because each product is below the (checked) square of the largest radix."""
+    return ea[:, None, 0::2] * eb[:, 1::2] - ea[:, None, 1::2] * eb[:, 0::2]
+
+
+def pack(a: dict, b: dict, nvars: int, dtype=np.float64, row_keys: bool = False):
     """Exponent arrays and coefficients of both operands, and the key
-    radix and stride of each variable."""
+    radix and stride of each variable.
+
+    With ``row_keys``, a radix product past int64 gives ``strides`` None
+    instead of ``ShapeError``: the keys are then the exponent rows.
+    """
     ea = np.array(list(a), dtype=np.int64).reshape(len(a), nvars)
     eb = np.array(list(b), dtype=np.int64).reshape(len(b), nvars)
     if ea.min() < 0 or eb.min() < 0:
         raise ShapeError("exponents must be >= 0")
-    radix = ea.max(axis=0) + eb.max(axis=0) + 1
-    if math.prod(radix.tolist()) > _INT64_MAX:
+    radix = ea.max(axis=0) + eb.max(axis=0) + 1  # wraps below 1 past int64
+    if radix.min() >= 1 and math.prod(radix.tolist()) <= _INT64_MAX:
+        strides = np.ones(nvars, dtype=np.int64)
+        strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    elif row_keys and radix.min() >= 1 and max(radix.tolist()) ** 2 <= _INT64_MAX:
+        strides = None
+    else:
         raise ShapeError(f"exponent ranges {radix.tolist()} overflow int64 packed keys")
-    strides = np.ones(nvars, dtype=np.int64)
-    strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
-    ca = np.array(list(a.values()), dtype=np.float64)
-    cb = np.array(list(b.values()), dtype=np.float64)
+    ca = np.array(list(a.values()), dtype=dtype)
+    cb = np.array(list(b.values()), dtype=dtype)
     return ea, eb, ca, cb, radix, strides
 
 
-def _row_blocks(num_rows: int, width: int):
+def keys_of(exps: np.ndarray, strides: np.ndarray | None) -> np.ndarray:
+    """Keys of exponent rows: packed int64, or the rows where ``strides`` is None."""
+    return exps if strides is None else exps @ strides
+
+
+def row_blocks(num_rows: int, width: int):
     step = max(1, BLOCK_PAIRS // width)
     for start in range(0, num_rows, step):
         yield slice(start, start + step)
 
 
-def _accumulate(blocks, radix: np.ndarray, strides: np.ndarray) -> dict:
+def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, shape=(),
+               dtype=np.float64) -> dict:
     """Sum contributions per key, over (keys, values) blocks in loop order.
 
     Keys get slots in first-occurrence order, and ``np.add.at`` adds in
     index order, so each coefficient is the sequential sum.  Zero sums
-    are dropped.
+    are dropped.  Values of trailing ``shape`` (matrices) are summed
+    elementwise and come back read-only; scalars come back as floats.
+    Keys are packed int64, or exponent rows where ``strides`` is None.
     """
-    slot_keys = np.empty(0, dtype=np.int64)  # distinct keys so far, by slot
-    acc = np.empty(0)                        # coefficient by slot
+    rows = strides is None
+    slot_keys = np.empty((0, len(radix)) if rows else 0, dtype=np.int64)  # by slot
+    acc = np.empty((0,) + shape, dtype)  # coefficient by slot
     for keys, vals in blocks:
-        if keys.size == 0:
+        if len(keys) == 0:
             continue
         # The slotted keys lead the pool and are distinct, so each is its
         # own first occurrence and keeps its slot; the block's new keys
         # follow in first-occurrence order.
-        num_old = slot_keys.size
+        num_old = len(slot_keys)
         pool = np.concatenate([slot_keys, keys])
-        order = np.argsort(pool, kind="stable")
+        order = np.lexsort(pool.T[::-1]) if rows else np.argsort(pool, kind="stable")
         ranked = pool[order]
-        head = np.empty(pool.size, dtype=bool)
+        head = np.empty(len(pool), dtype=bool)
         head[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        if rows:
+            np.any(ranked[1:] != ranked[:-1], axis=1, out=head[1:])
+        else:
+            np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
         firsts = order[head]  # a stable sort starts each run at its first occurrence
-        is_first = np.zeros(pool.size, dtype=bool)
+        is_first = np.zeros(len(pool), dtype=bool)
         is_first[firsts] = True
         # a key's slot is the rank of its first occurrence among all firsts
-        slot = np.empty(pool.size, dtype=np.int64)
+        slot = np.empty(len(pool), dtype=np.int64)
         slot[order] =(np.cumsum(is_first) - 1)[firsts][np.cumsum(head) - 1]
         slot_keys = pool[is_first]
-        acc = np.concatenate([acc, np.zeros(slot_keys.size - num_old)])
+        # a slot's first add copies exactly: -0.0, not 0.0, is the identity
+        acc = np.concatenate([acc, -np.zeros((len(slot_keys) - num_old,) + shape, dtype)])
         np.add.at(acc, slot[num_old:], vals)
-    nonzero = acc != 0.0
-    exps = slot_keys[nonzero, None] // strides % radix
-    return dict(zip(map(tuple, exps.tolist()), acc[nonzero].tolist()))
+    live = acc.reshape(len(acc), math.prod(shape)).any(axis=1)
+    exps = slot_keys[live] if rows else slot_keys[live, None] // strides % radix
+    acc = acc[live]
+    acc.setflags(write=False)
+    return dict(zip(map(tuple, exps.tolist()), acc.tolist() if acc.ndim == 1 else acc))

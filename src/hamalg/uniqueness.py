@@ -27,6 +27,8 @@ from .serialize import canon_float
 DEFAULT_FACTOR_TOLERANCE = 1e-8
 FIT_RESIDUAL_TOLERANCE = 1e-10
 MIN_FIT_PAIRS = 8
+#: draws allowed per fit pair; a dim-1 bracket vanishes on every draw
+MAX_DRAWS_PER_PAIR = 20
 
 
 @dataclass
@@ -82,8 +84,8 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
     num = 0.0
     den = 0.0
     samples = []
-    drawn = 0
-    while drawn < max(n_pairs, MIN_FIT_PAIRS):
+    needed = max(n_pairs, MIN_FIT_PAIRS)
+    for attempts in range(1, MAX_DRAWS_PER_PAIR * needed + 1):
         f, g = comp.random_element(rng), comp.random_element(rng)
         ref = embed(component_op(f, g))
         scale = 1.0 + f.norm() * g.norm()
@@ -93,7 +95,12 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
         num += float(np.real(np.vdot(ref.entries, val.entries)))
         den += float(np.real(np.vdot(ref.entries, ref.entries)))
         samples.append((ref, val))
-        drawn += 1
+        if len(samples) == needed:
+            break
+    else:
+        raise AlgebraError(f"the {component} component's {product} vanished on "
+                           f"{attempts - len(samples)} of {attempts} random pairs "
+                           f"(dim {comp.dim}); the restriction factor cannot be fitted")
     lam = num / den
     resid_sq = sum((val - ref.scale(lam)).norm() ** 2 for ref, val in samples)
     ref_sq = sum(ref.norm() ** 2 for ref, _ in samples)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamalg import (
     AlgebraError,
@@ -17,13 +19,33 @@ from hamalg import (
 )
 from hamalg.brackets import (
     VIOLATION_THRESHOLD,
+    _commutator_bracket,
+    _product_rule_bracket,
     desideratum_defect,
     ordered_poisson,
     random_hybrid_observable,
     replay_witness_defect,
 )
-from hamalg.reference import replay_defect
-from tests.conftest import PAULI_X, PAULI_Y, PAULI_Z
+from hamalg.elements import monomials_up_to_degree
+from hamalg import kernels
+from hamalg.errors import ShapeError
+from hamalg.reference import (
+    dense_hybrid_add,
+    dense_hybrid_mul,
+    dense_hybrid_norm,
+    dense_mixed_bracket,
+    hybrid_json_to_dense,
+    replay_defect,
+)
+from hamalg.serialize import element_to_json
+from tests.conftest import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    assert_terms_bitwise,
+    loop_term_pairs,
+    random_hybrid,
+)
 
 HBAR = 1.0
 
@@ -192,8 +214,6 @@ class TestDenseOracleAgreement:
     @pytest.mark.parametrize("kind", list(MixedBracketKind))
     @pytest.mark.parametrize("desideratum", ["antisymmetry", "jacobi", "derivation"])
     def test_main_path_matches_dense_expansion(self, kind, desideratum, rng):
-        from hamalg.serialize import element_to_json
-
         arity = 2 if desideratum == "antisymmetry" else 3
         elements = [random_hybrid_observable(rng, degree=2) for _ in range(arity)]
         main = desideratum_defect(kind, desideratum, elements, hbar=HBAR)
@@ -204,3 +224,152 @@ class TestDenseOracleAgreement:
         }
         dense = replay_defect(witness, hbar=HBAR)
         assert abs(main - dense) <= 1e-10 * max(1.0, main)
+
+
+def loop_product_rule(u, v, hbar):
+    """The literal simple-product-rule loop: the commutator on the product
+    monomial, then the anticommutator on each canonical pair's term of the
+    monomial Poisson bracket, k ascending."""
+    out = {}
+
+    def acc(e, m):
+        out[e] = out[e] + m if e in out else m
+
+    for ea, ma in u.terms.items():
+        for eb, mb in v.terms.items():
+            ec = tuple(a + b for a, b in zip(ea, eb))
+            acc(ec, (ma @ mb - mb @ ma) / (1j * hbar))
+            anti = 0.5 * (ma @ mb + mb @ ma)
+            for k in range(u.num_pairs):
+                ix, ip = 2 * k, 2 * k + 1
+                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
+                if w == 0:
+                    continue
+                e = list(ec)
+                e[ix] -= 1
+                e[ip] -= 1
+                acc(tuple(e), float(w) * anti)
+    return {e: m for e, m in out.items() if np.any(m != 0)}
+
+
+def bracket_loops(hbar):
+    return [
+        (_commutator_bracket,
+         lambda u, v: loop_term_pairs(u, v, lambda A, B: (A @ B - B @ A) / (1j * hbar))),
+        (_product_rule_bracket, lambda u, v: loop_product_rule(u, v, hbar)),
+    ]
+
+
+class TestTermPairEngine:
+    """Both term-pair brackets against their literal loops, to the bit."""
+
+    @pytest.mark.parametrize("num_pairs", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_loop_bitwise(self, dim, num_pairs):
+        rng = np.random.default_rng([dim, num_pairs, 1])
+        for hbar in (1.0, 0.3):
+            for bracket, loop in bracket_loops(hbar):
+                for _ in range(3):
+                    u = random_hybrid(rng, dim, num_pairs, 2)
+                    v = random_hybrid(rng, dim, num_pairs, 3)
+                    assert_terms_bitwise(bracket(u, v, hbar).terms, loop(u, v))
+
+    def test_matches_loop_bitwise_over_several_blocks(self):
+        rng = np.random.default_rng(4)
+        u = random_hybrid(rng, 2, 2, 4, density=1.0)
+        v = random_hybrid(rng, 2, 2, 4, density=1.0)
+        assert_terms_bitwise(_product_rule_bracket(u, v, HBAR).terms,
+                             loop_product_rule(u, v, HBAR))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_operand(self, dim):
+        u = random_hybrid(np.random.default_rng(dim), dim, 2, 2, density=1.0)
+        empty = HybridElement(dim, 2, {})
+        for bracket, _ in bracket_loops(HBAR):
+            assert bracket(u, empty, HBAR).terms == {}
+            assert bracket(empty, u, HBAR).terms == {}
+
+    def test_cancellation_prunes_every_key(self):
+        u = HybridElement(2, 1, {(1, 1): PAULI_X + PAULI_Z})
+        assert _commutator_bracket(u, u, HBAR).terms == {}
+        # {x p, x p}_P = 0 and [A, A]- = 0: nothing survives
+        assert _product_rule_bracket(u, u, HBAR).terms == {}
+
+    def test_signed_zeros_match_loop(self):
+        # weight -1 on the anticommutator I puts -0.0 off the diagonal, as
+        # the first contribution to its key
+        u = HybridElement(2, 1, {(0, 1): PAULI_X})
+        v = HybridElement(2, 1, {(1, 0): PAULI_X + PAULI_Z})
+        got = _product_rule_bracket(u, v, HBAR).terms
+        assert_terms_bitwise(got, loop_product_rule(u, v, HBAR))
+        assert np.signbit(got[(0, 0)].real).any()
+
+    def test_nested_bracket_past_int64_keys_matches_loop(self):
+        # 12 pairs at degree 2: the outer bracket of a Jacobi triple has
+        # radix 7 on each of its 24 variables, past int64 packed keys, so
+        # the engine keys exponent rows, over several blocks
+        rng = np.random.default_rng(12)
+        squares = [tuple(2 * (i == j) for j in range(24)) for i in range(24)]
+
+        def element():
+            # every x_i**2 and p_i**2, plus a few other monomials
+            el = random_hybrid(rng, 2, 12, 2, density=0.03)
+            return el + HybridElement(2, 12, {e: rng.standard_normal((2, 2)) for e in squares})
+
+        u, v, w = element(), element(), element()
+        for bracket, loop in bracket_loops(HBAR):
+            inner = _commutator_bracket(v, w, HBAR)
+            assert kernels.pack(u.terms, inner.terms, 24, np.complex128, row_keys=True)[-1] is None
+            assert_terms_bitwise(bracket(u, inner, HBAR).terms, loop(u, inner))
+
+    def test_weight_overflow_is_rejected(self):
+        u = HybridElement(2, 2, {(2 ** 32,) * 4: PAULI_X})
+        for bracket, _ in bracket_loops(HBAR):
+            with pytest.raises(ShapeError):
+                bracket(u, u, HBAR)
+
+
+coeffs = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hybrid_pairs(draw):
+    """Two hybrid elements of one shape: dim 1-3, 1-2 canonical pairs,
+    up to five terms of degree <= 2 with complex coefficients."""
+    dim = draw(st.integers(1, 3))
+    num_pairs = draw(st.integers(1, 2))
+    monos = monomials_up_to_degree(2 * num_pairs, 2)
+    entries = st.lists(coeffs, min_size=2 * dim * dim, max_size=2 * dim * dim)
+
+    def element():
+        exps = draw(st.lists(st.sampled_from(monos), max_size=5, unique=True))
+        return HybridElement(dim, num_pairs, {
+            e: np.array(draw(entries)).view(np.complex128).reshape(dim, dim) for e in exps})
+
+    return element(), element()
+
+
+def dense(u):
+    return hybrid_json_to_dense(element_to_json(u))
+
+
+def assert_matches_dense(got, want, scale):
+    assert dense_hybrid_norm(dense_hybrid_add(dense(got), -want)) <= 1e-12 * (1 + scale)
+
+
+class TestDenseOracleProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=hybrid_pairs(), hbar=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_mixed_brackets_match_dense_oracle(self, pair, hbar):
+        u, v = pair
+        scale = u.norm() * v.norm() / min(hbar, 1.0)
+        for kind in MixedBracketKind:
+            want = dense_mixed_bracket(kind.value, dense(u), dense(v), hbar, u.num_pairs)
+            assert_matches_dense(mixed_bracket(kind, u, v, hbar), want, scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=hybrid_pairs())
+    def test_assoc_product_matches_dense_oracle(self, pair):
+        u, v = pair
+        assert_matches_dense(u.assoc_product(v), dense_hybrid_mul(dense(u), dense(v)),
+                             u.norm() * v.norm())

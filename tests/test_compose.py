@@ -1,6 +1,6 @@
 """Tensor composition against the literal simple-tensor law.
 
-The canonical-form products (einsum / term loops) are cross-checked
+The canonical-form products (einsum / the term-pair engine) are cross-checked
 against compose_product_on_terms, which applies the component products
 factor by factor across the switching map -- the definitional route.
 """
@@ -23,7 +23,16 @@ from hamalg import (
     simple_tensor,
     switching_map,
 )
-from tests.conftest import PAULI_X, PAULI_Y, PAULI_Z
+from hamalg import kernels
+from hamalg.errors import ShapeError
+from tests.conftest import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    assert_terms_bitwise,
+    loop_term_pairs,
+    random_hybrid,
+)
 
 
 def qq_algebra(a1=1.0, a2=1.0, a12=1.0, d1=2, d2=2):
@@ -350,3 +359,82 @@ class TestHybridElementType:
             KroneckerElement(2, 2, np.zeros((3, 3)))
         with pytest.raises(AlgebraError):
             KroneckerElement(2, 1, [[0, 1], [0, 0]], hermitian=True)
+
+
+class TestTermPairEngine:
+    """The batched engine against the literal term-pair loops it replaced,
+    to the bit: same keys in the same order, equal matrices."""
+
+    @staticmethod
+    def qc_products(dim, num_pairs, a=0.7, a12=1.9):
+        c = qc_algebra(a=a, a12=a12, dim=dim, pairs=num_pairs)
+        c1, h1 = math.sqrt(c.a1 / c.a12), c.left.constant.hbar
+        return [
+            (lambda u, v: u.assoc_product(v), lambda A, B: A @ B),
+            (c.sigma, lambda A, B: 0.5 * (A @ B + B @ A)),
+            (c.alpha, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1)),
+        ]
+
+    @pytest.mark.parametrize("num_pairs", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_loop_bitwise(self, dim, num_pairs):
+        rng = np.random.default_rng([dim, num_pairs])
+        for op, combine in self.qc_products(dim, num_pairs):
+            for _ in range(3):
+                u = random_hybrid(rng, dim, num_pairs, 2)
+                v = random_hybrid(rng, dim, num_pairs, 3)
+                assert_terms_bitwise(op(u, v).terms, loop_term_pairs(u, v, combine))
+
+    def test_matches_loop_bitwise_over_several_blocks(self):
+        # 126 x 126 term pairs: more than one block of rows
+        rng = np.random.default_rng(3)
+        u = random_hybrid(rng, 2, 2, 5, density=1.0)
+        v = random_hybrid(rng, 2, 2, 5, density=1.0)
+        assert_terms_bitwise(u.assoc_product(v).terms,
+                             loop_term_pairs(u, v, lambda A, B: A @ B))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_operand(self, dim):
+        rng = np.random.default_rng(dim)
+        u = random_hybrid(rng, dim, 1, 2, density=1.0)
+        empty = HybridElement(dim, 1, {})
+        for op, _ in self.qc_products(dim, 1):
+            assert op(u, empty).terms == {}
+            assert op(empty, u).terms == {}
+
+    def test_cancelled_key_is_pruned(self):
+        # (X x1 + Y p1)(X p1 - Y x1): the x1 p1 coefficient X X - Y Y is 0
+        u = HybridElement(2, 1, {(1, 0): PAULI_X, (0, 1): PAULI_Y})
+        v = HybridElement(2, 1, {(0, 1): PAULI_X, (1, 0): -PAULI_Y})
+        want = loop_term_pairs(u, v, lambda A, B: A @ B)
+        assert list(want) == [(2, 0), (0, 2)]
+        assert_terms_bitwise(u.assoc_product(v).terms, want)
+        c = qc_algebra()
+        single = HybridElement(2, 1, {(1, 0): PAULI_X})
+        assert c.alpha(single, single).terms == {}
+
+    def test_results_are_read_only(self, rng):
+        u, v = random_hybrid(rng, 2, 1, 2), random_hybrid(rng, 2, 1, 2)
+        for m in u.assoc_product(v).terms.values():
+            assert not m.flags.writeable
+
+    def test_hermitian_flags(self, rng):
+        c = qc_algebra()
+        u, v = c.random_element(rng), c.random_element(rng)
+        assert c.sigma(u, v).hermitian and c.alpha(u, v).hermitian
+        assert not u.assoc_product(v).hermitian
+
+    def test_key_space_past_int64_matches_loop(self):
+        # the loops summed Python ints: radix 2**21 + 1 on 4 variables
+        # overflows packed int64 keys, so the engine keys exponent rows
+        u = HybridElement(2, 2, {(2 ** 20,) * 4: PAULI_X, (2 ** 20, 0, 1, 2): PAULI_Y})
+        assert kernels.pack(u.terms, u.terms, 4, np.complex128, row_keys=True)[-1] is None
+        for op, combine in self.qc_products(2, 2):
+            assert_terms_bitwise(op(u, u).terms, loop_term_pairs(u, u, combine))
+
+    def test_weight_overflow_is_rejected(self):
+        # exponents near 2**32: a Poisson weight x_a p_b would pass int64
+        u = HybridElement(2, 2, {(2 ** 32,) * 4: PAULI_X})
+        for op, _ in self.qc_products(2, 2):
+            with pytest.raises(ShapeError):
+                op(u, u)

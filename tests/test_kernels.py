@@ -187,6 +187,15 @@ def test_large_exponents_do_not_wrap():
     assert kernels.mul({(40000, 0): 1.0}, {(30000, 0): 1.0}, 2) == {(70000, 0): 1.0}
 
 
+def test_exponent_sum_past_int64_is_rejected():
+    # 2**62 + 2**62 wraps int64: the key radix must not go negative
+    a = {(2 ** 62, 0): 1.0}
+    with pytest.raises(ShapeError):
+        kernels.mul(a, a, 2)
+    with pytest.raises(ShapeError):
+        kernels.poisson(a, a, 1)
+
+
 def test_key_space_overflow_is_rejected():
     a = {(400,) * 8: 1.0}
     with pytest.raises(ShapeError):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,22 @@ class TestRestrictAlpha:
                                  PhaseSpaceAlgebra(1))
         with pytest.raises(AlgebraError):
             restrict_alpha(hybrid, "left")
+
+    def test_vanishing_bracket_raises_instead_of_hanging(self):
+        # a dim-1 bracket is identically zero, so no draw is usable; run in
+        # a child so that a hang fails the test instead of stalling the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("from hamalg import AlgebraError, uniqueness_check\n"
+                "try:\n"
+                "    uniqueness_check(1, 1, 1, dims=(1, 1))\n"
+                "except AlgebraError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "left component's alpha vanished" in proc.stdout
 
     def test_rejects_bad_component_name(self):
         with pytest.raises(AlgebraError):
