@@ -46,7 +46,6 @@ from .measurement import (
     Regime,
     Trajectory,
     back_reaction_gap,
-    build_hamiltonian,
     classical_freezing_defect,
     eom_generator,
     evolve,
@@ -89,7 +88,6 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "back_reaction_gap",
-    "build_hamiltonian",
     "centrality_report",
     "check_identity",
     "check_lemma",

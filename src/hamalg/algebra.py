@@ -259,10 +259,9 @@ def centrality_report(alg: OperatorAlgebra, rtol: float = 1e-10) -> dict:
             op = np.kron(basis, np.eye(d)) - np.kron(np.eye(d), basis.T)
             rows.append(op)
     full = np.vstack(rows)
-    svals = np.linalg.svd(full, compute_uv=False)
+    _, svals, vh = np.linalg.svd(full)
     tol = rtol * svals[0]
     nullity = int(np.sum(svals <= tol))
-    _, _, vh = np.linalg.svd(full)
     kernel_vec = vh[-1].reshape(d, d)
     # kernel vector should be proportional to the identity
     coeff = np.trace(kernel_vec) / d

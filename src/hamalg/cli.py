@@ -7,10 +7,16 @@ Subcommands:
 * ``simulate``   -- evolve the coupled measurement model, CSV + summary
 * ``uniqueness`` -- restriction factors for one constant triple, or a scan
 
+``uniqueness [scan]`` is one command: without ``scan`` it checks the
+triple given by ``--a1 --a2 --a12``, with it the ``--grid`` scan.
+
 Exit status: 0 all checks passed / expected pattern confirmed, 1 a check
 or pattern failed, 2 usage error.  Seeds come from ``--seed``, then the
-``HAMALG_SEED`` environment variable, then 0.  ``--config FILE`` loads
-defaults from a JSON object keyed by option name; explicit flags win.
+``HAMALG_SEED`` environment variable, then 0.  ``--config FILE`` holds a
+JSON object keyed by option name; its options are written as flags in
+front of the command line's and the command line is parsed again, so
+config values pass the same type and choice checks as flags, and
+explicit flags win.  Every default is declared on its option.
 All reports validate against the schema shipped at
 ``hamalg/schemas/report.schema.json``.
 """
@@ -21,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -49,6 +56,12 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+#: Bound on C(2n + 4d, 4d), the monomials of the identity suite's deepest
+#: product on random polynomials of degree d in 2n variables (Jordan's
+#: sigma(sigma(f, f), sigma(g, f)), degree 4d).  ``verify --hybrid --trials 1``
+#: at pairs 6, degree 2 (125,970) takes 24 s and 212 MB on one x86-64 core.
+MAX_PRODUCT_MONOMIALS = 200_000
+
 
 class UsageError(Exception):
     pass
@@ -63,17 +76,9 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("HAMALG_SEED")
-    return int(env) if env else 0
-
-
-def _merge_config(args: argparse.Namespace):
-    """Fill unset options from a JSON config file, if given."""
-    if not getattr(args, "config", None):
-        return
+def _config_argv(args: argparse.Namespace, argv: list) -> list:
+    """argv with the config file's options written as flags right after
+    the subcommand, so that explicit flags, which come later, win."""
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -81,27 +86,50 @@ def _merge_config(args: argparse.Namespace):
         raise UsageError(f"cannot read config file {args.config}: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    flags = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        # the namespace holds every option of the subcommand; these are not options
+        if dest in ("command", "func", "mode", "config") or not hasattr(args, dest):
             raise UsageError(f"config file option {key!r} unknown for this subcommand")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        option = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool):   # a store_true flag
+            if not isinstance(value, bool):
+                raise UsageError(f"config file flag {key!r} must be true or false")
+            flags += [option] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{option}={value}")
+        else:
+            raise UsageError(f"config file option {key!r} must be a string or a number")
+    # argv[0] is the subcommand: the top-level parser has no other options
+    return argv[:1] + flags + argv[1:]
+
+
+def _write_text(text: str, path: str | None, what: str) -> None:
+    """Write text to path, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {what} to {path}: {exc}")
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
     """Validate against the shipped schema, then write or print."""
     report = canon_floats(report)
     jsonschema.validate(report, _load_schema())
-    text = json.dumps(report, indent=2)
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write report to {out_path}: {exc}")
-    else:
-        print(text)
+    _write_text(json.dumps(report, indent=2) + "\n", out_path, "report")
 
 
 def _positive(value, what: str):
@@ -114,49 +142,57 @@ def _positive(value, what: str):
 # verify
 # ---------------------------------------------------------------------------
 
+def _check_polynomial_size(pairs: int, degree: int) -> None:
+    """Refuse random polynomials whose nested products would be too large
+    (see MAX_PRODUCT_MONOMIALS)."""
+    if degree < 0:
+        raise UsageError(f"--degree must be >= 0, got {degree}")
+    bound = math.comb(2 * pairs + 4 * degree, 4 * degree)
+    if bound > MAX_PRODUCT_MONOMIALS:
+        raise UsageError(f"--pairs {pairs} --degree {degree}: products of degree {4 * degree} "
+                         f"reach C({2 * pairs + 4 * degree}, {4 * degree}) = {bound:,} "
+                         f"monomials, past the limit of {MAX_PRODUCT_MONOMIALS:,}")
+
+
 def _build_algebra(args) -> object:
     if args.composed and args.hybrid:
         raise UsageError("--composed and --hybrid are mutually exclusive")
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
     if args.composed:
         a1 = _positive(args.a1, "--a1")
         a2 = _positive(args.a2, "--a2")
         a12 = _positive(args.a12, "--a12")
-        dim1 = int(_positive(args.dim1 if args.dim1 is not None else 2, "--dim1"))
-        dim2 = int(_positive(args.dim2 if args.dim2 is not None else 2, "--dim2"))
+        dim1 = _positive(args.dim1, "--dim1")
+        dim2 = _positive(args.dim2, "--dim2")
         return ComposedAlgebra(OperatorAlgebra(dim1, hbar=2 * np.sqrt(a1), rng_seed=seed),
                                OperatorAlgebra(dim2, hbar=2 * np.sqrt(a2), rng_seed=seed),
                                a12=a12)
     if args.hybrid:
         a1 = _positive(args.a1 if args.a1 is not None else 1.0, "--a1")
         a12 = args.a12 if args.a12 is not None else a1
-        dim = int(_positive(args.dim if args.dim is not None else 2, "--dim"))
-        pairs = int(_positive(args.pairs if args.pairs is not None else 1, "--pairs"))
-        degree = int(args.degree if args.degree is not None else 2)
+        dim = _positive(args.dim, "--dim")
         return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * np.sqrt(a1), rng_seed=seed),
-                               PhaseSpaceAlgebra(pairs, max_random_degree=degree),
+                               _phase_space(args, default_degree=2),
                                a12=_positive(a12, "--a12"))
-    realization = args.realization or "operator"
-    if realization == "operator":
-        dim = int(_positive(args.dim if args.dim is not None else 2, "--dim"))
-        hbar = _positive(args.hbar if args.hbar is not None else 1.0, "--hbar")
+    if args.realization == "operator":
+        dim = _positive(args.dim, "--dim")
+        hbar = _positive(args.hbar, "--hbar")
         return OperatorAlgebra(dim, hbar=hbar, rng_seed=seed)
-    if realization == "phase-space":
-        pairs = int(_positive(args.pairs if args.pairs is not None else 1, "--pairs"))
-        degree = int(args.degree if args.degree is not None else 3)
-        if degree < 0:
-            raise UsageError(f"--degree must be >= 0, got {degree}")
-        return PhaseSpaceAlgebra(pairs, max_random_degree=degree, rng_seed=seed)
-    raise UsageError(f"unknown realization {realization!r}")
+    return _phase_space(args, default_degree=3, rng_seed=seed)
+
+
+def _phase_space(args, default_degree: int, **kwargs) -> PhaseSpaceAlgebra:
+    pairs = _positive(args.pairs, "--pairs")
+    degree = args.degree if args.degree is not None else default_degree
+    _check_polynomial_size(pairs, degree)
+    return PhaseSpaceAlgebra(pairs, max_random_degree=degree, **kwargs)
 
 
 def cmd_verify(args) -> int:
     alg = _build_algebra(args)
-    trials = int(_positive(args.trials if args.trials is not None else 200, "--trials"))
-    tolerance = _positive(args.tolerance if args.tolerance is not None else 1e-9,
-                          "--tolerance")
-    report = run_axiom_suite(alg, trials=trials, tolerance=tolerance,
-                             seed=_resolve_seed(args.seed))
+    trials = _positive(args.trials, "--trials")
+    tolerance = _positive(args.tolerance, "--tolerance")
+    report = run_axiom_suite(alg, trials=trials, tolerance=tolerance, seed=args.seed)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.identity.value:<20} max defect "
@@ -180,12 +216,11 @@ _SEARCH_PLAN = {
 
 
 def cmd_brackets(args) -> int:
-    seed = _resolve_seed(args.seed)
-    trials = int(_positive(args.trials if args.trials is not None else 200, "--trials"))
-    budget = args.budget if args.budget is not None else 1000
+    seed, budget = args.seed, args.budget
+    trials = _positive(args.trials, "--trials")
     if budget < 1:
         raise UsageError(f"--budget must be >= 1, got {budget}")
-    hbar = _positive(args.hbar if args.hbar is not None else 1.0, "--hbar")
+    hbar = _positive(args.hbar, "--hbar")
     kinds = ([MixedBracketKind(args.kind)] if args.kind
              else list(MixedBracketKind))
 
@@ -197,13 +232,13 @@ def cmd_brackets(args) -> int:
         defects.append(triple.to_json())
         passed = passed and triple.matches_expected_pattern()
         for desideratum in _SEARCH_PLAN[kind]:
-            witness = find_violation_witness(kind, desideratum, int(budget),
+            witness = find_violation_witness(kind, desideratum, budget,
                                              seed=seed, hbar=hbar)
             expect_clean = EXPECTED_CLEAN[kind][desideratum]
             entry = {
                 "kind": kind.value,
                 "desideratum": desideratum,
-                "budget": int(budget),
+                "budget": budget,
                 "found": witness is not None,
                 "witness": witness,
                 "replay_defect": None,
@@ -220,8 +255,7 @@ def cmd_brackets(args) -> int:
             # a clean desideratum must yield no witness; a broken one must
             passed = passed and ((witness is None) == expect_clean)
             searches.append(entry)
-        name = kind.value
-        print(f"[{'pass' if triple.matches_expected_pattern() else 'FAIL'}] {name:<18} "
+        print(f"[{'pass' if triple.matches_expected_pattern() else 'FAIL'}] {kind.value:<18} "
               f"antisym {triple.antisymmetry_defect:.2e}  "
               f"jacobi {triple.jacobi_defect:.2e}  "
               f"derivation {triple.derivation_defect:.2e}", file=sys.stderr)
@@ -243,48 +277,29 @@ def cmd_brackets(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _trajectory_csv(traj) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     header = ["t"] + [f"{obs}.{b}" for obs in TRACKED for b in BASIS]
-    writer.writerow(header)
-    for s, t in enumerate(traj.times):
-        row = [f"{t:.17g}"]
-        for i in range(len(TRACKED)):
-            row.extend(f"{v:.17g}" for v in traj.coefficients[s, i, :])
-        writer.writerow(row)
-    return buf.getvalue()
+    return _csv_text(header, ([f"{t:.17g}"] + [f"{v:.17g}" for v in coeffs.ravel()]
+                              for t, coeffs in zip(traj.times, traj.coefficients)))
 
 
 def cmd_simulate(args) -> int:
-    regime = Regime(args.regime if args.regime is not None else "qq")
-    try:
-        cfg = MeasurementConfig(
-            m1=_positive(args.m1 if args.m1 is not None else 1.0, "--m1"),
-            m2=_positive(args.m2 if args.m2 is not None else 1.0, "--m2"),
-            g0=float(args.g0 if args.g0 is not None else 0.7),
-            t0=float(args.t0 if args.t0 is not None else 0.0),
-            dt=_positive(args.dt if args.dt is not None else 1.3, "--dt"),
-            hbar=_positive(args.hbar if args.hbar is not None else 1.0, "--hbar"),
-            regime=regime,
-        )
-    except HamalgError as exc:
-        raise UsageError(str(exc))
+    cfg = MeasurementConfig(
+        m1=_positive(args.m1, "--m1"),
+        m2=_positive(args.m2, "--m2"),
+        g0=args.g0,
+        t0=args.t0,
+        dt=_positive(args.dt, "--dt"),
+        hbar=_positive(args.hbar, "--hbar"),
+        regime=args.regime,
+    )
     t_end = _positive(args.t_end if args.t_end is not None else cfg.t0 + cfg.dt + 0.5,
                       "--t-end")
-    samples = int(args.samples if args.samples is not None else 21)
+    samples = args.samples
     if samples < 2:
         raise UsageError(f"--samples must be >= 2, got {samples}")
 
     traj = evolve(cfg, t_end, samples)
-    text = _trajectory_csv(traj)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write trajectory to {args.out}: {exc}")
-    else:
-        sys.stdout.write(text)
+    _write_text(_trajectory_csv(traj), args.out, "trajectory")
 
     summary = {
         "report_kind": "simulate",
@@ -297,11 +312,8 @@ def cmd_simulate(args) -> int:
         "samples": samples,
         "timestamp": _timestamp(),
     }
-    summary_path = args.summary_out
-    if summary_path:
-        _write_report(summary, summary_path)
-    elif args.out:
-        _write_report(summary, None)
+    if args.summary_out or args.out:   # stdout holds the CSV otherwise
+        _write_report(summary, args.summary_out)
     return EXIT_PASS
 
 
@@ -321,42 +333,33 @@ def _parse_grid(spec: str):
 
 
 def _scan_csv(verdicts) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["a1", "a2", "a12", "factor_left", "factor_right",
-                     "expected_left", "expected_right", "passed"])
-    for v in verdicts:
-        writer.writerow([
-            f"{v['a1']:.17g}", f"{v['a2']:.17g}", f"{v['a12']:.17g}",
-            f"{v['left']['measured_factor']:.17g}",
-            f"{v['right']['measured_factor']:.17g}",
-            f"{v['left']['expected_factor']:.17g}",
-            f"{v['right']['expected_factor']:.17g}",
-            "1" if v["passed"] else "0",
-        ])
-    return buf.getvalue()
+    header = ["a1", "a2", "a12", "factor_left", "factor_right",
+              "expected_left", "expected_right", "passed"]
+    return _csv_text(header, ([
+        f"{v['a1']:.17g}", f"{v['a2']:.17g}", f"{v['a12']:.17g}",
+        f"{v['left']['measured_factor']:.17g}",
+        f"{v['right']['measured_factor']:.17g}",
+        f"{v['left']['expected_factor']:.17g}",
+        f"{v['right']['expected_factor']:.17g}",
+        "1" if v["passed"] else "0",
+    ] for v in verdicts))
 
 
 def cmd_uniqueness(args) -> int:
-    seed = _resolve_seed(args.seed)
-    tolerance = _positive(args.tolerance if args.tolerance is not None else 1e-8,
-                          "--tolerance")
-    if getattr(args, "mode", None) == "scan":
-        values = _parse_grid(args.grid if args.grid is not None else "0.25:4:5")
+    seed = args.seed
+    tolerance = _positive(args.tolerance, "--tolerance")
+    constants = ("a1", "a2", "a12")
+    if args.mode == "scan":
+        for name in constants:
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name} does not apply to the scan mode")
+        values = _parse_grid(args.grid)
         verdicts = scan_constants(values, tolerance=tolerance, seed=seed)
         # the theory predicts the pass set is exactly the diagonal
         diagonal_ok = all(
             v["passed"] == (v["a1"] == v["a2"] == v["a12"]) for v in verdicts
         )
-        csv_text = _scan_csv(verdicts)
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(csv_text)
-            except OSError as exc:
-                raise UsageError(f"cannot write scan to {args.out}: {exc}")
-        else:
-            sys.stdout.write(csv_text)
+        _write_text(_scan_csv(verdicts), args.out, "scan")
         report = {
             "report_kind": "uniqueness",
             "verdicts": verdicts,
@@ -368,7 +371,7 @@ def cmd_uniqueness(args) -> int:
             _write_report(report, args.json_out)
         return EXIT_PASS if diagonal_ok else EXIT_FAIL
 
-    for name in ("a1", "a2", "a12"):
+    for name in constants:
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required (or use the scan mode)")
         _positive(getattr(args, name), f"--{name}")
@@ -389,102 +392,94 @@ def cmd_uniqueness(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  An option's default is None only where it depends
+    on other options (see the subcommands) or where None means "absent"."""
     parser = argparse.ArgumentParser(
         prog="hamalg",
         description="Verification tooling for quantum/classical Hamilton algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        # a string default goes through type=int, so a bad HAMALG_SEED is a usage error
+        p.add_argument("--seed", type=int, default=os.environ.get("HAMALG_SEED") or 0,
                        help="RNG seed (fallback: HAMALG_SEED, then 0)")
-        p.add_argument("--config", default=None,
-                       help="JSON file with default option values")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--config", help="JSON file with default option values")
+        p.add_argument("--out", help="output file (default: stdout)")
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the identity suite on an algebra")
-    common(p_verify)
+    p_verify = command("verify", cmd_verify, "run the identity suite on an algebra")
     p_verify.add_argument("--realization", choices=["operator", "phase-space"],
-                          default=None)
-    p_verify.add_argument("--dim", type=int, default=None, help="operator dimension")
-    p_verify.add_argument("--hbar", type=float, default=None)
-    p_verify.add_argument("--pairs", type=int, default=None,
+                          default="operator")
+    p_verify.add_argument("--dim", type=int, default=2, help="operator dimension")
+    p_verify.add_argument("--hbar", type=float, default=1.0)
+    p_verify.add_argument("--pairs", type=int, default=1,
                           help="canonical pairs (phase-space)")
-    p_verify.add_argument("--degree", type=int, default=None,
-                          help="max degree of random polynomials")
+    p_verify.add_argument("--degree", type=int,
+                          help="max degree of random polynomials (default: 3; 2 with --hybrid)")
     p_verify.add_argument("--composed", action="store_true",
                           help="quantum (x) quantum composition")
     p_verify.add_argument("--hybrid", action="store_true",
                           help="quantum (x) classical composition")
-    p_verify.add_argument("--a1", type=float, default=None)
-    p_verify.add_argument("--a2", type=float, default=None)
-    p_verify.add_argument("--a12", type=float, default=None)
-    p_verify.add_argument("--dim1", type=int, default=None)
-    p_verify.add_argument("--dim2", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--tolerance", type=float, default=None)
-    p_verify.set_defaults(func=cmd_verify)
+    # required with --composed; with --hybrid --a1 defaults to 1.0 and --a12 to --a1
+    p_verify.add_argument("--a1", type=float)
+    p_verify.add_argument("--a2", type=float)
+    p_verify.add_argument("--a12", type=float)
+    p_verify.add_argument("--dim1", type=int, default=2)
+    p_verify.add_argument("--dim2", type=int, default=2)
+    p_verify.add_argument("--trials", type=int, default=200)
+    p_verify.add_argument("--tolerance", type=float, default=1e-9)
 
-    p_brackets = sub.add_parser("brackets",
-                                help="mixed-bracket defects and witness searches")
-    common(p_brackets)
+    p_brackets = command("brackets", cmd_brackets,
+                         "mixed-bracket defects and witness searches")
     p_brackets.add_argument("--kind", choices=[k.value for k in MixedBracketKind],
-                            default=None, help="restrict to one bracket")
-    p_brackets.add_argument("--trials", type=int, default=None)
-    p_brackets.add_argument("--budget", type=int, default=None,
+                            help="restrict to one bracket (default: all)")
+    p_brackets.add_argument("--trials", type=int, default=200)
+    p_brackets.add_argument("--budget", type=int, default=1000,
                             help="witness search budget (default 1000)")
-    p_brackets.add_argument("--hbar", type=float, default=None)
-    p_brackets.set_defaults(func=cmd_brackets)
+    p_brackets.add_argument("--hbar", type=float, default=1.0)
 
-    p_sim = sub.add_parser("simulate", help="evolve the coupled measurement model")
-    common(p_sim)
-    p_sim.add_argument("--regime", choices=[r.value for r in Regime], default=None)
-    p_sim.add_argument("--m1", type=float, default=None)
-    p_sim.add_argument("--m2", type=float, default=None)
-    p_sim.add_argument("--g0", type=float, default=None)
-    p_sim.add_argument("--t0", type=float, default=None)
-    p_sim.add_argument("--dt", type=float, default=None)
-    p_sim.add_argument("--hbar", type=float, default=None)
-    p_sim.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p_sim.add_argument("--samples", type=int, default=None)
-    p_sim.add_argument("--summary-out", dest="summary_out", default=None,
+    p_sim = command("simulate", cmd_simulate, "evolve the coupled measurement model")
+    p_sim.add_argument("--regime", choices=[r.value for r in Regime], default="qq")
+    p_sim.add_argument("--m1", type=float, default=1.0)
+    p_sim.add_argument("--m2", type=float, default=1.0)
+    p_sim.add_argument("--g0", type=float, default=0.7)
+    p_sim.add_argument("--t0", type=float, default=0.0)
+    p_sim.add_argument("--dt", type=float, default=1.3)
+    p_sim.add_argument("--hbar", type=float, default=1.0)
+    p_sim.add_argument("--t-end", dest="t_end", type=float,
+                       help="end of the sampled interval (default: t0 + dt + 0.5)")
+    p_sim.add_argument("--samples", type=int, default=21)
+    p_sim.add_argument("--summary-out", dest="summary_out",
                        help="write the JSON summary here (default: stdout when "
                             "the CSV goes to a file)")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_uni = sub.add_parser("uniqueness",
-                           help="restriction factors for constant triples")
-    common(p_uni)
-    p_uni.add_argument("--a1", type=float, default=None)
-    p_uni.add_argument("--a2", type=float, default=None)
-    p_uni.add_argument("--a12", type=float, default=None)
-    p_uni.add_argument("--tolerance", type=float, default=None)
-    p_uni.add_argument("--json-out", dest="json_out", default=None,
+    p_uni = command("uniqueness", cmd_uniqueness,
+                    "restriction factors for constant triples")
+    p_uni.add_argument("mode", nargs="?", choices=["scan"],
+                       help="scan a grid of constant triples instead of one triple")
+    p_uni.add_argument("--a1", type=float)
+    p_uni.add_argument("--a2", type=float)
+    p_uni.add_argument("--a12", type=float)
+    p_uni.add_argument("--tolerance", type=float, default=1e-8)
+    p_uni.add_argument("--json-out", dest="json_out",
                        help="also write the JSON verdict table (scan mode)")
-    p_uni.add_argument("--grid", default=None, help="lo:hi:n log-spaced (scan mode)")
-    uni_modes = p_uni.add_subparsers(dest="mode")
-    p_scan = uni_modes.add_parser("scan", help="scan a grid of constant triples")
-    p_scan.add_argument("--grid", default=None, help="lo:hi:n log-spaced")
-    p_scan.add_argument("--seed", type=int, default=None)
-    p_scan.add_argument("--config", default=None)
-    p_scan.add_argument("--out", default=None)
-    p_scan.add_argument("--tolerance", type=float, default=None)
-    p_scan.add_argument("--json-out", dest="json_out", default=None)
-    p_uni.set_defaults(func=cmd_uniqueness)
+    p_uni.add_argument("--grid", default="0.25:4:5", help="lo:hi:n log-spaced (scan mode)")
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        if args.config:
+            args = parser.parse_args(_config_argv(args, argv))
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HamalgError as exc:
+    except (UsageError, HamalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

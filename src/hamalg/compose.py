@@ -231,18 +231,6 @@ class HybridElement:
         order, classical monomials multiply commutatively."""
         return term_pair_sum(self, other, lambda A, B: A @ B, False)
 
-    def classical_poly(self) -> PhaseSpacePoly | None:
-        """If every coefficient is a real multiple of the identity, return
-        the underlying scalar polynomial; otherwise None."""
-        terms = {}
-        eye = np.eye(self.dim)
-        for e, m in self.terms.items():
-            c = complex(np.trace(m)) / self.dim
-            if np.linalg.norm(m - c * eye) > 1e-12 * max(1.0, np.linalg.norm(m)) or abs(c.imag) > 1e-14:
-                return None
-            terms[e] = c.real
-        return PhaseSpacePoly(self.num_pairs, terms)
-
     def __repr__(self):
         return (f"HybridElement(dim={self.dim}, num_pairs={self.num_pairs}, "
                 f"nterms={len(self.terms)}, hermitian={self.hermitian})")
@@ -498,33 +486,12 @@ class ComposedAlgebra(HamiltonAlgebra):
         return u.product(v)
 
     def equal_constant_compose(self, u, v):
-        """Fast path for a1 = a2 = a12 = a: returns (sigma12, alpha12)
-        computed with unit coefficients on the bracket terms.
-
-        The alpha law here has no dependence on a at all; the sigma law
-        keeps an explicit -a on the double-bracket term.
-        """
-        a = self.a12
-        if not (self.a1 == self.a2 == a):
+        """(sigma12, alpha12) for a1 = a2 = a12 = a, where the composition
+        law has unit coefficients on the bracket terms: the alpha law does
+        not depend on a, the sigma law keeps -a on its double-bracket term."""
+        if not (self.a1 == self.a2 == self.a12):
             raise AlgebraError("equal-constant path needs a1 == a2 == a12")
-        self._check_element(u)
-        self._check_element(v)
-        herm = u.hermitian and v.hermitian if self.kind != "cc" else None
-        if self.kind == "qq":
-            h1, h2 = self.left.constant.hbar, self.right.constant.hbar
-            LL, LR, RL, RR = _lr_table(u, v)
-            sig_sig = 0.25 * (LL + LR + RL + RR)
-            alp_alp = -(LL - LR - RL + RR) / (h1 * h2)
-            alp_sig = (LL + LR - RL - RR) / (2j * h1)
-            sig_alp = (LL - LR + RL - RR) / (2j * h2)
-            sig = KroneckerElement._trusted(u.left_dim, u.right_dim,
-                                            sig_sig - a * alp_alp, herm)
-            alp = KroneckerElement._trusted(u.left_dim, u.right_dim,
-                                            alp_sig + sig_alp, herm)
-            return sig, alp
-        if self.kind == "cc":
-            return u.product(v), u.poisson(v)
-        raise AlgebraError("equal-constant path applies to qq or cc compositions")
+        return self.sigma(u, v), self.alpha(u, v)
 
     # -- elements -------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Heisenberg-picture dynamics of the coupled free-particle measurement
 model, in quantum-quantum and quantum-classical regimes.
 
-The model: particle 1 (momentum p1 to be read out) couples to particle 2
-through h = p1^2/(2 m1) + p2^2/(2 m2) + g(t) p1 x2, with g(t) piecewise
-constant: g0 inside the window [t0, t0 + dt), zero outside.
+The model (``MeasurementConfig``): particle 1, whose momentum p1 is read
+out, couples to particle 2 through a p1 x2 term switched on for a finite
+window.
 
 Observables are evolved, not states.  The tracked space is the linear
 span of (p1, x1, p2, x2, 1), which is closed under the equations of
@@ -50,6 +50,9 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class MeasurementConfig:
+    """h = p1^2/(2 m1) + p2^2/(2 m2) + g(t) p1 x2, g piecewise constant:
+    g0 inside the window [t0, t0 + dt), zero outside."""
+
     m1: float
     m2: float
     g0: float
@@ -69,6 +72,17 @@ class MeasurementConfig:
 
     def coupling(self, t: float) -> float:
         return self.g0 if self.t0 <= t < self.t0 + self.dt else 0.0
+
+    def hamiltonian(self, t: float) -> dict:
+        """h at time t as a monomial map (exponents over x1,p1,x2,p2 -> coefficient)."""
+        terms = {
+            (0, 2, 0, 0): 1.0 / (2.0 * self.m1),
+            (0, 0, 0, 2): 1.0 / (2.0 * self.m2),
+        }
+        g = self.coupling(t)
+        if g != 0.0:
+            terms[(0, 1, 1, 0)] = g
+        return terms
 
 
 # ---------------------------------------------------------------------------
@@ -126,58 +140,6 @@ def evolution_bracket(f: dict, h: dict, cfg: MeasurementConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian description
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CouplingHamiltonian:
-    """h = p1^2/(2 m1) + p2^2/(2 m2) + g(t) p1 x2, g piecewise constant."""
-
-    m1: float
-    m2: float
-    g0: float
-    t0: float
-    dt: float
-
-    def coupling(self, t: float) -> float:
-        return self.g0 if self.t0 <= t < self.t0 + self.dt else 0.0
-
-    def operator_at(self, t: float) -> dict:
-        """Monomial map (exponents over x1,p1,x2,p2 -> coefficient)."""
-        terms = {
-            (0, 2, 0, 0): 1.0 / (2.0 * self.m1),
-            (0, 0, 0, 2): 1.0 / (2.0 * self.m2),
-        }
-        g = self.coupling(t)
-        if g != 0.0:
-            terms[(0, 1, 1, 0)] = g
-        return terms
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"label": "kinetic-1", "exponents": [0, 2, 0, 0],
-                 "coeff": 1.0 / (2.0 * self.m1)},
-                {"label": "kinetic-2", "exponents": [0, 0, 0, 2],
-                 "coeff": 1.0 / (2.0 * self.m2)},
-                {"label": "coupling", "exponents": [0, 1, 1, 0], "coeff": self.g0,
-                 "window": [self.t0, self.t0 + self.dt]},
-            ],
-            "m1": self.m1, "m2": self.m2,
-            "g0": self.g0, "t0": self.t0, "dt": self.dt,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CouplingHamiltonian":
-        return cls(m1=data["m1"], m2=data["m2"], g0=data["g0"],
-                   t0=data["t0"], dt=data["dt"])
-
-
-def build_hamiltonian(cfg: MeasurementConfig) -> CouplingHamiltonian:
-    return CouplingHamiltonian(m1=cfg.m1, m2=cfg.m2, g0=cfg.g0, t0=cfg.t0, dt=cfg.dt)
-
-
-# ---------------------------------------------------------------------------
 # generator derivation and exact evolution
 # ---------------------------------------------------------------------------
 
@@ -203,7 +165,7 @@ def generator_from_hamiltonian(h: dict, cfg: MeasurementConfig) -> np.ndarray:
 
 def eom_generator(cfg: MeasurementConfig, t: float) -> np.ndarray:
     """Generator of the measurement model at time t (d/dt c = G c)."""
-    return generator_from_hamiltonian(build_hamiltonian(cfg).operator_at(t), cfg)
+    return generator_from_hamiltonian(cfg.hamiltonian(t), cfg)
 
 
 def _expm_nilpotent(gen: np.ndarray, dt: float) -> np.ndarray:
@@ -239,15 +201,35 @@ class Trajectory:
         return self.coefficients[:, TRACKED.index(name), :]
 
 
+def _propagators(cfg: MeasurementConfig, times) -> np.ndarray:
+    """Propagators at ascending times >= 0 by one walk over the
+    constant-coupling segments.
+
+    Each segment's generator is derived once.  The propagator at t is
+    exp(G (t - start)) @ phi(start), where start is the last cut before t
+    and phi(start) the product over the segments before it: the same
+    products, in the same order, as a walk to t alone.
+    """
+    out = np.empty((len(times), len(BASIS), len(BASIS)))
+    phi = np.eye(len(BASIS))
+    segments = iter(_segments(cfg, times[-1]))
+    start = end = 0.0
+    gen = None
+    for s, t in enumerate(times):
+        while end < t:
+            if gen is not None:
+                phi = _expm_nilpotent(gen, end - start) @ phi
+            start, end = next(segments)
+            gen = eom_generator(cfg, 0.5 * (start + end))
+        out[s] = phi if t == start else _expm_nilpotent(gen, t - start) @ phi
+    return out
+
+
 def propagator(cfg: MeasurementConfig, t: float) -> np.ndarray:
     """Basis evolution matrix: basis_i(t) = sum_j phi[i, j] basis_j(0)."""
     if t < 0:
         raise AlgebraError("evolution runs forward from t = 0")
-    phi = np.eye(len(BASIS))
-    for start, end in _segments(cfg, t):
-        gen = eom_generator(cfg, 0.5 * (start + end))
-        phi = _expm_nilpotent(gen, end - start) @ phi
-    return phi
+    return _propagators(cfg, [t])[0]
 
 
 def evolve(cfg: MeasurementConfig, t_end: float, n_samples: int) -> Trajectory:
@@ -256,12 +238,8 @@ def evolve(cfg: MeasurementConfig, t_end: float, n_samples: int) -> Trajectory:
     if n_samples < 2:
         raise AlgebraError(f"n_samples must be >= 2, got {n_samples}")
     times = np.linspace(0.0, t_end, int(n_samples))
-    coeffs = np.empty((len(times), len(TRACKED), len(BASIS)))
-    for s, t in enumerate(times):
-        phi = propagator(cfg, float(t))
-        for i, name in enumerate(TRACKED):
-            coeffs[s, i, :] = phi[BASIS.index(name), :]
-    return Trajectory(times=times, coefficients=coeffs)
+    rows = [BASIS.index(name) for name in TRACKED]
+    return Trajectory(times=times, coefficients=_propagators(cfg, times)[:, rows, :])
 
 
 def evolve_rk4(cfg: MeasurementConfig, t_end: float,

@@ -1,10 +1,24 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from hamalg.cli import _load_schema, main
+from hamalg.cli import (
+    MAX_PRODUCT_MONOMIALS,
+    UsageError,
+    _check_polynomial_size,
+    _load_schema,
+    build_parser,
+    main,
+)
+
+SUBCOMMANDS = ("verify", "brackets", "simulate", "uniqueness")
 
 
 def run_cli(*argv):
@@ -14,6 +28,19 @@ def run_cli(*argv):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def argparse_exit_code(*argv):
+    """Exit code of a call that argparse must reject."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 class TestVerify:
@@ -78,6 +105,73 @@ class TestVerify:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_option": 1}))
         assert run_cli("verify", "--config", str(cfg)) == 2
+
+    def test_config_sets_a_flag(self, tmp_path):
+        cfg = write_config(tmp_path, {"hybrid": True})
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--config", cfg, "--trials", "3", "--out", str(out)) == 0
+        assert read_json(out)["algebra"]["kind"] == "qc"
+
+    @pytest.mark.parametrize("value", [1, "yes", None])
+    def test_config_flag_needs_a_bool(self, tmp_path, value):
+        cfg = write_config(tmp_path, {"hybrid": value})
+        assert run_cli("verify", "--config", cfg) == 2
+
+    def test_config_value_needs_a_scalar(self, tmp_path):
+        assert run_cli("verify", "--config", write_config(tmp_path, {"out": None})) == 2
+        assert run_cli("verify", "--config", write_config(tmp_path, {"dim": [4]})) == 2
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("verify", {"dim": 4.5}),
+        ("verify", {"dim": 4.0}),
+        ("brackets", {"kind": "bogus"}),
+        ("simulate", {"regime": "bogus"}),
+    ])
+    def test_config_values_are_checked_like_flags(self, tmp_path, command, cfg):
+        assert argparse_exit_code(command, "--config", write_config(tmp_path, cfg)) == 2
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"trials": 3, "dim": 3})
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(sys, "argv", ["hamalg", "verify", "--config", cfg,
+                                          "--out", str(out)])
+        assert main() == 0
+        doc = read_json(out)
+        assert doc["algebra"]["dim"] == 3
+        assert doc["checks"][0]["trials"] == 3
+
+    def test_bad_seed_env_usage_error(self, monkeypatch):
+        monkeypatch.setenv("HAMALG_SEED", "abc")
+        assert argparse_exit_code("verify", "--trials", "1") == 2
+
+    def test_seed_flag_beats_bad_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HAMALG_SEED", "abc")
+        assert run_cli("verify", "--trials", "1", "--seed", "3",
+                       "--out", str(tmp_path / "r.json")) == 0
+
+    def test_size_guard_bound(self):
+        # deepest product: degree 4d in 2n variables, C(2n + 4d, 4d) monomials
+        _check_polynomial_size(6, 2)   # C(20, 8) = 125,970
+        with pytest.raises(UsageError, match="319,770"):
+            _check_polynomial_size(7, 2)
+        assert 125_970 <= MAX_PRODUCT_MONOMIALS < 319_770
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("--hybrid", "--pairs", "12"), "C(32, 8)"),
+        (("--realization", "phase-space", "--pairs", "4", "--degree", "4"), "C(24, 16)"),
+    ])
+    def test_oversized_polynomials_are_refused_quickly(self, argv, bound):
+        # unguarded, one trial at 12 hybrid pairs ran for minutes; run in a
+        # child so that a missing guard fails the test instead of stalling
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "hamalg.cli", "verify", *argv,
+                               "--trials", "1"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert bound in proc.stderr
+        assert f"limit of {MAX_PRODUCT_MONOMIALS:,}" in proc.stderr
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -217,3 +311,50 @@ class TestUniqueness:
 
     def test_scan_bad_grid_usage_error(self):
         assert run_cli("uniqueness", "scan", "--grid", "4:1:5") == 2
+
+    def test_grid_before_scan_is_used(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli("uniqueness", "--grid", "0.25:4:2", "scan", "--out", str(out)) == 0
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 8
+
+    def test_constants_with_scan_usage_error(self):
+        assert run_cli("uniqueness", "scan", "--a1", "1") == 2
+
+
+class TestParser:
+    #: options whose default is None: it depends on other options, or None
+    #: means "not given"
+    NONE_DEFAULTS = {
+        "verify": {"degree", "a1", "a2", "a12"},
+        "brackets": {"kind"},
+        "simulate": {"t_end", "summary_out"},
+        "uniqueness": {"mode", "a1", "a2", "a12", "json_out"},
+    }
+
+    def test_subcommands(self, capsys):
+        assert argparse_exit_code("--help") == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_defaults_live_on_the_options(self, name, monkeypatch):
+        monkeypatch.delenv("HAMALG_SEED", raising=False)
+        args = build_parser().parse_args([name])
+        none = {dest for dest, value in vars(args).items() if value is None}
+        assert none == self.NONE_DEFAULTS[name] | {"config", "out"}
+        assert args.seed == 0
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_help_lists_each_option_once(self, name, capsys):
+        assert argparse_exit_code(name, "--help") == 0
+        options = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+        assert len(options) == len(set(options))
+        # option --x-y stores to x_y, which is how config keys are mapped
+        dests = set(vars(build_parser().parse_args([name]))) - {"command", "func", "mode"}
+        assert {o[2:].replace("-", "_") for o in options} == dests
+
+    def test_uniqueness_scan_is_not_a_second_parser(self, capsys):
+        argparse_exit_code("uniqueness", "--help")
+        plain = capsys.readouterr().out
+        argparse_exit_code("uniqueness", "scan", "--help")
+        assert capsys.readouterr().out == plain

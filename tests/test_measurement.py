@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,14 +6,14 @@ from hamalg import (
     MeasurementConfig,
     Regime,
     back_reaction_gap,
-    build_hamiltonian,
     classical_freezing_defect,
     eom_generator,
     evolve,
 )
+from hamalg import measurement
 from hamalg.measurement import (
     BASIS,
-    CouplingHamiltonian,
+    _segments,
     evolution_bracket,
     evolve_rk4,
     propagator,
@@ -30,26 +28,19 @@ def config(regime=Regime.QUANTUM_QUANTUM, **kw):
 
 class TestHamiltonian:
     def test_three_terms_inside_window(self):
-        h = build_hamiltonian(config(m1=2.0, m2=4.0))
-        terms = h.operator_at(0.5)
+        terms = config(m1=2.0, m2=4.0).hamiltonian(0.5)
         assert terms[(0, 2, 0, 0)] == 0.25   # 1/(2 m1)
         assert terms[(0, 0, 0, 2)] == 0.125  # 1/(2 m2)
         assert terms[(0, 1, 1, 0)] == 0.7
 
     def test_coupling_zero_outside_window(self):
-        h = build_hamiltonian(config(t0=1.0, dt=0.5))
-        assert (0, 1, 1, 0) not in h.operator_at(0.5)
-        assert (0, 1, 1, 0) in h.operator_at(1.2)
-        assert (0, 1, 1, 0) not in h.operator_at(1.6)
+        cfg = config(t0=1.0, dt=0.5)
+        assert (0, 1, 1, 0) not in cfg.hamiltonian(0.5)
+        assert (0, 1, 1, 0) in cfg.hamiltonian(1.2)
+        assert (0, 1, 1, 0) not in cfg.hamiltonian(1.6)
 
     def test_zero_coupling_gives_free_hamiltonian(self):
-        h = build_hamiltonian(config(g0=0.0))
-        assert set(h.operator_at(0.5)) == {(0, 2, 0, 0), (0, 0, 0, 2)}
-
-    def test_json_round_trip(self):
-        h = build_hamiltonian(config(m1=3.0, g0=-0.2, t0=1.0))
-        doc = json.loads(json.dumps(h.to_json()))
-        assert CouplingHamiltonian.from_json(doc) == h
+        assert set(config(g0=0.0).hamiltonian(0.5)) == {(0, 2, 0, 0), (0, 0, 0, 2)}
 
 
 class TestGeneratorDerivation:
@@ -80,7 +71,7 @@ class TestGeneratorDerivation:
         # the p2 row comes out of the canonical commutation relations, not
         # a table: check the bracket value directly
         cfg = config()
-        h = build_hamiltonian(cfg).operator_at(0.5)
+        h = cfg.hamiltonian(0.5)
         db = evolution_bracket({(0, 0, 0, 1): 1.0}, h, cfg)
         assert set(db) == {(0, 1, 0, 0)}
         assert db[(0, 1, 0, 0)] == pytest.approx(-0.7)
@@ -158,6 +149,33 @@ class TestEvolution:
                 traj = evolve(cfg, cfg.t0 + dt + 0.4, 5)
                 slope = traj.observable("p2")[-1][0]
                 assert abs(slope - (-g0 * dt)) <= 1e-12
+
+    def test_samples_equal_one_shot_propagators(self):
+        # samples land on both cuts (t = 1 and t = 2) and between them
+        for regime in Regime:
+            cfg = config(regime=regime, t0=1.0, dt=1.0)
+            traj = evolve(cfg, 5.0, 11)
+            rows = [BASIS.index(name) for name in ("p1", "x1", "p2", "x2")]
+            for t, coeffs in zip(traj.times, traj.coefficients):
+                one_shot = propagator(cfg, float(t))[rows]
+                assert np.array_equal(coeffs, one_shot)
+                assert coeffs.tobytes() == one_shot.tobytes()  # signed zeros too
+
+    def test_generator_derived_once_per_segment(self, monkeypatch):
+        calls = []
+        original = measurement.eom_generator
+
+        def counting(cfg, t):
+            calls.append(t)
+            return original(cfg, t)
+
+        monkeypatch.setattr(measurement, "eom_generator", counting)
+        cfg = config(t0=1.0, dt=1.0)
+        evolve(cfg, 5.0, 11)
+        assert len(calls) == len(_segments(cfg, 5.0)) == 3
+        calls.clear()
+        propagator(cfg, 1.5)
+        assert len(calls) == 2
 
     def test_sampling_validation(self):
         with pytest.raises(AlgebraError):
