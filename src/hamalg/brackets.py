@@ -21,6 +21,15 @@ antisymmetry, the Jacobi identity, and the derivation identity over the
 associative product.  The hybrid bracket satisfies all three; the
 product_rule/symmetrized pair is antisymmetric but breaks Jacobi and
 derivation; the unsymmetrized bracket breaks all three.
+
+Trials run in blocks: one draw gives a block of T random input tuples,
+held as HybridElements whose coefficients carry a leading trial axis
+(T, d, d), and each bracket and product of a desideratum then runs once
+per block, not once per trial.  ``measure_defects`` takes its trials in
+blocks of at most MAX_BLOCK_TRIALS; a witness search evaluates trial 0
+alone, where a broken bracket already fails, and then the rest of its
+budget in such blocks.  The RNG stream, every defect and every witness
+are those of the trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import relative_defect
-from .compose import HybridElement, term_pair_sum
+from .compose import HybridElement, nonzero_terms, term_pair_sum
 from .elements import monomials_up_to_degree
 from .errors import AlgebraError
 # not called here: perfbench/tracing.py wraps this name as a layer
@@ -42,6 +51,10 @@ from .serialize import canon_float, element_from_json, element_to_json
 #: orders of magnitude above the identity-suite pass tolerance
 VIOLATION_THRESHOLD = 1e-6
 PASS_TOLERANCE = 1e-10
+
+#: most trials evaluated in one block: bounds the block's temporaries and
+#: the trials a search evaluates past its first violation
+MAX_BLOCK_TRIALS = 256
 
 
 class MixedBracketKind(str, Enum):
@@ -128,8 +141,9 @@ def mixed_bracket(kind: MixedBracketKind, u: HybridElement, v: HybridElement,
 # ---------------------------------------------------------------------------
 
 def desideratum_defect(kind: MixedBracketKind, desideratum: str, elements,
-                       hbar: float = 1.0) -> float:
-    """Relative defect of one dynamics desideratum on one input tuple."""
+                       hbar: float = 1.0) -> float | np.ndarray:
+    """Relative defect of one dynamics desideratum on one input tuple; on a
+    tuple of blocks, the array of the defects of its trials."""
     kind = MixedBracketKind(kind)
     if desideratum == "antisymmetry":
         u, v = elements
@@ -153,13 +167,37 @@ def desideratum_defect(kind: MixedBracketKind, desideratum: str, elements,
 
 
 def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: int = 1,
-                             degree: int = 2) -> HybridElement:
-    """Hermitian-coefficient random hybrid element of bounded degree."""
-    terms = {}
-    for e in monomials_up_to_degree(2 * num_pairs, degree):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        terms[e] = 0.5 * (m + m.conj().T)
-    return HybridElement(dim, num_pairs, terms, hermitian=True)
+                             degree: int = 2, block: tuple | None = None):
+    """Hermitian-coefficient random hybrid element on every monomial up to
+    ``degree``.
+
+    With ``block=(trials, arity)``, ``trials`` input tuples of ``arity``
+    elements in one draw, returned as ``arity`` blocks: the numbers, in
+    order, of ``trials * arity`` single calls.
+    """
+    monos = monomials_up_to_degree(2 * num_pairs, degree)
+    trials, arity = block or (1, 1)
+    z = rng.standard_normal((trials, arity, len(monos), 2, dim, dim))
+    m = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
+        raise AlgebraError("random coefficients are not exactly Hermitian")
+    # by element, then monomial: each coefficient (trials, dim, dim)
+    h = np.ascontiguousarray(h.transpose(1, 2, 0, 3, 4))
+    if block is None:
+        return HybridElement._trusted(dim, num_pairs, nonzero_terms(monos, h[0, :, 0]), True)
+    return [HybridElement._trusted(dim, num_pairs, nonzero_terms(monos, c), True, trials)
+            for c in h]
+
+
+def _trial_blocks(total: int, first: int | None = None):
+    """(start, stop) of the blocks covering range(total): ``first`` trials
+    (default MAX_BLOCK_TRIALS), then blocks of at most MAX_BLOCK_TRIALS."""
+    start, size = 0, first or MAX_BLOCK_TRIALS
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, MAX_BLOCK_TRIALS
 
 
 @dataclass
@@ -210,23 +248,32 @@ def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
                     dim: int = 2, num_pairs: int = 1, degree: int = 2,
                     hbar: float = 1.0) -> DefectTriple:
     """Max relative defect of each desideratum over random hybrid triples,
-    with the worst witness kept per desideratum."""
+    with the worst witness kept per desideratum: the last trial attaining
+    the max (a NaN defect never counts), serialized once at the end."""
     kind = MixedBracketKind(kind)
     result = DefectTriple(kind=kind, trials=trials, seed=seed)
     for di, name in enumerate(DESIDERATA):
         rng = np.random.default_rng([seed, di])
         arity = 2 if name == "antisymmetry" else 3
-        worst, worst_witness = 0.0, None
-        for _ in range(trials):
-            elements = [random_hybrid_observable(rng, dim, num_pairs, degree)
-                        for _ in range(arity)]
-            d = desideratum_defect(kind, name, elements, hbar)
-            if d >= worst:
-                worst = d
-                worst_witness = [element_to_json(e) for e in elements]
+        worst, worst_at = 0.0, None  # worst_at: (block, trial in block)
+        for start, stop in _trial_blocks(trials):
+            block = random_hybrid_observable(rng, dim, num_pairs, degree,
+                                             block=(stop - start, arity))
+            d = desideratum_defect(kind, name, block, hbar)
+            candidates = d[d >= worst]  # NaN compares False
+            if candidates.size:
+                worst = float(candidates.max())
+                worst_at = block, int(np.flatnonzero(d == worst)[-1])
         setattr(result, f"{name}_defect", worst)
-        result.witnesses[name] = {"defect": canon_float(worst), "elements": worst_witness}
+        result.witnesses[name] = {
+            "defect": canon_float(worst),
+            "elements": None if worst_at is None else _serialize_trial(*worst_at),
+        }
     return result
+
+
+def _serialize_trial(block, t: int) -> list:
+    return [element_to_json(e.trial(t)) for e in block]
 
 
 def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int,
@@ -234,24 +281,27 @@ def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int
                            dim: int = 2, num_pairs: int = 1, degree: int = 2,
                            hbar: float = 1.0):
     """First random tuple whose defect exceeds the violation threshold;
-    None if the budget is exhausted."""
+    None if the budget is exhausted.  Trial 0 runs alone, then the rest of
+    the budget in blocks."""
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
     kind = MixedBracketKind(kind)
     di = DESIDERATA.index(desideratum)
     rng = np.random.default_rng([seed, di])
     arity = 2 if desideratum == "antisymmetry" else 3
-    for trial in range(budget):
-        elements = [random_hybrid_observable(rng, dim, num_pairs, degree)
-                    for _ in range(arity)]
-        d = desideratum_defect(kind, desideratum, elements, hbar)
-        if d > threshold:
+    for start, stop in _trial_blocks(budget, first=1):
+        block = random_hybrid_observable(rng, dim, num_pairs, degree,
+                                         block=(stop - start, arity))
+        d = desideratum_defect(kind, desideratum, block, hbar)
+        over = np.flatnonzero(d > threshold)
+        if over.size:
+            t = int(over[0])
             return {
                 "kind": kind.value,
                 "desideratum": desideratum,
-                "trial": trial,
-                "defect": canon_float(d),
-                "elements": [element_to_json(e) for e in elements],
+                "trial": start + t,
+                "defect": canon_float(d[t]),
+                "elements": _serialize_trial(block, t),
             }
     return None
 

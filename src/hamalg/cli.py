@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -154,9 +155,35 @@ def _check_polynomial_size(pairs: int, degree: int) -> None:
                          f"monomials, past the limit of {MAX_PRODUCT_MONOMIALS:,}")
 
 
+#: the options each ``verify`` algebra reads, of the algebra options
+_ALGEBRA_READS = {
+    "composed": {"a1", "a2", "a12", "dim1", "dim2"},
+    "hybrid": {"dim", "pairs", "degree", "a1", "a12"},
+    "operator": {"realization", "dim", "hbar"},
+    "phase-space": {"realization", "pairs", "degree"},
+}
+
+
+@functools.cache
+def _verify_defaults() -> argparse.Namespace:
+    return build_parser().parse_args(["verify"])
+
+
+def _refuse_unread_options(args, algebra: str) -> None:
+    """Usage error naming each option, set away from its default, that the
+    chosen algebra would silently ignore."""
+    unread = set().union(*_ALGEBRA_READS.values()) - _ALGEBRA_READS[algebra]
+    named = [f"--{name}" for name, default in vars(_verify_defaults()).items()
+             if name in unread and getattr(args, name) != default]
+    if named:
+        raise UsageError(f"{', '.join(named)} not used by the {algebra} algebra")
+
+
 def _build_algebra(args) -> object:
     if args.composed and args.hybrid:
         raise UsageError("--composed and --hybrid are mutually exclusive")
+    _refuse_unread_options(args, "composed" if args.composed else
+                           "hybrid" if args.hybrid else args.realization)
     seed = args.seed
     if args.composed:
         a1 = _positive(args.a1, "--a1")

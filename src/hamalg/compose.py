@@ -125,10 +125,16 @@ class HybridElement:
 
     The Hermitian flag means every matrix coefficient is Hermitian, i.e.
     the element is an observable-valued function.  Zero coefficients are
-    never stored.
+    never stored, and stored coefficients are read-only complex128.
+
+    A *block* of ``trials`` elements carries a leading trial axis on every
+    coefficient, ``(trials, dim, dim)``, so that one call of each operation
+    evaluates all of its trials.  A block stores a key unless its
+    coefficient is zero in every trial; ``trial(t)`` slices out one
+    ordinary element.  Blocks combine only with blocks of as many trials.
     """
 
-    __slots__ = ("dim", "num_pairs", "terms", "hermitian")
+    __slots__ = ("dim", "num_pairs", "terms", "hermitian", "trials")
 
     def __init__(self, dim: int, num_pairs: int, terms: dict | None = None,
                  hermitian: bool | None = None):
@@ -136,6 +142,7 @@ class HybridElement:
             raise ShapeError(f"invalid dim={dim} / num_pairs={num_pairs}")
         self.dim = int(dim)
         self.num_pairs = int(num_pairs)
+        self.trials = None
         nvars = 2 * self.num_pairs
         clean: dict = {}
         for exps, mat in (terms or {}).items():
@@ -156,47 +163,72 @@ class HybridElement:
         self.hermitian = bool(hermitian)
 
     @classmethod
-    def _trusted(cls, dim: int, num_pairs: int, terms: dict,
-                 hermitian: bool, pruned: bool = False) -> "HybridElement":
-        """Internal constructor for derived values: prunes exact zeros, unless
-        the terms are already ``pruned`` read-only complex matrices, but
-        skips per-coefficient Hermitian re-validation."""
+    def _trusted(cls, dim: int, num_pairs: int, terms: dict, hermitian: bool,
+                 trials: int | None = None) -> "HybridElement":
+        """Internal constructor for derived values: the caller guarantees
+        nonzero read-only complex128 coefficients of the right shape, so
+        nothing is re-validated or pruned."""
         self = object.__new__(cls)
         self.dim = int(dim)
         self.num_pairs = int(num_pairs)
-        if not pruned:
-            clean = {}
-            for e, mat in terms.items():
-                arr = np.asarray(mat, dtype=np.complex128)
-                if np.any(arr != 0):
-                    if arr.flags.writeable:
-                        arr.setflags(write=False)
-                    clean[e] = arr
-            terms = clean
         self.terms = terms
         self.hermitian = hermitian
+        self.trials = trials
         return self
+
+    def _derived(self, terms: dict, hermitian: bool) -> "HybridElement":
+        return HybridElement._trusted(self.dim, self.num_pairs, terms, hermitian, self.trials)
 
     @property
     def nvars(self) -> int:
         return 2 * self.num_pairs
 
-    def norm(self) -> float:
-        return math.sqrt(sum(float(np.linalg.norm(m)) ** 2 for m in self.terms.values()))
+    @property
+    def coeff_shape(self) -> tuple:
+        """Shape of one stored coefficient: (dim, dim), led by the trial axis
+        in a block."""
+        square = (self.dim, self.dim)
+        return square if self.trials is None else (self.trials,) + square
+
+    def norm(self):
+        """Frobenius norm over all coefficients; in a block, an array of the
+        norm of each trial, equal to ``trial(t).norm()`` to the bit."""
+        if self.trials is None:
+            return _frobenius(self.terms.values())
+        return np.array([_frobenius(m[t] for m in self.terms.values())
+                         for t in range(self.trials)])
+
+    def trial(self, t: int) -> "HybridElement":
+        """Trial t of a block as an ordinary element, without the keys that
+        are zero in that trial."""
+        if self.trials is None:
+            raise ShapeError("trial() needs a block")
+        terms = {e: m[t] for e, m in self.terms.items() if m[t].any()}
+        return HybridElement._trusted(self.dim, self.num_pairs, terms, self.hermitian)
 
     def _check_like(self, other: "HybridElement"):
         if not isinstance(other, HybridElement):
             raise ShapeError(f"expected HybridElement, got {type(other).__name__}")
         if (other.dim, other.num_pairs) != (self.dim, self.num_pairs):
             raise ShapeError("dim/num_pairs mismatch")
+        if other.trials != self.trials:
+            raise ShapeError(f"trials mismatch: {self.trials} and {other.trials} "
+                             "(None is a single element)")
 
     def __add__(self, other):
         self._check_like(other)
         out = dict(self.terms)
         for e, m in other.terms.items():
-            out[e] = out[e] + m if e in out else m
-        return HybridElement._trusted(self.dim, self.num_pairs, out,
-                                      self.hermitian and other.hermitian)
+            if e not in out:
+                out[e] = m
+                continue
+            total = out[e] + m
+            if total.any():  # a sum is the only value that can cancel to zero
+                total.setflags(write=False)
+                out[e] = total
+            else:
+                del out[e]
+        return self._derived(out, self.hermitian and other.hermitian)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
@@ -206,8 +238,9 @@ class HybridElement:
 
     def scale(self, c: complex):
         herm = self.hermitian and complex(c).imag == 0.0
-        return HybridElement._trusted(self.dim, self.num_pairs,
-                                      {e: c * m for e, m in self.terms.items()}, herm)
+        stacked = np.array(list(self.terms.values()), dtype=np.complex128)
+        stacked = c * stacked.reshape((-1,) + self.coeff_shape)  # keeps the shape when empty
+        return self._derived(nonzero_terms(self.terms, stacked), herm)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -223,8 +256,11 @@ class HybridElement:
                 continue
             de = list(e)
             de[var] -= 1
-            out[tuple(de)] = e[var] * m
-        return HybridElement._trusted(self.dim, self.num_pairs, out, False)
+            # an integer >= 1 times a nonzero matrix is nonzero
+            dm = e[var] * m
+            dm.setflags(write=False)
+            out[tuple(de)] = dm
+        return self._derived(out, False)
 
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written
@@ -232,8 +268,21 @@ class HybridElement:
         return term_pair_sum(self, other, lambda A, B: A @ B, False)
 
     def __repr__(self):
+        block = "" if self.trials is None else f", trials={self.trials}"
         return (f"HybridElement(dim={self.dim}, num_pairs={self.num_pairs}, "
-                f"nterms={len(self.terms)}, hermitian={self.hermitian})")
+                f"nterms={len(self.terms)}, hermitian={self.hermitian}{block})")
+
+
+def _frobenius(mats) -> float:
+    return math.sqrt(sum(float(np.linalg.norm(m)) ** 2 for m in mats))
+
+
+def nonzero_terms(keys, stacked: np.ndarray) -> dict:
+    """Keys to the read-only slices of ``stacked`` that are nonzero: a
+    product like ``c * m`` can underflow to zero."""
+    stacked.setflags(write=False)
+    live = stacked.reshape(len(stacked), math.prod(stacked.shape[1:])).any(axis=1)
+    return {e: m for e, m, keep in zip(keys, stacked, live.tolist()) if keep}
 
 
 def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
@@ -243,17 +292,19 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
     (plain, anti): plain goes to ea + eb, then, k ascending, w_k * anti to
     ea + eb - e_xk - e_pk wherever w_k = xa_k pb_k - pa_k xb_k is nonzero.
 
-    ``combine`` maps stacks (Na, 1, d, d) and (1, Nb, d, d) to (Na, Nb, d, d).
+    ``combine`` maps stacks (Na, 1, *c) and (1, Nb, *c) to (Na, Nb, *c),
+    where c is the coefficient shape, (d, d) or, for blocks, (T, d, d).
     Broadcast ``@`` equals per-pair ``A @ B`` to the bit (``einsum`` does
     not) and sums run in loop order, so the result, key order included, is
-    the written-out double loop's to the bit.  Where packed keys would
-    overflow int64, the exponent rows are the keys (the loop summed Python
-    ints); ``ShapeError`` only where a Poisson weight could overflow.
+    the written-out double loop's to the bit, in every trial of a block.
+    Where packed keys would overflow int64, the exponent rows are the keys
+    (the loop summed Python ints); ``ShapeError`` only where a Poisson
+    weight could overflow.
     """
     u._check_like(v)
     if not u.terms or not v.terms:
-        return HybridElement._trusted(u.dim, u.num_pairs, {}, hermitian)
-    shape = (u.dim, u.dim)
+        return u._derived({}, hermitian)
+    shape = u.coeff_shape
     ea, eb, A, B, radix, strides = pack(u.terms, v.terms, u.nvars, np.complex128,
                                         row_keys=True)
     ka, kb = keys_of(ea, strides), keys_of(eb, strides)
@@ -263,20 +314,20 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
     offsets = keys_of(shifts, strides)
 
     def blocks():
-        for rows in row_blocks(len(ka), len(kb) * len(offsets) * u.dim ** 2):
+        for rows in row_blocks(len(ka), len(kb) * len(offsets) * math.prod(shape)):
             keys = (ka[rows, None] + kb)[:, :, None] - offsets
             vals = combine(A[rows, None], B[None])
             if poisson:
                 plain, anti = vals
                 w = poisson_weights(ea[rows], eb)
-                weighted = w.astype(np.complex128)[..., None, None] * anti[:, :, None]
+                weighted = (w.astype(np.complex128).reshape(w.shape + (1,) * len(shape))
+                            * anti[:, :, None])
                 vals = np.concatenate([plain[:, :, None], weighted], axis=2)
                 live = np.concatenate([np.ones_like(w[..., :1], dtype=bool), w != 0], axis=2)
                 keys, vals = keys[live], vals[live]
             yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
 
-    terms = accumulate(blocks(), radix, strides, shape, np.complex128)
-    return HybridElement._trusted(u.dim, u.num_pairs, terms, hermitian, pruned=True)
+    return u._derived(accumulate(blocks(), radix, strides, shape, np.complex128), hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +345,9 @@ def simple_tensor(f, g):
         return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries),
                                          f.hermitian and g.hermitian)
     if isinstance(f, OperatorElement) and isinstance(g, PhaseSpacePoly):
+        coeffs = np.array(list(g.terms.values()))[:, None, None]
         return HybridElement._trusted(f.dim, g.num_pairs,
-                                      {e: c * f.entries for e, c in g.terms.items()},
-                                      f.hermitian)
+                                      nonzero_terms(g.terms, coeffs * f.entries), f.hermitian)
     if isinstance(f, PhaseSpacePoly) and isinstance(g, PhaseSpacePoly):
         terms = {}
         for ea, ca in f.terms.items():

@@ -17,7 +17,9 @@ from hamalg import (
     mixed_bracket,
     simple_tensor,
 )
+from hamalg import brackets
 from hamalg.brackets import (
+    DESIDERATA,
     VIOLATION_THRESHOLD,
     _commutator_bracket,
     _product_rule_bracket,
@@ -43,6 +45,10 @@ from tests.conftest import (
     PAULI_Y,
     PAULI_Z,
     assert_terms_bitwise,
+    loop_defects,
+    loop_draws,
+    loop_find_violation_witness,
+    loop_measure_defects,
     loop_term_pairs,
     random_hybrid,
 )
@@ -373,3 +379,120 @@ class TestDenseOracleProperties:
         u, v = pair
         assert_matches_dense(u.assoc_product(v), dense_hybrid_mul(dense(u), dense(v)),
                              u.norm() * v.norm())
+
+
+def draw_blocks(seed, trials, arity):
+    return random_hybrid_observable(np.random.default_rng(seed), block=(trials, arity))
+
+
+@pytest.fixture
+def drawn_blocks(monkeypatch):
+    """The (trials, arity) of every draw the bracket searches make."""
+    sizes = []
+    draw = brackets.random_hybrid_observable
+
+    def recording(*args, block=None, **kw):
+        sizes.append(block)
+        return draw(*args, block=block, **kw)
+
+    monkeypatch.setattr(brackets, "random_hybrid_observable", recording)
+    return sizes
+
+
+class TestTrialBlocks:
+    """Blocks of trials against the literal trial loops, to the bit."""
+
+    @pytest.mark.parametrize("kind", list(MixedBracketKind))
+    @pytest.mark.parametrize("desideratum", DESIDERATA)
+    def test_block_defects_match_loop_bitwise(self, kind, desideratum):
+        arity = 2 if desideratum == "antisymmetry" else 3
+        for trials in (1, 2, 5):
+            for hbar in (1.0, 0.3):
+                block = draw_blocks([trials, 9], trials, arity)
+                got = desideratum_defect(kind, desideratum, block, hbar)
+                assert got.shape == (trials,)
+                want = np.array(loop_defects(kind, desideratum, block, hbar))
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim, num_pairs, degree", [(2, 1, 2), (3, 2, 1), (1, 1, 3)])
+    def test_block_draw_equals_single_draws(self, dim, num_pairs, degree):
+        rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
+        block = random_hybrid_observable(rng_block, dim, num_pairs, degree, block=(4, 3))
+        singles = loop_draws(rng_loop, 4, 3, dim, num_pairs, degree)
+        for i, b in enumerate(block):
+            assert b.trials == 4 and b.hermitian
+            for t in range(4):
+                assert_terms_bitwise(b.trial(t).terms, singles[t][i].terms)
+        # the same stream was consumed
+        assert rng_block.standard_normal() == rng_loop.standard_normal()
+
+    def test_block_norms_equal_slice_norms_bitwise(self):
+        u, v = draw_blocks(3, 6, 2)
+        for el in (u, v, mixed_bracket(MixedBracketKind.ANDERSON, u, v, 0.3)):
+            norms = el.norm()
+            assert norms.shape == (6,)
+            for t in range(6):
+                assert norms[t].tobytes() == np.float64(el.trial(t).norm()).tobytes()
+
+    def test_first_violation_past_a_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
+        rng = np.random.default_rng([0, DESIDERATA.index(desideratum)])
+        defects = [desideratum_defect(kind, desideratum, e)
+                   for e in loop_draws(rng, 12, 3)]
+        # every trial up to 5 stays under: blocks [0], [1, 4), [4, 7) are passed over
+        threshold = max(defects[:6])
+        want = loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
+        assert want is not None and want["trial"] >= 6
+        assert find_violation_witness(kind, desideratum, 12, threshold=threshold) == want
+
+    def test_trial_zero_find_draws_one_trial(self, drawn_blocks):
+        w = find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry", budget=1000)
+        assert w["trial"] == 0
+        assert drawn_blocks == [(1, 2)]
+        assert w == loop_find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry", 1)
+
+    def test_blocks_never_exceed_the_cap(self, monkeypatch, drawn_blocks):
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
+        assert find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi", 11) is None
+        assert drawn_blocks == [(1, 3), (4, 3), (4, 3), (2, 3)]
+        drawn_blocks.clear()
+        measure_defects(MixedBracketKind.HYBRID_PAPER, trials=9)
+        assert [t for t, _ in drawn_blocks] == [4, 4, 1] * len(DESIDERATA)
+
+    @pytest.mark.parametrize("kind", list(MixedBracketKind))
+    def test_measure_defects_matches_loop_over_several_blocks(self, kind, monkeypatch):
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        got = measure_defects(kind, trials=7, seed=2, hbar=0.3)
+        assert got.to_json() == loop_measure_defects(kind, 7, seed=2, hbar=0.3).to_json()
+
+    def test_zero_trials_keep_the_loop_output(self):
+        got = measure_defects(MixedBracketKind.ANDERSON, trials=0)
+        assert got.to_json() == loop_measure_defects(MixedBracketKind.ANDERSON, 0).to_json()
+        assert got.witnesses["jacobi"] == {"defect": 0.0, "elements": None}
+
+    def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
+        # blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie for the max, within
+        # and across blocks; trials 2 and 6 are NaN, the last one at the end
+        script = [0.5, 2.0, np.nan, 2.0, 1.0, 2.0, np.nan]
+        sequences = {}
+
+        def scripted(kind, desideratum, block, hbar=1.0):
+            seq = sequences.setdefault(desideratum, iter(script))
+            return np.array([next(seq) for _ in range(block[0].trials)])
+
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        monkeypatch.setattr(brackets, "desideratum_defect", scripted)
+        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=7, seed=4)
+        for di, name in enumerate(DESIDERATA):
+            rng = np.random.default_rng([4, di])
+            want = loop_draws(rng, 7, 2 if name == "antisymmetry" else 3)[5]
+            assert triple.defect(name) == 2.0
+            assert triple.witnesses[name] == {
+                "defect": 2.0, "elements": [element_to_json(e) for e in want]}
+
+    def test_nan_only_defects_keep_no_witness(self, monkeypatch):
+        monkeypatch.setattr(brackets, "desideratum_defect",
+                            lambda kind, d, block, hbar=1.0: np.full(block[0].trials, np.nan))
+        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=3)
+        assert triple.witnesses["jacobi"] == {"defect": 0.0, "elements": None}

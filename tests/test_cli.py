@@ -12,11 +12,13 @@ import pytest
 from hamalg.cli import (
     MAX_PRODUCT_MONOMIALS,
     UsageError,
+    _build_algebra,
     _check_polynomial_size,
     _load_schema,
     build_parser,
     main,
 )
+from tests.conftest import load_perfbench_module
 
 SUBCOMMANDS = ("verify", "brackets", "simulate", "uniqueness")
 
@@ -41,6 +43,42 @@ def write_config(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+class TestUnreadOptions:
+    """``verify`` refuses an option its algebra would silently ignore."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--hybrid", "--hbar", "5"), "--hbar"),
+        (("--realization", "phase-space", "--dim", "7"), "--dim"),
+        (("--composed", "--a1", "1", "--a2", "1", "--a12", "1", "--pairs", "3"), "--pairs"),
+        (("--dim", "3", "--a1", "4"), "--a1"),
+        (("--realization", "phase-space", "--dim2", "3", "--hbar", "2"), "--hbar, --dim2"),
+        (("--hybrid", "--realization", "phase-space", "--a2", "2"), "--realization, --a2"),
+        (("--composed", "--a1", "1", "--a2", "1", "--a12", "1", "--degree", "2"), "--degree"),
+    ])
+    def test_unread_option_is_a_usage_error(self, argv, named, capsys):
+        assert run_cli("verify", *argv, "--trials", "1") == 2
+        assert f"error: {named} not used by the" in capsys.readouterr().err
+
+    def test_unread_option_from_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"hybrid": True, "hbar": 5})
+        assert run_cli("verify", "--config", cfg, "--trials", "1") == 2
+        assert "--hbar not used by the hybrid algebra" in capsys.readouterr().err
+
+    def test_options_at_their_defaults_pass(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert run_cli("verify", "--hybrid", "--hbar", "1.0", "--dim1", "2", "--trials", "1",
+                       "--out", out) == 0
+
+    def test_benchmark_verify_reports_are_accepted(self):
+        workloads = load_perfbench_module("workloads")
+        reports = [workloads.PROBE, *(r for rs in workloads.WORKLOADS.values() for r in rs)]
+        verify = [r for r in reports if r.argv[0] == "verify"]
+        assert len(verify) >= 4
+        for report in verify:
+            argv = workloads.argv_for(report, "r.json", "r.csv", 0)
+            _build_algebra(build_parser().parse_args(argv))
 
 
 class TestVerify:

@@ -361,6 +361,115 @@ class TestHybridElementType:
             KroneckerElement(2, 1, [[0, 1], [0, 0]], hermitian=True)
 
 
+def stored_matrices(el):
+    return list(el.terms.values())
+
+
+def block_of(*elements):
+    """A block whose trial t is elements[t] (every element on the same keys)."""
+    first = elements[0]
+    terms = {}
+    for e in first.terms:
+        m = np.stack([el.terms[e] for el in elements])
+        m.setflags(write=False)
+        terms[e] = m
+    return HybridElement._trusted(first.dim, first.num_pairs, terms,
+                                  all(el.hermitian for el in elements), len(elements))
+
+
+class TestPruneOnce:
+    """Derived elements prune only where a value can become zero."""
+
+    def test_cancelled_keys_vanish_in_add(self):
+        u = HybridElement(2, 1, {(1, 0): PAULI_X, (0, 1): PAULI_Y, (0, 0): PAULI_Z})
+        v = HybridElement(2, 1, {(0, 1): -PAULI_Y, (2, 0): PAULI_X})
+        assert list((u + v).terms) == [(1, 0), (0, 0), (2, 0)]
+        assert (u - u).terms == {}
+        assert (u + u.scale(-1.0)).terms == {}
+
+    def test_scale_by_zero_prunes(self):
+        u = HybridElement(2, 1, {(1, 0): PAULI_X, (0, 1): PAULI_Y})
+        assert u.scale(0).terms == {}
+        assert (0.0 * u).terms == {}
+
+    def test_underflowing_scale_prunes(self):
+        u = HybridElement(1, 1, {(1, 0): [[1e-300]], (0, 1): [[1.0]]})
+        assert list(u.scale(1e-300).terms) == [(0, 1)]
+
+    def test_underflowing_simple_tensor_prunes(self):
+        f = OperatorElement(np.eye(2) * 1e-300)
+        g = PhaseSpacePoly(1, {(1, 0): 1e-300, (0, 1): 1.0})
+        assert list(simple_tensor(f, g).terms) == [(0, 1)]
+
+    def test_partial_keeps_every_derivative(self):
+        u = HybridElement(2, 1, {(2, 1): PAULI_X, (0, 3): PAULI_Y})
+        assert list(u.partial(0).terms) == [(1, 1)]
+        assert np.array_equal(u.partial(1).terms[(0, 2)], 3 * PAULI_Y)
+
+    def test_nothing_stored_is_writable(self, rng):
+        from hamalg.brackets import random_hybrid_observable
+        u, v = random_hybrid(rng, 2, 1, 2), random_hybrid(rng, 2, 1, 2)
+        block = random_hybrid_observable(rng, block=(3, 2))
+        f, g = OperatorElement(PAULI_X), PhaseSpacePoly(1, {(1, 0): 2.0})
+        derived = [u + v, u - v, u.scale(0.5), u.partial(0), u.assoc_product(v),
+                   simple_tensor(f, g), random_hybrid_observable(rng), *block,
+                   block[0] + block[1], block[0].scale(2.0), block[0].partial(1),
+                   block[0].assoc_product(block[1]), block[0].trial(2)]
+        for el in derived:
+            assert el.terms
+            for m in stored_matrices(el):
+                assert m.dtype == np.complex128
+                assert not m.flags.writeable
+
+
+class TestBlocks:
+    def test_mixing_blocks_and_elements_is_refused(self, rng):
+        from hamalg.brackets import random_hybrid_observable
+        u = random_hybrid_observable(rng)
+        two = random_hybrid_observable(rng, block=(2, 1))[0]
+        three = random_hybrid_observable(rng, block=(3, 1))[0]
+        for a, b in ((u, two), (two, u), (two, three)):
+            with pytest.raises(ShapeError, match="trials"):
+                a + b
+            with pytest.raises(ShapeError, match="trials"):
+                a.assoc_product(b)
+        with pytest.raises(ShapeError):
+            u.trial(0)
+
+    def test_a_key_stays_until_zero_in_every_trial(self):
+        a = HybridElement(2, 1, {(1, 0): PAULI_X, (0, 1): PAULI_Y})
+        b = HybridElement(2, 1, {(1, 0): PAULI_Z, (0, 1): PAULI_Y})
+        block = block_of(a, b)
+        minus = block_of(HybridElement(2, 1, {(1, 0): -PAULI_X, (0, 1): -PAULI_Y}),
+                         HybridElement(2, 1, {(1, 0): -PAULI_X, (0, 1): -PAULI_Y}))
+        total = block + minus
+        # (0, 1) cancels in both trials, (1, 0) only in trial 0
+        assert list(total.terms) == [(1, 0)]
+        assert total.trial(0).terms == {}
+        assert list(total.trial(1).terms) == [(1, 0)]
+        assert block.scale(0.0).terms == {}
+
+    def test_block_operations_equal_trial_loops_bitwise(self):
+        from hamalg.elements import monomials_up_to_degree
+        rng = np.random.default_rng(8)
+
+        def full():  # every trial on the same keys in the same order
+            return HybridElement(2, 1, {e: rng.standard_normal((2, 2))
+                                        + 1j * rng.standard_normal((2, 2))
+                                        for e in monomials_up_to_degree(2, 2)})
+
+        singles = [(full(), full()) for _ in range(3)]
+        u, v = block_of(*(s[0] for s in singles)), block_of(*(s[1] for s in singles))
+        c = qc_algebra(a=0.7, a12=1.9)
+        ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.scale(0.3),
+               lambda x, y: x.partial(1), lambda x, y: x.assoc_product(y), c.sigma, c.alpha]
+        for op in ops:
+            got = op(u, v)
+            assert got.trials == 3
+            for t, (x, y) in enumerate(singles):
+                assert_terms_bitwise(got.trial(t).terms, op(x, y).terms)
+
+
 class TestTermPairEngine:
     """The batched engine against the literal term-pair loops it replaced,
     to the bit: same keys in the same order, equal matrices."""

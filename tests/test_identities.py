@@ -18,6 +18,7 @@ from hamalg import (
 )
 from hamalg.cli import _load_schema
 from hamalg.identities import AXIOM_IDENTITIES, LEMMA_IDENTITIES, replay_witness
+from hamalg.serialize import element_to_json
 
 
 def composed(a1, a2, a12, d1=2, d2=2):
@@ -75,6 +76,36 @@ class TestCheckIdentity:
         res = check_identity(alg, IdentityCheck(Identity.DERIVATION, trials=20))
         replayed = replay_witness(alg, res.identity, res.worst_witness)
         assert replayed == pytest.approx(res.max_relative_defect, rel=1e-12, abs=1e-15)
+
+    def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
+        from hamalg import identities
+        # trials 1, 3 and 5 tie for the max; trials 2 and 6 are NaN, the last at the end
+        script = iter([0.5, 2.0, math.nan, 2.0, 1.0, 2.0, math.nan])
+        drawn, serialized = [], []
+
+        def scripted(alg, identity, elements):
+            drawn.append(elements)
+            return next(script)
+
+        def counting(el):
+            serialized.append(el)
+            return element_to_json(el)
+
+        monkeypatch.setattr(identities, "identity_defect", scripted)
+        monkeypatch.setattr(identities, "element_to_json", counting)
+        res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=7))
+        assert res.max_relative_defect == 2.0
+        # the witness is serialized once, from the last maximal trial
+        assert len(serialized) == 3
+        assert all(a is b for a, b in zip(serialized, drawn[5]))
+        assert res.worst_witness == [element_to_json(e) for e in drawn[5]]
+
+    def test_nan_only_defects_keep_no_witness(self, monkeypatch):
+        from hamalg import identities
+        monkeypatch.setattr(identities, "identity_defect", lambda alg, i, els: math.nan)
+        res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=3))
+        assert res.max_relative_defect == 0.0
+        assert res.worst_witness == []
 
     def test_check_validation(self):
         with pytest.raises(ValueError):
