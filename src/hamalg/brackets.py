@@ -45,7 +45,7 @@ from .elements import monomials_up_to_degree
 from .errors import AlgebraError
 # not called here: perfbench/tracing.py wraps this name as a layer
 from .kernels import poisson as _poly_poisson  # noqa: F401
-from .serialize import canon_float, element_from_json, element_to_json
+from .serialize import element_from_json, element_to_json
 
 #: defect above this (relative) counts as a genuine violation; three
 #: orders of magnitude above the identity-suite pass tolerance
@@ -86,14 +86,7 @@ def _commutator_bracket(u: HybridElement, v: HybridElement, hbar: float) -> Hybr
 def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
     """{U,V}_P with matrix coefficients multiplied in written order:
     sum_k dU/dx_k . dV/dp_k - dU/dp_k . dV/dx_k."""
-    u._check_like(v)
-    out = None
-    for k in range(u.num_pairs):
-        ix, ip = 2 * k, 2 * k + 1
-        term = (u.partial(ix).assoc_product(v.partial(ip))
-                - u.partial(ip).assoc_product(v.partial(ix)))
-        out = term if out is None else out + term
-    return out
+    return term_pair_sum(u, v, lambda A, B: (None, A @ B), False, poisson=True)
 
 
 def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
@@ -227,9 +220,9 @@ class DefectTriple:
             "kind": self.kind.value,
             "trials": self.trials,
             "seed": self.seed,
-            "antisymmetry_defect": canon_float(self.antisymmetry_defect),
-            "jacobi_defect": canon_float(self.jacobi_defect),
-            "derivation_defect": canon_float(self.derivation_defect),
+            "antisymmetry_defect": self.antisymmetry_defect,
+            "jacobi_defect": self.jacobi_defect,
+            "derivation_defect": self.derivation_defect,
             "witnesses": self.witnesses,
             "matches_expected_pattern": self.matches_expected_pattern(),
             "notes": self._notes(),
@@ -266,7 +259,7 @@ def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
                 worst_at = block, int(np.flatnonzero(d == worst)[-1])
         setattr(result, f"{name}_defect", worst)
         result.witnesses[name] = {
-            "defect": canon_float(worst),
+            "defect": worst,
             "elements": None if worst_at is None else _serialize_trial(*worst_at),
         }
     return result
@@ -300,7 +293,7 @@ def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int
                 "kind": kind.value,
                 "desideratum": desideratum,
                 "trial": start + t,
-                "defect": canon_float(d[t]),
+                "defect": float(d[t]),
                 "elements": _serialize_trial(block, t),
             }
     return None

@@ -35,7 +35,6 @@ from datetime import datetime, timezone
 from importlib import resources
 
 import jsonschema
-import numpy as np
 
 from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
 from .brackets import (
@@ -50,7 +49,6 @@ from .errors import HamalgError
 from .identities import run_axiom_suite
 from .measurement import BASIS, TRACKED, MeasurementConfig, Regime, back_reaction_gap, evolve
 from .reference import replay_defect
-from .serialize import canon_float, canon_floats
 from .uniqueness import log_grid, scan_constants, uniqueness_check
 
 EXIT_PASS = 0
@@ -68,6 +66,7 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _load_schema() -> dict:
     with resources.files("hamalg.schemas").joinpath("report.schema.json").open() as fh:
         return json.load(fh)
@@ -128,7 +127,6 @@ def _csv_text(header, rows) -> str:
 
 def _write_report(report: dict, out_path: str | None) -> None:
     """Validate against the shipped schema, then write or print."""
-    report = canon_floats(report)
     jsonschema.validate(report, _load_schema())
     _write_text(json.dumps(report, indent=2) + "\n", out_path, "report")
 
@@ -191,14 +189,14 @@ def _build_algebra(args) -> object:
         a12 = _positive(args.a12, "--a12")
         dim1 = _positive(args.dim1, "--dim1")
         dim2 = _positive(args.dim2, "--dim2")
-        return ComposedAlgebra(OperatorAlgebra(dim1, hbar=2 * np.sqrt(a1), rng_seed=seed),
-                               OperatorAlgebra(dim2, hbar=2 * np.sqrt(a2), rng_seed=seed),
+        return ComposedAlgebra(OperatorAlgebra(dim1, hbar=2 * math.sqrt(a1), rng_seed=seed),
+                               OperatorAlgebra(dim2, hbar=2 * math.sqrt(a2), rng_seed=seed),
                                a12=a12)
     if args.hybrid:
         a1 = _positive(args.a1 if args.a1 is not None else 1.0, "--a1")
         a12 = args.a12 if args.a12 is not None else a1
         dim = _positive(args.dim, "--dim")
-        return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * np.sqrt(a1), rng_seed=seed),
+        return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * math.sqrt(a1), rng_seed=seed),
                                _phase_space(args, default_degree=2),
                                a12=_positive(a12, "--a12"))
     if args.realization == "operator":
@@ -273,7 +271,7 @@ def cmd_brackets(args) -> int:
             }
             if witness is not None:
                 replayed = replay_defect(witness, hbar=hbar)
-                entry["replay_defect"] = canon_float(replayed)
+                entry["replay_defect"] = replayed
                 entry["replay_agrees"] = (
                     abs(replayed - witness["defect"])
                     <= 1e-10 * max(1.0, abs(witness["defect"]))

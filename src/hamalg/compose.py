@@ -247,21 +247,6 @@ class HybridElement:
 
     __rmul__ = __mul__
 
-    def partial(self, var: int) -> "HybridElement":
-        """Derivative with respect to canonical variable index var
-        (0-based in the order x1, p1, x2, p2, ...)."""
-        out = {}
-        for e, m in self.terms.items():
-            if e[var] == 0:
-                continue
-            de = list(e)
-            de[var] -= 1
-            # an integer >= 1 times a nonzero matrix is nonzero
-            dm = e[var] * m
-            dm.setflags(write=False)
-            out[tuple(de)] = dm
-        return self._derived(out, False)
-
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written
         order, classical monomials multiply commutatively."""
@@ -291,6 +276,8 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
     ``combine(A, B)`` at exponent ea + eb.  With ``poisson``, combine gives
     (plain, anti): plain goes to ea + eb, then, k ascending, w_k * anti to
     ea + eb - e_xk - e_pk wherever w_k = xa_k pb_k - pa_k xb_k is nonzero.
+    A plain of None contributes nothing: only the weighted anti terms are
+    summed, which is the monomial Poisson bracket with coefficient anti.
 
     ``combine`` maps stacks (Na, 1, *c) and (1, Nb, *c) to (Na, Nb, *c),
     where c is the coefficient shape, (d, d) or, for blocks, (T, d, d).
@@ -320,10 +307,14 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
             if poisson:
                 plain, anti = vals
                 w = poisson_weights(ea[rows], eb)
-                weighted = (w.astype(np.complex128).reshape(w.shape + (1,) * len(shape))
-                            * anti[:, :, None])
-                vals = np.concatenate([plain[:, :, None], weighted], axis=2)
-                live = np.concatenate([np.ones_like(w[..., :1], dtype=bool), w != 0], axis=2)
+                vals = (w.astype(np.complex128).reshape(w.shape + (1,) * len(shape))
+                        * anti[:, :, None])
+                live = w != 0
+                if plain is None:
+                    keys = keys[:, :, 1:]
+                else:
+                    vals = np.concatenate([plain[:, :, None], vals], axis=2)
+                    live = np.concatenate([np.ones_like(live[..., :1]), live], axis=2)
                 keys, vals = keys[live], vals[live]
             yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
 

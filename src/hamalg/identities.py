@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import HamiltonAlgebra, relative_defect
-from .serialize import canon_float, element_from_json, element_to_json
+from .serialize import element_from_json, element_to_json
 
 
 class Identity(str, Enum):
@@ -129,10 +129,10 @@ class CheckResult:
         return {
             "identity": self.identity.value,
             "trials": self.trials,
-            "tolerance": canon_float(self.tolerance),
+            "tolerance": self.tolerance,
             "seed": self.seed,
-            "max_relative_defect": canon_float(self.max_relative_defect),
-            "mean_relative_defect": canon_float(self.mean_relative_defect),
+            "max_relative_defect": self.max_relative_defect,
+            "mean_relative_defect": self.mean_relative_defect,
             "worst_witness": self.worst_witness,
             "passed": self.passed,
         }

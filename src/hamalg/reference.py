@@ -154,12 +154,6 @@ def dense_commutator_bracket(a: np.ndarray, b: np.ndarray, hbar: float) -> np.nd
     return dense_hybrid_add(ab, -ba) / (1j * hbar)
 
 
-def dense_anticommutator_half(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = dense_hybrid_mul(a, b)
-    ba = dense_hybrid_mul(b, a)
-    return 0.5 * dense_hybrid_add(ab, ba)
-
-
 def dense_mixed_bracket(kind: str, a: np.ndarray, b: np.ndarray, hbar: float,
                         num_pairs: int) -> np.ndarray:
     if kind == "hybrid_paper":

@@ -11,9 +11,9 @@ Schema (one object per element, discriminated by "kind"):
 * hybrid:    {"kind": "hybrid", "dim": d, "num_pairs": n,
               "parts": [{"exponents": [...], "matrix": [[re, im], ...]}]}
 
-Floating-point values are emitted at 17 significant digits, which
-round-trips IEEE doubles exactly, so serialized witnesses replay to the
-bit.  Hermitian flags are re-detected on load.
+Floating-point values are written by ``json``'s shortest round-trip
+repr, which reads back to the same IEEE double, so serialized witnesses
+replay to the bit.  Hermitian flags are re-detected on load.
 """
 
 from __future__ import annotations
@@ -25,24 +25,8 @@ from .elements import OperatorElement, PhaseSpacePoly
 from .errors import ShapeError
 
 
-def canon_float(x: float) -> float:
-    """Round-trip through 17 significant digits (exact for IEEE doubles)."""
-    return float(f"{float(x):.17g}")
-
-
-def canon_floats(obj):
-    """Recursively apply canon_float to every float in a JSON-ready object."""
-    if isinstance(obj, float):
-        return canon_float(obj)
-    if isinstance(obj, dict):
-        return {k: canon_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canon_floats(v) for v in obj]
-    return obj
-
-
 def _matrix_to_pairs(arr: np.ndarray) -> list:
-    return [[canon_float(z.real), canon_float(z.imag)] for z in arr.ravel()]
+    return np.stack([arr.real, arr.imag], axis=-1).reshape(-1, 2).tolist()
 
 
 def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
@@ -56,7 +40,7 @@ def element_to_json(el) -> dict:
     if isinstance(el, OperatorElement):
         return {"kind": "operator", "dim": el.dim, "entries": _matrix_to_pairs(el.entries)}
     if isinstance(el, PhaseSpacePoly):
-        terms = [{"exponents": list(e), "coeff": canon_float(c)}
+        terms = [{"exponents": list(e), "coeff": float(c)}
                  for e, c in sorted(el.terms.items())]
         return {"kind": "poly", "num_pairs": el.num_pairs, "terms": terms}
     if isinstance(el, KroneckerElement):

@@ -22,7 +22,6 @@ import numpy as np
 from .algebra import OperatorAlgebra
 from .compose import ComposedAlgebra, simple_tensor
 from .errors import AlgebraError
-from .serialize import canon_float
 
 DEFAULT_FACTOR_TOLERANCE = 1e-8
 FIT_RESIDUAL_TOLERANCE = 1e-10
@@ -44,9 +43,9 @@ class RestrictionResult:
         return {
             "component": self.component,
             "product": self.product,
-            "measured_factor": canon_float(self.measured_factor),
-            "expected_factor": canon_float(self.expected_factor),
-            "fit_residual": canon_float(self.fit_residual),
+            "measured_factor": self.measured_factor,
+            "expected_factor": self.expected_factor,
+            "fit_residual": self.fit_residual,
             "satisfies_requirement": self.satisfies_requirement,
         }
 
@@ -150,9 +149,9 @@ def uniqueness_check(a1: float, a2: float, a12: float,
     left = restrict_alpha(c, "left", n_pairs, seed, tolerance)
     right = restrict_alpha(c, "right", n_pairs, seed + 1, tolerance)
     return {
-        "a1": canon_float(a1),
-        "a2": canon_float(a2),
-        "a12": canon_float(a12),
+        "a1": float(a1),
+        "a2": float(a2),
+        "a12": float(a12),
         "left": left.to_json(),
         "right": right.to_json(),
         "passed": left.satisfies_requirement and right.satisfies_requirement,

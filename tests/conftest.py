@@ -90,7 +90,7 @@ def loop_measure_defects(kind, trials, seed=0, dim=2, num_pairs=1, degree=2, hba
     alone, the running worst replaced on ``>=``."""
     from hamalg.brackets import (DESIDERATA, DefectTriple, MixedBracketKind,
                                  desideratum_defect)
-    from hamalg.serialize import canon_float, element_to_json
+    from hamalg.serialize import element_to_json
 
     kind = MixedBracketKind(kind)
     result = DefectTriple(kind=kind, trials=trials, seed=seed)
@@ -104,7 +104,7 @@ def loop_measure_defects(kind, trials, seed=0, dim=2, num_pairs=1, degree=2, hba
                 worst = d
                 worst_witness = [element_to_json(e) for e in elements]
         setattr(result, f"{name}_defect", worst)
-        result.witnesses[name] = {"defect": canon_float(worst), "elements": worst_witness}
+        result.witnesses[name] = {"defect": float(worst), "elements": worst_witness}
     return result
 
 
@@ -113,7 +113,7 @@ def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-
     """The trial loop of ``find_violation_witness``: the first tuple over
     the threshold, drawn and scored alone."""
     from hamalg.brackets import DESIDERATA, MixedBracketKind, desideratum_defect
-    from hamalg.serialize import canon_float, element_to_json
+    from hamalg.serialize import element_to_json
 
     kind = MixedBracketKind(kind)
     rng = np.random.default_rng([seed, DESIDERATA.index(desideratum)])
@@ -123,7 +123,7 @@ def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-
         d = desideratum_defect(kind, desideratum, elements, hbar)
         if d > threshold:
             return {"kind": kind.value, "desideratum": desideratum, "trial": trial,
-                    "defect": canon_float(d),
+                    "defect": float(d),
                     "elements": [element_to_json(e) for e in elements]}
     return None
 

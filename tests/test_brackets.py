@@ -258,16 +258,41 @@ def loop_product_rule(u, v, hbar):
     return {e: m for e, m in out.items() if np.any(m != 0)}
 
 
+def loop_ordered_poisson(u, v):
+    """The literal ordered Poisson loop: each canonical pair's term of the
+    monomial Poisson bracket on the written-order product, k ascending."""
+    out = {}
+
+    def acc(e, m):
+        out[e] = out[e] + m if e in out else m
+
+    for ea, ma in u.terms.items():
+        for eb, mb in v.terms.items():
+            prod = ma @ mb
+            for k in range(u.num_pairs):
+                ix, ip = 2 * k, 2 * k + 1
+                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
+                if w == 0:
+                    continue
+                e = [a + b for a, b in zip(ea, eb)]
+                e[ix] -= 1
+                e[ip] -= 1
+                acc(tuple(e), float(w) * prod)
+    return {e: m for e, m in out.items() if np.any(m != 0)}
+
+
 def bracket_loops(hbar):
     return [
         (_commutator_bracket,
          lambda u, v: loop_term_pairs(u, v, lambda A, B: (A @ B - B @ A) / (1j * hbar))),
         (_product_rule_bracket, lambda u, v: loop_product_rule(u, v, hbar)),
+        (lambda u, v, hbar: ordered_poisson(u, v), loop_ordered_poisson),
     ]
 
 
 class TestTermPairEngine:
-    """Both term-pair brackets against their literal loops, to the bit."""
+    """The term-pair brackets and the ordered Poisson term against their
+    literal loops, to the bit."""
 
     @pytest.mark.parametrize("num_pairs", [1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -284,8 +309,8 @@ class TestTermPairEngine:
         rng = np.random.default_rng(4)
         u = random_hybrid(rng, 2, 2, 4, density=1.0)
         v = random_hybrid(rng, 2, 2, 4, density=1.0)
-        assert_terms_bitwise(_product_rule_bracket(u, v, HBAR).terms,
-                             loop_product_rule(u, v, HBAR))
+        for bracket, loop in bracket_loops(HBAR):
+            assert_terms_bitwise(bracket(u, v, HBAR).terms, loop(u, v))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_operand(self, dim):

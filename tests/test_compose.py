@@ -24,6 +24,7 @@ from hamalg import (
     switching_map,
 )
 from hamalg import kernels
+from hamalg.brackets import ordered_poisson
 from hamalg.errors import ShapeError
 from tests.conftest import (
     PAULI_X,
@@ -401,19 +402,14 @@ class TestPruneOnce:
         g = PhaseSpacePoly(1, {(1, 0): 1e-300, (0, 1): 1.0})
         assert list(simple_tensor(f, g).terms) == [(0, 1)]
 
-    def test_partial_keeps_every_derivative(self):
-        u = HybridElement(2, 1, {(2, 1): PAULI_X, (0, 3): PAULI_Y})
-        assert list(u.partial(0).terms) == [(1, 1)]
-        assert np.array_equal(u.partial(1).terms[(0, 2)], 3 * PAULI_Y)
-
     def test_nothing_stored_is_writable(self, rng):
         from hamalg.brackets import random_hybrid_observable
         u, v = random_hybrid(rng, 2, 1, 2), random_hybrid(rng, 2, 1, 2)
         block = random_hybrid_observable(rng, block=(3, 2))
         f, g = OperatorElement(PAULI_X), PhaseSpacePoly(1, {(1, 0): 2.0})
-        derived = [u + v, u - v, u.scale(0.5), u.partial(0), u.assoc_product(v),
+        derived = [u + v, u - v, u.scale(0.5), ordered_poisson(u, v), u.assoc_product(v),
                    simple_tensor(f, g), random_hybrid_observable(rng), *block,
-                   block[0] + block[1], block[0].scale(2.0), block[0].partial(1),
+                   block[0] + block[1], block[0].scale(2.0), ordered_poisson(*block),
                    block[0].assoc_product(block[1]), block[0].trial(2)]
         for el in derived:
             assert el.terms
@@ -462,7 +458,7 @@ class TestBlocks:
         u, v = block_of(*(s[0] for s in singles)), block_of(*(s[1] for s in singles))
         c = qc_algebra(a=0.7, a12=1.9)
         ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.scale(0.3),
-               lambda x, y: x.partial(1), lambda x, y: x.assoc_product(y), c.sigma, c.alpha]
+               ordered_poisson, lambda x, y: x.assoc_product(y), c.sigma, c.alpha]
         for op in ops:
             got = op(u, v)
             assert got.trials == 3

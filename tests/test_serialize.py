@@ -15,7 +15,6 @@ from hamalg import (
     element_to_json,
 )
 from hamalg.cli import _load_schema
-from hamalg.serialize import canon_float, canon_floats
 from tests.conftest import PAULI_Y
 
 
@@ -94,15 +93,3 @@ class TestWireFormat:
         for el in els:
             jsonschema.validate(json.loads(json.dumps(element_to_json(el))),
                                 element_schema)
-
-    def test_seventeen_digits_round_trip_exactly(self):
-        values = [1 / 3, np.pi, 0.1, 1e-300, 123456789.123456789]
-        for v in values:
-            assert canon_float(v) == v
-
-    def test_canon_floats_walks_structures(self):
-        doc = {"a": [0.1, {"b": (1 / 3,)}], "c": "text", "d": 7}
-        out = canon_floats(doc)
-        assert out["a"][0] == 0.1
-        assert out["a"][1]["b"][0] == 1 / 3
-        assert out["c"] == "text" and out["d"] == 7
