@@ -36,11 +36,27 @@ DEFAULT_RANDOM_DEGREE = 3
 
 
 def relative_defect(diff_norm: float, arg_norms) -> float:
-    """Defect normalization: ||LHS - RHS|| / (1 + prod of argument norms)."""
+    """Defect normalization: ||LHS - RHS|| / (1 + prod of argument norms);
+    on arrays of per-trial norms, the array of per-trial defects."""
     scale = 1.0
     for n in arg_norms:
         scale *= n
     return diff_norm / (1.0 + scale)
+
+
+def hermitian_from_normals(z: np.ndarray) -> np.ndarray:
+    """Random Hermitian matrices 0.5 * (m + m^H), m = z[..., 0] + i z[..., 1],
+    from standard normals z of shape (..., 2, dim, dim).
+
+    One draw of that shape consumes the stream as, matrix by matrix, a
+    (dim, dim) call for the real parts and one for the imaginary parts.
+    The result is exactly Hermitian, which is checked.
+    """
+    m = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
+        raise AlgebraError("random matrices are not exactly Hermitian")
+    return h
 
 
 class HamiltonAlgebra:
@@ -48,9 +64,15 @@ class HamiltonAlgebra:
 
     Subclasses provide sigma, alpha, unit, zero and random_element; the
     envelope product and the operations derived from it live here.
+
+    A realization whose ``random_element(rng, block=(trials, arity))``
+    draws ``trials`` input tuples at once, as ``arity`` blocks, declares
+    the matrix entries of one element in ``block_entries``; None means it
+    draws single elements only.
     """
 
     constant: QuantumConstant
+    block_entries: int | None = None
 
     def __init__(self, constant: QuantumConstant, rng_seed: int = 0):
         self.constant = constant
@@ -142,11 +164,21 @@ class OperatorAlgebra(HamiltonAlgebra):
     def zero(self) -> OperatorElement:
         return OperatorElement.zero(self.dim)
 
-    def random_element(self, rng: np.random.Generator) -> OperatorElement:
-        m = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
-            (self.dim, self.dim)
-        )
-        return OperatorElement(0.5 * (m + m.conj().T), hermitian=True)
+    @property
+    def block_entries(self) -> int:
+        return self.dim * self.dim
+
+    def random_element(self, rng: np.random.Generator, block: tuple | None = None):
+        """Random Hermitian element.  With ``block=(trials, arity)``,
+        ``trials`` input tuples of ``arity`` elements in one draw, returned
+        as ``arity`` blocks: the numbers, in order, of ``trials * arity``
+        single calls."""
+        trials, arity = block or (1, 1)
+        h = hermitian_from_normals(rng.standard_normal((trials, arity, 2, self.dim, self.dim)))
+        if block is None:
+            return OperatorElement._trusted(h[0, 0], True)
+        return [OperatorElement._trusted(np.ascontiguousarray(h[:, i]), True)
+                for i in range(arity)]
 
     def describe(self) -> dict:
         return {
@@ -231,6 +263,10 @@ class CorruptedAlgebra(HamiltonAlgebra):
 
     def zero(self):
         return self.base.zero()
+
+    @property
+    def block_entries(self):
+        return getattr(self.base, "block_entries", None)
 
     def random_element(self, rng, **kwargs):
         return self.base.random_element(rng, **kwargs)

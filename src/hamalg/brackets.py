@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import relative_defect
+from .algebra import hermitian_from_normals, relative_defect
 from .compose import HybridElement, nonzero_terms, term_pair_sum
 from .elements import monomials_up_to_degree
 from .errors import AlgebraError
@@ -170,11 +170,7 @@ def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: 
     """
     monos = monomials_up_to_degree(2 * num_pairs, degree)
     trials, arity = block or (1, 1)
-    z = rng.standard_normal((trials, arity, len(monos), 2, dim, dim))
-    m = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    if not np.array_equal(h, h.conj().swapaxes(-1, -2)):
-        raise AlgebraError("random coefficients are not exactly Hermitian")
+    h = hermitian_from_normals(rng.standard_normal((trials, arity, len(monos), 2, dim, dim)))
     # by element, then monomial: each coefficient (trials, dim, dim)
     h = np.ascontiguousarray(h.transpose(1, 2, 0, 3, 4))
     if block is None:

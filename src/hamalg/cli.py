@@ -177,11 +177,31 @@ def _refuse_unread_options(args, algebra: str) -> None:
         raise UsageError(f"{', '.join(named)} not used by the {algebra} algebra")
 
 
+def _refuse_vacuous(args, algebra: str) -> None:
+    """Usage error on a realization whose bracket is identically zero: every
+    bracket identity would pass on it without testing anything."""
+    reason = None
+    if algebra == "operator" and args.dim == 1:
+        flags, reason = "--dim 1", "1x1 matrices commute"
+    elif algebra == "composed" and args.dim1 == args.dim2 == 1:
+        flags, reason = "--dim1 1 --dim2 1", "1x1 factors commute"
+    elif algebra == "phase-space" and args.degree == 0:
+        flags, reason = "--degree 0", "constants have zero Poisson bracket"
+    elif algebra == "hybrid" and args.dim == 1:
+        flags, reason = "--hybrid --dim 1", ("the quantum (x) classical bracket has no "
+                                             "classical-bracket term, and 1x1 "
+                                             "coefficients commute")
+    if reason:
+        raise UsageError(f"{flags}: {reason}; the bracket vanishes identically, so "
+                         "every bracket identity would pass vacuously")
+
+
 def _build_algebra(args) -> object:
     if args.composed and args.hybrid:
         raise UsageError("--composed and --hybrid are mutually exclusive")
-    _refuse_unread_options(args, "composed" if args.composed else
-                           "hybrid" if args.hybrid else args.realization)
+    algebra = "composed" if args.composed else "hybrid" if args.hybrid else args.realization
+    _refuse_unread_options(args, algebra)
+    _refuse_vacuous(args, algebra)
     seed = args.seed
     if args.composed:
         a1 = _positive(args.a1, "--a1")

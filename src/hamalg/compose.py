@@ -32,11 +32,18 @@ import math
 
 import numpy as np
 
-from .algebra import HamiltonAlgebra, OperatorAlgebra, PhaseSpaceAlgebra
+from .algebra import (
+    HamiltonAlgebra,
+    OperatorAlgebra,
+    PhaseSpaceAlgebra,
+    hermitian_from_normals,
+)
 from .elements import (
     OperatorElement,
     PhaseSpacePoly,
     QuantumConstant,
+    check_trials,
+    frobenius_norms,
     is_hermitian,
 )
 from .errors import AlgebraError, ShapeError
@@ -46,9 +53,13 @@ from .kernels import accumulate, keys_of, pack, poisson_weights, row_blocks
 class KroneckerElement:
     """Element of quantum (x) quantum: a (l*r) x (l*r) complex matrix in
     Kronecker layout, entry [(i1*r + i2), (j1*r + j2)] = A[i1,j1] B[i2,j2]
-    on simple tensors."""
+    on simple tensors.
 
-    __slots__ = ("left_dim", "right_dim", "entries", "hermitian")
+    Blocks of trials are as for ``OperatorElement``: entries of shape
+    ``(trials, l*r, l*r)``, made only by ``_trusted``.
+    """
+
+    __slots__ = ("left_dim", "right_dim", "entries", "hermitian", "trials")
 
     def __init__(self, left_dim: int, right_dim: int, entries, hermitian: bool | None = None):
         arr = np.array(entries, dtype=np.complex128, copy=True)
@@ -64,6 +75,7 @@ class KroneckerElement:
         self.right_dim = int(right_dim)
         self.entries = arr
         self.hermitian = bool(hermitian)
+        self.trials = None
 
     @classmethod
     def _trusted(cls, left_dim: int, right_dim: int, entries: np.ndarray,
@@ -78,16 +90,29 @@ class KroneckerElement:
         self.right_dim = int(right_dim)
         self.entries = arr
         self.hermitian = hermitian
+        self.trials = arr.shape[0] if arr.ndim == 3 else None
         return self
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+    def norm(self):
+        """Frobenius norm; in a block, an array of the norm of each trial,
+        equal to ``trial(t).norm()`` to the bit."""
+        if self.trials is None:
+            return frobenius_norms(self.entries[None])[0]
+        return np.array(frobenius_norms(self.entries))
+
+    def trial(self, t: int) -> "KroneckerElement":
+        """Trial t of a block as an ordinary element."""
+        if self.trials is None:
+            raise ShapeError("trial() needs a block")
+        return KroneckerElement._trusted(self.left_dim, self.right_dim, self.entries[t],
+                                         self.hermitian)
 
     def _check_like(self, other: "KroneckerElement"):
         if not isinstance(other, KroneckerElement):
             raise ShapeError(f"expected KroneckerElement, got {type(other).__name__}")
         if (other.left_dim, other.right_dim) != (self.left_dim, self.right_dim):
             raise ShapeError("component dimensions mismatch")
+        check_trials(self.trials, other.trials)
 
     def __add__(self, other):
         self._check_like(other)
@@ -115,8 +140,9 @@ class KroneckerElement:
     __rmul__ = __mul__
 
     def __repr__(self):
+        block = "" if self.trials is None else f", trials={self.trials}"
         return (f"KroneckerElement({self.left_dim}x{self.right_dim}, "
-                f"hermitian={self.hermitian})")
+                f"hermitian={self.hermitian}{block})")
 
 
 class HybridElement:
@@ -192,11 +218,17 @@ class HybridElement:
 
     def norm(self):
         """Frobenius norm over all coefficients; in a block, an array of the
-        norm of each trial, equal to ``trial(t).norm()`` to the bit."""
-        if self.trials is None:
-            return _frobenius(self.terms.values())
-        return np.array([_frobenius(m[t] for m in self.terms.values())
-                         for t in range(self.trials)])
+        norm of each trial, equal to ``trial(t).norm()`` to the bit.
+
+        The norm of each coefficient is squared as a Python float and the
+        squares are summed in key order, as ``math.sqrt(sum(float(
+        np.linalg.norm(m)) ** 2 for m in coefficients))`` sums them.
+        """
+        trials = 1 if self.trials is None else self.trials
+        stacked = np.array(list(self.terms.values()), dtype=np.complex128)
+        norms = frobenius_norms(stacked.reshape(-1, self.dim, self.dim))  # key-major
+        totals = [math.sqrt(sum(n ** 2 for n in norms[t::trials])) for t in range(trials)]
+        return totals[0] if self.trials is None else np.array(totals)
 
     def trial(self, t: int) -> "HybridElement":
         """Trial t of a block as an ordinary element, without the keys that
@@ -211,9 +243,7 @@ class HybridElement:
             raise ShapeError(f"expected HybridElement, got {type(other).__name__}")
         if (other.dim, other.num_pairs) != (self.dim, self.num_pairs):
             raise ShapeError("dim/num_pairs mismatch")
-        if other.trials != self.trials:
-            raise ShapeError(f"trials mismatch: {self.trials} and {other.trials} "
-                             "(None is a single element)")
+        check_trials(self.trials, other.trials)
 
     def __add__(self, other):
         self._check_like(other)
@@ -256,10 +286,6 @@ class HybridElement:
         block = "" if self.trials is None else f", trials={self.trials}"
         return (f"HybridElement(dim={self.dim}, num_pairs={self.num_pairs}, "
                 f"nterms={len(self.terms)}, hermitian={self.hermitian}{block})")
-
-
-def _frobenius(mats) -> float:
-    return math.sqrt(sum(float(np.linalg.norm(m)) ** 2 for m in mats))
 
 
 def nonzero_terms(keys, stacked: np.ndarray) -> dict:
@@ -382,8 +408,17 @@ def compose_product_on_terms(op1, op2, u_terms, v_terms):
 # the composed algebra
 # ---------------------------------------------------------------------------
 
+def kron_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the trailing matrices of a and b, over their broadcast
+    leading axes: every entry is the product np.kron forms, to the bit."""
+    l, r = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (l * r, l * r))
+
+
 def _lr_table(u: KroneckerElement, v: KroneckerElement):
-    """Factorwise products of two Kronecker-form elements.
+    """Factorwise products of two Kronecker-form elements (or blocks, trial
+    by trial: each trial's products are the single elements' to the bit).
 
     Writing L/R for left/right multiplication order in a factor, returns
     (LL, LR, RL, RR) where e.g. LR(u, v) multiplies the left factors in
@@ -392,13 +427,15 @@ def _lr_table(u: KroneckerElement, v: KroneckerElement):
     the 4-index reshape is exactly the bilinear extension of the
     factorwise component products over matrix-unit decompositions.
     """
+    u._check_like(v)
     l, r = u.left_dim, u.right_dim
-    U = u.entries.reshape(l, r, l, r)
-    V = v.entries.reshape(l, r, l, r)
+    shape = u.entries.shape
+    U = u.entries.reshape(shape[:-2] + (l, r, l, r))
+    V = v.entries.reshape(shape[:-2] + (l, r, l, r))
     LL = u.entries @ v.entries
     RR = v.entries @ u.entries
-    LR = np.einsum("iakb,kjla->ijlb", U, V).reshape(l * r, l * r)
-    RL = np.einsum("iakb,kjla->ijlb", V, U).reshape(l * r, l * r)
+    LR = np.einsum("...iakb,...kjla->...ijlb", U, V).reshape(shape)
+    RL = np.einsum("...iakb,...kjla->...ijlb", V, U).reshape(shape)
     return LL, LR, RL, RR
 
 
@@ -521,6 +558,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         self._check_element(u)
         self._check_element(v)
         if self.kind == "qq":
+            u._check_like(v)
             return KroneckerElement._trusted(u.left_dim, u.right_dim,
                                              u.entries @ v.entries, False)
         if self.kind == "qc":
@@ -561,11 +599,49 @@ class ComposedAlgebra(HamiltonAlgebra):
             out = t if out is None else out + t
         return self.zero() if out is None else out
 
-    def random_element(self, rng: np.random.Generator, n_terms: int | None = None):
-        """Random sum of simple tensors (at most max_random_terms)."""
+    @property
+    def block_entries(self) -> int | None:
+        return (self.left.dim * self.right.dim) ** 2 if self.kind == "qq" else None
+
+    def random_element(self, rng: np.random.Generator, n_terms: int | None = None,
+                       block: tuple | None = None, max_terms: int | None = None):
+        """Random sum of ``n_terms`` simple tensors, their number drawn from
+        1..max_terms (default max_random_terms) when not given.
+
+        With ``block=(trials, arity)`` (quantum (x) quantum only),
+        ``trials`` input tuples of ``arity`` elements in one draw, returned
+        as ``arity`` blocks, each element drawing its number of terms: the
+        numbers, in order, of ``trials * arity`` single calls, and the
+        entries of their canonical forms to the bit.
+        """
+        max_terms = self.max_random_terms if max_terms is None else max_terms
+        if block is not None:
+            return self._kronecker_block(rng, *block, max_terms)
         if n_terms is None:
-            n_terms = int(rng.integers(1, self.max_random_terms + 1))
+            n_terms = int(rng.integers(1, max_terms + 1))
         return self.embed_terms(self.random_simple_terms(rng, n_terms))
+
+    def _kronecker_block(self, rng, trials: int, arity: int, max_terms: int) -> list:
+        if self.kind != "qq":
+            raise AlgebraError(f"block draws need quantum (x) quantum, not {self.kind}")
+        dl, dr = self.left.dim, self.right.dim
+        split = 2 * dl * dl
+        counts, draws = [], []
+        for _ in range(trials * arity):   # per element: its term count, then its factors
+            counts.append(int(rng.integers(1, max_terms + 1)))
+            draws.append(rng.standard_normal(counts[-1] * (split + 2 * dr * dr)))
+        z = np.concatenate(draws).reshape(sum(counts), -1)   # one row per simple tensor
+        terms = kron_blocks(hermitian_from_normals(z[:, :split].reshape(-1, 2, dl, dl)),
+                            hermitian_from_normals(z[:, split:].reshape(-1, 2, dr, dr)))
+        counts = np.array(counts)
+        first = np.cumsum(counts) - counts
+        out = terms[first]
+        for k in range(1, max_terms):   # add each element's terms in term order
+            more = counts > k
+            out[more] = out[more] + terms[first[more] + k]
+        out = out.reshape((trials, arity) + out.shape[1:])
+        return [KroneckerElement._trusted(dl, dr, np.ascontiguousarray(out[:, i]), True)
+                for i in range(arity)]
 
     def describe(self) -> dict:
         return {

@@ -68,10 +68,38 @@ def is_hermitian(entries: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     )
 
 
-class OperatorElement:
-    """A dim x dim complex matrix, optionally flagged Hermitian."""
+def check_trials(mine, theirs) -> None:
+    """Refuse to combine a block with a single element or with a block of
+    another number of trials."""
+    if theirs != mine:
+        raise ShapeError(f"trials mismatch: {mine} and {theirs} (None is a single element)")
 
-    __slots__ = ("entries", "dim", "hermitian")
+
+def frobenius_norms(stack: np.ndarray) -> list:
+    """Frobenius norm of each ``stack[i]``, as Python floats:
+    sqrt(re.re + im.im) over the slice in C order.
+
+    On a C-contiguous complex matrix this is what ``np.linalg.norm``
+    computes, both dot products reaching BLAS ``ddot`` at the same strides,
+    so each norm is that call's to the bit; one ``np.vecdot`` call serves
+    the whole stack.
+    """
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+
+
+class OperatorElement:
+    """A dim x dim complex matrix, optionally flagged Hermitian.
+
+    A *block* of ``trials`` elements carries a leading trial axis on its
+    entries, ``(trials, dim, dim)``, so that one call of each operation
+    evaluates all of its trials; only ``_trusted`` makes one.  ``trial(t)``
+    slices out one ordinary element, and blocks combine only with blocks
+    of as many trials.  The Hermitian flag of a block covers every trial.
+    """
+
+    __slots__ = ("entries", "dim", "hermitian", "trials")
 
     def __init__(self, entries, hermitian: bool | None = None):
         arr = _as_readonly(np.asarray(entries))
@@ -84,10 +112,12 @@ class OperatorElement:
         self.entries = arr
         self.dim = arr.shape[0]
         self.hermitian = bool(hermitian)
+        self.trials = None
 
     @classmethod
     def _trusted(cls, entries: np.ndarray, hermitian: bool) -> "OperatorElement":
-        """Internal constructor for values derived from validated inputs.
+        """Internal constructor for values derived from validated inputs;
+        entries of shape (trials, dim, dim) make a block.
 
         Skips the Hermitian check: exact algebra on Hermitian inputs stays
         Hermitian up to ulp-level rounding, which the relative check would
@@ -98,8 +128,9 @@ class OperatorElement:
         if arr.flags.writeable:
             arr.setflags(write=False)
         self.entries = arr
-        self.dim = arr.shape[0]
+        self.dim = arr.shape[-1]
         self.hermitian = hermitian
+        self.trials = arr.shape[0] if arr.ndim == 3 else None
         return self
 
     @classmethod
@@ -110,14 +141,25 @@ class OperatorElement:
     def zero(cls, dim: int) -> "OperatorElement":
         return cls(np.zeros((dim, dim)), hermitian=True)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+    def norm(self):
+        """Frobenius norm; in a block, an array of the norm of each trial,
+        equal to ``trial(t).norm()`` to the bit."""
+        if self.trials is None:
+            return frobenius_norms(self.entries[None])[0]
+        return np.array(frobenius_norms(self.entries))
+
+    def trial(self, t: int) -> "OperatorElement":
+        """Trial t of a block as an ordinary element."""
+        if self.trials is None:
+            raise ShapeError("trial() needs a block")
+        return OperatorElement._trusted(self.entries[t], self.hermitian)
 
     def _check_like(self, other: "OperatorElement"):
         if not isinstance(other, OperatorElement):
             raise ShapeError(f"expected OperatorElement, got {type(other).__name__}")
         if other.dim != self.dim:
             raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        check_trials(self.trials, other.trials)
 
     def __add__(self, other: "OperatorElement") -> "OperatorElement":
         self._check_like(other)
@@ -142,7 +184,8 @@ class OperatorElement:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"OperatorElement(dim={self.dim}, hermitian={self.hermitian})"
+        block = "" if self.trials is None else f", trials={self.trials}"
+        return f"OperatorElement(dim={self.dim}, hermitian={self.hermitian}{block})"
 
 
 def _validate_terms(terms: dict, nvars: int) -> dict:

@@ -5,6 +5,16 @@ Any object exposing ``sigma``, ``alpha``, ``tau``, ``random_element`` and
 tuples; the reported defect is ||LHS - RHS|| / (1 + prod of input norms).
 A failing identity is a reported result, never an exception, so the same
 machinery certifies honest algebras and exposes corrupted ones.
+
+Trials run in blocks.  An algebra that declares ``block_entries`` (the
+operator algebras and quantum (x) quantum composition) draws a block of
+T input tuples in one call, as elements whose entries carry a leading
+trial axis (T, n, n), and each product of an identity then runs once per
+block; T is at most ``brackets.MAX_BLOCK_TRIALS`` and at most
+``kernels.BLOCK_PAIRS`` matrix entries per element.  Any other algebra is
+checked one trial per block, on single elements, through the same loop.
+The RNG stream, every defect, the mean and the witness are those of the
+trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
@@ -15,7 +25,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import brackets
 from .algebra import HamiltonAlgebra, relative_defect
+from .kernels import BLOCK_PAIRS
 from .serialize import element_from_json, element_to_json
 
 
@@ -58,8 +70,9 @@ _ARITY = {
 }
 
 
-def identity_defect(alg: HamiltonAlgebra, identity: Identity, elements) -> float:
-    """Relative defect of one identity on one input tuple."""
+def identity_defect(alg: HamiltonAlgebra, identity: Identity, elements) -> float | np.ndarray:
+    """Relative defect of one identity on one input tuple; on a tuple of
+    blocks, the array of the defects of its trials."""
     identity = Identity(identity)
     if identity is Identity.ANTISYMMETRY:
         f, g = elements
@@ -162,7 +175,21 @@ class VerificationReport:
         }
 
 
-def _draw_elements(alg, rng, arity, max_terms=None):
+def block_trials(alg) -> int | None:
+    """Trials per block for the algebra's block draws; None where it draws
+    single elements only."""
+    entries = getattr(alg, "block_entries", None)
+    if entries is None:
+        return None
+    return max(1, min(brackets.MAX_BLOCK_TRIALS, BLOCK_PAIRS // entries))
+
+
+def _draw_elements(alg, rng, arity, max_terms, trials):
+    """One block of ``trials`` input tuples as ``arity`` blocks; with
+    ``trials`` None, one tuple of single elements."""
+    if trials is not None:
+        bound = {} if max_terms is None else {"max_terms": max_terms}
+        return alg.random_element(rng, block=(trials, arity), **bound)
     if max_terms is not None:
         return [alg.random_element(rng, n_terms=int(rng.integers(1, max_terms + 1)))
                 for _ in range(arity)]
@@ -175,23 +202,33 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
 
     Deterministic given the check's seed; the RNG stream is salted with
     the identity so the checks of a suite draw independent inputs.  The
-    witness is the last tuple attaining the max defect (a NaN defect never
-    counts), serialized once at the end.
+    tuples are drawn and evaluated a block at a time (see the module
+    docstring), and their defects are then taken in trial order: the mean
+    is their Python-float sum over the trials, and the witness is the last
+    tuple attaining the max defect (a NaN defect never counts), serialized
+    once at the end.
     """
     identity = Identity(check.identity)
     arity = _ARITY[identity]
     salt = list(Identity).index(identity)
     rng = np.random.default_rng([check.seed, salt])
+    size = block_trials(alg)
     worst = 0.0
-    worst_elements: list = []
+    worst_at = None   # (elements, trial in block, or None for single elements)
     total = 0.0
-    for _ in range(check.trials):
-        elements = _draw_elements(alg, rng, arity, max_terms)
-        defect = identity_defect(alg, identity, elements)
-        total += defect
-        if defect >= worst:
-            worst = defect
-            worst_elements = elements
+    for start in range(0, check.trials, size or 1):
+        trials = None if size is None else min(size, check.trials - start)
+        elements = _draw_elements(alg, rng, arity, max_terms, trials)
+        defects = identity_defect(alg, identity, elements)
+        for t, defect in enumerate(np.atleast_1d(defects).tolist()):
+            total += defect
+            if defect >= worst:
+                worst = defect
+                worst_at = elements, None if trials is None else t
+    witness = []
+    if worst_at is not None:
+        elements, t = worst_at
+        witness = [element_to_json(e if t is None else e.trial(t)) for e in elements]
     return CheckResult(
         identity=identity,
         trials=check.trials,
@@ -199,7 +236,7 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
         seed=check.seed,
         max_relative_defect=worst,
         mean_relative_defect=total / check.trials,
-        worst_witness=[element_to_json(e) for e in worst_elements],
+        worst_witness=witness,
         passed=worst <= check.tolerance,
     )
 

@@ -37,6 +37,8 @@ def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
 
 
 def element_to_json(el) -> dict:
+    if getattr(el, "trials", None) is not None:
+        raise ShapeError("cannot serialize a block of trials; serialize trial(t)")
     if isinstance(el, OperatorElement):
         return {"kind": "operator", "dim": el.dim, "entries": _matrix_to_pairs(el.entries)}
     if isinstance(el, PhaseSpacePoly):

@@ -10,7 +10,9 @@ composable pair.
 
 The factor is measured numerically by a least-squares fit over random
 embedded pairs, so the scaling law itself is validated rather than
-assumed; the closed form enters only as the expected value.
+assumed; the closed form enters only as the expected value.  The pairs
+are drawn and evaluated in blocks, with the stream, the accepted pairs
+and the fit of the pair-by-pair loop, to the bit.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorAlgebra
-from .compose import ComposedAlgebra, simple_tensor
+from .compose import ComposedAlgebra, KroneckerElement, kron_blocks
+from .elements import frobenius_norms
 from .errors import AlgebraError
+from .identities import block_trials
 
 DEFAULT_FACTOR_TOLERANCE = 1e-8
 FIT_RESIDUAL_TOLERANCE = 1e-10
 MIN_FIT_PAIRS = 8
 #: draws allowed per fit pair; a dim-1 bracket vanishes on every draw
 MAX_DRAWS_PER_PAIR = 20
+#: a pair whose component product is below this, relative to 1 + |f||g|,
+#: is degenerate and resampled
+_DEGENERATE_RTOL = 1e-12
 
 
 @dataclass
@@ -72,9 +79,13 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
     else:
         raise AlgebraError(f"component must be 'left' or 'right', got {component!r}")
 
+    unit = other.unit().entries
+
     def embed(f):
-        return (simple_tensor(f, other.unit()) if component == "left"
-                else simple_tensor(other.unit(), f))
+        """A block of component elements, each tensored with the unit."""
+        ent = (kron_blocks(f.entries, unit) if component == "left"
+               else kron_blocks(unit, f.entries))
+        return KroneckerElement._trusted(c.left.dim, c.right.dim, ent, f.hermitian)
 
     composed_op = c.alpha if product == "alpha" else c.sigma
     component_op = comp.alpha if product == "alpha" else comp.sigma
@@ -82,27 +93,31 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
     rng = np.random.default_rng(seed)
     num = 0.0
     den = 0.0
-    samples = []
+    refs, vals = [], []
     needed = max(n_pairs, MIN_FIT_PAIRS)
-    for attempts in range(1, MAX_DRAWS_PER_PAIR * needed + 1):
-        f, g = comp.random_element(rng), comp.random_element(rng)
+    cap = MAX_DRAWS_PER_PAIR * needed
+    attempts = 0
+    while len(refs) < needed and attempts < cap:
+        # as many pairs as are still needed, so no pair past the last is drawn
+        size = min(needed - len(refs), cap - attempts, block_trials(c))
+        f, g = comp.random_element(rng, block=(size, 2))
+        attempts += size
         ref = embed(component_op(f, g))
-        scale = 1.0 + f.norm() * g.norm()
-        if ref.norm() < 1e-12 * scale:
-            continue  # degenerate pair (component bracket vanished): resample
+        degenerate = ref.norm() < _DEGENERATE_RTOL * (1.0 + f.norm() * g.norm())
         val = composed_op(embed(f), embed(g))
-        num += float(np.real(np.vdot(ref.entries, val.entries)))
-        den += float(np.real(np.vdot(ref.entries, ref.entries)))
-        samples.append((ref, val))
-        if len(samples) == needed:
-            break
-    else:
+        for t in np.flatnonzero(~degenerate).tolist():  # the rest is resampled
+            num += float(np.real(np.vdot(ref.entries[t], val.entries[t])))
+            den += float(np.real(np.vdot(ref.entries[t], ref.entries[t])))
+            refs.append(ref.entries[t])
+            vals.append(val.entries[t])
+    if len(refs) < needed:
         raise AlgebraError(f"the {component} component's {product} vanished on "
-                           f"{attempts - len(samples)} of {attempts} random pairs "
+                           f"{attempts - len(refs)} of {attempts} random pairs "
                            f"(dim {comp.dim}); the restriction factor cannot be fitted")
     lam = num / den
-    resid_sq = sum((val - ref.scale(lam)).norm() ** 2 for ref, val in samples)
-    ref_sq = sum(ref.norm() ** 2 for ref, _ in samples)
+    refs, vals = np.array(refs), np.array(vals)
+    resid_sq = sum(n ** 2 for n in frobenius_norms(vals - lam * refs))
+    ref_sq = sum(n ** 2 for n in frobenius_norms(refs))
     residual = np.sqrt(resid_sq) / np.sqrt(ref_sq)
     if residual > FIT_RESIDUAL_TOLERANCE:
         raise AlgebraError(

@@ -142,3 +142,117 @@ def load_perfbench_module(name):
     sys.modules[unique] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def loop_operator_element(rng, dim):
+    """A random Hermitian matrix drawn as the single-element loop drew it:
+    one (dim, dim) call for the real parts, one for the imaginary parts."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return OperatorElement(0.5 * (m + m.conj().T), hermitian=True)
+
+
+def loop_kronecker_element(rng, left_dim, right_dim, max_terms):
+    """A random quantum (x) quantum element drawn as the single-element loop
+    drew it: the term count, then each term's factors, embedded with
+    ``np.kron`` and summed in term order."""
+    from hamalg import KroneckerElement
+
+    out = None
+    for _ in range(int(rng.integers(1, max_terms + 1))):
+        f = loop_operator_element(rng, left_dim)
+        g = loop_operator_element(rng, right_dim)
+        term = np.kron(f.entries, g.entries)
+        out = term if out is None else out + term
+    return KroneckerElement(left_dim, right_dim, out, hermitian=True)
+
+
+def loop_matrix_draws(alg, rng, trials, arity, max_terms=None):
+    """Input tuples of an operator or quantum (x) quantum algebra, drawn one
+    element at a time."""
+    from hamalg import ComposedAlgebra
+
+    alg = getattr(alg, "base", alg)   # a CorruptedAlgebra draws as its base
+
+    def draw():
+        if isinstance(alg, ComposedAlgebra):
+            return loop_kronecker_element(rng, alg.left.dim, alg.right.dim,
+                                          max_terms or alg.max_random_terms)
+        return loop_operator_element(rng, alg.dim)
+
+    return [[draw() for _ in range(arity)] for _ in range(trials)]
+
+
+def loop_lr_table(u, v):
+    """The factorwise products of two single Kronecker elements, as written
+    out before blocks: one ``einsum`` on the 4-index reshape per mixed order."""
+    l, r = u.left_dim, u.right_dim
+    U = u.entries.reshape(l, r, l, r)
+    V = v.entries.reshape(l, r, l, r)
+    return (u.entries @ v.entries,
+            np.einsum("iakb,kjla->ijlb", U, V).reshape(l * r, l * r),
+            np.einsum("iakb,kjla->ijlb", V, U).reshape(l * r, l * r),
+            v.entries @ u.entries)
+
+
+def loop_identity_defects(alg, identity, blocks):
+    """Defects of a tuple of blocks, trial by trial on single elements."""
+    from hamalg.identities import identity_defect
+
+    return [identity_defect(alg, identity, [b.trial(t) for b in blocks])
+            for t in range(blocks[0].trials)]
+
+
+def loop_check_identity(alg, check, max_terms=None):
+    """The trial loop of ``check_identity`` on a matrix algebra: each tuple
+    drawn and scored alone, the running worst replaced on ``>=``."""
+    from hamalg.identities import _ARITY, CheckResult, Identity, identity_defect
+    from hamalg.serialize import element_to_json
+
+    identity = Identity(check.identity)
+    rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
+    worst, worst_elements, total = 0.0, [], 0.0
+    for _ in range(check.trials):
+        elements = loop_matrix_draws(alg, rng, 1, _ARITY[identity], max_terms)[0]
+        defect = identity_defect(alg, identity, elements)
+        total += defect
+        if defect >= worst:
+            worst, worst_elements = defect, elements
+    return CheckResult(identity=identity, trials=check.trials, tolerance=check.tolerance,
+                       seed=check.seed, max_relative_defect=worst,
+                       mean_relative_defect=total / check.trials,
+                       worst_witness=[element_to_json(e) for e in worst_elements],
+                       passed=worst <= check.tolerance)
+
+
+def loop_restrict_fit(c, component, product, n_pairs, seed, rtol=1e-12):
+    """(measured factor, fit residual) of a restriction fit, pair by pair:
+    each pair drawn, embedded with ``np.kron`` and scored alone."""
+    from hamalg.compose import simple_tensor
+    from hamalg.uniqueness import MIN_FIT_PAIRS
+
+    comp, other = (c.left, c.right) if component == "left" else (c.right, c.left)
+
+    def embed(f):
+        return (simple_tensor(f, other.unit()) if component == "left"
+                else simple_tensor(other.unit(), f))
+
+    composed_op = c.alpha if product == "alpha" else c.sigma
+    component_op = comp.alpha if product == "alpha" else comp.sigma
+    rng = np.random.default_rng(seed)
+    num = den = 0.0
+    samples = []
+    while len(samples) < max(n_pairs, MIN_FIT_PAIRS):
+        f, g = loop_operator_element(rng, comp.dim), loop_operator_element(rng, comp.dim)
+        ref = embed(component_op(f, g))
+        if float(np.linalg.norm(ref.entries)) < rtol * (
+                1.0 + float(np.linalg.norm(f.entries)) * float(np.linalg.norm(g.entries))):
+            continue
+        val = composed_op(embed(f), embed(g))
+        num += float(np.real(np.vdot(ref.entries, val.entries)))
+        den += float(np.real(np.vdot(ref.entries, ref.entries)))
+        samples.append((ref, val))
+    lam = num / den
+    resid_sq = sum(float(np.linalg.norm(val.entries - lam * ref.entries)) ** 2
+                   for ref, val in samples)
+    ref_sq = sum(float(np.linalg.norm(ref.entries)) ** 2 for ref, _ in samples)
+    return lam, np.sqrt(resid_sq) / np.sqrt(ref_sq)

@@ -466,6 +466,100 @@ class TestBlocks:
                 assert_terms_bitwise(got.trial(t).terms, op(x, y).terms)
 
 
+class TestMatrixBlocks:
+    """Operator and Kronecker blocks against single elements, to the bit."""
+
+    def test_lr_table_matches_the_written_out_einsum(self):
+        from hamalg.compose import _lr_table
+        from tests.conftest import loop_lr_table
+
+        rng = np.random.default_rng(2)
+        for l in range(1, 5):
+            for r in range(1, 4):
+                n = l * r
+                ent = rng.standard_normal((2, 5, n, n)) + 1j * rng.standard_normal((2, 5, n, n))
+                u, v = (KroneckerElement._trusted(l, r, e, False) for e in ent)
+                blocks = _lr_table(u, v)
+                for t in range(5):
+                    single = _lr_table(u.trial(t), v.trial(t))
+                    want = loop_lr_table(u.trial(t), v.trial(t))
+                    for b, got, w in zip(blocks, single, want):
+                        assert got.tobytes() == w.tobytes()
+                        assert b[t].tobytes() == w.tobytes()
+
+    def test_kron_blocks_matches_np_kron(self):
+        from hamalg.compose import kron_blocks
+
+        rng = np.random.default_rng(3)
+        for l, r in [(1, 1), (1, 3), (2, 2), (3, 2), (4, 3)]:
+            a = rng.standard_normal((4, l, l)) + 1j * rng.standard_normal((4, l, l))
+            b = rng.standard_normal((4, r, r)) + 1j * rng.standard_normal((4, r, r))
+            unit = np.eye(r, dtype=complex)
+            for t in range(4):
+                assert kron_blocks(a, b)[t].tobytes() == np.kron(a[t], b[t]).tobytes()
+                assert kron_blocks(a, unit)[t].tobytes() == np.kron(a[t], unit).tobytes()
+                assert kron_blocks(unit, a)[t].tobytes() == np.kron(unit, a[t]).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda e: OperatorElement._trusted(e, False),
+        lambda e: KroneckerElement._trusted(2, e.shape[-1] // 2, e, False),
+    ])
+    def test_block_norms_equal_slice_norms_bitwise(self, make):
+        rng = np.random.default_rng(4)
+        for n in (2, 4, 6):
+            big = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+            views = [big, big[::3], big[1::2, ::-1], big.swapaxes(1, 2),
+                     np.asfortranarray(big)]
+            for entries in views:
+                block = make(entries)
+                norms = block.norm()
+                assert norms.shape == (len(entries),)
+                for t in range(len(entries)):
+                    assert norms[t].tobytes() == np.float64(block.trial(t).norm()).tobytes()
+            for t in range(12):   # a contiguous single norm is np.linalg.norm's
+                assert make(big[t]).norm() == float(np.linalg.norm(big[t]))
+
+    def test_hybrid_block_norms_equal_slice_norms_bitwise(self):
+        from hamalg.brackets import random_hybrid_observable
+
+        rng = np.random.default_rng(6)
+        u = random_hybrid_observable(rng, dim=3, num_pairs=1, degree=2, block=(7, 1))[0]
+        strided = HybridElement._trusted(3, 1, {e: m[::2] for e, m in u.terms.items()},
+                                         True, 4)
+        flipped = HybridElement._trusted(3, 1, {e: m.swapaxes(1, 2)[:, ::-1]
+                                                for e, m in u.terms.items()}, False, 7)
+        for block in (u, strided, flipped):
+            norms = block.norm()
+            for t in range(block.trials):
+                single = block.trial(t)
+                want = math.sqrt(sum(float(np.linalg.norm(np.ascontiguousarray(m))) ** 2
+                                     for m in single.terms.values()))
+                assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
+                assert single.norm() == want
+        assert HybridElement(2, 1, {}).norm() == 0.0
+        empty = HybridElement._trusted(2, 1, {}, True, 3)
+        assert empty.norm().tolist() == [0.0, 0.0, 0.0]
+
+    def test_mixing_blocks_and_elements_is_refused(self):
+        rng = np.random.default_rng(7)
+        for alg in (OperatorAlgebra(2), qq_algebra()):
+            u = alg.random_element(rng)
+            two = alg.random_element(rng, block=(2, 1))[0]
+            three = alg.random_element(rng, block=(3, 1))[0]
+            for a, b in ((u, two), (two, u), (two, three)):
+                with pytest.raises(ShapeError, match="trials"):
+                    a + b
+                with pytest.raises(ShapeError, match="trials"):
+                    alg.alpha(a, b)
+            with pytest.raises(ShapeError):
+                u.trial(0)
+            assert two.trial(1).trials is None and "trials=2" in repr(two)
+
+    def test_block_draws_need_qq(self):
+        with pytest.raises(AlgebraError, match="quantum"):
+            qc_algebra().random_element(np.random.default_rng(0), block=(2, 2))
+
+
 class TestTermPairEngine:
     """The batched engine against the literal term-pair loops it replaced,
     to the bit: same keys in the same order, equal matrices."""

@@ -78,14 +78,16 @@ class TestCheckIdentity:
         assert replayed == pytest.approx(res.max_relative_defect, rel=1e-12, abs=1e-15)
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
-        from hamalg import identities
-        # trials 1, 3 and 5 tie for the max; trials 2 and 6 are NaN, the last at the end
+        from hamalg import brackets, identities
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        # blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie for the max, within
+        # and across blocks; trials 2 and 6 are NaN, the last one at the end
         script = iter([0.5, 2.0, math.nan, 2.0, 1.0, 2.0, math.nan])
         drawn, serialized = [], []
 
-        def scripted(alg, identity, elements):
-            drawn.append(elements)
-            return next(script)
+        def scripted(alg, identity, blocks):
+            drawn.append(blocks)
+            return np.array([next(script) for _ in range(blocks[0].trials)])
 
         def counting(el):
             serialized.append(el)
@@ -94,16 +96,28 @@ class TestCheckIdentity:
         monkeypatch.setattr(identities, "identity_defect", scripted)
         monkeypatch.setattr(identities, "element_to_json", counting)
         res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=7))
+        assert [b[0].trials for b in drawn] == [3, 3, 1]
         assert res.max_relative_defect == 2.0
-        # the witness is serialized once, from the last maximal trial
+        # the witness is serialized once, from the last maximal trial: trial 5,
+        # which is trial 2 of the second block
         assert len(serialized) == 3
-        assert all(a is b for a, b in zip(serialized, drawn[5]))
-        assert res.worst_witness == [element_to_json(e) for e in drawn[5]]
+        for got, block in zip(serialized, drawn[1]):
+            assert got.entries.tobytes() == block.entries[2].tobytes()
+        assert res.worst_witness == [element_to_json(b.trial(2)) for b in drawn[1]]
+        assert math.isnan(res.mean_relative_defect)
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
-        from hamalg import identities
-        monkeypatch.setattr(identities, "identity_defect", lambda alg, i, els: math.nan)
+        from hamalg import brackets, identities
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 2)
+        blocks = []
+
+        def scripted(alg, identity, elements):
+            blocks.append(elements[0].trials)
+            return np.full(elements[0].trials, math.nan)
+
+        monkeypatch.setattr(identities, "identity_defect", scripted)
         res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=3))
+        assert blocks == [2, 1]
         assert res.max_relative_defect == 0.0
         assert res.worst_witness == []
 
@@ -211,3 +225,122 @@ class TestMutationMonotonicity:
         assert not broken.passed
         assert broken.max_relative_defect >= 1e3 * broken.tolerance
         assert broken.max_relative_defect >= 1e3 * max(honest.max_relative_defect, 1e-300)
+
+
+def matrix_algebras():
+    """Operator algebras at dims 1-6 and quantum (x) quantum compositions at
+    several dims and constants, ħ and a12 varied."""
+    ops = [OperatorAlgebra(d, hbar=h) for d, h in zip(range(1, 7), (1.0, 2.0, 0.5) * 2)]
+    qq = [composed(a1, a2, a12, d1, d2)
+          for (a1, a2, a12), (d1, d2) in zip([(1.0, 1.0, 1.0), (1.0, 2.0, 1.5),
+                                              (0.25, 4.0, 1.0), (1.0, 4.0, 9.0),
+                                              (2.0, 0.5, 0.3)],
+                                             [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])]
+    return ops + qq
+
+
+class TestTrialBlocks:
+    """Blocks of trials against the literal trial loops, to the bit."""
+
+    @pytest.mark.parametrize("identity", list(Identity))
+    def test_block_defects_match_loop_bitwise(self, identity):
+        from hamalg.identities import _ARITY, identity_defect
+        from tests.conftest import loop_identity_defects
+
+        rng = np.random.default_rng([3, list(Identity).index(identity)])
+        for alg in matrix_algebras():
+            for trials in (1, 2, 5):
+                blocks = alg.random_element(rng, block=(trials, _ARITY[identity]))
+                got = identity_defect(alg, identity, blocks)
+                assert got.shape == (trials,)
+                want = np.array(loop_identity_defects(alg, identity, blocks))
+                assert got.tobytes() == want.tobytes(), alg.describe()
+
+    @pytest.mark.parametrize("alg, max_terms", [
+        *((alg, None) for alg in matrix_algebras()[1::2]),
+        *((alg, 2) for alg in matrix_algebras()[6:]),   # check_lemma's bound
+    ], ids=lambda x: x.describe()["realization"] if hasattr(x, "describe") else str(x))
+    def test_block_draws_equal_single_draws(self, alg, max_terms):
+        from tests.conftest import loop_matrix_draws
+
+        rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
+        bound = {} if max_terms is None else {"max_terms": max_terms}
+        blocks = alg.random_element(rng_block, block=(6, 3), **bound)
+        singles = loop_matrix_draws(alg, rng_loop, 6, 3, max_terms)
+        for i, b in enumerate(blocks):
+            assert b.trials == 6 and b.hermitian and not b.entries.flags.writeable
+            for t in range(6):
+                assert b.trial(t).entries.tobytes() == singles[t][i].entries.tobytes()
+        # the same stream was consumed
+        assert rng_block.standard_normal() == rng_loop.standard_normal()
+
+    @pytest.mark.parametrize("identity", [Identity.JACOBI, Identity.CANONICAL_RELATION,
+                                          Identity.JORDAN])
+    @pytest.mark.parametrize("factory", [lambda: OperatorAlgebra(2, hbar=0.5),
+                                         lambda: OperatorAlgebra(6, hbar=2.0),
+                                         lambda: composed(1.0, 2.0, 1.5)])
+    def test_check_identity_matches_loop_across_the_cap(self, identity, factory):
+        from tests.conftest import loop_check_identity
+
+        alg = factory()
+        check = IdentityCheck(identity, trials=300, seed=4)   # past the 256-trial cap
+        assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
+
+    @pytest.mark.parametrize("lemma", [1, 3, 5])
+    def test_lemma_max_terms_path_matches_loop(self, lemma, monkeypatch):
+        from hamalg import brackets
+        from tests.conftest import loop_check_identity
+
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        alg = composed(1.0, 2.0, 1.5, 2, 3)
+        got = check_lemma(alg, lemma, trials=8, seed=1)
+        check = IdentityCheck(LEMMA_IDENTITIES[lemma], trials=8, seed=1)
+        assert got.to_json() == loop_check_identity(alg, check, max_terms=2).to_json()
+
+    def test_corrupted_algebra_forwards_block_draws(self, monkeypatch):
+        from hamalg import brackets, identities
+        from tests.conftest import loop_check_identity
+
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
+        seen = []
+        original = identities.identity_defect
+
+        def spy(alg, identity, elements):
+            seen.append(elements[0].trials)
+            return original(alg, identity, elements)
+
+        monkeypatch.setattr(identities, "identity_defect", spy)
+        bad = CorruptedAlgebra(composed(1.0, 1.0, 2.0), alpha_scale=1.1)
+        check = IdentityCheck(Identity.CANONICAL_RELATION, trials=10)
+        got = check_identity(bad, check)
+        assert seen == [4, 4, 2]
+        assert not got.passed
+        assert got.to_json() == loop_check_identity(bad, check).to_json()
+
+    def test_single_element_algebras_run_one_trial_per_block(self, monkeypatch):
+        from hamalg import identities
+
+        seen = []
+        original = identities.identity_defect
+
+        def spy(alg, identity, elements):
+            seen.append(getattr(elements[0], "trials", None))
+            return original(alg, identity, elements)
+
+        monkeypatch.setattr(identities, "identity_defect", spy)
+        check_identity(PhaseSpaceAlgebra(1, max_random_degree=2),
+                       IdentityCheck(Identity.JACOBI, trials=4))
+        assert seen == [None] * 4
+
+    def test_blocks_are_capped_by_entries(self, monkeypatch):
+        from hamalg.identities import block_trials
+        from hamalg.kernels import BLOCK_PAIRS
+
+        assert block_trials(OperatorAlgebra(2)) == 256
+        assert block_trials(OperatorAlgebra(64)) == BLOCK_PAIRS // 64 ** 2
+        assert block_trials(OperatorAlgebra(128)) == 1
+        assert block_trials(composed(1.0, 1.0, 1.0, 8, 8)) == 2
+        assert block_trials(PhaseSpaceAlgebra(1)) is None
+        assert block_trials(CorruptedAlgebra(OperatorAlgebra(30))) == BLOCK_PAIRS // 900
+        hybrid = ComposedAlgebra(OperatorAlgebra(2), PhaseSpaceAlgebra(1), a12=1.0)
+        assert block_trials(hybrid) is None

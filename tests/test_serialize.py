@@ -59,6 +59,19 @@ class TestRoundTrips:
         with pytest.raises(Exception):
             element_from_json({"kind": "mystery"})
 
+    def test_blocks_are_refused(self, rng):
+        from hamalg.brackets import random_hybrid_observable
+        from hamalg.errors import ShapeError
+
+        qq = ComposedAlgebra(OperatorAlgebra(2), OperatorAlgebra(2), a12=1.0)
+        for block in (OperatorAlgebra(2).random_element(rng, block=(3, 1))[0],
+                      qq.random_element(rng, block=(3, 1))[0],
+                      random_hybrid_observable(rng, block=(3, 1))[0]):
+            with pytest.raises(ShapeError, match="block"):
+                element_to_json(block)
+            single = block.trial(2)
+            assert element_to_json(round_trip(single)) == element_to_json(single)
+
 
 class TestWireFormat:
     def test_operator_entries_row_major_re_im_pairs(self):

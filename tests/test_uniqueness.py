@@ -26,6 +26,44 @@ def composed(a1, a2, a12, d1=2, d2=2):
                            OperatorAlgebra(d2, hbar=2 * math.sqrt(a2)), a12=a12)
 
 
+class TestBlockFit:
+    """The block fit against the pair-by-pair loop, to the bit."""
+
+    @pytest.mark.parametrize("constants, dims", [
+        ((1.0, 1.0, 1.0), (2, 2)),
+        ((1.0, 2.0, 1.5), (2, 3)),
+        ((0.25, 4.0, 1.0), (3, 2)),
+        ((4.0, 0.25, 0.5), (1, 2)),
+    ])
+    @pytest.mark.parametrize("product", ["alpha", "sigma"])
+    def test_fit_matches_loop_bitwise(self, constants, dims, product):
+        from hamalg.uniqueness import _restrict_fit
+        from tests.conftest import loop_restrict_fit
+
+        c = composed(*constants, *dims)
+        for component in ("left", "right"):
+            if c.left.dim == 1 and component == "left":
+                continue   # a dim-1 bracket vanishes: nothing to fit
+            for n_pairs, seed in ((8, 0), (13, 5)):
+                got = _restrict_fit(c, component, product, n_pairs, seed, 1e-8)
+                lam, residual = loop_restrict_fit(c, component, product, n_pairs, seed)
+                assert got.measured_factor == lam
+                assert got.fit_residual == float(residual)
+
+    def test_rejected_pairs_are_resampled_in_stream_order(self, monkeypatch):
+        from hamalg import uniqueness
+        from hamalg.uniqueness import _restrict_fit
+        from tests.conftest import loop_restrict_fit
+
+        # a degenerate-pair threshold that rejects about half of the draws
+        # exercises the resampling blocks; the loop rejects the same pairs
+        monkeypatch.setattr(uniqueness, "_DEGENERATE_RTOL", 0.4)
+        c = composed(1.0, 2.0, 1.5, 2, 2)
+        got = _restrict_fit(c, "left", "alpha", 8, 3, 1e-8)
+        lam, residual = loop_restrict_fit(c, "left", "alpha", 8, 3, rtol=0.4)
+        assert (got.measured_factor, got.fit_residual) == (lam, float(residual))
+
+
 class TestRestrictAlpha:
     def test_left_factor_matches_closed_form(self):
         res = restrict_alpha(composed(1.0, 4.0, 4.0), "left")
@@ -75,6 +113,8 @@ class TestRestrictAlpha:
                               text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert "left component's alpha vanished" in proc.stdout
+        # every one of the MAX_DRAWS_PER_PAIR * MIN_FIT_PAIRS draws was tried
+        assert "vanished on 160 of 160 random pairs (dim 1)" in proc.stdout
 
     def test_rejects_bad_component_name(self):
         with pytest.raises(AlgebraError):
