@@ -603,10 +603,10 @@ class ComposedAlgebra(HamiltonAlgebra):
     def block_entries(self) -> int | None:
         return (self.left.dim * self.right.dim) ** 2 if self.kind == "qq" else None
 
-    def random_element(self, rng: np.random.Generator, n_terms: int | None = None,
-                       block: tuple | None = None, max_terms: int | None = None):
-        """Random sum of ``n_terms`` simple tensors, their number drawn from
-        1..max_terms (default max_random_terms) when not given.
+    def random_element(self, rng: np.random.Generator, block: tuple | None = None,
+                       max_terms: int | None = None):
+        """Random sum of simple tensors, their number drawn from
+        1..max_terms (default max_random_terms).
 
         With ``block=(trials, arity)`` (quantum (x) quantum only),
         ``trials`` input tuples of ``arity`` elements in one draw, returned
@@ -617,8 +617,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         max_terms = self.max_random_terms if max_terms is None else max_terms
         if block is not None:
             return self._kronecker_block(rng, *block, max_terms)
-        if n_terms is None:
-            n_terms = int(rng.integers(1, max_terms + 1))
+        n_terms = int(rng.integers(1, max_terms + 1))
         return self.embed_terms(self.random_simple_terms(rng, n_terms))
 
     def _kronecker_block(self, rng, trials: int, arity: int, max_terms: int) -> list:

@@ -82,7 +82,9 @@ def frobenius_norms(stack: np.ndarray) -> list:
     On a C-contiguous complex matrix this is what ``np.linalg.norm``
     computes, both dot products reaching BLAS ``ddot`` at the same strides,
     so each norm is that call's to the bit; one ``np.vecdot`` call serves
-    the whole stack.
+    the whole stack.  Only there: ``np.linalg.norm`` sums a Fortran-ordered
+    or transposed matrix in memory order, this helper always in C order,
+    so on such entries the two may differ in the last bits.
     """
     flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     re, im = flat.real, flat.imag

@@ -187,13 +187,10 @@ def block_trials(alg) -> int | None:
 def _draw_elements(alg, rng, arity, max_terms, trials):
     """One block of ``trials`` input tuples as ``arity`` blocks; with
     ``trials`` None, one tuple of single elements."""
+    bound = {} if max_terms is None else {"max_terms": max_terms}
     if trials is not None:
-        bound = {} if max_terms is None else {"max_terms": max_terms}
         return alg.random_element(rng, block=(trials, arity), **bound)
-    if max_terms is not None:
-        return [alg.random_element(rng, n_terms=int(rng.integers(1, max_terms + 1)))
-                for _ in range(arity)]
-    return [alg.random_element(rng) for _ in range(arity)]
+    return [alg.random_element(rng, **bound) for _ in range(arity)]
 
 
 def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,

@@ -85,15 +85,6 @@ class TestVacuousGreens:
     """``verify`` refuses a realization whose bracket vanishes identically,
     where every bracket identity would pass without testing anything."""
 
-    @staticmethod
-    def run_child(*argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "hamalg.cli", "verify", *argv,
-                               "--trials", "2"],
-                              env=env, capture_output=True, text=True, timeout=60)
-
     @pytest.mark.parametrize("argv, why", [
         (("--dim", "1"), "--dim 1: 1x1 matrices commute"),
         (("--composed", "--a1", "1", "--a2", "1", "--a12", "1", "--dim1", "1", "--dim2", "1"),
@@ -103,17 +94,26 @@ class TestVacuousGreens:
         (("--hybrid", "--dim", "1"), "no classical-bracket term"),
     ])
     def test_vanishing_bracket_is_a_usage_error(self, argv, why):
-        proc = self.run_child(*argv)
+        with pytest.raises(UsageError, match="pass vacuously") as exc:
+            _build_algebra(build_parser().parse_args(["verify", *argv]))
+        assert why in str(exc.value)
+
+    def test_refusal_exits_2_from_the_command_line(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "hamalg.cli", "verify", "--hybrid",
+                               "--dim", "1", "--trials", "2"],
+                              env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr
-        assert why in proc.stderr
-        assert "pass vacuously" in proc.stderr
+        assert "no classical-bracket term" in proc.stderr
         assert proc.stdout == ""
 
-    def test_one_dimensional_factor_beside_a_matrix_runs(self):
-        proc = self.run_child("--composed", "--a1", "1", "--a2", "2", "--a12", "1.5",
-                              "--dim1", "1", "--dim2", "2")
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["passed"]
+    def test_one_dimensional_factor_beside_a_matrix_runs(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli("verify", "--composed", "--a1", "1", "--a2", "2", "--a12", "1.5",
+                       "--dim1", "1", "--dim2", "2", "--trials", "2", "--out", str(out)) == 0
+        assert read_json(out)["passed"]
 
 
 class TestVerify:
