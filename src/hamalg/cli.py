@@ -18,7 +18,10 @@ front of the command line's and the command line is parsed again, so
 config values pass the same type and choice checks as flags, and
 explicit flags win.  Every default is declared on its option.
 All reports validate against the schema shipped at
-``hamalg/schemas/report.schema.json``.
+``hamalg/schemas/report.schema.json``, with ``jsonschema.validate``; a
+compiled check of each witness item (a ``[re, im]`` pair, a polynomial
+term, an exponent list) runs first, and jsonschema's own ``items``
+keyword descends only into arrays with an item the check does not pass.
 """
 
 from __future__ import annotations
@@ -70,6 +73,149 @@ class UsageError(Exception):
 def _load_schema() -> dict:
     with resources.files("hamalg.schemas").joinpath("report.schema.json").open() as fh:
         return json.load(fh)
+
+
+# ---------------------------------------------------------------------------
+# report validation: compiled item checks in front of jsonschema's ``items``
+# ---------------------------------------------------------------------------
+
+#: the keywords a compiled check covers, by the kind of instance they constrain
+_KEYWORD_KINDS = {"minimum": "number", "minItems": "array", "maxItems": "array",
+                  "items": "array", "required": "object", "properties": "object"}
+_TYPE_KINDS = {"number": "number", "integer": "number", "array": "array",
+               "object": "object"}
+
+
+def _is_number(x) -> bool:
+    return type(x) is float or type(x) is int
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _compile_check(schema, root: dict, refs: tuple = ()):
+    """A predicate for instances of ``schema`` (draft-07), or None.
+
+    The predicate is one-sided: it returns True only where stock
+    validation of the instance against ``schema`` yields no error, and
+    False where it may yield one.  ``number`` holds for ``int`` and
+    ``float`` exactly, ``integer`` for ``int``, ``array`` for ``list`` and
+    ``object`` for ``dict``, so bools, numpy scalars, ``2.0`` as an
+    integer and NaN against a minimum all give False.  None means that
+    ``schema`` uses something else: a keyword outside ``type``,
+    ``minimum``, ``minItems``, ``maxItems``, ``items``, ``required``,
+    ``properties`` and a lone ``$ref`` to ``#/$defs/<name>`` of ``root``;
+    a ``type`` list; keywords for two kinds of instance; or a cyclic
+    reference.
+    """
+    if type(schema) is not dict:
+        return None
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        prefix = "#/$defs/"
+        name = ref[len(prefix):] if type(ref) is str and ref.startswith(prefix) else None
+        defs = root.get("$defs", {})
+        # draft-07 ignores the siblings of $ref; "~" and "%" would need unescaping
+        if (len(schema) > 1 or name not in defs or any(c in name for c in "/~%")
+                or ref in refs):
+            return None
+        return _compile_check(defs[name], root, refs + (ref,))
+    kinds = {_KEYWORD_KINDS.get(key) for key in schema if key != "type"}
+    if "type" in schema:
+        kinds.add(_TYPE_KINDS.get(schema["type"]) if type(schema["type"]) is str else None)
+    if None in kinds or len(kinds) > 1:
+        return None
+    kind = kinds.pop() if kinds else None
+    if kind == "number":
+        integer = schema.get("type") == "integer"
+        if "minimum" not in schema:
+            return _is_int if integer else _is_number
+        low = schema["minimum"]
+        if type(low) not in (int, float):
+            return None
+        if integer:
+            return lambda x: type(x) is int and x >= low
+        return lambda x: (type(x) is float or type(x) is int) and x >= low
+    if kind == "array":
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if type(low) not in (int, float) or type(high) not in (int, float):
+            return None
+        if "items" not in schema:
+            return lambda x: type(x) is list and low <= len(x) <= high
+        item = _compile_check(schema["items"], root, refs)
+        if item is None:
+            return None
+        return lambda x: type(x) is list and low <= len(x) <= high and all(map(item, x))
+    if kind == "object":
+        required = schema.get("required", [])
+        properties = schema.get("properties", {})
+        if (type(required) is not list or any(type(key) is not str for key in required)
+                or type(properties) is not dict):
+            return None
+        checks = tuple((key, _compile_check(sub, root, refs))
+                       for key, sub in properties.items())
+        if any(check is None for _, check in checks):
+            return None
+
+        def check_object(x) -> bool:
+            if type(x) is not dict:
+                return False
+            for key in required:
+                if key not in x:
+                    return False
+            for key, check in checks:
+                if key in x and not check(x[key]):
+                    return False
+            return True
+        return check_object
+    return lambda x: True   # no keyword: every instance is valid
+
+
+def _items_subschemas(node, root: dict):
+    """Every subschema of ``root`` given as an ``items`` value.  Embedded
+    resources (a nested ``$id``) are skipped: their references resolve
+    against another base."""
+    if isinstance(node, dict):
+        if "$id" in node and node is not root:
+            return
+        for key, value in node.items():
+            if key == "items" and isinstance(value, dict):
+                yield value
+            yield from _items_subschemas(value, root)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _items_subschemas(value, root)
+
+
+def _items_checked_validator(schema: dict) -> type:
+    """A draft-07 validator class for ``schema`` whose ``items`` keyword
+    first runs the compiled check of its item schema on every item.
+
+    Where every item passes, the keyword yields no error, as the stock
+    keyword would.  Where an item fails, or no check compiled, the stock
+    keyword runs unchanged, so every rejection, its message, its path and
+    ``best_match`` come from jsonschema.  Checks are looked up by the
+    identity of the item schema, so the class falls back to the stock
+    keyword on any schema but ``schema``.
+    """
+    stock = jsonschema.Draft7Validator.VALIDATORS["items"]
+    # holding each subschema keeps its id from being reused while the class lives
+    checks = {id(sub): (sub, check) for sub in _items_subschemas(schema, schema)
+              if (check := _compile_check(sub, schema)) is not None}
+
+    def items(validator, items, instance, parent_schema):
+        entry = checks.get(id(items))
+        if entry is not None and type(instance) is list and all(map(entry[1], instance)):
+            return
+        yield from stock(validator, items, instance, parent_schema)
+
+    return jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": items})
+
+
+@functools.cache
+def _report_validator() -> type:
+    return _items_checked_validator(_load_schema())
 
 
 def _timestamp() -> str:
@@ -127,7 +273,7 @@ def _csv_text(header, rows) -> str:
 
 def _write_report(report: dict, out_path: str | None) -> None:
     """Validate against the shipped schema, then write or print."""
-    jsonschema.validate(report, _load_schema())
+    jsonschema.validate(report, _load_schema(), cls=_report_validator())
     _write_text(json.dumps(report, indent=2) + "\n", out_path, "report")
 
 

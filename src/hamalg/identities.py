@@ -19,6 +19,7 @@ trial-by-trial loop, to the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -203,7 +204,7 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
     docstring), and their defects are then taken in trial order: the mean
     is their Python-float sum over the trials, and the witness is the last
     tuple attaining the max defect (a NaN defect never counts), serialized
-    once at the end.
+    once at the end.  A NaN defect fails the check.
     """
     identity = Identity(check.identity)
     arity = _ARITY[identity]
@@ -213,12 +214,14 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
     worst = 0.0
     worst_at = None   # (elements, trial in block, or None for single elements)
     total = 0.0
+    nan_seen = False
     for start in range(0, check.trials, size or 1):
         trials = None if size is None else min(size, check.trials - start)
         elements = _draw_elements(alg, rng, arity, max_terms, trials)
         defects = identity_defect(alg, identity, elements)
         for t, defect in enumerate(np.atleast_1d(defects).tolist()):
             total += defect
+            nan_seen = nan_seen or math.isnan(defect)
             if defect >= worst:
                 worst = defect
                 worst_at = elements, None if trials is None else t
@@ -234,7 +237,7 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
         max_relative_defect=worst,
         mean_relative_defect=total / check.trials,
         worst_witness=witness,
-        passed=worst <= check.tolerance,
+        passed=worst <= check.tolerance and not nan_seen,
     )
 
 

@@ -210,18 +210,19 @@ def loop_check_identity(alg, check, max_terms=None):
 
     identity = Identity(check.identity)
     rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
-    worst, worst_elements, total = 0.0, [], 0.0
+    worst, worst_elements, total, nan_seen = 0.0, [], 0.0, False
     for _ in range(check.trials):
         elements = loop_matrix_draws(alg, rng, 1, _ARITY[identity], max_terms)[0]
         defect = identity_defect(alg, identity, elements)
         total += defect
+        nan_seen = nan_seen or np.isnan(defect)
         if defect >= worst:
             worst, worst_elements = defect, elements
     return CheckResult(identity=identity, trials=check.trials, tolerance=check.tolerance,
                        seed=check.seed, max_relative_defect=worst,
                        mean_relative_defect=total / check.trials,
                        worst_witness=[element_to_json(e) for e in worst_elements],
-                       passed=worst <= check.tolerance)
+                       passed=worst <= check.tolerance and not nan_seen)
 
 
 def loop_restrict_fit(c, component, product, n_pairs, seed, rtol=1e-12):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -146,6 +147,22 @@ class TestVerify:
                        "--out", str(out))
         assert code == 0
         assert read_json(out)["algebra"]["kind"] == "qc"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_defects_fail(self, tmp_path, capsys):
+        # at hbar 1e-160 the bracket overflows, and every Jacobi and
+        # canonical-relation defect is NaN: no defect is under the tolerance
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--hbar", "1e-160", "--trials", "3",
+                       "--out", str(out)) == 1
+        checks = {c["identity"]: c for c in read_json(out)["checks"]}
+        err = capsys.readouterr().err
+        for name in ("jacobi", "canonical_relation"):
+            assert math.isnan(checks[name]["mean_relative_defect"])
+            assert checks[name]["max_relative_defect"] == 0.0
+            assert checks[name]["worst_witness"] == []
+            assert not checks[name]["passed"]
+            assert f"[FAIL] {name} " in err
 
     def test_invalid_dim_usage_error(self):
         assert run_cli("verify", "--dim", "0") == 2

@@ -120,6 +120,7 @@ class TestCheckIdentity:
         assert blocks == [2, 1]
         assert res.max_relative_defect == 0.0
         assert res.worst_witness == []
+        assert not res.passed
 
     def test_check_validation(self):
         with pytest.raises(ValueError):

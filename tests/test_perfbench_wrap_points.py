@@ -2,6 +2,10 @@
 refactor that renames or moves one must update the wrap table, or that
 layer silently reads zero in every traced run."""
 
+import json
+
+import pytest
+
 from tests.conftest import load_perfbench_module
 
 
@@ -13,3 +17,33 @@ def test_every_wrap_point_exists():
                if attr not in owner.__dict__]
     assert missing == []
 
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dim", "2", "--trials", "1", "--out", "{dir}/r.json"),
+    ("brackets", "--kind", "anderson", "--trials", "1", "--budget", "1",
+     "--out", "{dir}/r.json"),
+    ("uniqueness", "scan", "--grid", "0.25:4:2", "--out", "{dir}/r.csv",
+     "--json-out", "{dir}/r.json"),
+    ("simulate", "--out", "{dir}/r.csv", "--summary-out", "{dir}/r.json"),
+])
+def test_each_report_calls_jsonschema_validate_once(argv, tmp_path, monkeypatch):
+    """The tracer times report validation at ``jsonschema.validate``
+    (``cli.schema_validate``); a report validated another way would leave
+    that layer reading zero."""
+    import jsonschema
+
+    from hamalg.cli import main
+
+    calls = []
+    validate = jsonschema.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(jsonschema, "validate", counting)
+    assert main([a.format(dir=tmp_path) for a in argv]) == 0
+    assert len(calls) == 1
+    with open(tmp_path / "r.json") as fh:
+        assert calls[0]["report_kind"] == json.load(fh)["report_kind"]
