@@ -6,8 +6,6 @@ tolerance-checked, replayable verification suites.
 
 from .algebra import (
     CorruptedAlgebra,
-    DEFAULT_HBARS,
-    DEFAULT_OPERATOR_DIMS,
     HamiltonAlgebra,
     OperatorAlgebra,
     PhaseSpaceAlgebra,
@@ -17,7 +15,6 @@ from .algebra import (
 from .brackets import (
     DefectTriple,
     MixedBracketKind,
-    find_jacobi_witness,
     find_violation_witness,
     measure_defects,
     mixed_bracket,
@@ -65,8 +62,6 @@ __all__ = [
     "AlgebraError",
     "ComposedAlgebra",
     "CorruptedAlgebra",
-    "DEFAULT_HBARS",
-    "DEFAULT_OPERATOR_DIMS",
     "DefectTriple",
     "HamalgError",
     "HamiltonAlgebra",
@@ -97,7 +92,6 @@ __all__ = [
     "element_to_json",
     "eom_generator",
     "evolve",
-    "find_jacobi_witness",
     "find_violation_witness",
     "measure_defects",
     "mixed_bracket",

@@ -27,11 +27,8 @@ from .elements import (
     QuantumConstant,
     monomials_up_to_degree,
 )
-from .errors import AlgebraError
+from .errors import AlgebraError, ShapeError
 
-# Default sweep used by the verification suites.
-DEFAULT_OPERATOR_DIMS = (2, 3, 4, 6)
-DEFAULT_HBARS = (1.0, 2.0, 0.5)
 DEFAULT_RANDOM_DEGREE = 3
 
 
@@ -74,9 +71,8 @@ class HamiltonAlgebra:
     constant: QuantumConstant
     block_entries: int | None = None
 
-    def __init__(self, constant: QuantumConstant, rng_seed: int = 0):
+    def __init__(self, constant: QuantumConstant):
         self.constant = constant
-        self.rng_seed = int(rng_seed)
 
     # -- products -----------------------------------------------------
 
@@ -122,9 +118,6 @@ class HamiltonAlgebra:
     def random_element(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def default_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.rng_seed)
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -132,27 +125,32 @@ class HamiltonAlgebra:
 class OperatorAlgebra(HamiltonAlgebra):
     """Quantum realization on dim x dim Hermitian matrices."""
 
-    def __init__(self, dim: int, hbar: float = 1.0, rng_seed: int = 0):
+    def __init__(self, dim: int, hbar: float = 1.0):
         if dim < 1:
             raise AlgebraError(f"dim must be >= 1, got {dim}")
         constant = QuantumConstant.from_hbar(hbar)
         if constant.is_classical:
             raise AlgebraError("operator realization needs a > 0 (hbar > 0)")
-        super().__init__(constant, rng_seed)
+        super().__init__(constant)
         self.dim = int(dim)
 
-    def sigma(self, f: OperatorElement, g: OperatorElement) -> OperatorElement:
+    def _check_operands(self, f: OperatorElement, g: OperatorElement):
+        """Both operands plain operator elements of this algebra's dim; a
+        ``KroneckerElement`` is refused, it belongs to a composed algebra."""
+        if type(f) is not OperatorElement:
+            raise ShapeError(f"expected OperatorElement, got {type(f).__name__}")
         f._check_like(g)
         if f.dim != self.dim:
             raise AlgebraError(f"element dim {f.dim} does not match algebra dim {self.dim}")
+
+    def sigma(self, f: OperatorElement, g: OperatorElement) -> OperatorElement:
+        self._check_operands(f, g)
         return OperatorElement._trusted(
             0.5 * (f.entries @ g.entries + g.entries @ f.entries),
             f.hermitian and g.hermitian)
 
     def alpha(self, f: OperatorElement, g: OperatorElement) -> OperatorElement:
-        f._check_like(g)
-        if f.dim != self.dim:
-            raise AlgebraError(f"element dim {f.dim} does not match algebra dim {self.dim}")
+        self._check_operands(f, g)
         hbar = self.constant.hbar
         return OperatorElement._trusted(
             (f.entries @ g.entries - g.entries @ f.entries) / (1j * hbar),
@@ -192,9 +190,8 @@ class OperatorAlgebra(HamiltonAlgebra):
 class PhaseSpaceAlgebra(HamiltonAlgebra):
     """Classical realization (a = 0) on phase-space polynomials."""
 
-    def __init__(self, num_pairs: int, max_random_degree: int = DEFAULT_RANDOM_DEGREE,
-                 rng_seed: int = 0):
-        super().__init__(QuantumConstant(0.0), rng_seed)
+    def __init__(self, num_pairs: int, max_random_degree: int = DEFAULT_RANDOM_DEGREE):
+        super().__init__(QuantumConstant(0.0))
         if num_pairs < 1:
             raise AlgebraError(f"num_pairs must be >= 1, got {num_pairs}")
         if max_random_degree < 0:
@@ -247,7 +244,7 @@ class CorruptedAlgebra(HamiltonAlgebra):
 
     def __init__(self, base: HamiltonAlgebra, alpha_scale: float = 1.0,
                  sigma_scale: float = 1.0):
-        super().__init__(base.constant, base.rng_seed)
+        super().__init__(base.constant)
         self.base = base
         self.alpha_scale = float(alpha_scale)
         self.sigma_scale = float(sigma_scale)

@@ -295,11 +295,6 @@ def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int
     return None
 
 
-def find_jacobi_witness(kind: MixedBracketKind, budget: int, seed: int = 0, **kw):
-    """Search for a Jacobi-identity violation (None for a sound bracket)."""
-    return find_violation_witness(kind, "jacobi", budget, seed, **kw)
-
-
 def replay_witness_defect(witness: dict, hbar: float = 1.0) -> float:
     """Recompute a serialized witness's defect through the main path."""
     elements = [element_from_json(e) for e in witness["elements"]]

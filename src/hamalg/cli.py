@@ -348,35 +348,34 @@ def _build_algebra(args) -> object:
     algebra = "composed" if args.composed else "hybrid" if args.hybrid else args.realization
     _refuse_unread_options(args, algebra)
     _refuse_vacuous(args, algebra)
-    seed = args.seed
     if args.composed:
         a1 = _positive(args.a1, "--a1")
         a2 = _positive(args.a2, "--a2")
         a12 = _positive(args.a12, "--a12")
         dim1 = _positive(args.dim1, "--dim1")
         dim2 = _positive(args.dim2, "--dim2")
-        return ComposedAlgebra(OperatorAlgebra(dim1, hbar=2 * math.sqrt(a1), rng_seed=seed),
-                               OperatorAlgebra(dim2, hbar=2 * math.sqrt(a2), rng_seed=seed),
+        return ComposedAlgebra(OperatorAlgebra(dim1, hbar=2 * math.sqrt(a1)),
+                               OperatorAlgebra(dim2, hbar=2 * math.sqrt(a2)),
                                a12=a12)
     if args.hybrid:
         a1 = _positive(args.a1 if args.a1 is not None else 1.0, "--a1")
         a12 = args.a12 if args.a12 is not None else a1
         dim = _positive(args.dim, "--dim")
-        return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * math.sqrt(a1), rng_seed=seed),
+        return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * math.sqrt(a1)),
                                _phase_space(args, default_degree=2),
                                a12=_positive(a12, "--a12"))
     if args.realization == "operator":
         dim = _positive(args.dim, "--dim")
         hbar = _positive(args.hbar, "--hbar")
-        return OperatorAlgebra(dim, hbar=hbar, rng_seed=seed)
-    return _phase_space(args, default_degree=3, rng_seed=seed)
+        return OperatorAlgebra(dim, hbar=hbar)
+    return _phase_space(args, default_degree=3)
 
 
-def _phase_space(args, default_degree: int, **kwargs) -> PhaseSpaceAlgebra:
+def _phase_space(args, default_degree: int) -> PhaseSpaceAlgebra:
     pairs = _positive(args.pairs, "--pairs")
     degree = args.degree if args.degree is not None else default_degree
     _check_polynomial_size(pairs, degree)
-    return PhaseSpaceAlgebra(pairs, max_random_degree=degree, **kwargs)
+    return PhaseSpaceAlgebra(pairs, max_random_degree=degree)
 
 
 def cmd_verify(args) -> int:

@@ -10,12 +10,16 @@ composed products are
                                     + sqrt(a2/a12) (f sigma g)1 (x) (f alpha g)2
 
 and extend bilinearly to sums of simple tensors.  Composed elements are
-stored in canonical forms (a Kronecker matrix, or a polynomial with
-matrix coefficients) so equality and norms are well defined; the
+stored in canonical forms so equality and norms are well defined; the
 products below are the bilinear extensions computed directly on those
-canonical forms.  The envelope product tau12 is implemented as an
-independent route (plain associative multiplication of canonical forms)
-and serves as a cross-check against the sigma/alpha composition path.
+canonical forms.  A quantum (x) quantum element is a matrix on the l*r
+dimensional product space, an algebra of the same type as its factors:
+``KroneckerElement`` is an ``OperatorElement`` that adds only its factor
+layout (l, r).  A quantum (x) classical element, ``HybridElement``, is a
+polynomial with matrix coefficients.  The envelope product tau12 is
+implemented as an independent route (plain associative multiplication of
+canonical forms) and serves as a cross-check against the sigma/alpha
+composition path.
 
 Supported pairings: quantum (x) quantum, quantum (x) classical, and
 classical (x) classical.  The classical pair composes to an ordinary
@@ -49,95 +53,47 @@ from .elements import (
 from .errors import AlgebraError, ShapeError
 from .kernels import accumulate, keys_of, pack, poisson_weights, row_blocks
 
+#: Random composed elements sum 1..MAX_RANDOM_TERMS simple tensors.
+MAX_RANDOM_TERMS = 3
 
-class KroneckerElement:
-    """Element of quantum (x) quantum: a (l*r) x (l*r) complex matrix in
-    Kronecker layout, entry [(i1*r + i2), (j1*r + j2)] = A[i1,j1] B[i2,j2]
-    on simple tensors.
 
-    Blocks of trials are as for ``OperatorElement``: entries of shape
-    ``(trials, l*r, l*r)``, made only by ``_trusted``.
+class KroneckerElement(OperatorElement):
+    """Element of quantum (x) quantum: an ``OperatorElement`` on the l*r
+    dimensional product space that also records its factor layout (l, r).
+    Entry [(i1*r + i2), (j1*r + j2)] = A[i1,j1] B[i2,j2] on simple tensors.
+
+    The arithmetic, norms, blocks and ``trial`` are the operator's; this
+    class adds the layout, which ``_derived`` carries to every result and
+    ``_check_like`` compares.
     """
 
-    __slots__ = ("left_dim", "right_dim", "entries", "hermitian", "trials")
+    __slots__ = ("left_dim", "right_dim")
 
     def __init__(self, left_dim: int, right_dim: int, entries, hermitian: bool | None = None):
-        arr = np.array(entries, dtype=np.complex128, copy=True)
         n = left_dim * right_dim
-        if arr.shape != (n, n):
-            raise ShapeError(f"expected shape {(n, n)}, got {arr.shape}")
-        arr.setflags(write=False)
-        if hermitian is None:
-            hermitian = is_hermitian(arr)
-        elif hermitian and not is_hermitian(arr):
-            raise AlgebraError("entries flagged Hermitian but are not (beyond tolerance)")
+        if np.shape(entries) != (n, n):
+            raise ShapeError(f"expected shape {(n, n)}, got {np.shape(entries)}")
+        super().__init__(entries, hermitian)
         self.left_dim = int(left_dim)
         self.right_dim = int(right_dim)
-        self.entries = arr
-        self.hermitian = bool(hermitian)
-        self.trials = None
 
     @classmethod
     def _trusted(cls, left_dim: int, right_dim: int, entries: np.ndarray,
                  hermitian: bool) -> "KroneckerElement":
         """Internal constructor for derived values; skips re-validation
         (see OperatorElement._trusted for why)."""
-        self = object.__new__(cls)
-        arr = np.asarray(entries, dtype=np.complex128)
-        if arr.flags.writeable:
-            arr.setflags(write=False)
+        self = super()._trusted(entries, hermitian)
         self.left_dim = int(left_dim)
         self.right_dim = int(right_dim)
-        self.entries = arr
-        self.hermitian = hermitian
-        self.trials = arr.shape[0] if arr.ndim == 3 else None
         return self
 
-    def norm(self):
-        """Frobenius norm; in a block, an array of the norm of each trial,
-        equal to ``trial(t).norm()`` to the bit."""
-        if self.trials is None:
-            return frobenius_norms(self.entries[None])[0]
-        return np.array(frobenius_norms(self.entries))
-
-    def trial(self, t: int) -> "KroneckerElement":
-        """Trial t of a block as an ordinary element."""
-        if self.trials is None:
-            raise ShapeError("trial() needs a block")
-        return KroneckerElement._trusted(self.left_dim, self.right_dim, self.entries[t],
-                                         self.hermitian)
+    def _derived(self, entries: np.ndarray, hermitian: bool) -> "KroneckerElement":
+        return KroneckerElement._trusted(self.left_dim, self.right_dim, entries, hermitian)
 
     def _check_like(self, other: "KroneckerElement"):
-        if not isinstance(other, KroneckerElement):
-            raise ShapeError(f"expected KroneckerElement, got {type(other).__name__}")
+        super()._check_like(other)
         if (other.left_dim, other.right_dim) != (self.left_dim, self.right_dim):
             raise ShapeError("component dimensions mismatch")
-        check_trials(self.trials, other.trials)
-
-    def __add__(self, other):
-        self._check_like(other)
-        return KroneckerElement._trusted(self.left_dim, self.right_dim,
-                                         self.entries + other.entries,
-                                         self.hermitian and other.hermitian)
-
-    def __sub__(self, other):
-        self._check_like(other)
-        return KroneckerElement._trusted(self.left_dim, self.right_dim,
-                                         self.entries - other.entries,
-                                         self.hermitian and other.hermitian)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def scale(self, c: complex):
-        herm = self.hermitian and complex(c).imag == 0.0
-        return KroneckerElement._trusted(self.left_dim, self.right_dim,
-                                         c * self.entries, herm)
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"
@@ -358,10 +314,10 @@ def simple_tensor(f, g):
     quantum (x) classical -> HybridElement
     classical (x) classical -> PhaseSpacePoly on the disjoint variables
     """
-    if isinstance(f, OperatorElement) and isinstance(g, OperatorElement):
+    if type(f) is OperatorElement and type(g) is OperatorElement:
         return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries),
                                          f.hermitian and g.hermitian)
-    if isinstance(f, OperatorElement) and isinstance(g, PhaseSpacePoly):
+    if type(f) is OperatorElement and isinstance(g, PhaseSpacePoly):
         coeffs = np.array(list(g.terms.values()))[:, None, None]
         return HybridElement._trusted(f.dim, g.num_pairs,
                                       nonzero_terms(g.terms, coeffs * f.entries), f.hermitian)
@@ -449,7 +405,7 @@ class ComposedAlgebra(HamiltonAlgebra):
     """
 
     def __init__(self, left: HamiltonAlgebra, right: HamiltonAlgebra,
-                 a12: float | None = None, rng_seed: int = 0, max_random_terms: int = 3):
+                 a12: float | None = None):
         if isinstance(left, PhaseSpaceAlgebra) and isinstance(right, OperatorAlgebra):
             raise AlgebraError("classical (x) quantum unsupported; put the quantum factor first")
         if isinstance(left, OperatorAlgebra) and isinstance(right, OperatorAlgebra):
@@ -474,10 +430,9 @@ class ComposedAlgebra(HamiltonAlgebra):
         constant = QuantumConstant(float(a12))
         if constant.is_classical and self.kind != "cc":
             raise AlgebraError("a12 must be > 0 when a component is quantum")
-        super().__init__(constant, rng_seed)
+        super().__init__(constant)
         self.left = left
         self.right = right
-        self.max_random_terms = int(max_random_terms)
 
     # -- coefficients of the composition law ---------------------------
 
@@ -521,8 +476,7 @@ class ComposedAlgebra(HamiltonAlgebra):
             LL, LR, RL, RR = _lr_table(u, v)
             sig_sig = 0.25 * (LL + LR + RL + RR)
             alp_alp = -(LL - LR - RL + RR) / (h1 * h2)
-            ent = sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp
-            return KroneckerElement._trusted(u.left_dim, u.right_dim, ent, herm)
+            return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp, herm)
         if self.kind == "qc":
             # cross term carries sqrt(a1 * a2) = 0 for a classical right
             # component, so only the factorwise symmetric products remain
@@ -545,8 +499,7 @@ class ComposedAlgebra(HamiltonAlgebra):
             LL, LR, RL, RR = _lr_table(u, v)
             alp_sig = (LL + LR - RL - RR) / (2j * h1)
             sig_alp = (LL - LR + RL - RR) / (2j * h2)
-            ent = c1 * alp_sig + c2 * sig_alp
-            return KroneckerElement._trusted(u.left_dim, u.right_dim, ent, herm)
+            return u._derived(c1 * alp_sig + c2 * sig_alp, herm)
         # quantum (x) classical: c2 = 0 kills the classical-bracket term,
         # which is the algebraic root of the no-back-reaction result
         h1 = self.left.constant.hbar
@@ -559,8 +512,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         self._check_element(v)
         if self.kind == "qq":
             u._check_like(v)
-            return KroneckerElement._trusted(u.left_dim, u.right_dim,
-                                             u.entries @ v.entries, False)
+            return u._derived(u.entries @ v.entries, False)
         if self.kind == "qc":
             return u.assoc_product(v)
         return u.product(v)
@@ -606,7 +558,7 @@ class ComposedAlgebra(HamiltonAlgebra):
     def random_element(self, rng: np.random.Generator, block: tuple | None = None,
                        max_terms: int | None = None):
         """Random sum of simple tensors, their number drawn from
-        1..max_terms (default max_random_terms).
+        1..max_terms (default MAX_RANDOM_TERMS).
 
         With ``block=(trials, arity)`` (quantum (x) quantum only),
         ``trials`` input tuples of ``arity`` elements in one draw, returned
@@ -614,7 +566,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         numbers, in order, of ``trials * arity`` single calls, and the
         entries of their canonical forms to the bit.
         """
-        max_terms = self.max_random_terms if max_terms is None else max_terms
+        max_terms = MAX_RANDOM_TERMS if max_terms is None else max_terms
         if block is not None:
             return self._kronecker_block(rng, *block, max_terms)
         n_terms = int(rng.integers(1, max_terms + 1))

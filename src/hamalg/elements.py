@@ -99,6 +99,12 @@ class OperatorElement:
     evaluates all of its trials; only ``_trusted`` makes one.  ``trial(t)``
     slices out one ordinary element, and blocks combine only with blocks
     of as many trials.  The Hermitian flag of a block covers every trial.
+
+    Every derived value is built by ``_derived``, so a subclass that adds a
+    layout to the matrix (``compose.KroneckerElement``, a quantum (x)
+    quantum element) overrides that hook and ``_check_like`` and inherits
+    the arithmetic, ``norm`` and ``trial``.  Elements of different classes
+    never combine.
     """
 
     __slots__ = ("entries", "dim", "hermitian", "trials")
@@ -135,6 +141,10 @@ class OperatorElement:
         self.trials = arr.shape[0] if arr.ndim == 3 else None
         return self
 
+    def _derived(self, entries: np.ndarray, hermitian: bool) -> "OperatorElement":
+        """A value derived from this element: same class and layout."""
+        return OperatorElement._trusted(entries, hermitian)
+
     @classmethod
     def identity(cls, dim: int) -> "OperatorElement":
         return cls(np.eye(dim), hermitian=True)
@@ -154,31 +164,29 @@ class OperatorElement:
         """Trial t of a block as an ordinary element."""
         if self.trials is None:
             raise ShapeError("trial() needs a block")
-        return OperatorElement._trusted(self.entries[t], self.hermitian)
+        return self._derived(self.entries[t], self.hermitian)
 
     def _check_like(self, other: "OperatorElement"):
-        if not isinstance(other, OperatorElement):
-            raise ShapeError(f"expected OperatorElement, got {type(other).__name__}")
+        if type(other) is not type(self):
+            raise ShapeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if other.dim != self.dim:
             raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
         check_trials(self.trials, other.trials)
 
     def __add__(self, other: "OperatorElement") -> "OperatorElement":
         self._check_like(other)
-        return OperatorElement._trusted(self.entries + other.entries,
-                                        self.hermitian and other.hermitian)
+        return self._derived(self.entries + other.entries, self.hermitian and other.hermitian)
 
     def __sub__(self, other: "OperatorElement") -> "OperatorElement":
         self._check_like(other)
-        return OperatorElement._trusted(self.entries - other.entries,
-                                        self.hermitian and other.hermitian)
+        return self._derived(self.entries - other.entries, self.hermitian and other.hermitian)
 
     def __neg__(self) -> "OperatorElement":
-        return OperatorElement._trusted(-self.entries, self.hermitian)
+        return self._derived(-self.entries, self.hermitian)
 
     def scale(self, c: complex) -> "OperatorElement":
         herm = self.hermitian and complex(c).imag == 0.0
-        return OperatorElement._trusted(c * self.entries, herm)
+        return self._derived(c * self.entries, herm)
 
     def __mul__(self, c):
         return self.scale(c)

@@ -39,15 +39,15 @@ def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
 def element_to_json(el) -> dict:
     if getattr(el, "trials", None) is not None:
         raise ShapeError("cannot serialize a block of trials; serialize trial(t)")
+    if isinstance(el, KroneckerElement):   # before its base class, OperatorElement
+        return {"kind": "kronecker", "left_dim": el.left_dim, "right_dim": el.right_dim,
+                "entries": _matrix_to_pairs(el.entries)}
     if isinstance(el, OperatorElement):
         return {"kind": "operator", "dim": el.dim, "entries": _matrix_to_pairs(el.entries)}
     if isinstance(el, PhaseSpacePoly):
         terms = [{"exponents": list(e), "coeff": float(c)}
                  for e, c in sorted(el.terms.items())]
         return {"kind": "poly", "num_pairs": el.num_pairs, "terms": terms}
-    if isinstance(el, KroneckerElement):
-        return {"kind": "kronecker", "left_dim": el.left_dim, "right_dim": el.right_dim,
-                "entries": _matrix_to_pairs(el.entries)}
     if isinstance(el, HybridElement):
         parts = [{"exponents": list(e), "matrix": _matrix_to_pairs(m)}
                  for e, m in sorted(el.terms.items())]

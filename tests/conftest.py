@@ -170,13 +170,14 @@ def loop_matrix_draws(alg, rng, trials, arity, max_terms=None):
     """Input tuples of an operator or quantum (x) quantum algebra, drawn one
     element at a time."""
     from hamalg import ComposedAlgebra
+    from hamalg.compose import MAX_RANDOM_TERMS
 
     alg = getattr(alg, "base", alg)   # a CorruptedAlgebra draws as its base
 
     def draw():
         if isinstance(alg, ComposedAlgebra):
             return loop_kronecker_element(rng, alg.left.dim, alg.right.dim,
-                                          max_terms or alg.max_random_terms)
+                                          max_terms or MAX_RANDOM_TERMS)
         return loop_operator_element(rng, alg.dim)
 
     return [[draw() for _ in range(arity)] for _ in range(trials)]

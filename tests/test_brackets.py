@@ -11,7 +11,6 @@ from hamalg import (
     OperatorAlgebra,
     PhaseSpaceAlgebra,
     PhaseSpacePoly,
-    find_jacobi_witness,
     find_violation_witness,
     measure_defects,
     mixed_bracket,
@@ -180,13 +179,14 @@ class TestDefectProfiles:
 
 class TestWitnessSearch:
     def test_product_rule_jacobi_witness_found(self):
-        w = find_jacobi_witness(MixedBracketKind.BOUCHER_TRASCHEN, budget=1000, seed=0)
+        w = find_violation_witness(MixedBracketKind.BOUCHER_TRASCHEN, "jacobi",
+                                   budget=1000, seed=0)
         assert w is not None
         assert w["defect"] > VIOLATION_THRESHOLD
 
     def test_hybrid_yields_no_witness(self):
-        assert find_jacobi_witness(MixedBracketKind.HYBRID_PAPER, budget=1000,
-                                   seed=0) is None
+        assert find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi",
+                                      budget=1000, seed=0) is None
         for d in ("antisymmetry", "derivation"):
             assert find_violation_witness(MixedBracketKind.HYBRID_PAPER, d,
                                           budget=200, seed=0) is None
@@ -198,7 +198,8 @@ class TestWitnessSearch:
         assert w["defect"] > VIOLATION_THRESHOLD
 
     def test_witness_replays_through_main_path(self):
-        w = find_jacobi_witness(MixedBracketKind.BOUCHER_TRASCHEN, budget=100, seed=0)
+        w = find_violation_witness(MixedBracketKind.BOUCHER_TRASCHEN, "jacobi",
+                                   budget=100, seed=0)
         assert replay_witness_defect(w, hbar=HBAR) == pytest.approx(w["defect"],
                                                                     rel=1e-12)
 
@@ -213,7 +214,7 @@ class TestWitnessSearch:
 
     def test_budget_validation(self):
         with pytest.raises(AlgebraError):
-            find_jacobi_witness(MixedBracketKind.ANDERSON, budget=0)
+            find_violation_witness(MixedBracketKind.ANDERSON, "jacobi", budget=0)
 
 
 class TestDenseOracleAgreement:

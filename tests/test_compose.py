@@ -560,6 +560,65 @@ class TestMatrixBlocks:
             qc_algebra().random_element(np.random.default_rng(0), block=(2, 2))
 
 
+class TestKroneckerIsAnOperator:
+    """A Kronecker element is an operator element with a factor layout: each
+    operation gives the operator's entries, keeps the layout, and never
+    mixes the two classes."""
+
+    OPS = {
+        "add": lambda x, y: x + y,
+        "sub": lambda x, y: x - y,
+        "neg": lambda x, y: -x,
+        "scale": lambda x, y: x.scale(0.3 - 0.2j),
+        "mul": lambda x, y: x * 1.7,
+        "rmul": lambda x, y: -2.5 * x,
+        "trial": lambda x, y: x.trial(1),
+    }
+
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_operations_keep_the_layout_and_the_operator_entries(self, name):
+        op = self.OPS[name]
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
+        got = op(KroneckerElement._trusted(2, 3, a, True),
+                 KroneckerElement._trusted(2, 3, b, True))
+        want = op(OperatorElement._trusted(a, True), OperatorElement._trusted(b, True))
+        assert type(got) is KroneckerElement and type(want) is OperatorElement
+        assert (got.left_dim, got.right_dim, got.dim) == (2, 3, 6)
+        assert (got.trials, got.hermitian) == (want.trials, want.hermitian)
+        assert got.entries.tobytes() == want.entries.tobytes()
+
+    def test_operator_and_kronecker_never_mix(self):
+        k = KroneckerElement(2, 2, np.eye(4))
+        o = OperatorElement(np.eye(4))
+        for x, y in ((k, o), (o, k)):
+            for op in (lambda: x + y, lambda: x - y):
+                with pytest.raises(ShapeError, match=f"expected {type(x).__name__}, "
+                                                     f"got {type(y).__name__}"):
+                    op()
+        with pytest.raises(ShapeError, match="component dimensions"):
+            KroneckerElement(2, 3, np.eye(6)) + KroneckerElement(3, 2, np.eye(6))
+
+    def test_simple_tensor_refuses_a_kronecker_factor(self):
+        k = KroneckerElement(2, 2, np.eye(4))
+        o = OperatorElement(np.eye(2))
+        for f, g in ((k, o), (o, k), (k, k), (k, PhaseSpacePoly.unit(1))):
+            with pytest.raises(AlgebraError, match="unsupported tensor pairing"):
+                simple_tensor(f, g)
+
+    def test_operator_algebra_refuses_kronecker_elements(self, rng):
+        alg = OperatorAlgebra(4)
+        k = KroneckerElement(2, 2, np.eye(4))
+        block = qq_algebra().random_element(rng, block=(3, 1))[0]
+        for op in (alg.sigma, alg.alpha, alg.tau):
+            for f, g in ((k, k), (block, block)):
+                with pytest.raises(ShapeError, match="expected OperatorElement, "
+                                                     "got KroneckerElement"):
+                    op(f, g)
+            with pytest.raises(ShapeError):
+                op(OperatorElement(np.eye(4)), k)
+
+
 class TestTermPairEngine:
     """The batched engine against the literal term-pair loops it replaced,
     to the bit: same keys in the same order, equal matrices."""

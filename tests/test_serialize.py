@@ -7,6 +7,7 @@ import pytest
 from hamalg import (
     ComposedAlgebra,
     HybridElement,
+    KroneckerElement,
     OperatorAlgebra,
     OperatorElement,
     PhaseSpaceAlgebra,
@@ -46,6 +47,17 @@ class TestRoundTrips:
         back = round_trip(el)
         assert np.array_equal(back.entries, el.entries)
         assert (back.left_dim, back.right_dim) == (2, 3)
+
+    def test_kronecker_trial_round_trips_bitwise(self, rng):
+        c = ComposedAlgebra(OperatorAlgebra(2), OperatorAlgebra(3), a12=1.0)
+        block = c.random_element(rng, block=(4, 1))[0]
+        for t in range(4):
+            single = block.trial(t)
+            data = element_to_json(single)
+            assert (data["kind"], data["left_dim"], data["right_dim"]) == ("kronecker", 2, 3)
+            back = round_trip(single)
+            assert type(back) is KroneckerElement
+            assert back.entries.tobytes() == single.entries.tobytes()
 
     def test_hybrid(self):
         el = HybridElement(2, 1, {(1, 0): PAULI_Y, (0, 2): np.eye(2)})
