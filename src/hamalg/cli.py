@@ -18,10 +18,13 @@ front of the command line's and the command line is parsed again, so
 config values pass the same type and choice checks as flags, and
 explicit flags win.  Every default is declared on its option.
 All reports validate against the schema shipped at
-``hamalg/schemas/report.schema.json``, with ``jsonschema.validate``; a
-compiled check of each witness item (a ``[re, im]`` pair, a polynomial
-term, an exponent list) runs first, and jsonschema's own ``items``
-keyword descends only into arrays with an item the check does not pass.
+``hamalg/schemas/report.schema.json``, with ``jsonschema.validate``.  Its
+``oneOf`` keyword (the schema's root, keyed by ``report_kind``, and each
+witness element, keyed by ``kind``) first runs a compiled check of the
+whole instance below it; jsonschema's own keyword runs only where that
+check does not pass, so every rejection and its message still come from
+jsonschema.  A valid report's text is built by
+``serialize.dumps_indent2``, equal to ``json.dumps(report, indent=2)``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .errors import HamalgError
 from .identities import run_axiom_suite
 from .measurement import BASIS, TRACKED, MeasurementConfig, Regime, back_reaction_gap, evolve
 from .reference import replay_defect
+from .serialize import dumps_indent2
 from .uniqueness import log_grid, scan_constants, uniqueness_check
 
 EXIT_PASS = 0
@@ -76,22 +80,39 @@ def _load_schema() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report validation: compiled item checks in front of jsonschema's ``items``
+# report validation: a compiled check of the whole report behind ``oneOf``
 # ---------------------------------------------------------------------------
 
-#: the keywords a compiled check covers, by the kind of instance they constrain
-_KEYWORD_KINDS = {"minimum": "number", "minItems": "array", "maxItems": "array",
-                  "items": "array", "required": "object", "properties": "object"}
-_TYPE_KINDS = {"number": "number", "integer": "number", "array": "array",
-               "object": "object"}
+#: the Python types a compiled check accepts for each draft-07 type name
+_TYPES = {"number": (int, float), "integer": (int,), "string": (str,),
+          "boolean": (bool,), "null": (type(None),), "array": (list,), "object": (dict,)}
+#: the keywords a compiled check covers that constrain one kind of instance
+_KEYWORD_KINDS = {"minimum": "number", "exclusiveMinimum": "number", "minItems": "array",
+                  "maxItems": "array", "items": "array", "required": "object",
+                  "properties": "object"}
+#: the keywords a compiled check covers that constrain any kind of instance
+_ANY_KIND = {"type", "const", "enum", "oneOf"}
+#: root keywords that change no verdict: ``$defs`` is no draft-07 keyword, and
+#: the root's ``$id`` is the base every reference already resolves against
+_ROOT_ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
 
 
-def _is_number(x) -> bool:
-    return type(x) is float or type(x) is int
+def _deref(schema: dict, root: dict, refs: tuple):
+    """The target of ``schema``'s lone ``$ref`` to ``#/$defs/<name>`` of
+    ``root`` and the references followed to it, or None."""
+    ref = schema["$ref"]
+    prefix = "#/$defs/"
+    name = ref[len(prefix):] if type(ref) is str and ref.startswith(prefix) else None
+    defs = root.get("$defs", {})
+    # draft-07 ignores the siblings of $ref; "~" and "%" would need unescaping
+    if (len(schema) > 1 or name not in defs or any(c in name for c in "/~%")
+            or ref in refs):
+        return None
+    return defs[name], refs + (ref,)
 
 
-def _is_int(x) -> bool:
-    return type(x) is int
+def _both(first, second):
+    return lambda x: first(x) and second(x)
 
 
 def _compile_check(schema, root: dict, refs: tuple = ()):
@@ -101,42 +122,68 @@ def _compile_check(schema, root: dict, refs: tuple = ()):
     validation of the instance against ``schema`` yields no error, and
     False where it may yield one.  ``number`` holds for ``int`` and
     ``float`` exactly, ``integer`` for ``int``, ``array`` for ``list`` and
-    ``object`` for ``dict``, so bools, numpy scalars, ``2.0`` as an
-    integer and NaN against a minimum all give False.  None means that
-    ``schema`` uses something else: a keyword outside ``type``,
-    ``minimum``, ``minItems``, ``maxItems``, ``items``, ``required``,
-    ``properties`` and a lone ``$ref`` to ``#/$defs/<name>`` of ``root``;
-    a ``type`` list; keywords for two kinds of instance; or a cyclic
+    ``object`` for ``dict``; ``const`` and ``enum`` hold only for strings.
+    So bools as numbers, numpy scalars, ``2.0`` as an integer and NaN
+    against a bound all give False.  A ``oneOf`` holds where exactly one
+    branch's check holds and every other branch is surely invalid (see
+    ``_refutation``).  None means that ``schema`` uses something else: a
+    keyword outside ``type``, ``const``, ``enum``, ``oneOf``, ``minimum``,
+    ``exclusiveMinimum``, ``minItems``, ``maxItems``, ``items``,
+    ``required``, ``properties``, the root's annotations and a lone
+    ``$ref`` to ``#/$defs/<name>`` of ``root``; a ``const`` or ``enum`` of
+    anything but strings; keywords for two kinds of instance; or a cyclic
     reference.
     """
     if type(schema) is not dict:
         return None
     if "$ref" in schema:
-        ref = schema["$ref"]
-        prefix = "#/$defs/"
-        name = ref[len(prefix):] if type(ref) is str and ref.startswith(prefix) else None
-        defs = root.get("$defs", {})
-        # draft-07 ignores the siblings of $ref; "~" and "%" would need unescaping
-        if (len(schema) > 1 or name not in defs or any(c in name for c in "/~%")
-                or ref in refs):
-            return None
-        return _compile_check(defs[name], root, refs + (ref,))
-    kinds = {_KEYWORD_KINDS.get(key) for key in schema if key != "type"}
-    if "type" in schema:
-        kinds.add(_TYPE_KINDS.get(schema["type"]) if type(schema["type"]) is str else None)
-    if None in kinds or len(kinds) > 1:
+        target = _deref(schema, root, refs)
+        return None if target is None else _compile_check(target[0], root, target[1])
+    keys = schema.keys() - _ROOT_ANNOTATIONS if schema is root else schema.keys()
+    if any(key not in _KEYWORD_KINDS and key not in _ANY_KIND for key in keys):
         return None
+    kinds = {_KEYWORD_KINDS[key] for key in keys if key in _KEYWORD_KINDS}
+    if len(kinds) > 1:
+        return None
+    names = schema.get("type", list(_TYPES))
+    names = [names] if type(names) is str else names
+    if type(names) is not list or any(type(n) is not str or n not in _TYPES for n in names):
+        return None
+    allowed = {t for n in names for t in _TYPES[n]}
     kind = kinds.pop() if kinds else None
-    if kind == "number":
-        integer = schema.get("type") == "integer"
-        if "minimum" not in schema:
-            return _is_int if integer else _is_number
-        low = schema["minimum"]
-        if type(low) not in (int, float):
+    if kind:
+        allowed &= set(_TYPES[kind])
+        if not allowed:   # the type excludes every instance the keywords constrain
             return None
-        if integer:
-            return lambda x: type(x) is int and x >= low
-        return lambda x: (type(x) is float or type(x) is int) and x >= low
+    checks = []
+    if kind or "type" in schema:
+        checks.append(_kind_check(kind, schema, frozenset(allowed), root, refs))
+    if "const" in schema:
+        const = schema["const"]
+        if type(const) is not str:
+            return None
+        checks.append(lambda x: type(x) is str and x == const)
+    if "enum" in schema:
+        enum = schema["enum"]
+        if type(enum) is not list or any(type(e) is not str for e in enum):
+            return None
+        members = frozenset(enum)
+        checks.append(lambda x: type(x) is str and x in members)
+    if "oneOf" in schema:
+        checks.append(_compile_one_of(schema["oneOf"], root, refs))
+    if None in checks:
+        return None
+    return functools.reduce(_both, checks) if checks else lambda x: True
+
+
+def _kind_check(kind, schema: dict, allowed: frozenset, root: dict, refs: tuple):
+    """The check of ``type`` and of the keywords of ``kind``, or None."""
+    if kind == "number":
+        low = schema.get("minimum", -math.inf)
+        above = schema.get("exclusiveMinimum", -math.inf)
+        if type(low) not in (int, float) or type(above) not in (int, float):
+            return None
+        return lambda x: type(x) in allowed and x >= low and x > above
     if kind == "array":
         low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if type(low) not in (int, float) or type(high) not in (int, float):
@@ -169,53 +216,96 @@ def _compile_check(schema, root: dict, refs: tuple = ()):
                     return False
             return True
         return check_object
-    return lambda x: True   # no keyword: every instance is valid
+    return lambda x: type(x) in allowed
 
 
-def _items_subschemas(node, root: dict):
-    """Every subschema of ``root`` given as an ``items`` value.  Embedded
-    resources (a nested ``$id``) are skipped: their references resolve
-    against another base."""
+def _refutation(schema: dict, root: dict, refs: tuple):
+    """A predicate that returns True only where stock validation against
+    ``schema`` surely yields an error: on an object that lacks one of its
+    ``required`` keys, or holds a string other than a property's string
+    ``const``.  ``schema`` is one that compiled."""
+    if "$ref" in schema:
+        target, refs = _deref(schema, root, refs)
+        return _refutation(target, root, refs)
+    required = schema.get("required", [])
+    consts = [(key, sub["const"]) for key, sub in schema.get("properties", {}).items()
+              if type(sub) is dict and "$ref" not in sub and type(sub.get("const")) is str]
+
+    def refute(x) -> bool:
+        if type(x) is not dict:
+            return False
+        for key in required:
+            if key not in x:
+                return True
+        for key, const in consts:
+            value = x.get(key, const)
+            if type(value) is str and value != const:
+                return True
+        return False
+    return refute
+
+
+def _compile_one_of(branches, root: dict, refs: tuple):
+    """The check of a ``oneOf`` over ``branches`` (see ``_compile_check``), or None."""
+    if type(branches) is not list or not branches:
+        return None
+    compiled = []
+    for branch in branches:
+        check = _compile_check(branch, root, refs)
+        if check is None:
+            return None
+        compiled.append((_refutation(branch, root, refs), check))
+
+    def check_one_of(x) -> bool:
+        live = [check for refute, check in compiled if not refute(x)]
+        return len(live) == 1 and live[0](x)
+    return check_one_of
+
+
+def _one_of_lists(node, root: dict):
+    """Every ``oneOf`` value in ``root``.  Embedded resources (a nested
+    ``$id``) are skipped: their references resolve against another base."""
     if isinstance(node, dict):
         if "$id" in node and node is not root:
             return
         for key, value in node.items():
-            if key == "items" and isinstance(value, dict):
+            if key == "oneOf" and isinstance(value, list):
                 yield value
-            yield from _items_subschemas(value, root)
+            yield from _one_of_lists(value, root)
     elif isinstance(node, list):
         for value in node:
-            yield from _items_subschemas(value, root)
+            yield from _one_of_lists(value, root)
 
 
-def _items_checked_validator(schema: dict) -> type:
-    """A draft-07 validator class for ``schema`` whose ``items`` keyword
-    first runs the compiled check of its item schema on every item.
+def _one_of_checked_validator(schema: dict) -> type:
+    """A draft-07 validator class for ``schema`` whose ``oneOf`` keyword
+    first runs the compiled check of its branches on the instance.
 
-    Where every item passes, the keyword yields no error, as the stock
-    keyword would.  Where an item fails, or no check compiled, the stock
+    Where the check passes, the keyword yields no error, as the stock
+    keyword would.  Where it fails, or no check compiled, the stock
     keyword runs unchanged, so every rejection, its message, its path and
-    ``best_match`` come from jsonschema.  Checks are looked up by the
-    identity of the item schema, so the class falls back to the stock
-    keyword on any schema but ``schema``.
+    ``best_match`` come from jsonschema.  The shipped schema's root is a
+    ``oneOf``, so a valid report passes in one compiled call.  Checks are
+    looked up by the identity of the branch list, so the class falls back
+    to the stock keyword on any schema but ``schema``.
     """
-    stock = jsonschema.Draft7Validator.VALIDATORS["items"]
-    # holding each subschema keeps its id from being reused while the class lives
-    checks = {id(sub): (sub, check) for sub in _items_subschemas(schema, schema)
-              if (check := _compile_check(sub, schema)) is not None}
+    stock = jsonschema.Draft7Validator.VALIDATORS["oneOf"]
+    # holding each list keeps its id from being reused while the class lives
+    checks = {id(branches): (branches, check) for branches in _one_of_lists(schema, schema)
+              if (check := _compile_one_of(branches, schema, ())) is not None}
 
-    def items(validator, items, instance, parent_schema):
-        entry = checks.get(id(items))
-        if entry is not None and type(instance) is list and all(map(entry[1], instance)):
+    def one_of(validator, branches, instance, parent_schema):
+        entry = checks.get(id(branches))
+        if entry is not None and entry[1](instance):
             return
-        yield from stock(validator, items, instance, parent_schema)
+        yield from stock(validator, branches, instance, parent_schema)
 
-    return jsonschema.validators.extend(jsonschema.Draft7Validator, {"items": items})
+    return jsonschema.validators.extend(jsonschema.Draft7Validator, {"oneOf": one_of})
 
 
 @functools.cache
 def _report_validator() -> type:
-    return _items_checked_validator(_load_schema())
+    return _one_of_checked_validator(_load_schema())
 
 
 def _timestamp() -> str:
@@ -274,7 +364,7 @@ def _csv_text(header, rows) -> str:
 def _write_report(report: dict, out_path: str | None) -> None:
     """Validate against the shipped schema, then write or print."""
     jsonschema.validate(report, _load_schema(), cls=_report_validator())
-    _write_text(json.dumps(report, indent=2) + "\n", out_path, "report")
+    _write_text(dumps_indent2(report) + "\n", out_path, "report")
 
 
 def _positive(value, what: str):
@@ -309,15 +399,16 @@ _ALGEBRA_READS = {
 
 
 @functools.cache
-def _verify_defaults() -> argparse.Namespace:
-    return build_parser().parse_args(["verify"])
+def _defaults(command: str) -> argparse.Namespace:
+    # an explicit seed, so that a bad HAMALG_SEED fails only where it is read
+    return build_parser().parse_args([command, "--seed", "0"])
 
 
 def _refuse_unread_options(args, algebra: str) -> None:
     """Usage error naming each option, set away from its default, that the
     chosen algebra would silently ignore."""
     unread = set().union(*_ALGEBRA_READS.values()) - _ALGEBRA_READS[algebra]
-    named = [f"--{name}" for name, default in vars(_verify_defaults()).items()
+    named = [f"--{name}" for name, default in vars(_defaults("verify")).items()
              if name in unread and getattr(args, name) != default]
     if named:
         raise UsageError(f"{', '.join(named)} not used by the {algebra} algebra")
@@ -561,6 +652,10 @@ def cmd_uniqueness(args) -> int:
             _write_report(report, args.json_out)
         return EXIT_PASS if diagonal_ok else EXIT_FAIL
 
+    named = ["--json-out"] if args.json_out is not None else []
+    named += ["--grid"] if args.grid != _defaults("uniqueness").grid else []
+    if named:
+        raise UsageError(f"{', '.join(named)} not used without the scan mode")
     for name in constants:
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required (or use the scan mode)")
@@ -583,7 +678,17 @@ def cmd_uniqueness(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser.  An option's default is None only where it depends
-    on other options (see the subcommands) or where None means "absent"."""
+    on other options (see the subcommands) or where None means "absent".
+
+    ``--seed``'s default is read from ``HAMALG_SEED`` when the parser is
+    built, so one parser is built per value of that variable and reused:
+    parsing leaves no state on it.
+    """
+    return _parser(os.environ.get("HAMALG_SEED"))
+
+
+@functools.cache
+def _parser(seed_env: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamalg",
         description="Verification tooling for quantum/classical Hamilton algebras.",
@@ -594,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         # a string default goes through type=int, so a bad HAMALG_SEED is a usage error
-        p.add_argument("--seed", type=int, default=os.environ.get("HAMALG_SEED") or 0,
+        p.add_argument("--seed", type=int, default=seed_env or 0,
                        help="RNG seed (fallback: HAMALG_SEED, then 0)")
         p.add_argument("--config", help="JSON file with default option values")
         p.add_argument("--out", help="output file (default: stdout)")

@@ -14,9 +14,14 @@ Schema (one object per element, discriminated by "kind"):
 Floating-point values are written by ``json``'s shortest round-trip
 repr, which reads back to the same IEEE double, so serialized witnesses
 replay to the bit.  Hermitian flags are re-detected on load.
+
+``dumps_indent2`` writes a whole report: the text of
+``json.dumps(report, indent=2)``, built faster.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -72,3 +77,71 @@ def element_from_json(data: dict):
                  for p in data["parts"]}
         return HybridElement(d, n, terms)
     raise ShapeError(f"unknown element kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# report text
+# ---------------------------------------------------------------------------
+
+class _Unsupported(Exception):
+    """A value outside the exact builtin types the fast writer handles."""
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _text(o, newline: str) -> str:
+    """``o`` as ``json.dumps(indent=2)`` writes it at the depth ``newline``
+    (a newline and the current indent) marks."""
+    t = type(o)
+    if t is float:
+        if o - o == 0.0:   # finite
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if t is str:
+        return _encode_string(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is list:
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        # [re, im] pairs of finite floats are the bulk of every witness
+        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+        items = [pair % (v[0], v[1])
+                 if type(v) is list and len(v) == 2 and type(v[0]) is float
+                 and type(v[1]) is float and v[0] - v[0] == 0.0 and v[1] - v[1] == 0.0
+                 else _text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in o.items():
+            if type(key) is not str:
+                raise _Unsupported
+            items.append(_encode_string(key) + ": " + _text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise _Unsupported
+
+
+def dumps_indent2(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, built by one recursive
+    join instead of json's pure-Python encoder.
+
+    Only exact builtin types are written here: on anything else (a float
+    subclass such as ``np.float64``, a tuple, a non-str key) and on a
+    nesting too deep to recurse, the text is ``json.dumps``'s own, so none
+    of json's coercions or errors is re-implemented.
+    """
+    try:
+        return _text(obj, "\n")
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, indent=2)

@@ -15,6 +15,7 @@ from hamalg.cli import (
     UsageError,
     _build_algebra,
     _check_polynomial_size,
+    _defaults,
     _load_schema,
     build_parser,
     main,
@@ -239,6 +240,14 @@ class TestVerify:
         assert run_cli("verify", "--trials", "1", "--seed", "3",
                        "--out", str(tmp_path / "r.json")) == 0
 
+    def test_seed_flag_beats_bad_env_before_any_default_is_read(self, tmp_path, monkeypatch):
+        # the verify defaults are read once per process; a bad HAMALG_SEED
+        # must not fail their first reading when --seed is given
+        _defaults.cache_clear()
+        monkeypatch.setenv("HAMALG_SEED", "abc")
+        assert run_cli("verify", "--trials", "1", "--seed", "3",
+                       "--out", str(tmp_path / "r.json")) == 0
+
     def test_size_guard_bound(self):
         # deepest product: degree 4d in 2n variables, C(2n + 4d, 4d) monomials
         _check_polynomial_size(6, 2)   # C(20, 8) = 125,970
@@ -411,6 +420,23 @@ class TestUniqueness:
     def test_constants_with_scan_usage_error(self):
         assert run_cli("uniqueness", "scan", "--a1", "1") == 2
 
+    @pytest.mark.parametrize("extra, named", [
+        (("--json-out", "{dir}/u.json"), "--json-out"),
+        (("--grid", "1:2:9"), "--grid"),
+        (("--json-out", "{dir}/u.json", "--grid", "1:2:9"), "--json-out, --grid"),
+    ])
+    def test_scan_options_without_scan_usage_error(self, tmp_path, capsys, extra, named):
+        argv = ("uniqueness", "--a1", "1", "--a2", "1", "--a12", "1",
+                *(a.format(dir=tmp_path) for a in extra))
+        assert run_cli(*argv) == 2
+        assert f"error: {named} not used without the scan mode" in capsys.readouterr().err
+        assert not (tmp_path / "u.json").exists()
+
+    def test_default_grid_without_scan_runs(self, tmp_path):
+        assert run_cli("uniqueness", "--a1", "1", "--a2", "1", "--a12", "1",
+                       "--grid", _defaults("uniqueness").grid,
+                       "--out", str(tmp_path / "u.json")) == 0
+
 
 class TestParser:
     #: options whose default is None: it depends on other options, or None
@@ -442,6 +468,36 @@ class TestParser:
         # option --x-y stores to x_y, which is how config keys are mapped
         dests = set(vars(build_parser().parse_args([name]))) - {"command", "func", "mode"}
         assert {o[2:].replace("-", "_") for o in options} == dests
+
+    def test_one_parser_per_seed_env(self, monkeypatch):
+        monkeypatch.setenv("HAMALG_SEED", "99")
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["verify"]).seed == 99
+        monkeypatch.delenv("HAMALG_SEED")
+        assert build_parser() is not parser
+        assert build_parser().parse_args(["verify"]).seed == 0
+
+    def test_seed_env_change_between_calls(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HAMALG_SEED", "99")
+        assert run_cli("brackets", "--kind", "anderson", "--trials", "1", "--budget", "1",
+                       "--out", str(tmp_path / "a.json")) == 0
+        monkeypatch.delenv("HAMALG_SEED")
+        assert run_cli("brackets", "--kind", "anderson", "--trials", "1", "--budget", "1",
+                       "--out", str(tmp_path / "b.json")) == 0
+        assert read_json(tmp_path / "a.json")["seed"] == 99
+        assert read_json(tmp_path / "b.json")["seed"] == 0
+
+    def test_config_run_leaves_no_state(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HAMALG_SEED", raising=False)
+        before = vars(build_parser().parse_args(["verify"]))
+        cfg = write_config(tmp_path, {"dim": 3, "hbar": 2.0, "trials": 1})
+        assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "a.json")) == 0
+        assert run_cli("verify", "--trials", "1", "--out", str(tmp_path / "b.json")) == 0
+        assert read_json(tmp_path / "a.json")["algebra"]["dim"] == 3
+        plain = read_json(tmp_path / "b.json")["algebra"]
+        assert (plain["dim"], plain["hbar"]) == (2, 1.0)
+        assert vars(build_parser().parse_args(["verify"])) == before
 
     def test_uniqueness_scan_is_not_a_second_parser(self, capsys):
         argparse_exit_code("uniqueness", "--help")

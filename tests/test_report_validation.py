@@ -1,8 +1,9 @@
-"""Report validation: the compiled item checks in front of jsonschema's
-``items`` keyword must never change a verdict, a message or a path.
+"""Report validation: the compiled checks in front of jsonschema's
+``oneOf`` keyword must never change a verdict, a message or a path.
 
 Stock ``jsonschema`` is the oracle: every report kind is mutated at
-sampled nodes and keys, and both validators must give the same errors."""
+sampled nodes and keys and at every ``oneOf`` discriminator, and both
+validators must give the same errors."""
 
 import copy
 import json
@@ -14,8 +15,8 @@ import pytest
 
 from hamalg.cli import (
     _compile_check,
-    _items_checked_validator,
     _load_schema,
+    _one_of_checked_validator,
     _report_validator,
     main,
 )
@@ -69,12 +70,6 @@ def node_paths(doc, path=()):
         yield from node_paths(value, path + (key,))
 
 
-def get(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
 def mutated(doc, path, value):
     doc = copy.deepcopy(doc)
     parent = doc
@@ -124,6 +119,28 @@ def test_mutated_reports_agree_with_stock(reports, name):
             assert_agree(mutated(doc, paths[i], value), stock, checked)
 
 
+#: the keys that decide which ``oneOf`` branch a node falls in, or that
+#: carry a keyword only the compiled ``oneOf`` checks cover
+DISCRIMINATORS = {"report_kind", "kind", "identity", "tolerance", "witness",
+                  "pass_set_is_diagonal"}
+#: every string a ``const`` or ``enum`` of the schema names, and zero
+SCHEMA_STRINGS = ("verify", "brackets", "uniqueness", "simulate", "operator", "poly",
+                  "kronecker", "hybrid", "jacobi", "anderson", 0)
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_mutated_discriminators_agree_with_stock(reports, name):
+    schema = _load_schema()
+    stock = jsonschema.Draft7Validator(schema)
+    checked = _report_validator()(schema)
+    doc = reports[name]
+    paths = [path for path in node_paths(doc) if path[-1] in DISCRIMINATORS]
+    assert any(path == ("report_kind",) for path in paths)
+    for path in paths:
+        for value in SCHEMA_STRINGS + MUTATIONS:
+            assert_agree(mutated(doc, path, value), stock, checked)
+
+
 def test_write_report_rejects_as_stock(reports):
     from hamalg.cli import _write_report
 
@@ -137,6 +154,15 @@ def test_write_report_rejects_as_stock(reports):
         (want.message, list(want.absolute_path))
 
 
+def test_write_report_writes_json_dumps_text(reports, tmp_path):
+    from hamalg.cli import _write_report
+
+    for name, doc in reports.items():
+        path = tmp_path / f"{name}.json"
+        _write_report(doc, str(path))
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), name
+
+
 class TestCompiledChecks:
     def test_witness_schemas_compile(self):
         schema = _load_schema()
@@ -148,24 +174,18 @@ class TestCompiledChecks:
                     poly["properties"]["exponents"], {"$ref": "#/$defs/complex_pairs"}):
             assert _compile_check(sub, schema) is not None
 
-    def test_no_check_where_a_keyword_is_not_covered(self):
+    def test_shipped_schema_compiles_whole(self, reports):
+        """A schema edit that adds a keyword no check covers fails here,
+        instead of quietly sending every report through stock jsonschema."""
         schema = _load_schema()
-        uncovered = {"enum", "const", "oneOf", "exclusiveMinimum"}
-
-        def holds(node):
-            if isinstance(node, dict):
-                return (bool(uncovered & node.keys()) or isinstance(node.get("type"), list)
-                        or any(holds(v) for v in node.values()))
-            return isinstance(node, list) and any(holds(v) for v in node)
-
-        nodes = [schema, *(get(schema, path) for path in node_paths(schema))]
-        holding = [sub for sub in nodes if isinstance(sub, dict) and holds(sub)]
-        assert len(holding) > 20
-        for sub in holding:
-            assert _compile_check(sub, schema) is None, sub
+        check = _compile_check(schema, schema)
+        assert check is not None
+        for doc in reports.values():
+            assert check(doc) is True
 
     @pytest.mark.parametrize("sub", [
-        {"type": "string"}, {"minimum": 0, "minItems": 1}, {"$ref": "#/$defs/nowhere"},
+        {"type": "string", "maxLength": 3}, {"minimum": 0, "minItems": 1},
+        {"$ref": "#/$defs/nowhere"},
         {"$ref": "#/$defs/complex_pairs", "type": "array"}, {"items": [{"type": "number"}]},
         {"type": "number", "title": "re"}, {"minimum": True},
     ])
@@ -183,6 +203,15 @@ class TestCompiledChecks:
         ({"type": "array", "minItems": 2, "maxItems": 2}, [1.0, 2.0, 3.0]),
         ({"required": ["a"]}, {"b": 1}), ({"properties": {"a": {"type": "integer"}}},
                                           {"a": 1.5}),
+        ({"const": "1"}, 1), ({"const": "a"}, "b"), ({"enum": ["a", "b"]}, "c"),
+        ({"enum": ["a"]}, ["a"]), ({"type": "number", "exclusiveMinimum": 0}, 0),
+        ({"type": "number", "exclusiveMinimum": 0}, math.nan),
+        ({"type": ["number", "null"]}, True), ({"type": ["boolean", "null"]}, 0),
+        ({"type": ["integer", "null"]}, 2.0),
+        # oneOf: no branch, two valid branches, and a branch not surely invalid
+        ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"c": 1}),
+        ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"a": 1, "b": 1}),
+        ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 1),
     ])
     def test_checks_are_one_sided(self, sub, value):
         assert _compile_check(sub, {})(value) is False
@@ -198,5 +227,5 @@ class TestCompiledChecks:
         assert not stock.is_valid(doc)
         # the copy's own class, and the shipped schema's class, whose checks
         # are keyed to other objects, both reject the copy's report as stock does
-        for cls in (_items_checked_validator(schema), _report_validator()):
+        for cls in (_one_of_checked_validator(schema), _report_validator()):
             assert_agree(doc, stock, cls(schema))

@@ -1,8 +1,11 @@
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamalg import (
     ComposedAlgebra,
@@ -16,6 +19,7 @@ from hamalg import (
     element_to_json,
 )
 from hamalg.cli import _load_schema
+from hamalg.serialize import dumps_indent2
 from tests.conftest import PAULI_Y
 
 
@@ -118,3 +122,43 @@ class TestWireFormat:
         for el in els:
             jsonschema.validate(json.loads(json.dumps(element_to_json(el))),
                                 element_schema)
+
+
+#: floats json writes specially or that sit at repr's edges
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, -1e-7)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+STRINGS = st.one_of(st.text(), st.sampled_from(
+    ["", "é ü 中 😀", "\"\\\n\t\r\b\f\x00\x1f\x7f", "\ud800", "</script>"]))
+SCALARS = st.one_of(FLOATS, st.integers(), st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+                    st.booleans(), st.none(), STRINGS)
+PAIRS = st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=4)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, PAIRS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(STRINGS, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestReportText:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(DOCUMENTS)
+    def test_equals_json_dumps(self, doc):
+        assert dumps_indent2(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": np.float64(0.1)}, [[np.float64(1e16), 0.5]], {"x": np.float64(math.nan)},
+        (1.0, 2.0), {"pair": (0.5, -0.5)}, {1: "one"}, {"a": {2.5: [1]}}, [{None: True}],
+    ], ids=["float64", "float64_pair", "float64_nan", "tuple", "nested_tuple", "int_key",
+            "float_key", "none_key"])
+    def test_other_types_take_json_dumps(self, doc):
+        assert dumps_indent2(doc) == json.dumps(doc, indent=2)
+
+    def test_unencodable_values_raise_as_json_dumps(self):
+        cyclic = []
+        cyclic.append(cyclic)
+        for doc, error in (({"a": object()}, TypeError), (cyclic, ValueError)):
+            with pytest.raises(error) as want:
+                json.dumps(doc, indent=2)
+            with pytest.raises(error) as got:
+                dumps_indent2(doc)
+            assert str(got.value) == str(want.value)
