@@ -274,7 +274,7 @@ class CorruptedAlgebra(HamiltonAlgebra):
         return d
 
 
-def centrality_report(alg: OperatorAlgebra, rtol: float = 1e-10) -> dict:
+def centrality_report(alg: OperatorAlgebra) -> dict:
     """Check that the bracket-commutant of the full matrix algebra is the
     span of the unit: alpha(f, x) = 0 for all f forces x = c*e.
 
@@ -293,8 +293,7 @@ def centrality_report(alg: OperatorAlgebra, rtol: float = 1e-10) -> dict:
             rows.append(op)
     full = np.vstack(rows)
     _, svals, vh = np.linalg.svd(full)
-    tol = rtol * svals[0]
-    nullity = int(np.sum(svals <= tol))
+    nullity = int(np.sum(svals <= 1e-10 * svals[0]))
     kernel_vec = vh[-1].reshape(d, d)
     # kernel vector should be proportional to the identity
     coeff = np.trace(kernel_vec) / d

@@ -198,11 +198,15 @@ class DefectTriple:
     witnesses: dict = field(default_factory=dict)
     trials: int = 0
     seed: int = 0
+    #: some trial's defect was NaN; the defects above skip it
+    nan_seen: bool = field(default=False, init=False)
 
     def defect(self, desideratum: str) -> float:
         return getattr(self, f"{desideratum}_defect")
 
     def matches_expected_pattern(self) -> bool:
+        if self.nan_seen:
+            return False
         expected = EXPECTED_CLEAN[self.kind]
         for name in DESIDERATA:
             if expected[name] and self.defect(name) > PASS_TOLERANCE:
@@ -234,11 +238,11 @@ class DefectTriple:
 
 
 def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
-                    dim: int = 2, num_pairs: int = 1, degree: int = 2,
                     hbar: float = 1.0) -> DefectTriple:
     """Max relative defect of each desideratum over random hybrid triples,
     with the worst witness kept per desideratum: the last trial attaining
-    the max (a NaN defect never counts), serialized once at the end."""
+    the max (a NaN defect never counts, but breaks the expected pattern),
+    serialized once at the end."""
     kind = MixedBracketKind(kind)
     result = DefectTriple(kind=kind, trials=trials, seed=seed)
     for di, name in enumerate(DESIDERATA):
@@ -246,9 +250,9 @@ def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
         arity = 2 if name == "antisymmetry" else 3
         worst, worst_at = 0.0, None  # worst_at: (block, trial in block)
         for start, stop in _trial_blocks(trials):
-            block = random_hybrid_observable(rng, dim, num_pairs, degree,
-                                             block=(stop - start, arity))
+            block = random_hybrid_observable(rng, block=(stop - start, arity))
             d = desideratum_defect(kind, name, block, hbar)
+            result.nan_seen = result.nan_seen or bool(np.isnan(d).any())
             candidates = d[d >= worst]  # NaN compares False
             if candidates.size:
                 worst = float(candidates.max())
@@ -266,12 +270,10 @@ def _serialize_trial(block, t: int) -> list:
 
 
 def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int,
-                           seed: int = 0, threshold: float = VIOLATION_THRESHOLD,
-                           dim: int = 2, num_pairs: int = 1, degree: int = 2,
-                           hbar: float = 1.0):
-    """First random tuple whose defect exceeds the violation threshold;
-    None if the budget is exhausted.  Trial 0 runs alone, then the rest of
-    the budget in blocks."""
+                           seed: int = 0, hbar: float = 1.0):
+    """First random tuple whose defect exceeds VIOLATION_THRESHOLD; None if
+    the budget is exhausted.  Trial 0 runs alone, then the rest of the
+    budget in blocks."""
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
     kind = MixedBracketKind(kind)
@@ -279,10 +281,9 @@ def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int
     rng = np.random.default_rng([seed, di])
     arity = 2 if desideratum == "antisymmetry" else 3
     for start, stop in _trial_blocks(budget, first=1):
-        block = random_hybrid_observable(rng, dim, num_pairs, degree,
-                                         block=(stop - start, arity))
+        block = random_hybrid_observable(rng, block=(stop - start, arity))
         d = desideratum_defect(kind, desideratum, block, hbar)
-        over = np.flatnonzero(d > threshold)
+        over = np.flatnonzero(d > VIOLATION_THRESHOLD)
         if over.size:
             t = int(over[0])
             return {

@@ -274,8 +274,7 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
     if not u.terms or not v.terms:
         return u._derived({}, hermitian)
     shape = u.coeff_shape
-    ea, eb, A, B, radix, strides = pack(u.terms, v.terms, u.nvars, np.complex128,
-                                        row_keys=True)
+    ea, eb, A, B, radix, strides = pack(u.terms, v.terms, u.nvars, np.complex128)
     ka, kb = keys_of(ea, strides), keys_of(eb, strides)
     # exponent shift per contribution: the plain term, then each canonical pair
     shifts = np.eye(1 + u.num_pairs, u.num_pairs, -1, dtype=np.int64).repeat(2, axis=1)
@@ -517,14 +516,6 @@ class ComposedAlgebra(HamiltonAlgebra):
             return u.assoc_product(v)
         return u.product(v)
 
-    def equal_constant_compose(self, u, v):
-        """(sigma12, alpha12) for a1 = a2 = a12 = a, where the composition
-        law has unit coefficients on the bracket terms: the alpha law does
-        not depend on a, the sigma law keeps -a on its double-bracket term."""
-        if not (self.a1 == self.a2 == self.a12):
-            raise AlgebraError("equal-constant path needs a1 == a2 == a12")
-        return self.sigma(u, v), self.alpha(u, v)
-
     # -- elements -------------------------------------------------------
 
     def unit(self):
@@ -555,10 +546,9 @@ class ComposedAlgebra(HamiltonAlgebra):
     def block_entries(self) -> int | None:
         return (self.left.dim * self.right.dim) ** 2 if self.kind == "qq" else None
 
-    def random_element(self, rng: np.random.Generator, block: tuple | None = None,
-                       max_terms: int | None = None):
+    def random_element(self, rng: np.random.Generator, block: tuple | None = None):
         """Random sum of simple tensors, their number drawn from
-        1..max_terms (default MAX_RANDOM_TERMS).
+        1..MAX_RANDOM_TERMS.
 
         With ``block=(trials, arity)`` (quantum (x) quantum only),
         ``trials`` input tuples of ``arity`` elements in one draw, returned
@@ -566,20 +556,19 @@ class ComposedAlgebra(HamiltonAlgebra):
         numbers, in order, of ``trials * arity`` single calls, and the
         entries of their canonical forms to the bit.
         """
-        max_terms = MAX_RANDOM_TERMS if max_terms is None else max_terms
         if block is not None:
-            return self._kronecker_block(rng, *block, max_terms)
-        n_terms = int(rng.integers(1, max_terms + 1))
+            return self._kronecker_block(rng, *block)
+        n_terms = int(rng.integers(1, MAX_RANDOM_TERMS + 1))
         return self.embed_terms(self.random_simple_terms(rng, n_terms))
 
-    def _kronecker_block(self, rng, trials: int, arity: int, max_terms: int) -> list:
+    def _kronecker_block(self, rng, trials: int, arity: int) -> list:
         if self.kind != "qq":
             raise AlgebraError(f"block draws need quantum (x) quantum, not {self.kind}")
         dl, dr = self.left.dim, self.right.dim
         split = 2 * dl * dl
         counts, draws = [], []
         for _ in range(trials * arity):   # per element: its term count, then its factors
-            counts.append(int(rng.integers(1, max_terms + 1)))
+            counts.append(int(rng.integers(1, MAX_RANDOM_TERMS + 1)))
             draws.append(rng.standard_normal(counts[-1] * (split + 2 * dr * dr)))
         z = np.concatenate(draws).reshape(sum(counts), -1)   # one row per simple tensor
         terms = kron_blocks(hermitian_from_normals(z[:, :split].reshape(-1, 2, dl, dl)),
@@ -587,7 +576,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         counts = np.array(counts)
         first = np.cumsum(counts) - counts
         out = terms[first]
-        for k in range(1, max_terms):   # add each element's terms in term order
+        for k in range(1, MAX_RANDOM_TERMS):   # add each element's terms in term order
             more = counts > k
             out[more] = out[more] + terms[first[more] + k]
         out = out.reshape((trials, arity) + out.shape[1:])

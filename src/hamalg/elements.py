@@ -62,8 +62,8 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_hermitian(entries: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    return float(np.linalg.norm(entries - entries.conj().T)) <= rtol * float(
+def is_hermitian(entries: np.ndarray) -> bool:
+    return float(np.linalg.norm(entries - entries.conj().T)) <= HERMITIAN_RTOL * float(
         np.linalg.norm(entries)
     )
 

@@ -1,8 +1,10 @@
 """Randomized defect measurement for Hamilton-algebra identities.
 
-Any object exposing ``sigma``, ``alpha``, ``tau``, ``random_element`` and
-``constant`` can be checked.  Each identity is evaluated on random input
-tuples; the reported defect is ||LHS - RHS|| / (1 + prod of input norms).
+Any object exposing ``sigma``, ``alpha``, ``tau``, ``associator_sigma``
+(read by the canonical relation), ``random_element`` and ``constant`` can
+be checked; ``block_entries`` is optional (see below).  Each identity is
+evaluated on random input tuples; the reported defect is
+||LHS - RHS|| / (1 + prod of input norms).
 A failing identity is a reported result, never an exception, so the same
 machinery certifies honest algebras and exposes corrupted ones.
 
@@ -185,17 +187,7 @@ def block_trials(alg) -> int | None:
     return max(1, min(brackets.MAX_BLOCK_TRIALS, BLOCK_PAIRS // entries))
 
 
-def _draw_elements(alg, rng, arity, max_terms, trials):
-    """One block of ``trials`` input tuples as ``arity`` blocks; with
-    ``trials`` None, one tuple of single elements."""
-    bound = {} if max_terms is None else {"max_terms": max_terms}
-    if trials is not None:
-        return alg.random_element(rng, block=(trials, arity), **bound)
-    return [alg.random_element(rng, **bound) for _ in range(arity)]
-
-
-def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
-                   max_terms: int | None = None) -> CheckResult:
+def check_identity(alg: HamiltonAlgebra, check: IdentityCheck) -> CheckResult:
     """Run one identity check: `trials` random tuples, worst case kept.
 
     Deterministic given the check's seed; the RNG stream is salted with
@@ -216,8 +208,11 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
     total = 0.0
     nan_seen = False
     for start in range(0, check.trials, size or 1):
-        trials = None if size is None else min(size, check.trials - start)
-        elements = _draw_elements(alg, rng, arity, max_terms, trials)
+        if size is None:   # one tuple of single elements
+            trials, elements = None, [alg.random_element(rng) for _ in range(arity)]
+        else:              # a block of tuples, as ``arity`` blocks
+            trials = min(size, check.trials - start)
+            elements = alg.random_element(rng, block=(trials, arity))
         defects = identity_defect(alg, identity, elements)
         for t, defect in enumerate(np.atleast_1d(defects).tolist()):
             total += defect
@@ -242,12 +237,12 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck,
 
 
 def run_axiom_suite(alg: HamiltonAlgebra, trials: int = 200, tolerance: float = 1e-9,
-                    seed: int = 0, identities=tuple(Identity)) -> VerificationReport:
+                    seed: int = 0) -> VerificationReport:
     """All identity checks against one algebra; aggregate pass is their
     conjunction."""
     report = VerificationReport(algebra=alg.describe())
-    for identity in identities:
-        check = IdentityCheck(identity=Identity(identity), trials=trials,
+    for identity in Identity:
+        check = IdentityCheck(identity=identity, trials=trials,
                               tolerance=tolerance, seed=seed)
         report.checks.append(check_identity(alg, check))
     return report
@@ -255,13 +250,13 @@ def run_axiom_suite(alg: HamiltonAlgebra, trials: int = 200, tolerance: float = 
 
 def check_lemma(composed, lemma_id: int, trials: int = 200, tolerance: float = 1e-9,
                 seed: int = 0) -> CheckResult:
-    """Check one composition lemma (1..5) on a composed algebra, drawing
-    random simple tensors and 2-term sums."""
+    """Check one composition lemma (1..5) on a composed algebra, on the
+    draws of ``verify --composed``."""
     if lemma_id not in LEMMA_IDENTITIES:
         raise ValueError(f"lemma_id must be 1..5, got {lemma_id}")
     check = IdentityCheck(identity=LEMMA_IDENTITIES[lemma_id], trials=trials,
                           tolerance=tolerance, seed=seed)
-    return check_identity(composed, check, max_terms=2)
+    return check_identity(composed, check)
 
 
 def replay_witness(alg: HamiltonAlgebra, identity: Identity, witness: list) -> float:

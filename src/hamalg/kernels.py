@@ -8,7 +8,8 @@ uses tuples of length ``2 * num_pairs``.
 Both operations run on numpy arrays.  Exponent tuples are packed into
 int64 mixed-radix keys, the radix of each variable being one more than
 the largest exponent a product can give it, so adding two keys adds the
-exponents.  Term pairs are formed in blocks of rows of ``a``, and each
+exponents; where those keys would overflow int64, the exponent rows are
+the keys.  Term pairs are formed in blocks of rows of ``a``, and each
 coefficient is accumulated sequentially in the order of the loop
 
     for each term of a, for each term of b, (for each canonical pair k):
@@ -49,11 +50,12 @@ def mul(a: dict, b: dict, nvars: int) -> dict:
     if not a or not b:
         return {}
     ea, eb, ca, cb, radix, strides = pack(a, b, nvars)
-    ka, kb = ea @ strides, eb @ strides
+    ka, kb = keys_of(ea, strides), keys_of(eb, strides)
 
     def blocks():
         for rows in row_blocks(len(a), len(b)):
-            yield (ka[rows, None] + kb).ravel(), (ca[rows, None] * cb).ravel()
+            keys = (ka[rows, None] + kb).reshape((-1,) + kb.shape[1:])
+            yield keys, (ca[rows, None] * cb).ravel()
 
     return accumulate(blocks(), radix, strides)
 
@@ -70,8 +72,9 @@ def poisson(a: dict, b: dict, num_pairs: int) -> dict:
     if not a or not b:
         return {}
     ea, eb, ca, cb, radix, strides = pack(a, b, 2 * num_pairs)
-    ka, kb = ea @ strides, eb @ strides
-    shift = strides[0::2] + strides[1::2]
+    ka, kb = keys_of(ea, strides), keys_of(eb, strides)
+    # one less x_k and one less p_k, by canonical pair k
+    shift = keys_of(np.eye(num_pairs, dtype=np.int64).repeat(2, axis=1), strides)
 
     def blocks():
         for rows in row_blocks(len(a), len(b) * num_pairs):
@@ -90,12 +93,13 @@ def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     return ea[:, None, 0::2] * eb[:, 1::2] - ea[:, None, 1::2] * eb[:, 0::2]
 
 
-def pack(a: dict, b: dict, nvars: int, dtype=np.float64, row_keys: bool = False):
+def pack(a: dict, b: dict, nvars: int, dtype=np.float64):
     """Exponent arrays and coefficients of both operands, and the key
     radix and stride of each variable.
 
-    With ``row_keys``, a radix product past int64 gives ``strides`` None
-    instead of ``ShapeError``: the keys are then the exponent rows.
+    A radix product past int64 gives ``strides`` None: the keys are then
+    the exponent rows.  ``ShapeError`` only where an exponent sum or a
+    Poisson weight could overflow int64.
     """
     ea = np.array(list(a), dtype=np.int64).reshape(len(a), nvars)
     eb = np.array(list(b), dtype=np.int64).reshape(len(b), nvars)
@@ -105,7 +109,7 @@ def pack(a: dict, b: dict, nvars: int, dtype=np.float64, row_keys: bool = False)
     if radix.min() >= 1 and math.prod(radix.tolist()) <= _INT64_MAX:
         strides = np.ones(nvars, dtype=np.int64)
         strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
-    elif row_keys and radix.min() >= 1 and max(radix.tolist()) ** 2 <= _INT64_MAX:
+    elif radix.min() >= 1 and max(radix.tolist()) ** 2 <= _INT64_MAX:
         strides = None
     else:
         raise ShapeError(f"exponent ranges {radix.tolist()} overflow int64 packed keys")

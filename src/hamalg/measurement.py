@@ -41,6 +41,8 @@ _BASIS_EXPONENTS = {
     "1": (0, 0, 0, 0),
 }
 TRACKED = ("p1", "x1", "p2", "x2")
+#: RK4 steps per constant-coupling segment of the cross-check integrator
+RK4_STEPS = 64
 
 
 class Regime(str, Enum):
@@ -242,14 +244,14 @@ def evolve(cfg: MeasurementConfig, t_end: float, n_samples: int) -> Trajectory:
     return Trajectory(times=times, coefficients=_propagators(cfg, times)[:, rows, :])
 
 
-def evolve_rk4(cfg: MeasurementConfig, t_end: float,
-               steps_per_segment: int = 64) -> np.ndarray:
-    """Propagator at t_end by segment-aligned RK4; cross-check path."""
+def evolve_rk4(cfg: MeasurementConfig, t_end: float) -> np.ndarray:
+    """Propagator at t_end by segment-aligned RK4, RK4_STEPS steps per
+    segment; cross-check path."""
     phi = np.eye(len(BASIS))
     for start, end in _segments(cfg, t_end):
         gen = eom_generator(cfg, 0.5 * (start + end))
-        h = (end - start) / steps_per_segment
-        for _ in range(steps_per_segment):
+        h = (end - start) / RK4_STEPS
+        for _ in range(RK4_STEPS):
             k1 = gen @ phi
             k2 = gen @ (phi + 0.5 * h * k1)
             k3 = gen @ (phi + 0.5 * h * k2)
@@ -258,14 +260,13 @@ def evolve_rk4(cfg: MeasurementConfig, t_end: float,
     return phi
 
 
-def back_reaction_gap(cfg: MeasurementConfig, t_end: float | None = None) -> float:
+def back_reaction_gap(cfg: MeasurementConfig, t_end: float) -> float:
     """Coefficient norm of p2(t_end) - p2(0).
 
-    Quantum-quantum: |g0| * dt (the momentum transferred onto p1's
-    coefficient).  Quantum-classical: 0, the classical side is frozen.
+    Quantum-quantum: |g0| * dt once the window has closed (the momentum
+    transferred onto p1's coefficient).  Quantum-classical: 0, the
+    classical side is frozen.
     """
-    if t_end is None:
-        t_end = cfg.t0 + cfg.dt
     phi = propagator(cfg, t_end)
     i = BASIS.index("p2")
     diff = phi[i, :].copy()
@@ -277,24 +278,20 @@ def back_reaction_gap(cfg: MeasurementConfig, t_end: float | None = None) -> flo
 # freezing of classical observables under any hybrid Hamiltonian
 # ---------------------------------------------------------------------------
 
-def classical_freezing_defect(n_hamiltonians: int = 50, dim: int = 2, degree: int = 2,
-                              num_pairs: int = 1, hbar: float = 1.0,
-                              seed: int = 0) -> float:
-    """Max norm of d/dt (e1 (x) f2) over random hybrid Hamiltonians and a
-    basis of classical observables f2; exactly zero in theory because the
-    hybrid bracket contains no classical-bracket term."""
-    quantum = OperatorAlgebra(dim, hbar=hbar)
-    classical = PhaseSpaceAlgebra(num_pairs, max_random_degree=degree)
-    hybrid = ComposedAlgebra(quantum, classical)
-    rng = np.random.default_rng(seed)
-    eye = np.eye(dim)
-    classical_basis = [
-        HybridElement(dim, num_pairs, {e: eye}, hermitian=True)
-        for e in monomials_up_to_degree(2 * num_pairs, degree + 1)
-    ]
+def classical_freezing_defect() -> float:
+    """Max norm of d/dt (e1 (x) f2) over 50 random hybrid Hamiltonians
+    (2x2 coefficients on one canonical pair, degree 2, hbar 1, seed 0)
+    and the basis of classical observables f2 up to degree 3; exactly
+    zero in theory because the hybrid bracket contains no
+    classical-bracket term."""
+    hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0),
+                             PhaseSpaceAlgebra(1, max_random_degree=2))
+    rng = np.random.default_rng(0)
+    classical_basis = [HybridElement(2, 1, {e: np.eye(2)}, hermitian=True)
+                       for e in monomials_up_to_degree(2, 3)]
     worst = 0.0
-    for _ in range(n_hamiltonians):
-        h = random_hybrid_observable(rng, dim=dim, num_pairs=num_pairs, degree=degree)
+    for _ in range(50):
+        h = random_hybrid_observable(rng)
         for f in classical_basis:
             worst = max(worst, hybrid.alpha(f, h).norm())
     return worst

@@ -29,6 +29,7 @@ from .identities import block_trials
 
 DEFAULT_FACTOR_TOLERANCE = 1e-8
 FIT_RESIDUAL_TOLERANCE = 1e-10
+#: random pairs each restriction fit uses
 MIN_FIT_PAIRS = 8
 #: draws allowed per fit pair; a dim-1 bracket vanishes on every draw
 MAX_DRAWS_PER_PAIR = 20
@@ -64,10 +65,10 @@ def _require_qq(c: ComposedAlgebra):
 
 
 def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
-                  n_pairs: int, seed: int, tolerance: float) -> RestrictionResult:
+                  seed: int, tolerance: float) -> RestrictionResult:
     """Least-squares scalar lambda with composed(f (x) e, g (x) e) =
-    lambda * (component product)(f, g) (x) e, over >= n_pairs random
-    draws.  A residual above tolerance means the restricted product is
+    lambda * (component product)(f, g) (x) e, over MIN_FIT_PAIRS random
+    pairs.  A residual above tolerance means the restricted product is
     not proportional to the embedded one, which is an internal error."""
     _require_qq(c)
     if component == "left":
@@ -94,12 +95,11 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
     num = 0.0
     den = 0.0
     refs, vals = [], []
-    needed = max(n_pairs, MIN_FIT_PAIRS)
-    cap = MAX_DRAWS_PER_PAIR * needed
+    cap = MAX_DRAWS_PER_PAIR * MIN_FIT_PAIRS
     attempts = 0
-    while len(refs) < needed and attempts < cap:
+    while len(refs) < MIN_FIT_PAIRS and attempts < cap:
         # as many pairs as are still needed, so no pair past the last is drawn
-        size = min(needed - len(refs), cap - attempts, block_trials(c))
+        size = min(MIN_FIT_PAIRS - len(refs), cap - attempts, block_trials(c))
         f, g = comp.random_element(rng, block=(size, 2))
         attempts += size
         ref = embed(component_op(f, g))
@@ -110,7 +110,7 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
             den += float(np.real(np.vdot(ref.entries[t], ref.entries[t])))
             refs.append(ref.entries[t])
             vals.append(val.entries[t])
-    if len(refs) < needed:
+    if len(refs) < MIN_FIT_PAIRS:
         raise AlgebraError(f"the {component} component's {product} vanished on "
                            f"{attempts - len(refs)} of {attempts} random pairs "
                            f"(dim {comp.dim}); the restriction factor cannot be fitted")
@@ -134,35 +134,33 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
     )
 
 
-def restrict_alpha(c: ComposedAlgebra, component: str, n_pairs: int = MIN_FIT_PAIRS,
-                   seed: int = 0,
+def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
                    tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> RestrictionResult:
     """Scaling factor of the composed bracket on one component."""
-    return _restrict_fit(c, component, "alpha", n_pairs, seed, tolerance)
+    return _restrict_fit(c, component, "alpha", seed, tolerance)
 
 
-def restrict_sigma(c: ComposedAlgebra, component: str, n_pairs: int = MIN_FIT_PAIRS,
-                   seed: int = 0,
+def restrict_sigma(c: ComposedAlgebra, component: str, seed: int = 0,
                    tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> RestrictionResult:
     """Scaling factor of the composed symmetric product on one component;
     unit for all constants (the cross term dies on embedded pairs because
     the bracket of the unit with itself vanishes)."""
-    return _restrict_fit(c, component, "sigma", n_pairs, seed, tolerance)
+    return _restrict_fit(c, component, "sigma", seed, tolerance)
 
 
 def uniqueness_check(a1: float, a2: float, a12: float,
                      tolerance: float = DEFAULT_FACTOR_TOLERANCE,
-                     dims: tuple = (2, 2), n_pairs: int = MIN_FIT_PAIRS,
                      seed: int = 0) -> dict:
-    """Verdict on one constant triple: passes iff both restriction
-    factors are unit within tolerance, i.e. iff a1 = a12 = a2."""
+    """Verdict on one constant triple, on 2x2 matrix components: passes
+    iff both restriction factors are unit within tolerance, i.e. iff
+    a1 = a12 = a2."""
     if min(a1, a2, a12) <= 0:
         raise AlgebraError("uniqueness analysis needs positive constants")
-    c = ComposedAlgebra(OperatorAlgebra(dims[0], hbar=2.0 * np.sqrt(a1)),
-                        OperatorAlgebra(dims[1], hbar=2.0 * np.sqrt(a2)),
+    c = ComposedAlgebra(OperatorAlgebra(2, hbar=2.0 * np.sqrt(a1)),
+                        OperatorAlgebra(2, hbar=2.0 * np.sqrt(a2)),
                         a12=a12)
-    left = restrict_alpha(c, "left", n_pairs, seed, tolerance)
-    right = restrict_alpha(c, "right", n_pairs, seed + 1, tolerance)
+    left = restrict_alpha(c, "left", seed, tolerance)
+    right = restrict_alpha(c, "right", seed + 1, tolerance)
     return {
         "a1": float(a1),
         "a2": float(a2),
@@ -178,14 +176,9 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def scan_constants(values, tolerance: float = DEFAULT_FACTOR_TOLERANCE,
-                   dims: tuple = (2, 2), n_pairs: int = MIN_FIT_PAIRS,
                    seed: int = 0) -> list:
-    """Verdict table over a grid: every (a1, a2, a12) triple from
-    `values` if it is a flat list, or the triples themselves if given."""
+    """Verdict table over a grid: every (a1, a2, a12) triple from the
+    flat list ``values``."""
     values = list(values)
-    if values and not np.iterable(values[0]):
-        triples = [(a1, a2, a12) for a1 in values for a2 in values for a12 in values]
-    else:
-        triples = [tuple(v) for v in values]
-    return [uniqueness_check(a1, a2, a12, tolerance, dims, n_pairs, seed)
-            for a1, a2, a12 in triples]
+    return [uniqueness_check(a1, a2, a12, tolerance, seed)
+            for a1 in values for a2 in values for a12 in values]

@@ -85,7 +85,7 @@ def loop_defects(kind, desideratum, blocks, hbar):
             for t in range(blocks[0].trials)]
 
 
-def loop_measure_defects(kind, trials, seed=0, dim=2, num_pairs=1, degree=2, hbar=1.0):
+def loop_measure_defects(kind, trials, seed=0, hbar=1.0):
     """The trial loop of ``measure_defects``: each tuple drawn and scored
     alone, the running worst replaced on ``>=``."""
     from hamalg.brackets import (DESIDERATA, DefectTriple, MixedBracketKind,
@@ -98,7 +98,7 @@ def loop_measure_defects(kind, trials, seed=0, dim=2, num_pairs=1, degree=2, hba
         rng = np.random.default_rng([seed, di])
         arity = 2 if name == "antisymmetry" else 3
         worst, worst_witness = 0.0, None
-        for elements in loop_draws(rng, trials, arity, dim, num_pairs, degree):
+        for elements in loop_draws(rng, trials, arity):
             d = desideratum_defect(kind, name, elements, hbar)
             if d >= worst:
                 worst = d
@@ -109,7 +109,7 @@ def loop_measure_defects(kind, trials, seed=0, dim=2, num_pairs=1, degree=2, hba
 
 
 def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-6,
-                                dim=2, num_pairs=1, degree=2, hbar=1.0):
+                                hbar=1.0):
     """The trial loop of ``find_violation_witness``: the first tuple over
     the threshold, drawn and scored alone."""
     from hamalg.brackets import DESIDERATA, MixedBracketKind, desideratum_defect
@@ -119,7 +119,7 @@ def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-
     rng = np.random.default_rng([seed, DESIDERATA.index(desideratum)])
     arity = 2 if desideratum == "antisymmetry" else 3
     for trial in range(budget):
-        elements = loop_draws(rng, 1, arity, dim, num_pairs, degree)[0]
+        elements = loop_draws(rng, 1, arity)[0]
         d = desideratum_defect(kind, desideratum, elements, hbar)
         if d > threshold:
             return {"kind": kind.value, "desideratum": desideratum, "trial": trial,
@@ -151,14 +151,14 @@ def loop_operator_element(rng, dim):
     return OperatorElement(0.5 * (m + m.conj().T), hermitian=True)
 
 
-def loop_kronecker_element(rng, left_dim, right_dim, max_terms):
+def loop_kronecker_element(rng, left_dim, right_dim):
     """A random quantum (x) quantum element drawn as the single-element loop
     drew it: the term count, then each term's factors, embedded with
     ``np.kron`` and summed in term order."""
-    from hamalg import KroneckerElement
+    from hamalg import KroneckerElement, compose
 
     out = None
-    for _ in range(int(rng.integers(1, max_terms + 1))):
+    for _ in range(int(rng.integers(1, compose.MAX_RANDOM_TERMS + 1))):
         f = loop_operator_element(rng, left_dim)
         g = loop_operator_element(rng, right_dim)
         term = np.kron(f.entries, g.entries)
@@ -166,18 +166,16 @@ def loop_kronecker_element(rng, left_dim, right_dim, max_terms):
     return KroneckerElement(left_dim, right_dim, out, hermitian=True)
 
 
-def loop_matrix_draws(alg, rng, trials, arity, max_terms=None):
+def loop_matrix_draws(alg, rng, trials, arity):
     """Input tuples of an operator or quantum (x) quantum algebra, drawn one
     element at a time."""
     from hamalg import ComposedAlgebra
-    from hamalg.compose import MAX_RANDOM_TERMS
 
     alg = getattr(alg, "base", alg)   # a CorruptedAlgebra draws as its base
 
     def draw():
         if isinstance(alg, ComposedAlgebra):
-            return loop_kronecker_element(rng, alg.left.dim, alg.right.dim,
-                                          max_terms or MAX_RANDOM_TERMS)
+            return loop_kronecker_element(rng, alg.left.dim, alg.right.dim)
         return loop_operator_element(rng, alg.dim)
 
     return [[draw() for _ in range(arity)] for _ in range(trials)]
@@ -203,7 +201,7 @@ def loop_identity_defects(alg, identity, blocks):
             for t in range(blocks[0].trials)]
 
 
-def loop_check_identity(alg, check, max_terms=None):
+def loop_check_identity(alg, check):
     """The trial loop of ``check_identity`` on a matrix algebra: each tuple
     drawn and scored alone, the running worst replaced on ``>=``."""
     from hamalg.identities import _ARITY, CheckResult, Identity, identity_defect
@@ -213,7 +211,7 @@ def loop_check_identity(alg, check, max_terms=None):
     rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
     worst, worst_elements, total, nan_seen = 0.0, [], 0.0, False
     for _ in range(check.trials):
-        elements = loop_matrix_draws(alg, rng, 1, _ARITY[identity], max_terms)[0]
+        elements = loop_matrix_draws(alg, rng, 1, _ARITY[identity])[0]
         defect = identity_defect(alg, identity, elements)
         total += defect
         nan_seen = nan_seen or np.isnan(defect)
@@ -226,7 +224,7 @@ def loop_check_identity(alg, check, max_terms=None):
                        passed=worst <= check.tolerance and not nan_seen)
 
 
-def loop_restrict_fit(c, component, product, n_pairs, seed, rtol=1e-12):
+def loop_restrict_fit(c, component, product, seed, rtol=1e-12):
     """(measured factor, fit residual) of a restriction fit, pair by pair:
     each pair drawn, embedded with ``np.kron`` and scored alone."""
     from hamalg.compose import simple_tensor
@@ -243,7 +241,7 @@ def loop_restrict_fit(c, component, product, n_pairs, seed, rtol=1e-12):
     rng = np.random.default_rng(seed)
     num = den = 0.0
     samples = []
-    while len(samples) < max(n_pairs, MIN_FIT_PAIRS):
+    while len(samples) < MIN_FIT_PAIRS:
         f, g = loop_operator_element(rng, comp.dim), loop_operator_element(rng, comp.dim)
         ref = embed(component_op(f, g))
         if float(np.linalg.norm(ref.entries)) < rtol * (

@@ -351,7 +351,7 @@ class TestTermPairEngine:
         u, v, w = element(), element(), element()
         for bracket, loop in bracket_loops(HBAR):
             inner = _commutator_bracket(v, w, HBAR)
-            assert kernels.pack(u.terms, inner.terms, 24, np.complex128, row_keys=True)[-1] is None
+            assert kernels.pack(u.terms, inner.terms, 24, np.complex128)[-1] is None
             assert_terms_bitwise(bracket(u, inner, HBAR).terms, loop(u, inner))
 
     def test_weight_overflow_is_rejected(self):
@@ -468,9 +468,10 @@ class TestTrialBlocks:
                    for e in loop_draws(rng, 12, 3)]
         # every trial up to 5 stays under: blocks [0], [1, 4), [4, 7) are passed over
         threshold = max(defects[:6])
+        monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
         want = loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
         assert want is not None and want["trial"] >= 6
-        assert find_violation_witness(kind, desideratum, 12, threshold=threshold) == want
+        assert find_violation_witness(kind, desideratum, 12) == want
 
     def test_trial_zero_find_draws_one_trial(self, drawn_blocks):
         w = find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry", budget=1000)
@@ -522,3 +523,6 @@ class TestTrialBlocks:
                             lambda kind, d, block, hbar=1.0: np.full(block[0].trials, np.nan))
         triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=3)
         assert triple.witnesses["jacobi"] == {"defect": 0.0, "elements": None}
+        # every defect reads 0.0, but a clean pattern is not claimed
+        assert triple.jacobi_defect == 0.0
+        assert not triple.matches_expected_pattern()

@@ -251,27 +251,30 @@ class TestComposedProductsCC:
         assert (cc.alpha(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
 
     def test_equal_constant_path_cc(self, rng):
-        cc = ComposedAlgebra(PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1))
-        u, v = cc.random_element(rng), cc.random_element(rng)
-        sig, alp = cc.equal_constant_compose(u, v)
-        assert sig.terms == cc.sigma(u, v).terms
-        assert alp.terms == cc.alpha(u, v).terms
+        # all constants 0: the sigma law has no double-bracket term
+        left, right = PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1)
+        cc = ComposedAlgebra(left, right)
+        ut, vt = cc.random_simple_terms(rng, 2), cc.random_simple_terms(rng, 2)
+        u, v = cc.embed_terms(ut), cc.embed_terms(vt)
+        oracle = compose_product_on_terms(left.sigma, right.sigma, ut, vt)
+        assert (cc.sigma(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
 
 
 class TestEqualConstantPath:
     def test_matches_general_law(self, rng):
-        c = qq_algebra(a1=1.0, a2=1.0, a12=1.0)
-        u, v = c.random_element(rng), c.random_element(rng)
-        sig, alp = c.equal_constant_compose(u, v)
+        # a1 = a2 = a12 = a: unit coefficients on the bracket terms, -a on
+        # the double-bracket term of sigma
+        a = 2.25
+        c = qq_algebra(a1=a, a2=a, a12=a)
+        ut, vt = c.random_simple_terms(rng, 2), c.random_simple_terms(rng, 3)
+        u, v = c.embed_terms(ut), c.embed_terms(vt)
+        sig = (compose_product_on_terms(c.left.sigma, c.right.sigma, ut, vt)
+               - compose_product_on_terms(c.left.alpha, c.right.alpha, ut, vt).scale(a))
+        alp = (compose_product_on_terms(c.left.alpha, c.right.sigma, ut, vt)
+               + compose_product_on_terms(c.left.sigma, c.right.alpha, ut, vt))
         scale = 1 + u.norm() * v.norm()
         assert (sig - c.sigma(u, v)).norm() <= 1e-12 * scale
         assert (alp - c.alpha(u, v)).norm() <= 1e-12 * scale
-
-    def test_rejects_unequal_constants(self, rng):
-        c = qq_algebra(a1=1.0, a2=4.0, a12=9.0)
-        u, v = c.random_element(rng), c.random_element(rng)
-        with pytest.raises(AlgebraError):
-            c.equal_constant_compose(u, v)
 
     def test_alpha_law_is_constant_independent(self, rng):
         """At fixed component-product values the assembled bracket law is
@@ -286,7 +289,8 @@ class TestEqualConstantPath:
             comp = OperatorAlgebra(2, hbar=2 * math.sqrt(a))
             s1, s2 = comp.sigma(f1, g1), comp.sigma(f2, g2)
             b1, b2 = comp.alpha(f1, g1), comp.alpha(f2, g2)
-            sig, alp = qq_algebra(a, a, a).equal_constant_compose(u, v)
+            c = qq_algebra(a, a, a)
+            sig, alp = c.sigma(u, v), c.alpha(u, v)
             # bracket law: coefficients exactly 1, for either a
             assert (alp - (simple_tensor(b1, s2) + simple_tensor(s1, b2))).norm() \
                 <= 1e-12 * scale
@@ -686,7 +690,7 @@ class TestTermPairEngine:
         # the loops summed Python ints: radix 2**21 + 1 on 4 variables
         # overflows packed int64 keys, so the engine keys exponent rows
         u = HybridElement(2, 2, {(2 ** 20,) * 4: PAULI_X, (2 ** 20, 0, 1, 2): PAULI_Y})
-        assert kernels.pack(u.terms, u.terms, 4, np.complex128, row_keys=True)[-1] is None
+        assert kernels.pack(u.terms, u.terms, 4, np.complex128)[-1] is None
         for op, combine in self.qc_products(2, 2):
             assert_terms_bitwise(op(u, u).terms, loop_term_pairs(u, u, combine))
 

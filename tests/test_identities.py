@@ -259,15 +259,17 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("alg, max_terms", [
         *((alg, None) for alg in matrix_algebras()[1::2]),
-        *((alg, 2) for alg in matrix_algebras()[6:]),   # check_lemma's bound
+        *((alg, 2) for alg in matrix_algebras()[6:]),   # MAX_RANDOM_TERMS set to 2
     ], ids=lambda x: x.describe()["realization"] if hasattr(x, "describe") else str(x))
-    def test_block_draws_equal_single_draws(self, alg, max_terms):
+    def test_block_draws_equal_single_draws(self, alg, max_terms, monkeypatch):
+        from hamalg import compose
         from tests.conftest import loop_matrix_draws
 
+        if max_terms is not None:
+            monkeypatch.setattr(compose, "MAX_RANDOM_TERMS", max_terms)
         rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
-        bound = {} if max_terms is None else {"max_terms": max_terms}
-        blocks = alg.random_element(rng_block, block=(6, 3), **bound)
-        singles = loop_matrix_draws(alg, rng_loop, 6, 3, max_terms)
+        blocks = alg.random_element(rng_block, block=(6, 3))
+        singles = loop_matrix_draws(alg, rng_loop, 6, 3)
         for i, b in enumerate(blocks):
             assert b.trials == 6 and b.hermitian and not b.entries.flags.writeable
             for t in range(6):
@@ -296,7 +298,7 @@ class TestTrialBlocks:
         alg = composed(1.0, 2.0, 1.5, 2, 3)
         got = check_lemma(alg, lemma, trials=8, seed=1)
         check = IdentityCheck(LEMMA_IDENTITIES[lemma], trials=8, seed=1)
-        assert got.to_json() == loop_check_identity(alg, check, max_terms=2).to_json()
+        assert got.to_json() == loop_check_identity(alg, check).to_json()
 
     def test_corrupted_algebra_forwards_block_draws(self, monkeypatch):
         from hamalg import brackets, identities

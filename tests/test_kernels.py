@@ -196,9 +196,10 @@ def test_exponent_sum_past_int64_is_rejected():
         kernels.poisson(a, a, 1)
 
 
-def test_key_space_overflow_is_rejected():
-    a = {(400,) * 8: 1.0}
-    with pytest.raises(ShapeError):
-        kernels.mul(a, a, 8)
-    with pytest.raises(ShapeError):
-        kernels.poisson(a, a, 4)
+def test_key_space_past_int64_matches_loop():
+    # radix 801 on 8 variables overflows packed int64 keys, so the kernel
+    # keys exponent rows
+    a = {(400,) * 8: 1.5, (400, 1, 0, 399, 2, 400, 7, 0): -0.25, (1,) * 8: 2.0}
+    b = {(400,) * 8: 0.5, (0, 400, 399, 1, 400, 2, 0, 7): 3.0, (2, 1) * 4: -1.0}
+    assert kernels.pack(a, b, 8)[-1] is None
+    assert_bitwise(a, b, 4)

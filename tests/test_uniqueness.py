@@ -36,7 +36,8 @@ class TestBlockFit:
         ((4.0, 0.25, 0.5), (1, 2)),
     ])
     @pytest.mark.parametrize("product", ["alpha", "sigma"])
-    def test_fit_matches_loop_bitwise(self, constants, dims, product):
+    def test_fit_matches_loop_bitwise(self, constants, dims, product, monkeypatch):
+        from hamalg import uniqueness
         from hamalg.uniqueness import _restrict_fit
         from tests.conftest import loop_restrict_fit
 
@@ -45,8 +46,9 @@ class TestBlockFit:
             if c.left.dim == 1 and component == "left":
                 continue   # a dim-1 bracket vanishes: nothing to fit
             for n_pairs, seed in ((8, 0), (13, 5)):
-                got = _restrict_fit(c, component, product, n_pairs, seed, 1e-8)
-                lam, residual = loop_restrict_fit(c, component, product, n_pairs, seed)
+                monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
+                got = _restrict_fit(c, component, product, seed, 1e-8)
+                lam, residual = loop_restrict_fit(c, component, product, seed)
                 assert got.measured_factor == lam
                 assert got.fit_residual == float(residual)
 
@@ -59,8 +61,8 @@ class TestBlockFit:
         # exercises the resampling blocks; the loop rejects the same pairs
         monkeypatch.setattr(uniqueness, "_DEGENERATE_RTOL", 0.4)
         c = composed(1.0, 2.0, 1.5, 2, 2)
-        got = _restrict_fit(c, "left", "alpha", 8, 3, 1e-8)
-        lam, residual = loop_restrict_fit(c, "left", "alpha", 8, 3, rtol=0.4)
+        got = _restrict_fit(c, "left", "alpha", 3, 1e-8)
+        lam, residual = loop_restrict_fit(c, "left", "alpha", 3, rtol=0.4)
         assert (got.measured_factor, got.fit_residual) == (lam, float(residual))
 
 
@@ -102,9 +104,11 @@ class TestRestrictAlpha:
         # a dim-1 bracket is identically zero, so no draw is usable; run in
         # a child so that a hang fails the test instead of stalling the suite
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("from hamalg import AlgebraError, uniqueness_check\n"
+        code = ("from hamalg import AlgebraError, ComposedAlgebra, OperatorAlgebra\n"
+                "from hamalg import restrict_alpha\n"
+                "one = OperatorAlgebra(1, hbar=2.0)\n"
                 "try:\n"
-                "    uniqueness_check(1, 1, 1, dims=(1, 1))\n"
+                "    restrict_alpha(ComposedAlgebra(one, one, a12=1.0), 'left')\n"
                 "except AlgebraError as exc:\n"
                 "    print(exc)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -179,7 +183,3 @@ class TestScan:
             on_diagonal = v["a1"] == v["a2"] == v["a12"]
             assert v["passed"] == on_diagonal, v
         assert sum(v["passed"] for v in verdicts) == 3
-
-    def test_explicit_triples(self):
-        verdicts = scan_constants([(1.0, 1.0, 1.0), (1.0, 4.0, 9.0)])
-        assert [v["passed"] for v in verdicts] == [True, False]
