@@ -43,6 +43,7 @@ from .algebra import hermitian_from_normals, relative_defect
 from .compose import HybridElement, nonzero_terms, term_pair_sum
 from .elements import monomials_up_to_degree
 from .errors import AlgebraError
+from .kernels import MAX_BLOCK_TRIALS
 # not called here: perfbench/tracing.py wraps this name as a layer
 from .kernels import poisson as _poly_poisson  # noqa: F401
 from .serialize import element_from_json, element_to_json
@@ -51,10 +52,6 @@ from .serialize import element_from_json, element_to_json
 #: orders of magnitude above the identity-suite pass tolerance
 VIOLATION_THRESHOLD = 1e-6
 PASS_TOLERANCE = 1e-10
-
-#: most trials evaluated in one block: bounds the block's temporaries and
-#: the trials a search evaluates past its first violation
-MAX_BLOCK_TRIALS = 256
 
 
 class MixedBracketKind(str, Enum):
@@ -271,9 +268,9 @@ def _serialize_trial(block, t: int) -> list:
 
 def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int,
                            seed: int = 0, hbar: float = 1.0):
-    """First random tuple whose defect exceeds VIOLATION_THRESHOLD; None if
-    the budget is exhausted.  Trial 0 runs alone, then the rest of the
-    budget in blocks."""
+    """First random tuple whose defect exceeds VIOLATION_THRESHOLD or is
+    NaN; None if the budget is exhausted.  Trial 0 runs alone, then the
+    rest of the budget in blocks."""
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
     kind = MixedBracketKind(kind)
@@ -283,7 +280,7 @@ def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int
     for start, stop in _trial_blocks(budget, first=1):
         block = random_hybrid_observable(rng, block=(stop - start, arity))
         d = desideratum_defect(kind, desideratum, block, hbar)
-        over = np.flatnonzero(d > VIOLATION_THRESHOLD)
+        over = np.flatnonzero(~(d <= VIOLATION_THRESHOLD))  # NaN compares False
         if over.size:
             t = int(over[0])
             return {

@@ -18,12 +18,13 @@ front of the command line's and the command line is parsed again, so
 config values pass the same type and choice checks as flags, and
 explicit flags win.  Every default is declared on its option.
 All reports validate against the schema shipped at
-``hamalg/schemas/report.schema.json``, with ``jsonschema.validate``.  Its
-``oneOf`` keyword (the schema's root, keyed by ``report_kind``, and each
-witness element, keyed by ``kind``) first runs a compiled check of the
-whole instance below it; jsonschema's own keyword runs only where that
-check does not pass, so every rejection and its message still come from
-jsonschema.  A valid report's text is built by
+``hamalg/schemas/report.schema.json``, with one ``jsonschema.validate``
+call each.  Only the root ``oneOf``, a tagged union keyed by
+``report_kind``, is hooked: it first runs the compiled check of the
+branch the report's tag names, which covers the whole report, and
+jsonschema's own keyword runs only where that check does not pass, so
+every rejection and its message still come from jsonschema.  A valid
+report's text is built by
 ``serialize.dumps_indent2``, equal to ``json.dumps(report, indent=2)``.
 """
 
@@ -80,7 +81,7 @@ def _load_schema() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report validation: a compiled check of the whole report behind ``oneOf``
+# report validation: a compiled check of the whole report behind the root ``oneOf``
 # ---------------------------------------------------------------------------
 
 #: the Python types a compiled check accepts for each draft-07 type name
@@ -92,9 +93,6 @@ _KEYWORD_KINDS = {"minimum": "number", "exclusiveMinimum": "number", "minItems":
                   "properties": "object"}
 #: the keywords a compiled check covers that constrain any kind of instance
 _ANY_KIND = {"type", "const", "enum", "oneOf"}
-#: root keywords that change no verdict: ``$defs`` is no draft-07 keyword, and
-#: the root's ``$id`` is the base every reference already resolves against
-_ROOT_ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
 
 
 def _deref(schema: dict, root: dict, refs: tuple):
@@ -124,25 +122,24 @@ def _compile_check(schema, root: dict, refs: tuple = ()):
     ``float`` exactly, ``integer`` for ``int``, ``array`` for ``list`` and
     ``object`` for ``dict``; ``const`` and ``enum`` hold only for strings.
     So bools as numbers, numpy scalars, ``2.0`` as an integer and NaN
-    against a bound all give False.  A ``oneOf`` holds where exactly one
-    branch's check holds and every other branch is surely invalid (see
-    ``_refutation``).  None means that ``schema`` uses something else: a
-    keyword outside ``type``, ``const``, ``enum``, ``oneOf``, ``minimum``,
-    ``exclusiveMinimum``, ``minItems``, ``maxItems``, ``items``,
-    ``required``, ``properties``, the root's annotations and a lone
+    against a bound all give False.  A ``oneOf`` compiles only as a tagged
+    union (see ``_compile_tagged_union``): its check runs the one branch
+    that the instance's string tag names.  None means that ``schema`` uses
+    something else: a keyword outside ``type``, ``const``, ``enum``,
+    ``oneOf``, ``minimum``, ``exclusiveMinimum``, ``minItems``,
+    ``maxItems``, ``items``, ``required``, ``properties`` and a lone
     ``$ref`` to ``#/$defs/<name>`` of ``root``; a ``const`` or ``enum`` of
-    anything but strings; keywords for two kinds of instance; or a cyclic
-    reference.
+    anything but strings; keywords for two kinds of instance; a ``oneOf``
+    that is no tagged union; or a cyclic reference.
     """
     if type(schema) is not dict:
         return None
     if "$ref" in schema:
         target = _deref(schema, root, refs)
         return None if target is None else _compile_check(target[0], root, target[1])
-    keys = schema.keys() - _ROOT_ANNOTATIONS if schema is root else schema.keys()
-    if any(key not in _KEYWORD_KINDS and key not in _ANY_KIND for key in keys):
+    if any(key not in _KEYWORD_KINDS and key not in _ANY_KIND for key in schema):
         return None
-    kinds = {_KEYWORD_KINDS[key] for key in keys if key in _KEYWORD_KINDS}
+    kinds = {_KEYWORD_KINDS[key] for key in schema if key in _KEYWORD_KINDS}
     if len(kinds) > 1:
         return None
     names = schema.get("type", list(_TYPES))
@@ -170,7 +167,7 @@ def _compile_check(schema, root: dict, refs: tuple = ()):
         members = frozenset(enum)
         checks.append(lambda x: type(x) is str and x in members)
     if "oneOf" in schema:
-        checks.append(_compile_one_of(schema["oneOf"], root, refs))
+        checks.append(_compile_tagged_union(schema["oneOf"], root, refs))
     if None in checks:
         return None
     return functools.reduce(_both, checks) if checks else lambda x: True
@@ -219,84 +216,62 @@ def _kind_check(kind, schema: dict, allowed: frozenset, root: dict, refs: tuple)
     return lambda x: type(x) in allowed
 
 
-def _refutation(schema: dict, root: dict, refs: tuple):
-    """A predicate that returns True only where stock validation against
-    ``schema`` surely yields an error: on an object that lacks one of its
-    ``required`` keys, or holds a string other than a property's string
-    ``const``.  ``schema`` is one that compiled."""
-    if "$ref" in schema:
-        target, refs = _deref(schema, root, refs)
-        return _refutation(target, root, refs)
-    required = schema.get("required", [])
-    consts = [(key, sub["const"]) for key, sub in schema.get("properties", {}).items()
-              if type(sub) is dict and "$ref" not in sub and type(sub.get("const")) is str]
+def _compile_tagged_union(branches, root: dict, refs: tuple = ()):
+    """The check of a ``oneOf`` over ``branches`` that is a tagged union,
+    or None.
 
-    def refute(x) -> bool:
-        if type(x) is not dict:
-            return False
-        for key in required:
-            if key not in x:
-                return True
-        for key, const in consts:
-            value = x.get(key, const)
-            if type(value) is str and value != const:
-                return True
-        return False
-    return refute
-
-
-def _compile_one_of(branches, root: dict, refs: tuple):
-    """The check of a ``oneOf`` over ``branches`` (see ``_compile_check``), or None."""
+    A tagged union's branches all compile, and, each after its lone
+    ``$ref`` is followed, all require one common key whose property is a
+    string ``const`` (the tag); no two share a tag.  The check reads the
+    instance's tag, only from a dict and only as a string, and runs that
+    one branch's check.  It is one-sided, because an instance carrying one
+    branch's tag fails every other branch's ``const``.
+    """
     if type(branches) is not list or not branches:
         return None
-    compiled = []
-    for branch in branches:
-        check = _compile_check(branch, root, refs)
-        if check is None:
-            return None
-        compiled.append((_refutation(branch, root, refs), check))
+    checks = [_compile_check(branch, root, refs) for branch in branches]
+    if None in checks:
+        return None
+    tags = [_tags(branch, root, refs) for branch in branches]
+    key = next((k for k in tags[0] if all(k in t for t in tags)), None)
+    by_tag = dict(zip((t.get(key) for t in tags), checks))
+    if key is None or len(by_tag) < len(branches):
+        return None
 
-    def check_one_of(x) -> bool:
-        live = [check for refute, check in compiled if not refute(x)]
-        return len(live) == 1 and live[0](x)
-    return check_one_of
+    def check_tagged(x) -> bool:
+        tag = x.get(key) if type(x) is dict else None
+        return type(tag) is str and tag in by_tag and by_tag[tag](x)
+    return check_tagged
 
 
-def _one_of_lists(node, root: dict):
-    """Every ``oneOf`` value in ``root``.  Embedded resources (a nested
-    ``$id``) are skipped: their references resolve against another base."""
-    if isinstance(node, dict):
-        if "$id" in node and node is not root:
-            return
-        for key, value in node.items():
-            if key == "oneOf" and isinstance(value, list):
-                yield value
-            yield from _one_of_lists(value, root)
-    elif isinstance(node, list):
-        for value in node:
-            yield from _one_of_lists(value, root)
+def _tags(schema: dict, root: dict, refs: tuple) -> dict:
+    """The keys that ``schema`` requires and pins with a ``const``, each
+    with its ``const``.  ``schema`` compiled, so each ``const`` is a string."""
+    if "$ref" in schema:
+        schema = _deref(schema, root, refs)[0]
+    properties = schema.get("properties", {})
+    return {key: properties[key]["const"] for key in schema.get("required", [])
+            if "const" in properties.get(key, {})}
 
 
 def _one_of_checked_validator(schema: dict) -> type:
-    """A draft-07 validator class for ``schema`` whose ``oneOf`` keyword
-    first runs the compiled check of its branches on the instance.
+    """A draft-07 validator class for ``schema`` whose ``oneOf`` keyword, on
+    the root's own branch list, first runs the compiled check of that
+    tagged union on the instance.
 
     Where the check passes, the keyword yields no error, as the stock
-    keyword would.  Where it fails, or no check compiled, the stock
-    keyword runs unchanged, so every rejection, its message, its path and
-    ``best_match`` come from jsonschema.  The shipped schema's root is a
-    ``oneOf``, so a valid report passes in one compiled call.  Checks are
-    looked up by the identity of the branch list, so the class falls back
-    to the stock keyword on any schema but ``schema``.
+    keyword would.  Where it fails, on any other ``oneOf``, or when no
+    check compiled, the stock keyword runs unchanged, so every rejection,
+    its message, its path and ``best_match`` come from jsonschema.  The
+    root's branch list is compared by identity, so the class falls back to
+    the stock keyword on any schema but ``schema``.
     """
     stock = jsonschema.Draft7Validator.VALIDATORS["oneOf"]
-    # holding each list keeps its id from being reused while the class lives
-    checks = {id(branches): (branches, check) for branches in _one_of_lists(schema, schema)
-              if (check := _compile_one_of(branches, schema, ())) is not None}
+    root = schema.get("oneOf")
+    check = _compile_tagged_union(root, schema)
 
     def one_of(validator, branches, instance, parent_schema):
-        entry = checks.get(id(branches))
-        if entry is not None and entry[1](instance):
+        if check is not None and branches is root and check(instance):
             return
         yield from stock(validator, branches, instance, parent_schema)
 
@@ -368,8 +343,8 @@ def _write_report(report: dict, out_path: str | None) -> None:
 
 
 def _positive(value, what: str):
-    if value is None or not value > 0:
-        raise UsageError(f"{what} must be positive, got {value}")
+    if value is None or not 0 < value < math.inf:
+        raise UsageError(f"{what} must be positive and finite, got {value}")
     return value
 
 
@@ -608,8 +583,8 @@ def _parse_grid(spec: str):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise UsageError(f"--grid must be lo:hi:n, got {spec!r}")
-    if not (lo > 0 and hi > lo and n >= 1):
-        raise UsageError(f"--grid needs 0 < lo < hi and n >= 1, got {spec!r}")
+    if not (0 < lo < hi < math.inf and n >= 1):
+        raise UsageError(f"--grid needs 0 < lo < hi < inf and n >= 1, got {spec!r}")
     return log_grid(lo, hi, n)
 
 

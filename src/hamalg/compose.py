@@ -47,6 +47,7 @@ from .elements import (
     PhaseSpacePoly,
     QuantumConstant,
     check_trials,
+    exponent_tuple,
     frobenius_norms,
     is_hermitian,
 )
@@ -125,12 +126,9 @@ class HybridElement:
         self.dim = int(dim)
         self.num_pairs = int(num_pairs)
         self.trials = None
-        nvars = 2 * self.num_pairs
         clean: dict = {}
         for exps, mat in (terms or {}).items():
-            e = tuple(int(v) for v in exps)
-            if len(e) != nvars or any(v < 0 for v in e):
-                raise ShapeError(f"exponent tuple {exps} invalid for {nvars} variables")
+            e = exponent_tuple(exps, 2 * self.num_pairs)
             arr = np.array(mat, dtype=np.complex128, copy=True)
             if arr.shape != (dim, dim):
                 raise ShapeError(f"coefficient at {exps} has shape {arr.shape}")

@@ -198,12 +198,18 @@ class OperatorElement:
         return f"OperatorElement(dim={self.dim}, hermitian={self.hermitian}{block})"
 
 
+def exponent_tuple(exps, nvars: int) -> tuple:
+    """``exps`` as a tuple of ints: ``nvars`` exponents, none negative."""
+    e = tuple(int(v) for v in exps)
+    if len(e) != nvars or any(v < 0 for v in e):
+        raise ShapeError(f"exponent tuple {exps} invalid for {nvars} variables")
+    return e
+
+
 def _validate_terms(terms: dict, nvars: int) -> dict:
     clean: dict = {}
     for exps, coeff in terms.items():
-        e = tuple(int(v) for v in exps)
-        if len(e) != nvars or any(v < 0 for v in e):
-            raise ShapeError(f"exponent tuple {exps} invalid for {nvars} variables")
+        e = exponent_tuple(exps, nvars)
         c = float(coeff)
         if not math.isfinite(c):
             raise AlgebraError(f"non-finite coefficient {coeff} at {exps}")

@@ -12,7 +12,7 @@ Trials run in blocks.  An algebra that declares ``block_entries`` (the
 operator algebras and quantum (x) quantum composition) draws a block of
 T input tuples in one call, as elements whose entries carry a leading
 trial axis (T, n, n), and each product of an identity then runs once per
-block; T is at most ``brackets.MAX_BLOCK_TRIALS`` and at most
+block; T is at most ``kernels.MAX_BLOCK_TRIALS`` and at most
 ``kernels.BLOCK_PAIRS`` matrix entries per element.  Any other algebra is
 checked one trial per block, on single elements, through the same loop.
 The RNG stream, every defect, the mean and the witness are those of the
@@ -28,9 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import brackets
 from .algebra import HamiltonAlgebra, relative_defect
-from .kernels import BLOCK_PAIRS
+from .kernels import BLOCK_PAIRS, MAX_BLOCK_TRIALS
 from .serialize import element_from_json, element_to_json
 
 
@@ -184,7 +183,7 @@ def block_trials(alg) -> int | None:
     entries = getattr(alg, "block_entries", None)
     if entries is None:
         return None
-    return max(1, min(brackets.MAX_BLOCK_TRIALS, BLOCK_PAIRS // entries))
+    return max(1, min(MAX_BLOCK_TRIALS, BLOCK_PAIRS // entries))
 
 
 def check_identity(alg: HamiltonAlgebra, check: IdentityCheck) -> CheckResult:

@@ -37,6 +37,11 @@ BACKEND = "numpy"
 #: temporaries whatever the number of terms
 BLOCK_PAIRS = 8192
 
+#: most trials evaluated in one block of a brackets or identity check:
+#: bounds the block's temporaries and the trials a witness search
+#: evaluates past its first violation
+MAX_BLOCK_TRIALS = 256
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: overflow yields inf/nan silently, as with Python floats; PhaseSpacePoly

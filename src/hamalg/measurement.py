@@ -64,6 +64,9 @@ class MeasurementConfig:
     regime: Regime = Regime.QUANTUM_QUANTUM
 
     def __post_init__(self):
+        for name in ("m1", "m2", "g0", "t0", "dt", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise AlgebraError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.m1 > 0 and self.m2 > 0):
             raise AlgebraError("masses must be positive")
         if not self.dt > 0:
@@ -229,14 +232,14 @@ def _propagators(cfg: MeasurementConfig, times) -> np.ndarray:
 
 def propagator(cfg: MeasurementConfig, t: float) -> np.ndarray:
     """Basis evolution matrix: basis_i(t) = sum_j phi[i, j] basis_j(0)."""
-    if t < 0:
-        raise AlgebraError("evolution runs forward from t = 0")
+    if not 0 <= t < math.inf:
+        raise AlgebraError(f"evolution runs forward from t = 0 to a finite time, got {t}")
     return _propagators(cfg, [t])[0]
 
 
 def evolve(cfg: MeasurementConfig, t_end: float, n_samples: int) -> Trajectory:
-    if not t_end > 0:
-        raise AlgebraError(f"t_end must be > 0, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise AlgebraError(f"t_end must be positive and finite, got {t_end}")
     if n_samples < 2:
         raise AlgebraError(f"n_samples must be >= 2, got {n_samples}")
     times = np.linspace(0.0, t_end, int(n_samples))

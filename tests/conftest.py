@@ -111,7 +111,7 @@ def loop_measure_defects(kind, trials, seed=0, hbar=1.0):
 def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-6,
                                 hbar=1.0):
     """The trial loop of ``find_violation_witness``: the first tuple over
-    the threshold, drawn and scored alone."""
+    the threshold or NaN, drawn and scored alone."""
     from hamalg.brackets import DESIDERATA, MixedBracketKind, desideratum_defect
     from hamalg.serialize import element_to_json
 
@@ -121,7 +121,7 @@ def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-
     for trial in range(budget):
         elements = loop_draws(rng, 1, arity)[0]
         d = desideratum_defect(kind, desideratum, elements, hbar)
-        if d > threshold:
+        if not d <= threshold:
             return {"kind": kind.value, "desideratum": desideratum, "trial": trial,
                     "defect": float(d),
                     "elements": [element_to_json(e) for e in elements]}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,6 +519,15 @@ class TestTrialBlocks:
             assert triple.defect(name) == 2.0
             assert triple.witnesses[name] == {
                 "defect": 2.0, "elements": [element_to_json(e) for e in want]}
+
+    def test_nan_defect_ends_a_search_as_a_hit(self, monkeypatch):
+        # blocks [0], [1, 4): trial 2 is the first NaN, trial 3 a violation
+        script = iter([0.0, 0.0, np.nan, 1.0])
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        monkeypatch.setattr(brackets, "desideratum_defect", lambda kind, d, block, hbar=1.0:
+                            np.array([next(script) for _ in range(block[0].trials)]))
+        w = find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi", 10)
+        assert w["trial"] == 2 and math.isnan(w["defect"])
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
         monkeypatch.setattr(brackets, "desideratum_defect",

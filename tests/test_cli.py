@@ -322,6 +322,18 @@ class TestBrackets:
     def test_zero_budget_usage_error(self):
         assert run_cli("brackets", "--kind", "anderson", "--budget", "0") == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_search_is_no_clean_result(self, tmp_path):
+        # at hbar 1e-160 every Jacobi defect of the hybrid bracket is NaN
+        out = tmp_path / "brackets.json"
+        assert run_cli("brackets", "--kind", "hybrid_paper", "--hbar", "1e-160",
+                       "--trials", "3", "--budget", "3", "--out", str(out)) == 1
+        doc = read_json(out)
+        jacobi = next(s for s in doc["witness_searches"] if s["desideratum"] == "jacobi")
+        assert jacobi["found"] and math.isnan(jacobi["witness"]["defect"])
+        assert jacobi["replay_agrees"] is False
+        assert not doc["passed"]
+
 
 class TestSimulate:
     def test_qq_csv_and_summary(self, tmp_path, capsys):
@@ -436,6 +448,28 @@ class TestUniqueness:
         assert run_cli("uniqueness", "--a1", "1", "--a2", "1", "--a12", "1",
                        "--grid", _defaults("uniqueness").grid,
                        "--out", str(tmp_path / "u.json")) == 0
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, named", [
+        (("simulate", "--t0", "nan", "--t-end", "5"), "t0"),
+        (("simulate", "--g0", "inf"), "g0"),
+        (("simulate", "--t-end", "inf"), "--t-end"),
+        (("simulate", "--dt", "inf"), "--dt"),
+        (("simulate", "--m1", "inf"), "--m1"),
+        (("uniqueness", "--a1", "1", "--a2", "2", "--a12", "1.5", "--tolerance", "inf"),
+         "--tolerance"),
+        (("uniqueness", "--a1", "inf", "--a2", "2", "--a12", "1.5"), "--a1"),
+        (("verify", "--tolerance", "inf"), "--tolerance"),
+        (("verify", "--hbar", "inf"), "--hbar"),
+        (("brackets", "--hbar", "nan"), "--hbar"),
+        (("uniqueness", "scan", "--grid", "1:inf:2"), "--grid"),
+    ])
+    def test_non_finite_value_is_a_usage_error(self, tmp_path, capsys, argv, named):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(f"{named} (must|needs)", err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

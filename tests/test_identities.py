@@ -78,8 +78,8 @@ class TestCheckIdentity:
         assert replayed == pytest.approx(res.max_relative_defect, rel=1e-12, abs=1e-15)
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
-        from hamalg import brackets, identities
-        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        from hamalg import identities
+        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
         # blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie for the max, within
         # and across blocks; trials 2 and 6 are NaN, the last one at the end
         script = iter([0.5, 2.0, math.nan, 2.0, 1.0, 2.0, math.nan])
@@ -107,8 +107,8 @@ class TestCheckIdentity:
         assert math.isnan(res.mean_relative_defect)
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
-        from hamalg import brackets, identities
-        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 2)
+        from hamalg import identities
+        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 2)
         blocks = []
 
         def scripted(alg, identity, elements):
@@ -291,20 +291,20 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("lemma", [1, 3, 5])
     def test_lemma_max_terms_path_matches_loop(self, lemma, monkeypatch):
-        from hamalg import brackets
+        from hamalg import identities
         from tests.conftest import loop_check_identity
 
-        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
         alg = composed(1.0, 2.0, 1.5, 2, 3)
         got = check_lemma(alg, lemma, trials=8, seed=1)
         check = IdentityCheck(LEMMA_IDENTITIES[lemma], trials=8, seed=1)
         assert got.to_json() == loop_check_identity(alg, check).to_json()
 
     def test_corrupted_algebra_forwards_block_draws(self, monkeypatch):
-        from hamalg import brackets, identities
+        from hamalg import identities
         from tests.conftest import loop_check_identity
 
-        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
+        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 4)
         seen = []
         original = identities.identity_defect
 

@@ -183,6 +183,13 @@ class TestEvolution:
         with pytest.raises(AlgebraError):
             evolve(config(), 1.0, 1)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_end_time_is_refused(self, t):
+        with pytest.raises(AlgebraError, match="finite"):
+            evolve(config(), t, 5)
+        with pytest.raises(AlgebraError, match="finite"):
+            propagator(config(), t)
+
 
 class TestBackReaction:
     def test_qq_gap_value(self):
@@ -207,3 +214,9 @@ class TestFreezing:
             MeasurementConfig(m1=1.0, m2=1.0, g0=0.1, t0=0.0, dt=-1.0)
         with pytest.raises(AlgebraError):
             MeasurementConfig(m1=1.0, m2=1.0, g0=0.1, t0=0.0, dt=1.0, hbar=0.0)
+
+    @pytest.mark.parametrize("name", ["m1", "m2", "g0", "t0", "dt", "hbar"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_config_is_refused(self, name, value):
+        with pytest.raises(AlgebraError, match=f"^{name} must be finite"):
+            config(**{name: value})

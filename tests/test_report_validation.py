@@ -163,6 +163,14 @@ def test_write_report_writes_json_dumps_text(reports, tmp_path):
         assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), name
 
 
+#: a tagged union keyed by ``kind``
+TAGGED = {"oneOf": [
+    {"properties": {"kind": {"const": "a"}}, "required": ["kind"]},
+    {"properties": {"kind": {"const": "b"}, "n": {"type": "integer"}},
+     "required": ["kind", "n"]},
+]}
+
+
 class TestCompiledChecks:
     def test_witness_schemas_compile(self):
         schema = _load_schema()
@@ -178,7 +186,7 @@ class TestCompiledChecks:
         """A schema edit that adds a keyword no check covers fails here,
         instead of quietly sending every report through stock jsonschema."""
         schema = _load_schema()
-        check = _compile_check(schema, schema)
+        check = _compile_check({"oneOf": schema["oneOf"]}, schema)
         assert check is not None
         for doc in reports.values():
             assert check(doc) is True
@@ -188,6 +196,9 @@ class TestCompiledChecks:
         {"$ref": "#/$defs/nowhere"},
         {"$ref": "#/$defs/complex_pairs", "type": "array"}, {"items": [{"type": "number"}]},
         {"type": "number", "title": "re"}, {"minimum": True},
+        # a oneOf that is no tagged union
+        {"oneOf": [{"required": ["a"]}, {"required": ["b"]}]},
+        {"oneOf": [{"type": "integer"}, {"type": "number"}]},
     ])
     def test_other_schemas_give_no_check(self, sub):
         assert _compile_check(sub, _load_schema()) is None
@@ -208,13 +219,59 @@ class TestCompiledChecks:
         ({"type": "number", "exclusiveMinimum": 0}, math.nan),
         ({"type": ["number", "null"]}, True), ({"type": ["boolean", "null"]}, 0),
         ({"type": ["integer", "null"]}, 2.0),
-        # oneOf: no branch, two valid branches, and a branch not surely invalid
-        ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"c": 1}),
-        ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"a": 1, "b": 1}),
-        ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 1),
     ])
     def test_checks_are_one_sided(self, sub, value):
         assert _compile_check(sub, {})(value) is False
+
+    def test_tagged_union_passes_only_stock_valid_instances(self):
+        check = _compile_check(TAGGED, {})
+        stock = jsonschema.Draft7Validator(TAGGED)
+        for value in ({"kind": "a"}, {"kind": "a", "n": 1.5}, {"kind": "b", "n": 1}):
+            assert check(value) is True and stock.is_valid(value)
+        for value in ({"kind": "b"}, {"kind": "b", "n": 1.5}):
+            assert check(value) is False and not stock.is_valid(value)
+
+    @pytest.mark.parametrize("value", [
+        ["a"], "a", None, {}, {"n": 1},
+        {"kind": ["a"]}, {"kind": 1}, {"kind": None}, {"kind": "c"}, {"kind": "A"},
+    ])
+    def test_tagged_union_without_a_known_string_tag_fails(self, value):
+        assert _compile_check(TAGGED, {})(value) is False
+
+    @pytest.mark.parametrize("branches, defs", [
+        # two branches share a tag
+        ([{"properties": {"kind": {"const": "a"}}, "required": ["kind"]},
+          {"properties": {"kind": {"const": "a"}, "n": {"type": "integer"}},
+           "required": ["kind", "n"]}], {}),
+        # the branches are keyed on different properties
+        ([{"properties": {"kind": {"const": "a"}}, "required": ["kind"]},
+          {"properties": {"type": {"const": "b"}}, "required": ["type"]}], {}),
+        # a tag is pinned but not required, or required but not pinned
+        ([{"properties": {"kind": {"const": "a"}}},
+          {"properties": {"kind": {"const": "b"}}, "required": ["kind"]}], {}),
+        ([{"properties": {"kind": {"const": "a"}}, "required": ["kind"]},
+          {"properties": {"kind": {"enum": ["b"]}}, "required": ["kind"]}], {}),
+        # a tag property is a $ref, whose siblings draft-07 ignores
+        ([{"properties": {"kind": {"$ref": "#/$defs/a"}}, "required": ["kind"]},
+          {"properties": {"kind": {"const": "b"}}, "required": ["kind"]}],
+         {"a": {"const": "a"}}),
+        ([{"properties": {"kind": {"$ref": "#/$defs/a", "const": "a"}}, "required": ["kind"]},
+          {"properties": {"kind": {"const": "b"}}, "required": ["kind"]}],
+         {"a": {"const": "b"}}),
+        # a branch that is not an object schema, or a $ref that does not resolve
+        ([{"properties": {"kind": {"const": "a"}}, "required": ["kind"]}, True], {}),
+        ([{"properties": {"kind": {"const": "a"}}, "required": ["kind"]},
+          {"$ref": "#/$defs/nowhere"}], {}),
+        ([], {}),
+    ])
+    def test_other_one_ofs_give_no_check(self, branches, defs):
+        assert _compile_check({"oneOf": branches}, {"$defs": defs}) is None
+
+    def test_tagged_union_follows_branch_references(self):
+        root = {"$defs": {"a": TAGGED["oneOf"][0], "b": TAGGED["oneOf"][1]}}
+        check = _compile_check({"oneOf": [{"$ref": "#/$defs/a"}, {"$ref": "#/$defs/b"}]}, root)
+        assert check({"kind": "b", "n": 1}) is True
+        assert check({"kind": "b", "n": "1"}) is False
 
     def test_uncovered_keyword_falls_back_to_stock(self, reports):
         schema = copy.deepcopy(_load_schema())
