@@ -1,18 +1,94 @@
 """Independent brute-force expansions for cross-checking and replay.
 
-Everything here works on dense coefficient arrays with explicit nested
-loops: polynomials become ndarrays with one axis per variable, hybrid
-elements get two extra matrix axes.  No code is shared with the sparse
-kernels or the production bracket paths, so agreement between the two
-routes is evidence, not tautology.
+Everything here works on dense coefficient arrays: polynomials become
+ndarrays with one axis per variable, hybrid elements get two extra matrix
+axes.  No code is shared with the sparse kernels or the production
+bracket paths, so agreement between the two routes is evidence, not
+tautology.
+
+A product of two dense arrays multiplies every nonzero exponent cell of
+its left operand with every nonzero cell of the right one in one
+broadcast call; zero cells are never multiplied.  It then loops over the
+nonzero cells ``ea`` of the left operand in ascending (C) order and adds
+each one's products into the output box at ``ea`` with one slice-add.
+Every output cell thus receives its terms in the order of the literal
+double loop over exponent pairs, and holds the same bits; only the sign
+and payload of a NaN, which IEEE 754 leaves open, may differ.  A Poisson
+term of pair ``k`` lands on ``ea + eb - delta_k``; for one ``ea``, that
+cell's ``eb`` is later for a smaller ``k``, so the pairs are added in
+descending ``k``.  Only slicing, boolean masks and broadcasting are used:
+no sorts, no packed keys, no scatter-adds.
 
 Serialized witnesses are replayed by parsing their JSON directly into
-dense arrays and re-deriving the reported defect term by term.
+dense arrays and re-deriving the reported defect.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _sum_shape(sa: tuple, sb: tuple) -> tuple:
+    """Exponent extents of a product of boxes ``sa`` and ``sb``."""
+    return tuple(x + y - 1 for x, y in zip(sa, sb))
+
+
+def _pair_products(a: np.ndarray, b: np.ndarray, nza: np.ndarray, nzb: np.ndarray,
+                   product) -> np.ndarray:
+    """``product(a[ea], b[eb])`` for the i-th nonzero cell ``ea`` of ``a`` (C
+    order) and every nonzero cell ``eb`` of ``b``, at ``[i, eb]``; the zero
+    cells of ``b`` are never multiplied and hold 0."""
+    prods = product(a[nza][:, None], b[nzb])
+    out = np.zeros((len(prods),) + b.shape, dtype=prods.dtype)
+    out[:, nzb] = prods
+    return out
+
+
+def _add_products(out: np.ndarray, nza: np.ndarray, prods: np.ndarray) -> None:
+    """Add row i of ``_pair_products`` into the box ``ea + eb`` of the i-th
+    nonzero cell ``ea``, ``ea`` ascending."""
+    eas = np.argwhere(nza)
+    ends = eas + prods.shape[1:1 + nza.ndim]
+    for ea, end, term in zip(eas.tolist(), ends.tolist(), prods):
+        out[tuple(map(slice, ea, end))] += term
+
+
+def _poisson_boxes(ea: tuple, shape: tuple, k: int) -> tuple:
+    """Source and destination slices that move the cells ``eb`` of a box of
+    ``shape`` to ``ea + eb - delta_k`` (one off both axes of pair ``k``).
+    A cell that would land below 0 has Poisson weight 0 and is cut."""
+    src, dst = [], []
+    for i, (e, n) in enumerate(zip(ea, shape)):
+        shift = int(i // 2 == k)
+        lo = int(shift > e)
+        src.append(slice(lo, n))
+        dst.append(slice(e - shift + lo, e - shift + n))
+    return tuple(src), tuple(dst)
+
+
+def _add_poisson_terms(out: np.ndarray, nza: np.ndarray, prods: np.ndarray,
+                       num_pairs: int) -> None:
+    """Add ``w_k * prods[i, eb]`` into ``ea + eb - delta_k`` for the i-th
+    nonzero cell ``ea``, ``ea`` ascending and, for each, ``k`` descending,
+    where ``w_k = ea[x_k] eb[p_k] - ea[p_k] eb[x_k]``; a zero weight adds
+    nothing."""
+    eas = np.argwhere(nza)
+    shape_b = prods.shape[1:1 + nza.ndim]
+    grid = np.indices(shape_b)
+    per_row = (-1,) + (1,) * nza.ndim
+    over_matrix = (...,) + (None,) * (prods.ndim - 1 - nza.ndim)
+    terms = []
+    for k in range(num_pairs):
+        ix, ip = 2 * k, 2 * k + 1
+        w = eas[:, ix].reshape(per_row) * grid[ip] - eas[:, ip].reshape(per_row) * grid[ix]
+        terms.append(np.multiply(w[over_matrix], prods, out=np.zeros_like(prods),
+                                 where=(w != 0)[over_matrix]))
+    for ea, *rows in zip(map(tuple, eas.tolist()), *terms):
+        for k in reversed(range(num_pairs)):
+            if ea[2 * k] or ea[2 * k + 1]:
+                src, dst = _poisson_boxes(ea, shape_b, k)
+                out[dst] += rows[k][src]
+
 
 # ---------------------------------------------------------------------------
 # dense real polynomials (one axis per variable)
@@ -30,44 +106,22 @@ def poly_terms_to_dense(terms: dict, nvars: int) -> np.ndarray:
 
 
 def dense_to_poly_terms(arr: np.ndarray) -> dict:
-    return {e: float(arr[e]) for e in np.ndindex(arr.shape) if arr[e] != 0.0}
+    nz = arr != 0.0
+    return dict(zip(map(tuple, np.argwhere(nz).tolist()), arr[nz].tolist()))
 
 
 def dense_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    out = np.zeros(shape)
-    for ea in np.ndindex(a.shape):
-        ca = a[ea]
-        if ca == 0.0:
-            continue
-        for eb in np.ndindex(b.shape):
-            cb = b[eb]
-            if cb == 0.0:
-                continue
-            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    out = np.zeros(_sum_shape(a.shape, b.shape))
+    nza = a != 0.0
+    _add_products(out, nza, _pair_products(a, b, nza, b != 0.0, np.multiply))
     return out
 
 
 def dense_poly_poisson(a: np.ndarray, b: np.ndarray, num_pairs: int) -> np.ndarray:
-    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    out = np.zeros(shape)
-    for ea in np.ndindex(a.shape):
-        ca = a[ea]
-        if ca == 0.0:
-            continue
-        for eb in np.ndindex(b.shape):
-            cb = b[eb]
-            if cb == 0.0:
-                continue
-            for k in range(num_pairs):
-                ix, ip = 2 * k, 2 * k + 1
-                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
-                if w == 0:
-                    continue
-                e = list(x + y for x, y in zip(ea, eb))
-                e[ix] -= 1
-                e[ip] -= 1
-                out[tuple(e)] += ca * cb * w
+    out = np.zeros(_sum_shape(a.shape, b.shape))
+    nza = a != 0.0
+    _add_poisson_terms(out, nza, _pair_products(a, b, nza, b != 0.0, np.multiply),
+                       num_pairs)
     return out
 
 
@@ -86,7 +140,8 @@ def hybrid_json_to_dense(data: dict) -> np.ndarray:
             extent[i] = max(extent[i], v + 1)
     out = np.zeros(tuple(extent) + (dim, dim), dtype=np.complex128)
     for p in parts:
-        mat = np.array([complex(re, im) for re, im in p["matrix"]]).reshape(dim, dim)
+        # [re, im] pairs as one float64 array: the bits of complex(re, im)
+        mat = np.array(p["matrix"], dtype=np.float64).view(np.complex128).reshape(dim, dim)
         out[tuple(p["exponents"])] += mat
     return out
 
@@ -110,30 +165,33 @@ def dense_hybrid_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dense_hybrid_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ordered associative product: matrix coefficients multiply as
     written, monomials add exponents."""
-    shape = tuple(sa + sb - 1 for sa, sb in zip(_exp_shape(a), _exp_shape(b)))
-    out = np.zeros(shape + a.shape[-2:], dtype=np.complex128)
-    for ea in np.ndindex(_exp_shape(a)):
-        ma = a[ea]
-        if not ma.any():
-            continue
-        for eb in np.ndindex(_exp_shape(b)):
-            mb = b[eb]
-            if not mb.any():
-                continue
-            out[tuple(x + y for x, y in zip(ea, eb))] += ma @ mb
+    out = np.zeros(_sum_shape(_exp_shape(a), _exp_shape(b)) + a.shape[-2:],
+                   dtype=np.complex128)
+    nza = a.any(axis=(-2, -1))
+    _add_products(out, nza, _pair_products(a, b, nza, b.any(axis=(-2, -1)), np.matmul))
     return out
 
 
 def dense_hybrid_partial(a: np.ndarray, var: int) -> np.ndarray:
     shape = list(_exp_shape(a))
-    shape[var] = max(shape[var] - 1, 1)
+    n = shape[var]
+    shape[var] = max(n - 1, 1)
     out = np.zeros(tuple(shape) + a.shape[-2:], dtype=np.complex128)
-    for e in np.ndindex(_exp_shape(a)):
-        if e[var] == 0:
-            continue
-        de = list(e)
-        de[var] -= 1
-        out[tuple(de)] += e[var] * a[e]
+    lead = (slice(None),) * var
+    weights = np.arange(1, n).reshape((-1,) + (1,) * (a.ndim - var - 1))
+    out[lead + (slice(0, n - 1),)] += weights * a[lead + (slice(1, n),)]
+    return out
+
+
+def dense_product_rule_poisson(a: np.ndarray, b: np.ndarray, num_pairs: int) -> np.ndarray:
+    """Sum over term pairs of {x^ea, x^eb}_P [A, B]+ : the Poisson half of
+    the Boucher-Traschen simple-product rule."""
+    out = np.zeros(_sum_shape(_exp_shape(a), _exp_shape(b)) + a.shape[-2:],
+                   dtype=np.complex128)
+    nza = a.any(axis=(-2, -1))
+    plus = _pair_products(a, b, nza, b.any(axis=(-2, -1)),
+                          lambda ma, mb: 0.5 * (ma @ mb + mb @ ma))
+    _add_poisson_terms(out, nza, plus, num_pairs)
     return out
 
 
@@ -162,27 +220,7 @@ def dense_mixed_bracket(kind: str, a: np.ndarray, b: np.ndarray, hbar: float,
         # term-by-term simple-product rule: commutator on the product
         # monomial plus anticommutator on the monomial Poisson bracket
         comm = dense_commutator_bracket(a, b, hbar)
-        shape = tuple(sa + sb - 1 for sa, sb in zip(_exp_shape(a), _exp_shape(b)))
-        pois = np.zeros(shape + a.shape[-2:], dtype=np.complex128)
-        for ea in np.ndindex(_exp_shape(a)):
-            ma = a[ea]
-            if not ma.any():
-                continue
-            for eb in np.ndindex(_exp_shape(b)):
-                mb = b[eb]
-                if not mb.any():
-                    continue
-                plus = 0.5 * (ma @ mb + mb @ ma)
-                for k in range(num_pairs):
-                    ix, ip = 2 * k, 2 * k + 1
-                    w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
-                    if w == 0:
-                        continue
-                    e = list(x + y for x, y in zip(ea, eb))
-                    e[ix] -= 1
-                    e[ip] -= 1
-                    pois[tuple(e)] += w * plus
-        return dense_hybrid_add(comm, pois)
+        return dense_hybrid_add(comm, dense_product_rule_poisson(a, b, num_pairs))
     if kind == "aleksandrov":
         comm = dense_commutator_bracket(a, b, hbar)
         sym = 0.5 * dense_hybrid_add(dense_ordered_poisson(a, b, num_pairs),

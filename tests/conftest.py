@@ -87,7 +87,8 @@ def loop_defects(kind, desideratum, blocks, hbar):
 
 def loop_measure_defects(kind, trials, seed=0, hbar=1.0):
     """The trial loop of ``measure_defects``: each tuple drawn and scored
-    alone, the running worst replaced on ``>=``."""
+    alone, the running worst replaced on ``>=``, the defect NaN if any
+    trial's is."""
     from hamalg.brackets import (DESIDERATA, DefectTriple, MixedBracketKind,
                                  desideratum_defect)
     from hamalg.serialize import element_to_json
@@ -97,13 +98,14 @@ def loop_measure_defects(kind, trials, seed=0, hbar=1.0):
     for di, name in enumerate(DESIDERATA):
         rng = np.random.default_rng([seed, di])
         arity = 2 if name == "antisymmetry" else 3
-        worst, worst_witness = 0.0, None
+        worst, worst_witness, nan_seen = 0.0, None, False
         for elements in loop_draws(rng, trials, arity):
             d = desideratum_defect(kind, name, elements, hbar)
+            nan_seen = nan_seen or np.isnan(d)
             if d >= worst:
                 worst = d
                 worst_witness = [element_to_json(e) for e in elements]
-        setattr(result, f"{name}_defect", worst)
+        setattr(result, f"{name}_defect", np.nan if nan_seen else worst)
         result.witnesses[name] = {"defect": float(worst), "elements": worst_witness}
     return result
 
@@ -256,3 +258,113 @@ def loop_restrict_fit(c, component, product, seed, rtol=1e-12):
                    for ref, val in samples)
     ref_sq = sum(float(np.linalg.norm(ref.entries)) ** 2 for ref, _ in samples)
     return lam, np.sqrt(resid_sq) / np.sqrt(ref_sq)
+
+
+# The dense oracle's products as double loops over exponent pairs, the
+# semantics ``reference.py`` vectorizes.
+
+def loop_dense_poly_mul(a, b):
+    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+    out = np.zeros(shape)
+    for ea in np.ndindex(a.shape):
+        ca = a[ea]
+        if ca == 0.0:
+            continue
+        for eb in np.ndindex(b.shape):
+            cb = b[eb]
+            if cb == 0.0:
+                continue
+            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    return out
+
+
+def loop_dense_poly_poisson(a, b, num_pairs):
+    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+    out = np.zeros(shape)
+    for ea in np.ndindex(a.shape):
+        ca = a[ea]
+        if ca == 0.0:
+            continue
+        for eb in np.ndindex(b.shape):
+            cb = b[eb]
+            if cb == 0.0:
+                continue
+            for k in range(num_pairs):
+                ix, ip = 2 * k, 2 * k + 1
+                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
+                if w == 0:
+                    continue
+                e = list(x + y for x, y in zip(ea, eb))
+                e[ix] -= 1
+                e[ip] -= 1
+                out[tuple(e)] += ca * cb * w
+    return out
+
+
+def loop_dense_to_poly_terms(arr):
+    return {e: float(arr[e]) for e in np.ndindex(arr.shape) if arr[e] != 0.0}
+
+
+def loop_dense_hybrid_mul(a, b):
+    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape[:-2], b.shape[:-2]))
+    out = np.zeros(shape + a.shape[-2:], dtype=np.complex128)
+    for ea in np.ndindex(a.shape[:-2]):
+        ma = a[ea]
+        if not ma.any():
+            continue
+        for eb in np.ndindex(b.shape[:-2]):
+            mb = b[eb]
+            if not mb.any():
+                continue
+            out[tuple(x + y for x, y in zip(ea, eb))] += ma @ mb
+    return out
+
+
+def loop_dense_product_rule_poisson(a, b, num_pairs):
+    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape[:-2], b.shape[:-2]))
+    pois = np.zeros(shape + a.shape[-2:], dtype=np.complex128)
+    for ea in np.ndindex(a.shape[:-2]):
+        ma = a[ea]
+        if not ma.any():
+            continue
+        for eb in np.ndindex(b.shape[:-2]):
+            mb = b[eb]
+            if not mb.any():
+                continue
+            plus = 0.5 * (ma @ mb + mb @ ma)
+            for k in range(num_pairs):
+                ix, ip = 2 * k, 2 * k + 1
+                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
+                if w == 0:
+                    continue
+                e = list(x + y for x, y in zip(ea, eb))
+                e[ix] -= 1
+                e[ip] -= 1
+                pois[tuple(e)] += w * plus
+    return pois
+
+
+def loop_dense_hybrid_partial(a, var):
+    shape = list(a.shape[:-2])
+    shape[var] = max(shape[var] - 1, 1)
+    out = np.zeros(tuple(shape) + a.shape[-2:], dtype=np.complex128)
+    for e in np.ndindex(a.shape[:-2]):
+        if e[var] == 0:
+            continue
+        de = list(e)
+        de[var] -= 1
+        out[tuple(de)] += e[var] * a[e]
+    return out
+
+
+def loop_hybrid_json_to_dense(data):
+    dim = int(data["dim"])
+    extent = [1] * (2 * int(data["num_pairs"]))
+    for p in data["parts"]:
+        for i, v in enumerate(p["exponents"]):
+            extent[i] = max(extent[i], v + 1)
+    out = np.zeros(tuple(extent) + (dim, dim), dtype=np.complex128)
+    for p in data["parts"]:
+        mat = np.array([complex(re, im) for re, im in p["matrix"]]).reshape(dim, dim)
+        out[tuple(p["exponents"])] += mat
+    return out

@@ -502,7 +502,8 @@ class TestTrialBlocks:
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
         # blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie for the max, within
-        # and across blocks; trials 2 and 6 are NaN, the last one at the end
+        # and across blocks; trials 2 and 6 are NaN, the last one at the end:
+        # the defect reads NaN, the witness is the last maximal finite trial
         script = [0.5, 2.0, np.nan, 2.0, 1.0, 2.0, np.nan]
         sequences = {}
 
@@ -516,7 +517,7 @@ class TestTrialBlocks:
         for di, name in enumerate(DESIDERATA):
             rng = np.random.default_rng([4, di])
             want = loop_draws(rng, 7, 2 if name == "antisymmetry" else 3)[5]
-            assert triple.defect(name) == 2.0
+            assert math.isnan(triple.defect(name))
             assert triple.witnesses[name] == {
                 "defect": 2.0, "elements": [element_to_json(e) for e in want]}
 
@@ -534,6 +535,22 @@ class TestTrialBlocks:
                             lambda kind, d, block, hbar=1.0: np.full(block[0].trials, np.nan))
         triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=3)
         assert triple.witnesses["jacobi"] == {"defect": 0.0, "elements": None}
-        # every defect reads 0.0, but a clean pattern is not claimed
-        assert triple.jacobi_defect == 0.0
+        assert all(math.isnan(triple.defect(name)) for name in DESIDERATA)
         assert not triple.matches_expected_pattern()
+
+    @pytest.mark.parametrize("kind", list(MixedBracketKind))
+    def test_one_nan_defect_breaks_the_expected_pattern(self, kind, monkeypatch):
+        # derivation NaN, the others exactly at their expected side
+        expected = brackets.EXPECTED_CLEAN[kind]
+
+        def scripted(kind_, desideratum, block, hbar=1.0):
+            value = (np.nan if desideratum == "derivation"
+                     else 0.0 if expected[desideratum] else 1.0)
+            return np.full(block[0].trials, value)
+
+        monkeypatch.setattr(brackets, "desideratum_defect", scripted)
+        triple = measure_defects(kind, trials=2)
+        assert math.isnan(triple.derivation_defect)
+        assert not triple.matches_expected_pattern()
+        triple.derivation_defect = 0.0 if expected["derivation"] else 1.0
+        assert triple.matches_expected_pattern()

@@ -334,6 +334,20 @@ class TestBrackets:
         assert jacobi["replay_agrees"] is False
         assert not doc["passed"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_defect_is_reported(self, tmp_path, capsys):
+        # the same run: every Jacobi trial is NaN, and the defect says so
+        out = tmp_path / "brackets.json"
+        assert run_cli("brackets", "--kind", "hybrid_paper", "--hbar", "1e-160",
+                       "--trials", "3", "--budget", "3", "--out", str(out)) == 1
+        doc = read_json(out)
+        jsonschema.validate(doc, _load_schema())
+        (defects,) = doc["defects"]
+        assert math.isnan(defects["jacobi_defect"])
+        assert defects["witnesses"]["jacobi"] == {"defect": 0.0, "elements": None}
+        assert not defects["matches_expected_pattern"]
+        assert "jacobi nan" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_qq_csv_and_summary(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Import rules between modules, read from the source with ``ast``.
 
 The dense oracle ``reference.py`` checks the main path, so it must share
-no code with it: it imports numpy alone.  ``identities.py`` checks any
-Hamilton algebra and stays below the mixed brackets it never calls."""
+no code with it: it imports numpy alone, and it uses dense slicing only,
+calling none of the scatter-add, sort and search routines that the
+sparse kernels are built on.  ``identities.py`` checks any Hamilton
+algebra and stays below the mixed brackets it never calls."""
 
 import ast
 from pathlib import Path
@@ -32,8 +34,50 @@ def imported_modules(path):
     return found
 
 
+#: calls the dense oracle must not make: scatter-adds, sorts and searches
+SPARSE_ROUTINES = {"add.at", "sort", "sorted", "argsort", "lexsort", "unique", "searchsorted"}
+
+
+def called_names(path):
+    """The dotted name of every call in ``path``, and each of its tails:
+    ``np.add.at(...)`` gives ``np.add.at``, ``add.at`` and ``at``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name):
+            parts.insert(0, func.id)
+        found.update(".".join(parts[i:]) for i in range(len(parts)))
+    return found
+
+
 def test_reference_imports_numpy_alone():
     assert imported_modules(SRC / "reference.py") <= {"numpy", "__future__"}
+
+
+def test_reference_calls_no_sparse_routine():
+    assert not called_names(SRC / "reference.py") & SPARSE_ROUTINES
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.add.at(out, idx, vals)", "add.at"),
+    ("numpy.add.at(out, idx, vals)", "add.at"),
+    ("keys.sort()", "sort"),
+    ("x = sorted(keys)", "sorted"),
+    ("np.argsort(keys, kind='stable')", "argsort"),
+    ("np.lexsort(keys.T)", "lexsort"),
+    ("from numpy import unique\nunique(keys)", "unique"),
+    ("np.unique(keys, return_inverse=True)", "unique"),
+    ("def f(a):\n    return a.searchsorted(3)", "searchsorted"),
+])
+def test_every_sparse_call_form_is_seen(tmp_path, source, found):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert found in called_names(path) & SPARSE_ROUTINES
 
 
 def test_identities_does_not_import_brackets():
