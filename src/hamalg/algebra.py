@@ -220,10 +220,12 @@ class PhaseSpaceAlgebra(HamiltonAlgebra):
         return PhaseSpacePoly.zero(self.num_pairs)
 
     def random_element(self, rng: np.random.Generator) -> PhaseSpacePoly:
-        terms = {}
-        for e in monomials_up_to_degree(2 * self.num_pairs, self.max_random_degree):
-            terms[e] = rng.uniform(-1.0, 1.0)
-        return PhaseSpacePoly(self.num_pairs, terms)
+        """A coefficient uniform on [-1, 1) on every monomial up to the
+        degree: one draw of the numbers, in order, of one scalar draw per
+        monomial."""
+        monos = monomials_up_to_degree(2 * self.num_pairs, self.max_random_degree)
+        coeffs = rng.uniform(-1.0, 1.0, len(monos)).tolist()
+        return PhaseSpacePoly._trusted(self.num_pairs, dict(zip(monos, coeffs)))
 
     def describe(self) -> dict:
         return {

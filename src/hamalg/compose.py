@@ -297,7 +297,9 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
                 keys, vals = keys[live], vals[live]
             yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
 
-    return u._derived(accumulate(blocks(), radix, strides, shape, np.complex128), hermitian)
+    pairs = len(ka) * len(kb) * len(offsets)
+    return u._derived(accumulate(blocks(), radix, strides, pairs, shape, np.complex128),
+                      hermitian)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ Both are immutable values; every operation returns a new element.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -239,14 +240,21 @@ class PhaseSpacePoly:
 
         Skips the exponent checks, whose inputs already passed them, but
         still rejects non-finite coefficients (a product or sum can
-        overflow) and drops zeros.
+        overflow) and drops zeros (a sum can cancel, a product underflow),
+        in one array pass.  Keeps ``terms`` itself when it has no zero, so
+        callers pass a dict of their own.
         """
-        for exps, coeff in terms.items():
-            if not math.isfinite(coeff):
-                raise AlgebraError(f"non-finite coefficient {coeff} at {exps}")
+        coeffs = np.fromiter(terms.values(), dtype=np.float64, count=len(terms))
+        if not np.isfinite(coeffs).all():
+            for exps, coeff in terms.items():  # name the first non-finite term
+                if not math.isfinite(coeff):
+                    raise AlgebraError(f"non-finite coefficient {coeff} at {exps}")
+        nonzero = coeffs != 0.0
+        if not nonzero.all():
+            terms = {e: c for e, c, keep in zip(terms, terms.values(), nonzero.tolist()) if keep}
         self = object.__new__(cls)
         self.num_pairs = num_pairs
-        self.terms = {e: c for e, c in terms.items() if c != 0.0}
+        self.terms = terms
         return self
 
     @property
@@ -321,8 +329,11 @@ class PhaseSpacePoly:
         return f"PhaseSpacePoly(num_pairs={self.num_pairs}, nterms={len(self.terms)})"
 
 
-def monomials_up_to_degree(nvars: int, degree: int):
-    """All exponent tuples over nvars variables with total degree <= degree."""
+@functools.cache
+def monomials_up_to_degree(nvars: int, degree: int) -> tuple:
+    """All exponent tuples over nvars variables with total degree <= degree,
+    by degree, then in ``combinations_with_replacement`` order; built once
+    per (nvars, degree) and shared, hence a tuple."""
     out = []
     for d in range(degree + 1):
         for combo in combinations_with_replacement(range(nvars), d):
@@ -330,4 +341,4 @@ def monomials_up_to_degree(nvars: int, degree: int):
             for i in combo:
                 e[i] += 1
             out.append(tuple(e))
-    return out
+    return tuple(out)

@@ -8,15 +8,27 @@ uses tuples of length ``2 * num_pairs``.
 Both operations run on numpy arrays.  Exponent tuples are packed into
 int64 mixed-radix keys, the radix of each variable being one more than
 the largest exponent a product can give it, so adding two keys adds the
-exponents; where those keys would overflow int64, the exponent rows are
-the keys.  Term pairs are formed in blocks of rows of ``a``, and each
-coefficient is accumulated sequentially in the order of the loop
+exponents and every key lies in the box ``range(prod(radix))``.  Term
+pairs are formed in blocks of rows of ``a``, and each coefficient is
+accumulated sequentially in the order of the loop
 
     for each term of a, for each term of b, (for each canonical pair k):
         out[e] = out.get(e, 0.0) + contribution
 
 with results listed in first-occurrence order, so every coefficient and
 its position in the returned dict equal that loop's to the bit.
+
+``accumulate`` slots the contributions by one of three routes (``route``):
+
+* ``dense``: the packed key is the index of its slot in an accumulator
+  over the whole box.  Taken when the box has at most
+  ``DENSE_SLOTS_PER_PAIR`` slots per term pair the call forms, and at most
+  ``DENSE_ENTRIES`` coefficient entries in all: a hybrid block's slot
+  holds a ``(T, d, d)`` stack, so the cap is on entries, not slots;
+* ``sorted``: packed keys too sparse in their box, or a box too large to
+  hold, get slots by a stable sort of each block;
+* ``rows``: where packed keys would overflow int64, the exponent rows are
+  the keys, slotted by a lexicographic sort.
 
 ``pack`` and ``accumulate`` also serve the term-pair engine of
 ``compose``: one slotting routine sums scalar and matrix coefficients.
@@ -42,6 +54,14 @@ BLOCK_PAIRS = 8192
 #: evaluates past its first violation
 MAX_BLOCK_TRIALS = 256
 
+#: box slots per term pair up to which packed keys index a dense
+#: accumulator; past it, zeroing and scanning the box can outweigh sorting
+DENSE_SLOTS_PER_PAIR = 4
+
+#: most coefficient entries (slots times entries per coefficient) a dense
+#: accumulator holds: bounds its memory for matrix coefficients
+DENSE_ENTRIES = 1 << 20
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: overflow yields inf/nan silently, as with Python floats; PhaseSpacePoly
@@ -62,7 +82,7 @@ def mul(a: dict, b: dict, nvars: int) -> dict:
             keys = (ka[rows, None] + kb).reshape((-1,) + kb.shape[1:])
             yield keys, (ca[rows, None] * cb).ravel()
 
-    return accumulate(blocks(), radix, strides)
+    return accumulate(blocks(), radix, strides, len(a) * len(b))
 
 
 @_ieee_quiet
@@ -89,7 +109,7 @@ def poisson(a: dict, b: dict, num_pairs: int) -> dict:
             vals = (ca[rows, None] * cb)[:, :, None] * w
             yield keys[live], vals[live]
 
-    return accumulate(blocks(), radix, strides)
+    return accumulate(blocks(), radix, strides, len(a) * len(b) * num_pairs)
 
 
 def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -134,18 +154,71 @@ def row_blocks(num_rows: int, width: int):
         yield slice(start, start + step)
 
 
-def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, shape=(),
+def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape) -> str:
+    """How ``accumulate`` slots keys: ``"dense"``, ``"sorted"`` or ``"rows"``
+    (see the module docstring), from the key box, the number of term pairs
+    the call forms and the coefficient shape."""
+    if strides is None:
+        return "rows"
+    size = math.prod(radix.tolist())
+    if size <= DENSE_SLOTS_PER_PAIR * pairs and size * math.prod(shape) <= DENSE_ENTRIES:
+        return "dense"
+    return "sorted"
+
+
+def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape=(),
                dtype=np.float64) -> dict:
     """Sum contributions per key, over (keys, values) blocks in loop order.
 
-    Keys get slots in first-occurrence order, and ``np.add.at`` adds in
-    index order, so each coefficient is the sequential sum.  Zero sums
-    are dropped.  Values of trailing ``shape`` (matrices) are summed
-    elementwise and come back read-only; scalars come back as floats.
-    Keys are packed int64, or exponent rows where ``strides`` is None.
+    ``pairs`` is the number of term pairs the blocks hold in all, which
+    with the key box and ``shape`` picks the route (``route``).  Every
+    route starts a slot at -0.0, the exact identity of addition, adds with
+    ``np.add.at`` in index order, so each coefficient is the sequential
+    sum, and lists slots in first-occurrence order: the routes return the
+    same dict to the bit.  Zero sums are dropped.  Values of trailing
+    ``shape`` (matrices) are summed elementwise and come back read-only;
+    scalars come back as floats.  Keys are packed int64, or exponent rows
+    where ``strides`` is None.
     """
-    rows = strides is None
-    slot_keys = np.empty((0, len(radix)) if rows else 0, dtype=np.int64)  # by slot
+    kind = route(radix, strides, pairs, shape)
+    if kind == "dense":
+        slot_keys, acc = _dense_slots(blocks, math.prod(radix.tolist()), shape, dtype)
+    else:
+        slot_keys, acc = _sorted_slots(blocks, kind == "rows", len(radix), shape, dtype)
+    live = acc.reshape(len(acc), math.prod(shape)).any(axis=1)
+    exps = slot_keys[live] if kind == "rows" else slot_keys[live, None] // strides % radix
+    acc = acc[live]
+    acc.setflags(write=False)
+    return dict(zip(map(tuple, exps.tolist()), acc.tolist() if acc.ndim == 1 else acc))
+
+
+def _signed_zeros(shape, dtype) -> np.ndarray:
+    """-0.0 in every entry (both parts of a complex one): a slot's first
+    add then copies exactly."""
+    acc = np.zeros(shape, dtype)
+    return np.negative(acc, out=acc)
+
+
+def _dense_slots(blocks, size: int, shape, dtype):
+    """Keys and sums of the touched slots of the box, in first-occurrence
+    order: each packed key indexes its own slot, and ``first`` keeps the
+    position of its first contribution."""
+    acc = _signed_zeros((size,) + shape, dtype)
+    first = np.full(size, _INT64_MAX, dtype=np.int64)
+    seen = 0
+    for keys, vals in blocks:
+        np.add.at(acc, keys, vals)
+        np.minimum.at(first, keys, np.arange(seen, seen + len(keys)))
+        seen += len(keys)
+    touched = np.flatnonzero(first != _INT64_MAX)
+    slot_keys = touched[np.argsort(first[touched])]
+    return slot_keys, acc[slot_keys]
+
+
+def _sorted_slots(blocks, rows: bool, nvars: int, shape, dtype):
+    """Keys and sums by slot, slots in first-occurrence order, found by a
+    stable sort of the slotted keys and each block's."""
+    slot_keys = np.empty((0, nvars) if rows else 0, dtype=np.int64)  # by slot
     acc = np.empty((0,) + shape, dtype)  # coefficient by slot
     for keys, vals in blocks:
         if len(keys) == 0:
@@ -168,13 +241,8 @@ def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, shape=(),
         is_first[firsts] = True
         # a key's slot is the rank of its first occurrence among all firsts
         slot = np.empty(len(pool), dtype=np.int64)
-        slot[order] =(np.cumsum(is_first) - 1)[firsts][np.cumsum(head) - 1]
+        slot[order] = (np.cumsum(is_first) - 1)[firsts][np.cumsum(head) - 1]
         slot_keys = pool[is_first]
-        # a slot's first add copies exactly: -0.0, not 0.0, is the identity
-        acc = np.concatenate([acc, -np.zeros((len(slot_keys) - num_old,) + shape, dtype)])
+        acc = np.concatenate([acc, _signed_zeros((len(slot_keys) - num_old,) + shape, dtype)])
         np.add.at(acc, slot[num_old:], vals)
-    live = acc.reshape(len(acc), math.prod(shape)).any(axis=1)
-    exps = slot_keys[live] if rows else slot_keys[live, None] // strides % radix
-    acc = acc[live]
-    acc.setflags(write=False)
-    return dict(zip(map(tuple, exps.tolist()), acc.tolist() if acc.ndim == 1 else acc))
+    return slot_keys, acc

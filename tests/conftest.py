@@ -7,6 +7,10 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+#: (kernels.DENSE_SLOTS_PER_PAIR, kernels.DENSE_ENTRIES) that force each
+#: packed-key route of ``kernels.accumulate``
+FORCED_ROUTES = {"dense": (10 ** 9, 10 ** 9), "sorted": (0, 0)}
+
 
 @pytest.fixture
 def paulis():
@@ -32,6 +36,18 @@ def cha2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def loop_phase_space_draw(rng, num_pairs, degree):
+    """A random phase-space polynomial drawn one scalar per monomial, as
+    ``PhaseSpaceAlgebra.random_element`` drew it."""
+    from hamalg import PhaseSpacePoly
+    from hamalg.elements import monomials_up_to_degree
+
+    terms = {}
+    for e in monomials_up_to_degree(2 * num_pairs, degree):
+        terms[e] = rng.uniform(-1.0, 1.0)
+    return PhaseSpacePoly(num_pairs, terms)
 
 
 def random_hybrid(rng, dim, num_pairs, degree, density=0.6):
@@ -65,8 +81,8 @@ def assert_terms_bitwise(got, want):
     """Same keys in the same order, and every matrix equal to the bit."""
     assert list(got) == list(want)
     for e, m in want.items():
-        assert np.array_equal(got[e], m)
-        assert got[e].tobytes() == m.tobytes()  # signed zeros too
+        assert np.array_equal(got[e], m, equal_nan=True)
+        assert got[e].tobytes() == m.tobytes()  # signed zeros and NaNs too
 
 
 def loop_draws(rng, trials, arity, dim=2, num_pairs=1, degree=2):

@@ -42,6 +42,7 @@ from hamalg.reference import (
 )
 from hamalg.serialize import element_to_json
 from tests.conftest import (
+    FORCED_ROUTES,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -293,20 +294,137 @@ def bracket_loops(hbar):
     ]
 
 
+def engine_loops(hbar):
+    """``bracket_loops`` plus the associative product and its loop."""
+    return bracket_loops(hbar) + [
+        (lambda u, v, hbar: u.assoc_product(v), lambda u, v: loop_term_pairs(u, v, np.matmul))]
+
+
+def engine_routes(u, v):
+    """The slotting routes of the term-pair engine on u and v, for the
+    plain term pairs and with the canonical pairs' Poisson terms."""
+    radix, strides = kernels.pack(u.terms, v.terms, u.nvars, np.complex128)[-2:]
+    pairs = len(u.terms) * len(v.terms)
+    return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson), u.coeff_shape)
+            for poisson in (False, True)}
+
+
+def with_far_term(u):
+    """u plus one term far out in its box, which leaves the box sparse."""
+    far = {(60,) * u.nvars: np.full(u.coeff_shape, 0.5 + 0.25j)}
+    return HybridElement(u.dim, u.num_pairs, {**u.terms, **far}, hermitian=False)
+
+
+def spread_to_rows(u):
+    """A one-pair u on four canonical pairs: each exponent tuple repeated
+    four times and raised by 400, so packed keys would overflow int64."""
+    return HybridElement(u.dim, 4, {tuple(x + 400 for x in e * 4): m
+                                    for e, m in u.terms.items()}, hermitian=False)
+
+
+def route_cases(u, v):
+    """(u, v, route) for each route of the engine, from one-pair u and v
+    whose box the term pairs fill."""
+    return [(u, v, "dense"), (with_far_term(u), v, "sorted"),
+            (spread_to_rows(u), spread_to_rows(v), "rows")]
+
+
+def assert_terms_nan_alike(got, want):
+    """``assert_terms_bitwise``, except that any NaN matches any NaN."""
+    assert list(got) == list(want)
+    for e, m in want.items():
+        g, w = got[e].view(np.float64), m.view(np.float64)
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert g[~nan].tobytes() == w[~nan].tobytes()
+
+
+def assert_engine_matches_loops(cases, same=assert_terms_bitwise):
+    for u, v, route in cases:
+        assert engine_routes(u, v) == {route}
+        for bracket, loop in engine_loops(HBAR):
+            same(bracket(u, v, HBAR).terms, loop(u, v))
+
+
+
+def with_entry(u, value):
+    """u with entry (0, 1) of its first coefficient set to ``value``."""
+    terms = {e: np.array(m) for e, m in u.terms.items()}
+    next(iter(terms.values()))[0, 1] = value
+    return HybridElement(u.dim, u.num_pairs, terms, hermitian=False)
+
+
 class TestTermPairEngine:
-    """The term-pair brackets and the ordered Poisson term against their
-    literal loops, to the bit."""
+    """The term-pair brackets, the ordered Poisson term and the associative
+    product against their literal loops, to the bit, on each slotting
+    route of the engine."""
 
     @pytest.mark.parametrize("num_pairs", [1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_loop_bitwise(self, dim, num_pairs):
         rng = np.random.default_rng([dim, num_pairs, 1])
         for hbar in (1.0, 0.3):
-            for bracket, loop in bracket_loops(hbar):
+            for bracket, loop in engine_loops(hbar):
                 for _ in range(3):
                     u = random_hybrid(rng, dim, num_pairs, 2)
                     v = random_hybrid(rng, dim, num_pairs, 3)
                     assert_terms_bitwise(bracket(u, v, hbar).terms, loop(u, v))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_route_matches_loop_bitwise(self, dim):
+        rng = np.random.default_rng([dim, 2])
+        u = random_hybrid(rng, dim, 1, 2, density=1.0)
+        v = random_hybrid(rng, dim, 1, 3, density=1.0)
+        assert_engine_matches_loops(route_cases(u, v))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value,same", [
+        (np.inf, assert_terms_bitwise), (-np.inf, assert_terms_bitwise),
+        # a NaN operand's sign bit can differ between the broadcast and
+        # the per-pair matmul, on every route alike
+        (np.nan, assert_terms_nan_alike), (complex(np.inf, np.nan), assert_terms_nan_alike)])
+    def test_special_values_match_loop_on_every_route(self, value, same):
+        rng = np.random.default_rng(6)
+        u = with_entry(random_hybrid(rng, 2, 1, 2, density=1.0), value)
+        v = with_entry(random_hybrid(rng, 2, 1, 3, density=1.0), -value)
+        assert_engine_matches_loops(route_cases(u, v), same)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1.0, np.inf, np.nan, complex(np.inf, np.nan)])
+    def test_dense_and_sorted_routes_agree(self, value):
+        # the same blocks through both packed routes: the same terms, to
+        # the bit, NaNs too
+        rng = np.random.default_rng(8)
+        u = with_far_term(with_entry(random_hybrid(rng, 3, 1, 2, density=1.0), value))
+        v = with_entry(random_hybrid(rng, 3, 1, 3, density=1.0), -value)
+        got = {}
+        for route, (per_pair, entries) in FORCED_ROUTES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
+                mp.setattr(kernels, "DENSE_ENTRIES", entries)
+                assert engine_routes(u, v) == {route}
+                got[route] = [bracket(u, v, HBAR).terms for bracket, _ in engine_loops(HBAR)]
+        for dense, sorted_ in zip(got["dense"], got["sorted"]):
+            assert_terms_bitwise(dense, sorted_)
+
+    @pytest.mark.parametrize("p_max,route", [(16, "dense"), (17, "sorted")])
+    def test_dense_entry_limit_for_blocks(self, p_max, route):
+        # 256 trials of 2 x 2 coefficients: 1024 entries a slot, so the
+        # dense accumulator's limit is a box of 1024 slots; 17 x 18 term
+        # pairs would allow 4 slots each
+        rng = np.random.default_rng(p_max)
+
+        def block(exps):
+            c = rng.standard_normal((len(exps), 256, 2, 2, 2)).view(np.complex128)[..., 0]
+            c.setflags(write=False)
+            return HybridElement._trusted(2, 1, dict(zip(exps, c)), False, 256)
+
+        u = block([(i, 0) for i in range(15, -1, -1)] + [(0, 15)])
+        v = block([(j, 0) for j in range(17)] + [(0, p_max)])
+        box = 32 * (15 + p_max + 1)  # 1024 or 1056 slots
+        assert (box * 1024 <= kernels.DENSE_ENTRIES) == (route == "dense")
+        assert box <= kernels.DENSE_SLOTS_PER_PAIR * 17 * 18
+        assert_engine_matches_loops([(u, v, route)])
 
     def test_matches_loop_bitwise_over_several_blocks(self):
         rng = np.random.default_rng(4)
@@ -331,12 +449,15 @@ class TestTermPairEngine:
 
     def test_signed_zeros_match_loop(self):
         # weight -1 on the anticommutator I puts -0.0 off the diagonal, as
-        # the first contribution to its key
+        # the first contribution to its key; in the rows case, weight -801
         u = HybridElement(2, 1, {(0, 1): PAULI_X})
         v = HybridElement(2, 1, {(1, 0): PAULI_X + PAULI_Z})
-        got = _product_rule_bracket(u, v, HBAR).terms
-        assert_terms_bitwise(got, loop_product_rule(u, v, HBAR))
-        assert np.signbit(got[(0, 0)].real).any()
+        for x, y, route in route_cases(u, v):
+            assert engine_routes(x, y) == {route}
+            got = _product_rule_bracket(x, y, HBAR).terms
+            assert_terms_bitwise(got, loop_product_rule(x, y, HBAR))
+            ec = [a + b for a, b in zip(next(iter(x.terms)), next(iter(y.terms)))]
+            assert np.signbit(got[(ec[0] - 1, ec[1] - 1, *ec[2:])].real).any()  # pair 1's key
 
     def test_nested_bracket_past_int64_keys_matches_loop(self):
         # 12 pairs at degree 2: the outer bracket of a Jacobi triple has
@@ -353,7 +474,7 @@ class TestTermPairEngine:
         u, v, w = element(), element(), element()
         for bracket, loop in bracket_loops(HBAR):
             inner = _commutator_bracket(v, w, HBAR)
-            assert kernels.pack(u.terms, inner.terms, 24, np.complex128)[-1] is None
+            assert engine_routes(u, inner) == {"rows"}
             assert_terms_bitwise(bracket(u, inner, HBAR).terms, loop(u, inner))
 
     def test_weight_overflow_is_rejected(self):

@@ -17,7 +17,7 @@ from hamalg import (
     centrality_report,
     relative_defect,
 )
-from tests.conftest import PAULI_X, PAULI_Y, PAULI_Z
+from tests.conftest import PAULI_X, PAULI_Y, PAULI_Z, loop_phase_space_draw
 
 
 class TestOperatorProducts:
@@ -193,6 +193,19 @@ class TestRandomElements:
         alg = PhaseSpaceAlgebra(2, max_random_degree=3)
         f = alg.random_element(np.random.default_rng(0))
         assert f.degree() <= 3
+
+    @pytest.mark.parametrize("num_pairs,degree", [(1, 0), (1, 3), (2, 3), (3, 2)])
+    def test_phase_space_draw_matches_scalar_loop(self, num_pairs, degree):
+        alg = PhaseSpaceAlgebra(num_pairs, max_random_degree=degree)
+        rng, loop_rng = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(3):
+            got = alg.random_element(rng).terms
+            want = loop_phase_space_draw(loop_rng, num_pairs, degree).terms
+            assert list(got) == list(want)
+            assert (np.array(list(got.values())).tobytes()
+                    == np.array(list(want.values())).tobytes())
+        # the generator is left where the scalar loop leaves it
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_phase_space_deterministic(self):
         alg = PhaseSpaceAlgebra(1, max_random_degree=2)

@@ -98,12 +98,45 @@ class TestPhaseSpacePoly:
         with pytest.raises(AlgebraError):
             p.scale(1e200)
 
+    def test_first_non_finite_term_is_named(self):
+        # the first in dict order, which is not the first in exponent order
+        p = PhaseSpacePoly(1, {(2, 0): 1.0, (1, 0): 1e300, (0, 1): -1e300})
+        with pytest.raises(AlgebraError, match=r"^non-finite coefficient inf at \(1, 0\)$"):
+            p.scale(1e300)
+        terms = {(2, 0): 1.0, (1, 0): -math.inf, (0, 1): math.nan}
+        with pytest.raises(AlgebraError, match=r"^non-finite coefficient -inf at \(1, 0\)$"):
+            PhaseSpacePoly._trusted(1, terms)
+
     def test_derived_zero_terms_dropped(self):
         p = PhaseSpacePoly(1, {(1, 0): 1.5, (0, 1): -2.0})
         q = PhaseSpacePoly(1, {(1, 0): -1.5, (2, 0): 1.0})
-        assert (p + q).terms == {(0, 1): -2.0, (2, 0): 1.0}
+        assert list((p + q).terms.items()) == [((0, 1), -2.0), ((2, 0), 1.0)]
         assert (p - p).terms == {}
         assert p.scale(0).terms == {}
+        # 1e-300 * 1e-300 underflows to zero
+        tiny = PhaseSpacePoly(1, {(1, 0): 1e-300, (0, 1): 1.0, (2, 0): -1e-300})
+        assert tiny.scale(1e-300).terms == {(0, 1): 1e-300}
+        assert tiny.product(tiny.scale(1e-300)).terms == {(0, 2): 1e-300}
+
+    def test_monomial_table_is_built_once_and_shared_read_only(self):
+        from itertools import combinations_with_replacement
+
+        from hamalg.elements import monomials_up_to_degree
+
+        for nvars, degree in [(2, 0), (2, 3), (4, 3), (6, 2)]:
+            want = []  # the list the table was built as, call by call
+            for d in range(degree + 1):
+                for combo in combinations_with_replacement(range(nvars), d):
+                    e = [0] * nvars
+                    for i in combo:
+                        e[i] += 1
+                    want.append(tuple(e))
+            table = monomials_up_to_degree(nvars, degree)
+            assert list(table) == want
+            assert monomials_up_to_degree(nvars, degree) is table
+            assert type(table) is tuple and all(type(e) is tuple for e in table)
+            with pytest.raises(TypeError):
+                table[0] = (1,) * nvars
 
     def test_variable_constructor(self):
         x1 = PhaseSpacePoly.variable(2, "x1")

@@ -2,7 +2,8 @@
 
 The kernel must agree with the brute-force dense expansion, and to the
 bit (coefficients and term order) with the literal dict loop below,
-which is the semantics it vectorizes.
+which is the semantics it vectorizes, on each of its three slotting
+routes: a dense box, sorted packed keys and exponent rows.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from hamalg.reference import (
     dense_to_poly_terms,
     poly_terms_to_dense,
 )
+from tests.conftest import FORCED_ROUTES
 
 
 def loop_mul(a, b, nvars):
@@ -58,11 +60,38 @@ def terms_close(a, b, tol=1e-12):
     return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in keys)
 
 
-def assert_bitwise(a, b, num_pairs):
+def random_sparse_terms(rng, num_pairs, num_terms, max_exp):
+    """Up to ``num_terms`` terms with exponents uniform in [0, max_exp]:
+    a few keys scattered over a large box."""
+    exps = rng.integers(0, max_exp + 1, size=(num_terms, 2 * num_pairs))
+    return {tuple(e): rng.uniform(-1, 1) for e in exps.tolist()}
+
+
+def assert_same_terms(got, want):
+    """Same keys in the same order, and every coefficient a Python float
+    equal to the bit (a NaN's too)."""
+    assert list(got) == list(want)
+    assert all(type(c) is float for c in got.values())
+    assert (np.array(list(got.values())).tobytes()
+            == np.array(list(want.values()), dtype=np.float64).tobytes())
+
+
+def kernel_routes(a, b, num_pairs):
+    """The slotting route of ``mul`` and of ``poisson`` on a and b."""
+    radix, strides = kernels.pack(a, b, 2 * num_pairs)[-2:]
+    pairs = len(a) * len(b)
+    return (kernels.route(radix, strides, pairs, ()),
+            kernels.route(radix, strides, pairs * num_pairs, ()))
+
+
+def assert_bitwise(a, b, num_pairs, route=None):
+    """Both operations equal their loops to the bit; with ``route``, both
+    take that route."""
+    if route is not None:
+        assert kernel_routes(a, b, num_pairs) == (route, route)
     nvars = 2 * num_pairs
-    assert list(kernels.mul(a, b, nvars).items()) == list(loop_mul(a, b, nvars).items())
-    assert (list(kernels.poisson(a, b, num_pairs).items())
-            == list(loop_poisson(a, b, num_pairs).items()))
+    assert_same_terms(kernels.mul(a, b, nvars), loop_mul(a, b, nvars))
+    assert_same_terms(kernels.poisson(a, b, num_pairs), loop_poisson(a, b, num_pairs))
 
 
 @pytest.mark.parametrize("num_pairs,degree", [(1, 3), (2, 3), (2, 6), (3, 4)])
@@ -91,13 +120,59 @@ def test_poisson_matches_dense_reference(num_pairs, degree):
     assert terms_close(got, expected)
 
 
-@pytest.mark.parametrize("num_pairs,d1,d2", [(1, 3, 3), (2, 3, 3), (2, 6, 6), (3, 4, 4)])
-def test_matches_loop_bitwise(num_pairs, d1, d2):
-    # the two largest cases span several blocks of term pairs
+@pytest.mark.parametrize("num_pairs,d1,d2,route", [
+    (1, 3, 3, "dense"), (2, 3, 3, "dense"), (2, 6, 6, "dense"),
+    (3, 4, 4, "sorted"),  # 9**6 slots for 210 x 210 term pairs
+])
+def test_matches_loop_bitwise(num_pairs, d1, d2, route):
+    # every monomial up to the degree; the two largest cases span several
+    # blocks of term pairs
     rng = np.random.default_rng(0)
     a = random_terms(rng, num_pairs, d1)
     b = random_terms(rng, num_pairs, d2)
-    assert_bitwise(a, b, num_pairs)
+    assert_bitwise(a, b, num_pairs, route)
+
+
+@pytest.mark.parametrize("num_pairs,num_terms,max_exp", [(1, 12, 40), (2, 40, 9), (2, 120, 14)])
+def test_sparse_keys_match_loop_bitwise(num_pairs, num_terms, max_exp):
+    # few terms in a large box: sorted packed keys; the last case spans
+    # several blocks of term pairs
+    rng = np.random.default_rng([num_pairs, num_terms])
+    a = random_sparse_terms(rng, num_pairs, num_terms, max_exp)
+    b = random_sparse_terms(rng, num_pairs, num_terms, max_exp)
+    assert_bitwise(a, b, num_pairs, "sorted")
+
+
+def grid(value):
+    """Every monomial x^i p^j with i, j < 4, listed from the high corner down."""
+    return {(i, j): value * (1 + i + 3 * j) / 7 for i in range(3, -1, -1) for j in range(4)}
+
+
+@pytest.mark.parametrize("corner,route", [
+    # 17 x 16 term pairs allow 4 * 272 = 1088 box slots
+    ((28, 30), "dense"),    # box 32 x 34 = 1088
+    ((29, 29), "sorted"),   # box 33 x 33 = 1089
+])
+def test_dense_slot_limit(corner, route):
+    a = {**grid(0.75), corner: -0.75}
+    b = grid(-1.25)
+    assert kernels.DENSE_SLOTS_PER_PAIR * len(a) * len(b) == 1088
+    assert_bitwise(a, b, 1, route)
+
+
+@pytest.mark.parametrize("radix,pairs,shape,route", [
+    ([64, 17], 272, (), "dense"),            # 1088 slots, 4 a pair
+    ([1089, 1], 272, (), "sorted"),          # one slot more
+    ([1024, 1024], 2 ** 18, (), "dense"),    # DENSE_ENTRIES slots
+    ([1025, 1024], 2 ** 20, (), "sorted"),   # past it, though 4 a pair allow more
+    ([32, 32], 256, (256, 2, 2), "dense"),   # 1024 slots of 1024 entries
+    ([33, 32], 2 ** 20, (256, 2, 2), "sorted"),
+])
+def test_route_rule(radix, pairs, shape, route):
+    radix = np.array(radix)
+    strides = np.array([radix[1], 1])
+    assert kernels.route(radix, strides, pairs, shape) == route
+    assert kernels.route(radix, None, pairs, shape) == "rows"
 
 
 coeffs = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
@@ -112,6 +187,57 @@ def poly_strategy(num_pairs, degree, max_size=6):
 @given(a=poly_strategy(2, 3, 12), b=poly_strategy(2, 3, 12))
 def test_matches_loop_bitwise_on_random_terms(a, b):
     assert_bitwise(a, b, 2)
+
+
+#: every exponent tuple of 2 pairs with each exponent at most 2
+GRID_2PAIRS = list(np.ndindex(3, 3, 3, 3))
+
+special = st.sampled_from([0.0, -0.0, 1e-300, -1e300, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def grid_polys(draw):
+    """A coefficient on every exponent of GRID_2PAIRS, in shuffled order:
+    finite, except up to four that are zero of either sign, tiny, huge,
+    infinite or NaN."""
+    values = draw(st.lists(coeffs, min_size=81, max_size=81))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, 80), special), max_size=4)):
+        values[i] = v
+    return {GRID_2PAIRS[i]: values[i] for i in draw(st.permutations(range(81)))}
+
+
+def route_inputs(a, b):
+    """(a, b, num_pairs, route) for each route: the grids fill a small box;
+    one far term leaves that box sparse; shifted and doubled to 8
+    variables, their keys overflow int64."""
+    far = {(200, 0, 200, 0): 0.5, **a}
+
+    def shifted(t):
+        return {tuple(v + 400 for v in e * 2): c for e, c in t.items()}
+    return [(a, b, 2, "dense"), (far, b, 2, "sorted"), (shifted(a), shifted(b), 4, "rows")]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(a=grid_polys(), b=grid_polys())
+def test_routes_match_loop_on_special_values(a, b):
+    for x, y, num_pairs, route in route_inputs(a, b):
+        assert_bitwise(x, y, num_pairs, route)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=grid_polys(), b=grid_polys())
+def test_dense_and_sorted_routes_agree(a, b):
+    # the same blocks through both packed routes: the same dict, to the bit
+    x, y = route_inputs(a, b)[1][:2]  # a sparse box, so dense is forced past its limit
+    got = {}
+    for route, (per_pair, entries) in FORCED_ROUTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
+            mp.setattr(kernels, "DENSE_ENTRIES", entries)
+            assert kernel_routes(x, y, 2) == (route, route)
+            got[route] = (kernels.mul(x, y, 4), kernels.poisson(x, y, 2))
+    for dense, sorted_ in zip(got["dense"], got["sorted"]):
+        assert_same_terms(dense, sorted_)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -201,5 +327,4 @@ def test_key_space_past_int64_matches_loop():
     # keys exponent rows
     a = {(400,) * 8: 1.5, (400, 1, 0, 399, 2, 400, 7, 0): -0.25, (1,) * 8: 2.0}
     b = {(400,) * 8: 0.5, (0, 400, 399, 1, 400, 2, 0, 7): 3.0, (2, 1) * 4: -1.0}
-    assert kernels.pack(a, b, 8)[-1] is None
-    assert_bitwise(a, b, 4)
+    assert_bitwise(a, b, 4, "rows")
