@@ -22,14 +22,13 @@ associative product.  The hybrid bracket satisfies all three; the
 product_rule/symmetrized pair is antisymmetric but breaks Jacobi and
 derivation; the unsymmetrized bracket breaks all three.
 
-Trials run in blocks: one draw gives a block of T random input tuples,
-held as HybridElements whose coefficients carry a leading trial axis
-(T, d, d), and each bracket and product of a desideratum then runs once
-per block, not once per trial.  ``measure_defects`` takes its trials in
-blocks of at most MAX_BLOCK_TRIALS; a witness search evaluates trial 0
-alone, where a broken bracket already fails, and then the rest of its
-budget in such blocks.  The RNG stream, every defect and every witness
-are those of the trial-by-trial loop, to the bit.
+The desiderata are the Hamilton-algebra identities of the same names:
+``identities`` checks them on ``BracketAlgebra(kind, hbar)`` (``alpha``
+the mixed bracket, ``sigma`` the associative product, ``random_element``
+blocks of random hybrid observables), defining each defect (Jacobi as the
+left-nested cyclic sum), scanning the trials and picking the witness.  A
+witness search scans trial 0 alone, where a broken bracket already fails,
+then the rest of its budget in blocks of at most MAX_BLOCK_TRIALS.
 """
 
 from __future__ import annotations
@@ -39,14 +38,15 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import hermitian_from_normals, relative_defect
+from .algebra import hermitian_from_normals
 from .compose import HybridElement, nonzero_terms, term_pair_sum
 from .elements import monomials_up_to_degree
 from .errors import AlgebraError
+from .identities import first_over, scan, worst_trial
 from .kernels import MAX_BLOCK_TRIALS
 # not called here: perfbench/tracing.py wraps this name as a layer
 from .kernels import poisson as _poly_poisson  # noqa: F401
-from .serialize import element_from_json, element_to_json
+from .serialize import element_to_json
 
 #: defect above this (relative) counts as a genuine violation; three
 #: orders of magnitude above the identity-suite pass tolerance
@@ -126,36 +126,6 @@ def mixed_bracket(kind: MixedBracketKind, u: HybridElement, v: HybridElement,
     return _BRACKETS[MixedBracketKind(kind)](u, v, hbar)
 
 
-# ---------------------------------------------------------------------------
-# desiderata defects
-# ---------------------------------------------------------------------------
-
-def desideratum_defect(kind: MixedBracketKind, desideratum: str, elements,
-                       hbar: float = 1.0) -> float | np.ndarray:
-    """Relative defect of one dynamics desideratum on one input tuple; on a
-    tuple of blocks, the array of the defects of its trials."""
-    kind = MixedBracketKind(kind)
-    if desideratum == "antisymmetry":
-        u, v = elements
-        diff = mixed_bracket(kind, u, v, hbar) + mixed_bracket(kind, v, u, hbar)
-        norms = (u.norm(), v.norm())
-    elif desideratum == "jacobi":
-        u, v, w = elements
-        diff = (mixed_bracket(kind, mixed_bracket(kind, u, v, hbar), w, hbar)
-                + mixed_bracket(kind, mixed_bracket(kind, v, w, hbar), u, hbar)
-                + mixed_bracket(kind, mixed_bracket(kind, w, u, hbar), v, hbar))
-        norms = (u.norm(), v.norm(), w.norm())
-    elif desideratum == "derivation":
-        u, v, w = elements
-        diff = (mixed_bracket(kind, u, v.assoc_product(w), hbar)
-                - mixed_bracket(kind, u, v, hbar).assoc_product(w)
-                - v.assoc_product(mixed_bracket(kind, u, w, hbar)))
-        norms = (u.norm(), v.norm(), w.norm())
-    else:
-        raise ValueError(f"unknown desideratum {desideratum!r}")
-    return relative_defect(diff.norm(), norms)
-
-
 def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: int = 1,
                              degree: int = 2, block: tuple | None = None):
     """Hermitian-coefficient random hybrid element on every monomial up to
@@ -176,14 +146,22 @@ def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: 
             for c in h]
 
 
-def _trial_blocks(total: int, first: int | None = None):
-    """(start, stop) of the blocks covering range(total): ``first`` trials
-    (default MAX_BLOCK_TRIALS), then blocks of at most MAX_BLOCK_TRIALS."""
-    start, size = 0, first or MAX_BLOCK_TRIALS
-    while start < total:
-        stop = min(start + size, total)
-        yield start, stop
-        start, size = stop, MAX_BLOCK_TRIALS
+@dataclass(frozen=True)
+class BracketAlgebra:
+    """The bracket algebra one mixed bracket acts on, as ``identities``
+    reads it: enough for the antisymmetry, Jacobi and derivation
+    identities, which are the three desiderata."""
+    kind: MixedBracketKind
+    hbar: float
+
+    def alpha(self, u: HybridElement, v: HybridElement) -> HybridElement:
+        return mixed_bracket(self.kind, u, v, self.hbar)
+
+    def sigma(self, u: HybridElement, v: HybridElement) -> HybridElement:
+        return u.assoc_product(v)
+
+    def random_element(self, rng: np.random.Generator, block: tuple) -> list:
+        return random_hybrid_observable(rng, block=block)
 
 
 @dataclass
@@ -239,31 +217,20 @@ def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
     the max, serialized once at the end.  A desideratum with a NaN trial
     reports a NaN defect; its witness is still the last maximal finite
     trial."""
+    if trials < 1:
+        raise AlgebraError(f"trials must be >= 1, got {trials}")
     kind = MixedBracketKind(kind)
     result = DefectTriple(kind=kind, trials=trials, seed=seed)
+    alg = BracketAlgebra(kind, hbar)
     for di, name in enumerate(DESIDERATA):
         rng = np.random.default_rng([seed, di])
-        arity = 2 if name == "antisymmetry" else 3
-        worst, worst_at = 0.0, None  # worst_at: (block, trial in block)
-        nan_seen = False
-        for start, stop in _trial_blocks(trials):
-            block = random_hybrid_observable(rng, block=(stop - start, arity))
-            d = desideratum_defect(kind, name, block, hbar)
-            nan_seen = nan_seen or bool(np.isnan(d).any())
-            candidates = d[d >= worst]  # NaN compares False
-            if candidates.size:
-                worst = float(candidates.max())
-                worst_at = block, int(np.flatnonzero(d == worst)[-1])
+        worst, inputs, nan_seen, _ = worst_trial(scan(alg, name, rng, trials, MAX_BLOCK_TRIALS))
         setattr(result, f"{name}_defect", np.nan if nan_seen else worst)
         result.witnesses[name] = {
             "defect": worst,
-            "elements": None if worst_at is None else _serialize_trial(*worst_at),
+            "elements": None if inputs is None else [element_to_json(e) for e in inputs],
         }
     return result
-
-
-def _serialize_trial(block, t: int) -> list:
-    return [element_to_json(e.trial(t)) for e in block]
 
 
 def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int,
@@ -274,27 +241,16 @@ def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
     kind = MixedBracketKind(kind)
-    di = DESIDERATA.index(desideratum)
-    rng = np.random.default_rng([seed, di])
-    arity = 2 if desideratum == "antisymmetry" else 3
-    for start, stop in _trial_blocks(budget, first=1):
-        block = random_hybrid_observable(rng, block=(stop - start, arity))
-        d = desideratum_defect(kind, desideratum, block, hbar)
-        over = np.flatnonzero(~(d <= VIOLATION_THRESHOLD))  # NaN compares False
-        if over.size:
-            t = int(over[0])
-            return {
-                "kind": kind.value,
-                "desideratum": desideratum,
-                "trial": start + t,
-                "defect": float(d[t]),
-                "elements": _serialize_trial(block, t),
-            }
-    return None
-
-
-def replay_witness_defect(witness: dict, hbar: float = 1.0) -> float:
-    """Recompute a serialized witness's defect through the main path."""
-    elements = [element_from_json(e) for e in witness["elements"]]
-    return desideratum_defect(MixedBracketKind(witness["kind"]),
-                              witness["desideratum"], elements, hbar)
+    rng = np.random.default_rng([seed, DESIDERATA.index(desideratum)])
+    hit = first_over(scan(BracketAlgebra(kind, hbar), desideratum, rng, budget,
+                          MAX_BLOCK_TRIALS, first=1), VIOLATION_THRESHOLD)
+    if hit is None:
+        return None
+    trial, defect, inputs = hit
+    return {
+        "kind": kind.value,
+        "desideratum": desideratum,
+        "trial": trial,
+        "defect": defect,
+        "elements": [element_to_json(e) for e in inputs],
+    }

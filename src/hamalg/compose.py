@@ -263,10 +263,11 @@ def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
     where c is the coefficient shape, (d, d) or, for blocks, (T, d, d).
     Broadcast ``@`` equals per-pair ``A @ B`` to the bit (``einsum`` does
     not) and sums run in loop order, so the result, key order included, is
-    the written-out double loop's to the bit, in every trial of a block.
-    Where packed keys would overflow int64, the exponent rows are the keys
-    (the loop summed Python ints); ``ShapeError`` only where a Poisson
-    weight could overflow.
+    the written-out double loop's to the bit, in every trial of a block;
+    only the sign and payload of a NaN, which IEEE 754 leaves open, may
+    differ.  Where packed keys would overflow int64, the exponent rows are
+    the keys (the loop summed Python ints); ``ShapeError`` only where a
+    Poisson weight could overflow.
     """
     u._check_like(v)
     if not u.terms or not v.terms:

@@ -2,21 +2,26 @@
 
 Any object exposing ``sigma``, ``alpha``, ``tau``, ``associator_sigma``
 (read by the canonical relation), ``random_element`` and ``constant`` can
-be checked; ``block_entries`` is optional (see below).  Each identity is
-evaluated on random input tuples; the reported defect is
-||LHS - RHS|| / (1 + prod of input norms).
-A failing identity is a reported result, never an exception, so the same
-machinery certifies honest algebras and exposes corrupted ones.
+be checked, and an identity reads only the operations it names;
+``block_entries`` is optional (see below).  Each identity is evaluated on
+random input tuples; the reported defect is
+||LHS - RHS|| / (1 + prod of input norms).  Jacobi is the left-nested
+cyclic sum alpha(alpha(f, g), h) + cyclic; the right-nested form differs on
+a bracket that is not antisymmetric.  A failing identity is a reported
+result, never an exception, so the same machinery certifies honest
+algebras and exposes corrupted ones.
 
-Trials run in blocks.  An algebra that declares ``block_entries`` (the
-operator algebras and quantum (x) quantum composition) draws a block of
-T input tuples in one call, as elements whose entries carry a leading
-trial axis (T, n, n), and each product of an identity then runs once per
-block; T is at most ``kernels.MAX_BLOCK_TRIALS`` and at most
-``kernels.BLOCK_PAIRS`` matrix entries per element.  Any other algebra is
-checked one trial per block, on single elements, through the same loop.
-The RNG stream, every defect, the mean and the witness are those of the
-trial-by-trial loop, to the bit.
+``scan`` draws and scores the input tuples a block at a time.  An algebra
+that declares ``block_entries`` (the operator algebras and quantum (x)
+quantum composition) draws a block of T input tuples in one call, as
+elements whose entries carry a leading trial axis (T, n, n), and each
+product of an identity then runs once per block; ``check_identity`` takes
+T at most ``kernels.MAX_BLOCK_TRIALS`` and at most ``kernels.BLOCK_PAIRS``
+matrix entries per element.  Any other algebra is checked one trial per
+block, on single elements.  ``worst_trial`` reduces a scan (the last
+maximal trial wins, a NaN never does) and ``first_over`` stops one at its
+first defect over a threshold or NaN.  The RNG stream, every defect, the
+mean and the witness are those of the trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ def identity_defect(alg: HamiltonAlgebra, identity: Identity, elements) -> float
         norms = (f.norm(), g.norm())
     elif identity is Identity.JACOBI:
         f, g, h = elements
-        diff = (alg.alpha(f, alg.alpha(g, h))
-                + alg.alpha(g, alg.alpha(h, f))
-                + alg.alpha(h, alg.alpha(f, g)))
+        diff = (alg.alpha(alg.alpha(f, g), h)
+                + alg.alpha(alg.alpha(g, h), f)
+                + alg.alpha(alg.alpha(h, f), g))
         norms = (f.norm(), g.norm(), h.norm())
     elif identity is Identity.SYMMETRY:
         f, g = elements
@@ -186,43 +191,71 @@ def block_trials(alg) -> int | None:
     return max(1, min(MAX_BLOCK_TRIALS, BLOCK_PAIRS // entries))
 
 
+def scan(alg, identity: Identity, rng: np.random.Generator, trials: int,
+         size: int | None, first: int | None = None):
+    """Draw ``trials`` random input tuples of ``identity`` and score them a
+    block at a time: yield (first trial, elements, defects) per block, the
+    defects as Python floats in trial order.  Blocks hold ``first`` trials
+    (default ``size``), then ``size``; a ``size`` of None draws single
+    elements, one trial per block."""
+    identity = Identity(identity)
+    arity = _ARITY[identity]
+    start, step = 0, first or size or 1
+    while start < trials:
+        if size is None:
+            elements = [alg.random_element(rng) for _ in range(arity)]
+        else:
+            elements = alg.random_element(rng, block=(min(step, trials - start), arity))
+        yield start, elements, np.atleast_1d(identity_defect(alg, identity, elements)).tolist()
+        start, step = start + step, size or 1
+
+
+def _trial_inputs(elements, t: int) -> list:
+    """Trial ``t`` of a scanned block as single elements; a single-element
+    draw is its own trial 0."""
+    return [e if getattr(e, "trials", None) is None else e.trial(t) for e in elements]
+
+
+def worst_trial(blocks) -> tuple:
+    """Reduce a scan to (max defect, the last trial attaining it as single
+    elements, whether any defect was NaN, the Python-float sum of the
+    defects in trial order).  A NaN defect never attains the max; with no
+    finite defect the max is 0.0 and the trial None."""
+    worst, worst_at, total, nan_seen = 0.0, None, 0.0, False
+    for _, elements, defects in blocks:
+        for t, defect in enumerate(defects):
+            total += defect
+            nan_seen = nan_seen or math.isnan(defect)
+            if defect >= worst:
+                worst, worst_at = defect, (elements, t)
+    return worst, None if worst_at is None else _trial_inputs(*worst_at), nan_seen, total
+
+
+def first_over(blocks, threshold: float):
+    """(trial, defect, inputs) of a scan's first trial whose defect is not
+    <= ``threshold`` (a NaN is not); None if there is none.  The scan stops
+    there: no later block is drawn."""
+    for start, elements, defects in blocks:
+        for t, defect in enumerate(defects):
+            if not defect <= threshold:
+                return start + t, defect, _trial_inputs(elements, t)
+    return None
+
+
 def check_identity(alg: HamiltonAlgebra, check: IdentityCheck) -> CheckResult:
     """Run one identity check: `trials` random tuples, worst case kept.
 
     Deterministic given the check's seed; the RNG stream is salted with
     the identity so the checks of a suite draw independent inputs.  The
-    tuples are drawn and evaluated a block at a time (see the module
-    docstring), and their defects are then taken in trial order: the mean
-    is their Python-float sum over the trials, and the witness is the last
-    tuple attaining the max defect (a NaN defect never counts), serialized
-    once at the end.  A NaN defect fails the check.
+    tuples are scanned in blocks of ``block_trials(alg)`` and reduced by
+    ``worst_trial``: the mean is the sum over the trials, and the witness,
+    serialized once at the end, is the last tuple attaining the max defect.
+    A NaN defect fails the check.
     """
     identity = Identity(check.identity)
-    arity = _ARITY[identity]
-    salt = list(Identity).index(identity)
-    rng = np.random.default_rng([check.seed, salt])
-    size = block_trials(alg)
-    worst = 0.0
-    worst_at = None   # (elements, trial in block, or None for single elements)
-    total = 0.0
-    nan_seen = False
-    for start in range(0, check.trials, size or 1):
-        if size is None:   # one tuple of single elements
-            trials, elements = None, [alg.random_element(rng) for _ in range(arity)]
-        else:              # a block of tuples, as ``arity`` blocks
-            trials = min(size, check.trials - start)
-            elements = alg.random_element(rng, block=(trials, arity))
-        defects = identity_defect(alg, identity, elements)
-        for t, defect in enumerate(np.atleast_1d(defects).tolist()):
-            total += defect
-            nan_seen = nan_seen or math.isnan(defect)
-            if defect >= worst:
-                worst = defect
-                worst_at = elements, None if trials is None else t
-    witness = []
-    if worst_at is not None:
-        elements, t = worst_at
-        witness = [element_to_json(e if t is None else e.trial(t)) for e in elements]
+    rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
+    worst, inputs, nan_seen, total = worst_trial(
+        scan(alg, identity, rng, check.trials, block_trials(alg)))
     return CheckResult(
         identity=identity,
         trials=check.trials,
@@ -230,7 +263,7 @@ def check_identity(alg: HamiltonAlgebra, check: IdentityCheck) -> CheckResult:
         seed=check.seed,
         max_relative_defect=worst,
         mean_relative_defect=total / check.trials,
-        worst_witness=witness,
+        worst_witness=[element_to_json(e) for e in inputs or ()],
         passed=worst <= check.tolerance and not nan_seen,
     )
 

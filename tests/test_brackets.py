@@ -22,15 +22,16 @@ from hamalg import brackets
 from hamalg.brackets import (
     DESIDERATA,
     VIOLATION_THRESHOLD,
+    BracketAlgebra,
     _commutator_bracket,
     _product_rule_bracket,
-    desideratum_defect,
     ordered_poisson,
     random_hybrid_observable,
-    replay_witness_defect,
 )
 from hamalg.elements import monomials_up_to_degree
-from hamalg import kernels
+from hamalg import identities, kernels
+from hamalg.algebra import relative_defect
+from hamalg.identities import Identity, identity_defect, replay_witness
 from hamalg.errors import ShapeError
 from hamalg.reference import (
     dense_hybrid_add,
@@ -46,8 +47,10 @@ from tests.conftest import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    TIES_AND_NANS,
     assert_terms_bitwise,
     loop_defects,
+    loop_desideratum_defect,
     loop_draws,
     loop_find_violation_witness,
     loop_measure_defects,
@@ -203,8 +206,9 @@ class TestWitnessSearch:
     def test_witness_replays_through_main_path(self):
         w = find_violation_witness(MixedBracketKind.BOUCHER_TRASCHEN, "jacobi",
                                    budget=100, seed=0)
-        assert replay_witness_defect(w, hbar=HBAR) == pytest.approx(w["defect"],
-                                                                    rel=1e-12)
+        replayed = replay_witness(BracketAlgebra(w["kind"], HBAR), w["desideratum"],
+                                  w["elements"])
+        assert replayed == pytest.approx(w["defect"], rel=1e-12)
 
     def test_witness_replays_through_dense_oracle(self):
         for kind, desideratum in ((MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"),
@@ -226,7 +230,7 @@ class TestDenseOracleAgreement:
     def test_main_path_matches_dense_expansion(self, kind, desideratum, rng):
         arity = 2 if desideratum == "antisymmetry" else 3
         elements = [random_hybrid_observable(rng, degree=2) for _ in range(arity)]
-        main = desideratum_defect(kind, desideratum, elements, hbar=HBAR)
+        main = identity_defect(BracketAlgebra(kind, HBAR), desideratum, elements)
         witness = {
             "kind": kind.value,
             "desideratum": desideratum,
@@ -558,7 +562,7 @@ class TestTrialBlocks:
         for trials in (1, 2, 5):
             for hbar in (1.0, 0.3):
                 block = draw_blocks([trials, 9], trials, arity)
-                got = desideratum_defect(kind, desideratum, block, hbar)
+                got = identity_defect(BracketAlgebra(kind, hbar), desideratum, block)
                 assert got.shape == (trials,)
                 want = np.array(loop_defects(kind, desideratum, block, hbar))
                 assert got.tobytes() == want.tobytes()
@@ -587,7 +591,7 @@ class TestTrialBlocks:
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
         kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
         rng = np.random.default_rng([0, DESIDERATA.index(desideratum)])
-        defects = [desideratum_defect(kind, desideratum, e)
+        defects = [loop_desideratum_defect(kind, desideratum, e, 1.0)
                    for e in loop_draws(rng, 12, 3)]
         # every trial up to 5 stays under: blocks [0], [1, 4), [4, 7) are passed over
         threshold = max(defects[:6])
@@ -616,24 +620,24 @@ class TestTrialBlocks:
         got = measure_defects(kind, trials=7, seed=2, hbar=0.3)
         assert got.to_json() == loop_measure_defects(kind, 7, seed=2, hbar=0.3).to_json()
 
-    def test_zero_trials_keep_the_loop_output(self):
-        got = measure_defects(MixedBracketKind.ANDERSON, trials=0)
-        assert got.to_json() == loop_measure_defects(MixedBracketKind.ANDERSON, 0).to_json()
-        assert got.witnesses["jacobi"] == {"defect": 0.0, "elements": None}
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_too_few_trials_are_refused_before_any_draw(self, trials, drawn_blocks):
+        with pytest.raises(AlgebraError, match="trials must be >= 1"):
+            measure_defects(MixedBracketKind.ANDERSON, trials=trials)
+        assert drawn_blocks == []
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
-        # blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie for the max, within
-        # and across blocks; trials 2 and 6 are NaN, the last one at the end:
-        # the defect reads NaN, the witness is the last maximal finite trial
-        script = [0.5, 2.0, np.nan, 2.0, 1.0, 2.0, np.nan]
+        # TIES_AND_NANS, also run through ``check_identity`` in
+        # tests/test_identities.py: the defect reads NaN, the witness is the
+        # last maximal finite trial
         sequences = {}
 
-        def scripted(kind, desideratum, block, hbar=1.0):
-            seq = sequences.setdefault(desideratum, iter(script))
+        def scripted(alg, identity, block):
+            seq = sequences.setdefault(identity, iter(TIES_AND_NANS))
             return np.array([next(seq) for _ in range(block[0].trials)])
 
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
-        monkeypatch.setattr(brackets, "desideratum_defect", scripted)
+        monkeypatch.setattr(identities, "identity_defect", scripted)
         triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=7, seed=4)
         for di, name in enumerate(DESIDERATA):
             rng = np.random.default_rng([4, di])
@@ -646,14 +650,14 @@ class TestTrialBlocks:
         # blocks [0], [1, 4): trial 2 is the first NaN, trial 3 a violation
         script = iter([0.0, 0.0, np.nan, 1.0])
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
-        monkeypatch.setattr(brackets, "desideratum_defect", lambda kind, d, block, hbar=1.0:
+        monkeypatch.setattr(identities, "identity_defect", lambda alg, identity, block:
                             np.array([next(script) for _ in range(block[0].trials)]))
         w = find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi", 10)
         assert w["trial"] == 2 and math.isnan(w["defect"])
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
-        monkeypatch.setattr(brackets, "desideratum_defect",
-                            lambda kind, d, block, hbar=1.0: np.full(block[0].trials, np.nan))
+        monkeypatch.setattr(identities, "identity_defect",
+                            lambda alg, identity, block: np.full(block[0].trials, np.nan))
         triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=3)
         assert triple.witnesses["jacobi"] == {"defect": 0.0, "elements": None}
         assert all(math.isnan(triple.defect(name)) for name in DESIDERATA)
@@ -664,14 +668,32 @@ class TestTrialBlocks:
         # derivation NaN, the others exactly at their expected side
         expected = brackets.EXPECTED_CLEAN[kind]
 
-        def scripted(kind_, desideratum, block, hbar=1.0):
-            value = (np.nan if desideratum == "derivation"
-                     else 0.0 if expected[desideratum] else 1.0)
+        def scripted(alg, identity, block):
+            value = (np.nan if identity is Identity.DERIVATION
+                     else 0.0 if expected[identity.value] else 1.0)
             return np.full(block[0].trials, value)
 
-        monkeypatch.setattr(brackets, "desideratum_defect", scripted)
+        monkeypatch.setattr(identities, "identity_defect", scripted)
         triple = measure_defects(kind, trials=2)
         assert math.isnan(triple.derivation_defect)
         assert not triple.matches_expected_pattern()
         triple.derivation_defect = 0.0 if expected["derivation"] else 1.0
         assert triple.matches_expected_pattern()
+
+
+class TestSharedRules:
+    """``brackets`` and ``verify`` share one Jacobi form."""
+
+    def test_jacobi_is_the_left_nested_cyclic_sum(self):
+        alg = BracketAlgebra(MixedBracketKind.ANDERSON, 0.3)
+        u, v, w = draw_blocks(11, 6, 3)
+        br = alg.alpha
+        norms = [e.norm() for e in (u, v, w)]
+        left = relative_defect((br(br(u, v), w) + br(br(v, w), u) + br(br(w, u), v)).norm(),
+                               norms)
+        right = relative_defect((br(u, br(v, w)) + br(v, br(w, u)) + br(w, br(u, v))).norm(),
+                                norms)
+        got = identity_defect(alg, Identity.JACOBI, [u, v, w])
+        assert got.tobytes() == left.tobytes()
+        # the Anderson bracket is not antisymmetric, so the two forms differ
+        assert np.all(np.abs(got - right) > VIOLATION_THRESHOLD)

@@ -19,6 +19,7 @@ from hamalg import (
 from hamalg.cli import _load_schema
 from hamalg.identities import AXIOM_IDENTITIES, LEMMA_IDENTITIES, replay_witness
 from hamalg.serialize import element_to_json
+from tests.conftest import TIES_AND_NANS
 
 
 def composed(a1, a2, a12, d1=2, d2=2):
@@ -80,9 +81,8 @@ class TestCheckIdentity:
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
         from hamalg import identities
         monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
-        # blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie for the max, within
-        # and across blocks; trials 2 and 6 are NaN, the last one at the end
-        script = iter([0.5, 2.0, math.nan, 2.0, 1.0, 2.0, math.nan])
+        # the script ``measure_defects`` runs in tests/test_brackets.py
+        script = iter(TIES_AND_NANS)
         drawn, serialized = [], []
 
         def scripted(alg, identity, blocks):

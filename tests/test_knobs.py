@@ -40,7 +40,6 @@ ALLOWED = {
     ("check_lemma", "seed"),
     ("restrict_sigma", "seed"),
     ("restrict_sigma", "tolerance"),
-    ("replay_witness_defect", "hbar"),
 }
 
 

@@ -4,7 +4,9 @@ The dense oracle ``reference.py`` checks the main path, so it must share
 no code with it: it imports numpy alone, and it uses dense slicing only,
 calling none of the scatter-add, sort and search routines that the
 sparse kernels are built on.  ``identities.py`` checks any Hamilton
-algebra and stays below the mixed brackets it never calls."""
+algebra and stays below the mixed brackets it never calls; ``brackets.py``
+defines no defect of its own and scores its desiderata through the
+identity scan."""
 
 import ast
 from pathlib import Path
@@ -82,6 +84,14 @@ def test_every_sparse_call_form_is_seen(tmp_path, source, found):
 
 def test_identities_does_not_import_brackets():
     assert "brackets" not in imported_modules(SRC / "identities.py")
+
+
+def test_brackets_defines_no_defect_of_its_own():
+    calls = called_names(SRC / "brackets.py")
+    assert "relative_defect" not in calls and "norm" not in calls
+    # ``identities.scan`` calls ``identity_defect``; the scripted-defect tests
+    # of ``tests/test_brackets.py`` patch that name and steer the brackets' results
+    assert {"scan", "worst_trial", "first_over"} <= calls
 
 
 @pytest.mark.parametrize("source, found", [
