@@ -9,7 +9,6 @@ from .algebra import (
     HamiltonAlgebra,
     OperatorAlgebra,
     PhaseSpaceAlgebra,
-    centrality_report,
     relative_defect,
 )
 from .brackets import (
@@ -34,7 +33,6 @@ from .identities import (
     IdentityCheck,
     VerificationReport,
     check_identity,
-    check_lemma,
     run_axiom_suite,
 )
 from .kernels import BACKEND as KERNEL_BACKEND
@@ -83,9 +81,7 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "back_reaction_gap",
-    "centrality_report",
     "check_identity",
-    "check_lemma",
     "classical_freezing_defect",
     "compose_product_on_terms",
     "element_from_json",

@@ -17,8 +17,6 @@ antisymmetric parts.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .elements import (
@@ -59,7 +57,7 @@ def hermitian_from_normals(z: np.ndarray) -> np.ndarray:
 class HamiltonAlgebra:
     """Common surface shared by all realizations.
 
-    Subclasses provide sigma, alpha, unit, zero and random_element; the
+    Subclasses provide sigma, alpha, unit and random_element; the
     envelope product and the operations derived from it live here.
 
     A realization whose ``random_element(rng, block=(trials, arity))``
@@ -112,9 +110,6 @@ class HamiltonAlgebra:
     def unit(self):
         raise NotImplementedError
 
-    def zero(self):
-        raise NotImplementedError
-
     def random_element(self, rng: np.random.Generator):
         raise NotImplementedError
 
@@ -158,9 +153,6 @@ class OperatorAlgebra(HamiltonAlgebra):
 
     def unit(self) -> OperatorElement:
         return OperatorElement.identity(self.dim)
-
-    def zero(self) -> OperatorElement:
-        return OperatorElement.zero(self.dim)
 
     @property
     def block_entries(self) -> int:
@@ -216,9 +208,6 @@ class PhaseSpaceAlgebra(HamiltonAlgebra):
     def unit(self) -> PhaseSpacePoly:
         return PhaseSpacePoly.unit(self.num_pairs)
 
-    def zero(self) -> PhaseSpacePoly:
-        return PhaseSpacePoly.zero(self.num_pairs)
-
     def random_element(self, rng: np.random.Generator) -> PhaseSpacePoly:
         """A coefficient uniform on [-1, 1) on every monomial up to the
         degree: one draw of the numbers, in order, of one scalar draw per
@@ -260,9 +249,6 @@ class CorruptedAlgebra(HamiltonAlgebra):
     def unit(self):
         return self.base.unit()
 
-    def zero(self):
-        return self.base.zero()
-
     @property
     def block_entries(self):
         return getattr(self.base, "block_entries", None)
@@ -275,34 +261,3 @@ class CorruptedAlgebra(HamiltonAlgebra):
         d["corruption"] = {"alpha_scale": self.alpha_scale, "sigma_scale": self.sigma_scale}
         return d
 
-
-def centrality_report(alg: OperatorAlgebra) -> dict:
-    """Check that the bracket-commutant of the full matrix algebra is the
-    span of the unit: alpha(f, x) = 0 for all f forces x = c*e.
-
-    Computed as the nullspace of x -> [stack of alpha(E_ij, x)] over the
-    matrix-unit basis.  Only meaningful for the full matrix realization;
-    the result is reported, not assumed elsewhere.
-    """
-    d = alg.dim
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            basis = np.zeros((d, d), dtype=np.complex128)
-            basis[i, j] = 1.0
-            # action of x -> (basis x - x basis) as a d^2 x d^2 matrix
-            op = np.kron(basis, np.eye(d)) - np.kron(np.eye(d), basis.T)
-            rows.append(op)
-    full = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(full)
-    nullity = int(np.sum(svals <= 1e-10 * svals[0]))
-    kernel_vec = vh[-1].reshape(d, d)
-    # kernel vector should be proportional to the identity
-    coeff = np.trace(kernel_vec) / d
-    off_identity = float(np.linalg.norm(kernel_vec - coeff * np.eye(d)))
-    return {
-        "dim": d,
-        "nullity": nullity,
-        "kernel_off_identity_norm": off_identity,
-        "central": nullity == 1 and off_identity <= 1e-10,
-    }

@@ -4,17 +4,17 @@ All brackets act on observable-valued functions (HybridElement): matrix
 coefficients on classical monomials.  Writing [A,B]- = (AB - BA)/(i*hbar),
 [A,B]+ = (AB + BA)/2 and {.,.}_P for the Poisson bracket:
 
-* product_rule    : defined on simple products Xx and extended bilinearly,
-                    {Xx, Yy} -> xy [X,Y]- + {x,y}_P [X,Y]+
-                    (the composition rule valid only at equal constants,
-                    misapplied to a classical factor)
-* symmetrized     : [U,V]- + ({U,V}_P - {V,U}_P)/2 on whole elements,
-                    with matrix coefficients multiplied in written order
-* unsymmetrized   : [U,V]- + {U,V}_P, written order (not antisymmetric;
-                    the written-order choice is itself an interpretation,
-                    flagged in reports)
-* hybrid          : [U,V]- with classical parts multiplied pointwise; the
-                    bracket of the quantum (x) classical Hamilton algebra
+* product_rule (``boucher_traschen``): defined on simple products Xx and
+  extended bilinearly, {Xx, Yy} -> xy [X,Y]- + {x,y}_P [X,Y]+ (the
+  composition rule valid only at equal constants, misapplied to a
+  classical factor)
+* symmetrized (``aleksandrov``): [U,V]- + ({U,V}_P - {V,U}_P)/2 on whole
+  elements, with matrix coefficients multiplied in written order
+* unsymmetrized (``anderson``): [U,V]- + {U,V}_P, written order (not
+  antisymmetric; the written-order choice is itself an interpretation,
+  flagged in reports)
+* hybrid (``hybrid_paper``): [U,V]- with classical parts multiplied
+  pointwise; the bracket of the quantum (x) classical Hamilton algebra
 
 Every bracket is scored against the three dynamics desiderata:
 antisymmetry, the Jacobi identity, and the derivation identity over the

@@ -42,6 +42,7 @@ from datetime import datetime, timezone
 from importlib import resources
 
 import jsonschema
+import numpy as np
 
 from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
 from .brackets import (
@@ -57,7 +58,7 @@ from .identities import run_axiom_suite
 from .measurement import BASIS, TRACKED, MeasurementConfig, Regime, back_reaction_gap, evolve
 from .reference import replay_defect
 from .serialize import dumps_indent2
-from .uniqueness import log_grid, scan_constants, uniqueness_check
+from .uniqueness import scan_constants, uniqueness_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -342,6 +343,18 @@ def _write_report(report: dict, out_path: str | None) -> None:
     _write_text(dumps_indent2(report) + "\n", out_path, "report")
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: an int >= 0, as ``np.random.default_rng`` takes;
+    argparse turns a refusal into a usage error naming ``--seed``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive(value, what: str):
     if value is None or not 0 < value < math.inf:
         raise UsageError(f"{what} must be positive and finite, got {value}")
@@ -585,7 +598,7 @@ def _parse_grid(spec: str):
         raise UsageError(f"--grid must be lo:hi:n, got {spec!r}")
     if not (0 < lo < hi < math.inf and n >= 1):
         raise UsageError(f"--grid needs 0 < lo < hi < inf and n >= 1, got {spec!r}")
-    return log_grid(lo, hi, n)
+    return np.geomspace(lo, hi, n)
 
 
 def _scan_csv(verdicts) -> str:
@@ -673,8 +686,8 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        # a string default goes through type=int, so a bad HAMALG_SEED is a usage error
-        p.add_argument("--seed", type=int, default=seed_env or 0,
+        # a string default goes through the type, so a bad HAMALG_SEED is a usage error
+        p.add_argument("--seed", type=_seed, default=seed_env or 0,
                        help="RNG seed (fallback: HAMALG_SEED, then 0)")
         p.add_argument("--config", help="JSON file with default option values")
         p.add_argument("--out", help="output file (default: stdout)")

@@ -21,9 +21,8 @@ implemented as an independent route (plain associative multiplication of
 canonical forms) and serves as a cross-check against the sigma/alpha
 composition path.
 
-Supported pairings: quantum (x) quantum, quantum (x) classical, and
-classical (x) classical.  The classical pair composes to an ordinary
-phase-space algebra on the disjoint union of canonical pairs.
+Supported pairings: quantum (x) quantum at a free a12, and its
+hbar2 -> 0 limit, quantum (x) classical.
 
 Quantum (x) classical products and the mixed brackets run on one batched
 term-pair engine, ``term_pair_sum``: the polynomial kernel's packing and
@@ -312,7 +311,6 @@ def simple_tensor(f, g):
 
     quantum (x) quantum   -> KroneckerElement
     quantum (x) classical -> HybridElement
-    classical (x) classical -> PhaseSpacePoly on the disjoint variables
     """
     if type(f) is OperatorElement and type(g) is OperatorElement:
         return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries),
@@ -321,12 +319,6 @@ def simple_tensor(f, g):
         coeffs = np.array(list(g.terms.values()))[:, None, None]
         return HybridElement._trusted(f.dim, g.num_pairs,
                                       nonzero_terms(g.terms, coeffs * f.entries), f.hermitian)
-    if isinstance(f, PhaseSpacePoly) and isinstance(g, PhaseSpacePoly):
-        terms = {}
-        for ea, ca in f.terms.items():
-            for eb, cb in g.terms.items():
-                terms[ea + eb] = ca * cb
-        return PhaseSpacePoly(f.num_pairs + g.num_pairs, terms)
     raise AlgebraError(
         f"unsupported tensor pairing {type(f).__name__} (x) {type(g).__name__}; "
         "put the quantum factor on the left"
@@ -398,10 +390,9 @@ def _lr_table(u: KroneckerElement, v: KroneckerElement):
 class ComposedAlgebra(HamiltonAlgebra):
     """Tensor product of two Hamilton algebras with constant a12.
 
-    a12 is a free parameter.  It must be given explicitly for
-    quantum (x) quantum; for quantum (x) classical it defaults to the
-    quantum component's constant; classical (x) classical requires
-    a12 = 0 (the composition is the ordinary joint phase-space algebra).
+    a12 > 0 is a free parameter.  It must be given explicitly for
+    quantum (x) quantum (kind ``qq``); for quantum (x) classical (kind
+    ``qc``) it defaults to the quantum component's constant.
     """
 
     def __init__(self, left: HamiltonAlgebra, right: HamiltonAlgebra,
@@ -416,19 +407,12 @@ class ComposedAlgebra(HamiltonAlgebra):
             self.kind = "qc"
             if a12 is None:
                 a12 = left.constant.a
-        elif isinstance(left, PhaseSpaceAlgebra) and isinstance(right, PhaseSpaceAlgebra):
-            self.kind = "cc"
-            if a12 is None:
-                a12 = 0.0
-            if a12 != 0.0:
-                raise AlgebraError("classical (x) classical composes to a classical algebra; "
-                                   "a12 must be 0")
         else:
             raise AlgebraError(
                 f"unsupported component algebras {type(left).__name__}, {type(right).__name__}"
             )
         constant = QuantumConstant(float(a12))
-        if constant.is_classical and self.kind != "cc":
+        if constant.is_classical:
             raise AlgebraError("a12 must be > 0 when a component is quantum")
         super().__init__(constant)
         self.left = left
@@ -454,43 +438,31 @@ class ComposedAlgebra(HamiltonAlgebra):
                 raise ShapeError(f"expected KroneckerElement, got {type(u).__name__}")
             if (u.left_dim, u.right_dim) != (self.left.dim, self.right.dim):
                 raise ShapeError("element does not match component dimensions")
-        elif self.kind == "qc":
+        else:
             if not isinstance(u, HybridElement):
                 raise ShapeError(f"expected HybridElement, got {type(u).__name__}")
             if (u.dim, u.num_pairs) != (self.left.dim, self.right.num_pairs):
                 raise ShapeError("element does not match component shapes")
-        else:
-            if not isinstance(u, PhaseSpacePoly):
-                raise ShapeError(f"expected PhaseSpacePoly, got {type(u).__name__}")
-            if u.num_pairs != self.left.num_pairs + self.right.num_pairs:
-                raise ShapeError("element does not match the joint variable count")
 
     # -- composed products ---------------------------------------------
 
     def sigma(self, u, v):
         self._check_element(u)
         self._check_element(v)
-        herm = u.hermitian and v.hermitian if self.kind != "cc" else None
+        herm = u.hermitian and v.hermitian
         if self.kind == "qq":
             h1, h2 = self.left.constant.hbar, self.right.constant.hbar
             LL, LR, RL, RR = _lr_table(u, v)
             sig_sig = 0.25 * (LL + LR + RL + RR)
             alp_alp = -(LL - LR - RL + RR) / (h1 * h2)
             return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp, herm)
-        if self.kind == "qc":
-            # cross term carries sqrt(a1 * a2) = 0 for a classical right
-            # component, so only the factorwise symmetric products remain
-            return term_pair_sum(u, v, lambda A, B: 0.5 * (A @ B + B @ A), herm)
-        return u.product(v)
+        # cross term carries sqrt(a1 * a2) = 0 for a classical right
+        # component, so only the factorwise symmetric products remain
+        return term_pair_sum(u, v, lambda A, B: 0.5 * (A @ B + B @ A), herm)
 
     def alpha(self, u, v):
         self._check_element(u)
         self._check_element(v)
-        if self.kind == "cc":
-            # equal-constant classical law: the joint Poisson bracket
-            return u.poisson(v)
-        if self.a12 <= 0:
-            raise AlgebraError("alpha12 needs a12 > 0")
         herm = u.hermitian and v.hermitian
         c1 = math.sqrt(self.a1 / self.a12)
         c2 = math.sqrt(self.a2 / self.a12)
@@ -513,23 +485,12 @@ class ComposedAlgebra(HamiltonAlgebra):
         if self.kind == "qq":
             u._check_like(v)
             return u._derived(u.entries @ v.entries, False)
-        if self.kind == "qc":
-            return u.assoc_product(v)
-        return u.product(v)
+        return u.assoc_product(v)
 
     # -- elements -------------------------------------------------------
 
     def unit(self):
         return simple_tensor(self.left.unit(), self.right.unit())
-
-    def zero(self):
-        if self.kind == "qq":
-            n = self.left.dim * self.right.dim
-            return KroneckerElement(self.left.dim, self.right.dim, np.zeros((n, n)),
-                                    hermitian=True)
-        if self.kind == "qc":
-            return HybridElement(self.left.dim, self.right.num_pairs, {}, hermitian=True)
-        return PhaseSpacePoly.zero(self.left.num_pairs + self.right.num_pairs)
 
     def random_simple_terms(self, rng: np.random.Generator, n_terms: int):
         """Draw n_terms random simple-tensor factor pairs."""
@@ -537,11 +498,12 @@ class ComposedAlgebra(HamiltonAlgebra):
                 for _ in range(n_terms)]
 
     def embed_terms(self, terms):
-        out = None
-        for f1, f2 in terms:
-            t = simple_tensor(f1, f2)
-            out = t if out is None else out + t
-        return self.zero() if out is None else out
+        """Sum of the simple tensors of a non-empty list of factor pairs,
+        added in list order."""
+        out = simple_tensor(*terms[0])
+        for f1, f2 in terms[1:]:
+            out = out + simple_tensor(f1, f2)
+        return out
 
     @property
     def block_entries(self) -> int | None:

@@ -150,10 +150,6 @@ class OperatorElement:
     def identity(cls, dim: int) -> "OperatorElement":
         return cls(np.eye(dim), hermitian=True)
 
-    @classmethod
-    def zero(cls, dim: int) -> "OperatorElement":
-        return cls(np.zeros((dim, dim)), hermitian=True)
-
     def norm(self):
         """Frobenius norm; in a block, an array of the norm of each trial,
         equal to ``trial(t).norm()`` to the bit."""
@@ -264,10 +260,6 @@ class PhaseSpacePoly:
     @classmethod
     def unit(cls, num_pairs: int) -> "PhaseSpacePoly":
         return cls(num_pairs, {(0,) * (2 * num_pairs): 1.0})
-
-    @classmethod
-    def zero(cls, num_pairs: int) -> "PhaseSpacePoly":
-        return cls(num_pairs, {})
 
     @classmethod
     def variable(cls, num_pairs: int, name: str) -> "PhaseSpacePoly":

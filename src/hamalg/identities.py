@@ -57,15 +57,6 @@ AXIOM_IDENTITIES = (
     Identity.CANONICAL_RELATION,
 )
 
-#: composed-algebra lemma number -> identity it asserts
-LEMMA_IDENTITIES = {
-    1: Identity.ANTISYMMETRY,
-    2: Identity.SYMMETRY,
-    3: Identity.JACOBI,
-    4: Identity.DERIVATION,
-    5: Identity.CANONICAL_RELATION,
-}
-
 _ARITY = {
     Identity.ANTISYMMETRY: 2,
     Identity.JACOBI: 3,
@@ -278,17 +269,6 @@ def run_axiom_suite(alg: HamiltonAlgebra, trials: int = 200, tolerance: float = 
                               tolerance=tolerance, seed=seed)
         report.checks.append(check_identity(alg, check))
     return report
-
-
-def check_lemma(composed, lemma_id: int, trials: int = 200, tolerance: float = 1e-9,
-                seed: int = 0) -> CheckResult:
-    """Check one composition lemma (1..5) on a composed algebra, on the
-    draws of ``verify --composed``."""
-    if lemma_id not in LEMMA_IDENTITIES:
-        raise ValueError(f"lemma_id must be 1..5, got {lemma_id}")
-    check = IdentityCheck(identity=LEMMA_IDENTITIES[lemma_id], trials=trials,
-                          tolerance=tolerance, seed=seed)
-    return check_identity(composed, check)
 
 
 def replay_witness(alg: HamiltonAlgebra, identity: Identity, witness: list) -> float:

@@ -171,10 +171,6 @@ def uniqueness_check(a1: float, a2: float, a12: float,
     }
 
 
-def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
-
-
 def scan_constants(values, tolerance: float = DEFAULT_FACTOR_TOLERANCE,
                    seed: int = 0) -> list:
     """Verdict table over a grid: every (a1, a2, a12) triple from the

@@ -235,6 +235,22 @@ class TestVerify:
         monkeypatch.setenv("HAMALG_SEED", "abc")
         assert argparse_exit_code("verify", "--trials", "1") == 2
 
+    @pytest.mark.parametrize("argv, env", [
+        (("verify", "--seed", "-1"), None),
+        (("brackets", "--seed", "-1"), None),
+        (("uniqueness", "--a1", "1", "--a2", "1", "--a12", "1", "--seed", "-1"), None),
+        (("verify",), "-3"),
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, env, monkeypatch, capsys):
+        # np.random.default_rng refuses a negative seed; the parser must
+        # refuse it first, as a usage error, not a failed verdict
+        if env is None:
+            monkeypatch.delenv("HAMALG_SEED", raising=False)
+        else:
+            monkeypatch.setenv("HAMALG_SEED", env)
+        assert argparse_exit_code(*argv) == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
     def test_seed_flag_beats_bad_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HAMALG_SEED", "abc")
         assert run_cli("verify", "--trials", "1", "--seed", "3",

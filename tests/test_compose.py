@@ -67,14 +67,6 @@ class TestSimpleTensor:
         assert set(t.terms) == {(1, 1)}
         assert np.array_equal(t.terms[(1, 1)], PAULI_X)
 
-    def test_classical_pair_concatenates_variables(self):
-        f = PhaseSpacePoly.variable(1, "x1")
-        g = PhaseSpacePoly.variable(1, "p1")
-        t = simple_tensor(f, g)
-        assert isinstance(t, PhaseSpacePoly)
-        assert t.num_pairs == 2
-        assert t.terms == {(1, 0, 0, 1): 1.0}
-
     def test_classical_quantum_rejected(self, paulis):
         sx, _, _ = paulis
         with pytest.raises(AlgebraError):
@@ -227,39 +219,6 @@ class TestComposedProductsQC:
         assert out.norm() == 0.0
 
 
-class TestComposedProductsCC:
-    def test_joint_poisson(self):
-        cc = ComposedAlgebra(PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1))
-        x1 = simple_tensor(PhaseSpacePoly.variable(1, "x1"), PhaseSpacePoly.unit(1))
-        p1 = simple_tensor(PhaseSpacePoly.variable(1, "p1"), PhaseSpacePoly.unit(1))
-        x2 = simple_tensor(PhaseSpacePoly.unit(1), PhaseSpacePoly.variable(1, "x1"))
-        p2 = simple_tensor(PhaseSpacePoly.unit(1), PhaseSpacePoly.variable(1, "p1"))
-        assert cc.alpha(x1, p1).terms == {(0, 0, 0, 0): 1.0}
-        assert cc.alpha(x2, p2).terms == {(0, 0, 0, 0): 1.0}
-        assert cc.alpha(x1, p2).terms == {}
-
-    def test_matches_component_law_on_simple_tensors(self, rng):
-        left = PhaseSpaceAlgebra(1, max_random_degree=2)
-        right = PhaseSpaceAlgebra(1, max_random_degree=2)
-        cc = ComposedAlgebra(left, right)
-        ut = cc.random_simple_terms(rng, 2)
-        vt = cc.random_simple_terms(rng, 2)
-        u, v = cc.embed_terms(ut), cc.embed_terms(vt)
-        # alpha0 composes with unit coefficients, like the quantum law
-        oracle = (compose_product_on_terms(left.alpha, right.sigma, ut, vt)
-                  + compose_product_on_terms(left.sigma, right.alpha, ut, vt))
-        assert (cc.alpha(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
-
-    def test_equal_constant_path_cc(self, rng):
-        # all constants 0: the sigma law has no double-bracket term
-        left, right = PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1)
-        cc = ComposedAlgebra(left, right)
-        ut, vt = cc.random_simple_terms(rng, 2), cc.random_simple_terms(rng, 2)
-        u, v = cc.embed_terms(ut), cc.embed_terms(vt)
-        oracle = compose_product_on_terms(left.sigma, right.sigma, ut, vt)
-        assert (cc.sigma(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
-
-
 class TestEqualConstantPath:
     def test_matches_general_law(self, rng):
         # a1 = a2 = a12 = a: unit coefficients on the bracket terms, -a on
@@ -321,9 +280,11 @@ class TestConstruction:
         with pytest.raises(AlgebraError):
             qc_algebra(a=1.0, a12=0.0)
 
-    def test_cc_requires_zero_a12(self):
+    def test_classical_pair_is_refused(self):
         with pytest.raises(AlgebraError):
-            ComposedAlgebra(PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1), a12=1.0)
+            ComposedAlgebra(PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1))
+        with pytest.raises(AlgebraError):
+            simple_tensor(PhaseSpacePoly.unit(1), PhaseSpacePoly.unit(1))
 
     def test_classical_quantum_order_rejected(self):
         with pytest.raises(AlgebraError):

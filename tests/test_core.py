@@ -14,7 +14,6 @@ from hamalg import (
     OperatorElement,
     PhaseSpaceAlgebra,
     PhaseSpacePoly,
-    centrality_report,
     relative_defect,
 )
 from tests.conftest import PAULI_X, PAULI_Y, PAULI_Z, loop_phase_space_draw
@@ -62,7 +61,7 @@ class TestOperatorProducts:
     def test_products_with_zero(self, rng):
         alg = OperatorAlgebra(3, hbar=1.0)
         f = alg.random_element(rng)
-        z = alg.zero()
+        z = OperatorElement(np.zeros((3, 3)), hermitian=True)
         assert alg.sigma(f, z).norm() == 0.0
         assert alg.alpha(z, f).norm() == 0.0
 
@@ -212,14 +211,6 @@ class TestRandomElements:
         a = alg.random_element(np.random.default_rng(9))
         b = alg.random_element(np.random.default_rng(9))
         assert a.terms == b.terms
-
-
-class TestCentrality:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_full_matrix_algebra_is_central(self, dim):
-        report = centrality_report(OperatorAlgebra(dim, hbar=1.0))
-        assert report["central"]
-        assert report["nullity"] == 1
 
 
 def test_relative_defect_normalization():

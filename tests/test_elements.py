@@ -175,7 +175,7 @@ class TestPhaseSpacePoly:
 
     def test_unit_and_zero(self):
         u = PhaseSpacePoly.unit(2)
-        z = PhaseSpacePoly.zero(2)
+        z = PhaseSpacePoly(2, {})
         assert u.terms == {(0, 0, 0, 0): 1.0}
         assert z.terms == {}
         assert z.norm() == 0.0

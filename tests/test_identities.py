@@ -13,11 +13,10 @@ from hamalg import (
     OperatorAlgebra,
     PhaseSpaceAlgebra,
     check_identity,
-    check_lemma,
     run_axiom_suite,
 )
 from hamalg.cli import _load_schema
-from hamalg.identities import AXIOM_IDENTITIES, LEMMA_IDENTITIES, replay_witness
+from hamalg.identities import AXIOM_IDENTITIES, replay_witness
 from hamalg.serialize import element_to_json
 from tests.conftest import TIES_AND_NANS
 
@@ -158,28 +157,22 @@ class TestAxiomSuite:
 
 
 class TestLemmas:
-    def test_lemma_identity_mapping(self):
-        assert LEMMA_IDENTITIES[1] is Identity.ANTISYMMETRY
-        assert LEMMA_IDENTITIES[2] is Identity.SYMMETRY
-        assert LEMMA_IDENTITIES[3] is Identity.JACOBI
-        assert LEMMA_IDENTITIES[4] is Identity.DERIVATION
-        assert LEMMA_IDENTITIES[5] is Identity.CANONICAL_RELATION
-        assert set(LEMMA_IDENTITIES.values()) == set(AXIOM_IDENTITIES)
+    """The composition lemmas: every axiom holds on a composed algebra."""
 
-    @pytest.mark.parametrize("lemma", [1, 2, 3, 4, 5])
-    def test_lemmas_on_unequal_constants(self, lemma):
-        res = check_lemma(composed(1.0, 1.0, 2.0), lemma, trials=50)
-        assert res.passed, (lemma, res.max_relative_defect)
+    @pytest.mark.parametrize("identity", AXIOM_IDENTITIES)
+    def test_lemmas_on_unequal_constants(self, identity):
+        res = check_identity(composed(1.0, 1.0, 2.0), IdentityCheck(identity, trials=50))
+        assert res.passed, (identity, res.max_relative_defect)
 
     def test_lemma_on_hybrid(self):
         hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=2.0),
                                  PhaseSpaceAlgebra(1, max_random_degree=2), a12=1.0)
-        res = check_lemma(hybrid, 5, trials=50)
+        res = check_identity(hybrid, IdentityCheck(Identity.CANONICAL_RELATION, trials=50))
         assert res.passed
 
     def test_lemma5_fails_on_scaled_bracket(self):
         bad = CorruptedAlgebra(composed(1.0, 1.0, 2.0), alpha_scale=1.1)
-        res = check_lemma(bad, 5, trials=30)
+        res = check_identity(bad, IdentityCheck(Identity.CANONICAL_RELATION, trials=30))
         assert not res.passed
 
     def test_lemma1_fails_on_symmetric_admixture(self):
@@ -200,13 +193,9 @@ class TestLemmas:
             tau = staticmethod(base.tau)
             associator_sigma = staticmethod(base.associator_sigma)
 
-        res = check_lemma(Leaky(), 1, trials=20)
+        res = check_identity(Leaky(), IdentityCheck(Identity.ANTISYMMETRY, trials=20))
         assert not res.passed
         assert res.max_relative_defect > 1e-3
-
-    def test_invalid_lemma_id(self):
-        with pytest.raises(ValueError):
-            check_lemma(composed(1.0, 1.0, 1.0), 6)
 
 
 class TestMutationMonotonicity:
@@ -289,16 +278,16 @@ class TestTrialBlocks:
         check = IdentityCheck(identity, trials=300, seed=4)   # past the 256-trial cap
         assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
 
-    @pytest.mark.parametrize("lemma", [1, 3, 5])
-    def test_lemma_max_terms_path_matches_loop(self, lemma, monkeypatch):
+    @pytest.mark.parametrize("identity", [Identity.ANTISYMMETRY, Identity.JACOBI,
+                                          Identity.CANONICAL_RELATION])
+    def test_lemma_max_terms_path_matches_loop(self, identity, monkeypatch):
         from hamalg import identities
         from tests.conftest import loop_check_identity
 
         monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
         alg = composed(1.0, 2.0, 1.5, 2, 3)
-        got = check_lemma(alg, lemma, trials=8, seed=1)
-        check = IdentityCheck(LEMMA_IDENTITIES[lemma], trials=8, seed=1)
-        assert got.to_json() == loop_check_identity(alg, check).to_json()
+        check = IdentityCheck(identity, trials=8, seed=1)
+        assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
 
     def test_corrupted_algebra_forwards_block_draws(self, monkeypatch):
         from hamalg import identities

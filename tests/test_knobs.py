@@ -25,8 +25,9 @@ ALLOWED = {
     # the console entry point; tests and the benchmark pass argv
     ("main", "argv"),
     # None infers hermiticity from the entries; callers outside the
-    # package build elements from raw matrices
+    # package and ``element_from_json`` build elements from raw matrices
     ("OperatorElement.__init__", "hermitian"),
+    ("KroneckerElement.__init__", "hermitian"),
     # shape of the hybrid observables; tests draw dim-3 blocks with them
     ("random_hybrid_observable", "dim"),
     ("random_hybrid_observable", "num_pairs"),
@@ -35,9 +36,6 @@ ALLOWED = {
     ("CorruptedAlgebra.__init__", "alpha_scale"),
     ("CorruptedAlgebra.__init__", "sigma_scale"),
     # entry points that only tests call, with the settings they choose
-    ("check_lemma", "trials"),
-    ("check_lemma", "tolerance"),
-    ("check_lemma", "seed"),
     ("restrict_sigma", "seed"),
     ("restrict_sigma", "tolerance"),
 }
