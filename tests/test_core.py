@@ -213,6 +213,44 @@ class TestRandomElements:
         assert a.terms == b.terms
 
 
+def hermitian_basis(dim):
+    """A real basis of the Hermitian dim x dim matrices: E_ii,
+    E_ij + E_ji and i(E_ij - E_ji) for i < j."""
+    basis = []
+    for i in range(dim):
+        for j in range(i, dim):
+            unit = np.zeros((dim, dim), dtype=np.complex128)
+            unit[i, j] = 1.0
+            if i == j:
+                basis.append(unit)
+            else:
+                basis.append(unit + unit.T)
+                basis.append(1j * (unit - unit.T))
+    return basis
+
+
+class TestCentrality:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_full_matrix_algebra_is_central(self, dim):
+        # alpha(f, x) = 0 for every Hermitian f forces x = c * unit: the
+        # kernel of x -> [alpha(b, x) for b in basis], built column by
+        # column through the algebra's own bracket, is the span of the unit
+        alg = OperatorAlgebra(dim, hbar=1.0)
+        basis = [OperatorElement(b, hermitian=True) for b in hermitian_basis(dim)]
+        assert len(basis) == dim * dim
+        columns = []
+        for x in basis:
+            images = np.stack([alg.alpha(b, x).entries for b in basis])
+            columns.append(np.concatenate([images.real.ravel(), images.imag.ravel()]))
+        _, svals, vh = np.linalg.svd(np.stack(columns, axis=1))
+        nullity = int(np.sum(svals <= 1e-10 * svals[0]))
+        assert nullity == 1
+        kernel = sum(c * b.entries for c, b in zip(vh[-1], basis))
+        coeff = np.trace(kernel) / dim
+        assert abs(coeff) > 0.1
+        assert np.linalg.norm(kernel - coeff * np.eye(dim)) <= 1e-10
+
+
 def test_relative_defect_normalization():
     assert relative_defect(1.0, [3.0, 3.0]) == 1.0 / 10.0
     assert relative_defect(0.0, [100.0]) == 0.0
