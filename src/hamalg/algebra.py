@@ -54,6 +54,15 @@ def hermitian_from_normals(z: np.ndarray) -> np.ndarray:
     return h
 
 
+def random_hermitian(rng: np.random.Generator, dim: int, block: tuple) -> list:
+    """``arity`` stacks of ``trials`` random Hermitian dim x dim matrices,
+    for ``block=(trials, arity)``, from one draw of standard normals: the
+    matrices, in order, of ``trials * arity`` single draws."""
+    trials, arity = block
+    h = hermitian_from_normals(rng.standard_normal((trials, arity, 2, dim, dim)))
+    return [np.ascontiguousarray(h[:, i]) for i in range(arity)]
+
+
 class HamiltonAlgebra:
     """Common surface shared by all realizations.
 
@@ -61,9 +70,9 @@ class HamiltonAlgebra:
     envelope product and the operations derived from it live here.
 
     A realization whose ``random_element(rng, block=(trials, arity))``
-    draws ``trials`` input tuples at once, as ``arity`` blocks, declares
-    the matrix entries of one element in ``block_entries``; None means it
-    draws single elements only.
+    draws ``trials`` input tuples at once, as ``arity`` blocks, declares in
+    ``block_entries`` the matrix entries of the largest element one trial
+    forms; None means it draws single elements only.
     """
 
     constant: QuantumConstant
@@ -86,20 +95,6 @@ class HamiltonAlgebra:
         if self.constant.is_classical:
             return s
         return s + self.alpha(f, g).scale(0.5j * self.constant.hbar)
-
-    def derive_products_from_tau(self, f, g):
-        """Recover (sigma, alpha) as the symmetric/antisymmetric parts of tau.
-
-        Only defined for a > 0: the antisymmetric part carries a factor
-        1/(2*sqrt(-a)).
-        """
-        if self.constant.is_classical:
-            raise AlgebraError("product recovery from tau needs a > 0")
-        tfg = self.tau(f, g)
-        tgf = self.tau(g, f)
-        sig = (tfg + tgf).scale(0.5)
-        alp = (tfg - tgf).scale(1.0 / (1j * self.constant.hbar))
-        return sig, alp
 
     def associator_sigma(self, f, g, h):
         """(f sigma g) sigma h - f sigma (g sigma h)."""
@@ -162,13 +157,10 @@ class OperatorAlgebra(HamiltonAlgebra):
         """Random Hermitian element.  With ``block=(trials, arity)``,
         ``trials`` input tuples of ``arity`` elements in one draw, returned
         as ``arity`` blocks: the numbers, in order, of ``trials * arity``
-        single calls."""
-        trials, arity = block or (1, 1)
-        h = hermitian_from_normals(rng.standard_normal((trials, arity, 2, self.dim, self.dim)))
-        if block is None:
-            return OperatorElement._trusted(h[0, 0], True)
-        return [OperatorElement._trusted(np.ascontiguousarray(h[:, i]), True)
-                for i in range(arity)]
+        single calls; a single draw is trial 0 of a block of one."""
+        drawn = [OperatorElement._trusted(h, True)
+                 for h in random_hermitian(rng, self.dim, block or (1, 1))]
+        return drawn if block else drawn[0].trial(0)
 
     def describe(self) -> dict:
         return {

@@ -25,7 +25,8 @@ derivation; the unsymmetrized bracket breaks all three.
 The desiderata are the Hamilton-algebra identities of the same names:
 ``identities`` checks them on ``BracketAlgebra(kind, hbar)`` (``alpha``
 the mixed bracket, ``sigma`` the associative product, ``random_element``
-blocks of random hybrid observables), defining each defect (Jacobi as the
+blocks of random hybrid observables, drawn by ``compose`` as the quantum
+(x) classical algebra draws its elements), defining each defect (Jacobi as the
 left-nested cyclic sum), scanning the trials and picking the witness.  A
 witness search scans trial 0 alone, where a broken bracket already fails,
 then the rest of its budget in blocks of at most MAX_BLOCK_TRIALS.
@@ -38,9 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import hermitian_from_normals
-from .compose import HybridElement, nonzero_terms, term_pair_sum
-from .elements import monomials_up_to_degree
+from .compose import HybridElement, random_hybrid_observable, term_pair_sum
 from .errors import AlgebraError
 from .identities import first_over, scan, worst_trial
 from .kernels import MAX_BLOCK_TRIALS
@@ -124,26 +123,6 @@ def mixed_bracket(kind: MixedBracketKind, u: HybridElement, v: HybridElement,
     if hbar <= 0:
         raise AlgebraError(f"hbar must be > 0, got {hbar}")
     return _BRACKETS[MixedBracketKind(kind)](u, v, hbar)
-
-
-def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: int = 1,
-                             degree: int = 2, block: tuple | None = None):
-    """Hermitian-coefficient random hybrid element on every monomial up to
-    ``degree``.
-
-    With ``block=(trials, arity)``, ``trials`` input tuples of ``arity``
-    elements in one draw, returned as ``arity`` blocks: the numbers, in
-    order, of ``trials * arity`` single calls.
-    """
-    monos = monomials_up_to_degree(2 * num_pairs, degree)
-    trials, arity = block or (1, 1)
-    h = hermitian_from_normals(rng.standard_normal((trials, arity, len(monos), 2, dim, dim)))
-    # by element, then monomial: each coefficient (trials, dim, dim)
-    h = np.ascontiguousarray(h.transpose(1, 2, 0, 3, 4))
-    if block is None:
-        return HybridElement._trusted(dim, num_pairs, nonzero_terms(monos, h[0, :, 0]), True)
-    return [HybridElement._trusted(dim, num_pairs, nonzero_terms(monos, c), True, trials)
-            for c in h]
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .brackets import (
     measure_defects,
 )
 from .compose import ComposedAlgebra
+from .elements import product_monomials
 from .errors import HamalgError
 from .identities import run_axiom_suite
 from .measurement import BASIS, TRACKED, MeasurementConfig, Regime, back_reaction_gap, evolve
@@ -370,7 +371,7 @@ def _check_polynomial_size(pairs: int, degree: int) -> None:
     (see MAX_PRODUCT_MONOMIALS)."""
     if degree < 0:
         raise UsageError(f"--degree must be >= 0, got {degree}")
-    bound = math.comb(2 * pairs + 4 * degree, 4 * degree)
+    bound = product_monomials(2 * pairs, degree)
     if bound > MAX_PRODUCT_MONOMIALS:
         raise UsageError(f"--pairs {pairs} --degree {degree}: products of degree {4 * degree} "
                          f"reach C({2 * pairs + 4 * degree}, {4 * degree}) = {bound:,} "

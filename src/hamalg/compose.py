@@ -24,6 +24,11 @@ composition path.
 Supported pairings: quantum (x) quantum at a free a12, and its
 hbar2 -> 0 limit, quantum (x) classical.
 
+Every element of the tensor space is a sum of simple tensors, so random
+composed elements range over the whole space: Hermitian matrices on
+C^l (x) C^r, or polynomials with a Hermitian coefficient on every monomial
+up to the classical degree.
+
 Quantum (x) classical products and the mixed brackets run on one batched
 term-pair engine, ``term_pair_sum``: the polynomial kernel's packing and
 its one slotting routine for scalar and matrix coefficients.
@@ -40,6 +45,7 @@ from .algebra import (
     OperatorAlgebra,
     PhaseSpaceAlgebra,
     hermitian_from_normals,
+    random_hermitian,
 )
 from .elements import (
     OperatorElement,
@@ -49,12 +55,11 @@ from .elements import (
     exponent_tuple,
     frobenius_norms,
     is_hermitian,
+    monomials_up_to_degree,
+    product_monomials,
 )
 from .errors import AlgebraError, ShapeError
 from .kernels import accumulate, keys_of, pack, poisson_weights, row_blocks
-
-#: Random composed elements sum 1..MAX_RANDOM_TERMS simple tensors.
-MAX_RANDOM_TERMS = 3
 
 
 class KroneckerElement(OperatorElement):
@@ -247,6 +252,26 @@ def nonzero_terms(keys, stacked: np.ndarray) -> dict:
     stacked.setflags(write=False)
     live = stacked.reshape(len(stacked), math.prod(stacked.shape[1:])).any(axis=1)
     return {e: m for e, m, keep in zip(keys, stacked, live.tolist()) if keep}
+
+
+def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: int = 1,
+                             degree: int = 2, block: tuple | None = None):
+    """Hermitian-coefficient random hybrid element on every monomial up to
+    ``degree``.
+
+    With ``block=(trials, arity)``, ``trials`` input tuples of ``arity``
+    elements in one draw, returned as ``arity`` blocks: the numbers, in
+    order, of ``trials * arity`` single calls.  A single call is trial 0 of
+    a block of one.
+    """
+    monos = monomials_up_to_degree(2 * num_pairs, degree)
+    trials, arity = block or (1, 1)
+    h = hermitian_from_normals(rng.standard_normal((trials, arity, len(monos), 2, dim, dim)))
+    # by element, then monomial: each coefficient (trials, dim, dim)
+    h = np.ascontiguousarray(h.transpose(1, 2, 0, 3, 4))
+    drawn = [HybridElement._trusted(dim, num_pairs, nonzero_terms(monos, c), True, trials)
+             for c in h]
+    return drawn if block else drawn[0].trial(0)
 
 
 def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
@@ -492,59 +517,30 @@ class ComposedAlgebra(HamiltonAlgebra):
     def unit(self):
         return simple_tensor(self.left.unit(), self.right.unit())
 
-    def random_simple_terms(self, rng: np.random.Generator, n_terms: int):
-        """Draw n_terms random simple-tensor factor pairs."""
-        return [(self.left.random_element(rng), self.right.random_element(rng))
-                for _ in range(n_terms)]
-
-    def embed_terms(self, terms):
-        """Sum of the simple tensors of a non-empty list of factor pairs,
-        added in list order."""
-        out = simple_tensor(*terms[0])
-        for f1, f2 in terms[1:]:
-            out = out + simple_tensor(f1, f2)
-        return out
-
     @property
-    def block_entries(self) -> int | None:
-        return (self.left.dim * self.right.dim) ** 2 if self.kind == "qq" else None
+    def block_entries(self) -> int:
+        """Entries of the largest element one trial forms: an l*r square
+        matrix for quantum (x) quantum; for quantum (x) classical, a d x d
+        coefficient on each monomial an identity's deepest product can
+        reach."""
+        if self.kind == "qq":
+            return (self.left.dim * self.right.dim) ** 2
+        return (product_monomials(2 * self.right.num_pairs, self.right.max_random_degree)
+                * self.left.dim ** 2)
 
     def random_element(self, rng: np.random.Generator, block: tuple | None = None):
-        """Random sum of simple tensors, their number drawn from
-        1..MAX_RANDOM_TERMS.
-
-        With ``block=(trials, arity)`` (quantum (x) quantum only),
-        ``trials`` input tuples of ``arity`` elements in one draw, returned
-        as ``arity`` blocks, each element drawing its number of terms: the
-        numbers, in order, of ``trials * arity`` single calls, and the
-        entries of their canonical forms to the bit.
-        """
-        if block is not None:
-            return self._kronecker_block(rng, *block)
-        n_terms = int(rng.integers(1, MAX_RANDOM_TERMS + 1))
-        return self.embed_terms(self.random_simple_terms(rng, n_terms))
-
-    def _kronecker_block(self, rng, trials: int, arity: int) -> list:
-        if self.kind != "qq":
-            raise AlgebraError(f"block draws need quantum (x) quantum, not {self.kind}")
-        dl, dr = self.left.dim, self.right.dim
-        split = 2 * dl * dl
-        counts, draws = [], []
-        for _ in range(trials * arity):   # per element: its term count, then its factors
-            counts.append(int(rng.integers(1, MAX_RANDOM_TERMS + 1)))
-            draws.append(rng.standard_normal(counts[-1] * (split + 2 * dr * dr)))
-        z = np.concatenate(draws).reshape(sum(counts), -1)   # one row per simple tensor
-        terms = kron_blocks(hermitian_from_normals(z[:, :split].reshape(-1, 2, dl, dl)),
-                            hermitian_from_normals(z[:, split:].reshape(-1, 2, dr, dr)))
-        counts = np.array(counts)
-        first = np.cumsum(counts) - counts
-        out = terms[first]
-        for k in range(1, MAX_RANDOM_TERMS):   # add each element's terms in term order
-            more = counts > k
-            out[more] = out[more] + terms[first[more] + k]
-        out = out.reshape((trials, arity) + out.shape[1:])
-        return [KroneckerElement._trusted(dl, dr, np.ascontiguousarray(out[:, i]), True)
-                for i in range(arity)]
+        """Random element over the whole tensor space, drawn as the algebra
+        of its shape draws: quantum (x) quantum as ``OperatorAlgebra(l*r)``,
+        quantum (x) classical by ``random_hybrid_observable``.  With
+        ``block=(trials, arity)``, ``arity`` blocks of ``trials`` elements
+        from one draw; a single draw is trial 0 of a block of one."""
+        if self.kind == "qc":
+            return random_hybrid_observable(rng, self.left.dim, self.right.num_pairs,
+                                            self.right.max_random_degree, block)
+        l, r = self.left.dim, self.right.dim
+        drawn = [KroneckerElement._trusted(l, r, h, True)
+                 for h in random_hermitian(rng, l * r, block or (1, 1))]
+        return drawn if block else drawn[0].trial(0)
 
     def describe(self) -> dict:
         return {

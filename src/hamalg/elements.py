@@ -334,3 +334,10 @@ def monomials_up_to_degree(nvars: int, degree: int) -> tuple:
                 e[i] += 1
             out.append(tuple(e))
     return tuple(out)
+
+
+def product_monomials(nvars: int, degree: int) -> int:
+    """Monomials of degree <= 4 * degree over nvars variables,
+    C(nvars + 4 degree, 4 degree): the most terms a product of four random
+    polynomials of degree ``degree``, an identity's deepest product, holds."""
+    return math.comb(nvars + 4 * degree, 4 * degree)

@@ -12,13 +12,14 @@ result, never an exception, so the same machinery certifies honest
 algebras and exposes corrupted ones.
 
 ``scan`` draws and scores the input tuples a block at a time.  An algebra
-that declares ``block_entries`` (the operator algebras and quantum (x)
-quantum composition) draws a block of T input tuples in one call, as
-elements whose entries carry a leading trial axis (T, n, n), and each
-product of an identity then runs once per block; ``check_identity`` takes
-T at most ``kernels.MAX_BLOCK_TRIALS`` and at most ``kernels.BLOCK_PAIRS``
-matrix entries per element.  Any other algebra is checked one trial per
-block, on single elements.  ``worst_trial`` reduces a scan (the last
+that declares ``block_entries`` (the operator algebras and both
+compositions) draws a block of T input tuples in one call, as elements
+whose matrices carry a leading trial axis, (T, n, n) or (T, d, d) per
+monomial, and each product of an identity then runs once per block;
+``check_identity`` takes T at most ``kernels.MAX_BLOCK_TRIALS`` and at most
+``kernels.BLOCK_PAIRS`` matrix entries in the largest element one trial
+forms.  Any other algebra is checked one trial per block, on single
+elements.  ``worst_trial`` reduces a scan (the last
 maximal trial wins, a NaN never does) and ``first_over`` stops one at its
 first defect over a threshold or NaN.  The RNG stream, every defect, the
 mean and the witness are those of the trial-by-trial loop, to the bit.

@@ -27,7 +27,6 @@ from enum import Enum
 import numpy as np
 
 from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
-from .brackets import random_hybrid_observable
 from .compose import ComposedAlgebra, HybridElement
 from .elements import monomials_up_to_degree
 from .errors import AlgebraError
@@ -294,7 +293,7 @@ def classical_freezing_defect() -> float:
                        for e in monomials_up_to_degree(2, 3)]
     worst = 0.0
     for _ in range(50):
-        h = random_hybrid_observable(rng)
+        h = hybrid.random_element(rng)
         for f in classical_basis:
             worst = max(worst, hybrid.alpha(f, h).norm())
     return worst

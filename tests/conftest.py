@@ -197,32 +197,55 @@ def loop_operator_element(rng, dim):
 
 def loop_kronecker_element(rng, left_dim, right_dim):
     """A random quantum (x) quantum element drawn as the single-element loop
-    drew it: the term count, then each term's factors, embedded with
-    ``np.kron`` and summed in term order."""
-    from hamalg import KroneckerElement, compose
+    draws it: a Hermitian matrix on the whole l*r dimensional space."""
+    from hamalg import KroneckerElement
 
-    out = None
-    for _ in range(int(rng.integers(1, compose.MAX_RANDOM_TERMS + 1))):
-        f = loop_operator_element(rng, left_dim)
-        g = loop_operator_element(rng, right_dim)
-        term = np.kron(f.entries, g.entries)
-        out = term if out is None else out + term
-    return KroneckerElement(left_dim, right_dim, out, hermitian=True)
+    flat = loop_operator_element(rng, left_dim * right_dim)
+    return KroneckerElement(left_dim, right_dim, flat.entries, hermitian=True)
+
+
+def loop_hybrid_element(rng, dim, num_pairs, degree):
+    """A random hybrid observable drawn one monomial at a time: a Hermitian
+    coefficient on each, drawn as ``loop_operator_element`` draws it."""
+    from hamalg import HybridElement
+    from hamalg.elements import monomials_up_to_degree
+
+    return HybridElement(dim, num_pairs,
+                         {e: loop_operator_element(rng, dim).entries
+                          for e in monomials_up_to_degree(2 * num_pairs, degree)},
+                         hermitian=True)
 
 
 def loop_matrix_draws(alg, rng, trials, arity):
-    """Input tuples of an operator or quantum (x) quantum algebra, drawn one
+    """Input tuples of an operator algebra or a composition, drawn one
     element at a time."""
     from hamalg import ComposedAlgebra
 
     alg = getattr(alg, "base", alg)   # a CorruptedAlgebra draws as its base
 
     def draw():
+        if isinstance(alg, ComposedAlgebra) and alg.kind == "qc":
+            return loop_hybrid_element(rng, alg.left.dim, alg.right.num_pairs,
+                                       alg.right.max_random_degree)
         if isinstance(alg, ComposedAlgebra):
             return loop_kronecker_element(rng, alg.left.dim, alg.right.dim)
         return loop_operator_element(rng, alg.dim)
 
     return [[draw() for _ in range(arity)] for _ in range(trials)]
+
+
+def simple_tensor_terms(alg, rng, n_terms):
+    """``n_terms`` random simple-tensor factor pairs of a composed algebra
+    and their sum, added in list order: the explicit term lists that the
+    switching-map oracle ``compose_product_on_terms`` reads."""
+    from hamalg import simple_tensor
+
+    terms = [(alg.left.random_element(rng), alg.right.random_element(rng))
+             for _ in range(n_terms)]
+    out = simple_tensor(*terms[0])
+    for f1, f2 in terms[1:]:
+        out = out + simple_tensor(f1, f2)
+    return terms, out
 
 
 def loop_lr_table(u, v):

@@ -33,6 +33,7 @@ from tests.conftest import (
     assert_terms_bitwise,
     loop_term_pairs,
     random_hybrid,
+    simple_tensor_terms,
 )
 
 
@@ -119,9 +120,8 @@ class TestComposedProductsQQ:
     def test_matches_literal_switching_route(self, constants, rng):
         a1, a2, a12 = constants
         c = qq_algebra(a1, a2, a12, d1=2, d2=3)
-        ut = c.random_simple_terms(rng, 2)
-        vt = c.random_simple_terms(rng, 3)
-        u, v = c.embed_terms(ut), c.embed_terms(vt)
+        ut, u = simple_tensor_terms(c, rng, 2)
+        vt, v = simple_tensor_terms(c, rng, 3)
 
         sig_oracle = (
             compose_product_on_terms(c.left.sigma, c.right.sigma, ut, vt)
@@ -146,7 +146,9 @@ class TestComposedProductsQQ:
     def test_tau12_decomposes_into_sigma_alpha(self, rng):
         c = qq_algebra(a1=1.0, a2=4.0, a12=9.0, d2=3)
         u, v = c.random_element(rng), c.random_element(rng)
-        sig, alp = c.derive_products_from_tau(u, v)
+        # tau's symmetric and antisymmetric parts, by the tau route alone
+        tuv, tvu = c.tau(u, v), c.tau(v, u)
+        sig, alp = (tuv + tvu).scale(0.5), (tuv - tvu).scale(1 / (1j * c.constant.hbar))
         scale = 1 + u.norm() * v.norm()
         assert (sig - c.sigma(u, v)).norm() <= 1e-12 * scale
         assert (alp - c.alpha(u, v)).norm() <= 1e-12 * scale
@@ -159,10 +161,10 @@ class TestComposedProductsQQ:
 
     def test_bilinearity_exact(self, rng):
         c = qq_algebra(a1=1.0, a2=4.0, a12=9.0)
-        t1, t2 = c.random_simple_terms(rng, 1), c.random_simple_terms(rng, 1)
+        (_, u1), (_, u2) = simple_tensor_terms(c, rng, 1), simple_tensor_terms(c, rng, 1)
         v = c.random_element(rng)
-        lhs = c.sigma(c.embed_terms(t1 + t2), v)
-        rhs = c.sigma(c.embed_terms(t1), v) + c.sigma(c.embed_terms(t2), v)
+        lhs = c.sigma(u1 + u2, v)
+        rhs = c.sigma(u1, v) + c.sigma(u2, v)
         assert (lhs - rhs).norm() <= 1e-13 * (1 + v.norm())
 
     def test_hermitian_propagation(self, rng):
@@ -181,17 +183,15 @@ class TestComposedProductsQC:
 
     def test_sigma12_drops_cross_term(self, rng):
         c = qc_algebra(a=1.0)
-        ut = c.random_simple_terms(rng, 2)
-        vt = c.random_simple_terms(rng, 2)
-        u, v = c.embed_terms(ut), c.embed_terms(vt)
+        ut, u = simple_tensor_terms(c, rng, 2)
+        vt, v = simple_tensor_terms(c, rng, 2)
         oracle = compose_product_on_terms(c.left.sigma, c.right.sigma, ut, vt)
         assert (c.sigma(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
 
     def test_alpha12_is_quantum_bracket_times_product(self, rng):
         c = qc_algebra(a=1.0)  # a12 defaults to a, so the prefactor is 1
-        ut = c.random_simple_terms(rng, 2)
-        vt = c.random_simple_terms(rng, 2)
-        u, v = c.embed_terms(ut), c.embed_terms(vt)
+        ut, u = simple_tensor_terms(c, rng, 2)
+        vt, v = simple_tensor_terms(c, rng, 2)
         oracle = compose_product_on_terms(c.left.alpha, c.right.sigma, ut, vt)
         assert (c.alpha(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
 
@@ -225,8 +225,7 @@ class TestEqualConstantPath:
         # the double-bracket term of sigma
         a = 2.25
         c = qq_algebra(a1=a, a2=a, a12=a)
-        ut, vt = c.random_simple_terms(rng, 2), c.random_simple_terms(rng, 3)
-        u, v = c.embed_terms(ut), c.embed_terms(vt)
+        (ut, u), (vt, v) = simple_tensor_terms(c, rng, 2), simple_tensor_terms(c, rng, 3)
         sig = (compose_product_on_terms(c.left.sigma, c.right.sigma, ut, vt)
                - compose_product_on_terms(c.left.alpha, c.right.alpha, ut, vt).scale(a))
         alp = (compose_product_on_terms(c.left.alpha, c.right.sigma, ut, vt)
@@ -368,7 +367,7 @@ class TestPruneOnce:
         assert list(simple_tensor(f, g).terms) == [(0, 1)]
 
     def test_nothing_stored_is_writable(self, rng):
-        from hamalg.brackets import random_hybrid_observable
+        from hamalg.compose import random_hybrid_observable
         u, v = random_hybrid(rng, 2, 1, 2), random_hybrid(rng, 2, 1, 2)
         block = random_hybrid_observable(rng, block=(3, 2))
         f, g = OperatorElement(PAULI_X), PhaseSpacePoly(1, {(1, 0): 2.0})
@@ -385,7 +384,7 @@ class TestPruneOnce:
 
 class TestBlocks:
     def test_mixing_blocks_and_elements_is_refused(self, rng):
-        from hamalg.brackets import random_hybrid_observable
+        from hamalg.compose import random_hybrid_observable
         u = random_hybrid_observable(rng)
         two = random_hybrid_observable(rng, block=(2, 1))[0]
         three = random_hybrid_observable(rng, block=(3, 1))[0]
@@ -485,7 +484,7 @@ class TestMatrixBlocks:
                 assert make(big[t]).norm() == float(np.linalg.norm(big[t]))
 
     def test_hybrid_block_norms_equal_slice_norms_bitwise(self):
-        from hamalg.brackets import random_hybrid_observable
+        from hamalg.compose import random_hybrid_observable
 
         rng = np.random.default_rng(6)
         u = random_hybrid_observable(rng, dim=3, num_pairs=1, degree=2, block=(7, 1))[0]
@@ -519,10 +518,6 @@ class TestMatrixBlocks:
             with pytest.raises(ShapeError):
                 u.trial(0)
             assert two.trial(1).trials is None and "trials=2" in repr(two)
-
-    def test_block_draws_need_qq(self):
-        with pytest.raises(AlgebraError, match="quantum"):
-            qc_algebra().random_element(np.random.default_rng(0), block=(2, 2))
 
 
 class TestKroneckerIsAnOperator:

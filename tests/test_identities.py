@@ -229,6 +229,15 @@ def matrix_algebras():
     return ops + qq
 
 
+def hybrid_algebras():
+    """Quantum (x) classical compositions at several dims, pairs, degrees
+    and constants."""
+    return [ComposedAlgebra(OperatorAlgebra(dim, hbar=hbar),
+                            PhaseSpaceAlgebra(pairs, max_random_degree=degree), a12=a12)
+            for dim, hbar, pairs, degree, a12 in [(2, 2.0, 1, 2, None), (3, 0.5, 1, 1, 1.5),
+                                                  (2, 1.0, 2, 1, 0.3), (1, 1.0, 1, 3, None)]]
+
+
 class TestTrialBlocks:
     """Blocks of trials against the literal trial loops, to the bit."""
 
@@ -246,16 +255,11 @@ class TestTrialBlocks:
                 want = np.array(loop_identity_defects(alg, identity, blocks))
                 assert got.tobytes() == want.tobytes(), alg.describe()
 
-    @pytest.mark.parametrize("alg, max_terms", [
-        *((alg, None) for alg in matrix_algebras()[1::2]),
-        *((alg, 2) for alg in matrix_algebras()[6:]),   # MAX_RANDOM_TERMS set to 2
-    ], ids=lambda x: x.describe()["realization"] if hasattr(x, "describe") else str(x))
-    def test_block_draws_equal_single_draws(self, alg, max_terms, monkeypatch):
-        from hamalg import compose
+    @pytest.mark.parametrize("alg", matrix_algebras()[1::2],
+                             ids=lambda alg: alg.describe()["realization"])
+    def test_block_draws_equal_single_draws(self, alg):
         from tests.conftest import loop_matrix_draws
 
-        if max_terms is not None:
-            monkeypatch.setattr(compose, "MAX_RANDOM_TERMS", max_terms)
         rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
         blocks = alg.random_element(rng_block, block=(6, 3))
         singles = loop_matrix_draws(alg, rng_loop, 6, 3)
@@ -270,7 +274,8 @@ class TestTrialBlocks:
                                           Identity.JORDAN])
     @pytest.mark.parametrize("factory", [lambda: OperatorAlgebra(2, hbar=0.5),
                                          lambda: OperatorAlgebra(6, hbar=2.0),
-                                         lambda: composed(1.0, 2.0, 1.5)])
+                                         lambda: composed(1.0, 2.0, 1.5),
+                                         lambda: hybrid_algebras()[0]])   # 45-trial blocks
     def test_check_identity_matches_loop_across_the_cap(self, identity, factory):
         from tests.conftest import loop_check_identity
 
@@ -289,7 +294,9 @@ class TestTrialBlocks:
         check = IdentityCheck(identity, trials=8, seed=1)
         assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
 
-    def test_corrupted_algebra_forwards_block_draws(self, monkeypatch):
+    @pytest.mark.parametrize("base", [composed(1.0, 1.0, 2.0), hybrid_algebras()[0]],
+                             ids=["qq", "qc"])
+    def test_corrupted_algebra_forwards_block_draws(self, base, monkeypatch):
         from hamalg import identities
         from tests.conftest import loop_check_identity
 
@@ -302,7 +309,7 @@ class TestTrialBlocks:
             return original(alg, identity, elements)
 
         monkeypatch.setattr(identities, "identity_defect", spy)
-        bad = CorruptedAlgebra(composed(1.0, 1.0, 2.0), alpha_scale=1.1)
+        bad = CorruptedAlgebra(base, alpha_scale=1.1)
         check = IdentityCheck(Identity.CANONICAL_RELATION, trials=10)
         got = check_identity(bad, check)
         assert seen == [4, 4, 2]
@@ -325,6 +332,8 @@ class TestTrialBlocks:
         assert seen == [None] * 4
 
     def test_blocks_are_capped_by_entries(self, monkeypatch):
+        from hamalg.cli import _build_algebra, build_parser
+        from hamalg.elements import product_monomials
         from hamalg.identities import block_trials
         from hamalg.kernels import BLOCK_PAIRS
 
@@ -334,5 +343,57 @@ class TestTrialBlocks:
         assert block_trials(composed(1.0, 1.0, 1.0, 8, 8)) == 2
         assert block_trials(PhaseSpaceAlgebra(1)) is None
         assert block_trials(CorruptedAlgebra(OperatorAlgebra(30))) == BLOCK_PAIRS // 900
-        hybrid = ComposedAlgebra(OperatorAlgebra(2), PhaseSpaceAlgebra(1), a12=1.0)
-        assert block_trials(hybrid) is None
+
+        # a quantum (x) classical trial's largest element is its deepest
+        # product: a d x d coefficient on each of C(2n + 4 deg, 4 deg) monomials
+        def hybrid(*options):
+            return _build_algebra(build_parser().parse_args(
+                ["verify", "--hybrid", "--seed", "0", *options]))
+
+        assert hybrid().block_entries == product_monomials(2, 2) * 2 ** 2 == 180
+        assert block_trials(hybrid()) == 45
+        assert block_trials(hybrid("--pairs", "4")) == 1
+        assert block_trials(CorruptedAlgebra(hybrid())) == 45
+
+
+class TestHybridBlocks:
+    """Quantum (x) classical trial blocks against the trial-by-trial loops."""
+
+    @pytest.mark.parametrize("alg", hybrid_algebras(), ids=lambda alg: (
+        f"dim{alg.left.dim}-pairs{alg.right.num_pairs}-degree{alg.right.max_random_degree}"))
+    def test_block_and_single_draws_equal_the_loop_bitwise(self, alg):
+        from tests.conftest import assert_terms_bitwise, loop_matrix_draws
+
+        rngs = [np.random.default_rng(5) for _ in range(3)]
+        blocks = alg.random_element(rngs[0], block=(6, 3))
+        singles = [[alg.random_element(rngs[1]) for _ in range(3)] for _ in range(6)]
+        loop = loop_matrix_draws(alg, rngs[2], 6, 3)
+        for i, b in enumerate(blocks):
+            assert b.trials == 6 and b.hermitian
+            assert not any(m.flags.writeable for m in b.terms.values())
+            for t in range(6):
+                assert singles[t][i].trials is None
+                assert_terms_bitwise(b.trial(t).terms, loop[t][i].terms)
+                assert_terms_bitwise(singles[t][i].terms, loop[t][i].terms)
+        # the same stream was consumed
+        assert len({rng.standard_normal() for rng in rngs}) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--hybrid", "--trials", "50"],
+        ["verify", "--composed", "--a1", "1", "--a2", "2", "--a12", "1.5", "--trials", "50"],
+    ])
+    def test_reports_do_not_depend_on_the_block_size(self, argv, tmp_path, monkeypatch):
+        import re
+
+        from hamalg import identities
+        from hamalg.cli import main
+
+        def report(name):
+            path = tmp_path / name
+            assert main([*argv, "--seed", "3", "--out", str(path)]) == 0
+            return re.sub(r'"timestamp": "[^"]*"', "", path.read_text())
+
+        blocked = report("blocked.json")
+        monkeypatch.setattr(identities, "BLOCK_PAIRS", 1)   # one trial per block
+        assert identities.block_trials(hybrid_algebras()[0]) == 1
+        assert report("single.json") == blocked

@@ -28,10 +28,6 @@ ALLOWED = {
     # package and ``element_from_json`` build elements from raw matrices
     ("OperatorElement.__init__", "hermitian"),
     ("KroneckerElement.__init__", "hermitian"),
-    # shape of the hybrid observables; tests draw dim-3 blocks with them
-    ("random_hybrid_observable", "dim"),
-    ("random_hybrid_observable", "num_pairs"),
-    ("random_hybrid_observable", "degree"),
     # the deliberately broken algebra's scales, set by the tests it serves
     ("CorruptedAlgebra.__init__", "alpha_scale"),
     ("CorruptedAlgebra.__init__", "sigma_scale"),
@@ -97,22 +93,27 @@ def _calls(tree):
                {k.arg for k in node.keywords if k.arg is not None})
 
 
-def unset_defaults(modules) -> list:
-    """``function(parameter)`` for each defaulted parameter no call sets."""
+def set_by_calls(modules) -> dict:
+    """(function, parameter) of each defaulted parameter, to whether some
+    call in ``modules`` sets it."""
     calls = {}
     for tree in modules.values():
         for name, positional, keywords in _calls(tree):
             calls.setdefault(name, []).append((positional, keywords))
-    unset = []
+    found = {}
     for tree in modules.values():
         for qualname, call_name, node, offset in _definitions(tree):
             for index, param in _defaulted(node, offset):
-                if (qualname, param) in ALLOWED:
-                    continue
-                if not any(param in keywords or (index is not None and index < positional)
-                           for positional, keywords in calls.get(call_name, [])):
-                    unset.append(f"{qualname}({param})")
-    return unset
+                found[qualname, param] = any(
+                    param in keywords or (index is not None and index < positional)
+                    for positional, keywords in calls.get(call_name, []))
+    return found
+
+
+def unset_defaults(modules) -> list:
+    """``function(parameter)`` for each defaulted parameter no call sets."""
+    return [f"{qualname}({param})" for (qualname, param), is_set in set_by_calls(modules).items()
+            if not is_set and (qualname, param) not in ALLOWED]
 
 
 def test_every_default_is_set_by_some_call():
@@ -120,11 +121,12 @@ def test_every_default_is_set_by_some_call():
 
 
 def test_allowlist_names_only_existing_parameters():
-    params = set()
-    for tree in _modules().values():
-        for qualname, _, node, offset in _definitions(tree):
-            params.update((qualname, p) for _, p in _defaulted(node, offset))
-    assert ALLOWED <= params
+    assert ALLOWED <= set(set_by_calls(_modules()))
+
+
+def test_allowlist_names_only_parameters_no_call_sets():
+    found = set_by_calls(_modules())
+    assert sorted(pair for pair in ALLOWED if found.get(pair)) == []
 
 
 def test_scan_sees_keywords_positions_and_aliases():

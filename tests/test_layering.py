@@ -4,7 +4,9 @@ The dense oracle ``reference.py`` checks the main path, so it must share
 no code with it: it imports numpy alone, and it uses dense slicing only,
 calling none of the scatter-add, sort and search routines that the
 sparse kernels are built on.  ``identities.py`` checks any Hamilton
-algebra and stays below the mixed brackets it never calls; ``brackets.py``
+algebra and stays below the mixed brackets it never calls, as do
+``compose.py``, which draws the hybrid observables the brackets act on,
+and ``measurement.py``; ``brackets.py``
 defines no defect of its own and scores its desiderata through the
 identity scan."""
 
@@ -84,6 +86,11 @@ def test_every_sparse_call_form_is_seen(tmp_path, source, found):
 
 def test_identities_does_not_import_brackets():
     assert "brackets" not in imported_modules(SRC / "identities.py")
+
+
+def test_compose_and_measurement_do_not_import_brackets():
+    assert "brackets" not in imported_modules(SRC / "compose.py")
+    assert "brackets" not in imported_modules(SRC / "measurement.py")
 
 
 def test_brackets_defines_no_defect_of_its_own():
