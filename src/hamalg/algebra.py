@@ -23,7 +23,9 @@ from .elements import (
     OperatorElement,
     PhaseSpacePoly,
     QuantumConstant,
+    exponent_rows,
     monomials_up_to_degree,
+    product_monomials,
 )
 from .errors import AlgebraError, ShapeError
 
@@ -69,14 +71,15 @@ class HamiltonAlgebra:
     Subclasses provide sigma, alpha, unit and random_element; the
     envelope product and the operations derived from it live here.
 
-    A realization whose ``random_element(rng, block=(trials, arity))``
-    draws ``trials`` input tuples at once, as ``arity`` blocks, declares in
-    ``block_entries`` the matrix entries of the largest element one trial
-    forms; None means it draws single elements only.
+    ``random_element(rng, block=(trials, arity))`` draws ``trials`` input
+    tuples at once, as ``arity`` blocks whose trial t is what the t-th
+    round of ``arity`` single draws gives, and ``block_entries`` counts the
+    coefficient entries of the largest element one trial forms, which
+    bounds the trials per block.
     """
 
     constant: QuantumConstant
-    block_entries: int | None = None
+    block_entries: int
 
     def __init__(self, constant: QuantumConstant):
         self.constant = constant
@@ -105,7 +108,7 @@ class HamiltonAlgebra:
     def unit(self):
         raise NotImplementedError
 
-    def random_element(self, rng: np.random.Generator):
+    def random_element(self, rng: np.random.Generator, block: tuple | None = None):
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -200,13 +203,23 @@ class PhaseSpaceAlgebra(HamiltonAlgebra):
     def unit(self) -> PhaseSpacePoly:
         return PhaseSpacePoly.unit(self.num_pairs)
 
-    def random_element(self, rng: np.random.Generator) -> PhaseSpacePoly:
+    @property
+    def block_entries(self) -> int:
+        """Terms of the largest element one trial forms: every monomial an
+        identity's deepest product can reach."""
+        return product_monomials(2 * self.num_pairs, self.max_random_degree)
+
+    def random_element(self, rng: np.random.Generator, block: tuple | None = None):
         """A coefficient uniform on [-1, 1) on every monomial up to the
-        degree: one draw of the numbers, in order, of one scalar draw per
-        monomial."""
+        degree, one scalar draw per monomial.  With ``block=(trials,
+        arity)``, ``arity`` blocks from one draw, as ``OperatorAlgebra``."""
         monos = monomials_up_to_degree(2 * self.num_pairs, self.max_random_degree)
-        coeffs = rng.uniform(-1.0, 1.0, len(monos)).tolist()
-        return PhaseSpacePoly._trusted(self.num_pairs, dict(zip(monos, coeffs)))
+        trials, arity = block or (1, 1)
+        coeffs = rng.uniform(-1.0, 1.0, (trials, arity, len(monos)))
+        exps = exponent_rows(monos, 2 * self.num_pairs)
+        drawn = [PhaseSpacePoly._trusted(self.num_pairs, exps, c.T, True)
+                 for c in coeffs.transpose(1, 0, 2)]
+        return drawn if block else drawn[0].trial(0)
 
     def describe(self) -> dict:
         return {
@@ -242,11 +255,11 @@ class CorruptedAlgebra(HamiltonAlgebra):
         return self.base.unit()
 
     @property
-    def block_entries(self):
-        return getattr(self.base, "block_entries", None)
+    def block_entries(self) -> int:
+        return self.base.block_entries
 
-    def random_element(self, rng, **kwargs):
-        return self.base.random_element(rng, **kwargs)
+    def random_element(self, rng, block: tuple | None = None):
+        return self.base.random_element(rng, block)
 
     def describe(self) -> dict:
         d = dict(self.base.describe())

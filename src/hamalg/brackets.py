@@ -39,12 +39,12 @@ from enum import Enum
 
 import numpy as np
 
-from .compose import HybridElement, random_hybrid_observable, term_pair_sum
+from .compose import HybridElement, random_hybrid_observable
 from .errors import AlgebraError
 from .identities import first_over, scan, worst_trial
 from .kernels import MAX_BLOCK_TRIALS
 # not called here: perfbench/tracing.py wraps this name as a layer
-from .kernels import poisson as _poly_poisson  # noqa: F401
+from .kernels import poisson_terms as _poly_poisson  # noqa: F401
 from .serialize import element_to_json
 
 #: defect above this (relative) counts as a genuine violation; three
@@ -75,14 +75,14 @@ EXPECTED_CLEAN = {
 def _commutator_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
     """[U,V]- : commutator/(i*hbar) on coefficients, pointwise classical
     product.  This is also the hybrid Hamilton-algebra bracket."""
-    return term_pair_sum(u, v, lambda A, B: (A @ B - B @ A) / (1j * hbar),
-                         u.hermitian and v.hermitian)
+    return u.pair_sum(v, lambda A, B: (A @ B - B @ A) / (1j * hbar),
+                      u.hermitian and v.hermitian)
 
 
 def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
     """{U,V}_P with matrix coefficients multiplied in written order:
     sum_k dU/dx_k . dV/dp_k - dU/dp_k . dV/dx_k."""
-    return term_pair_sum(u, v, lambda A, B: (None, A @ B), False, poisson=True)
+    return u.pair_sum(v, lambda A, B: (None, A @ B), False, poisson=True)
 
 
 def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
@@ -93,7 +93,7 @@ def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> Hy
         AB, BA = A @ B, B @ A
         return (AB - BA) / (1j * hbar), 0.5 * (AB + BA)
 
-    return term_pair_sum(u, v, combine, u.hermitian and v.hermitian, poisson=True)
+    return u.pair_sum(v, combine, u.hermitian and v.hermitian, poisson=True)
 
 
 def _symmetrized_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:

@@ -29,9 +29,9 @@ composed elements range over the whole space: Hermitian matrices on
 C^l (x) C^r, or polynomials with a Hermitian coefficient on every monomial
 up to the classical degree.
 
-Quantum (x) classical products and the mixed brackets run on one batched
-term-pair engine, ``term_pair_sum``: the polynomial kernel's packing and
-its one slotting routine for scalar and matrix coefficients.
+Quantum (x) classical products and the mixed brackets run through
+``HybridElement.pair_sum`` on ``kernels.term_pair_sum``, the engine that
+also multiplies real polynomials.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ from .elements import (
     OperatorElement,
     PhaseSpacePoly,
     QuantumConstant,
-    check_trials,
+    TermArray,
+    exponent_rows,
     exponent_tuple,
     frobenius_norms,
     is_hermitian,
@@ -59,7 +60,7 @@ from .elements import (
     product_monomials,
 )
 from .errors import AlgebraError, ShapeError
-from .kernels import accumulate, keys_of, pack, poisson_weights, row_blocks
+from .kernels import term_pair_sum
 
 
 class KroneckerElement(OperatorElement):
@@ -106,152 +107,72 @@ class KroneckerElement(OperatorElement):
                 f"hermitian={self.hermitian}{block})")
 
 
-class HybridElement:
+class HybridElement(TermArray):
     """Element of quantum (x) classical: a polynomial in the classical
-    canonical pairs whose coefficients are dim x dim complex matrices.
+    canonical pairs whose coefficients are dim x dim complex matrices, a
+    ``TermArray`` of complex128 coefficients (N, dim, dim), or
+    (N, trials, dim, dim) in a block.
 
     The Hermitian flag means every matrix coefficient is Hermitian, i.e.
-    the element is an observable-valued function.  Zero coefficients are
-    never stored, and stored coefficients are read-only complex128.
-
-    A *block* of ``trials`` elements carries a leading trial axis on every
-    coefficient, ``(trials, dim, dim)``, so that one call of each operation
-    evaluates all of its trials.  A block stores a key unless its
-    coefficient is zero in every trial; ``trial(t)`` slices out one
-    ordinary element.  Blocks combine only with blocks of as many trials.
+    the element is an observable-valued function.
     """
 
-    __slots__ = ("dim", "num_pairs", "terms", "hermitian", "trials")
+    __slots__ = ()
+    COEFF_RANK = 2
 
     def __init__(self, dim: int, num_pairs: int, terms: dict | None = None,
                  hermitian: bool | None = None):
         if dim < 1 or num_pairs < 1:
             raise ShapeError(f"invalid dim={dim} / num_pairs={num_pairs}")
-        self.dim = int(dim)
-        self.num_pairs = int(num_pairs)
-        self.trials = None
-        clean: dict = {}
+        keys, mats = [], []
         for exps, mat in (terms or {}).items():
-            e = exponent_tuple(exps, 2 * self.num_pairs)
-            arr = np.array(mat, dtype=np.complex128, copy=True)
-            if arr.shape != (dim, dim):
-                raise ShapeError(f"coefficient at {exps} has shape {arr.shape}")
-            if np.any(arr != 0):
-                arr.setflags(write=False)
-                clean[e] = arr
-        self.terms = clean
-        if hermitian is None:
-            hermitian = all(is_hermitian(m) for m in clean.values())
-        elif hermitian and not all(is_hermitian(m) for m in clean.values()):
+            keys.append(exponent_tuple(exps, 2 * num_pairs))
+            mats.append(np.array(mat, dtype=np.complex128))
+            if mats[-1].shape != (dim, dim):
+                raise ShapeError(f"coefficient at {exps} has shape {mats[-1].shape}")
+        coeffs = np.array(mats, dtype=np.complex128).reshape(len(mats), dim, dim)
+        self._set(num_pairs, exponent_rows(keys, 2 * num_pairs), coeffs, True)
+        herm = all(is_hermitian(m) for m in self.coeffs)
+        if hermitian and not herm:
             raise AlgebraError("terms flagged Hermitian but some coefficient is not")
-        self.hermitian = bool(hermitian)
-
-    @classmethod
-    def _trusted(cls, dim: int, num_pairs: int, terms: dict, hermitian: bool,
-                 trials: int | None = None) -> "HybridElement":
-        """Internal constructor for derived values: the caller guarantees
-        nonzero read-only complex128 coefficients of the right shape, so
-        nothing is re-validated or pruned."""
-        self = object.__new__(cls)
-        self.dim = int(dim)
-        self.num_pairs = int(num_pairs)
-        self.terms = terms
-        self.hermitian = hermitian
-        self.trials = trials
-        return self
-
-    def _derived(self, terms: dict, hermitian: bool) -> "HybridElement":
-        return HybridElement._trusted(self.dim, self.num_pairs, terms, hermitian, self.trials)
+        self.hermitian = herm if hermitian is None else bool(hermitian)
 
     @property
-    def nvars(self) -> int:
-        return 2 * self.num_pairs
-
-    @property
-    def coeff_shape(self) -> tuple:
-        """Shape of one stored coefficient: (dim, dim), led by the trial axis
-        in a block."""
-        square = (self.dim, self.dim)
-        return square if self.trials is None else (self.trials,) + square
+    def dim(self) -> int:
+        return self.coeffs.shape[-1]
 
     def norm(self):
         """Frobenius norm over all coefficients; in a block, an array of the
         norm of each trial, equal to ``trial(t).norm()`` to the bit.
 
         The norm of each coefficient is squared as a Python float and the
-        squares are summed in key order, as ``math.sqrt(sum(float(
+        squares are summed in row order, as ``math.sqrt(sum(float(
         np.linalg.norm(m)) ** 2 for m in coefficients))`` sums them.
         """
         trials = 1 if self.trials is None else self.trials
-        stacked = np.array(list(self.terms.values()), dtype=np.complex128)
-        norms = frobenius_norms(stacked.reshape(-1, self.dim, self.dim))  # key-major
+        norms = frobenius_norms(self.coeffs.reshape(-1, self.dim, self.dim))  # row-major
         totals = [math.sqrt(sum(n ** 2 for n in norms[t::trials])) for t in range(trials)]
         return totals[0] if self.trials is None else np.array(totals)
 
-    def trial(self, t: int) -> "HybridElement":
-        """Trial t of a block as an ordinary element, without the keys that
-        are zero in that trial."""
-        if self.trials is None:
-            raise ShapeError("trial() needs a block")
-        terms = {e: m[t] for e, m in self.terms.items() if m[t].any()}
-        return HybridElement._trusted(self.dim, self.num_pairs, terms, self.hermitian)
-
-    def _check_like(self, other: "HybridElement"):
-        if not isinstance(other, HybridElement):
-            raise ShapeError(f"expected HybridElement, got {type(other).__name__}")
-        if (other.dim, other.num_pairs) != (self.dim, self.num_pairs):
-            raise ShapeError("dim/num_pairs mismatch")
-        check_trials(self.trials, other.trials)
-
-    def __add__(self, other):
+    def pair_sum(self, other: "HybridElement", combine, hermitian: bool,
+                 poisson: bool = False) -> "HybridElement":
+        """The sum over term pairs of ``combine`` of their coefficients, as
+        ``kernels.term_pair_sum`` forms it: the plain term, and with
+        ``poisson`` the canonical pairs' terms too."""
         self._check_like(other)
-        out = dict(self.terms)
-        for e, m in other.terms.items():
-            if e not in out:
-                out[e] = m
-                continue
-            total = out[e] + m
-            if total.any():  # a sum is the only value that can cancel to zero
-                total.setflags(write=False)
-                out[e] = total
-            else:
-                del out[e]
-        return self._derived(out, self.hermitian and other.hermitian)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def scale(self, c: complex):
-        herm = self.hermitian and complex(c).imag == 0.0
-        stacked = np.array(list(self.terms.values()), dtype=np.complex128)
-        stacked = c * stacked.reshape((-1,) + self.coeff_shape)  # keeps the shape when empty
-        return self._derived(nonzero_terms(self.terms, stacked), herm)
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+        exps, coeffs = term_pair_sum(self.exps, other.exps, self.coeffs, other.coeffs,
+                                     combine, True, poisson)
+        return HybridElement._trusted(self.num_pairs, exps, coeffs, hermitian)
 
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written
         order, classical monomials multiply commutatively."""
-        return term_pair_sum(self, other, lambda A, B: A @ B, False)
+        return self.pair_sum(other, lambda A, B: A @ B, False)
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"
         return (f"HybridElement(dim={self.dim}, num_pairs={self.num_pairs}, "
-                f"nterms={len(self.terms)}, hermitian={self.hermitian}{block})")
-
-
-def nonzero_terms(keys, stacked: np.ndarray) -> dict:
-    """Keys to the read-only slices of ``stacked`` that are nonzero: a
-    product like ``c * m`` can underflow to zero."""
-    stacked.setflags(write=False)
-    live = stacked.reshape(len(stacked), math.prod(stacked.shape[1:])).any(axis=1)
-    return {e: m for e, m, keep in zip(keys, stacked, live.tolist()) if keep}
+                f"nterms={len(self)}, hermitian={self.hermitian}{block})")
 
 
 def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: int = 1,
@@ -268,63 +189,9 @@ def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: 
     trials, arity = block or (1, 1)
     h = hermitian_from_normals(rng.standard_normal((trials, arity, len(monos), 2, dim, dim)))
     # by element, then monomial: each coefficient (trials, dim, dim)
-    h = np.ascontiguousarray(h.transpose(1, 2, 0, 3, 4))
-    drawn = [HybridElement._trusted(dim, num_pairs, nonzero_terms(monos, c), True, trials)
-             for c in h]
+    exps = exponent_rows(monos, 2 * num_pairs)
+    drawn = [HybridElement._trusted(num_pairs, exps, c, True) for c in h.transpose(1, 2, 0, 3, 4)]
     return drawn if block else drawn[0].trial(0)
-
-
-def term_pair_sum(u: HybridElement, v: HybridElement, combine, hermitian: bool,
-                  poisson: bool = False) -> HybridElement:
-    """Batched term-pair loop: the sum over term pairs of u and v of
-    ``combine(A, B)`` at exponent ea + eb.  With ``poisson``, combine gives
-    (plain, anti): plain goes to ea + eb, then, k ascending, w_k * anti to
-    ea + eb - e_xk - e_pk wherever w_k = xa_k pb_k - pa_k xb_k is nonzero.
-    A plain of None contributes nothing: only the weighted anti terms are
-    summed, which is the monomial Poisson bracket with coefficient anti.
-
-    ``combine`` maps stacks (Na, 1, *c) and (1, Nb, *c) to (Na, Nb, *c),
-    where c is the coefficient shape, (d, d) or, for blocks, (T, d, d).
-    Broadcast ``@`` equals per-pair ``A @ B`` to the bit (``einsum`` does
-    not) and sums run in loop order, so the result, key order included, is
-    the written-out double loop's to the bit, in every trial of a block;
-    only the sign and payload of a NaN, which IEEE 754 leaves open, may
-    differ.  Where packed keys would overflow int64, the exponent rows are
-    the keys (the loop summed Python ints); ``ShapeError`` only where a
-    Poisson weight could overflow.
-    """
-    u._check_like(v)
-    if not u.terms or not v.terms:
-        return u._derived({}, hermitian)
-    shape = u.coeff_shape
-    ea, eb, A, B, radix, strides = pack(u.terms, v.terms, u.nvars, np.complex128)
-    ka, kb = keys_of(ea, strides), keys_of(eb, strides)
-    # exponent shift per contribution: the plain term, then each canonical pair
-    shifts = np.eye(1 + u.num_pairs, u.num_pairs, -1, dtype=np.int64).repeat(2, axis=1)
-    shifts = shifts[:1 + u.num_pairs * poisson]
-    offsets = keys_of(shifts, strides)
-
-    def blocks():
-        for rows in row_blocks(len(ka), len(kb) * len(offsets) * math.prod(shape)):
-            keys = (ka[rows, None] + kb)[:, :, None] - offsets
-            vals = combine(A[rows, None], B[None])
-            if poisson:
-                plain, anti = vals
-                w = poisson_weights(ea[rows], eb)
-                vals = (w.astype(np.complex128).reshape(w.shape + (1,) * len(shape))
-                        * anti[:, :, None])
-                live = w != 0
-                if plain is None:
-                    keys = keys[:, :, 1:]
-                else:
-                    vals = np.concatenate([plain[:, :, None], vals], axis=2)
-                    live = np.concatenate([np.ones_like(live[..., :1]), live], axis=2)
-                keys, vals = keys[live], vals[live]
-            yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
-
-    pairs = len(ka) * len(kb) * len(offsets)
-    return u._derived(accumulate(blocks(), radix, strides, pairs, shape, np.complex128),
-                      hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +208,8 @@ def simple_tensor(f, g):
         return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries),
                                          f.hermitian and g.hermitian)
     if type(f) is OperatorElement and isinstance(g, PhaseSpacePoly):
-        coeffs = np.array(list(g.terms.values()))[:, None, None]
-        return HybridElement._trusted(f.dim, g.num_pairs,
-                                      nonzero_terms(g.terms, coeffs * f.entries), f.hermitian)
+        return HybridElement._trusted(g.num_pairs, g.exps, g.coeffs[:, None, None] * f.entries,
+                                      f.hermitian)
     raise AlgebraError(
         f"unsupported tensor pairing {type(f).__name__} (x) {type(g).__name__}; "
         "put the quantum factor on the left"
@@ -483,7 +349,7 @@ class ComposedAlgebra(HamiltonAlgebra):
             return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp, herm)
         # cross term carries sqrt(a1 * a2) = 0 for a classical right
         # component, so only the factorwise symmetric products remain
-        return term_pair_sum(u, v, lambda A, B: 0.5 * (A @ B + B @ A), herm)
+        return u.pair_sum(v, lambda A, B: 0.5 * (A @ B + B @ A), herm)
 
     def alpha(self, u, v):
         self._check_element(u)
@@ -500,7 +366,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         # quantum (x) classical: c2 = 0 kills the classical-bracket term,
         # which is the algebraic root of the no-back-reaction result
         h1 = self.left.constant.hbar
-        return term_pair_sum(u, v, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1), herm)
+        return u.pair_sum(v, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1), herm)
 
     def tau(self, u, v):
         """Envelope product, computed on the independent route: plain

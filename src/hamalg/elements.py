@@ -5,10 +5,15 @@ Two concrete realizations are supported:
 * quantum observables: finite-dimensional complex matrices, flagged
   Hermitian when they represent physical observables;
 * classical observables: sparse real-coefficient polynomials in canonical
-  phase-space pairs (x1, p1, x2, p2, ...), whose products and Poisson
-  brackets run on the numpy kernel in :mod:`hamalg.kernels`.
+  phase-space pairs (x1, p1, x2, p2, ...).
 
-Both are immutable values; every operation returns a new element.
+A polynomial is a ``TermArray``: exponent rows and a coefficient stack.
+``PhaseSpacePoly`` holds real coefficients, and the quantum (x) classical
+``compose.HybridElement`` matrix ones; both inherit the arithmetic and
+trial blocks from ``TermArray``, and their sums, products and Poisson
+brackets run on the one engine of :mod:`hamalg.kernels`.
+
+All are immutable values; every operation returns a new element.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import AlgebraError, ShapeError
-from .kernels import mul as _poly_mul
-from .kernels import poisson as _poly_poisson
+from .kernels import _ieee_quiet, term_sum
+from .kernels import mul_terms as _poly_mul
+from .kernels import poisson_terms as _poly_poisson
 
 HERMITIAN_RTOL = 1e-12
 
@@ -63,6 +69,7 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+@_ieee_quiet
 def is_hermitian(entries: np.ndarray) -> bool:
     return float(np.linalg.norm(entries - entries.conj().T)) <= HERMITIAN_RTOL * float(
         np.linalg.norm(entries)
@@ -76,6 +83,7 @@ def check_trials(mine, theirs) -> None:
         raise ShapeError(f"trials mismatch: {mine} and {theirs} (None is a single element)")
 
 
+@_ieee_quiet
 def frobenius_norms(stack: np.ndarray) -> list:
     """Frobenius norm of each ``stack[i]``, as Python floats:
     sqrt(re.re + im.im) over the slice in C order.
@@ -203,59 +211,137 @@ def exponent_tuple(exps, nvars: int) -> tuple:
     return e
 
 
-def _validate_terms(terms: dict, nvars: int) -> dict:
-    clean: dict = {}
-    for exps, coeff in terms.items():
-        e = exponent_tuple(exps, nvars)
-        c = float(coeff)
-        if not math.isfinite(c):
-            raise AlgebraError(f"non-finite coefficient {coeff} at {exps}")
-        if c != 0.0:
-            clean[e] = c
-    return clean
+def exponent_rows(keys, nvars: int) -> np.ndarray:
+    """Exponent tuples as the rows of an int64 array."""
+    return np.array(keys, dtype=np.int64).reshape(len(keys), nvars)
 
 
-class PhaseSpacePoly:
-    """Sparse real polynomial in num_pairs canonical (x, p) pairs.
+class TermArray:
+    """Sparse polynomial in ``num_pairs`` canonical (x, p) pairs, stored as
+    exponent rows ``exps`` (N, 2 * num_pairs) int64 and a coefficient stack
+    ``coeffs`` (N, *shape), both read-only and C-contiguous.  Variable order
+    is (x1, p1, x2, p2, ...), and no row is zero in every entry.
 
-    Variable order in exponent tuples is (x1, p1, x2, p2, ...).  Products
-    are exact; zero coefficients are never stored.
+    A subclass fixes the coefficient: ``COEFF_RANK`` trailing axes, 0 for a
+    scalar, 2 for a matrix.  A *block* of ``trials`` elements carries a
+    trial axis before those, so that one call of each operation evaluates
+    all of its trials; a row stays unless its coefficient is zero in every
+    trial, and ``trial(t)`` slices out one ordinary element.  Blocks combine
+    only with blocks of as many trials.  ``hermitian`` means every
+    coefficient is Hermitian, in every trial.
     """
 
-    __slots__ = ("num_pairs", "terms")
+    __slots__ = ("num_pairs", "exps", "coeffs", "hermitian", "trials")
+    COEFF_RANK = 0
+
+    @classmethod
+    def _trusted(cls, num_pairs: int, exps: np.ndarray, coeffs: np.ndarray,
+                 hermitian: bool):
+        """Internal constructor for arrays derived from validated inputs."""
+        self = object.__new__(cls)
+        self._set(num_pairs, exps, coeffs, hermitian)
+        return self
+
+    def _set(self, num_pairs: int, exps: np.ndarray, coeffs: np.ndarray, hermitian: bool):
+        """Drop the rows that are zero in every entry (a sum can cancel, a
+        product underflow) and take the arrays over, read-only."""
+        live = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:])).any(axis=1)
+        if not live.all():
+            exps, coeffs = exps[live], coeffs[live]
+        coeffs = np.ascontiguousarray(coeffs)
+        exps.setflags(write=False)
+        coeffs.setflags(write=False)
+        self.num_pairs = int(num_pairs)
+        self.exps = exps
+        self.coeffs = coeffs
+        self.hermitian = hermitian
+        self.trials = coeffs.shape[1] if coeffs.ndim > 1 + self.COEFF_RANK else None
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuples to coefficients, in row order: Python floats for a
+        real polynomial, read-only array views otherwise."""
+        values = self.coeffs.tolist() if self.coeffs.ndim == 1 else self.coeffs
+        return dict(zip(map(tuple, self.exps.tolist()), values))
+
+    def __len__(self) -> int:
+        return len(self.exps)
+
+    def trial(self, t: int):
+        """Trial t of a block as an ordinary element, without the rows that
+        are zero in that trial."""
+        if self.trials is None:
+            raise ShapeError("trial() needs a block")
+        return self._trusted(self.num_pairs, self.exps, self.coeffs[:, t], self.hermitian)
+
+    def _check_like(self, other: "TermArray"):
+        if type(other) is not type(self):
+            raise ShapeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.num_pairs != self.num_pairs:
+            raise ShapeError(f"num_pairs mismatch: {self.num_pairs} vs {other.num_pairs}")
+        check_trials(self.trials, other.trials)
+        if other.coeffs.shape[1:] != self.coeffs.shape[1:]:
+            raise ShapeError(f"coefficient shape mismatch: {self.coeffs.shape[1:]} vs "
+                             f"{other.coeffs.shape[1:]}")
+
+    def __add__(self, other: "TermArray"):
+        self._check_like(other)
+        exps, coeffs = term_sum(self.exps, other.exps, self.coeffs, other.coeffs)
+        return self._trusted(self.num_pairs, exps, coeffs, self.hermitian and other.hermitian)
+
+    def __sub__(self, other: "TermArray"):
+        return self + other.scale(-1.0)
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    @_ieee_quiet
+    def scale(self, c):
+        herm = self.hermitian and complex(c).imag == 0.0
+        return self._trusted(self.num_pairs, self.exps, c * self.coeffs, herm)
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+
+def _check_finite(exps: np.ndarray, coeffs: np.ndarray):
+    """AlgebraError naming the first row with a non-finite coefficient."""
+    flat = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:]))
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        row = int(bad.any(axis=1).argmax())
+        raise AlgebraError(f"non-finite coefficient {float(flat[row][bad[row]][0])} "
+                           f"at {tuple(exps[row].tolist())}")
+
+
+class PhaseSpacePoly(TermArray):
+    """Sparse real polynomial in num_pairs canonical (x, p) pairs: a
+    ``TermArray`` of float coefficients, (N,) or (N, trials) in a block.
+
+    Products are exact; zero coefficients are never stored, and a
+    non-finite one is refused.  A real polynomial is always Hermitian.
+    """
+
+    __slots__ = ()
 
     def __init__(self, num_pairs: int, terms: dict | None = None):
         if num_pairs < 1:
             raise ShapeError(f"num_pairs must be >= 1, got {num_pairs}")
-        self.num_pairs = int(num_pairs)
-        self.terms = _validate_terms(terms or {}, 2 * self.num_pairs)
+        terms = terms or {}
+        exps = exponent_rows([exponent_tuple(e, 2 * num_pairs) for e in terms], 2 * num_pairs)
+        coeffs = np.array([float(c) for c in terms.values()], dtype=np.float64)
+        _check_finite(exps, coeffs)
+        self._set(num_pairs, exps, coeffs, True)
 
     @classmethod
-    def _trusted(cls, num_pairs: int, terms: dict) -> "PhaseSpacePoly":
-        """Internal constructor for terms derived from validated inputs.
-
-        Skips the exponent checks, whose inputs already passed them, but
-        still rejects non-finite coefficients (a product or sum can
-        overflow) and drops zeros (a sum can cancel, a product underflow),
-        in one array pass.  Keeps ``terms`` itself when it has no zero, so
-        callers pass a dict of their own.
-        """
-        coeffs = np.fromiter(terms.values(), dtype=np.float64, count=len(terms))
-        if not np.isfinite(coeffs).all():
-            for exps, coeff in terms.items():  # name the first non-finite term
-                if not math.isfinite(coeff):
-                    raise AlgebraError(f"non-finite coefficient {coeff} at {exps}")
-        nonzero = coeffs != 0.0
-        if not nonzero.all():
-            terms = {e: c for e, c, keep in zip(terms, terms.values(), nonzero.tolist()) if keep}
-        self = object.__new__(cls)
-        self.num_pairs = num_pairs
-        self.terms = terms
-        return self
-
-    @property
-    def nvars(self) -> int:
-        return 2 * self.num_pairs
+    def _trusted(cls, num_pairs: int, exps: np.ndarray, coeffs: np.ndarray,
+                 hermitian: bool) -> "PhaseSpacePoly":
+        """Also rejects non-finite coefficients (a product or sum can
+        overflow), naming the first non-finite term."""
+        _check_finite(exps, coeffs)
+        return super()._trusted(num_pairs, exps, coeffs, True)
 
     @classmethod
     def unit(cls, num_pairs: int) -> "PhaseSpacePoly":
@@ -272,53 +358,34 @@ class PhaseSpacePoly:
         return cls(num_pairs, {tuple(e): 1.0})
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return int(self.exps.sum(axis=1).max(initial=0))
 
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.terms.values()))
-
-    def _check_like(self, other: "PhaseSpacePoly"):
-        if not isinstance(other, PhaseSpacePoly):
-            raise ShapeError(f"expected PhaseSpacePoly, got {type(other).__name__}")
-        if other.num_pairs != self.num_pairs:
-            raise ShapeError(f"num_pairs mismatch: {self.num_pairs} vs {other.num_pairs}")
-
-    def __add__(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
-        self._check_like(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return PhaseSpacePoly._trusted(self.num_pairs, out)
-
-    def __sub__(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
-        return self + other.scale(-1.0)
-
-    def __neg__(self) -> "PhaseSpacePoly":
-        return self.scale(-1.0)
+    @_ieee_quiet
+    def norm(self):
+        """sqrt of the sum of the squared coefficients, summed in row order
+        as Python's ``sum`` adds; in a block, an array of the norm of each
+        trial, equal to ``trial(t).norm()`` to the bit."""
+        squares = np.cumsum(self.coeffs * self.coeffs, axis=0)  # sequential sums
+        total = squares[-1] if len(squares) else np.zeros(self.coeffs.shape[2:])
+        return math.sqrt(total) if self.trials is None else np.sqrt(total)
 
     def scale(self, c: float) -> "PhaseSpacePoly":
-        c = float(c)
-        return PhaseSpacePoly._trusted(self.num_pairs,
-                                       {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+        return super().scale(float(c))
 
     def product(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         self._check_like(other)
-        return PhaseSpacePoly._trusted(self.num_pairs,
-                                       _poly_mul(self.terms, other.terms, self.nvars))
+        return PhaseSpacePoly._trusted(
+            self.num_pairs, *_poly_mul(self.exps, other.exps, self.coeffs, other.coeffs), True)
 
     def poisson(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         self._check_like(other)
         return PhaseSpacePoly._trusted(
-            self.num_pairs, _poly_poisson(self.terms, other.terms, self.num_pairs)
-        )
+            self.num_pairs, *_poly_poisson(self.exps, other.exps, self.coeffs, other.coeffs),
+            True)
 
     def __repr__(self):
-        return f"PhaseSpacePoly(num_pairs={self.num_pairs}, nterms={len(self.terms)})"
+        block = "" if self.trials is None else f", trials={self.trials}"
+        return f"PhaseSpacePoly(num_pairs={self.num_pairs}, nterms={len(self)}{block})"
 
 
 @functools.cache

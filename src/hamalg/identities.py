@@ -1,9 +1,9 @@
 """Randomized defect measurement for Hamilton-algebra identities.
 
 Any object exposing ``sigma``, ``alpha``, ``tau``, ``associator_sigma``
-(read by the canonical relation), ``random_element`` and ``constant`` can
-be checked, and an identity reads only the operations it names;
-``block_entries`` is optional (see below).  Each identity is evaluated on
+(read by the canonical relation), ``random_element``, ``block_entries``
+and ``constant`` can be checked, and an identity reads only the operations
+it names.  Each identity is evaluated on
 random input tuples; the reported defect is
 ||LHS - RHS|| / (1 + prod of input norms).  Jacobi is the left-nested
 cyclic sum alpha(alpha(f, g), h) + cyclic; the right-nested form differs on
@@ -11,18 +11,17 @@ a bracket that is not antisymmetric.  A failing identity is a reported
 result, never an exception, so the same machinery certifies honest
 algebras and exposes corrupted ones.
 
-``scan`` draws and scores the input tuples a block at a time.  An algebra
-that declares ``block_entries`` (the operator algebras and both
-compositions) draws a block of T input tuples in one call, as elements
-whose matrices carry a leading trial axis, (T, n, n) or (T, d, d) per
-monomial, and each product of an identity then runs once per block;
-``check_identity`` takes T at most ``kernels.MAX_BLOCK_TRIALS`` and at most
-``kernels.BLOCK_PAIRS`` matrix entries in the largest element one trial
-forms.  Any other algebra is checked one trial per block, on single
-elements.  ``worst_trial`` reduces a scan (the last
-maximal trial wins, a NaN never does) and ``first_over`` stops one at its
-first defect over a threshold or NaN.  The RNG stream, every defect, the
-mean and the witness are those of the trial-by-trial loop, to the bit.
+``scan`` draws and scores the input tuples a block at a time: an algebra
+draws a block of T input tuples in one call, as elements whose
+coefficients carry a trial axis, (T, n, n) for a matrix, (T,) or
+(T, d, d) per monomial for a polynomial, and each product of an identity
+then runs once per block.  ``check_identity`` takes T at most
+``kernels.MAX_BLOCK_TRIALS`` and at most ``kernels.BLOCK_PAIRS`` over the
+``block_entries`` coefficient entries of the largest element one trial
+forms.  ``worst_trial`` reduces a scan (the last maximal trial wins, a NaN
+never does) and ``first_over`` stops one at its first defect over a
+threshold or NaN.  The RNG stream, every defect, the mean and the witness
+are those of the trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
@@ -174,38 +173,29 @@ class VerificationReport:
         }
 
 
-def block_trials(alg) -> int | None:
-    """Trials per block for the algebra's block draws; None where it draws
-    single elements only."""
-    entries = getattr(alg, "block_entries", None)
-    if entries is None:
-        return None
-    return max(1, min(MAX_BLOCK_TRIALS, BLOCK_PAIRS // entries))
+def block_trials(alg: HamiltonAlgebra) -> int:
+    """Trials per block for the algebra's block draws."""
+    return max(1, min(MAX_BLOCK_TRIALS, BLOCK_PAIRS // alg.block_entries))
 
 
-def scan(alg, identity: Identity, rng: np.random.Generator, trials: int,
-         size: int | None, first: int | None = None):
+def scan(alg, identity: Identity, rng: np.random.Generator, trials: int, size: int,
+         first: int | None = None):
     """Draw ``trials`` random input tuples of ``identity`` and score them a
     block at a time: yield (first trial, elements, defects) per block, the
     defects as Python floats in trial order.  Blocks hold ``first`` trials
-    (default ``size``), then ``size``; a ``size`` of None draws single
-    elements, one trial per block."""
+    (default ``size``), then ``size``."""
     identity = Identity(identity)
     arity = _ARITY[identity]
-    start, step = 0, first or size or 1
+    start, step = 0, first or size
     while start < trials:
-        if size is None:
-            elements = [alg.random_element(rng) for _ in range(arity)]
-        else:
-            elements = alg.random_element(rng, block=(min(step, trials - start), arity))
-        yield start, elements, np.atleast_1d(identity_defect(alg, identity, elements)).tolist()
-        start, step = start + step, size or 1
+        elements = alg.random_element(rng, block=(min(step, trials - start), arity))
+        yield start, elements, identity_defect(alg, identity, elements).tolist()
+        start, step = start + step, size
 
 
 def _trial_inputs(elements, t: int) -> list:
-    """Trial ``t`` of a scanned block as single elements; a single-element
-    draw is its own trial 0."""
-    return [e if getattr(e, "trials", None) is None else e.trial(t) for e in elements]
+    """Trial ``t`` of a scanned block as single elements."""
+    return [e.trial(t) for e in elements]
 
 
 def worst_trial(blocks) -> tuple:

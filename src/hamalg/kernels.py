@@ -1,37 +1,42 @@
-"""Sparse polynomial kernel: products and Poisson brackets of term maps.
+"""Sparse polynomial kernel: sums, products and Poisson brackets of term arrays.
 
-Polynomials are finite maps from exponent tuples to real coefficients.
-The exponent tuple lists the canonical variables in the order
-(x1, p1, x2, p2, ...), so a polynomial over ``num_pairs`` canonical pairs
-uses tuples of length ``2 * num_pairs``.
+A polynomial in ``n`` canonical pairs is a *term array*: exponent rows
+``exps`` of shape (N, 2n), int64, listing the canonical variables in the
+order (x1, p1, x2, p2, ...), and a coefficient stack ``coeffs`` of shape
+(N, *c).  The coefficient shape c is () for a real polynomial, (d, d) for
+one with matrix coefficients, led by a trial axis T in a block: (T,) or
+(T, d, d).  Every coefficient, scalar or matrix, goes through the one
+engine ``term_pair_sum``; ``mul`` and ``poisson`` are thin adaptors for
+polynomials written as dicts from exponent tuples to floats.
 
-Both operations run on numpy arrays.  Exponent tuples are packed into
-int64 mixed-radix keys, the radix of each variable being one more than
-the largest exponent a product can give it, so adding two keys adds the
-exponents and every key lies in the box ``range(prod(radix))``.  Term
-pairs are formed in blocks of rows of ``a``, and each coefficient is
-accumulated sequentially in the order of the loop
+Exponent rows are packed into int64 mixed-radix keys, the radix of each
+variable being one more than the largest exponent a product can give it,
+so adding two keys adds the exponents and every key lies in the box
+``range(prod(radix))``.  Term pairs are formed in blocks of rows of the
+left operand, and each coefficient is accumulated sequentially in the
+order of the loop
 
     for each term of a, for each term of b, (for each canonical pair k):
         out[e] = out.get(e, 0.0) + contribution
 
 with results listed in first-occurrence order, so every coefficient and
-its position in the returned dict equal that loop's to the bit.
+its position equal that loop's to the bit.
 
 ``accumulate`` slots the contributions by one of three routes (``route``):
 
 * ``dense``: the packed key is the index of its slot in an accumulator
   over the whole box.  Taken when the box has at most
   ``DENSE_SLOTS_PER_PAIR`` slots per term pair the call forms, and at most
-  ``DENSE_ENTRIES`` coefficient entries in all: a hybrid block's slot
-  holds a ``(T, d, d)`` stack, so the cap is on entries, not slots;
+  ``DENSE_ENTRIES`` coefficient entries in all: a block's slot holds a
+  (T,) or (T, d, d) stack, so the cap is on entries, not slots;
 * ``sorted``: packed keys too sparse in their box, or a box too large to
   hold, get slots by a stable sort of each block;
 * ``rows``: where packed keys would overflow int64, the exponent rows are
   the keys, slotted by a lexicographic sort.
 
-``pack`` and ``accumulate`` also serve the term-pair engine of
-``compose``: one slotting routine sums scalar and matrix coefficients.
+The sum of two term arrays, ``term_sum``, slots both operands' rows the
+same way, so it lists the left operand's terms, then the right one's new
+terms, as merging two dicts does.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ from .errors import ShapeError
 
 BACKEND = "numpy"
 
-#: term pairs formed at once, times canonical pairs for ``poisson`` and
-#: times contributions and matrix entries in ``compose``; bounds the
-#: temporaries whatever the number of terms
+#: term pairs formed at once, times the contributions of a pair and the
+#: entries of a coefficient; bounds the temporaries whatever the number of
+#: terms
 BLOCK_PAIRS = 8192
 
 #: most trials evaluated in one block of a brackets or identity check:
@@ -69,47 +74,102 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _ieee_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-@_ieee_quiet
 def mul(a: dict, b: dict, nvars: int) -> dict:
-    """Exact product of two sparse polynomials (no degree truncation)."""
-    if not a or not b:
-        return {}
-    ea, eb, ca, cb, radix, strides = pack(a, b, nvars)
-    ka, kb = keys_of(ea, strides), keys_of(eb, strides)
+    """Exact product of two sparse polynomials written as dicts."""
+    return _on_dicts(mul_terms, a, b, nvars)
 
-    def blocks():
-        for rows in row_blocks(len(a), len(b)):
-            keys = (ka[rows, None] + kb).reshape((-1,) + kb.shape[1:])
-            yield keys, (ca[rows, None] * cb).ravel()
 
-    return accumulate(blocks(), radix, strides, len(a) * len(b))
+def poisson(a: dict, b: dict, num_pairs: int) -> dict:
+    """Poisson bracket of two sparse polynomials written as dicts."""
+    return _on_dicts(poisson_terms, a, b, 2 * num_pairs)
+
+
+def _on_dicts(op, a: dict, b: dict, nvars: int) -> dict:
+    """``op`` on two dict polynomials, as a dict of exponent tuples to floats."""
+    (ea, ca), (eb, cb) = dict_rows(a, nvars), dict_rows(b, nvars)
+    exps, coeffs = op(ea, eb, ca, cb)
+    return dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+
+
+def dict_rows(terms: dict, nvars: int):
+    """Exponent rows and float coefficients of a dict polynomial."""
+    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), nvars)
+    return exps, np.array(list(terms.values()), dtype=np.float64)
+
+
+def mul_terms(ea, eb, ca, cb):
+    """Exact product of two real term arrays (no degree truncation)."""
+    return term_pair_sum(ea, eb, ca, cb, np.multiply, True, False)
+
+
+def poisson_terms(ea, eb, ca, cb):
+    """Poisson bracket sum_k (df/dx_k dg/dp_k - df/dp_k dg/dx_k) of two real
+    term arrays: the Poisson contributions of ``term_pair_sum`` alone."""
+    return term_pair_sum(ea, eb, ca, cb, np.multiply, False, True)
 
 
 @_ieee_quiet
-def poisson(a: dict, b: dict, num_pairs: int) -> dict:
-    """Poisson bracket sum_k (df/dx_k dg/dp_k - df/dp_k dg/dx_k).
+def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
+    """Exponent rows and coefficients of a sum over the term pairs of two
+    term arrays, in the order of the loop of the module docstring.
 
-    Both cross terms for a canonical pair k land on the same exponent
-    vector (one less x_k and one less p_k than the plain product), so the
-    bracket is accumulated pairwise with the single integer weight
-    x_k(a) p_k(b) - p_k(a) x_k(b), skipping pairs of weight 0.
+    A term pair (a, b) contributes, in this order: with ``plain``, P at
+    ea + eb; with ``poisson``, for k ascending, w_k * Q at ea + eb - e_xk -
+    e_pk wherever w_k = xa_k pb_k - pa_k xb_k is nonzero.  Both Poisson
+    cross terms for a canonical pair k land on that exponent, so one
+    integer weight carries them.  ``combine`` maps coefficient stacks
+    (Na, 1, *c) and (1, Nb, *c) to P, or Q, or with both flags (P, Q); a P
+    of None contributes nothing.  The route (``route``) counts the
+    contributions the flags declare.
+
+    Broadcast products equal per-pair products to the bit (``@`` does,
+    ``einsum`` does not), so in every trial of a block the result, key
+    order included, is the written-out loop's; only the sign and payload
+    of a NaN, which IEEE 754 leaves open, may differ.  Where packed keys
+    would overflow int64, the exponent rows are the keys; ``ShapeError``
+    only where a Poisson weight could overflow.
     """
-    if not a or not b:
-        return {}
-    ea, eb, ca, cb, radix, strides = pack(a, b, 2 * num_pairs)
+    shape = A.shape[1:]
+    if not len(ea) or not len(eb):
+        return ea[:0], A[:0]
+    radix, strides = product_box(ea, eb)
     ka, kb = keys_of(ea, strides), keys_of(eb, strides)
-    # one less x_k and one less p_k, by canonical pair k
-    shift = keys_of(np.eye(num_pairs, dtype=np.int64).repeat(2, axis=1), strides)
+    # exponent shift per contribution: the plain term, then each canonical pair
+    num_pairs = ea.shape[1] // 2
+    shifts = np.eye(1 + num_pairs, num_pairs, -1, dtype=np.int64).repeat(2, axis=1)
+    offsets = keys_of(shifts[1 - plain:1 + num_pairs * poisson], strides)
 
     def blocks():
-        for rows in row_blocks(len(a), len(b) * num_pairs):
-            w = poisson_weights(ea[rows], eb)
-            live = w != 0
-            keys = (ka[rows, None, None] + kb[:, None]) - shift
-            vals = (ca[rows, None] * cb)[:, :, None] * w
-            yield keys[live], vals[live]
+        for rows in row_blocks(len(ka), len(kb) * len(offsets) * math.prod(shape)):
+            keys = (ka[rows, None] + kb)[:, :, None] - offsets
+            vals = combine(A[rows, None], B[None])
+            if poisson:
+                first, anti = vals if plain else (None, vals)
+                w = poisson_weights(ea[rows], eb)
+                vals = w.astype(A.dtype).reshape(w.shape + (1,) * len(shape)) * anti[:, :, None]
+                live = w != 0
+                if first is not None:
+                    vals = np.concatenate([first[:, :, None], vals], axis=2)
+                    live = np.concatenate([np.ones_like(live[..., :1]), live], axis=2)
+                elif plain:
+                    keys = keys[:, :, 1:]
+                keys, vals = keys[live], vals[live]
+            yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
 
-    return accumulate(blocks(), radix, strides, len(a) * len(b) * num_pairs)
+    pairs = len(ka) * len(kb) * len(offsets)
+    return accumulate(blocks(), radix, strides, pairs, shape, A.dtype)
+
+
+@_ieee_quiet
+def term_sum(ea, eb, A, B):
+    """Exponent rows and coefficients of the sum of two term arrays: a's
+    terms, then b's new ones, each shared coefficient a + b, zero sums
+    dropped; as merging b's terms into a's dict."""
+    rows = np.concatenate([ea, eb])
+    radix = rows.max(axis=0, initial=0) + 1
+    strides = key_strides(radix)
+    return accumulate([(keys_of(rows, strides), np.concatenate([A, B]))], radix, strides,
+                      len(rows), A.shape[1:], A.dtype)
 
 
 def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -118,29 +178,30 @@ def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     return ea[:, None, 0::2] * eb[:, 1::2] - ea[:, None, 1::2] * eb[:, 0::2]
 
 
-def pack(a: dict, b: dict, nvars: int, dtype=np.float64):
-    """Exponent arrays and coefficients of both operands, and the key
-    radix and stride of each variable.
+def product_box(ea: np.ndarray, eb: np.ndarray):
+    """The key radix and strides of each variable for the products of rows
+    of ``ea`` and ``eb``.
 
     A radix product past int64 gives ``strides`` None: the keys are then
     the exponent rows.  ``ShapeError`` only where an exponent sum or a
     Poisson weight could overflow int64.
     """
-    ea = np.array(list(a), dtype=np.int64).reshape(len(a), nvars)
-    eb = np.array(list(b), dtype=np.int64).reshape(len(b), nvars)
     if ea.min() < 0 or eb.min() < 0:
         raise ShapeError("exponents must be >= 0")
     radix = ea.max(axis=0) + eb.max(axis=0) + 1  # wraps below 1 past int64
-    if radix.min() >= 1 and math.prod(radix.tolist()) <= _INT64_MAX:
-        strides = np.ones(nvars, dtype=np.int64)
-        strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
-    elif radix.min() >= 1 and max(radix.tolist()) ** 2 <= _INT64_MAX:
-        strides = None
-    else:
+    strides = key_strides(radix)
+    if strides is None and not (radix.min() >= 1 and max(radix.tolist()) ** 2 <= _INT64_MAX):
         raise ShapeError(f"exponent ranges {radix.tolist()} overflow int64 packed keys")
-    ca = np.array(list(a.values()), dtype=dtype)
-    cb = np.array(list(b.values()), dtype=dtype)
-    return ea, eb, ca, cb, radix, strides
+    return radix, strides
+
+
+def key_strides(radix: np.ndarray) -> np.ndarray | None:
+    """Packed-key stride of each variable; None where the box passes int64."""
+    if radix.min() < 1 or math.prod(radix.tolist()) > _INT64_MAX:
+        return None
+    strides = np.ones(len(radix), dtype=np.int64)
+    strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    return strides
 
 
 def keys_of(exps: np.ndarray, strides: np.ndarray | None) -> np.ndarray:
@@ -166,19 +227,19 @@ def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape) -> s
     return "sorted"
 
 
-def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape=(),
-               dtype=np.float64) -> dict:
-    """Sum contributions per key, over (keys, values) blocks in loop order.
+def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape,
+               dtype):
+    """Sum contributions per key, over (keys, values) blocks in loop order,
+    into exponent rows and the coefficient stack of those rows.
 
     ``pairs`` is the number of term pairs the blocks hold in all, which
     with the key box and ``shape`` picks the route (``route``).  Every
     route starts a slot at -0.0, the exact identity of addition, adds with
     ``np.add.at`` in index order, so each coefficient is the sequential
     sum, and lists slots in first-occurrence order: the routes return the
-    same dict to the bit.  Zero sums are dropped.  Values of trailing
-    ``shape`` (matrices) are summed elementwise and come back read-only;
-    scalars come back as floats.  Keys are packed int64, or exponent rows
-    where ``strides`` is None.
+    same arrays to the bit.  Slots whose sum is zero in every entry are
+    dropped.  Keys are packed int64, or exponent rows where ``strides`` is
+    None.
     """
     kind = route(radix, strides, pairs, shape)
     if kind == "dense":
@@ -187,9 +248,7 @@ def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int
         slot_keys, acc = _sorted_slots(blocks, kind == "rows", len(radix), shape, dtype)
     live = acc.reshape(len(acc), math.prod(shape)).any(axis=1)
     exps = slot_keys[live] if kind == "rows" else slot_keys[live, None] // strides % radix
-    acc = acc[live]
-    acc.setflags(write=False)
-    return dict(zip(map(tuple, exps.tolist()), acc.tolist() if acc.ndim == 1 else acc))
+    return exps, acc[live]
 
 
 def _signed_zeros(shape, dtype) -> np.ndarray:

@@ -216,14 +216,16 @@ def loop_hybrid_element(rng, dim, num_pairs, degree):
                          hermitian=True)
 
 
-def loop_matrix_draws(alg, rng, trials, arity):
-    """Input tuples of an operator algebra or a composition, drawn one
-    element at a time."""
+def loop_element_draws(alg, rng, trials, arity):
+    """Input tuples of an operator algebra, a phase-space algebra or a
+    composition, drawn one element at a time."""
     from hamalg import ComposedAlgebra
 
     alg = getattr(alg, "base", alg)   # a CorruptedAlgebra draws as its base
 
     def draw():
+        if isinstance(alg, PhaseSpaceAlgebra):
+            return loop_phase_space_draw(rng, alg.num_pairs, alg.max_random_degree)
         if isinstance(alg, ComposedAlgebra) and alg.kind == "qc":
             return loop_hybrid_element(rng, alg.left.dim, alg.right.num_pairs,
                                        alg.right.max_random_degree)
@@ -269,8 +271,8 @@ def loop_identity_defects(alg, identity, blocks):
 
 
 def loop_check_identity(alg, check):
-    """The trial loop of ``check_identity`` on a matrix algebra: each tuple
-    drawn and scored alone, the running worst replaced on ``>=``."""
+    """The trial loop of ``check_identity``: each tuple drawn and scored
+    alone, the running worst replaced on ``>=``."""
     from hamalg.identities import _ARITY, CheckResult, Identity, identity_defect
     from hamalg.serialize import element_to_json
 
@@ -278,7 +280,7 @@ def loop_check_identity(alg, check):
     rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
     worst, worst_elements, total, nan_seen = 0.0, [], 0.0, False
     for _ in range(check.trials):
-        elements = loop_matrix_draws(alg, rng, 1, _ARITY[identity])[0]
+        elements = loop_element_draws(alg, rng, 1, _ARITY[identity])[0]
         defect = identity_defect(alg, identity, elements)
         total += defect
         nan_seen = nan_seen or np.isnan(defect)

@@ -307,15 +307,15 @@ def engine_loops(hbar):
 def engine_routes(u, v):
     """The slotting routes of the term-pair engine on u and v, for the
     plain term pairs and with the canonical pairs' Poisson terms."""
-    radix, strides = kernels.pack(u.terms, v.terms, u.nvars, np.complex128)[-2:]
-    pairs = len(u.terms) * len(v.terms)
-    return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson), u.coeff_shape)
+    radix, strides = kernels.product_box(u.exps, v.exps)
+    pairs = len(u) * len(v)
+    return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson), u.coeffs.shape[1:])
             for poisson in (False, True)}
 
 
 def with_far_term(u):
     """u plus one term far out in its box, which leaves the box sparse."""
-    far = {(60,) * u.nvars: np.full(u.coeff_shape, 0.5 + 0.25j)}
+    far = {(60,) * 2 * u.num_pairs: np.full(u.coeffs.shape[1:], 0.5 + 0.25j)}
     return HybridElement(u.dim, u.num_pairs, {**u.terms, **far}, hermitian=False)
 
 
@@ -420,8 +420,7 @@ class TestTermPairEngine:
 
         def block(exps):
             c = rng.standard_normal((len(exps), 256, 2, 2, 2)).view(np.complex128)[..., 0]
-            c.setflags(write=False)
-            return HybridElement._trusted(2, 1, dict(zip(exps, c)), False, 256)
+            return HybridElement._trusted(1, np.array(exps), c, False)
 
         u = block([(i, 0) for i in range(15, -1, -1)] + [(0, 15)])
         v = block([(j, 0) for j in range(17)] + [(0, p_max)])

@@ -318,6 +318,8 @@ class TestHybridElementType:
     def test_norm_is_l2_over_all_entries(self):
         el = HybridElement(2, 1, {(0, 0): np.eye(2), (1, 0): PAULI_X})
         assert el.norm() == pytest.approx(2.0)
+        # a norm past the float range is inf, and no numpy warning escapes
+        assert HybridElement(2, 1, {(1, 0): 1e200 * PAULI_X}).norm() == math.inf
 
     def test_kronecker_validation(self):
         with pytest.raises(Exception):
@@ -333,13 +335,10 @@ def stored_matrices(el):
 def block_of(*elements):
     """A block whose trial t is elements[t] (every element on the same keys)."""
     first = elements[0]
-    terms = {}
-    for e in first.terms:
-        m = np.stack([el.terms[e] for el in elements])
-        m.setflags(write=False)
-        terms[e] = m
-    return HybridElement._trusted(first.dim, first.num_pairs, terms,
-                                  all(el.hermitian for el in elements), len(elements))
+    assert all(np.array_equal(el.exps, first.exps) for el in elements)
+    return HybridElement._trusted(first.num_pairs, first.exps,
+                                  np.stack([el.coeffs for el in elements], axis=1),
+                                  all(el.hermitian for el in elements))
 
 
 class TestPruneOnce:
@@ -488,10 +487,8 @@ class TestMatrixBlocks:
 
         rng = np.random.default_rng(6)
         u = random_hybrid_observable(rng, dim=3, num_pairs=1, degree=2, block=(7, 1))[0]
-        strided = HybridElement._trusted(3, 1, {e: m[::2] for e, m in u.terms.items()},
-                                         True, 4)
-        flipped = HybridElement._trusted(3, 1, {e: m.swapaxes(1, 2)[:, ::-1]
-                                                for e, m in u.terms.items()}, False, 7)
+        strided = HybridElement._trusted(1, u.exps, u.coeffs[:, ::2], True)
+        flipped = HybridElement._trusted(1, u.exps, u.coeffs.swapaxes(2, 3)[:, :, ::-1], False)
         for block in (u, strided, flipped):
             norms = block.norm()
             for t in range(block.trials):
@@ -501,7 +498,8 @@ class TestMatrixBlocks:
                 assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
                 assert single.norm() == want
         assert HybridElement(2, 1, {}).norm() == 0.0
-        empty = HybridElement._trusted(2, 1, {}, True, 3)
+        empty = HybridElement._trusted(1, np.empty((0, 2), np.int64),
+                                       np.empty((0, 3, 2, 2), np.complex128), True)
         assert empty.norm().tolist() == [0.0, 0.0, 0.0]
 
     def test_mixing_blocks_and_elements_is_refused(self):
@@ -646,7 +644,7 @@ class TestTermPairEngine:
         # the loops summed Python ints: radix 2**21 + 1 on 4 variables
         # overflows packed int64 keys, so the engine keys exponent rows
         u = HybridElement(2, 2, {(2 ** 20,) * 4: PAULI_X, (2 ** 20, 0, 1, 2): PAULI_Y})
-        assert kernels.pack(u.terms, u.terms, 4, np.complex128)[-1] is None
+        assert kernels.product_box(u.exps, u.exps)[1] is None
         for op, combine in self.qc_products(2, 2):
             assert_terms_bitwise(op(u, u).terms, loop_term_pairs(u, u, combine))
 

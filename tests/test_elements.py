@@ -92,20 +92,30 @@ class TestPhaseSpacePoly:
             PhaseSpacePoly(1, {(1, 0): float("inf")})
 
     def test_derived_coefficients_checked_finite(self):
+        # overflow raises AlgebraError, and no numpy RuntimeWarning escapes
         p = PhaseSpacePoly(1, {(1, 0): 1e200})
         with pytest.raises(AlgebraError):
             p.product(p)  # 1e400 overflows to inf
         with pytest.raises(AlgebraError):
             p.scale(1e200)
+        huge = PhaseSpacePoly(1, {(1, 0): 1e308})
+        with pytest.raises(AlgebraError):
+            huge + huge
+        with pytest.raises(AlgebraError):
+            huge.poisson(PhaseSpacePoly(1, {(0, 2): 1e308}))
 
     def test_first_non_finite_term_is_named(self):
         # the first in dict order, which is not the first in exponent order
         p = PhaseSpacePoly(1, {(2, 0): 1.0, (1, 0): 1e300, (0, 1): -1e300})
         with pytest.raises(AlgebraError, match=r"^non-finite coefficient inf at \(1, 0\)$"):
             p.scale(1e300)
-        terms = {(2, 0): 1.0, (1, 0): -math.inf, (0, 1): math.nan}
+        exps = np.array([(2, 0), (1, 0), (0, 1)])
         with pytest.raises(AlgebraError, match=r"^non-finite coefficient -inf at \(1, 0\)$"):
-            PhaseSpacePoly._trusted(1, terms)
+            PhaseSpacePoly._trusted(1, exps, np.array([1.0, -math.inf, math.nan]), True)
+        # in a block, the first row with a non-finite coefficient in any trial
+        block = np.array([[1.0, 2.0], [0.5, math.nan], [math.inf, 1.0]])
+        with pytest.raises(AlgebraError, match=r"^non-finite coefficient nan at \(1, 0\)$"):
+            PhaseSpacePoly._trusted(1, exps, block, True)
 
     def test_derived_zero_terms_dropped(self):
         p = PhaseSpacePoly(1, {(1, 0): 1.5, (0, 1): -2.0})
@@ -172,6 +182,8 @@ class TestPhaseSpacePoly:
     def test_norm_l2(self):
         p = PhaseSpacePoly(1, {(1, 0): 3.0, (0, 1): 4.0})
         assert p.norm() == 5.0
+        # a square past the float range is inf, as Python floats give it
+        assert PhaseSpacePoly(1, {(1, 0): 1e200}).norm() == math.inf
 
     def test_unit_and_zero(self):
         u = PhaseSpacePoly.unit(2)

@@ -12,6 +12,7 @@ from hamalg import (
     IdentityCheck,
     OperatorAlgebra,
     PhaseSpaceAlgebra,
+    PhaseSpacePoly,
     check_identity,
     run_axiom_suite,
 )
@@ -182,6 +183,7 @@ class TestLemmas:
 
         class Leaky:
             constant = base.constant
+            block_entries = base.block_entries
             random_element = staticmethod(base.random_element)
             describe = staticmethod(base.describe)
 
@@ -258,11 +260,11 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("alg", matrix_algebras()[1::2],
                              ids=lambda alg: alg.describe()["realization"])
     def test_block_draws_equal_single_draws(self, alg):
-        from tests.conftest import loop_matrix_draws
+        from tests.conftest import loop_element_draws
 
         rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
         blocks = alg.random_element(rng_block, block=(6, 3))
-        singles = loop_matrix_draws(alg, rng_loop, 6, 3)
+        singles = loop_element_draws(alg, rng_loop, 6, 3)
         for i, b in enumerate(blocks):
             assert b.trials == 6 and b.hermitian and not b.entries.flags.writeable
             for t in range(6):
@@ -316,21 +318,6 @@ class TestTrialBlocks:
         assert not got.passed
         assert got.to_json() == loop_check_identity(bad, check).to_json()
 
-    def test_single_element_algebras_run_one_trial_per_block(self, monkeypatch):
-        from hamalg import identities
-
-        seen = []
-        original = identities.identity_defect
-
-        def spy(alg, identity, elements):
-            seen.append(getattr(elements[0], "trials", None))
-            return original(alg, identity, elements)
-
-        monkeypatch.setattr(identities, "identity_defect", spy)
-        check_identity(PhaseSpaceAlgebra(1, max_random_degree=2),
-                       IdentityCheck(Identity.JACOBI, trials=4))
-        assert seen == [None] * 4
-
     def test_blocks_are_capped_by_entries(self, monkeypatch):
         from hamalg.cli import _build_algebra, build_parser
         from hamalg.elements import product_monomials
@@ -341,7 +328,11 @@ class TestTrialBlocks:
         assert block_trials(OperatorAlgebra(64)) == BLOCK_PAIRS // 64 ** 2
         assert block_trials(OperatorAlgebra(128)) == 1
         assert block_trials(composed(1.0, 1.0, 1.0, 8, 8)) == 2
-        assert block_trials(PhaseSpaceAlgebra(1)) is None
+        # a phase-space trial's largest element holds every monomial of
+        # degree <= 4 deg: C(2n + 4 deg, 4 deg) of them
+        assert block_trials(PhaseSpaceAlgebra(1)) == BLOCK_PAIRS // 91 == 90
+        assert block_trials(PhaseSpaceAlgebra(2, max_random_degree=3)) == 4
+        assert block_trials(PhaseSpaceAlgebra(1, max_random_degree=1)) == 256
         assert block_trials(CorruptedAlgebra(OperatorAlgebra(30))) == BLOCK_PAIRS // 900
 
         # a quantum (x) classical trial's largest element is its deepest
@@ -362,12 +353,12 @@ class TestHybridBlocks:
     @pytest.mark.parametrize("alg", hybrid_algebras(), ids=lambda alg: (
         f"dim{alg.left.dim}-pairs{alg.right.num_pairs}-degree{alg.right.max_random_degree}"))
     def test_block_and_single_draws_equal_the_loop_bitwise(self, alg):
-        from tests.conftest import assert_terms_bitwise, loop_matrix_draws
+        from tests.conftest import assert_terms_bitwise, loop_element_draws
 
         rngs = [np.random.default_rng(5) for _ in range(3)]
         blocks = alg.random_element(rngs[0], block=(6, 3))
         singles = [[alg.random_element(rngs[1]) for _ in range(3)] for _ in range(6)]
-        loop = loop_matrix_draws(alg, rngs[2], 6, 3)
+        loop = loop_element_draws(alg, rngs[2], 6, 3)
         for i, b in enumerate(blocks):
             assert b.trials == 6 and b.hermitian
             assert not any(m.flags.writeable for m in b.terms.values())
@@ -381,6 +372,7 @@ class TestHybridBlocks:
     @pytest.mark.parametrize("argv", [
         ["verify", "--hybrid", "--trials", "50"],
         ["verify", "--composed", "--a1", "1", "--a2", "2", "--a12", "1.5", "--trials", "50"],
+        ["verify", "--realization", "phase-space", "--pairs", "2", "--trials", "50"],
     ])
     def test_reports_do_not_depend_on_the_block_size(self, argv, tmp_path, monkeypatch):
         import re
@@ -397,3 +389,83 @@ class TestHybridBlocks:
         monkeypatch.setattr(identities, "BLOCK_PAIRS", 1)   # one trial per block
         assert identities.block_trials(hybrid_algebras()[0]) == 1
         assert report("single.json") == blocked
+
+
+def phase_space_algebras():
+    """Phase-space algebras at several pairs and degrees."""
+    return [PhaseSpaceAlgebra(pairs, max_random_degree=degree)
+            for pairs, degree in [(1, 3), (1, 1), (2, 2), (3, 1)]]
+
+
+def assert_poly_terms_bitwise(got, want):
+    """Same keys in the same order, and every coefficient a Python float
+    equal to the bit."""
+    assert list(got) == list(want)
+    assert all(type(c) is float for c in got.values())
+    assert (np.array(list(got.values())).tobytes()
+            == np.array(list(want.values()), dtype=np.float64).tobytes())
+
+
+class TestPhaseSpaceBlocks:
+    """Phase-space trial blocks against the trial-by-trial loops, to the bit."""
+
+    @pytest.mark.parametrize("alg", phase_space_algebras(), ids=lambda alg: (
+        f"pairs{alg.num_pairs}-degree{alg.max_random_degree}"))
+    def test_block_and_single_draws_equal_the_loop_bitwise(self, alg):
+        from tests.conftest import loop_element_draws
+
+        rngs = [np.random.default_rng(5) for _ in range(3)]
+        blocks = alg.random_element(rngs[0], block=(6, 3))
+        singles = [[alg.random_element(rngs[1]) for _ in range(3)] for _ in range(6)]
+        loop = loop_element_draws(alg, rngs[2], 6, 3)
+        for i, b in enumerate(blocks):
+            assert b.trials == 6 and b.coeffs.shape == (len(b), 6)
+            assert not b.coeffs.flags.writeable and not b.exps.flags.writeable
+            for t in range(6):
+                assert singles[t][i].trials is None
+                assert_poly_terms_bitwise(b.trial(t).terms, loop[t][i].terms)
+                assert_poly_terms_bitwise(singles[t][i].terms, loop[t][i].terms)
+        # the same stream was consumed
+        assert len({rng.uniform() for rng in rngs}) == 1
+
+    @pytest.mark.parametrize("identity", list(Identity))
+    def test_block_defects_match_loop_bitwise(self, identity):
+        from hamalg.identities import _ARITY, identity_defect
+        from tests.conftest import loop_identity_defects
+
+        rng = np.random.default_rng([4, list(Identity).index(identity)])
+        for alg in phase_space_algebras():
+            for trials in (1, 3):
+                blocks = alg.random_element(rng, block=(trials, _ARITY[identity]))
+                got = identity_defect(alg, identity, blocks)
+                assert got.shape == (trials,)
+                want = np.array(loop_identity_defects(alg, identity, blocks))
+                assert got.tobytes() == want.tobytes(), alg.describe()
+
+    def test_block_norms_equal_trial_norms_bitwise(self):
+        alg = PhaseSpaceAlgebra(2, max_random_degree=2)
+        f, g = alg.random_element(np.random.default_rng(9), block=(5, 2))
+        # drawn blocks, products, brackets and a block that cancels in trial 2
+        h = f.product(g)
+        k = PhaseSpacePoly._trusted(2, h.exps, h.coeffs * np.array([0.5, 2, 1, 3, 0.25]), True)
+        assert (h - k).trial(2).terms == {}
+        for block in (f, h, f.poisson(g), f + g.scale(0.5), h - k):
+            norms = block.norm()
+            assert norms.shape == (5,)
+            for t in range(5):
+                single = block.trial(t)
+                assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
+                assert single.norm() == math.sqrt(sum(c * c for c in single.terms.values()))
+
+    @pytest.mark.parametrize("identity", [Identity.JACOBI, Identity.DERIVATION,
+                                          Identity.CANONICAL_RELATION])
+    @pytest.mark.parametrize("alg", [PhaseSpaceAlgebra(1, max_random_degree=1),   # 256-trial cap
+                                     PhaseSpaceAlgebra(2, max_random_degree=1)],  # 117 a block
+                             ids=["pairs1", "pairs2"])
+    def test_check_identity_matches_loop_across_the_cap(self, alg, identity):
+        from hamalg.identities import block_trials
+        from tests.conftest import loop_check_identity
+
+        check = IdentityCheck(identity, trials=300, seed=2)
+        assert block_trials(alg) < check.trials
+        assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()

@@ -78,7 +78,8 @@ def assert_same_terms(got, want):
 
 def kernel_routes(a, b, num_pairs):
     """The slotting route of ``mul`` and of ``poisson`` on a and b."""
-    radix, strides = kernels.pack(a, b, 2 * num_pairs)[-2:]
+    radix, strides = kernels.product_box(kernels.dict_rows(a, 2 * num_pairs)[0],
+                                         kernels.dict_rows(b, 2 * num_pairs)[0])
     pairs = len(a) * len(b)
     return (kernels.route(radix, strides, pairs, ()),
             kernels.route(radix, strides, pairs * num_pairs, ()))
@@ -222,6 +223,25 @@ def route_inputs(a, b):
 def test_routes_match_loop_on_special_values(a, b):
     for x, y, num_pairs, route in route_inputs(a, b):
         assert_bitwise(x, y, num_pairs, route)
+
+
+def loop_sum(a, b):
+    """Merging b's terms into a's dict, the sum ``term_sum`` vectorizes."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0.0) + c
+    return {e: c for e, c in out.items() if c != 0.0}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(a=grid_polys(), b=grid_polys())
+def test_term_sum_matches_dict_merge_on_every_route(a, b):
+    for x, y, num_pairs, route in route_inputs(a, b):
+        (ex, cx), (ey, cy) = (kernels.dict_rows(t, 2 * num_pairs) for t in (x, y))
+        radix = np.concatenate([ex, ey]).max(axis=0) + 1
+        assert kernels.route(radix, kernels.key_strides(radix), len(x) + len(y), ()) == route
+        exps, coeffs = kernels.term_sum(ex, ey, cx, cy)
+        assert_same_terms(dict(zip(map(tuple, exps.tolist()), coeffs.tolist())), loop_sum(x, y))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

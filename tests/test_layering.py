@@ -93,6 +93,24 @@ def test_compose_and_measurement_do_not_import_brackets():
     assert "brackets" not in imported_modules(SRC / "measurement.py")
 
 
+def test_every_algebra_declares_block_draws():
+    # ``identities`` reads ``block_entries`` without a fallback and always
+    # draws blocks
+    import inspect
+
+    from hamalg import algebra, compose
+
+    concrete = [cls for module in (algebra, compose) for cls in vars(module).values()
+                if isinstance(cls, type) and issubclass(cls, algebra.HamiltonAlgebra)
+                and cls is not algebra.HamiltonAlgebra]
+    assert {cls.__name__ for cls in concrete} == {
+        "OperatorAlgebra", "PhaseSpaceAlgebra", "CorruptedAlgebra", "ComposedAlgebra"}
+    for cls in concrete:
+        assert "block_entries" in vars(cls), cls.__name__
+        assert "block" in inspect.signature(cls.random_element).parameters, cls.__name__
+    assert "getattr" not in called_names(SRC / "identities.py")
+
+
 def test_brackets_defines_no_defect_of_its_own():
     calls = called_names(SRC / "brackets.py")
     assert "relative_defect" not in calls and "norm" not in calls
