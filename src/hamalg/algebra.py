@@ -138,16 +138,13 @@ class OperatorAlgebra(HamiltonAlgebra):
 
     def sigma(self, f: OperatorElement, g: OperatorElement) -> OperatorElement:
         self._check_operands(f, g)
-        return OperatorElement._trusted(
-            0.5 * (f.entries @ g.entries + g.entries @ f.entries),
-            f.hermitian and g.hermitian)
+        return OperatorElement._trusted(0.5 * (f.entries @ g.entries + g.entries @ f.entries))
 
     def alpha(self, f: OperatorElement, g: OperatorElement) -> OperatorElement:
         self._check_operands(f, g)
         hbar = self.constant.hbar
         return OperatorElement._trusted(
-            (f.entries @ g.entries - g.entries @ f.entries) / (1j * hbar),
-            f.hermitian and g.hermitian)
+            (f.entries @ g.entries - g.entries @ f.entries) / (1j * hbar))
 
     def unit(self) -> OperatorElement:
         return OperatorElement.identity(self.dim)
@@ -161,7 +158,7 @@ class OperatorAlgebra(HamiltonAlgebra):
         ``trials`` input tuples of ``arity`` elements in one draw, returned
         as ``arity`` blocks: the numbers, in order, of ``trials * arity``
         single calls; a single draw is trial 0 of a block of one."""
-        drawn = [OperatorElement._trusted(h, True)
+        drawn = [OperatorElement._trusted(h)
                  for h in random_hermitian(rng, self.dim, block or (1, 1))]
         return drawn if block else drawn[0].trial(0)
 
@@ -217,8 +214,7 @@ class PhaseSpaceAlgebra(HamiltonAlgebra):
         trials, arity = block or (1, 1)
         coeffs = rng.uniform(-1.0, 1.0, (trials, arity, len(monos)))
         exps = exponent_rows(monos, 2 * self.num_pairs)
-        drawn = [PhaseSpacePoly._trusted(self.num_pairs, exps, c.T, True)
-                 for c in coeffs.transpose(1, 0, 2)]
+        drawn = [PhaseSpacePoly._trusted(exps, c.T) for c in coeffs.transpose(1, 0, 2)]
         return drawn if block else drawn[0].trial(0)
 
     def describe(self) -> dict:

@@ -75,14 +75,13 @@ EXPECTED_CLEAN = {
 def _commutator_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
     """[U,V]- : commutator/(i*hbar) on coefficients, pointwise classical
     product.  This is also the hybrid Hamilton-algebra bracket."""
-    return u.pair_sum(v, lambda A, B: (A @ B - B @ A) / (1j * hbar),
-                      u.hermitian and v.hermitian)
+    return u.pair_sum(v, lambda A, B: (A @ B - B @ A) / (1j * hbar))
 
 
 def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
     """{U,V}_P with matrix coefficients multiplied in written order:
     sum_k dU/dx_k . dV/dp_k - dU/dp_k . dV/dx_k."""
-    return u.pair_sum(v, lambda A, B: (None, A @ B), False, poisson=True)
+    return u.pair_sum(v, lambda A, B: (None, A @ B), poisson=True)
 
 
 def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
@@ -93,7 +92,7 @@ def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> Hy
         AB, BA = A @ B, B @ A
         return (AB - BA) / (1j * hbar), 0.5 * (AB + BA)
 
-    return u.pair_sum(v, combine, u.hermitian and v.hermitian, poisson=True)
+    return u.pair_sum(v, combine, poisson=True)
 
 
 def _symmetrized_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:

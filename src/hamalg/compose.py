@@ -55,7 +55,6 @@ from .elements import (
     exponent_rows,
     exponent_tuple,
     frobenius_norms,
-    is_hermitian,
     monomials_up_to_degree,
     product_monomials,
 )
@@ -75,26 +74,24 @@ class KroneckerElement(OperatorElement):
 
     __slots__ = ("left_dim", "right_dim")
 
-    def __init__(self, left_dim: int, right_dim: int, entries, hermitian: bool | None = None):
+    def __init__(self, left_dim: int, right_dim: int, entries):
         n = left_dim * right_dim
         if np.shape(entries) != (n, n):
             raise ShapeError(f"expected shape {(n, n)}, got {np.shape(entries)}")
-        super().__init__(entries, hermitian)
+        super().__init__(entries)
         self.left_dim = int(left_dim)
         self.right_dim = int(right_dim)
 
     @classmethod
-    def _trusted(cls, left_dim: int, right_dim: int, entries: np.ndarray,
-                 hermitian: bool) -> "KroneckerElement":
-        """Internal constructor for derived values; skips re-validation
-        (see OperatorElement._trusted for why)."""
-        self = super()._trusted(entries, hermitian)
+    def _trusted(cls, left_dim: int, right_dim: int, entries: np.ndarray) -> "KroneckerElement":
+        """Internal constructor for derived values; skips re-validation."""
+        self = super()._trusted(entries)
         self.left_dim = int(left_dim)
         self.right_dim = int(right_dim)
         return self
 
-    def _derived(self, entries: np.ndarray, hermitian: bool) -> "KroneckerElement":
-        return KroneckerElement._trusted(self.left_dim, self.right_dim, entries, hermitian)
+    def _derived(self, entries: np.ndarray) -> "KroneckerElement":
+        return KroneckerElement._trusted(self.left_dim, self.right_dim, entries)
 
     def _check_like(self, other: "KroneckerElement"):
         super()._check_like(other)
@@ -103,25 +100,21 @@ class KroneckerElement(OperatorElement):
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"
-        return (f"KroneckerElement({self.left_dim}x{self.right_dim}, "
-                f"hermitian={self.hermitian}{block})")
+        return f"KroneckerElement({self.left_dim}x{self.right_dim}{block})"
 
 
 class HybridElement(TermArray):
     """Element of quantum (x) classical: a polynomial in the classical
     canonical pairs whose coefficients are dim x dim complex matrices, a
     ``TermArray`` of complex128 coefficients (N, dim, dim), or
-    (N, trials, dim, dim) in a block.
-
-    The Hermitian flag means every matrix coefficient is Hermitian, i.e.
-    the element is an observable-valued function.
+    (N, trials, dim, dim) in a block.  An observable-valued function has a
+    Hermitian coefficient on every monomial.
     """
 
     __slots__ = ()
     COEFF_RANK = 2
 
-    def __init__(self, dim: int, num_pairs: int, terms: dict | None = None,
-                 hermitian: bool | None = None):
+    def __init__(self, dim: int, num_pairs: int, terms: dict | None = None):
         if dim < 1 or num_pairs < 1:
             raise ShapeError(f"invalid dim={dim} / num_pairs={num_pairs}")
         keys, mats = [], []
@@ -131,11 +124,7 @@ class HybridElement(TermArray):
             if mats[-1].shape != (dim, dim):
                 raise ShapeError(f"coefficient at {exps} has shape {mats[-1].shape}")
         coeffs = np.array(mats, dtype=np.complex128).reshape(len(mats), dim, dim)
-        self._set(num_pairs, exponent_rows(keys, 2 * num_pairs), coeffs, True)
-        herm = all(is_hermitian(m) for m in self.coeffs)
-        if hermitian and not herm:
-            raise AlgebraError("terms flagged Hermitian but some coefficient is not")
-        self.hermitian = herm if hermitian is None else bool(hermitian)
+        self._set(exponent_rows(keys, 2 * num_pairs), coeffs)
 
     @property
     def dim(self) -> int:
@@ -154,25 +143,23 @@ class HybridElement(TermArray):
         totals = [math.sqrt(sum(n ** 2 for n in norms[t::trials])) for t in range(trials)]
         return totals[0] if self.trials is None else np.array(totals)
 
-    def pair_sum(self, other: "HybridElement", combine, hermitian: bool,
-                 poisson: bool = False) -> "HybridElement":
+    def pair_sum(self, other: "HybridElement", combine, poisson: bool = False) -> "HybridElement":
         """The sum over term pairs of ``combine`` of their coefficients, as
         ``kernels.term_pair_sum`` forms it: the plain term, and with
         ``poisson`` the canonical pairs' terms too."""
         self._check_like(other)
-        exps, coeffs = term_pair_sum(self.exps, other.exps, self.coeffs, other.coeffs,
-                                     combine, True, poisson)
-        return HybridElement._trusted(self.num_pairs, exps, coeffs, hermitian)
+        return HybridElement._trusted(*term_pair_sum(self.exps, other.exps, self.coeffs,
+                                                     other.coeffs, combine, True, poisson))
 
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written
         order, classical monomials multiply commutatively."""
-        return self.pair_sum(other, lambda A, B: A @ B, False)
+        return self.pair_sum(other, lambda A, B: A @ B)
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"
         return (f"HybridElement(dim={self.dim}, num_pairs={self.num_pairs}, "
-                f"nterms={len(self)}, hermitian={self.hermitian}{block})")
+                f"nterms={len(self)}{block})")
 
 
 def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: int = 1,
@@ -190,7 +177,7 @@ def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: 
     h = hermitian_from_normals(rng.standard_normal((trials, arity, len(monos), 2, dim, dim)))
     # by element, then monomial: each coefficient (trials, dim, dim)
     exps = exponent_rows(monos, 2 * num_pairs)
-    drawn = [HybridElement._trusted(num_pairs, exps, c, True) for c in h.transpose(1, 2, 0, 3, 4)]
+    drawn = [HybridElement._trusted(exps, c) for c in h.transpose(1, 2, 0, 3, 4)]
     return drawn if block else drawn[0].trial(0)
 
 
@@ -205,11 +192,9 @@ def simple_tensor(f, g):
     quantum (x) classical -> HybridElement
     """
     if type(f) is OperatorElement and type(g) is OperatorElement:
-        return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries),
-                                         f.hermitian and g.hermitian)
+        return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries))
     if type(f) is OperatorElement and isinstance(g, PhaseSpacePoly):
-        return HybridElement._trusted(g.num_pairs, g.exps, g.coeffs[:, None, None] * f.entries,
-                                      f.hermitian)
+        return HybridElement._trusted(g.exps, g.coeffs[:, None, None] * f.entries)
     raise AlgebraError(
         f"unsupported tensor pairing {type(f).__name__} (x) {type(g).__name__}; "
         "put the quantum factor on the left"
@@ -340,21 +325,19 @@ class ComposedAlgebra(HamiltonAlgebra):
     def sigma(self, u, v):
         self._check_element(u)
         self._check_element(v)
-        herm = u.hermitian and v.hermitian
         if self.kind == "qq":
             h1, h2 = self.left.constant.hbar, self.right.constant.hbar
             LL, LR, RL, RR = _lr_table(u, v)
             sig_sig = 0.25 * (LL + LR + RL + RR)
             alp_alp = -(LL - LR - RL + RR) / (h1 * h2)
-            return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp, herm)
+            return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp)
         # cross term carries sqrt(a1 * a2) = 0 for a classical right
         # component, so only the factorwise symmetric products remain
-        return u.pair_sum(v, lambda A, B: 0.5 * (A @ B + B @ A), herm)
+        return u.pair_sum(v, lambda A, B: 0.5 * (A @ B + B @ A))
 
     def alpha(self, u, v):
         self._check_element(u)
         self._check_element(v)
-        herm = u.hermitian and v.hermitian
         c1 = math.sqrt(self.a1 / self.a12)
         c2 = math.sqrt(self.a2 / self.a12)
         if self.kind == "qq":
@@ -362,11 +345,11 @@ class ComposedAlgebra(HamiltonAlgebra):
             LL, LR, RL, RR = _lr_table(u, v)
             alp_sig = (LL + LR - RL - RR) / (2j * h1)
             sig_alp = (LL - LR + RL - RR) / (2j * h2)
-            return u._derived(c1 * alp_sig + c2 * sig_alp, herm)
+            return u._derived(c1 * alp_sig + c2 * sig_alp)
         # quantum (x) classical: c2 = 0 kills the classical-bracket term,
         # which is the algebraic root of the no-back-reaction result
         h1 = self.left.constant.hbar
-        return u.pair_sum(v, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1), herm)
+        return u.pair_sum(v, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1))
 
     def tau(self, u, v):
         """Envelope product, computed on the independent route: plain
@@ -375,7 +358,7 @@ class ComposedAlgebra(HamiltonAlgebra):
         self._check_element(v)
         if self.kind == "qq":
             u._check_like(v)
-            return u._derived(u.entries @ v.entries, False)
+            return u._derived(u.entries @ v.entries)
         return u.assoc_product(v)
 
     # -- elements -------------------------------------------------------
@@ -404,7 +387,7 @@ class ComposedAlgebra(HamiltonAlgebra):
             return random_hybrid_observable(rng, self.left.dim, self.right.num_pairs,
                                             self.right.max_random_degree, block)
         l, r = self.left.dim, self.right.dim
-        drawn = [KroneckerElement._trusted(l, r, h, True)
+        drawn = [KroneckerElement._trusted(l, r, h)
                  for h in random_hermitian(rng, l * r, block or (1, 1))]
         return drawn if block else drawn[0].trial(0)
 

@@ -2,8 +2,7 @@
 
 Two concrete realizations are supported:
 
-* quantum observables: finite-dimensional complex matrices, flagged
-  Hermitian when they represent physical observables;
+* quantum observables: finite-dimensional complex matrices;
 * classical observables: sparse real-coefficient polynomials in canonical
   phase-space pairs (x1, p1, x2, p2, ...).
 
@@ -13,7 +12,8 @@ A polynomial is a ``TermArray``: exponent rows and a coefficient stack.
 trial blocks from ``TermArray``, and their sums, products and Poisson
 brackets run on the one engine of :mod:`hamalg.kernels`.
 
-All are immutable values; every operation returns a new element.
+All are immutable values holding only their arrays; every operation
+returns a new element.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import AlgebraError, ShapeError
 from .kernels import _ieee_quiet, term_sum
 from .kernels import mul_terms as _poly_mul
 from .kernels import poisson_terms as _poly_poisson
-
-HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,19 +61,6 @@ class QuantumConstant:
         return cls(a=hbar * hbar / 4.0)
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@_ieee_quiet
-def is_hermitian(entries: np.ndarray) -> bool:
-    return float(np.linalg.norm(entries - entries.conj().T)) <= HERMITIAN_RTOL * float(
-        np.linalg.norm(entries)
-    )
-
-
 def check_trials(mine, theirs) -> None:
     """Refuse to combine a block with a single element or with a block of
     another number of trials."""
@@ -101,13 +86,14 @@ def frobenius_norms(stack: np.ndarray) -> list:
 
 
 class OperatorElement:
-    """A dim x dim complex matrix, optionally flagged Hermitian.
+    """A dim x dim complex matrix.
 
     A *block* of ``trials`` elements carries a leading trial axis on its
     entries, ``(trials, dim, dim)``, so that one call of each operation
     evaluates all of its trials; only ``_trusted`` makes one.  ``trial(t)``
     slices out one ordinary element, and blocks combine only with blocks
-    of as many trials.  The Hermitian flag of a block covers every trial.
+    of as many trials.  The element holds its entries alone: ``dim`` and
+    ``trials`` are read off their shape.
 
     Every derived value is built by ``_derived``, so a subclass that adds a
     layout to the matrix (``compose.KroneckerElement``, a quantum (x)
@@ -116,47 +102,41 @@ class OperatorElement:
     never combine.
     """
 
-    __slots__ = ("entries", "dim", "hermitian", "trials")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, hermitian: bool | None = None):
-        arr = _as_readonly(np.asarray(entries))
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=np.complex128)  # a copy, made read-only
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ShapeError(f"operator entries must be square, got shape {arr.shape}")
-        if hermitian is None:
-            hermitian = is_hermitian(arr)
-        elif hermitian and not is_hermitian(arr):
-            raise AlgebraError("entries flagged Hermitian but are not (beyond tolerance)")
+        arr.setflags(write=False)
         self.entries = arr
-        self.dim = arr.shape[0]
-        self.hermitian = bool(hermitian)
-        self.trials = None
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray, hermitian: bool) -> "OperatorElement":
+    def _trusted(cls, entries: np.ndarray) -> "OperatorElement":
         """Internal constructor for values derived from validated inputs;
-        entries of shape (trials, dim, dim) make a block.
-
-        Skips the Hermitian check: exact algebra on Hermitian inputs stays
-        Hermitian up to ulp-level rounding, which the relative check would
-        misjudge on results that cancel to ~0.
-        """
+        entries of shape (trials, dim, dim) make a block."""
         self = object.__new__(cls)
         arr = np.asarray(entries, dtype=np.complex128)
         if arr.flags.writeable:
             arr.setflags(write=False)
         self.entries = arr
-        self.dim = arr.shape[-1]
-        self.hermitian = hermitian
-        self.trials = arr.shape[0] if arr.ndim == 3 else None
         return self
 
-    def _derived(self, entries: np.ndarray, hermitian: bool) -> "OperatorElement":
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[-1]
+
+    @property
+    def trials(self) -> int | None:
+        return self.entries.shape[0] if self.entries.ndim == 3 else None
+
+    def _derived(self, entries: np.ndarray) -> "OperatorElement":
         """A value derived from this element: same class and layout."""
-        return OperatorElement._trusted(entries, hermitian)
+        return OperatorElement._trusted(entries)
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorElement":
-        return cls(np.eye(dim), hermitian=True)
+        return cls(np.eye(dim))
 
     def norm(self):
         """Frobenius norm; in a block, an array of the norm of each trial,
@@ -169,7 +149,7 @@ class OperatorElement:
         """Trial t of a block as an ordinary element."""
         if self.trials is None:
             raise ShapeError("trial() needs a block")
-        return self._derived(self.entries[t], self.hermitian)
+        return self._derived(self.entries[t])
 
     def _check_like(self, other: "OperatorElement"):
         if type(other) is not type(self):
@@ -180,18 +160,17 @@ class OperatorElement:
 
     def __add__(self, other: "OperatorElement") -> "OperatorElement":
         self._check_like(other)
-        return self._derived(self.entries + other.entries, self.hermitian and other.hermitian)
+        return self._derived(self.entries + other.entries)
 
     def __sub__(self, other: "OperatorElement") -> "OperatorElement":
         self._check_like(other)
-        return self._derived(self.entries - other.entries, self.hermitian and other.hermitian)
+        return self._derived(self.entries - other.entries)
 
     def __neg__(self) -> "OperatorElement":
-        return self._derived(-self.entries, self.hermitian)
+        return self._derived(-self.entries)
 
     def scale(self, c: complex) -> "OperatorElement":
-        herm = self.hermitian and complex(c).imag == 0.0
-        return self._derived(c * self.entries, herm)
+        return self._derived(c * self.entries)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -200,7 +179,7 @@ class OperatorElement:
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"
-        return f"OperatorElement(dim={self.dim}, hermitian={self.hermitian}{block})"
+        return f"OperatorElement(dim={self.dim}{block})"
 
 
 def exponent_tuple(exps, nvars: int) -> tuple:
@@ -227,22 +206,22 @@ class TermArray:
     trial axis before those, so that one call of each operation evaluates
     all of its trials; a row stays unless its coefficient is zero in every
     trial, and ``trial(t)`` slices out one ordinary element.  Blocks combine
-    only with blocks of as many trials.  ``hermitian`` means every
-    coefficient is Hermitian, in every trial.
+    only with blocks of as many trials.  The element holds its two arrays
+    and nothing else: ``num_pairs`` and ``trials`` are read off their
+    shapes.
     """
 
-    __slots__ = ("num_pairs", "exps", "coeffs", "hermitian", "trials")
+    __slots__ = ("exps", "coeffs")
     COEFF_RANK = 0
 
     @classmethod
-    def _trusted(cls, num_pairs: int, exps: np.ndarray, coeffs: np.ndarray,
-                 hermitian: bool):
+    def _trusted(cls, exps: np.ndarray, coeffs: np.ndarray):
         """Internal constructor for arrays derived from validated inputs."""
         self = object.__new__(cls)
-        self._set(num_pairs, exps, coeffs, hermitian)
+        self._set(exps, coeffs)
         return self
 
-    def _set(self, num_pairs: int, exps: np.ndarray, coeffs: np.ndarray, hermitian: bool):
+    def _set(self, exps: np.ndarray, coeffs: np.ndarray):
         """Drop the rows that are zero in every entry (a sum can cancel, a
         product underflow) and take the arrays over, read-only."""
         live = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:])).any(axis=1)
@@ -251,11 +230,16 @@ class TermArray:
         coeffs = np.ascontiguousarray(coeffs)
         exps.setflags(write=False)
         coeffs.setflags(write=False)
-        self.num_pairs = int(num_pairs)
         self.exps = exps
         self.coeffs = coeffs
-        self.hermitian = hermitian
-        self.trials = coeffs.shape[1] if coeffs.ndim > 1 + self.COEFF_RANK else None
+
+    @property
+    def num_pairs(self) -> int:
+        return self.exps.shape[1] // 2
+
+    @property
+    def trials(self) -> int | None:
+        return self.coeffs.shape[1] if self.coeffs.ndim > 1 + self.COEFF_RANK else None
 
     @property
     def terms(self) -> dict:
@@ -272,7 +256,7 @@ class TermArray:
         are zero in that trial."""
         if self.trials is None:
             raise ShapeError("trial() needs a block")
-        return self._trusted(self.num_pairs, self.exps, self.coeffs[:, t], self.hermitian)
+        return self._trusted(self.exps, self.coeffs[:, t])
 
     def _check_like(self, other: "TermArray"):
         if type(other) is not type(self):
@@ -286,8 +270,7 @@ class TermArray:
 
     def __add__(self, other: "TermArray"):
         self._check_like(other)
-        exps, coeffs = term_sum(self.exps, other.exps, self.coeffs, other.coeffs)
-        return self._trusted(self.num_pairs, exps, coeffs, self.hermitian and other.hermitian)
+        return self._trusted(*term_sum(self.exps, other.exps, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TermArray"):
         return self + other.scale(-1.0)
@@ -297,8 +280,7 @@ class TermArray:
 
     @_ieee_quiet
     def scale(self, c):
-        herm = self.hermitian and complex(c).imag == 0.0
-        return self._trusted(self.num_pairs, self.exps, c * self.coeffs, herm)
+        return self._trusted(self.exps, c * self.coeffs)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -321,7 +303,7 @@ class PhaseSpacePoly(TermArray):
     ``TermArray`` of float coefficients, (N,) or (N, trials) in a block.
 
     Products are exact; zero coefficients are never stored, and a
-    non-finite one is refused.  A real polynomial is always Hermitian.
+    non-finite one is refused.
     """
 
     __slots__ = ()
@@ -333,15 +315,14 @@ class PhaseSpacePoly(TermArray):
         exps = exponent_rows([exponent_tuple(e, 2 * num_pairs) for e in terms], 2 * num_pairs)
         coeffs = np.array([float(c) for c in terms.values()], dtype=np.float64)
         _check_finite(exps, coeffs)
-        self._set(num_pairs, exps, coeffs, True)
+        self._set(exps, coeffs)
 
     @classmethod
-    def _trusted(cls, num_pairs: int, exps: np.ndarray, coeffs: np.ndarray,
-                 hermitian: bool) -> "PhaseSpacePoly":
+    def _trusted(cls, exps: np.ndarray, coeffs: np.ndarray) -> "PhaseSpacePoly":
         """Also rejects non-finite coefficients (a product or sum can
         overflow), naming the first non-finite term."""
         _check_finite(exps, coeffs)
-        return super()._trusted(num_pairs, exps, coeffs, True)
+        return super()._trusted(exps, coeffs)
 
     @classmethod
     def unit(cls, num_pairs: int) -> "PhaseSpacePoly":
@@ -366,7 +347,7 @@ class PhaseSpacePoly(TermArray):
         as Python's ``sum`` adds; in a block, an array of the norm of each
         trial, equal to ``trial(t).norm()`` to the bit."""
         squares = np.cumsum(self.coeffs * self.coeffs, axis=0)  # sequential sums
-        total = squares[-1] if len(squares) else np.zeros(self.coeffs.shape[2:])
+        total = squares[-1] if len(squares) else np.zeros(self.coeffs.shape[1:])
         return math.sqrt(total) if self.trials is None else np.sqrt(total)
 
     def scale(self, c: float) -> "PhaseSpacePoly":
@@ -375,13 +356,12 @@ class PhaseSpacePoly(TermArray):
     def product(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         self._check_like(other)
         return PhaseSpacePoly._trusted(
-            self.num_pairs, *_poly_mul(self.exps, other.exps, self.coeffs, other.coeffs), True)
+            *_poly_mul(self.exps, other.exps, self.coeffs, other.coeffs))
 
     def poisson(self, other: "PhaseSpacePoly") -> "PhaseSpacePoly":
         self._check_like(other)
         return PhaseSpacePoly._trusted(
-            self.num_pairs, *_poly_poisson(self.exps, other.exps, self.coeffs, other.coeffs),
-            True)
+            *_poly_poisson(self.exps, other.exps, self.coeffs, other.coeffs))
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"

@@ -289,7 +289,7 @@ def classical_freezing_defect() -> float:
     hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0),
                              PhaseSpaceAlgebra(1, max_random_degree=2))
     rng = np.random.default_rng(0)
-    classical_basis = [HybridElement(2, 1, {e: np.eye(2)}, hermitian=True)
+    classical_basis = [HybridElement(2, 1, {e: np.eye(2)})
                        for e in monomials_up_to_degree(2, 3)]
     worst = 0.0
     for _ in range(50):

@@ -13,7 +13,7 @@ Schema (one object per element, discriminated by "kind"):
 
 Floating-point values are written by ``json``'s shortest round-trip
 repr, which reads back to the same IEEE double, so serialized witnesses
-replay to the bit.  Hermitian flags are re-detected on load.
+replay to the bit: an element is its arrays, so it loads back equal.
 
 ``dumps_indent2`` writes a whole report: the text of
 ``json.dumps(report, indent=2)``, built faster.

@@ -86,7 +86,7 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
         """A block of component elements, each tensored with the unit."""
         ent = (kron_blocks(f.entries, unit) if component == "left"
                else kron_blocks(unit, f.entries))
-        return KroneckerElement._trusted(c.left.dim, c.right.dim, ent, f.hermitian)
+        return KroneckerElement._trusted(c.left.dim, c.right.dim, ent)
 
     composed_op = c.alpha if product == "alpha" else c.sigma
     component_op = comp.alpha if product == "alpha" else comp.sigma

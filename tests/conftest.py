@@ -192,7 +192,7 @@ def loop_operator_element(rng, dim):
     """A random Hermitian matrix drawn as the single-element loop drew it:
     one (dim, dim) call for the real parts, one for the imaginary parts."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return OperatorElement(0.5 * (m + m.conj().T), hermitian=True)
+    return OperatorElement(0.5 * (m + m.conj().T))
 
 
 def loop_kronecker_element(rng, left_dim, right_dim):
@@ -201,7 +201,7 @@ def loop_kronecker_element(rng, left_dim, right_dim):
     from hamalg import KroneckerElement
 
     flat = loop_operator_element(rng, left_dim * right_dim)
-    return KroneckerElement(left_dim, right_dim, flat.entries, hermitian=True)
+    return KroneckerElement(left_dim, right_dim, flat.entries)
 
 
 def loop_hybrid_element(rng, dim, num_pairs, degree):
@@ -212,8 +212,7 @@ def loop_hybrid_element(rng, dim, num_pairs, degree):
 
     return HybridElement(dim, num_pairs,
                          {e: loop_operator_element(rng, dim).entries
-                          for e in monomials_up_to_degree(2 * num_pairs, degree)},
-                         hermitian=True)
+                          for e in monomials_up_to_degree(2 * num_pairs, degree)})
 
 
 def loop_element_draws(alg, rng, trials, arity):

@@ -316,14 +316,14 @@ def engine_routes(u, v):
 def with_far_term(u):
     """u plus one term far out in its box, which leaves the box sparse."""
     far = {(60,) * 2 * u.num_pairs: np.full(u.coeffs.shape[1:], 0.5 + 0.25j)}
-    return HybridElement(u.dim, u.num_pairs, {**u.terms, **far}, hermitian=False)
+    return HybridElement(u.dim, u.num_pairs, {**u.terms, **far})
 
 
 def spread_to_rows(u):
     """A one-pair u on four canonical pairs: each exponent tuple repeated
     four times and raised by 400, so packed keys would overflow int64."""
     return HybridElement(u.dim, 4, {tuple(x + 400 for x in e * 4): m
-                                    for e, m in u.terms.items()}, hermitian=False)
+                                    for e, m in u.terms.items()})
 
 
 def route_cases(u, v):
@@ -355,7 +355,7 @@ def with_entry(u, value):
     """u with entry (0, 1) of its first coefficient set to ``value``."""
     terms = {e: np.array(m) for e, m in u.terms.items()}
     next(iter(terms.values()))[0, 1] = value
-    return HybridElement(u.dim, u.num_pairs, terms, hermitian=False)
+    return HybridElement(u.dim, u.num_pairs, terms)
 
 
 class TestTermPairEngine:
@@ -420,7 +420,7 @@ class TestTermPairEngine:
 
         def block(exps):
             c = rng.standard_normal((len(exps), 256, 2, 2, 2)).view(np.complex128)[..., 0]
-            return HybridElement._trusted(1, np.array(exps), c, False)
+            return HybridElement._trusted(np.array(exps), c)
 
         u = block([(i, 0) for i in range(15, -1, -1)] + [(0, 15)])
         v = block([(j, 0) for j in range(17)] + [(0, p_max)])
@@ -572,7 +572,8 @@ class TestTrialBlocks:
         block = random_hybrid_observable(rng_block, dim, num_pairs, degree, block=(4, 3))
         singles = loop_draws(rng_loop, 4, 3, dim, num_pairs, degree)
         for i, b in enumerate(block):
-            assert b.trials == 4 and b.hermitian
+            assert b.trials == 4
+            assert np.array_equal(b.coeffs, b.coeffs.conj().swapaxes(2, 3))
             for t in range(4):
                 assert_terms_bitwise(b.trial(t).terms, singles[t][i].terms)
         # the same stream was consumed

@@ -167,14 +167,6 @@ class TestComposedProductsQQ:
         rhs = c.sigma(u1, v) + c.sigma(u2, v)
         assert (lhs - rhs).norm() <= 1e-13 * (1 + v.norm())
 
-    def test_hermitian_propagation(self, rng):
-        c = qq_algebra(a1=1.0, a2=2.0, a12=3.0)
-        u, v = c.random_element(rng), c.random_element(rng)
-        assert u.hermitian and v.hermitian
-        assert c.sigma(u, v).hermitian
-        assert c.alpha(u, v).hermitian
-        assert not c.tau(u, v).hermitian
-
 
 class TestComposedProductsQC:
     def test_default_constant_is_quantum_side(self):
@@ -289,12 +281,6 @@ class TestConstruction:
         with pytest.raises(AlgebraError):
             ComposedAlgebra(PhaseSpaceAlgebra(1), OperatorAlgebra(2, hbar=1.0), a12=1.0)
 
-    def test_random_elements_bounded_terms(self, rng):
-        c = qq_algebra(a1=1.0, a2=1.0, a12=1.0)
-        for _ in range(10):
-            u = c.random_element(rng)
-            assert u.hermitian
-
     def test_element_shape_checks(self, rng):
         c = qq_algebra(a1=1.0, a2=1.0, a12=1.0)
         other = qq_algebra(a1=1.0, a2=1.0, a12=1.0, d2=3)
@@ -303,14 +289,6 @@ class TestConstruction:
 
 
 class TestHybridElementType:
-    def test_hermitian_flag_tracks_coefficients(self):
-        herm = HybridElement(2, 1, {(0, 0): PAULI_X})
-        assert herm.hermitian
-        not_herm = HybridElement(2, 1, {(0, 0): np.array([[0, 1], [0, 0]])})
-        assert not not_herm.hermitian
-        with pytest.raises(AlgebraError):
-            HybridElement(2, 1, {(0, 0): np.array([[0, 1], [0, 0]])}, hermitian=True)
-
     def test_zero_coefficients_pruned(self):
         el = HybridElement(2, 1, {(0, 0): np.zeros((2, 2)), (1, 0): PAULI_X})
         assert set(el.terms) == {(1, 0)}
@@ -324,8 +302,6 @@ class TestHybridElementType:
     def test_kronecker_validation(self):
         with pytest.raises(Exception):
             KroneckerElement(2, 2, np.zeros((3, 3)))
-        with pytest.raises(AlgebraError):
-            KroneckerElement(2, 1, [[0, 1], [0, 0]], hermitian=True)
 
 
 def stored_matrices(el):
@@ -336,9 +312,7 @@ def block_of(*elements):
     """A block whose trial t is elements[t] (every element on the same keys)."""
     first = elements[0]
     assert all(np.array_equal(el.exps, first.exps) for el in elements)
-    return HybridElement._trusted(first.num_pairs, first.exps,
-                                  np.stack([el.coeffs for el in elements], axis=1),
-                                  all(el.hermitian for el in elements))
+    return HybridElement._trusted(first.exps, np.stack([el.coeffs for el in elements], axis=1))
 
 
 class TestPruneOnce:
@@ -441,7 +415,7 @@ class TestMatrixBlocks:
             for r in range(1, 4):
                 n = l * r
                 ent = rng.standard_normal((2, 5, n, n)) + 1j * rng.standard_normal((2, 5, n, n))
-                u, v = (KroneckerElement._trusted(l, r, e, False) for e in ent)
+                u, v = (KroneckerElement._trusted(l, r, e) for e in ent)
                 blocks = _lr_table(u, v)
                 for t in range(5):
                     single = _lr_table(u.trial(t), v.trial(t))
@@ -464,8 +438,8 @@ class TestMatrixBlocks:
                 assert kron_blocks(unit, a)[t].tobytes() == np.kron(unit, a[t]).tobytes()
 
     @pytest.mark.parametrize("make", [
-        lambda e: OperatorElement._trusted(e, False),
-        lambda e: KroneckerElement._trusted(2, e.shape[-1] // 2, e, False),
+        lambda e: OperatorElement._trusted(e),
+        lambda e: KroneckerElement._trusted(2, e.shape[-1] // 2, e),
     ])
     def test_block_norms_equal_slice_norms_bitwise(self, make):
         rng = np.random.default_rng(4)
@@ -487,8 +461,8 @@ class TestMatrixBlocks:
 
         rng = np.random.default_rng(6)
         u = random_hybrid_observable(rng, dim=3, num_pairs=1, degree=2, block=(7, 1))[0]
-        strided = HybridElement._trusted(1, u.exps, u.coeffs[:, ::2], True)
-        flipped = HybridElement._trusted(1, u.exps, u.coeffs.swapaxes(2, 3)[:, :, ::-1], False)
+        strided = HybridElement._trusted(u.exps, u.coeffs[:, ::2])
+        flipped = HybridElement._trusted(u.exps, u.coeffs.swapaxes(2, 3)[:, :, ::-1])
         for block in (u, strided, flipped):
             norms = block.norm()
             for t in range(block.trials):
@@ -498,8 +472,8 @@ class TestMatrixBlocks:
                 assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
                 assert single.norm() == want
         assert HybridElement(2, 1, {}).norm() == 0.0
-        empty = HybridElement._trusted(1, np.empty((0, 2), np.int64),
-                                       np.empty((0, 3, 2, 2), np.complex128), True)
+        empty = HybridElement._trusted(np.empty((0, 2), np.int64),
+                                       np.empty((0, 3, 2, 2), np.complex128))
         assert empty.norm().tolist() == [0.0, 0.0, 0.0]
 
     def test_mixing_blocks_and_elements_is_refused(self):
@@ -538,12 +512,11 @@ class TestKroneckerIsAnOperator:
         op = self.OPS[name]
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
-        got = op(KroneckerElement._trusted(2, 3, a, True),
-                 KroneckerElement._trusted(2, 3, b, True))
-        want = op(OperatorElement._trusted(a, True), OperatorElement._trusted(b, True))
+        got = op(KroneckerElement._trusted(2, 3, a), KroneckerElement._trusted(2, 3, b))
+        want = op(OperatorElement._trusted(a), OperatorElement._trusted(b))
         assert type(got) is KroneckerElement and type(want) is OperatorElement
         assert (got.left_dim, got.right_dim, got.dim) == (2, 3, 6)
-        assert (got.trials, got.hermitian) == (want.trials, want.hermitian)
+        assert got.trials == want.trials
         assert got.entries.tobytes() == want.entries.tobytes()
 
     def test_operator_and_kronecker_never_mix(self):
@@ -633,12 +606,6 @@ class TestTermPairEngine:
         u, v = random_hybrid(rng, 2, 1, 2), random_hybrid(rng, 2, 1, 2)
         for m in u.assoc_product(v).terms.values():
             assert not m.flags.writeable
-
-    def test_hermitian_flags(self, rng):
-        c = qc_algebra()
-        u, v = c.random_element(rng), c.random_element(rng)
-        assert c.sigma(u, v).hermitian and c.alpha(u, v).hermitian
-        assert not u.assoc_product(v).hermitian
 
     def test_key_space_past_int64_matches_loop(self):
         # the loops summed Python ints: radix 2**21 + 1 on 4 variables

@@ -37,30 +37,18 @@ class TestQuantumConstant:
 
 
 class TestOperatorElement:
-    def test_hermitian_flag_validated(self):
-        with pytest.raises(AlgebraError):
-            OperatorElement([[0, 1], [0, 0]], hermitian=True)
-        el = OperatorElement([[0, 1], [1, 0]], hermitian=True)
-        assert el.hermitian
-
-    def test_hermitian_autodetect(self):
-        assert OperatorElement([[1, 2j], [-2j, 3]]).hermitian
-        assert not OperatorElement([[0, 1], [0, 0]]).hermitian
-
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             OperatorElement(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             OperatorElement(np.zeros(4))
 
-    def test_arithmetic_and_flags(self):
+    def test_arithmetic(self):
         a = OperatorElement([[1, 0], [0, -1]])
         b = OperatorElement([[0, 1], [1, 0]])
-        assert (a + b).hermitian
-        assert (a - b).hermitian
-        assert (a.scale(2.0)).hermitian
-        assert not a.scale(1j).hermitian
         assert np.array_equal((a + b).entries, [[1, 1], [1, -1]])
+        assert np.array_equal((a - b).entries, [[1, -1], [-1, -1]])
+        assert np.array_equal(a.scale(1j).entries, [[1j, 0], [0, -1j]])
 
     def test_norm_is_frobenius(self):
         a = OperatorElement([[3, 0], [0, 4]])
@@ -111,11 +99,11 @@ class TestPhaseSpacePoly:
             p.scale(1e300)
         exps = np.array([(2, 0), (1, 0), (0, 1)])
         with pytest.raises(AlgebraError, match=r"^non-finite coefficient -inf at \(1, 0\)$"):
-            PhaseSpacePoly._trusted(1, exps, np.array([1.0, -math.inf, math.nan]), True)
+            PhaseSpacePoly._trusted(exps, np.array([1.0, -math.inf, math.nan]))
         # in a block, the first row with a non-finite coefficient in any trial
         block = np.array([[1.0, 2.0], [0.5, math.nan], [math.inf, 1.0]])
         with pytest.raises(AlgebraError, match=r"^non-finite coefficient nan at \(1, 0\)$"):
-            PhaseSpacePoly._trusted(1, exps, block, True)
+            PhaseSpacePoly._trusted(exps, block)
 
     def test_derived_zero_terms_dropped(self):
         p = PhaseSpacePoly(1, {(1, 0): 1.5, (0, 1): -2.0})

@@ -266,7 +266,8 @@ class TestTrialBlocks:
         blocks = alg.random_element(rng_block, block=(6, 3))
         singles = loop_element_draws(alg, rng_loop, 6, 3)
         for i, b in enumerate(blocks):
-            assert b.trials == 6 and b.hermitian and not b.entries.flags.writeable
+            assert b.trials == 6 and not b.entries.flags.writeable
+            assert np.array_equal(b.entries, b.entries.conj().swapaxes(1, 2))
             for t in range(6):
                 assert b.trial(t).entries.tobytes() == singles[t][i].entries.tobytes()
         # the same stream was consumed
@@ -360,7 +361,8 @@ class TestHybridBlocks:
         singles = [[alg.random_element(rngs[1]) for _ in range(3)] for _ in range(6)]
         loop = loop_element_draws(alg, rngs[2], 6, 3)
         for i, b in enumerate(blocks):
-            assert b.trials == 6 and b.hermitian
+            assert b.trials == 6
+            assert np.array_equal(b.coeffs, b.coeffs.conj().swapaxes(2, 3))
             assert not any(m.flags.writeable for m in b.terms.values())
             for t in range(6):
                 assert singles[t][i].trials is None
@@ -445,11 +447,12 @@ class TestPhaseSpaceBlocks:
     def test_block_norms_equal_trial_norms_bitwise(self):
         alg = PhaseSpaceAlgebra(2, max_random_degree=2)
         f, g = alg.random_element(np.random.default_rng(9), block=(5, 2))
-        # drawn blocks, products, brackets and a block that cancels in trial 2
+        # drawn blocks, products, brackets, a block that cancels in trial 2
+        # and one that cancels in every trial, so holds no row
         h = f.product(g)
-        k = PhaseSpacePoly._trusted(2, h.exps, h.coeffs * np.array([0.5, 2, 1, 3, 0.25]), True)
-        assert (h - k).trial(2).terms == {}
-        for block in (f, h, f.poisson(g), f + g.scale(0.5), h - k):
+        k = PhaseSpacePoly._trusted(h.exps, h.coeffs * np.array([0.5, 2, 1, 3, 0.25]))
+        assert (h - k).trial(2).terms == {} and len(f - f) == 0
+        for block in (f, h, f.poisson(g), f + g.scale(0.5), h - k, f - f):
             norms = block.norm()
             assert norms.shape == (5,)
             for t in range(5):

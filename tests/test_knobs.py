@@ -24,10 +24,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hamalg"
 ALLOWED = {
     # the console entry point; tests and the benchmark pass argv
     ("main", "argv"),
-    # None infers hermiticity from the entries; callers outside the
-    # package and ``element_from_json`` build elements from raw matrices
-    ("OperatorElement.__init__", "hermitian"),
-    ("KroneckerElement.__init__", "hermitian"),
     # the deliberately broken algebra's scales, set by the tests it serves
     ("CorruptedAlgebra.__init__", "alpha_scale"),
     ("CorruptedAlgebra.__init__", "sigma_scale"),

@@ -8,7 +8,8 @@ algebra and stays below the mixed brackets it never calls, as do
 ``compose.py``, which draws the hybrid observables the brackets act on,
 and ``measurement.py``; ``brackets.py``
 defines no defect of its own and scores its desiderata through the
-identity scan."""
+identity scan.  No module imports a name it never reads, except the one
+import ``perfbench/tracing.py`` wraps, marked ``# noqa: F401``."""
 
 import ast
 from pathlib import Path
@@ -132,3 +133,56 @@ def test_every_import_form_is_seen(tmp_path, source, found):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert found in imported_modules(path)
+
+
+#: the marker that excuses an unread import
+NOQA = "# noqa: F401"
+
+
+def unread_imports(path):
+    """(name, excused) for each name an import in ``path`` binds and no
+    expression reads; ``excused`` when its line carries ``NOQA``.
+    ``from __future__`` imports bind nothing."""
+    source = path.read_text()
+    tree = ast.parse(source, str(path))
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append((name, NOQA in lines[alias.lineno - 1]))
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {path.name: unread_imports(path) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: [n for n, excused in unread if not excused]
+            for name, unread in found.items() if unread} == {"brackets.py": []}
+    # the one excused import: the tracer's wrap point for the Poisson kernel
+    assert found["brackets.py"] == [("_poly_poisson", True)]
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("import numpy as np", [("np", False)]),
+    ("import numpy as np\nnp.zeros(1)", []),
+    ("import os.path\nos.sep", []),
+    ("from __future__ import annotations", []),
+    ("from .elements import (\n    frobenius_norms,\n    is_hermitian,\n)\nfrobenius_norms(x)",
+     [("is_hermitian", False)]),
+    ("from .errors import AlgebraError, ShapeError\nraise ShapeError()",
+     [("AlgebraError", False)]),
+    ("from .kernels import poisson_terms as _poly_poisson  # noqa: F401",
+     [("_poly_poisson", True)]),
+    ("def f():\n    from .kernels import mul\n    return 0", [("mul", False)]),
+])
+def test_every_unread_import_is_seen(tmp_path, source, unread):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert unread_imports(path) == unread
