@@ -30,9 +30,14 @@ its position equal that loop's to the bit.
   ``DENSE_ENTRIES`` coefficient entries in all: a block's slot holds a
   (T,) or (T, d, d) stack, so the cap is on entries, not slots;
 * ``sorted``: packed keys too sparse in their box, or a box too large to
-  hold, get slots by a stable sort of each block;
+  hold, get slots by a stable sort of each block on its own, whose
+  distinct keys are then looked up among the earlier blocks' slots;
 * ``rows``: where packed keys would overflow int64, the exponent rows are
-  the keys, slotted by a lexicographic sort.
+  the keys, each row one bytes key, slotted as ``sorted`` slots.
+
+Each route holds its sums flat, ``prod(shape)`` entries a slot, and adds
+a block with one 1-D ``np.add.at``.  Past the dense route's one zeroed
+box, slotting a block costs time in proportion to that block alone.
 
 The sum of two term arrays, ``term_sum``, slots both operands' rows the
 same way, so it lists the left operand's terms, then the right one's new
@@ -42,6 +47,7 @@ terms, as merging two dicts does.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -234,12 +240,13 @@ def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int
 
     ``pairs`` is the number of term pairs the blocks hold in all, which
     with the key box and ``shape`` picks the route (``route``).  Every
-    route starts a slot at -0.0, the exact identity of addition, adds with
-    ``np.add.at`` in index order, so each coefficient is the sequential
-    sum, and lists slots in first-occurrence order: the routes return the
-    same arrays to the bit.  Slots whose sum is zero in every entry are
-    dropped.  Keys are packed int64, or exponent rows where ``strides`` is
-    None.
+    route starts a slot at -0.0, the exact identity of addition, adds a
+    block with one ``np.add.at`` over the flat entries of its slots, each
+    entry's contributions in index order, so each coefficient is the
+    sequential sum, and lists slots in first-occurrence order: the routes
+    return the same arrays to the bit.  Slots whose sum is zero in every
+    entry are dropped.  Keys are packed int64, or exponent rows where
+    ``strides`` is None.
     """
     kind = route(radix, strides, pairs, shape)
     if kind == "dense":
@@ -258,50 +265,71 @@ def _signed_zeros(shape, dtype) -> np.ndarray:
     return np.negative(acc, out=acc)
 
 
+def _flat(slots: np.ndarray, width: int) -> np.ndarray:
+    """Flat accumulator index of every entry of each slot, slot by slot."""
+    return (slots[:, None] * width + np.arange(width)).ravel()
+
+
 def _dense_slots(blocks, size: int, shape, dtype):
     """Keys and sums of the touched slots of the box, in first-occurrence
     order: each packed key indexes its own slot, and ``first`` keeps the
     position of its first contribution."""
-    acc = _signed_zeros((size,) + shape, dtype)
+    width = math.prod(shape)
+    acc = _signed_zeros(size * width, dtype)
     first = np.full(size, _INT64_MAX, dtype=np.int64)
     seen = 0
     for keys, vals in blocks:
-        np.add.at(acc, keys, vals)
+        np.add.at(acc, _flat(keys, width), vals.ravel())
         np.minimum.at(first, keys, np.arange(seen, seen + len(keys)))
         seen += len(keys)
     touched = np.flatnonzero(first != _INT64_MAX)
     slot_keys = touched[np.argsort(first[touched])]
-    return slot_keys, acc[slot_keys]
+    return slot_keys, acc.reshape((size,) + shape)[slot_keys]
 
 
 def _sorted_slots(blocks, rows: bool, nvars: int, shape, dtype):
-    """Keys and sums by slot, slots in first-occurrence order, found by a
-    stable sort of the slotted keys and each block's."""
-    slot_keys = np.empty((0, nvars) if rows else 0, dtype=np.int64)  # by slot
-    acc = np.empty((0,) + shape, dtype)  # coefficient by slot
+    """Keys and sums by slot, slots in first-occurrence order.  Each block
+    is sorted alone, an exponent row as one bytes key; its distinct keys
+    are looked up in a dict of the earlier slots, built once a second
+    block arrives, and its new keys take the next slots.  The flat sums
+    at least double when they grow."""
+    width = math.prod(shape)
+    key_type = np.dtype(f"V{8 * nvars}" if rows else np.int64)
+    found = []  # each block's new keys, in slot order
+    acc = _signed_zeros(0, dtype)
+    count, index = 0, None  # slots so far, and a dict of their keys
     for keys, vals in blocks:
         if len(keys) == 0:
             continue
-        # The slotted keys lead the pool and are distinct, so each is its
-        # own first occurrence and keeps its slot; the block's new keys
-        # follow in first-occurrence order.
-        num_old = len(slot_keys)
-        pool = np.concatenate([slot_keys, keys])
-        order = np.lexsort(pool.T[::-1]) if rows else np.argsort(pool, kind="stable")
-        ranked = pool[order]
-        head = np.empty(len(pool), dtype=bool)
-        head[0] = True
         if rows:
-            np.any(ranked[1:] != ranked[:-1], axis=1, out=head[1:])
-        else:
-            np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+            keys = np.ascontiguousarray(keys).view(key_type).ravel()
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        head = np.empty(len(keys), dtype=bool)
+        head[0] = True
+        head[1:] = ranked[1:] != ranked[:-1]
         firsts = order[head]  # a stable sort starts each run at its first occurrence
-        is_first = np.zeros(len(pool), dtype=bool)
+        is_first = np.zeros(len(keys), dtype=bool)
         is_first[firsts] = True
-        # a key's slot is the rank of its first occurrence among all firsts
-        slot = np.empty(len(pool), dtype=np.int64)
-        slot[order] = (np.cumsum(is_first) - 1)[firsts][np.cumsum(head) - 1]
-        slot_keys = pool[is_first]
-        acc = np.concatenate([acc, _signed_zeros((len(slot_keys) - num_old,) + shape, dtype)])
-        np.add.at(acc, slot[num_old:], vals)
-    return slot_keys, acc
+        # a key's index in the block is the rank of its first occurrence
+        local = np.empty(len(keys), dtype=np.int64)
+        local[order] = (np.cumsum(is_first) - 1)[firsts][np.cumsum(head) - 1]
+        distinct = keys[is_first]
+        slot = np.arange(count, count + len(distinct))
+        if count:
+            index = index or dict(zip(found[0].tolist(), range(count)))
+            old = np.fromiter(map(index.get, distinct.tolist(), repeat(-1)), np.int64,
+                              len(distinct))
+            new = old < 0
+            distinct, slot = distinct[new], np.where(new, np.cumsum(new) - 1 + count, old)
+            index.update(zip(distinct.tolist(), range(count, count + len(distinct))))
+        found.append(distinct)
+        count += len(distinct)
+        if count * width > len(acc):
+            grow = max(len(acc), count * width - len(acc))
+            acc = np.concatenate([acc, _signed_zeros(grow, dtype)])
+        np.add.at(acc, _flat(slot[local], width), vals.ravel())
+    slot_keys = np.concatenate(found) if found else np.empty(0, key_type)
+    if rows:
+        slot_keys = slot_keys.view(np.int64).reshape(-1, nvars)
+    return slot_keys, acc[:count * width].reshape((count,) + shape)

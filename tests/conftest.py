@@ -172,20 +172,28 @@ def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-
     return None
 
 
-def load_perfbench_module(name):
-    """A module of the benchmark's ``perfbench/`` directory, loaded by file
-    path under a name of its own so that it cannot shadow ``tests``."""
+@pytest.fixture
+def load_perfbench_module():
+    """A loader of the modules of the benchmark's ``perfbench/`` directory.
+
+    Each module is loaded by file path under a name of its own, so that it
+    cannot shadow ``tests``.  A fixture, not an import: collected together
+    with ``perfbench/tests``, the name ``tests.conftest`` can resolve to
+    that directory's conftest.
+    """
     import importlib.util
     import sys
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    unique = f"_hamalg_perfbench_{name}"
-    spec = importlib.util.spec_from_file_location(unique, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[unique] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        unique = f"_hamalg_perfbench_{name}"
+        spec = importlib.util.spec_from_file_location(unique, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[unique] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+        return module
+    return load
 
 
 def loop_operator_element(rng, dim):

@@ -314,16 +314,16 @@ def engine_routes(u, v):
 
 
 def with_far_term(u):
-    """u plus one term far out in its box, which leaves the box sparse."""
-    far = {(60,) * 2 * u.num_pairs: np.full(u.coeffs.shape[1:], 0.5 + 0.25j)}
-    return HybridElement(u.dim, u.num_pairs, {**u.terms, **far})
+    """u plus one last term far out in its box, which leaves the box sparse."""
+    far = np.full((1,) + u.coeffs.shape[1:], 0.5 + 0.25j)
+    return HybridElement._trusted(np.vstack([u.exps, np.full_like(u.exps[:1], 60)]),
+                                  np.concatenate([u.coeffs, far]))
 
 
 def spread_to_rows(u):
     """A one-pair u on four canonical pairs: each exponent tuple repeated
     four times and raised by 400, so packed keys would overflow int64."""
-    return HybridElement(u.dim, 4, {tuple(x + 400 for x in e * 4): m
-                                    for e, m in u.terms.items()})
+    return HybridElement._trusted(np.tile(u.exps, 4) + 400, u.coeffs)
 
 
 def route_cases(u, v):
@@ -352,10 +352,22 @@ def assert_engine_matches_loops(cases, same=assert_terms_bitwise):
 
 
 def with_entry(u, value):
-    """u with entry (0, 1) of its first coefficient set to ``value``."""
-    terms = {e: np.array(m) for e, m in u.terms.items()}
-    next(iter(terms.values()))[0, 1] = value
-    return HybridElement(u.dim, u.num_pairs, terms)
+    """u with entry (0, 1) of its first coefficient set to ``value``, in
+    every trial of a block."""
+    coeffs = u.coeffs.copy()
+    coeffs[0, ..., 0, 1] = value
+    return HybridElement._trusted(u.exps, coeffs)
+
+
+def random_block(rng, dim, num_pairs, degree, trials):
+    """``random_hybrid`` on every monomial, with ``trials`` random
+    coefficients a term in a block, or one where ``trials`` is None."""
+    u = random_hybrid(rng, dim, num_pairs, degree, density=1.0)
+    if trials is None:
+        return u
+    shape = (len(u), trials, dim, dim)
+    return HybridElement._trusted(u.exps, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
 
 
 class TestTermPairEngine:
@@ -391,6 +403,21 @@ class TestTermPairEngine:
         rng = np.random.default_rng(6)
         u = with_entry(random_hybrid(rng, 2, 1, 2, density=1.0), value)
         v = with_entry(random_hybrid(rng, 2, 1, 3, density=1.0), -value)
+        assert_engine_matches_loops(route_cases(u, v), same)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("trials", [None, 3])
+    @pytest.mark.parametrize("value", [-0.0, np.inf, -np.inf, np.nan])
+    def test_every_route_matches_loop_over_many_blocks(self, value, trials, monkeypatch):
+        # 7 term pairs at once: each of u's shuffled terms is a block, so
+        # later blocks bring keys that sort before and between the slots
+        # of earlier ones; (d, d) coefficients, or a block of (3, d, d)
+        monkeypatch.setattr(kernels, "BLOCK_PAIRS", 7)
+        rng = np.random.default_rng(10)
+        u = with_entry(random_block(rng, 2, 1, 2, trials), value)
+        v = with_entry(random_block(rng, 2, 1, 3, trials), -value)
+        assert len(v) * u.coeffs[0].size > 7
+        same = assert_terms_nan_alike if np.isnan(value) else assert_terms_bitwise
         assert_engine_matches_loops(route_cases(u, v), same)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

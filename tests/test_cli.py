@@ -20,7 +20,6 @@ from hamalg.cli import (
     build_parser,
     main,
 )
-from tests.conftest import load_perfbench_module
 
 SUBCOMMANDS = ("verify", "brackets", "simulate", "uniqueness")
 
@@ -73,7 +72,7 @@ class TestUnreadOptions:
         assert run_cli("verify", "--hybrid", "--hbar", "1.0", "--dim1", "2", "--trials", "1",
                        "--out", out) == 0
 
-    def test_benchmark_verify_reports_are_accepted(self):
+    def test_benchmark_verify_reports_are_accepted(self, load_perfbench_module):
         workloads = load_perfbench_module("workloads")
         reports = [workloads.PROBE, *(r for rs in workloads.WORKLOADS.values() for r in rs)]
         verify = [r for r in reports if r.argv[0] == "verify"]

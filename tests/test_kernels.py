@@ -207,6 +207,11 @@ def grid_polys(draw):
     return {GRID_2PAIRS[i]: values[i] for i in draw(st.permutations(range(81)))}
 
 
+#: term pairs formed at once in the many-block tests: where the right
+#: operand has more terms than this, each left term is a block of its own
+FEW_PAIRS = 7
+
+
 def route_inputs(a, b):
     """(a, b, num_pairs, route) for each route: the grids fill a small box;
     one far term leaves that box sparse; shifted and doubled to 8
@@ -221,8 +226,121 @@ def route_inputs(a, b):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(a=grid_polys(), b=grid_polys())
 def test_routes_match_loop_on_special_values(a, b):
-    for x, y, num_pairs, route in route_inputs(a, b):
-        assert_bitwise(x, y, num_pairs, route)
+    # at the default block size, and one block per term of a: a's terms are
+    # shuffled, so later blocks bring keys that sort before and between
+    # the slots of earlier ones
+    for block_pairs in (kernels.BLOCK_PAIRS, FEW_PAIRS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_PAIRS", block_pairs)
+            for x, y, num_pairs, route in route_inputs(a, b):
+                assert_bitwise(x, y, num_pairs, route)
+
+
+def loop_pair_sum(ea, eb, A, B, poisson):
+    """The loop of the kernel's docstring on term arrays, as ``mul_terms``
+    (``poisson`` False) or ``poisson_terms`` form their contributions: an
+    exponent's first contribution copied, later ones added in loop order,
+    exponents zero in every entry dropped.  A scalar coefficient is added
+    as a 1-entry array, as the kernel adds it: on two NaNs, NumPy's scalar
+    arithmetic keeps the sign of the other one."""
+    out = {}
+    with np.errstate(all="ignore"):
+        for ra, ca in zip(ea.tolist(), A.reshape(len(A), -1)):
+            for rb, cb in zip(eb.tolist(), B.reshape(len(B), -1)):
+                e = [x + y for x, y in zip(ra, rb)]
+                contributions = [] if poisson else [(e, ca * cb)]
+                for k in range(len(ra) // 2 if poisson else 0):
+                    w = ra[2 * k] * rb[2 * k + 1] - ra[2 * k + 1] * rb[2 * k]
+                    if w:
+                        ek = list(e)
+                        ek[2 * k] -= 1
+                        ek[2 * k + 1] -= 1
+                        contributions.append((ek, np.float64(w) * (ca * cb)))
+                for ec, val in contributions:
+                    ec = tuple(ec)
+                    out[ec] = out[ec] + val if ec in out else val
+    return {e: c.reshape(A.shape[1:]) for e, c in out.items() if np.any(c != 0)}
+
+
+def array_route_inputs(ea, eb, A, B):
+    """``route_inputs`` on term arrays: (ea, eb, A, B, route) for each route."""
+    far = np.concatenate([np.full((1,) + A.shape[1:], 0.5), A])
+    return [(ea, eb, A, B, "dense"),
+            (np.vstack([[200, 0, 200, 0], ea]), eb, far, B, "sorted"),
+            (np.tile(ea, 2) + 400, np.tile(eb, 2) + 400, A, B, "rows")]
+
+
+def special_coefficients(rng, n):
+    """Coefficients of a and b, (n, 3): a's trial 0 is -0.0 throughout and
+    b's positive, so every contribution there is -0.0 and each slot starts
+    with a signed zero; trial 1 holds -0.0, inf, -inf and NaN among finite
+    values, and trial 2 finite values alone."""
+    A, B = rng.uniform(-1, 1, (2, n, 3))
+    A[:, 0], B[:, 0] = -0.0, rng.uniform(0.5, 1, n)
+    A[rng.choice(n, 3, replace=False), 1] = (-0.0, np.inf, -np.inf)
+    B[rng.choice(n, 2, replace=False), 1] = (-np.inf, np.nan)
+    return A, B
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("trials", [None, 3])
+def test_every_route_matches_loop_over_many_blocks(trials, monkeypatch):
+    # scalar coefficients (trial 1 of the block), or a block of 3 trials
+    monkeypatch.setattr(kernels, "BLOCK_PAIRS", FEW_PAIRS)
+    rng = np.random.default_rng(12)
+    ea, eb = (np.array(GRID_2PAIRS)[rng.permutation(len(GRID_2PAIRS))] for _ in range(2))
+    A, B = special_coefficients(rng, len(GRID_2PAIRS))
+    if trials is None:
+        A, B = A[:, 1], B[:, 1]
+    for x, y, X, Y, route in array_route_inputs(ea, eb, A, B):
+        for op, poisson in ((kernels.mul_terms, False), (kernels.poisson_terms, True)):
+            radix, strides = kernels.product_box(x, y)
+            pairs = len(x) * len(y) * (x.shape[1] // 2 if poisson else 1)
+            assert kernels.route(radix, strides, pairs, X.shape[1:]) == route
+            assert len(y) > FEW_PAIRS and len(x) > 10  # one block per term of x
+            exps, coeffs = op(x, y, X, Y)
+            want = loop_pair_sum(x, y, X, Y, poisson)
+            assert list(map(tuple, exps.tolist())) == list(want)
+            assert coeffs.tobytes() == np.array(list(want.values())).tobytes()
+
+
+def test_each_block_is_sorted_alone(monkeypatch):
+    """The sorted and rows routes sort no more keys than the block being
+    slotted holds, however many slots the earlier blocks found: slotting
+    is linear in the term pairs, not quadratic in the blocks."""
+    monkeypatch.setattr(kernels, "BLOCK_PAIRS", FEW_PAIRS)
+    blocks, sorts = [], []  # keys of each block; (block, keys) of each sort
+    accumulate = kernels.accumulate
+
+    def spied_accumulate(pairs, *args):
+        def counted():
+            for keys, vals in pairs:
+                blocks.append(len(keys))
+                yield keys, vals
+        return accumulate(counted(), *args)
+
+    def spy(sort, size):
+        def spied(a, *args, **kwargs):
+            sorts.append((len(blocks) - 1, size(a)))
+            return sort(a, *args, **kwargs)
+        return spied
+
+    monkeypatch.setattr(kernels, "accumulate", spied_accumulate)
+    for name in ("argsort", "sort", "unique"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name), len))
+    monkeypatch.setattr(np, "lexsort", spy(np.lexsort, lambda keys: np.shape(keys)[-1]))
+    rng = np.random.default_rng(13)
+    a, b = ({GRID_2PAIRS[i]: rng.uniform(-1, 1) for i in rng.permutation(len(GRID_2PAIRS))}
+            for _ in range(2))
+    for x, y, num_pairs, route in route_inputs(a, b)[1:]:
+        assert kernel_routes(x, y, num_pairs) == (route, route)
+        for op in (lambda: kernels.mul(x, y, 2 * num_pairs),
+                   lambda: kernels.poisson(x, y, num_pairs)):
+            blocks.clear()
+            sorts.clear()
+            slots = len(op())
+            assert len(blocks) > 10 and slots > 2 * max(blocks)
+            assert sorts and all(0 <= i and n <= blocks[i] for i, n in sorts)
 
 
 def loop_sum(a, b):

@@ -6,10 +6,8 @@ import json
 
 import pytest
 
-from tests.conftest import load_perfbench_module
 
-
-def test_every_wrap_point_exists():
+def test_every_wrap_point_exists(load_perfbench_module):
     tracing = load_perfbench_module("tracing")
     points = tracing.wrap_points()
     assert points
