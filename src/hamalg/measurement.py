@@ -7,11 +7,14 @@ window.
 
 Observables are evolved, not states.  The tracked space is the linear
 span of (p1, x1, p2, x2, 1), which is closed under the equations of
-motion; its generator is *derived* by applying the evolution bracket
-f' = alpha(f, h) term by term with the canonical commutation relations,
-never hand-coded.  In the quantum-classical regime the bracket is the
-hybrid one (commutator on the quantum factor only), which freezes every
-pure-classical observable: the no-back-reaction result.
+motion; its generator is *derived*, never hand-coded, from the composed
+bracket f' = alpha12(f, h) of the two particles' algebras, whose law
+weights the bracket of pair j by sqrt(a_j/a12).  On a canonical variable
+that bracket is exactly its pair's weight times the Poisson bracket,
+whatever the ordering of h, so one ``PhaseSpacePoly.poisson`` call on a
+block gives the whole generator.  In the quantum-classical regime a2 = 0
+removes the classical-bracket term, which freezes every pure-classical
+observable: the no-back-reaction result.
 
 Since g is piecewise constant and the generator is nilpotent, each
 segment integrates in closed form as a finite exponential series; a
@@ -28,7 +31,7 @@ import numpy as np
 
 from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
 from .compose import ComposedAlgebra, HybridElement
-from .elements import monomials_up_to_degree
+from .elements import PhaseSpacePoly, exponent_rows, monomials_up_to_degree
 from .errors import AlgebraError
 
 BASIS = ("p1", "x1", "p2", "x2", "1")
@@ -90,80 +93,41 @@ class MeasurementConfig:
 
 
 # ---------------------------------------------------------------------------
-# canonical-pair polynomial algebra (normal ordering x before p per pair)
-# ---------------------------------------------------------------------------
-
-def _mono_mul(e1, e2, hbars):
-    """Product of two normal-ordered monomials.
-
-    Reordering p^m x^n across a canonical pair with constant hbar gives
-    sum_k k! C(m,k) C(n,k) (-i hbar)^k x^(n-k) p^(m-k); a classical pair
-    (hbar = 0) keeps only k = 0.
-    """
-    a1, b1, c1, d1 = e1
-    a2, b2, c2, d2 = e2
-    out = {}
-    for k1 in range(min(b1, a2) + 1):
-        co1 = (math.factorial(k1) * math.comb(b1, k1) * math.comb(a2, k1)
-               * (-1j * hbars[0]) ** k1)
-        if co1 == 0:
-            continue
-        for k2 in range(min(d1, c2) + 1):
-            co2 = (math.factorial(k2) * math.comb(d1, k2) * math.comb(c2, k2)
-                   * (-1j * hbars[1]) ** k2)
-            if co2 == 0:
-                continue
-            e = (a1 + a2 - k1, b1 + b2 - k1, c1 + c2 - k2, d1 + d2 - k2)
-            out[e] = out.get(e, 0) + co1 * co2
-    return out
-
-
-def _weyl_mul(f: dict, g: dict, hbars) -> dict:
-    out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            for e, c in _mono_mul(e1, e2, hbars).items():
-                out[e] = out.get(e, 0) + c1 * c2 * c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def evolution_bracket(f: dict, h: dict, cfg: MeasurementConfig) -> dict:
-    """df/dt = (f h - h f) / (i hbar) on canonical-pair polynomials.
-
-    Quantum-quantum: both pairs carry the commutator at hbar.
-    Quantum-classical: the second pair is classical (its variables
-    commute exactly), which makes this the hybrid bracket."""
-    hbars = ((cfg.hbar, cfg.hbar) if cfg.regime is Regime.QUANTUM_QUANTUM
-             else (cfg.hbar, 0.0))
-    fh = _weyl_mul(f, h, hbars)
-    hf = _weyl_mul(h, f, hbars)
-    out = dict(fh)
-    for e, c in hf.items():
-        out[e] = out.get(e, 0) - c
-    return {e: c / (1j * cfg.hbar) for e, c in out.items() if c != 0}
-
-
-# ---------------------------------------------------------------------------
 # generator derivation and exact evolution
 # ---------------------------------------------------------------------------
 
 def generator_from_hamiltonian(h: dict, cfg: MeasurementConfig) -> np.ndarray:
-    """Derive the 5x5 real generator from the bracket f' = alpha(f, h).
+    """Derive the 5x5 real generator from the composed bracket
+    f' = alpha12(f, h).
 
-    Row i is the bracket of basis observable i with h, decomposed back
-    over the basis (p1, x1, p2, x2, 1); degree growth or a complex
-    coefficient means the canonical span is not closed and is rejected.
+    For a canonical variable f of pair j, alpha12(f, h) is c_j {f, h}
+    exactly, whatever the ordering of h: the commutator of a canonical
+    variable with any polynomial is i hbar times their Poisson bracket,
+    and the other pair enters through sigma alone.  Here c_j is the
+    composition-law coefficient sqrt(a_j/a12) = hbar_j/hbar12: 1 on a
+    quantum pair, 0 on the classical pair of the quantum-classical
+    regime, which freezes x2 and p2 (no back-reaction).
+
+    So one Poisson bracket of two blocks gives every row: trial i holds
+    basis observable i weighted by its pair's c_j, against h in every
+    trial.  Row i is trial i decomposed back over the basis
+    (p1, x1, p2, x2, 1); degree growth means the canonical span is not
+    closed and is rejected.
     """
+    hbars = {"1": cfg.hbar, "2": cfg.hbar if cfg.regime is Regime.QUANTUM_QUANTUM else 0.0}
+    # c_j of each variable's pair, with hbar12 = hbar1; the unit has no pair
+    weights = [hbars[name[1:]] / cfg.hbar if name in TRACKED else 0.0 for name in BASIS]
+    f = PhaseSpacePoly._trusted(exponent_rows([_BASIS_EXPONENTS[name] for name in BASIS], 4),
+                                np.diag(weights))
+    h_block = np.array([[v] * len(BASIS) for v in h.values()]).reshape(len(h), len(BASIS))
+    df = f.poisson(PhaseSpacePoly._trusted(exponent_rows(list(h), 4), h_block))
     basis_index = {_BASIS_EXPONENTS[name]: i for i, name in enumerate(BASIS)}
     gen = np.zeros((len(BASIS), len(BASIS)))
-    for i, name in enumerate(BASIS):
-        df = evolution_bracket({_BASIS_EXPONENTS[name]: 1.0}, h, cfg)
-        for e, c in df.items():
-            if e not in basis_index:
-                raise AlgebraError(f"evolution of {name} left the canonical span at {e}")
-            if abs(c.imag) > 1e-13 * max(1.0, abs(c)):
-                raise AlgebraError(f"non-real evolution coefficient {c} for {name}")
-            gen[i, basis_index[e]] = c.real
+    for e, row in zip(map(tuple, df.exps.tolist()), df.coeffs):
+        if e not in basis_index:
+            name = BASIS[np.flatnonzero(row)[0]]
+            raise AlgebraError(f"evolution of {name} left the canonical span at {e}")
+        gen[:, basis_index[e]] += row  # onto +0.0: a weight-0 trial's -0.0 drops its sign
     return gen
 
 

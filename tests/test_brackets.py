@@ -42,7 +42,7 @@ from hamalg.reference import (
     replay_defect,
 )
 from hamalg.serialize import element_to_json
-from tests.conftest import (
+from tests.helpers import (
     FORCED_ROUTES,
     PAULI_X,
     PAULI_Y,

@@ -26,7 +26,7 @@ from hamalg import (
 from hamalg import kernels
 from hamalg.brackets import ordered_poisson
 from hamalg.errors import ShapeError
-from tests.conftest import (
+from tests.helpers import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -408,7 +408,7 @@ class TestMatrixBlocks:
 
     def test_lr_table_matches_the_written_out_einsum(self):
         from hamalg.compose import _lr_table
-        from tests.conftest import loop_lr_table
+        from tests.helpers import loop_lr_table
 
         rng = np.random.default_rng(2)
         for l in range(1, 5):

@@ -16,7 +16,7 @@ from hamalg import (
     PhaseSpacePoly,
     relative_defect,
 )
-from tests.conftest import PAULI_X, PAULI_Y, PAULI_Z, loop_phase_space_draw
+from tests.helpers import PAULI_X, PAULI_Y, PAULI_Z, loop_phase_space_draw
 
 
 class TestOperatorProducts:

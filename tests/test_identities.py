@@ -19,7 +19,7 @@ from hamalg import (
 from hamalg.cli import _load_schema
 from hamalg.identities import AXIOM_IDENTITIES, replay_witness
 from hamalg.serialize import element_to_json
-from tests.conftest import TIES_AND_NANS
+from tests.helpers import TIES_AND_NANS
 
 
 def composed(a1, a2, a12, d1=2, d2=2):
@@ -246,7 +246,7 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("identity", list(Identity))
     def test_block_defects_match_loop_bitwise(self, identity):
         from hamalg.identities import _ARITY, identity_defect
-        from tests.conftest import loop_identity_defects
+        from tests.helpers import loop_identity_defects
 
         rng = np.random.default_rng([3, list(Identity).index(identity)])
         for alg in matrix_algebras():
@@ -260,7 +260,7 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("alg", matrix_algebras()[1::2],
                              ids=lambda alg: alg.describe()["realization"])
     def test_block_draws_equal_single_draws(self, alg):
-        from tests.conftest import loop_element_draws
+        from tests.helpers import loop_element_draws
 
         rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
         blocks = alg.random_element(rng_block, block=(6, 3))
@@ -280,7 +280,7 @@ class TestTrialBlocks:
                                          lambda: composed(1.0, 2.0, 1.5),
                                          lambda: hybrid_algebras()[0]])   # 45-trial blocks
     def test_check_identity_matches_loop_across_the_cap(self, identity, factory):
-        from tests.conftest import loop_check_identity
+        from tests.helpers import loop_check_identity
 
         alg = factory()
         check = IdentityCheck(identity, trials=300, seed=4)   # past the 256-trial cap
@@ -290,7 +290,7 @@ class TestTrialBlocks:
                                           Identity.CANONICAL_RELATION])
     def test_lemma_max_terms_path_matches_loop(self, identity, monkeypatch):
         from hamalg import identities
-        from tests.conftest import loop_check_identity
+        from tests.helpers import loop_check_identity
 
         monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
         alg = composed(1.0, 2.0, 1.5, 2, 3)
@@ -301,7 +301,7 @@ class TestTrialBlocks:
                              ids=["qq", "qc"])
     def test_corrupted_algebra_forwards_block_draws(self, base, monkeypatch):
         from hamalg import identities
-        from tests.conftest import loop_check_identity
+        from tests.helpers import loop_check_identity
 
         monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 4)
         seen = []
@@ -354,7 +354,7 @@ class TestHybridBlocks:
     @pytest.mark.parametrize("alg", hybrid_algebras(), ids=lambda alg: (
         f"dim{alg.left.dim}-pairs{alg.right.num_pairs}-degree{alg.right.max_random_degree}"))
     def test_block_and_single_draws_equal_the_loop_bitwise(self, alg):
-        from tests.conftest import assert_terms_bitwise, loop_element_draws
+        from tests.helpers import assert_terms_bitwise, loop_element_draws
 
         rngs = [np.random.default_rng(5) for _ in range(3)]
         blocks = alg.random_element(rngs[0], block=(6, 3))
@@ -414,7 +414,7 @@ class TestPhaseSpaceBlocks:
     @pytest.mark.parametrize("alg", phase_space_algebras(), ids=lambda alg: (
         f"pairs{alg.num_pairs}-degree{alg.max_random_degree}"))
     def test_block_and_single_draws_equal_the_loop_bitwise(self, alg):
-        from tests.conftest import loop_element_draws
+        from tests.helpers import loop_element_draws
 
         rngs = [np.random.default_rng(5) for _ in range(3)]
         blocks = alg.random_element(rngs[0], block=(6, 3))
@@ -433,7 +433,7 @@ class TestPhaseSpaceBlocks:
     @pytest.mark.parametrize("identity", list(Identity))
     def test_block_defects_match_loop_bitwise(self, identity):
         from hamalg.identities import _ARITY, identity_defect
-        from tests.conftest import loop_identity_defects
+        from tests.helpers import loop_identity_defects
 
         rng = np.random.default_rng([4, list(Identity).index(identity)])
         for alg in phase_space_algebras():
@@ -467,7 +467,7 @@ class TestPhaseSpaceBlocks:
                              ids=["pairs1", "pairs2"])
     def test_check_identity_matches_loop_across_the_cap(self, alg, identity):
         from hamalg.identities import block_trials
-        from tests.conftest import loop_check_identity
+        from tests.helpers import loop_check_identity
 
         check = IdentityCheck(identity, trials=300, seed=2)
         assert block_trials(alg) < check.trials

@@ -20,7 +20,7 @@ from hamalg.reference import (
     dense_to_poly_terms,
     poly_terms_to_dense,
 )
-from tests.conftest import FORCED_ROUTES
+from tests.helpers import FORCED_ROUTES
 
 
 def loop_mul(a, b, nvars):

@@ -8,7 +8,9 @@ algebra and stays below the mixed brackets it never calls, as do
 ``compose.py``, which draws the hybrid observables the brackets act on,
 and ``measurement.py``; ``brackets.py``
 defines no defect of its own and scores its desiderata through the
-identity scan.  No module imports a name it never reads, except the one
+identity scan.  ``measurement.py`` reaches polynomial arithmetic only
+through ``PhaseSpacePoly``: it imports nothing from the kernel and forms
+no binomial or factorial weights of a product of its own.  No module imports a name it never reads, except the one
 import ``perfbench/tracing.py`` wraps, marked ``# noqa: F401``."""
 
 import ast
@@ -92,6 +94,26 @@ def test_identities_does_not_import_brackets():
 def test_compose_and_measurement_do_not_import_brackets():
     assert "brackets" not in imported_modules(SRC / "compose.py")
     assert "brackets" not in imported_modules(SRC / "measurement.py")
+
+
+#: calls that weigh the terms of a normal-ordered product
+PRODUCT_WEIGHTS = {"comb", "factorial"}
+
+
+def test_measurement_has_no_product_of_its_own():
+    assert "kernels" not in imported_modules(SRC / "measurement.py")
+    assert not called_names(SRC / "measurement.py") & PRODUCT_WEIGHTS
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import math\nmath.comb(4, 2)", "comb"),
+    ("from math import factorial\nfactorial(3)", "factorial"),
+    ("import math as m\nm.factorial(3) * m.comb(3, 1)", "factorial"),
+])
+def test_every_product_weight_call_is_seen(tmp_path, source, found):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert found in called_names(path) & PRODUCT_WEIGHTS
 
 
 def test_every_algebra_declares_block_draws():

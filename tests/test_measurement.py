@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,18 @@ from hamalg import (
     eom_generator,
     evolve,
 )
-from hamalg import measurement
+from hamalg import PhaseSpacePoly, measurement
+from hamalg.elements import monomials_up_to_degree
 from hamalg.measurement import (
+    _BASIS_EXPONENTS,
     BASIS,
+    TRACKED,
     _segments,
-    evolution_bracket,
     evolve_rk4,
+    generator_from_hamiltonian,
     propagator,
 )
+from tests.helpers import loop_evolution_bracket, loop_generator
 
 
 def config(regime=Regime.QUANTUM_QUANTUM, **kw):
@@ -54,10 +60,19 @@ class TestGeneratorDerivation:
         assert np.allclose(gen[3], [0, 0, 0.25, 0, 0])            # x2' = p2/m2
         assert np.array_equal(gen[4], [0, 0, 0, 0, 0])
 
-    def test_qc_rows_freeze_classical_side(self):
+    def test_qc_rows_freeze_classical_side(self, monkeypatch):
+        # x2 and p2 enter with the classical pair's weight
+        # sqrt(a2/a12) = 0, so their trials are empty and their rows zero,
+        # signed zeros included
+        blocks = []
+        original = PhaseSpacePoly.poisson
+        monkeypatch.setattr(PhaseSpacePoly, "poisson",
+                            lambda f, h: blocks.append(f) or original(f, h))
         gen = eom_generator(config(regime=Regime.QUANTUM_CLASSICAL), 0.5)
-        assert np.array_equal(gen[2], np.zeros(5))  # p2 frozen
-        assert np.array_equal(gen[3], np.zeros(5))  # x2 frozen
+        [f] = blocks
+        assert [f.trial(i).terms for i in range(len(BASIS))] == [
+            {(0, 1, 0, 0): 1.0}, {(1, 0, 0, 0): 1.0}, {}, {}, {}]
+        assert gen[2:4].tobytes() == np.zeros((2, 5)).tobytes()  # p2, x2 frozen
         # forward action persists: x1 still sees x2 with weight g0
         assert gen[1, 3] == 0.7
 
@@ -67,22 +82,98 @@ class TestGeneratorDerivation:
             assert gen[2, 0] == 0.0
             assert gen[1, 3] == 0.0
 
-    def test_generator_is_derived_from_bracket(self):
-        # the p2 row comes out of the canonical commutation relations, not
-        # a table: check the bracket value directly
+    def test_generator_is_derived_from_bracket(self, monkeypatch):
+        # the rows come out of one Poisson bracket on a block, not a table:
+        # trial i holds basis observable i, h repeats over the trials
+        calls = []
+        original = PhaseSpacePoly.poisson
+
+        def spy(f, h):
+            calls.append((f, h, original(f, h)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(PhaseSpacePoly, "poisson", spy)
         cfg = config()
-        h = cfg.hamiltonian(0.5)
-        db = evolution_bracket({(0, 0, 0, 1): 1.0}, h, cfg)
-        assert set(db) == {(0, 1, 0, 0)}
-        assert db[(0, 1, 0, 0)] == pytest.approx(-0.7)
+        gen = eom_generator(cfg, 0.5)
+        [(f, h, df)] = calls
+        assert f.trials == h.trials == len(BASIS)
+        for i, name in enumerate(BASIS):
+            want = {} if name == "1" else {_BASIS_EXPONENTS[name]: 1.0}
+            assert f.trial(i).terms == want
+            assert h.trial(i).terms == cfg.hamiltonian(0.5)
+        # p2' = {p2, g0 p1 x2} = -g0 p1, from the canonical pair's weight
+        assert df.trial(2).terms == {(0, 1, 0, 0): -0.7}
+        assert gen[2, 0] == -0.7
 
     def test_nonclosing_hamiltonian_rejected(self):
         # a cubic term drives linear observables out of the tracked span;
         # the generator derivation must refuse, not truncate
-        from hamalg.measurement import generator_from_hamiltonian
-
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match="left the canonical span"):
             generator_from_hamiltonian({(3, 0, 0, 0): 1.0}, config())
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_generator_does_not_depend_on_hbar(self, regime):
+        # each weight is hbar_j / hbar12, 1 or 0 exactly, and the Poisson
+        # bracket has no hbar: the bits are the same at every hbar
+        for m1, m2, g0, t in itertools.product((0.3, 1.7), (1.0, 4.0), (-0.9, 0.7), (0.5, 5.0)):
+            gens = {eom_generator(config(regime=regime, m1=m1, m2=m2, g0=g0, hbar=hbar),
+                                  t).tobytes()
+                    for hbar in (1e-6, 0.3, 1.0, 2.5)}
+            assert len(gens) == 1
+
+
+#: model Hamiltonians (m1, m2, g0, t) inside and outside the window
+MODEL_GRID = list(itertools.product((0.3, 1.0, 1.7, 4.0), (0.3, 1.0, 4.0),
+                                    (-0.9, 0.0, 0.7, 2.3), (0.5, 5.0)))
+
+
+class TestAgainstNormalOrderedLoop:
+    """The composed-bracket generator against the normal-ordered
+    commutator (f h - h f)/(i hbar) of ``tests/helpers.py``."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_generator_equals_loop_bitwise(self, regime):
+        # at a power-of-two hbar the loop's product by and division by
+        # i hbar are exact, so the two routes agree to the bit
+        for (m1, m2, g0, t), hbar in itertools.product(MODEL_GRID, (0.25, 1.0, 4.0)):
+            cfg = config(regime=regime, m1=m1, m2=m2, g0=g0, hbar=hbar)
+            got, want = eom_generator(cfg, t), loop_generator(cfg.hamiltonian(t), cfg)
+            assert got.tobytes() == want.tobytes(), (m1, m2, g0, t, hbar)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_generator_within_a_rounding_of_loop(self, regime):
+        # elsewhere the loop rounds g hbar before dividing by hbar, and can
+        # land one unit in the last place off (g0 = -0.9 at hbar = 0.3)
+        for (m1, m2, g0, t), hbar in itertools.product(MODEL_GRID, (1e-6, 0.3, 2.5)):
+            cfg = config(regime=regime, m1=m1, m2=m2, g0=g0, hbar=hbar)
+            got, want = eom_generator(cfg, t), loop_generator(cfg.hamiltonian(t), cfg)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_variable_bracket_equals_poisson_for_any_ordering(self, regime):
+        # for a canonical variable of pair j, [f, h]/(i hbar) on a
+        # normal-ordered h of degree 3 is c_j {f, h}: the bracket the
+        # generator takes, with c_1 = 1 and c_2 = 1 (qq) or 0 (qc)
+        rng = np.random.default_rng(21)
+        monos = monomials_up_to_degree(4, 3)
+        weight = {"1": 1.0, "2": 1.0 if regime is Regime.QUANTUM_QUANTUM else 0.0}
+        worst, compared = 0.0, 0
+        for hbar in (1e-6, 0.3, 1.0, 2.5):
+            cfg = config(regime=regime, hbar=hbar)
+            for _ in range(38):
+                h = {e: rng.uniform(-1.0, 1.0) for e in monos if rng.uniform() < 0.6}
+                for name in TRACKED:
+                    want = loop_evolution_bracket({_BASIS_EXPONENTS[name]: 1.0}, h, cfg)
+                    got = (PhaseSpacePoly.variable(2, name).scale(weight[name[1]])
+                           .poisson(PhaseSpacePoly(2, h)).terms)
+                    assert set(want) <= set(got)
+                    if not got:
+                        continue
+                    compared += 1
+                    diff = [abs(want.get(e, 0.0) - c) for e, c in got.items()]
+                    worst = max(worst, max(diff) / max(map(abs, got.values())))
+        assert worst <= 1e-15
+        assert compared >= 4 * 38 * 2  # at least the p1 and x1 brackets
 
 
 class TestEvolution:

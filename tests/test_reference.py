@@ -1,7 +1,7 @@
 """The dense oracle against its literal loops.
 
 Each vectorized product in ``reference.py`` must give the bits of the
-double loop over exponent pairs in ``conftest.py``: the same terms, added
+double loop over exponent pairs in ``helpers.py``: the same terms, added
 into each output cell in the same order.  Inputs are sparse boxes of
 every shape up to three pairs, some holding an infinity, a NaN, a huge or
 tiny value or signed zeros, so that a term the loops skip cannot hide in
@@ -22,7 +22,7 @@ from hamalg.reference import (
     dense_to_poly_terms,
     hybrid_json_to_dense,
 )
-from tests.conftest import (
+from tests.helpers import (
     loop_dense_hybrid_mul,
     loop_dense_hybrid_partial,
     loop_dense_poly_mul,

@@ -20,7 +20,7 @@ from hamalg import (
 )
 from hamalg.cli import _load_schema
 from hamalg.serialize import dumps_indent2
-from tests.conftest import PAULI_Y
+from tests.helpers import PAULI_Y
 
 
 def round_trip(el):

@@ -38,7 +38,7 @@ class TestBlockFit:
     def test_fit_matches_loop_bitwise(self, constants, dims, product, monkeypatch):
         from hamalg import uniqueness
         from hamalg.uniqueness import _restrict_fit
-        from tests.conftest import loop_restrict_fit
+        from tests.helpers import loop_restrict_fit
 
         c = composed(*constants, *dims)
         for component in ("left", "right"):
@@ -54,7 +54,7 @@ class TestBlockFit:
     def test_rejected_pairs_are_resampled_in_stream_order(self, monkeypatch):
         from hamalg import uniqueness
         from hamalg.uniqueness import _restrict_fit
-        from tests.conftest import loop_restrict_fit
+        from tests.helpers import loop_restrict_fit
 
         # a degenerate-pair threshold that rejects about half of the draws
         # exercises the resampling blocks; the loop rejects the same pairs
