@@ -2,7 +2,11 @@
 
 All brackets act on observable-valued functions (HybridElement): matrix
 coefficients on classical monomials.  Writing [A,B]- = (AB - BA)/(i*hbar),
-[A,B]+ = (AB + BA)/2 and {.,.}_P for the Poisson bracket:
+[A,B]+ = (AB + BA)/2 and {.,.}_P for the Poisson bracket, where each
+matrix product AB is ``compose.coefficient_product`` (sums over k, never
+``@``, so a term pair's product has the same bits in a block of trials as
+alone; the dense oracle ``reference.py`` deliberately keeps ``@``, so the
+two routes share no product formula):
 
 * product_rule (``boucher_traschen``): defined on simple products Xx and
   extended bilinearly, {Xx, Yy} -> xy [X,Y]- + {x,y}_P [X,Y]+ (the
@@ -39,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .compose import HybridElement, random_hybrid_observable
+from .compose import HybridElement, coefficient_product, random_hybrid_observable
 from .errors import AlgebraError
 from .identities import first_over, scan, worst_trial
 from .kernels import MAX_BLOCK_TRIALS
@@ -75,13 +79,14 @@ EXPECTED_CLEAN = {
 def _commutator_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
     """[U,V]- : commutator/(i*hbar) on coefficients, pointwise classical
     product.  This is also the hybrid Hamilton-algebra bracket."""
-    return u.pair_sum(v, lambda A, B: (A @ B - B @ A) / (1j * hbar))
+    return u.pair_sum(v, lambda A, B: (coefficient_product(A, B)
+                                       - coefficient_product(B, A)) / (1j * hbar))
 
 
 def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
     """{U,V}_P with matrix coefficients multiplied in written order:
     sum_k dU/dx_k . dV/dp_k - dU/dp_k . dV/dx_k."""
-    return u.pair_sum(v, lambda A, B: (None, A @ B), poisson=True)
+    return u.pair_sum(v, lambda A, B: (None, coefficient_product(A, B)), poisson=True)
 
 
 def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
@@ -89,7 +94,7 @@ def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> Hy
     A x^m is a simple product, so
     {U,V} = sum (x^m x^n)[A,B]- + {x^m, x^n}_P [A,B]+ ."""
     def combine(A, B):
-        AB, BA = A @ B, B @ A
+        AB, BA = coefficient_product(A, B), coefficient_product(B, A)
         return (AB - BA) / (1j * hbar), 0.5 * (AB + BA)
 
     return u.pair_sum(v, combine, poisson=True)

@@ -684,12 +684,11 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
+    def command(name, func, summary, seed_help="RNG seed (fallback: HAMALG_SEED, then 0)"):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         # a string default goes through the type, so a bad HAMALG_SEED is a usage error
-        p.add_argument("--seed", type=_seed, default=seed_env or 0,
-                       help="RNG seed (fallback: HAMALG_SEED, then 0)")
+        p.add_argument("--seed", type=_seed, default=seed_env or 0, help=seed_help)
         p.add_argument("--config", help="JSON file with default option values")
         p.add_argument("--out", help="output file (default: stdout)")
         return p
@@ -725,14 +724,18 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
                             help="witness search budget (default 1000)")
     p_brackets.add_argument("--hbar", type=float, default=1.0)
 
-    p_sim = command("simulate", cmd_simulate, "evolve the coupled measurement model")
+    p_sim = command("simulate", cmd_simulate, "evolve the coupled measurement model",
+                    seed_help="accepted and validated like the other commands' --seed, "
+                              "but unused: the model draws nothing")
     p_sim.add_argument("--regime", choices=[r.value for r in Regime], default="qq")
     p_sim.add_argument("--m1", type=float, default=1.0)
     p_sim.add_argument("--m2", type=float, default=1.0)
     p_sim.add_argument("--g0", type=float, default=0.7)
     p_sim.add_argument("--t0", type=float, default=0.0)
     p_sim.add_argument("--dt", type=float, default=1.3)
-    p_sim.add_argument("--hbar", type=float, default=1.0)
+    p_sim.add_argument("--hbar", type=float, default=1.0,
+                       help="validated (> 0) and echoed into the summary's config.hbar "
+                            "only: the generator does not depend on hbar, to the bit")
     p_sim.add_argument("--t-end", dest="t_end", type=float,
                        help="end of the sampled interval (default: t0 + dt + 0.5)")
     p_sim.add_argument("--samples", type=int, default=21)

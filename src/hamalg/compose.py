@@ -31,7 +31,11 @@ up to the classical degree.
 
 Quantum (x) classical products and the mixed brackets run through
 ``HybridElement.pair_sum`` on ``kernels.term_pair_sum``, the engine that
-also multiplies real polynomials.
+also multiplies real polynomials, and form every product of two matrix
+coefficients with ``coefficient_product``: elementwise sums over k, never
+``@``, so a pair's product has the same bits in a block as alone.  Only
+the quantum (x) quantum products (``_lr_table`` and ``tau``) keep ``@``
+and ``einsum``.
 """
 
 from __future__ import annotations
@@ -103,6 +107,22 @@ class KroneckerElement(OperatorElement):
         return f"KroneckerElement({self.left_dim}x{self.right_dim}{block})"
 
 
+def coefficient_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix product of the trailing (d, d) axes of two broadcast
+    coefficient stacks, written as sum_k A[..., :, k] B[..., k, :]: the
+    k = 0 term, then the others added in turn, k ascending.
+
+    Each entry is formed by elementwise multiplies and adds alone, so a
+    pair's product has the same bits whatever the stacks around it: in a
+    batch of term pairs and trials as in a call on that pair alone.  One
+    (..., d, d) product a k is the only temporary.
+    """
+    out = A[..., :, :1] * B[..., :1, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k:k + 1] * B[..., k:k + 1, :]
+    return out
+
+
 class HybridElement(TermArray):
     """Element of quantum (x) classical: a polynomial in the classical
     canonical pairs whose coefficients are dim x dim complex matrices, a
@@ -146,15 +166,19 @@ class HybridElement(TermArray):
     def pair_sum(self, other: "HybridElement", combine, poisson: bool = False) -> "HybridElement":
         """The sum over term pairs of ``combine`` of their coefficients, as
         ``kernels.term_pair_sum`` forms it: the plain term, and with
-        ``poisson`` the canonical pairs' terms too."""
+        ``poisson`` the canonical pairs' terms too.  ``combine`` gets the
+        broadcast stacks (rows, 1, ...) and (1, Nb, ...) of every pair at
+        once; one that multiplies them with ``coefficient_product`` gives
+        each pair's coefficient the bits of a call on that pair alone."""
         self._check_like(other)
         return HybridElement._trusted(*term_pair_sum(self.exps, other.exps, self.coeffs,
                                                      other.coeffs, combine, True, poisson))
 
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written
-        order, classical monomials multiply commutatively."""
-        return self.pair_sum(other, lambda A, B: A @ B)
+        order, by ``coefficient_product``; classical monomials multiply
+        commutatively."""
+        return self.pair_sum(other, coefficient_product)
 
     def __repr__(self):
         block = "" if self.trials is None else f", trials={self.trials}"
@@ -333,7 +357,8 @@ class ComposedAlgebra(HamiltonAlgebra):
             return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp)
         # cross term carries sqrt(a1 * a2) = 0 for a classical right
         # component, so only the factorwise symmetric products remain
-        return u.pair_sum(v, lambda A, B: 0.5 * (A @ B + B @ A))
+        return u.pair_sum(v, lambda A, B: 0.5 * (coefficient_product(A, B)
+                                                 + coefficient_product(B, A)))
 
     def alpha(self, u, v):
         self._check_element(u)
@@ -349,7 +374,8 @@ class ComposedAlgebra(HamiltonAlgebra):
         # quantum (x) classical: c2 = 0 kills the classical-bracket term,
         # which is the algebraic root of the no-back-reaction result
         h1 = self.left.constant.hbar
-        return u.pair_sum(v, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1))
+        return u.pair_sum(v, lambda A, B: c1 * (coefficient_product(A, B)
+                                                - coefficient_product(B, A)) / (1j * h1))
 
     def tau(self, u, v):
         """Envelope product, computed on the independent route: plain

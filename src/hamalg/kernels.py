@@ -128,12 +128,14 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     of None contributes nothing.  The route (``route``) counts the
     contributions the flags declare.
 
-    Broadcast products equal per-pair products to the bit (``@`` does,
-    ``einsum`` does not), so in every trial of a block the result, key
-    order included, is the written-out loop's; only the sign and payload
-    of a NaN, which IEEE 754 leaves open, may differ.  Where packed keys
-    would overflow int64, the exponent rows are the keys; ``ShapeError``
-    only where a Poisson weight could overflow.
+    Where ``combine`` forms the same bits on the broadcast stacks as on
+    one pair (elementwise multiplies and adds do, so scalar coefficients
+    and ``compose.coefficient_product`` do; ``einsum`` does not), every
+    trial of a block gives the written-out loop's result, key order
+    included; only the sign and payload of a NaN, which IEEE 754 leaves
+    open, may differ.  Where packed keys would overflow int64, the
+    exponent rows are the keys; ``ShapeError`` only where a Poisson weight
+    could overflow.
     """
     shape = A.shape[1:]
     if not len(ea) or not len(eb):

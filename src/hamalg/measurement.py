@@ -55,7 +55,14 @@ class Regime(str, Enum):
 @dataclass(frozen=True)
 class MeasurementConfig:
     """h = p1^2/(2 m1) + p2^2/(2 m2) + g(t) p1 x2, g piecewise constant:
-    g0 inside the window [t0, t0 + dt), zero outside."""
+    g0 inside the window [t0, t0 + dt), zero outside.
+
+    ``hbar`` is validated (finite, > 0) and echoed into the summary's
+    ``config.hbar`` only: the generator does not depend on it, to the bit,
+    since each canonical variable's bracket with h is the Poisson bracket
+    weighted by hbar_j / hbar12, which is 1 or 0 whatever hbar is.  The
+    model draws nothing, so ``simulate`` accepts ``--seed`` only for the
+    command line every subcommand shares, and never reads it."""
 
     m1: float
     m2: float

@@ -72,6 +72,16 @@ def assert_terms_bitwise(got, want):
         assert got[e].tobytes() == m.tobytes()  # signed zeros and NaNs too
 
 
+def assert_nan_alike(got, want):
+    """Two arrays equal to the bit, signed zeros too, except that any NaN
+    matches any NaN: IEEE 754 leaves a NaN's sign and payload open."""
+    assert got.shape == want.shape
+    g, w = got.view(np.float64), want.view(np.float64)
+    nan = np.isnan(w)
+    assert np.array_equal(np.isnan(g), nan)
+    assert g[~nan].tobytes() == w[~nan].tobytes()
+
+
 def loop_draws(rng, trials, arity, dim=2, num_pairs=1, degree=2):
     """Input tuples drawn one element at a time, as the trial loops drew them."""
     from hamalg.brackets import random_hybrid_observable

@@ -409,6 +409,25 @@ class TestSimulate:
     def test_bad_samples_usage_error(self):
         assert run_cli("simulate", "--samples", "1") == 2
 
+    @pytest.mark.parametrize("regime", ["qq", "qc"])
+    def test_seed_and_hbar_change_only_the_echoed_hbar(self, regime, tmp_path):
+        # the help of both options says so: the trajectory is the same
+        # bytes, and only config.hbar in the summary follows --hbar
+        def run(*argv):
+            out, summary = tmp_path / "traj.csv", tmp_path / "summary.json"
+            assert run_cli("simulate", "--regime", regime, "--out", str(out),
+                           "--summary-out", str(summary), *argv) == 0
+            report = read_json(summary)
+            del report["timestamp"]
+            return out.read_bytes(), report
+
+        csv_bytes, report = run("--seed", "5", "--hbar", "1")
+        for argv in (("--seed", "6", "--hbar", "1"), ("--seed", "5", "--hbar", "0.3")):
+            other_csv, other = run(*argv)
+            assert other_csv == csv_bytes
+            assert other.pop("config")["hbar"] == float(argv[-1])
+            assert {k: v for k, v in report.items() if k != "config"} == other
+
 
 class TestUniqueness:
     def test_diagonal_passes(self, tmp_path):

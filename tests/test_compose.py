@@ -25,11 +25,13 @@ from hamalg import (
 )
 from hamalg import kernels
 from hamalg.brackets import ordered_poisson
+from hamalg.compose import coefficient_product
 from hamalg.errors import ShapeError
 from tests.helpers import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    assert_nan_alike,
     assert_terms_bitwise,
     loop_term_pairs,
     random_hybrid,
@@ -559,9 +561,11 @@ class TestTermPairEngine:
         c = qc_algebra(a=a, a12=a12, dim=dim, pairs=num_pairs)
         c1, h1 = math.sqrt(c.a1 / c.a12), c.left.constant.hbar
         return [
-            (lambda u, v: u.assoc_product(v), lambda A, B: A @ B),
-            (c.sigma, lambda A, B: 0.5 * (A @ B + B @ A)),
-            (c.alpha, lambda A, B: c1 * (A @ B - B @ A) / (1j * h1)),
+            (lambda u, v: u.assoc_product(v), coefficient_product),
+            (c.sigma, lambda A, B: 0.5 * (coefficient_product(A, B)
+                                          + coefficient_product(B, A))),
+            (c.alpha, lambda A, B: c1 * (coefficient_product(A, B)
+                                         - coefficient_product(B, A)) / (1j * h1)),
         ]
 
     @pytest.mark.parametrize("num_pairs", [1, 2])
@@ -580,7 +584,7 @@ class TestTermPairEngine:
         u = random_hybrid(rng, 2, 2, 5, density=1.0)
         v = random_hybrid(rng, 2, 2, 5, density=1.0)
         assert_terms_bitwise(u.assoc_product(v).terms,
-                             loop_term_pairs(u, v, lambda A, B: A @ B))
+                             loop_term_pairs(u, v, coefficient_product))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_operand(self, dim):
@@ -595,7 +599,7 @@ class TestTermPairEngine:
         # (X x1 + Y p1)(X p1 - Y x1): the x1 p1 coefficient X X - Y Y is 0
         u = HybridElement(2, 1, {(1, 0): PAULI_X, (0, 1): PAULI_Y})
         v = HybridElement(2, 1, {(0, 1): PAULI_X, (1, 0): -PAULI_Y})
-        want = loop_term_pairs(u, v, lambda A, B: A @ B)
+        want = loop_term_pairs(u, v, coefficient_product)
         assert list(want) == [(2, 0), (0, 2)]
         assert_terms_bitwise(u.assoc_product(v).terms, want)
         c = qc_algebra()
@@ -621,3 +625,78 @@ class TestTermPairEngine:
         for op, _ in self.qc_products(2, 2):
             with pytest.raises(ShapeError):
                 op(u, u)
+
+
+def loop_coefficient_product(A, B):
+    """The product of two single (d, d) coefficients written out entry by
+    entry: the k = 0 term, then each k ascending added to it, every term
+    the product of two one-element arrays."""
+    d = A.shape[-1]
+    out = np.empty((d, d), dtype=np.result_type(A, B))
+    for i in range(d):
+        for j in range(d):
+            acc = A[i, 0:1] * B[0, j:j + 1]
+            for k in range(1, d):
+                acc = acc + A[i, k:k + 1] * B[k, j:j + 1]
+            out[i, j] = acc[0]
+    return out
+
+
+def coefficient_stacks(rng, d, trials, special):
+    """(A, B) stacks (Na, trials, d, d) and (Nb, trials, d, d) of complex
+    coefficients in several memory layouts, with ``special`` put in a few
+    entries of each."""
+    def draw(n, t=trials):
+        x = rng.standard_normal((n, t, d, d)) + 1j * rng.standard_normal((n, t, d, d))
+        for value in special:
+            x.flat[rng.integers(x.size, size=2)] = value
+        return x
+
+    a, b = draw(3), draw(4)
+    wide = draw(3, 2 * trials)
+    return [
+        (a, b),                                          # contiguous
+        (a[:1], b[:1]),                                  # length 1
+        (a.swapaxes(-1, -2), b.swapaxes(-1, -2)),        # transposed
+        (wide[:, ::2], b),                               # trial-strided
+        (np.broadcast_to(a[:, :1], a.shape), b),         # broadcast over trials
+        (np.asfortranarray(a), b[::-1]),                 # Fortran order, reversed
+    ]
+
+
+class TestCoefficientProduct:
+    """``coefficient_product``: roundoff-close to ``@``, and the same bits
+    for a pair in a batch as alone, whatever the layout."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_matmul_within_roundoff(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((5, 1, 3, d, d)) + 1j * rng.standard_normal((5, 1, 3, d, d))
+        B = rng.standard_normal((1, 6, 3, d, d)) + 1j * rng.standard_normal((1, 6, 3, d, d))
+        got = coefficient_product(A, B)
+        assert got.shape == (5, 6, 3, d, d)
+        scale = np.abs(A) @ np.abs(B)  # sum_k |A_ik| |B_kj|
+        assert np.all(np.abs(got - A @ B) <= 4 * d * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("special", [(), (-0.0,), (np.inf, -np.inf), (np.nan,),
+                                         (-0.0, np.inf, np.nan)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batched_equals_each_pair_alone_bitwise(self, d, special):
+        rng = np.random.default_rng([d, len(special)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for a, b in coefficient_stacks(rng, d, 3, special):
+                got = coefficient_product(a[:, None], b[None])
+                for i, j, t in np.ndindex(len(a), len(b), 3):
+                    alone = coefficient_product(a[i, t], b[j, t])
+                    assert_nan_alike(got[i, j, t], alone)
+                    assert_nan_alike(alone, loop_coefficient_product(a[i, t], b[j, t]))
+
+    def test_k_ascending_from_the_k0_term(self):
+        # (1 + 1e16) - 1e16 is 0 in doubles, 1 summed the other way round
+        A = np.array([[1.0, 1e16, -1e16]] * 3, dtype=complex)
+        B = np.ones((3, 3), dtype=complex)
+        assert np.all(coefficient_product(A, B) == 0)
+        # the sum starts at the k = 0 term, not at +0.0: -0.0 stays
+        zero = coefficient_product(np.ones((1, 1), dtype=complex),
+                                   np.full((1, 1), complex(-0.0, 0.0)))
+        assert np.signbit(zero.real).all()

@@ -375,11 +375,12 @@ class TestHybridBlocks:
         ["verify", "--hybrid", "--trials", "50"],
         ["verify", "--composed", "--a1", "1", "--a2", "2", "--a12", "1.5", "--trials", "50"],
         ["verify", "--realization", "phase-space", "--pairs", "2", "--trials", "50"],
+        ["brackets", "--trials", "20", "--budget", "40"],
     ])
     def test_reports_do_not_depend_on_the_block_size(self, argv, tmp_path, monkeypatch):
         import re
 
-        from hamalg import identities
+        from hamalg import brackets, identities
         from hamalg.cli import main
 
         def report(name):
@@ -388,7 +389,10 @@ class TestHybridBlocks:
             return re.sub(r'"timestamp": "[^"]*"', "", path.read_text())
 
         blocked = report("blocked.json")
-        monkeypatch.setattr(identities, "BLOCK_PAIRS", 1)   # one trial per block
+        # one trial per block: the identity checks size their blocks from
+        # BLOCK_PAIRS, the bracket scans take MAX_BLOCK_TRIALS
+        monkeypatch.setattr(identities, "BLOCK_PAIRS", 1)
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 1)
         assert identities.block_trials(hybrid_algebras()[0]) == 1
         assert report("single.json") == blocked
 

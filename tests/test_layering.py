@@ -11,7 +11,14 @@ defines no defect of its own and scores its desiderata through the
 identity scan.  ``measurement.py`` reaches polynomial arithmetic only
 through ``PhaseSpacePoly``: it imports nothing from the kernel and forms
 no binomial or factorial weights of a product of its own.  No module imports a name it never reads, except the one
-import ``perfbench/tracing.py`` wraps, marked ``# noqa: F401``."""
+import ``perfbench/tracing.py`` wraps, marked ``# noqa: F401``.
+
+Matrix coefficients of quantum (x) classical elements multiply through
+``compose.coefficient_product`` alone: ``brackets.py`` holds no ``@`` and
+no ``matmul``, ``einsum`` or ``dot`` call, and in ``compose.py`` only the
+quantum (x) quantum products ``_lr_table`` and ``ComposedAlgebra.tau`` do.
+The dense oracle keeps ``@`` for its hybrid products, so it shares no
+product formula with the main path."""
 
 import ast
 from pathlib import Path
@@ -208,3 +215,62 @@ def test_every_unread_import_is_seen(tmp_path, source, unread):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert unread_imports(path) == unread
+
+
+#: routines that form a matrix product in one step
+MATRIX_PRODUCT_NAMES = {"matmul", "einsum", "dot"}
+
+
+def matrix_product_scopes(path):
+    """The enclosing function, as ``Class.method`` or ``function`` (``""``
+    at module level), of each ``@`` or ``@=`` and each use of a routine in
+    ``MATRIX_PRODUCT_NAMES``, called or passed on; a lambda counts as part
+    of the function it is written in."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.MatMult):
+            found.append(scope)
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCT_NAMES:
+            found.append(scope)
+        elif isinstance(node, ast.Name) and node.id in MATRIX_PRODUCT_NAMES:
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_brackets_forms_no_matrix_product_of_its_own():
+    assert matrix_product_scopes(SRC / "brackets.py") == []
+
+
+def test_compose_keeps_matrix_products_to_the_quantum_quantum_routes():
+    assert set(matrix_product_scopes(SRC / "compose.py")) == {"_lr_table", "ComposedAlgebra.tau"}
+
+
+def test_reference_keeps_its_own_hybrid_products():
+    scopes = set(matrix_product_scopes(SRC / "reference.py"))
+    assert {"dense_hybrid_mul", "dense_product_rule_poisson"} <= scopes
+    names = {node.id for node in ast.walk(ast.parse((SRC / "reference.py").read_text()))
+             if isinstance(node, ast.Name)}
+    assert "coefficient_product" not in names
+
+
+@pytest.mark.parametrize("source, scope", [
+    ("def f(A, B):\n    return A @ B", "f"),
+    ("def f(A, B):\n    A @= B", "f"),
+    ("class C:\n    def m(self, u):\n        return u.pair_sum(u, lambda A, B: A @ B)",
+     "C.m"),
+    ("import numpy as np\nnp.matmul(A, B)", ""),
+    ("def f(u, v):\n    return u.pair_sum(v, np.matmul)", "f"),
+    ("from numpy import einsum\ndef g(U, V):\n    return einsum('ij,jk', U, V)", "g"),
+    ("def h(A, B):\n    return A.dot(B)", "h"),
+])
+def test_every_matrix_product_form_is_seen(tmp_path, source, scope):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert matrix_product_scopes(path) == [scope]
