@@ -56,6 +56,7 @@ from .compose import ComposedAlgebra
 from .elements import product_monomials
 from .errors import HamalgError
 from .identities import run_axiom_suite
+from .kernels import plan_scope
 from .measurement import BASIS, TRACKED, MeasurementConfig, Regime, back_reaction_gap, evolve
 from .reference import replay_defect
 from .serialize import dumps_indent2
@@ -759,16 +760,19 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line.  Its products share their slotting plans
+    (``kernels.plan_scope``), which are dropped when it returns or exits."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.config:
-            args = parser.parse_args(_config_argv(args, argv))
-        return args.func(args)
-    except (UsageError, HamalgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with plan_scope():
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            if args.config:
+                args = parser.parse_args(_config_argv(args, argv))
+            return args.func(args)
+        except (UsageError, HamalgError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

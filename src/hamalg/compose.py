@@ -154,14 +154,17 @@ class HybridElement(TermArray):
         """Frobenius norm over all coefficients; in a block, an array of the
         norm of each trial, equal to ``trial(t).norm()`` to the bit.
 
-        The norm of each coefficient is squared as a Python float and the
-        squares are summed in row order, as ``math.sqrt(sum(float(
-        np.linalg.norm(m)) ** 2 for m in coefficients))`` sums them.
+        The norm of each coefficient, ``float(np.linalg.norm(m))``, is
+        squared as a Python float, ``n ** 2``, which is not always
+        ``n * n``, and the squares are added in turn, in row order,
+        starting from the first; the norm is the square root of that sum.
         """
         trials = 1 if self.trials is None else self.trials
         norms = frobenius_norms(self.coeffs.reshape(-1, self.dim, self.dim))  # row-major
-        totals = [math.sqrt(sum(n ** 2 for n in norms[t::trials])) for t in range(trials)]
-        return totals[0] if self.trials is None else np.array(totals)
+        squares = np.array([n ** 2 for n in norms]).reshape(-1, trials)
+        # running sums down each trial's column: sequential, unlike np.sum
+        totals = np.add.accumulate(squares)[-1] if len(squares) else np.zeros(trials)
+        return math.sqrt(totals[0]) if self.trials is None else np.sqrt(totals)
 
     def pair_sum(self, other: "HybridElement", combine, poisson: bool = False) -> "HybridElement":
         """The sum over term pairs of ``combine`` of their coefficients, as

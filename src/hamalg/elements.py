@@ -343,9 +343,9 @@ class PhaseSpacePoly(TermArray):
 
     @_ieee_quiet
     def norm(self):
-        """sqrt of the sum of the squared coefficients, summed in row order
-        as Python's ``sum`` adds; in a block, an array of the norm of each
-        trial, equal to ``trial(t).norm()`` to the bit."""
+        """sqrt of the sum of the squared coefficients, each square added in
+        turn, in row order, starting from the first; in a block, an array of
+        the norm of each trial, equal to ``trial(t).norm()`` to the bit."""
         squares = np.cumsum(self.coeffs * self.coeffs, axis=0)  # sequential sums
         total = squares[-1] if len(squares) else np.zeros(self.coeffs.shape[1:])
         return math.sqrt(total) if self.trials is None else np.sqrt(total)

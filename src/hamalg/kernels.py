@@ -9,12 +9,7 @@ one with matrix coefficients, led by a trial axis T in a block: (T,) or
 engine ``term_pair_sum``; ``mul`` and ``poisson`` are thin adaptors for
 polynomials written as dicts from exponent tuples to floats.
 
-Exponent rows are packed into int64 mixed-radix keys, the radix of each
-variable being one more than the largest exponent a product can give it,
-so adding two keys adds the exponents and every key lies in the box
-``range(prod(radix))``.  Term pairs are formed in blocks of rows of the
-left operand, and each coefficient is accumulated sequentially in the
-order of the loop
+Each coefficient is accumulated sequentially in the order of the loop
 
     for each term of a, for each term of b, (for each canonical pair k):
         out[e] = out.get(e, 0.0) + contribution
@@ -22,22 +17,40 @@ order of the loop
 with results listed in first-occurrence order, so every coefficient and
 its position equal that loop's to the bit.
 
-``accumulate`` slots the contributions by one of three routes (``route``):
+A product or sum runs in two passes.  The *plan* (``Plan``) is the
+structure of the sum: the slot of every contribution in loop order, -1
+where a Poisson weight is zero, and the exponent rows of the slots in
+first-occurrence order.  It depends on the exponent rows of both
+operands and on which contributions the call makes, never on the
+coefficients.  The *values* are then formed in blocks of rows of the
+left operand and added into their slots, one flat ``np.add.at`` a block,
+over a -0.0 accumulator of ``prod(shape)`` entries a slot; slots that
+are zero in every entry are dropped.
 
-* ``dense``: the packed key is the index of its slot in an accumulator
-  over the whole box.  Taken when the box has at most
-  ``DENSE_SLOTS_PER_PAIR`` slots per term pair the call forms, and at most
-  ``DENSE_ENTRIES`` coefficient entries in all: a block's slot holds a
-  (T,) or (T, d, d) stack, so the cap is on entries, not slots;
-* ``sorted``: packed keys too sparse in their box, or a box too large to
-  hold, get slots by a stable sort of each block on its own, whose
-  distinct keys are then looked up among the earlier blocks' slots;
+``cli.main`` runs each report inside ``plan_scope``.  There a plan is
+built once and reused by every later call on the same exponent rows and
+contributions, whatever the coefficient shape, so blocks of 1 and of 256
+trials share one; leaving the scope drops every plan.  Outside a scope
+each call builds its plan and discards it.
+
+Exponent rows are packed into int64 mixed-radix keys, the radix of each
+variable being one more than the largest exponent a product can give it,
+so adding two keys adds the exponents and every key lies in the box
+``range(prod(radix))``.  ``slot_plan`` slots the keys, in blocks of rows
+of the left operand, by one of three routes (``route``):
+
+* ``dense``: the packed key indexes the box, which records the position
+  of each key's first contribution and its slot.  Taken when the box has
+  at most ``DENSE_SLOTS_PER_PAIR`` slots per contribution, and at most
+  ``DENSE_ENTRIES`` coefficient entries of the call that builds the plan;
+* ``sorted``: packed keys too sparse in their box, or a box too large,
+  get slots by a stable sort of each block on its own, whose distinct
+  keys are then looked up among the earlier blocks' slots;
 * ``rows``: where packed keys would overflow int64, the exponent rows are
   the keys, each row one bytes key, slotted as ``sorted`` slots.
 
-Each route holds its sums flat, ``prod(shape)`` entries a slot, and adds
-a block with one 1-D ``np.add.at``.  Past the dense route's one zeroed
-box, slotting a block costs time in proportion to that block alone.
+Every route gives the same plan.  Past the dense route's one box,
+slotting a block costs time in proportion to that block alone.
 
 The sum of two term arrays, ``term_sum``, slots both operands' rows the
 same way, so it lists the left operand's terms, then the right one's new
@@ -46,8 +59,10 @@ terms, as merging two dicts does.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,12 +80,12 @@ BLOCK_PAIRS = 8192
 #: evaluates past its first violation
 MAX_BLOCK_TRIALS = 256
 
-#: box slots per term pair up to which packed keys index a dense
-#: accumulator; past it, zeroing and scanning the box can outweigh sorting
+#: box slots per contribution up to which packed keys index a dense box;
+#: past it, setting up and scanning the box can outweigh sorting
 DENSE_SLOTS_PER_PAIR = 4
 
-#: most coefficient entries (slots times entries per coefficient) a dense
-#: accumulator holds: bounds its memory for matrix coefficients
+#: most coefficient entries (box slots times entries per coefficient) of
+#: the call for which a plan is built over a dense box
 DENSE_ENTRIES = 1 << 20
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -78,6 +93,52 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 #: overflow yields inf/nan silently, as with Python floats; PhaseSpacePoly
 #: rejects non-finite coefficients
 _ieee_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+class Plan(NamedTuple):
+    """The structure of a sum of contributions: ``slots``, the slot of
+    every contribution in loop order, -1 where a Poisson weight is zero,
+    in the narrowest signed integer type that holds the slots, and
+    ``exps``, the exponent rows of the slots in first-occurrence order."""
+
+    slots: np.ndarray
+    exps: np.ndarray
+
+
+#: the plans of the current scope by the structure they stand for; None
+#: outside a scope
+_plans: dict | None = None
+
+
+@contextlib.contextmanager
+def plan_scope():
+    """Keep the plans built inside the block for reuse there, and drop
+    them all on leaving it, however it is left.  A scope inside another
+    shares its plans."""
+    global _plans
+    outer = _plans
+    if outer is None:
+        _plans = {}
+    try:
+        yield
+    finally:
+        _plans = outer
+
+
+def _planned(key: tuple, build) -> Plan:
+    """The scope's plan for ``key``, built by ``build()`` on a miss; a
+    fresh one outside a scope."""
+    if _plans is None:
+        return build()
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _plans[key] = build()
+    return plan
+
+
+def _rows_key(ea: np.ndarray, eb: np.ndarray) -> tuple:
+    """The exponent rows of two operands as a plan key."""
+    return ea.shape, eb.shape, ea.tobytes(), eb.tobytes()
 
 
 def mul(a: dict, b: dict, nvars: int) -> dict:
@@ -125,8 +186,8 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     cross terms for a canonical pair k land on that exponent, so one
     integer weight carries them.  ``combine`` maps coefficient stacks
     (Na, 1, *c) and (1, Nb, *c) to P, or Q, or with both flags (P, Q); a P
-    of None contributes nothing.  The route (``route``) counts the
-    contributions the flags declare.
+    of None contributes nothing, so the call has the plan
+    (``product_plan``) of one without ``plain``.
 
     Where ``combine`` forms the same bits on the broadcast stacks as on
     one pair (elementwise multiplies and adds do, so scalar coefficients
@@ -140,6 +201,49 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     shape = A.shape[1:]
     if not len(ea) or not len(eb):
         return ea[:0], A[:0]
+    width = math.prod(shape)
+    plan = acc = None
+    for rows in row_blocks(len(ea), len(eb) * (plain + poisson * (ea.shape[1] // 2)) * width):
+        vals = first = combine(A[rows, None], B[None])
+        if poisson:
+            first, anti = vals if plain else (None, vals)
+            w = poisson_weights(ea[rows], eb)
+            # a zero weight's contribution has slot -1: the spare slot
+            vals = w.astype(A.dtype).reshape(w.shape + (1,) * len(shape)) * anti[:, :, None]
+            if first is not None:
+                vals = np.concatenate([first[:, :, None], vals], axis=2)
+        if plan is None:
+            plan = product_plan(ea, eb, first is not None, poisson, shape)
+            per_row = len(plan.slots) // len(ea)
+            acc = _accumulator(len(plan.exps), width, A.dtype)
+        slots = plan.slots[rows.start * per_row:rows.stop * per_row]
+        np.add.at(acc, _flat(slots, width), vals.ravel())
+    return _live_slots(plan, acc, shape)
+
+
+@_ieee_quiet
+def term_sum(ea, eb, A, B):
+    """Exponent rows and coefficients of the sum of two term arrays: a's
+    terms, then b's new ones, each shared coefficient a + b, zero sums
+    dropped; as merging b's terms into a's dict."""
+    shape = A.shape[1:]
+    plan = _planned(("sum",) + _rows_key(ea, eb), lambda: _sum_plan(ea, eb, shape))
+    width = math.prod(shape)
+    acc = _accumulator(len(plan.exps), width, A.dtype)
+    np.add.at(acc, _flat(plan.slots, width), np.concatenate([A, B]).ravel())
+    return _live_slots(plan, acc, shape)
+
+
+def product_plan(ea: np.ndarray, eb: np.ndarray, plain: bool, poisson: bool, shape) -> Plan:
+    """The plan of ``term_pair_sum`` on exponent rows ``ea`` and ``eb``
+    whose contributions are the plain term pairs (``plain``) and the
+    Poisson terms of each canonical pair (``poisson``).  ``shape``, the
+    coefficient shape of the call, only picks the route."""
+    return _planned(("pairs", plain, poisson) + _rows_key(ea, eb),
+                    lambda: _product_plan(ea, eb, plain, poisson, shape))
+
+
+def _product_plan(ea, eb, plain: bool, poisson: bool, shape) -> Plan:
     radix, strides = product_box(ea, eb)
     ka, kb = keys_of(ea, strides), keys_of(eb, strides)
     # exponent shift per contribution: the plain term, then each canonical pair
@@ -148,36 +252,24 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     offsets = keys_of(shifts[1 - plain:1 + num_pairs * poisson], strides)
 
     def blocks():
-        for rows in row_blocks(len(ka), len(kb) * len(offsets) * math.prod(shape)):
+        for rows in row_blocks(len(ka), len(kb) * len(offsets)):
             keys = (ka[rows, None] + kb)[:, :, None] - offsets
-            vals = combine(A[rows, None], B[None])
+            live = None
             if poisson:
-                first, anti = vals if plain else (None, vals)
-                w = poisson_weights(ea[rows], eb)
-                vals = w.astype(A.dtype).reshape(w.shape + (1,) * len(shape)) * anti[:, :, None]
-                live = w != 0
-                if first is not None:
-                    vals = np.concatenate([first[:, :, None], vals], axis=2)
+                live = poisson_weights(ea[rows], eb) != 0
+                if plain:
                     live = np.concatenate([np.ones_like(live[..., :1]), live], axis=2)
-                elif plain:
-                    keys = keys[:, :, 1:]
-                keys, vals = keys[live], vals[live]
-            yield keys.reshape((-1,) + kb.shape[1:]), vals.reshape((-1,) + shape)
+                live = live.ravel()
+            yield keys.reshape((-1,) + kb.shape[1:]), live
 
-    pairs = len(ka) * len(kb) * len(offsets)
-    return accumulate(blocks(), radix, strides, pairs, shape, A.dtype)
+    return slot_plan(blocks(), radix, strides, len(ka) * len(kb) * len(offsets), shape)
 
 
-@_ieee_quiet
-def term_sum(ea, eb, A, B):
-    """Exponent rows and coefficients of the sum of two term arrays: a's
-    terms, then b's new ones, each shared coefficient a + b, zero sums
-    dropped; as merging b's terms into a's dict."""
+def _sum_plan(ea, eb, shape) -> Plan:
     rows = np.concatenate([ea, eb])
     radix = rows.max(axis=0, initial=0) + 1
     strides = key_strides(radix)
-    return accumulate([(keys_of(rows, strides), np.concatenate([A, B]))], radix, strides,
-                      len(rows), A.shape[1:], A.dtype)
+    return slot_plan([(keys_of(rows, strides), None)], radix, strides, len(rows), shape)
 
 
 def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -224,9 +316,9 @@ def row_blocks(num_rows: int, width: int):
 
 
 def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape) -> str:
-    """How ``accumulate`` slots keys: ``"dense"``, ``"sorted"`` or ``"rows"``
-    (see the module docstring), from the key box, the number of term pairs
-    the call forms and the coefficient shape."""
+    """How ``slot_plan`` slots keys: ``"dense"``, ``"sorted"`` or ``"rows"``
+    (see the module docstring), from the key box, the number of
+    contributions the plan slots and the coefficient shape."""
     if strides is None:
         return "rows"
     size = math.prod(radix.tolist())
@@ -235,72 +327,87 @@ def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape) -> s
     return "sorted"
 
 
-def accumulate(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape,
-               dtype):
-    """Sum contributions per key, over (keys, values) blocks in loop order,
-    into exponent rows and the coefficient stack of those rows.
+def slot_plan(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int,
+              shape) -> Plan:
+    """The plan of ``pairs`` contributions given as (keys, live) blocks in
+    loop order: keys packed int64, or exponent rows where ``strides`` is
+    None; ``live`` None, or a mask whose False marks a contribution of
+    zero weight, which gets slot -1.  Slots are numbered in
+    first-occurrence order, on every route (``route``) alike."""
+    def live_blocks():  # (keys, positions in loop order) of the live contributions
+        seen = 0
+        for keys, live in blocks:
+            at = np.arange(seen, seen + len(keys))
+            seen += len(keys)
+            yield (keys, at) if live is None else (keys[live], at[live])
 
-    ``pairs`` is the number of term pairs the blocks hold in all, which
-    with the key box and ``shape`` picks the route (``route``).  Every
-    route starts a slot at -0.0, the exact identity of addition, adds a
-    block with one ``np.add.at`` over the flat entries of its slots, each
-    entry's contributions in index order, so each coefficient is the
-    sequential sum, and lists slots in first-occurrence order: the routes
-    return the same arrays to the bit.  Slots whose sum is zero in every
-    entry are dropped.  Keys are packed int64, or exponent rows where
-    ``strides`` is None.
-    """
     kind = route(radix, strides, pairs, shape)
+    slots = np.full(pairs, -1, np.min_scalar_type(-1 - pairs))  # no more slots than pairs
     if kind == "dense":
-        slot_keys, acc = _dense_slots(blocks, math.prod(radix.tolist()), shape, dtype)
+        slot_keys = _dense_slots(live_blocks(), math.prod(radix.tolist()), slots)
     else:
-        slot_keys, acc = _sorted_slots(blocks, kind == "rows", len(radix), shape, dtype)
-    live = acc.reshape(len(acc), math.prod(shape)).any(axis=1)
-    exps = slot_keys[live] if kind == "rows" else slot_keys[live, None] // strides % radix
-    return exps, acc[live]
+        slot_keys = _sorted_slots(live_blocks(), kind == "rows", len(radix), slots)
+    exps = slot_keys if kind == "rows" else slot_keys[:, None] // strides % radix
+    return Plan(slots.astype(np.min_scalar_type(-1 - len(exps)), copy=False), exps)
 
 
-def _signed_zeros(shape, dtype) -> np.ndarray:
-    """-0.0 in every entry (both parts of a complex one): a slot's first
-    add then copies exactly."""
-    acc = np.zeros(shape, dtype)
+def _accumulator(count: int, width: int, dtype) -> np.ndarray:
+    """-0.0, the exact identity of addition, in the ``width`` entries of
+    each of ``count`` slots and of one spare last slot, which slot -1
+    indexes; a slot's first add then copies exactly."""
+    acc = np.zeros((count + 1) * width, dtype)
     return np.negative(acc, out=acc)
 
 
 def _flat(slots: np.ndarray, width: int) -> np.ndarray:
-    """Flat accumulator index of every entry of each slot, slot by slot."""
-    return (slots[:, None] * width + np.arange(width)).ravel()
+    """Flat accumulator index of every entry of each slot, slot by slot;
+    slot -1 gives the spare slot's entries, counted from the end."""
+    if width == 1:
+        return slots
+    return (slots[:, None] * np.int64(width) + np.arange(width)).ravel()
 
 
-def _dense_slots(blocks, size: int, shape, dtype):
-    """Keys and sums of the touched slots of the box, in first-occurrence
-    order: each packed key indexes its own slot, and ``first`` keeps the
-    position of its first contribution."""
-    width = math.prod(shape)
-    acc = _signed_zeros(size * width, dtype)
+def _live_slots(plan: Plan, acc: np.ndarray, shape):
+    """Exponent rows and sums of the plan's slots that are nonzero in some
+    entry.  Each entry took its contributions in index order, so each sum
+    is the sequential sum."""
+    count, width = len(plan.exps), math.prod(shape)
+    sums = acc[:count * width]
+    live = sums.reshape(count, width).any(axis=1)
+    return plan.exps[live], sums.reshape((count,) + shape)[live]
+
+
+def _dense_slots(blocks, size: int, slots: np.ndarray) -> np.ndarray:
+    """Keys of the slots in first-occurrence order, from (keys, positions)
+    blocks, with the slot of the contribution at each position written to
+    ``slots``.  Each packed key indexes the box: ``first`` keeps the
+    position of its first contribution, and a key whose first contribution
+    lies in the block takes the next slot."""
     first = np.full(size, _INT64_MAX, dtype=np.int64)
-    seen = 0
-    for keys, vals in blocks:
-        np.add.at(acc, _flat(keys, width), vals.ravel())
-        np.minimum.at(first, keys, np.arange(seen, seen + len(keys)))
-        seen += len(keys)
-    touched = np.flatnonzero(first != _INT64_MAX)
-    slot_keys = touched[np.argsort(first[touched])]
-    return slot_keys, acc.reshape((size,) + shape)[slot_keys]
+    slot_of = np.empty(size, slots.dtype)
+    found = []  # each block's new keys, in slot order
+    count = 0
+    for keys, at in blocks:
+        np.minimum.at(first, keys, at)
+        new = keys[first[keys] == at]
+        slot_of[new] = np.arange(count, count + len(new))
+        count += len(new)
+        found.append(new)
+        slots[at] = slot_of[keys]
+    return np.concatenate(found) if found else np.empty(0, np.int64)
 
 
-def _sorted_slots(blocks, rows: bool, nvars: int, shape, dtype):
-    """Keys and sums by slot, slots in first-occurrence order.  Each block
-    is sorted alone, an exponent row as one bytes key; its distinct keys
-    are looked up in a dict of the earlier slots, built once a second
-    block arrives, and its new keys take the next slots.  The flat sums
-    at least double when they grow."""
-    width = math.prod(shape)
+def _sorted_slots(blocks, rows: bool, nvars: int, slots: np.ndarray) -> np.ndarray:
+    """Keys of the slots in first-occurrence order, from (keys, positions)
+    blocks, with the slot of the contribution at each position written to
+    ``slots``.  Each block is sorted alone, an exponent row as one bytes
+    key; its distinct keys are looked up in a dict of the earlier slots,
+    built once a second block arrives, and its new keys take the next
+    slots."""
     key_type = np.dtype(f"V{8 * nvars}" if rows else np.int64)
     found = []  # each block's new keys, in slot order
-    acc = _signed_zeros(0, dtype)
     count, index = 0, None  # slots so far, and a dict of their keys
-    for keys, vals in blocks:
+    for keys, at in blocks:
         if len(keys) == 0:
             continue
         if rows:
@@ -327,11 +434,8 @@ def _sorted_slots(blocks, rows: bool, nvars: int, shape, dtype):
             index.update(zip(distinct.tolist(), range(count, count + len(distinct))))
         found.append(distinct)
         count += len(distinct)
-        if count * width > len(acc):
-            grow = max(len(acc), count * width - len(acc))
-            acc = np.concatenate([acc, _signed_zeros(grow, dtype)])
-        np.add.at(acc, _flat(slot[local], width), vals.ravel())
+        slots[at] = slot[local]
     slot_keys = np.concatenate(found) if found else np.empty(0, key_type)
     if rows:
         slot_keys = slot_keys.view(np.int64).reshape(-1, nvars)
-    return slot_keys, acc[:count * width].reshape((count,) + shape)
+    return slot_keys

@@ -16,8 +16,18 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: (kernels.DENSE_SLOTS_PER_PAIR, kernels.DENSE_ENTRIES) that force each
-#: packed-key route of ``kernels.accumulate``
+#: packed-key route of ``kernels.slot_plan``
 FORCED_ROUTES = {"dense": (10 ** 9, 10 ** 9), "sorted": (0, 0)}
+
+def sequential_sum(values):
+    """The floats added in turn, left to right, from 0.0: the order the
+    norms promise.  Python's ``sum`` of floats gave this order before 3.12
+    and compensates its rounding since."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 
 #: scripted defects over blocks [0, 3), [3, 6), [6]: trials 1, 3 and 5 tie
 #: for the max, within and across blocks; trials 2 and 6 are NaN, the last

@@ -35,6 +35,7 @@ from tests.helpers import (
     assert_terms_bitwise,
     loop_term_pairs,
     random_hybrid,
+    sequential_sum,
     simple_tensor_terms,
 )
 
@@ -469,14 +470,29 @@ class TestMatrixBlocks:
             norms = block.norm()
             for t in range(block.trials):
                 single = block.trial(t)
-                want = math.sqrt(sum(float(np.linalg.norm(np.ascontiguousarray(m))) ** 2
-                                     for m in single.terms.values()))
+                want = math.sqrt(sequential_sum(
+                    float(np.linalg.norm(np.ascontiguousarray(m))) ** 2
+                    for m in single.terms.values()))
                 assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
                 assert single.norm() == want
         assert HybridElement(2, 1, {}).norm() == 0.0
         empty = HybridElement._trusted(np.empty((0, 2), np.int64),
                                        np.empty((0, 3, 2, 2), np.complex128))
         assert empty.norm().tolist() == [0.0, 0.0, 0.0]
+
+    def test_hybrid_norm_squares_each_norm_as_a_python_float(self):
+        # 1 x 1 coefficients, whose norms are their absolute values, in
+        # two rows: trials where the platform's pow gives n ** 2 other bits
+        # than n * n, enough to move the norm
+        pool = np.sqrt(np.random.default_rng(8).uniform(0, 10, 200_000)).tolist()
+        odd = [n for n in pool if n ** 2 != n * n]
+        trials = [(x, y) for x, y in zip(odd[::2], odd[1::2])
+                  if math.sqrt(x ** 2 + y ** 2) != math.sqrt(x * x + y * y)][:8]
+        values = np.array(trials).T.reshape(2, len(trials), 1, 1)
+        u = HybridElement._trusted(np.array([[1, 0], [0, 1]]), values.astype(complex))
+        want = [math.sqrt(sequential_sum(n ** 2 for n in t)) for t in trials]
+        assert u.norm().tolist() == want
+        assert [u.trial(t).norm() for t in range(len(trials))] == want
 
     def test_mixing_blocks_and_elements_is_refused(self):
         rng = np.random.default_rng(7)

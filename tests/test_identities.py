@@ -19,7 +19,7 @@ from hamalg import (
 from hamalg.cli import _load_schema
 from hamalg.identities import AXIOM_IDENTITIES, replay_witness
 from hamalg.serialize import element_to_json
-from tests.helpers import TIES_AND_NANS
+from tests.helpers import TIES_AND_NANS, sequential_sum
 
 
 def composed(a1, a2, a12, d1=2, d2=2):
@@ -462,7 +462,8 @@ class TestPhaseSpaceBlocks:
             for t in range(5):
                 single = block.trial(t)
                 assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
-                assert single.norm() == math.sqrt(sum(c * c for c in single.terms.values()))
+                want = math.sqrt(sequential_sum(c * c for c in single.terms.values()))
+                assert single.norm() == want
 
     @pytest.mark.parametrize("identity", [Identity.JACOBI, Identity.DERIVATION,
                                           Identity.CANONICAL_RELATION])

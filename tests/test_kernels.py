@@ -4,6 +4,13 @@ The kernel must agree with the brute-force dense expansion, and to the
 bit (coefficients and term order) with the literal dict loop below,
 which is the semantics it vectorizes, on each of its three slotting
 routes: a dense box, sorted packed keys and exponent rows.
+
+Slotting plans: a product or sum built on a plan kept from an earlier
+call equals one that builds its plan afresh, to the bit (any NaN
+matching any NaN), and a plan is reused exactly where the structure it
+stands for repeats: the same exponent rows and the same contributions,
+whatever the coefficients and the trials of a block.  Plans live for one
+``cli.main`` call and no longer.
 """
 
 import numpy as np
@@ -12,6 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamalg import kernels
+from hamalg.brackets import _product_rule_bracket, mixed_bracket, ordered_poisson
+from hamalg.cli import main
+from hamalg.compose import random_hybrid_observable
 from hamalg.elements import monomials_up_to_degree
 from hamalg.errors import ShapeError
 from hamalg.reference import (
@@ -20,7 +30,7 @@ from hamalg.reference import (
     dense_to_poly_terms,
     poly_terms_to_dense,
 )
-from tests.helpers import FORCED_ROUTES
+from tests.helpers import FORCED_ROUTES, assert_nan_alike
 
 
 def loop_mul(a, b, nvars):
@@ -305,19 +315,20 @@ def test_every_route_matches_loop_over_many_blocks(trials, monkeypatch):
 
 
 def test_each_block_is_sorted_alone(monkeypatch):
-    """The sorted and rows routes sort no more keys than the block being
-    slotted holds, however many slots the earlier blocks found: slotting
-    is linear in the term pairs, not quadratic in the blocks."""
+    """The sorted and rows routes of the plan builder sort no more keys
+    than the block being slotted holds, however many slots the earlier
+    blocks found: slotting is linear in the term pairs, not quadratic in
+    the blocks."""
     monkeypatch.setattr(kernels, "BLOCK_PAIRS", FEW_PAIRS)
     blocks, sorts = [], []  # keys of each block; (block, keys) of each sort
-    accumulate = kernels.accumulate
+    slot_plan = kernels.slot_plan
 
-    def spied_accumulate(pairs, *args):
+    def spied_slot_plan(pairs, *args):
         def counted():
-            for keys, vals in pairs:
+            for keys, live in pairs:
                 blocks.append(len(keys))
-                yield keys, vals
-        return accumulate(counted(), *args)
+                yield keys, live
+        return slot_plan(counted(), *args)
 
     def spy(sort, size):
         def spied(a, *args, **kwargs):
@@ -325,7 +336,7 @@ def test_each_block_is_sorted_alone(monkeypatch):
             return sort(a, *args, **kwargs)
         return spied
 
-    monkeypatch.setattr(kernels, "accumulate", spied_accumulate)
+    monkeypatch.setattr(kernels, "slot_plan", spied_slot_plan)
     for name in ("argsort", "sort", "unique"):
         monkeypatch.setattr(np, name, spy(getattr(np, name), len))
     monkeypatch.setattr(np, "lexsort", spy(np.lexsort, lambda keys: np.shape(keys)[-1]))
@@ -460,9 +471,170 @@ def test_exponent_sum_past_int64_is_rejected():
         kernels.poisson(a, a, 1)
 
 
+#: two polynomials in 4 pairs whose key radix, 801 on 8 variables,
+#: overflows packed int64 keys, so the kernel keys exponent rows
+PAST_INT64 = ({(400,) * 8: 1.5, (400, 1, 0, 399, 2, 400, 7, 0): -0.25, (1,) * 8: 2.0},
+              {(400,) * 8: 0.5, (0, 400, 399, 1, 400, 2, 0, 7): 3.0, (2, 1) * 4: -1.0})
+
+
 def test_key_space_past_int64_matches_loop():
-    # radix 801 on 8 variables overflows packed int64 keys, so the kernel
-    # keys exponent rows
-    a = {(400,) * 8: 1.5, (400, 1, 0, 399, 2, 400, 7, 0): -0.25, (1,) * 8: 2.0}
-    b = {(400,) * 8: 0.5, (0, 400, 399, 1, 400, 2, 0, 7): 3.0, (2, 1) * 4: -1.0}
-    assert_bitwise(a, b, 4, "rows")
+    assert_bitwise(*PAST_INT64, 4, "rows")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The plans built from here on, one entry each."""
+    built = []
+    slot_plan = kernels.slot_plan
+
+    def counted(*args):
+        plan = slot_plan(*args)
+        built.append(plan)
+        return plan
+
+    monkeypatch.setattr(kernels, "slot_plan", counted)
+    return built
+
+
+def assert_same_result(got, want):
+    """The same exponent rows, and coefficients equal to the bit but for
+    the sign and payload of a NaN."""
+    assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+    assert_nan_alike(got[1], want[1])
+
+
+def assert_same_elements(got, want):
+    assert_same_result((got.exps, got.coeffs), (want.exps, want.coeffs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("route", ["dense", "sorted", "rows"])
+def test_a_plan_hit_equals_a_miss_on_every_route(route, builds, monkeypatch):
+    # many blocks of term pairs; the plan is built on finite scalar
+    # coefficients and reused on a block of 3 trials holding -0.0, +-inf
+    # and NaN
+    monkeypatch.setattr(kernels, "BLOCK_PAIRS", FEW_PAIRS)
+    rng = np.random.default_rng(14)
+    ea, eb = (np.array(GRID_2PAIRS)[rng.permutation(len(GRID_2PAIRS))] for _ in range(2))
+    A, B = special_coefficients(rng, len(GRID_2PAIRS))
+    (x, y, X, Y, _), = [case for case in array_route_inputs(ea, eb, A, B) if case[-1] == route]
+    radix, strides = kernels.product_box(x, y)
+    assert kernels.route(radix, strides, len(x) * len(y), X.shape[1:]) == route
+    for op in (kernels.mul_terms, kernels.poisson_terms, kernels.term_sum):
+        want = op(x, y, X, Y)  # outside a scope: the plan is built and dropped
+        builds.clear()
+        with kernels.plan_scope():
+            op(x, y, X[:, 2], Y[:, 2])
+            got = op(x, y, X, Y)
+        assert len(builds) == 1
+        assert_same_result(got, want)
+
+
+def test_rows_route_inside_a_scope(builds):
+    with kernels.plan_scope():
+        for _ in range(2):
+            assert_bitwise(*PAST_INT64, 4, "rows")
+    assert len(builds) == 2  # one for mul, one for poisson
+
+
+def test_blocks_of_any_trials_share_one_plan(builds):
+    # every draw has a coefficient on every monomial, so the blocks' rows agree
+    rng = np.random.default_rng(15)
+    blocks = {t: random_hybrid_observable(rng, dim=2, num_pairs=1, degree=2, block=(t, 2))
+              for t in (1, 3, 24)}
+    assert len({u.exps.tobytes() for u, _ in blocks.values()}) == 1
+
+    def products(u, v):
+        return u.assoc_product(v), mixed_bracket("anderson", u, v, 1.0)
+
+    want = {t: products(u, v) for t, (u, v) in blocks.items()}
+    builds.clear()
+    with kernels.plan_scope():
+        got = {1: products(*blocks[1])}
+        first = len(builds)
+        got.update({t: products(*blocks[t]) for t in (3, 24)})
+    assert first > 0 and len(builds) == first
+    for t in blocks:
+        for g, w in zip(got[t], want[t]):
+            assert_same_elements(g, w)
+
+
+@pytest.mark.parametrize("order", ["ordered_first", "product_rule_first"])
+def test_a_plain_part_of_none_gets_its_own_plan(order, builds):
+    # ordered_poisson's combine gives P = None: its plan has no plain
+    # slots, while the product rule's on the same rows has them
+    u, v = random_hybrid_observable(np.random.default_rng(16), dim=2, num_pairs=1, degree=2,
+                                    block=(3, 2))
+    ops = [ordered_poisson, lambda a, b: _product_rule_bracket(a, b, 1.0)]
+    if order == "product_rule_first":
+        ops.reverse()
+    want = [op(u, v) for op in ops]
+    builds.clear()
+    with kernels.plan_scope():
+        got = [op(u, v) for op in ops]
+        assert len(kernels._plans) == 2
+    assert len(builds) == 2 and len(builds[0].slots) != len(builds[1].slots)
+    for g, w in zip(got, want):
+        assert_same_elements(g, w)
+
+
+def test_an_operand_with_a_cancelled_row_gets_its_own_plan(builds):
+    rng = np.random.default_rng(17)
+    ea, eb = (np.array(GRID_2PAIRS)[rng.permutation(len(GRID_2PAIRS))] for _ in range(2))
+    A, B = rng.uniform(-1, 1, (2, len(GRID_2PAIRS), 2))
+    with kernels.plan_scope():
+        whole = kernels.mul_terms(ea, eb, A, B)
+        # a - (a's row 3): that row's sum is zero in every entry, so dropped
+        ec, C = kernels.term_sum(ea, ea[3:4], A, -A[3:4])
+        assert len(ec) == len(ea) - 1
+        cancelled = kernels.mul_terms(ec, eb, C, B)
+        assert len(kernels._plans) == 3
+    assert len(builds) == 3
+    assert_same_result(whole, kernels.mul_terms(ea, eb, A, B))
+    assert_same_result(cancelled, kernels.mul_terms(ec, eb, C, B))
+
+
+class TestPlanLifetime:
+    """``cli.main`` holds a scope for its whole call, and none outlives it."""
+
+    def test_a_report_builds_its_plans_in_a_scope_it_drops(self, builds, tmp_path,
+                                                            monkeypatch):
+        scoped = []
+        planned = kernels._planned
+
+        def spied(key, build):
+            scoped.append(kernels._plans is not None)
+            return planned(key, build)
+
+        monkeypatch.setattr(kernels, "_planned", spied)
+        assert main(["verify", "--hybrid", "--trials", "2",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert scoped and all(scoped) and builds
+        assert len(builds) < len(scoped)  # some products reused a plan
+        assert kernels._plans is None
+
+    def test_a_usage_error_drops_the_scope(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--bogus"])
+        assert exc.value.code == 2
+        assert kernels._plans is None
+        assert main(["verify", "--dim", "0"]) == 2
+        assert kernels._plans is None
+
+    def test_a_failing_command_drops_the_scope(self, monkeypatch, tmp_path):
+        def broken(key, build):
+            assert kernels._plans is not None
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(kernels, "_planned", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            main(["verify", "--hybrid", "--trials", "1", "--out", str(tmp_path / "r.json")])
+        assert kernels._plans is None
+
+    def test_a_scope_inside_another_shares_its_plans(self):
+        with kernels.plan_scope():
+            outer = kernels._plans
+            with kernels.plan_scope():
+                assert kernels._plans is outer
+            assert kernels._plans is outer
+        assert kernels._plans is None
