@@ -31,9 +31,18 @@ The desiderata are the Hamilton-algebra identities of the same names:
 the mixed bracket, ``sigma`` the associative product, ``random_element``
 blocks of random hybrid observables, drawn by ``compose`` as the quantum
 (x) classical algebra draws its elements), defining each defect (Jacobi as the
-left-nested cyclic sum), scanning the trials and picking the witness.  A
-witness search scans trial 0 alone, where a broken bracket already fails,
-then the rest of its budget in blocks of at most MAX_BLOCK_TRIALS.
+left-nested cyclic sum), scanning the trials and picking the witness.
+
+A witness search draws the stream its desideratum's measurement drew, so
+each (bracket, desideratum) is scanned once.  While ``measure_defects``
+reduces a desideratum's trials it notes the first one over
+VIOLATION_THRESHOLD or NaN and the generator state after the last; a
+search handed that measurement (``measured``) returns the noted trial if
+the budget reaches it, and otherwise draws only the trials past the
+measured ones, in blocks of at most MAX_BLOCK_TRIALS.  A search without
+one scans trial 0 alone, where a broken bracket already fails, then the
+rest of its budget in blocks.  Either way it finds the trial, the defect
+and the inputs of the trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
@@ -147,6 +156,17 @@ class BracketAlgebra:
         return random_hybrid_observable(rng, block=block)
 
 
+@dataclass(frozen=True)
+class MeasuredScan:
+    """What a witness search reads of one desideratum's measured trials:
+    ``hit``, the first trial over VIOLATION_THRESHOLD or NaN as
+    ``first_over`` gives it, (trial, defect, inputs), or None; and
+    ``rng_state``, the PCG64 state after the last measured trial, from
+    which every search resumes alike."""
+    hit: tuple | None
+    rng_state: dict
+
+
 @dataclass
 class DefectTriple:
     kind: MixedBracketKind
@@ -156,6 +176,9 @@ class DefectTriple:
     witnesses: dict = field(default_factory=dict)
     trials: int = 0
     seed: int = 0
+    hbar: float = 1.0
+    #: desideratum -> MeasuredScan; not part of the report
+    scans: dict = field(default_factory=dict, repr=False)
 
     def defect(self, desideratum: str) -> float:
         return getattr(self, f"{desideratum}_defect")
@@ -193,40 +216,78 @@ class DefectTriple:
         return notes
 
 
+def _noting_first_hit(blocks, found: list):
+    """A scan's blocks, passed on unchanged; the first trial over
+    VIOLATION_THRESHOLD or NaN, as ``first_over`` gives it, is appended
+    to ``found``."""
+    for block in blocks:
+        if not found:
+            hit = first_over([block], VIOLATION_THRESHOLD)
+            if hit is not None:
+                found.append(hit)
+        yield block
+
+
 def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
                     hbar: float = 1.0) -> DefectTriple:
     """Max relative defect of each desideratum over random hybrid triples,
     with the worst witness kept per desideratum: the last trial attaining
     the max, serialized once at the end.  A desideratum with a NaN trial
     reports a NaN defect; its witness is still the last maximal finite
-    trial."""
+    trial.  The triple also keeps, in ``scans``, what a witness search
+    from it reads: each desideratum's first trial over VIOLATION_THRESHOLD
+    or NaN and its generator's state after the measured trials."""
     if trials < 1:
         raise AlgebraError(f"trials must be >= 1, got {trials}")
     kind = MixedBracketKind(kind)
-    result = DefectTriple(kind=kind, trials=trials, seed=seed)
+    result = DefectTriple(kind=kind, trials=trials, seed=seed, hbar=hbar)
     alg = BracketAlgebra(kind, hbar)
     for di, name in enumerate(DESIDERATA):
         rng = np.random.default_rng([seed, di])
-        worst, inputs, nan_seen, _ = worst_trial(scan(alg, name, rng, trials, MAX_BLOCK_TRIALS))
+        hits = []
+        worst, inputs, nan_seen, _ = worst_trial(
+            _noting_first_hit(scan(alg, name, rng, trials, MAX_BLOCK_TRIALS), hits))
         setattr(result, f"{name}_defect", np.nan if nan_seen else worst)
         result.witnesses[name] = {
             "defect": worst,
             "elements": None if inputs is None else [element_to_json(e) for e in inputs],
         }
+        result.scans[name] = MeasuredScan(hits[0] if hits else None, rng.bit_generator.state)
     return result
 
 
 def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int,
-                           seed: int = 0, hbar: float = 1.0):
-    """First random tuple whose defect exceeds VIOLATION_THRESHOLD or is
-    NaN; None if the budget is exhausted.  Trial 0 runs alone, then the
-    rest of the budget in blocks."""
+                           seed: int = 0, hbar: float = 1.0,
+                           measured: DefectTriple | None = None):
+    """First random tuple of trials 0 to ``budget`` - 1 whose defect
+    exceeds VIOLATION_THRESHOLD or is NaN; None if there is none.
+
+    Without ``measured``, trial 0 runs alone, then the rest of the budget
+    in blocks.  With ``measured``, the ``measure_defects`` triple of the
+    same kind, seed and hbar, the trials it measured are not drawn again:
+    its noted first hit is the answer if it lies within the budget, and
+    otherwise the trials from its ``trials`` to the budget are drawn, in
+    blocks, from its noted generator state."""
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
     kind = MixedBracketKind(kind)
+    alg = BracketAlgebra(kind, hbar)
     rng = np.random.default_rng([seed, DESIDERATA.index(desideratum)])
-    hit = first_over(scan(BracketAlgebra(kind, hbar), desideratum, rng, budget,
-                          MAX_BLOCK_TRIALS, first=1), VIOLATION_THRESHOLD)
+    if measured is None:
+        hit = first_over(scan(alg, desideratum, rng, budget, MAX_BLOCK_TRIALS, first=1),
+                         VIOLATION_THRESHOLD)
+    elif (measured.kind, measured.seed, measured.hbar) != (kind, seed, hbar):
+        raise AlgebraError(
+            f"the measured triple is of {measured.kind.value} at seed {measured.seed}, "
+            f"hbar {measured.hbar}; the search is of {kind.value} at seed {seed}, hbar {hbar}")
+    else:
+        noted = measured.scans[desideratum]
+        if noted.hit is not None:
+            hit = noted.hit if noted.hit[0] < budget else None
+        else:
+            rng.bit_generator.state = noted.rng_state
+            hit = first_over(scan(alg, desideratum, rng, budget, MAX_BLOCK_TRIALS,
+                                  start=measured.trials), VIOLATION_THRESHOLD)
     if hit is None:
         return None
     trial, defect, inputs = hit

@@ -179,14 +179,16 @@ def block_trials(alg: HamiltonAlgebra) -> int:
 
 
 def scan(alg, identity: Identity, rng: np.random.Generator, trials: int, size: int,
-         first: int | None = None):
-    """Draw ``trials`` random input tuples of ``identity`` and score them a
-    block at a time: yield (first trial, elements, defects) per block, the
-    defects as Python floats in trial order.  Blocks hold ``first`` trials
-    (default ``size``), then ``size``."""
+         first: int | None = None, start: int = 0):
+    """Draw the random input tuples of trials ``start`` to ``trials`` - 1 of
+    ``identity`` and score them a block at a time: yield (first trial,
+    elements, defects) per block, the defects as Python floats in trial
+    order.  Blocks hold ``first`` trials (default ``size``), then ``size``.
+    A scan from ``start`` > 0 resumes one that stopped there, on ``rng``
+    in the state that scan left it."""
     identity = Identity(identity)
     arity = _ARITY[identity]
-    start, step = 0, first or size
+    step = first or size
     while start < trials:
         elements = alg.random_element(rng, block=(min(step, trials - start), arity))
         yield start, elements, identity_defect(alg, identity, elements).tolist()

@@ -42,7 +42,7 @@ of the left operand, by one of three routes (``route``):
 * ``dense``: the packed key indexes the box, which records the position
   of each key's first contribution and its slot.  Taken when the box has
   at most ``DENSE_SLOTS_PER_PAIR`` slots per contribution, and at most
-  ``DENSE_ENTRIES`` coefficient entries of the call that builds the plan;
+  ``DENSE_BOX_SLOTS`` slots in all, whatever the coefficient shape;
 * ``sorted``: packed keys too sparse in their box, or a box too large,
   get slots by a stable sort of each block on its own, whose distinct
   keys are then looked up among the earlier blocks' slots;
@@ -84,9 +84,9 @@ MAX_BLOCK_TRIALS = 256
 #: past it, setting up and scanning the box can outweigh sorting
 DENSE_SLOTS_PER_PAIR = 4
 
-#: most coefficient entries (box slots times entries per coefficient) of
-#: the call for which a plan is built over a dense box
-DENSE_ENTRIES = 1 << 20
+#: most slots of a dense box, which holds two integers a slot and no
+#: coefficient, so its size does not depend on the coefficient shape
+DENSE_BOX_SLOTS = 1 << 20
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -213,7 +213,7 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
             if first is not None:
                 vals = np.concatenate([first[:, :, None], vals], axis=2)
         if plan is None:
-            plan = product_plan(ea, eb, first is not None, poisson, shape)
+            plan = product_plan(ea, eb, first is not None, poisson)
             per_row = len(plan.slots) // len(ea)
             acc = _accumulator(len(plan.exps), width, A.dtype)
         slots = plan.slots[rows.start * per_row:rows.stop * per_row]
@@ -227,23 +227,22 @@ def term_sum(ea, eb, A, B):
     terms, then b's new ones, each shared coefficient a + b, zero sums
     dropped; as merging b's terms into a's dict."""
     shape = A.shape[1:]
-    plan = _planned(("sum",) + _rows_key(ea, eb), lambda: _sum_plan(ea, eb, shape))
+    plan = _planned(("sum",) + _rows_key(ea, eb), lambda: _sum_plan(ea, eb))
     width = math.prod(shape)
     acc = _accumulator(len(plan.exps), width, A.dtype)
     np.add.at(acc, _flat(plan.slots, width), np.concatenate([A, B]).ravel())
     return _live_slots(plan, acc, shape)
 
 
-def product_plan(ea: np.ndarray, eb: np.ndarray, plain: bool, poisson: bool, shape) -> Plan:
+def product_plan(ea: np.ndarray, eb: np.ndarray, plain: bool, poisson: bool) -> Plan:
     """The plan of ``term_pair_sum`` on exponent rows ``ea`` and ``eb``
     whose contributions are the plain term pairs (``plain``) and the
-    Poisson terms of each canonical pair (``poisson``).  ``shape``, the
-    coefficient shape of the call, only picks the route."""
+    Poisson terms of each canonical pair (``poisson``)."""
     return _planned(("pairs", plain, poisson) + _rows_key(ea, eb),
-                    lambda: _product_plan(ea, eb, plain, poisson, shape))
+                    lambda: _product_plan(ea, eb, plain, poisson))
 
 
-def _product_plan(ea, eb, plain: bool, poisson: bool, shape) -> Plan:
+def _product_plan(ea, eb, plain: bool, poisson: bool) -> Plan:
     radix, strides = product_box(ea, eb)
     ka, kb = keys_of(ea, strides), keys_of(eb, strides)
     # exponent shift per contribution: the plain term, then each canonical pair
@@ -262,14 +261,14 @@ def _product_plan(ea, eb, plain: bool, poisson: bool, shape) -> Plan:
                 live = live.ravel()
             yield keys.reshape((-1,) + kb.shape[1:]), live
 
-    return slot_plan(blocks(), radix, strides, len(ka) * len(kb) * len(offsets), shape)
+    return slot_plan(blocks(), radix, strides, len(ka) * len(kb) * len(offsets))
 
 
-def _sum_plan(ea, eb, shape) -> Plan:
+def _sum_plan(ea, eb) -> Plan:
     rows = np.concatenate([ea, eb])
     radix = rows.max(axis=0, initial=0) + 1
     strides = key_strides(radix)
-    return slot_plan([(keys_of(rows, strides), None)], radix, strides, len(rows), shape)
+    return slot_plan([(keys_of(rows, strides), None)], radix, strides, len(rows))
 
 
 def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -315,20 +314,19 @@ def row_blocks(num_rows: int, width: int):
         yield slice(start, start + step)
 
 
-def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int, shape) -> str:
+def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int) -> str:
     """How ``slot_plan`` slots keys: ``"dense"``, ``"sorted"`` or ``"rows"``
-    (see the module docstring), from the key box, the number of
-    contributions the plan slots and the coefficient shape."""
+    (see the module docstring), from the key box and the number of
+    contributions the plan slots."""
     if strides is None:
         return "rows"
     size = math.prod(radix.tolist())
-    if size <= DENSE_SLOTS_PER_PAIR * pairs and size * math.prod(shape) <= DENSE_ENTRIES:
+    if size <= DENSE_SLOTS_PER_PAIR * pairs and size <= DENSE_BOX_SLOTS:
         return "dense"
     return "sorted"
 
 
-def slot_plan(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int,
-              shape) -> Plan:
+def slot_plan(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int) -> Plan:
     """The plan of ``pairs`` contributions given as (keys, live) blocks in
     loop order: keys packed int64, or exponent rows where ``strides`` is
     None; ``live`` None, or a mask whose False marks a contribution of
@@ -341,7 +339,7 @@ def slot_plan(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int,
             seen += len(keys)
             yield (keys, at) if live is None else (keys[live], at[live])
 
-    kind = route(radix, strides, pairs, shape)
+    kind = route(radix, strides, pairs)
     slots = np.full(pairs, -1, np.min_scalar_type(-1 - pairs))  # no more slots than pairs
     if kind == "dense":
         slot_keys = _dense_slots(live_blocks(), math.prod(radix.tolist()), slots)

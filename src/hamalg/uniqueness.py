@@ -64,6 +64,17 @@ def _require_qq(c: ComposedAlgebra):
                            "positive constants")
 
 
+def _sum_of_squares(norms) -> float:
+    """The square of each norm, ``n ** 2``, added in turn from the first,
+    as ``HybridElement.norm`` adds its squares: unlike the builtin ``sum``,
+    which compensates float rounding since Python 3.12, an order that
+    does not change with the interpreter."""
+    total = 0.0
+    for n in norms:
+        total += n ** 2
+    return total
+
+
 def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
                   seed: int, tolerance: float) -> RestrictionResult:
     """Least-squares scalar lambda with composed(f (x) e, g (x) e) =
@@ -116,8 +127,8 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
                            f"(dim {comp.dim}); the restriction factor cannot be fitted")
     lam = num / den
     refs, vals = np.array(refs), np.array(vals)
-    resid_sq = sum(n ** 2 for n in frobenius_norms(vals - lam * refs))
-    ref_sq = sum(n ** 2 for n in frobenius_norms(refs))
+    resid_sq = _sum_of_squares(frobenius_norms(vals - lam * refs))
+    ref_sq = _sum_of_squares(frobenius_norms(refs))
     residual = np.sqrt(resid_sq) / np.sqrt(ref_sq)
     if residual > FIT_RESIDUAL_TOLERANCE:
         raise AlgebraError(

@@ -15,7 +15,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: (kernels.DENSE_SLOTS_PER_PAIR, kernels.DENSE_ENTRIES) that force each
+#: (kernels.DENSE_SLOTS_PER_PAIR, kernels.DENSE_BOX_SLOTS) that force each
 #: packed-key route of ``kernels.slot_plan``
 FORCED_ROUTES = {"dense": (10 ** 9, 10 ** 9), "sorted": (0, 0)}
 
@@ -304,9 +304,9 @@ def loop_restrict_fit(c, component, product, seed, rtol=1e-12):
         den += float(np.real(np.vdot(ref.entries, ref.entries)))
         samples.append((ref, val))
     lam = num / den
-    resid_sq = sum(float(np.linalg.norm(val.entries - lam * ref.entries)) ** 2
-                   for ref, val in samples)
-    ref_sq = sum(float(np.linalg.norm(ref.entries)) ** 2 for ref, _ in samples)
+    resid_sq = sequential_sum(float(np.linalg.norm(val.entries - lam * ref.entries)) ** 2
+                              for ref, val in samples)
+    ref_sq = sequential_sum(float(np.linalg.norm(ref.entries)) ** 2 for ref, _ in samples)
     return lam, np.sqrt(resid_sq) / np.sqrt(ref_sq)
 
 

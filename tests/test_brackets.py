@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from hamalg.brackets import (
 )
 from hamalg.compose import coefficient_product
 from hamalg.elements import monomials_up_to_degree
-from hamalg import identities, kernels
+from hamalg import cli, identities, kernels
 from hamalg.algebra import relative_defect
 from hamalg.identities import Identity, identity_defect, replay_witness
 from hamalg.errors import ShapeError
@@ -315,7 +316,7 @@ def engine_routes(u, v):
     plain term pairs and with the canonical pairs' Poisson terms."""
     radix, strides = kernels.product_box(u.exps, v.exps)
     pairs = len(u) * len(v)
-    return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson), u.coeffs.shape[1:])
+    return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson))
             for poisson in (False, True)}
 
 
@@ -432,20 +433,21 @@ class TestTermPairEngine:
         u = with_far_term(with_entry(random_hybrid(rng, 3, 1, 2, density=1.0), value))
         v = with_entry(random_hybrid(rng, 3, 1, 3, density=1.0), -value)
         got = {}
-        for route, (per_pair, entries) in FORCED_ROUTES.items():
+        for route, (per_pair, box_slots) in FORCED_ROUTES.items():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
-                mp.setattr(kernels, "DENSE_ENTRIES", entries)
+                mp.setattr(kernels, "DENSE_BOX_SLOTS", box_slots)
                 assert engine_routes(u, v) == {route}
                 got[route] = [bracket(u, v, HBAR).terms for bracket, _ in engine_loops(HBAR)]
         for dense, sorted_ in zip(got["dense"], got["sorted"]):
             assert_terms_bitwise(dense, sorted_)
 
-    @pytest.mark.parametrize("p_max,route", [(16, "dense"), (17, "sorted")])
-    def test_dense_entry_limit_for_blocks(self, p_max, route):
-        # 256 trials of 2 x 2 coefficients: 1024 entries a slot, so the
-        # dense accumulator's limit is a box of 1024 slots; 17 x 18 term
-        # pairs would allow 4 slots each
+    @pytest.mark.parametrize("p_max", [16, 17])
+    def test_a_block_takes_the_route_of_its_box(self, p_max):
+        # 256 trials of 2 x 2 coefficients, 1024 entries a slot, in a box
+        # of 1024 or 1056 slots: over a million entries in all, but the
+        # dense box holds no coefficient, so the 4 slots a pair that 17 x 18
+        # term pairs allow pick the route
         rng = np.random.default_rng(p_max)
 
         def block(exps):
@@ -454,10 +456,10 @@ class TestTermPairEngine:
 
         u = block([(i, 0) for i in range(15, -1, -1)] + [(0, 15)])
         v = block([(j, 0) for j in range(17)] + [(0, p_max)])
-        box = 32 * (15 + p_max + 1)  # 1024 or 1056 slots
-        assert (box * 1024 <= kernels.DENSE_ENTRIES) == (route == "dense")
+        box = 32 * (15 + p_max + 1)
+        assert box * u.coeffs[0].size >= 1 << 20
         assert box <= kernels.DENSE_SLOTS_PER_PAIR * 17 * 18
-        assert_engine_matches_loops([(u, v, route)])
+        assert_engine_matches_loops([(u, v, "dense")])
 
     def test_matches_loop_bitwise_over_several_blocks(self):
         rng = np.random.default_rng(4)
@@ -567,6 +569,17 @@ def draw_blocks(seed, trials, arity):
     return random_hybrid_observable(np.random.default_rng(seed), block=(trials, arity))
 
 
+def broken_from_trial(kind, desideratum, first):
+    """A violation threshold under which trials 0 to ``first`` - 1 of a
+    desideratum's seed-0 stream stay and some later trial of 12 does not."""
+    rng = np.random.default_rng([0, DESIDERATA.index(desideratum)])
+    defects = [loop_desideratum_defect(kind, desideratum, e, 1.0)
+               for e in loop_draws(rng, 12, 3)]
+    threshold = max(defects[:first])
+    assert max(defects[first:]) > threshold
+    return threshold
+
+
 @pytest.fixture
 def drawn_blocks(monkeypatch):
     """The (trials, arity) of every draw the bracket searches make."""
@@ -620,11 +633,8 @@ class TestTrialBlocks:
     def test_first_violation_past_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
         kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
-        rng = np.random.default_rng([0, DESIDERATA.index(desideratum)])
-        defects = [loop_desideratum_defect(kind, desideratum, e, 1.0)
-                   for e in loop_draws(rng, 12, 3)]
         # every trial up to 5 stays under: blocks [0], [1, 4), [4, 7) are passed over
-        threshold = max(defects[:6])
+        threshold = broken_from_trial(kind, desideratum, 6)
         monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
         want = loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
         assert want is not None and want["trial"] >= 6
@@ -709,6 +719,94 @@ class TestTrialBlocks:
         assert not triple.matches_expected_pattern()
         triple.derivation_defect = 0.0 if expected["derivation"] else 1.0
         assert triple.matches_expected_pattern()
+
+
+class TestSharedScan:
+    """A witness search handed its measurement reads the trials the
+    measurement scored and draws only those past them: the literal loops'
+    results, to the bit, and no trial drawn twice."""
+
+    @pytest.mark.parametrize("trials, budget", [(3, 25), (1, 1), (30, 5), (7, 7), (2, 300)])
+    @pytest.mark.parametrize("kind", list(MixedBracketKind))
+    def test_measured_searches_match_the_loops(self, kind, trials, budget, monkeypatch):
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
+        triple = measure_defects(kind, trials=trials, seed=1, hbar=0.7)
+        want = loop_measure_defects(kind, trials, seed=1, hbar=0.7)
+        assert json.dumps(triple.to_json()) == json.dumps(want.to_json())
+        for desideratum in cli._SEARCH_PLAN[kind]:
+            got = find_violation_witness(kind, desideratum, budget, seed=1, hbar=0.7,
+                                         measured=triple)
+            want = loop_find_violation_witness(kind, desideratum, budget, seed=1, hbar=0.7)
+            assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("kind", [k for k in MixedBracketKind
+                                      if k is not MixedBracketKind.HYBRID_PAPER])
+    def test_a_broken_brackets_search_draws_nothing(self, kind, drawn_blocks):
+        triple = measure_defects(kind, trials=3)
+        drawn_blocks.clear()
+        found = {d: find_violation_witness(kind, d, 25, measured=triple)
+                 for d in cli._SEARCH_PLAN[kind]}
+        assert drawn_blocks == []
+        for desideratum, w in found.items():
+            assert w["trial"] == 0
+            assert w == loop_find_violation_witness(kind, desideratum, 25)
+
+    def test_a_clean_search_draws_only_past_the_measured_trials(self, monkeypatch,
+                                                                drawn_blocks):
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
+        kind = MixedBracketKind.HYBRID_PAPER
+        triple = measure_defects(kind, trials=3)
+        assert drawn_blocks == [(3, 2), (3, 3), (3, 3)]
+        for desideratum, arity in zip(DESIDERATA, (2, 3, 3)):
+            drawn_blocks.clear()
+            assert find_violation_witness(kind, desideratum, 11, measured=triple) is None
+            assert drawn_blocks == [(4, arity), (4, arity)]
+
+    def test_a_measured_hit_past_the_budget_is_not_reported(self, monkeypatch,
+                                                           drawn_blocks):
+        kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
+        threshold = broken_from_trial(kind, desideratum, 6)
+        monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
+        triple = measure_defects(kind, trials=12)
+        assert triple.scans[desideratum].hit[0] >= 6
+        drawn_blocks.clear()
+        assert find_violation_witness(kind, desideratum, 6, measured=triple) is None
+        assert drawn_blocks == []
+        assert loop_find_violation_witness(kind, desideratum, 6, threshold=threshold) is None
+
+    def test_two_searches_from_one_triple_are_equal(self, monkeypatch, drawn_blocks):
+        # no hit among the 3 measured trials: both searches resume drawing
+        kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
+        threshold = broken_from_trial(kind, desideratum, 6)
+        monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
+        monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
+        triple = measure_defects(kind, trials=3)
+        assert triple.scans[desideratum].hit is None
+        drawn_blocks.clear()
+        first = find_violation_witness(kind, desideratum, 12, measured=triple)
+        draws = list(drawn_blocks)
+        assert find_violation_witness(kind, desideratum, 12, measured=triple) == first
+        assert drawn_blocks == draws * 2
+        assert first == loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
+        assert first["trial"] >= 6
+
+    @pytest.mark.parametrize("other", [dict(kind=MixedBracketKind.ALEKSANDROV),
+                                       dict(seed=1), dict(hbar=0.5)])
+    def test_a_triple_of_another_scan_is_refused(self, other, drawn_blocks):
+        triple = measure_defects(MixedBracketKind.ANDERSON, trials=2)
+        drawn_blocks.clear()
+        search = {"kind": MixedBracketKind.ANDERSON, "seed": 0, "hbar": 1.0, **other}
+        with pytest.raises(AlgebraError, match="measured triple"):
+            find_violation_witness(desideratum="jacobi", budget=5, measured=triple, **search)
+        assert drawn_blocks == []
+
+    def test_the_brackets_report_scans_each_desideratum_once(self, tmp_path, drawn_blocks):
+        # every kind measures 3 trials a desideratum; only the clean
+        # bracket's searches draw, and only the 22 trials past those
+        assert cli.main(["brackets", "--trials", "3", "--budget", "25",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        measured = [(3, 2), (3, 3), (3, 3)]
+        assert drawn_blocks == measured * 4 + [(22, 2), (22, 3), (22, 3)]
 
 
 class TestSharedRules:

@@ -91,8 +91,8 @@ def kernel_routes(a, b, num_pairs):
     radix, strides = kernels.product_box(kernels.dict_rows(a, 2 * num_pairs)[0],
                                          kernels.dict_rows(b, 2 * num_pairs)[0])
     pairs = len(a) * len(b)
-    return (kernels.route(radix, strides, pairs, ()),
-            kernels.route(radix, strides, pairs * num_pairs, ()))
+    return (kernels.route(radix, strides, pairs),
+            kernels.route(radix, strides, pairs * num_pairs))
 
 
 def assert_bitwise(a, b, num_pairs, route=None):
@@ -171,19 +171,19 @@ def test_dense_slot_limit(corner, route):
     assert_bitwise(a, b, 1, route)
 
 
-@pytest.mark.parametrize("radix,pairs,shape,route", [
-    ([64, 17], 272, (), "dense"),            # 1088 slots, 4 a pair
-    ([1089, 1], 272, (), "sorted"),          # one slot more
-    ([1024, 1024], 2 ** 18, (), "dense"),    # DENSE_ENTRIES slots
-    ([1025, 1024], 2 ** 20, (), "sorted"),   # past it, though 4 a pair allow more
-    ([32, 32], 256, (256, 2, 2), "dense"),   # 1024 slots of 1024 entries
-    ([33, 32], 2 ** 20, (256, 2, 2), "sorted"),
+@pytest.mark.parametrize("radix,pairs,route", [
+    ([64, 17], 272, "dense"),            # 1088 slots, 4 a pair
+    ([1089, 1], 272, "sorted"),          # one slot more
+    ([1024, 1024], 2 ** 18, "dense"),    # DENSE_BOX_SLOTS slots
+    ([1025, 1024], 2 ** 20, "sorted"),   # past it, though 4 a pair allow more
 ])
-def test_route_rule(radix, pairs, shape, route):
+def test_route_rule(radix, pairs, route):
+    # the box and the contributions alone pick the route: a plan is shared
+    # by every coefficient shape, and the box holds no coefficient
     radix = np.array(radix)
     strides = np.array([radix[1], 1])
-    assert kernels.route(radix, strides, pairs, shape) == route
-    assert kernels.route(radix, None, pairs, shape) == "rows"
+    assert kernels.route(radix, strides, pairs) == route
+    assert kernels.route(radix, None, pairs) == "rows"
 
 
 coeffs = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
@@ -306,7 +306,7 @@ def test_every_route_matches_loop_over_many_blocks(trials, monkeypatch):
         for op, poisson in ((kernels.mul_terms, False), (kernels.poisson_terms, True)):
             radix, strides = kernels.product_box(x, y)
             pairs = len(x) * len(y) * (x.shape[1] // 2 if poisson else 1)
-            assert kernels.route(radix, strides, pairs, X.shape[1:]) == route
+            assert kernels.route(radix, strides, pairs) == route
             assert len(y) > FEW_PAIRS and len(x) > 10  # one block per term of x
             exps, coeffs = op(x, y, X, Y)
             want = loop_pair_sum(x, y, X, Y, poisson)
@@ -368,7 +368,7 @@ def test_term_sum_matches_dict_merge_on_every_route(a, b):
     for x, y, num_pairs, route in route_inputs(a, b):
         (ex, cx), (ey, cy) = (kernels.dict_rows(t, 2 * num_pairs) for t in (x, y))
         radix = np.concatenate([ex, ey]).max(axis=0) + 1
-        assert kernels.route(radix, kernels.key_strides(radix), len(x) + len(y), ()) == route
+        assert kernels.route(radix, kernels.key_strides(radix), len(x) + len(y)) == route
         exps, coeffs = kernels.term_sum(ex, ey, cx, cy)
         assert_same_terms(dict(zip(map(tuple, exps.tolist()), coeffs.tolist())), loop_sum(x, y))
 
@@ -379,10 +379,10 @@ def test_dense_and_sorted_routes_agree(a, b):
     # the same blocks through both packed routes: the same dict, to the bit
     x, y = route_inputs(a, b)[1][:2]  # a sparse box, so dense is forced past its limit
     got = {}
-    for route, (per_pair, entries) in FORCED_ROUTES.items():
+    for route, (per_pair, box_slots) in FORCED_ROUTES.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
-            mp.setattr(kernels, "DENSE_ENTRIES", entries)
+            mp.setattr(kernels, "DENSE_BOX_SLOTS", box_slots)
             assert kernel_routes(x, y, 2) == (route, route)
             got[route] = (kernels.mul(x, y, 4), kernels.poisson(x, y, 2))
     for dense, sorted_ in zip(got["dense"], got["sorted"]):
@@ -519,7 +519,7 @@ def test_a_plan_hit_equals_a_miss_on_every_route(route, builds, monkeypatch):
     A, B = special_coefficients(rng, len(GRID_2PAIRS))
     (x, y, X, Y, _), = [case for case in array_route_inputs(ea, eb, A, B) if case[-1] == route]
     radix, strides = kernels.product_box(x, y)
-    assert kernels.route(radix, strides, len(x) * len(y), X.shape[1:]) == route
+    assert kernels.route(radix, strides, len(x) * len(y)) == route
     for op in (kernels.mul_terms, kernels.poisson_terms, kernels.term_sum):
         want = op(x, y, X, Y)  # outside a scope: the plan is built and dropped
         builds.clear()
