@@ -33,16 +33,14 @@ blocks of random hybrid observables, drawn by ``compose`` as the quantum
 (x) classical algebra draws its elements), defining each defect (Jacobi as the
 left-nested cyclic sum), scanning the trials and picking the witness.
 
-A witness search draws the stream its desideratum's measurement drew, so
+A witness search reads the scan its desideratum's measurement made, so
 each (bracket, desideratum) is scanned once.  While ``measure_defects``
 reduces a desideratum's trials it notes the first one over
 VIOLATION_THRESHOLD or NaN and the generator state after the last; a
-search handed that measurement (``measured``) returns the noted trial if
-the budget reaches it, and otherwise draws only the trials past the
-measured ones, in blocks of at most MAX_BLOCK_TRIALS.  A search without
-one scans trial 0 alone, where a broken bracket already fails, then the
-rest of its budget in blocks.  Either way it finds the trial, the defect
-and the inputs of the trial-by-trial loop, to the bit.
+search returns the noted trial if the budget reaches it, and otherwise
+draws only the trials past the measured ones, in blocks of at most
+MAX_BLOCK_TRIALS.  It finds the trial, the defect and the inputs of the
+trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
@@ -256,43 +254,31 @@ def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
     return result
 
 
-def find_violation_witness(kind: MixedBracketKind, desideratum: str, budget: int,
-                           seed: int = 0, hbar: float = 1.0,
-                           measured: DefectTriple | None = None):
+def find_violation_witness(measured: DefectTriple, desideratum: str, budget: int):
     """First random tuple of trials 0 to ``budget`` - 1 whose defect
     exceeds VIOLATION_THRESHOLD or is NaN; None if there is none.
 
-    Without ``measured``, trial 0 runs alone, then the rest of the budget
-    in blocks.  With ``measured``, the ``measure_defects`` triple of the
-    same kind, seed and hbar, the trials it measured are not drawn again:
-    its noted first hit is the answer if it lies within the budget, and
-    otherwise the trials from its ``trials`` to the budget are drawn, in
-    blocks, from its noted generator state."""
+    ``measured`` is the ``measure_defects`` triple whose scan the search
+    continues: its kind, seed and hbar are the search's, its noted first
+    hit is the answer if it lies within the budget, and otherwise the
+    trials from its ``trials`` to the budget are drawn, in blocks, from
+    its noted generator state."""
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
-    kind = MixedBracketKind(kind)
-    alg = BracketAlgebra(kind, hbar)
-    rng = np.random.default_rng([seed, DESIDERATA.index(desideratum)])
-    if measured is None:
-        hit = first_over(scan(alg, desideratum, rng, budget, MAX_BLOCK_TRIALS, first=1),
-                         VIOLATION_THRESHOLD)
-    elif (measured.kind, measured.seed, measured.hbar) != (kind, seed, hbar):
-        raise AlgebraError(
-            f"the measured triple is of {measured.kind.value} at seed {measured.seed}, "
-            f"hbar {measured.hbar}; the search is of {kind.value} at seed {seed}, hbar {hbar}")
+    noted = measured.scans[desideratum]
+    if noted.hit is not None:
+        hit = noted.hit if noted.hit[0] < budget else None
     else:
-        noted = measured.scans[desideratum]
-        if noted.hit is not None:
-            hit = noted.hit if noted.hit[0] < budget else None
-        else:
-            rng.bit_generator.state = noted.rng_state
-            hit = first_over(scan(alg, desideratum, rng, budget, MAX_BLOCK_TRIALS,
-                                  start=measured.trials), VIOLATION_THRESHOLD)
+        rng = np.random.default_rng([measured.seed, DESIDERATA.index(desideratum)])
+        rng.bit_generator.state = noted.rng_state
+        hit = first_over(scan(BracketAlgebra(measured.kind, measured.hbar), desideratum, rng,
+                              budget, MAX_BLOCK_TRIALS, start=measured.trials),
+                         VIOLATION_THRESHOLD)
     if hit is None:
         return None
     trial, defect, inputs = hit
     return {
-        "kind": kind.value,
+        "kind": measured.kind.value,
         "desideratum": desideratum,
         "trial": trial,
         "defect": defect,

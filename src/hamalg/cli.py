@@ -503,8 +503,7 @@ def cmd_brackets(args) -> int:
         defects.append(triple.to_json())
         passed = passed and triple.matches_expected_pattern()
         for desideratum in _SEARCH_PLAN[kind]:
-            witness = find_violation_witness(kind, desideratum, budget, seed=seed,
-                                             hbar=hbar, measured=triple)
+            witness = find_violation_witness(triple, desideratum, budget)
             expect_clean = EXPECTED_CLEAN[kind][desideratum]
             entry = {
                 "kind": kind.value,

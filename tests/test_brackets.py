@@ -188,27 +188,26 @@ class TestDefectProfiles:
 
 class TestWitnessSearch:
     def test_product_rule_jacobi_witness_found(self):
-        w = find_violation_witness(MixedBracketKind.BOUCHER_TRASCHEN, "jacobi",
-                                   budget=1000, seed=0)
+        triple = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1)
+        w = find_violation_witness(triple, "jacobi", budget=1000)
         assert w is not None
         assert w["defect"] > VIOLATION_THRESHOLD
 
     def test_hybrid_yields_no_witness(self):
-        assert find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi",
-                                      budget=1000, seed=0) is None
+        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1)
+        assert find_violation_witness(triple, "jacobi", budget=1000) is None
         for d in ("antisymmetry", "derivation"):
-            assert find_violation_witness(MixedBracketKind.HYBRID_PAPER, d,
-                                          budget=200, seed=0) is None
+            assert find_violation_witness(triple, d, budget=200) is None
 
     def test_anderson_antisymmetry_witness_found(self):
-        w = find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry",
-                                   budget=1000, seed=0)
+        triple = measure_defects(MixedBracketKind.ANDERSON, trials=1)
+        w = find_violation_witness(triple, "antisymmetry", budget=1000)
         assert w is not None
         assert w["defect"] > VIOLATION_THRESHOLD
 
     def test_witness_replays_through_main_path(self):
-        w = find_violation_witness(MixedBracketKind.BOUCHER_TRASCHEN, "jacobi",
-                                   budget=100, seed=0)
+        triple = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1)
+        w = find_violation_witness(triple, "jacobi", budget=100)
         replayed = replay_witness(BracketAlgebra(w["kind"], HBAR), w["desideratum"],
                                   w["elements"])
         assert replayed == pytest.approx(w["defect"], rel=1e-12)
@@ -217,14 +216,16 @@ class TestWitnessSearch:
         for kind, desideratum in ((MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"),
                                   (MixedBracketKind.ANDERSON, "antisymmetry"),
                                   (MixedBracketKind.ALEKSANDROV, "jacobi")):
-            w = find_violation_witness(kind, desideratum, budget=200, seed=0)
+            w = find_violation_witness(measure_defects(kind, trials=1), desideratum,
+                                       budget=200)
             assert w is not None
             replayed = replay_defect(w, hbar=HBAR)
             assert abs(replayed - w["defect"]) <= 1e-10 * max(1.0, w["defect"])
 
     def test_budget_validation(self):
+        triple = measure_defects(MixedBracketKind.ANDERSON, trials=1)
         with pytest.raises(AlgebraError):
-            find_violation_witness(MixedBracketKind.ANDERSON, "jacobi", budget=0)
+            find_violation_witness(triple, "jacobi", budget=0)
 
 
 class TestDenseOracleAgreement:
@@ -633,23 +634,32 @@ class TestTrialBlocks:
     def test_first_violation_past_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
         kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
-        # every trial up to 5 stays under: blocks [0], [1, 4), [4, 7) are passed over
+        # every trial up to 5 stays under: the measured [0], then the searched
+        # blocks [1, 4), [4, 7) are passed over
         threshold = broken_from_trial(kind, desideratum, 6)
         monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
         want = loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
         assert want is not None and want["trial"] >= 6
-        assert find_violation_witness(kind, desideratum, 12) == want
+        triple = measure_defects(kind, trials=1)
+        assert find_violation_witness(triple, desideratum, 12) == want
 
     def test_trial_zero_find_draws_one_trial(self, drawn_blocks):
-        w = find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry", budget=1000)
+        # the measurement draws trial 0 of each desideratum; a broken
+        # bracket fails there, so its search draws nothing more
+        triple = measure_defects(MixedBracketKind.ANDERSON, trials=1)
+        assert drawn_blocks == [(1, 2), (1, 3), (1, 3)]
+        drawn_blocks.clear()
+        w = find_violation_witness(triple, "antisymmetry", budget=1000)
         assert w["trial"] == 0
-        assert drawn_blocks == [(1, 2)]
+        assert drawn_blocks == []
         assert w == loop_find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry", 1)
 
     def test_blocks_never_exceed_the_cap(self, monkeypatch, drawn_blocks):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
-        assert find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi", 11) is None
-        assert drawn_blocks == [(1, 3), (4, 3), (4, 3), (2, 3)]
+        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1)
+        drawn_blocks.clear()
+        assert find_violation_witness(triple, "jacobi", 11) is None
+        assert drawn_blocks == [(4, 3), (4, 3), (2, 3)]
         drawn_blocks.clear()
         measure_defects(MixedBracketKind.HYBRID_PAPER, trials=9)
         assert [t for t, _ in drawn_blocks] == [4, 4, 1] * len(DESIDERATA)
@@ -687,12 +697,18 @@ class TestTrialBlocks:
                 "defect": 2.0, "elements": [element_to_json(e) for e in want]}
 
     def test_nan_defect_ends_a_search_as_a_hit(self, monkeypatch):
-        # blocks [0], [1, 4): trial 2 is the first NaN, trial 3 a violation
-        script = iter([0.0, 0.0, np.nan, 1.0])
+        # the measured [0], then the searched block [1, 4): trial 2 is the
+        # first NaN, trial 3 a violation
+        sequences = {}
+
+        def scripted(alg, identity, block):
+            seq = sequences.setdefault(identity, iter([0.0, 0.0, np.nan, 1.0]))
+            return np.array([next(seq) for _ in range(block[0].trials)])
+
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
-        monkeypatch.setattr(identities, "identity_defect", lambda alg, identity, block:
-                            np.array([next(script) for _ in range(block[0].trials)]))
-        w = find_violation_witness(MixedBracketKind.HYBRID_PAPER, "jacobi", 10)
+        monkeypatch.setattr(identities, "identity_defect", scripted)
+        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1)
+        w = find_violation_witness(triple, "jacobi", 10)
         assert w["trial"] == 2 and math.isnan(w["defect"])
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
@@ -722,9 +738,9 @@ class TestTrialBlocks:
 
 
 class TestSharedScan:
-    """A witness search handed its measurement reads the trials the
-    measurement scored and draws only those past them: the literal loops'
-    results, to the bit, and no trial drawn twice."""
+    """A witness search reads the trials its measurement scored and draws
+    only those past them: the literal loops' results, to the bit, and no
+    trial drawn twice."""
 
     @pytest.mark.parametrize("trials, budget", [(3, 25), (1, 1), (30, 5), (7, 7), (2, 300)])
     @pytest.mark.parametrize("kind", list(MixedBracketKind))
@@ -734,8 +750,7 @@ class TestSharedScan:
         want = loop_measure_defects(kind, trials, seed=1, hbar=0.7)
         assert json.dumps(triple.to_json()) == json.dumps(want.to_json())
         for desideratum in cli._SEARCH_PLAN[kind]:
-            got = find_violation_witness(kind, desideratum, budget, seed=1, hbar=0.7,
-                                         measured=triple)
+            got = find_violation_witness(triple, desideratum, budget)
             want = loop_find_violation_witness(kind, desideratum, budget, seed=1, hbar=0.7)
             assert json.dumps(got) == json.dumps(want)
 
@@ -744,7 +759,7 @@ class TestSharedScan:
     def test_a_broken_brackets_search_draws_nothing(self, kind, drawn_blocks):
         triple = measure_defects(kind, trials=3)
         drawn_blocks.clear()
-        found = {d: find_violation_witness(kind, d, 25, measured=triple)
+        found = {d: find_violation_witness(triple, d, 25)
                  for d in cli._SEARCH_PLAN[kind]}
         assert drawn_blocks == []
         for desideratum, w in found.items():
@@ -759,7 +774,7 @@ class TestSharedScan:
         assert drawn_blocks == [(3, 2), (3, 3), (3, 3)]
         for desideratum, arity in zip(DESIDERATA, (2, 3, 3)):
             drawn_blocks.clear()
-            assert find_violation_witness(kind, desideratum, 11, measured=triple) is None
+            assert find_violation_witness(triple, desideratum, 11) is None
             assert drawn_blocks == [(4, arity), (4, arity)]
 
     def test_a_measured_hit_past_the_budget_is_not_reported(self, monkeypatch,
@@ -770,7 +785,7 @@ class TestSharedScan:
         triple = measure_defects(kind, trials=12)
         assert triple.scans[desideratum].hit[0] >= 6
         drawn_blocks.clear()
-        assert find_violation_witness(kind, desideratum, 6, measured=triple) is None
+        assert find_violation_witness(triple, desideratum, 6) is None
         assert drawn_blocks == []
         assert loop_find_violation_witness(kind, desideratum, 6, threshold=threshold) is None
 
@@ -783,22 +798,25 @@ class TestSharedScan:
         triple = measure_defects(kind, trials=3)
         assert triple.scans[desideratum].hit is None
         drawn_blocks.clear()
-        first = find_violation_witness(kind, desideratum, 12, measured=triple)
+        first = find_violation_witness(triple, desideratum, 12)
         draws = list(drawn_blocks)
-        assert find_violation_witness(kind, desideratum, 12, measured=triple) == first
+        assert find_violation_witness(triple, desideratum, 12) == first
         assert drawn_blocks == draws * 2
         assert first == loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
         assert first["trial"] >= 6
 
     @pytest.mark.parametrize("other", [dict(kind=MixedBracketKind.ALEKSANDROV),
                                        dict(seed=1), dict(hbar=0.5)])
-    def test_a_triple_of_another_scan_is_refused(self, other, drawn_blocks):
-        triple = measure_defects(MixedBracketKind.ANDERSON, trials=2)
-        drawn_blocks.clear()
-        search = {"kind": MixedBracketKind.ANDERSON, "seed": 0, "hbar": 1.0, **other}
-        with pytest.raises(AlgebraError, match="measured triple"):
-            find_violation_witness(desideratum="jacobi", budget=5, measured=triple, **search)
-        assert drawn_blocks == []
+    def test_the_search_follows_its_triples_scan(self, other):
+        # kind, seed and hbar come from the triple alone, for a measured hit
+        # and for a search that resumes past the measured trials
+        scan = {"kind": MixedBracketKind.ANDERSON, "seed": 0, "hbar": 1.0, **other}
+        triple = measure_defects(trials=2, **scan)
+        for desideratum in DESIDERATA:
+            got = find_violation_witness(triple, desideratum, 5)
+            assert got == loop_find_violation_witness(desideratum=desideratum, budget=5,
+                                                      **scan)
+            assert got is None or got["kind"] == scan["kind"].value
 
     def test_the_brackets_report_scans_each_desideratum_once(self, tmp_path, drawn_blocks):
         # every kind measures 3 trials a desideratum; only the clean

@@ -159,10 +159,11 @@ class TestVerify:
         err = capsys.readouterr().err
         for name in ("jacobi", "canonical_relation"):
             assert math.isnan(checks[name]["mean_relative_defect"])
-            assert checks[name]["max_relative_defect"] == 0.0
+            assert math.isnan(checks[name]["max_relative_defect"])
             assert checks[name]["worst_witness"] == []
             assert not checks[name]["passed"]
             assert f"[FAIL] {name} " in err
+            assert re.search(rf"\[FAIL\] {name} +max defect nan ", err)
 
     def test_invalid_dim_usage_error(self):
         assert run_cli("verify", "--dim", "0") == 2

@@ -97,7 +97,9 @@ class TestCheckIdentity:
         monkeypatch.setattr(identities, "element_to_json", counting)
         res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=7))
         assert [b[0].trials for b in drawn] == [3, 3, 1]
-        assert res.max_relative_defect == 2.0
+        # a NaN trial makes the max NaN, as in ``measure_defects``
+        assert math.isnan(res.max_relative_defect)
+        assert not res.passed
         # the witness is serialized once, from the last maximal trial: trial 5,
         # which is trial 2 of the second block
         assert len(serialized) == 3
@@ -118,7 +120,7 @@ class TestCheckIdentity:
         monkeypatch.setattr(identities, "identity_defect", scripted)
         res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=3))
         assert blocks == [2, 1]
-        assert res.max_relative_defect == 0.0
+        assert math.isnan(res.max_relative_defect)
         assert res.worst_witness == []
         assert not res.passed
 

@@ -16,6 +16,21 @@ def test_every_wrap_point_exists(load_perfbench_module):
     assert missing == []
 
 
+def test_traced_brackets_search_counts_its_budget(load_perfbench_module, tmp_path,
+                                                  capsys):
+    """``brackets.search`` counts a search's trials from its result or its
+    budget argument; the clean bracket's three searches find nothing, so
+    each counts its whole budget."""
+    from hamalg.cli import main
+
+    tracing = load_perfbench_module("tracing")
+    with tracing.patched(tracing.Tracer()) as tracer:
+        assert main(["brackets", "--kind", "hybrid_paper", "--trials", "1",
+                     "--budget", "4", "--out", str(tmp_path / "r.json")]) == 0
+    assert "not traced" not in capsys.readouterr().err
+    assert [s[tracing.WORK] for s in tracer.spans
+            if s[tracing.NAME] == "brackets.search"] == [4, 4, 4]
+
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--dim", "2", "--trials", "1", "--out", "{dir}/r.json"),
