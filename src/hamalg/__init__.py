@@ -41,7 +41,6 @@ from .measurement import (
     Regime,
     Trajectory,
     back_reaction_gap,
-    classical_freezing_defect,
     eom_generator,
     evolve,
 )
@@ -49,7 +48,6 @@ from .serialize import element_from_json, element_to_json
 from .uniqueness import (
     RestrictionResult,
     restrict_alpha,
-    restrict_sigma,
     scan_constants,
     uniqueness_check,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "VerificationReport",
     "back_reaction_gap",
     "check_identity",
-    "classical_freezing_defect",
     "compose_product_on_terms",
     "element_from_json",
     "element_to_json",
@@ -93,7 +90,6 @@ __all__ = [
     "mixed_bracket",
     "relative_defect",
     "restrict_alpha",
-    "restrict_sigma",
     "run_axiom_suite",
     "scan_constants",
     "simple_tensor",

@@ -93,7 +93,7 @@ def _commutator_bracket(u: HybridElement, v: HybridElement, hbar: float) -> Hybr
 def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
     """{U,V}_P with matrix coefficients multiplied in written order:
     sum_k dU/dx_k . dV/dp_k - dU/dp_k . dV/dx_k."""
-    return u.pair_sum(v, lambda A, B: (None, coefficient_product(A, B)), poisson=True)
+    return u.pair_sum(v, coefficient_product, plain=False, poisson=True)
 
 
 def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:

@@ -16,7 +16,11 @@ or pattern failed, 2 usage error.  Seeds come from ``--seed``, then the
 JSON object keyed by option name; its options are written as flags in
 front of the command line's and the command line is parsed again, so
 config values pass the same type and choice checks as flags, and
-explicit flags win.  Every default is declared on its option.
+explicit flags win.  Every default is declared on its option, and every
+option's range lives in its type (``_at_least``, ``_finite``,
+``_positive_finite``), so argparse refuses a value out of range, from a
+flag or the config file, with a message naming the option; the
+``cmd_*`` functions check only rules that tie options together.
 All reports validate against the schema shipped at
 ``hamalg/schemas/report.schema.json``, with one ``jsonschema.validate``
 call each.  Only the root ``oneOf``, a tagged union keyed by
@@ -345,21 +349,40 @@ def _write_report(report: dict, out_path: str | None) -> None:
     _write_text(dumps_indent2(report) + "\n", out_path, "report")
 
 
-def _seed(text: str) -> int:
-    """``--seed``'s type: an int >= 0, as ``np.random.default_rng`` takes;
-    argparse turns a refusal into a usage error naming ``--seed``."""
+def _at_least(low: int):
+    """The type of an int option that must be >= ``low``; argparse turns
+    a refusal into a usage error naming the option."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _float(text: str) -> float:
     try:
-        value = int(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    """The type of a float option that must be finite."""
+    value = _float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
-def _positive(value, what: str):
-    if value is None or not 0 < value < math.inf:
-        raise UsageError(f"{what} must be positive and finite, got {value}")
+def _positive_finite(text: str) -> float:
+    """The type of a float option that must be positive and finite."""
+    value = _float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -370,8 +393,6 @@ def _positive(value, what: str):
 def _check_polynomial_size(pairs: int, degree: int) -> None:
     """Refuse random polynomials whose nested products would be too large
     (see MAX_PRODUCT_MONOMIALS)."""
-    if degree < 0:
-        raise UsageError(f"--degree must be >= 0, got {degree}")
     bound = product_monomials(2 * pairs, degree)
     if bound > MAX_PRODUCT_MONOMIALS:
         raise UsageError(f"--pairs {pairs} --degree {degree}: products of degree {4 * degree} "
@@ -430,40 +451,30 @@ def _build_algebra(args) -> object:
     _refuse_unread_options(args, algebra)
     _refuse_vacuous(args, algebra)
     if args.composed:
-        a1 = _positive(args.a1, "--a1")
-        a2 = _positive(args.a2, "--a2")
-        a12 = _positive(args.a12, "--a12")
-        dim1 = _positive(args.dim1, "--dim1")
-        dim2 = _positive(args.dim2, "--dim2")
-        return ComposedAlgebra(OperatorAlgebra(dim1, hbar=2 * math.sqrt(a1)),
-                               OperatorAlgebra(dim2, hbar=2 * math.sqrt(a2)),
-                               a12=a12)
+        if None in (args.a1, args.a2, args.a12):
+            raise UsageError("--a1, --a2, --a12 required with --composed")
+        return ComposedAlgebra(OperatorAlgebra(args.dim1, hbar=2 * math.sqrt(args.a1)),
+                               OperatorAlgebra(args.dim2, hbar=2 * math.sqrt(args.a2)),
+                               a12=args.a12)
     if args.hybrid:
-        a1 = _positive(args.a1 if args.a1 is not None else 1.0, "--a1")
-        a12 = args.a12 if args.a12 is not None else a1
-        dim = _positive(args.dim, "--dim")
-        return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * math.sqrt(a1)),
+        a1 = args.a1 if args.a1 is not None else 1.0
+        return ComposedAlgebra(OperatorAlgebra(args.dim, hbar=2 * math.sqrt(a1)),
                                _phase_space(args, default_degree=2),
-                               a12=_positive(a12, "--a12"))
+                               a12=args.a12 if args.a12 is not None else a1)
     if args.realization == "operator":
-        dim = _positive(args.dim, "--dim")
-        hbar = _positive(args.hbar, "--hbar")
-        return OperatorAlgebra(dim, hbar=hbar)
+        return OperatorAlgebra(args.dim, hbar=args.hbar)
     return _phase_space(args, default_degree=3)
 
 
 def _phase_space(args, default_degree: int) -> PhaseSpaceAlgebra:
-    pairs = _positive(args.pairs, "--pairs")
     degree = args.degree if args.degree is not None else default_degree
-    _check_polynomial_size(pairs, degree)
-    return PhaseSpaceAlgebra(pairs, max_random_degree=degree)
+    _check_polynomial_size(args.pairs, degree)
+    return PhaseSpaceAlgebra(args.pairs, max_random_degree=degree)
 
 
 def cmd_verify(args) -> int:
-    alg = _build_algebra(args)
-    trials = _positive(args.trials, "--trials")
-    tolerance = _positive(args.tolerance, "--tolerance")
-    report = run_axiom_suite(alg, trials=trials, tolerance=tolerance, seed=args.seed)
+    report = run_axiom_suite(_build_algebra(args), trials=args.trials,
+                             tolerance=args.tolerance, seed=args.seed)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.identity.value:<20} max defect "
@@ -487,11 +498,7 @@ _SEARCH_PLAN = {
 
 
 def cmd_brackets(args) -> int:
-    seed, budget = args.seed, args.budget
-    trials = _positive(args.trials, "--trials")
-    if budget < 1:
-        raise UsageError(f"--budget must be >= 1, got {budget}")
-    hbar = _positive(args.hbar, "--hbar")
+    seed, trials, budget, hbar = args.seed, args.trials, args.budget, args.hbar
     kinds = ([MixedBracketKind(args.kind)] if args.kind
              else list(MixedBracketKind))
 
@@ -553,20 +560,14 @@ def _trajectory_csv(traj) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = MeasurementConfig(
-        m1=_positive(args.m1, "--m1"),
-        m2=_positive(args.m2, "--m2"),
-        g0=args.g0,
-        t0=args.t0,
-        dt=_positive(args.dt, "--dt"),
-        hbar=_positive(args.hbar, "--hbar"),
-        regime=args.regime,
-    )
-    t_end = _positive(args.t_end if args.t_end is not None else cfg.t0 + cfg.dt + 0.5,
-                      "--t-end")
-    samples = args.samples
-    if samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {samples}")
+    cfg = MeasurementConfig(m1=args.m1, m2=args.m2, g0=args.g0, t0=args.t0, dt=args.dt,
+                            hbar=args.hbar, regime=args.regime)
+    t_end, samples = args.t_end, args.samples
+    if t_end is None:
+        t_end = cfg.t0 + cfg.dt + 0.5
+        if not 0 < t_end < math.inf:
+            raise UsageError(f"the default end of the sampled interval, t0 + dt + 0.5 = "
+                             f"{t_end}, must be positive and finite; give --t-end")
 
     traj = evolve(cfg, t_end, samples)
     _write_text(_trajectory_csv(traj), args.out, "trajectory")
@@ -616,8 +617,7 @@ def _scan_csv(verdicts) -> str:
 
 
 def cmd_uniqueness(args) -> int:
-    seed = args.seed
-    tolerance = _positive(args.tolerance, "--tolerance")
+    seed, tolerance = args.seed, args.tolerance
     constants = ("a1", "a2", "a12")
     if args.mode == "scan":
         for name in constants:
@@ -648,7 +648,6 @@ def cmd_uniqueness(args) -> int:
     for name in constants:
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required (or use the scan mode)")
-        _positive(getattr(args, name), f"--{name}")
     verdict = uniqueness_check(args.a1, args.a2, args.a12, tolerance=tolerance, seed=seed)
     report = {
         "report_kind": "uniqueness",
@@ -688,7 +687,7 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         # a string default goes through the type, so a bad HAMALG_SEED is a usage error
-        p.add_argument("--seed", type=_seed, default=seed_env or 0, help=seed_help)
+        p.add_argument("--seed", type=_at_least(0), default=seed_env or 0, help=seed_help)
         p.add_argument("--config", help="JSON file with default option values")
         p.add_argument("--out", help="output file (default: stdout)")
         return p
@@ -696,49 +695,49 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
     p_verify = command("verify", cmd_verify, "run the identity suite on an algebra")
     p_verify.add_argument("--realization", choices=["operator", "phase-space"],
                           default="operator")
-    p_verify.add_argument("--dim", type=int, default=2, help="operator dimension")
-    p_verify.add_argument("--hbar", type=float, default=1.0)
-    p_verify.add_argument("--pairs", type=int, default=1,
+    p_verify.add_argument("--dim", type=_at_least(1), default=2, help="operator dimension")
+    p_verify.add_argument("--hbar", type=_positive_finite, default=1.0)
+    p_verify.add_argument("--pairs", type=_at_least(1), default=1,
                           help="canonical pairs (phase-space)")
-    p_verify.add_argument("--degree", type=int,
+    p_verify.add_argument("--degree", type=_at_least(0),
                           help="max degree of random polynomials (default: 3; 2 with --hybrid)")
     p_verify.add_argument("--composed", action="store_true",
                           help="quantum (x) quantum composition")
     p_verify.add_argument("--hybrid", action="store_true",
                           help="quantum (x) classical composition")
     # required with --composed; with --hybrid --a1 defaults to 1.0 and --a12 to --a1
-    p_verify.add_argument("--a1", type=float)
-    p_verify.add_argument("--a2", type=float)
-    p_verify.add_argument("--a12", type=float)
-    p_verify.add_argument("--dim1", type=int, default=2)
-    p_verify.add_argument("--dim2", type=int, default=2)
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--tolerance", type=float, default=1e-9)
+    p_verify.add_argument("--a1", type=_positive_finite)
+    p_verify.add_argument("--a2", type=_positive_finite)
+    p_verify.add_argument("--a12", type=_positive_finite)
+    p_verify.add_argument("--dim1", type=_at_least(1), default=2)
+    p_verify.add_argument("--dim2", type=_at_least(1), default=2)
+    p_verify.add_argument("--trials", type=_at_least(1), default=200)
+    p_verify.add_argument("--tolerance", type=_positive_finite, default=1e-9)
 
     p_brackets = command("brackets", cmd_brackets,
                          "mixed-bracket defects and witness searches")
     p_brackets.add_argument("--kind", choices=[k.value for k in MixedBracketKind],
                             help="restrict to one bracket (default: all)")
-    p_brackets.add_argument("--trials", type=int, default=200)
-    p_brackets.add_argument("--budget", type=int, default=1000,
+    p_brackets.add_argument("--trials", type=_at_least(1), default=200)
+    p_brackets.add_argument("--budget", type=_at_least(1), default=1000,
                             help="witness search budget (default 1000)")
-    p_brackets.add_argument("--hbar", type=float, default=1.0)
+    p_brackets.add_argument("--hbar", type=_positive_finite, default=1.0)
 
     p_sim = command("simulate", cmd_simulate, "evolve the coupled measurement model",
                     seed_help="accepted and validated like the other commands' --seed, "
                               "but unused: the model draws nothing")
     p_sim.add_argument("--regime", choices=[r.value for r in Regime], default="qq")
-    p_sim.add_argument("--m1", type=float, default=1.0)
-    p_sim.add_argument("--m2", type=float, default=1.0)
-    p_sim.add_argument("--g0", type=float, default=0.7)
-    p_sim.add_argument("--t0", type=float, default=0.0)
-    p_sim.add_argument("--dt", type=float, default=1.3)
-    p_sim.add_argument("--hbar", type=float, default=1.0,
+    p_sim.add_argument("--m1", type=_positive_finite, default=1.0)
+    p_sim.add_argument("--m2", type=_positive_finite, default=1.0)
+    p_sim.add_argument("--g0", type=_finite, default=0.7)
+    p_sim.add_argument("--t0", type=_finite, default=0.0)
+    p_sim.add_argument("--dt", type=_positive_finite, default=1.3)
+    p_sim.add_argument("--hbar", type=_positive_finite, default=1.0,
                        help="validated (> 0) and echoed into the summary's config.hbar "
                             "only: the generator does not depend on hbar, to the bit")
-    p_sim.add_argument("--t-end", dest="t_end", type=float,
+    p_sim.add_argument("--t-end", dest="t_end", type=_positive_finite,
                        help="end of the sampled interval (default: t0 + dt + 0.5)")
-    p_sim.add_argument("--samples", type=int, default=21)
+    p_sim.add_argument("--samples", type=_at_least(2), default=21)
     p_sim.add_argument("--summary-out", dest="summary_out",
                        help="write the JSON summary here (default: stdout when "
                             "the CSV goes to a file)")
@@ -747,10 +746,10 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
                     "restriction factors for constant triples")
     p_uni.add_argument("mode", nargs="?", choices=["scan"],
                        help="scan a grid of constant triples instead of one triple")
-    p_uni.add_argument("--a1", type=float)
-    p_uni.add_argument("--a2", type=float)
-    p_uni.add_argument("--a12", type=float)
-    p_uni.add_argument("--tolerance", type=float, default=1e-8)
+    p_uni.add_argument("--a1", type=_positive_finite)
+    p_uni.add_argument("--a2", type=_positive_finite)
+    p_uni.add_argument("--a12", type=_positive_finite)
+    p_uni.add_argument("--tolerance", type=_positive_finite, default=1e-8)
     p_uni.add_argument("--json-out", dest="json_out",
                        help="also write the JSON verdict table (scan mode)")
     p_uni.add_argument("--grid", default="0.25:4:5", help="lo:hi:n log-spaced (scan mode)")

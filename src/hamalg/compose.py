@@ -166,16 +166,17 @@ class HybridElement(TermArray):
         totals = np.add.accumulate(squares)[-1] if len(squares) else np.zeros(trials)
         return math.sqrt(totals[0]) if self.trials is None else np.sqrt(totals)
 
-    def pair_sum(self, other: "HybridElement", combine, poisson: bool = False) -> "HybridElement":
+    def pair_sum(self, other: "HybridElement", combine, plain: bool = True,
+                 poisson: bool = False) -> "HybridElement":
         """The sum over term pairs of ``combine`` of their coefficients, as
-        ``kernels.term_pair_sum`` forms it: the plain term, and with
-        ``poisson`` the canonical pairs' terms too.  ``combine`` gets the
+        ``kernels.term_pair_sum`` forms it: with ``plain`` the plain term,
+        with ``poisson`` the canonical pairs' terms.  ``combine`` gets the
         broadcast stacks (rows, 1, ...) and (1, Nb, ...) of every pair at
         once; one that multiplies them with ``coefficient_product`` gives
         each pair's coefficient the bits of a call on that pair alone."""
         self._check_like(other)
         return HybridElement._trusted(*term_pair_sum(self.exps, other.exps, self.coeffs,
-                                                     other.coeffs, combine, True, poisson))
+                                                     other.coeffs, combine, plain, poisson))
 
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written

@@ -185,9 +185,7 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     e_pk wherever w_k = xa_k pb_k - pa_k xb_k is nonzero.  Both Poisson
     cross terms for a canonical pair k land on that exponent, so one
     integer weight carries them.  ``combine`` maps coefficient stacks
-    (Na, 1, *c) and (1, Nb, *c) to P, or Q, or with both flags (P, Q); a P
-    of None contributes nothing, so the call has the plan
-    (``product_plan``) of one without ``plain``.
+    (Na, 1, *c) and (1, Nb, *c) to P, or Q, or with both flags (P, Q).
 
     Where ``combine`` forms the same bits on the broadcast stacks as on
     one pair (elementwise multiplies and adds do, so scalar coefficients
@@ -204,16 +202,16 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     width = math.prod(shape)
     plan = acc = None
     for rows in row_blocks(len(ea), len(eb) * (plain + poisson * (ea.shape[1] // 2)) * width):
-        vals = first = combine(A[rows, None], B[None])
+        vals = combine(A[rows, None], B[None])
         if poisson:
             first, anti = vals if plain else (None, vals)
             w = poisson_weights(ea[rows], eb)
             # a zero weight's contribution has slot -1: the spare slot
             vals = w.astype(A.dtype).reshape(w.shape + (1,) * len(shape)) * anti[:, :, None]
-            if first is not None:
+            if plain:
                 vals = np.concatenate([first[:, :, None], vals], axis=2)
         if plan is None:
-            plan = product_plan(ea, eb, first is not None, poisson)
+            plan = product_plan(ea, eb, plain, poisson)
             per_row = len(plan.slots) // len(ea)
             acc = _accumulator(len(plan.exps), width, A.dtype)
         slots = plan.slots[rows.start * per_row:rows.stop * per_row]

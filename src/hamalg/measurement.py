@@ -29,9 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
-from .compose import ComposedAlgebra, HybridElement
-from .elements import PhaseSpacePoly, exponent_rows, monomials_up_to_degree
+from .elements import PhaseSpacePoly, exponent_rows
 from .errors import AlgebraError
 
 BASIS = ("p1", "x1", "p2", "x2", "1")
@@ -246,25 +244,3 @@ def back_reaction_gap(cfg: MeasurementConfig, t_end: float) -> float:
     diff[i] -= 1.0
     return float(np.linalg.norm(diff))
 
-
-# ---------------------------------------------------------------------------
-# freezing of classical observables under any hybrid Hamiltonian
-# ---------------------------------------------------------------------------
-
-def classical_freezing_defect() -> float:
-    """Max norm of d/dt (e1 (x) f2) over 50 random hybrid Hamiltonians
-    (2x2 coefficients on one canonical pair, degree 2, hbar 1, seed 0)
-    and the basis of classical observables f2 up to degree 3; exactly
-    zero in theory because the hybrid bracket contains no
-    classical-bracket term."""
-    hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0),
-                             PhaseSpaceAlgebra(1, max_random_degree=2))
-    rng = np.random.default_rng(0)
-    classical_basis = [HybridElement(2, 1, {e: np.eye(2)})
-                       for e in monomials_up_to_degree(2, 3)]
-    worst = 0.0
-    for _ in range(50):
-        h = hybrid.random_element(rng)
-        for f in classical_basis:
-            worst = max(worst, hybrid.alpha(f, h).norm())
-    return worst

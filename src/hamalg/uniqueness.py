@@ -1,12 +1,12 @@
-"""Restriction of composed products to their components, and the
+"""Restriction of the composed bracket to its components, and the
 resulting pin on the quantum constant.
 
-Restricting the composed bracket to one component (other factor held at
-its unit) always yields a scalar multiple of that component's bracket;
-the scalar is sqrt(a_k / a12).  The standard restriction requirement --
-that a composed product restrict to the component product with unit
-factor -- therefore forces a1 = a12 and a2 = a12: one constant for every
-composable pair.
+Restricting the composed bracket alpha12 to one component (other factor
+held at its unit) always yields a scalar multiple of that component's
+bracket alpha; the scalar is sqrt(a_k / a12).  The standard restriction
+requirement -- that the composed bracket restrict to the component
+bracket with unit factor -- therefore forces a1 = a12 and a2 = a12: one
+constant for every composable pair.
 
 The factor is measured numerically by a least-squares fit over random
 embedded pairs, so the scaling law itself is validated rather than
@@ -33,7 +33,7 @@ FIT_RESIDUAL_TOLERANCE = 1e-10
 MIN_FIT_PAIRS = 8
 #: draws allowed per fit pair; a dim-1 bracket vanishes on every draw
 MAX_DRAWS_PER_PAIR = 20
-#: a pair whose component product is below this, relative to 1 + |f||g|,
+#: a pair whose component bracket is below this, relative to 1 + |f||g|,
 #: is degenerate and resampled
 _DEGENERATE_RTOL = 1e-12
 
@@ -41,7 +41,6 @@ _DEGENERATE_RTOL = 1e-12
 @dataclass
 class RestrictionResult:
     component: str           # "left" or "right"
-    product: str             # "alpha" or "sigma"
     measured_factor: float
     expected_factor: float
     fit_residual: float      # relative to the reference magnitude
@@ -50,7 +49,7 @@ class RestrictionResult:
     def to_json(self) -> dict:
         return {
             "component": self.component,
-            "product": self.product,
+            "product": "alpha",
             "measured_factor": self.measured_factor,
             "expected_factor": self.expected_factor,
             "fit_residual": self.fit_residual,
@@ -75,19 +74,18 @@ def _sum_of_squares(norms) -> float:
     return total
 
 
-def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
-                  seed: int, tolerance: float) -> RestrictionResult:
-    """Least-squares scalar lambda with composed(f (x) e, g (x) e) =
-    lambda * (component product)(f, g) (x) e, over MIN_FIT_PAIRS random
-    pairs.  A residual above tolerance means the restricted product is
-    not proportional to the embedded one, which is an internal error."""
+def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
+                   tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> RestrictionResult:
+    """Scaling factor of the composed bracket on one component: the
+    least-squares scalar lambda with alpha12(f (x) e, g (x) e) =
+    lambda * alpha(f, g) (x) e, over MIN_FIT_PAIRS random pairs.  A
+    residual above tolerance means the restricted bracket is not
+    proportional to the embedded one, which is an internal error."""
     _require_qq(c)
     if component == "left":
-        comp, other = c.left, c.right
-        expected = np.sqrt(c.a1 / c.a12) if product == "alpha" else 1.0
+        comp, other, a = c.left, c.right, c.a1
     elif component == "right":
-        comp, other = c.right, c.left
-        expected = np.sqrt(c.a2 / c.a12) if product == "alpha" else 1.0
+        comp, other, a = c.right, c.left, c.a2
     else:
         raise AlgebraError(f"component must be 'left' or 'right', got {component!r}")
 
@@ -98,9 +96,6 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
         ent = (kron_blocks(f.entries, unit) if component == "left"
                else kron_blocks(unit, f.entries))
         return KroneckerElement._trusted(c.left.dim, c.right.dim, ent)
-
-    composed_op = c.alpha if product == "alpha" else c.sigma
-    component_op = comp.alpha if product == "alpha" else comp.sigma
 
     rng = np.random.default_rng(seed)
     num = 0.0
@@ -113,16 +108,16 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
         size = min(MIN_FIT_PAIRS - len(refs), cap - attempts, block_trials(c))
         f, g = comp.random_element(rng, block=(size, 2))
         attempts += size
-        ref = embed(component_op(f, g))
+        ref = embed(comp.alpha(f, g))
         degenerate = ref.norm() < _DEGENERATE_RTOL * (1.0 + f.norm() * g.norm())
-        val = composed_op(embed(f), embed(g))
+        val = c.alpha(embed(f), embed(g))
         for t in np.flatnonzero(~degenerate).tolist():  # the rest is resampled
             num += float(np.real(np.vdot(ref.entries[t], val.entries[t])))
             den += float(np.real(np.vdot(ref.entries[t], ref.entries[t])))
             refs.append(ref.entries[t])
             vals.append(val.entries[t])
     if len(refs) < MIN_FIT_PAIRS:
-        raise AlgebraError(f"the {component} component's {product} vanished on "
+        raise AlgebraError(f"the {component} component's alpha vanished on "
                            f"{attempts - len(refs)} of {attempts} random pairs "
                            f"(dim {comp.dim}); the restriction factor cannot be fitted")
     lam = num / den
@@ -132,31 +127,16 @@ def _restrict_fit(c: ComposedAlgebra, component: str, product: str,
     residual = np.sqrt(resid_sq) / np.sqrt(ref_sq)
     if residual > FIT_RESIDUAL_TOLERANCE:
         raise AlgebraError(
-            f"restricted {product} is not proportional to the component product "
+            f"restricted alpha is not proportional to the component product "
             f"(residual {residual:.3e}); composition is inconsistent"
         )
     return RestrictionResult(
         component=component,
-        product=product,
         measured_factor=lam,
-        expected_factor=float(expected),
+        expected_factor=float(np.sqrt(a / c.a12)),
         fit_residual=float(residual),
         satisfies_requirement=abs(lam - 1.0) <= tolerance,
     )
-
-
-def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
-                   tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> RestrictionResult:
-    """Scaling factor of the composed bracket on one component."""
-    return _restrict_fit(c, component, "alpha", seed, tolerance)
-
-
-def restrict_sigma(c: ComposedAlgebra, component: str, seed: int = 0,
-                   tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> RestrictionResult:
-    """Scaling factor of the composed symmetric product on one component;
-    unit for all constants (the cross term dies on embedded pairs because
-    the bracket of the unit with itself vanishes)."""
-    return _restrict_fit(c, component, "sigma", seed, tolerance)
 
 
 def uniqueness_check(a1: float, a2: float, a12: float,

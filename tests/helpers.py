@@ -276,9 +276,10 @@ def loop_check_identity(alg, check):
                        passed=worst <= check.tolerance and not nan_seen)
 
 
-def loop_restrict_fit(c, component, product, seed, rtol=1e-12):
-    """(measured factor, fit residual) of a restriction fit, pair by pair:
-    each pair drawn, embedded with ``np.kron`` and scored alone."""
+def loop_restrict_fit(c, component, seed, rtol=1e-12):
+    """(measured factor, fit residual) of the bracket's restriction fit,
+    pair by pair: each pair drawn, embedded with ``np.kron`` and scored
+    alone."""
     from hamalg.compose import simple_tensor
     from hamalg.uniqueness import MIN_FIT_PAIRS
 
@@ -288,18 +289,16 @@ def loop_restrict_fit(c, component, product, seed, rtol=1e-12):
         return (simple_tensor(f, other.unit()) if component == "left"
                 else simple_tensor(other.unit(), f))
 
-    composed_op = c.alpha if product == "alpha" else c.sigma
-    component_op = comp.alpha if product == "alpha" else comp.sigma
     rng = np.random.default_rng(seed)
     num = den = 0.0
     samples = []
     while len(samples) < MIN_FIT_PAIRS:
         f, g = loop_operator_element(rng, comp.dim), loop_operator_element(rng, comp.dim)
-        ref = embed(component_op(f, g))
+        ref = embed(comp.alpha(f, g))
         if float(np.linalg.norm(ref.entries)) < rtol * (
                 1.0 + float(np.linalg.norm(f.entries)) * float(np.linalg.norm(g.entries))):
             continue
-        val = composed_op(embed(f), embed(g))
+        val = c.alpha(embed(f), embed(g))
         num += float(np.real(np.vdot(ref.entries, val.entries)))
         den += float(np.real(np.vdot(ref.entries, ref.entries)))
         samples.append((ref, val))

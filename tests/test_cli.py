@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -165,11 +166,20 @@ class TestVerify:
             assert f"[FAIL] {name} " in err
             assert re.search(rf"\[FAIL\] {name} +max defect nan ", err)
 
-    def test_invalid_dim_usage_error(self):
-        assert run_cli("verify", "--dim", "0") == 2
+    def test_invalid_dim_usage_error(self, capsys):
+        assert argparse_exit_code("verify", "--dim", "0") == 2
+        assert "argument --dim: must be >= 1, got 0" in capsys.readouterr().err
 
-    def test_invalid_tolerance_usage_error(self):
-        assert run_cli("verify", "--dim", "2", "--tolerance", "-1") == 2
+    def test_invalid_tolerance_usage_error(self, capsys):
+        assert argparse_exit_code("verify", "--dim", "2", "--tolerance", "-1") == 2
+        assert ("argument --tolerance: must be positive and finite, got -1.0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("given", [(), ("--a1", "1"), ("--a1", "1", "--a2", "1")])
+    def test_composed_needs_all_three_constants(self, given, capsys):
+        assert run_cli("verify", "--composed", *given, "--trials", "1") == 2
+        assert ("error: --a1, --a2, --a12 required with --composed"
+                in capsys.readouterr().err)
 
     def test_unwritable_out_usage_error(self, tmp_path):
         assert run_cli("verify", "--dim", "2", "--trials", "5",
@@ -217,6 +227,8 @@ class TestVerify:
         ("verify", {"dim": 4.0}),
         ("brackets", {"kind": "bogus"}),
         ("simulate", {"regime": "bogus"}),
+        ("simulate", {"samples": 1}),
+        ("uniqueness", {"tolerance": "nan"}),
     ])
     def test_config_values_are_checked_like_flags(self, tmp_path, command, cfg):
         assert argparse_exit_code(command, "--config", write_config(tmp_path, cfg)) == 2
@@ -335,8 +347,9 @@ class TestBrackets:
         assert len(doc["defects"]) == 1
         assert doc["defects"][0]["kind"] == "hybrid_paper"
 
-    def test_zero_budget_usage_error(self):
-        assert run_cli("brackets", "--kind", "anderson", "--budget", "0") == 2
+    def test_zero_budget_usage_error(self, capsys):
+        assert argparse_exit_code("brackets", "--kind", "anderson", "--budget", "0") == 2
+        assert "argument --budget: must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_search_is_no_clean_result(self, tmp_path):
@@ -407,8 +420,19 @@ class TestSimulate:
         assert code == 0
         assert read_json(summary)["report_kind"] == "simulate"
 
-    def test_bad_samples_usage_error(self):
-        assert run_cli("simulate", "--samples", "1") == 2
+    def test_bad_samples_usage_error(self, capsys):
+        assert argparse_exit_code("simulate", "--samples", "1") == 2
+        assert "argument --samples: must be >= 2, got 1" in capsys.readouterr().err
+
+    def test_bad_default_end_names_its_formula(self, tmp_path, capsys):
+        # --t-end was not given: the refusal names the default it derived
+        assert run_cli("simulate", "--t0", "-5", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "t0 + dt + 0.5 = -3.2, must be positive and finite; give --t-end" in err
+        assert "--t-end must" not in err
+        assert not (tmp_path / "out").exists()
+        assert run_cli("simulate", "--t0", "-5", "--t-end", "1", "--out",
+                       str(tmp_path / "out")) == 0
 
     @pytest.mark.parametrize("regime", ["qq", "qc"])
     def test_seed_and_hbar_change_only_the_echoed_hbar(self, regime, tmp_path):
@@ -501,8 +525,8 @@ class TestUniqueness:
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv, named", [
-        (("simulate", "--t0", "nan", "--t-end", "5"), "t0"),
-        (("simulate", "--g0", "inf"), "g0"),
+        (("simulate", "--t0", "nan", "--t-end", "5"), "--t0"),
+        (("simulate", "--g0", "inf"), "--g0"),
         (("simulate", "--t-end", "inf"), "--t-end"),
         (("simulate", "--dt", "inf"), "--dt"),
         (("simulate", "--m1", "inf"), "--m1"),
@@ -512,12 +536,17 @@ class TestNonFiniteInputs:
         (("verify", "--tolerance", "inf"), "--tolerance"),
         (("verify", "--hbar", "inf"), "--hbar"),
         (("brackets", "--hbar", "nan"), "--hbar"),
-        (("uniqueness", "scan", "--grid", "1:inf:2"), "--grid"),
     ])
     def test_non_finite_value_is_a_usage_error(self, tmp_path, capsys, argv, named):
-        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert argparse_exit_code(*argv, "--out", str(tmp_path / "out")) == 2
+        assert f"argument {named}: must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_grid_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli("uniqueness", "scan", "--grid", "1:inf:2",
+                       "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and re.search(f"{named} (must|needs)", err)
+        assert err.startswith("error: --grid needs")
         assert not (tmp_path / "out").exists()
 
 
@@ -581,6 +610,34 @@ class TestParser:
         plain = read_json(tmp_path / "b.json")["algebra"]
         assert (plain["dim"], plain["hbar"]) == (2, 1.0)
         assert vars(build_parser().parse_args(["verify"])) == before
+
+    def test_every_numeric_option_has_a_checking_type(self):
+        # a bare int or float type would leave the option's range to the
+        # command body; each range lives in the option's type instead
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        bare = [f"{name} {action.option_strings[0]}"
+                for name, sub in subparsers.choices.items() for action in sub._actions
+                if action.type in (int, float)]
+        assert len(subparsers.choices) == len(SUBCOMMANDS)
+        assert bare == []
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (("verify", "--trials", "0"), "argument --trials: must be >= 1, got 0"),
+        (("verify", "--pairs", "1.5"), "argument --pairs: invalid int value: '1.5'"),
+        (("verify", "--degree", "-1"), "argument --degree: must be >= 0, got -1"),
+        (("verify", "--dim1", "0"), "argument --dim1: must be >= 1, got 0"),
+        (("verify", "--composed", "--a12", "0"),
+         "argument --a12: must be positive and finite, got 0.0"),
+        (("brackets", "--hbar", "x"), "argument --hbar: invalid float value: 'x'"),
+        (("simulate", "--m2", "-1"), "argument --m2: must be positive and finite, got -1.0"),
+        (("simulate", "--g0=-inf"), "argument --g0: must be finite, got -inf"),
+        (("uniqueness", "--a2", "nan"), "argument --a2: must be positive and finite, got nan"),
+    ])
+    def test_the_type_names_the_option_and_its_range(self, argv, refusal, capsys):
+        assert argparse_exit_code(*argv) == 2
+        assert refusal in capsys.readouterr().err
 
     def test_uniqueness_scan_is_not_a_second_parser(self, capsys):
         argparse_exit_code("uniqueness", "--help")

@@ -14,9 +14,7 @@ SRC = Path(hamalg.__file__).resolve().parent
 UNREAD = {
     "CorruptedAlgebra": "tests corrupt an algebra to show a check fails",
     "KERNEL_BACKEND": "perfbench/run.py records which kernel backend ran",
-    "classical_freezing_defect": "to be folded into the back-reaction scan",
     "compose_product_on_terms": "the literal switching-map oracle of the tests",
-    "restrict_sigma": "to be surfaced in the uniqueness report",
 }
 
 

@@ -618,7 +618,7 @@ class TestPlanLifetime:
             main(["verify", "--bogus"])
         assert exc.value.code == 2
         assert kernels._plans is None
-        assert main(["verify", "--dim", "0"]) == 2
+        assert main(["verify", "--composed", "--hybrid"]) == 2
         assert kernels._plans is None
 
     def test_a_failing_command_drops_the_scope(self, monkeypatch, tmp_path):

@@ -27,9 +27,6 @@ ALLOWED = {
     # the deliberately broken algebra's scales, set by the tests it serves
     ("CorruptedAlgebra.__init__", "alpha_scale"),
     ("CorruptedAlgebra.__init__", "sigma_scale"),
-    # entry points that only tests call, with the settings they choose
-    ("restrict_sigma", "seed"),
-    ("restrict_sigma", "tolerance"),
 }
 
 

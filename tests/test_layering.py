@@ -10,7 +10,8 @@ and ``measurement.py``; ``brackets.py``
 defines no defect of its own and scores its desiderata through the
 identity scan.  ``measurement.py`` reaches polynomial arithmetic only
 through ``PhaseSpacePoly``: it imports nothing from the kernel and forms
-no binomial or factorial weights of a product of its own.  No module imports a name it never reads, except the one
+no binomial or factorial weights of a product of its own, and it
+imports nothing of the package but ``elements`` and ``errors``.  No module imports a name it never reads, except the one
 import ``perfbench/tracing.py`` wraps, marked ``# noqa: F401``.
 
 Matrix coefficients of quantum (x) classical elements multiply through
@@ -105,6 +106,17 @@ def test_compose_and_measurement_do_not_import_brackets():
 
 #: calls that weigh the terms of a normal-ordered product
 PRODUCT_WEIGHTS = {"comb", "factorial"}
+
+
+def package_imports(path):
+    """The modules of the package that ``path`` imports."""
+    return {name for name in imported_modules(path) if (SRC / f"{name}.py").is_file()}
+
+
+def test_measurement_imports_only_elements_and_errors():
+    # the model reaches the composed bracket through its derived weights
+    # alone, so it needs no algebra, composition or bracket of the package
+    assert package_imports(SRC / "measurement.py") == {"elements", "errors"}
 
 
 def test_measurement_has_no_product_of_its_own():

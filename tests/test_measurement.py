@@ -5,10 +5,13 @@ import pytest
 
 from hamalg import (
     AlgebraError,
+    ComposedAlgebra,
+    HybridElement,
     MeasurementConfig,
+    OperatorAlgebra,
+    PhaseSpaceAlgebra,
     Regime,
     back_reaction_gap,
-    classical_freezing_defect,
     eom_generator,
     evolve,
 )
@@ -296,7 +299,21 @@ class TestBackReaction:
 
 class TestFreezing:
     def test_universal_freezing(self):
-        assert classical_freezing_defect() <= 1e-12
+        # d/dt (e1 (x) f2) = alpha(e1 (x) f2, H) over 50 random hybrid
+        # Hamiltonians (2x2 coefficients, one pair, degree 2) and the basis
+        # of classical observables up to degree 3: zero, since the hybrid
+        # bracket has no classical-bracket term
+        hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0),
+                                 PhaseSpaceAlgebra(1, max_random_degree=2))
+        rng = np.random.default_rng(0)
+        classical_basis = [HybridElement(2, 1, {e: np.eye(2)})
+                           for e in monomials_up_to_degree(2, 3)]
+        worst = 0.0
+        for _ in range(50):
+            h = hybrid.random_element(rng)
+            for f in classical_basis:
+                worst = max(worst, hybrid.alpha(f, h).norm())
+        assert worst <= 1e-12
 
     def test_config_validation(self):
         with pytest.raises(AlgebraError):

@@ -13,7 +13,6 @@ from hamalg import (
     OperatorAlgebra,
     PhaseSpaceAlgebra,
     restrict_alpha,
-    restrict_sigma,
     scan_constants,
     simple_tensor,
     uniqueness_check,
@@ -34,10 +33,8 @@ class TestBlockFit:
         ((0.25, 4.0, 1.0), (3, 2)),
         ((4.0, 0.25, 0.5), (1, 2)),
     ])
-    @pytest.mark.parametrize("product", ["alpha", "sigma"])
-    def test_fit_matches_loop_bitwise(self, constants, dims, product, monkeypatch):
+    def test_fit_matches_loop_bitwise(self, constants, dims, monkeypatch):
         from hamalg import uniqueness
-        from hamalg.uniqueness import _restrict_fit
         from tests.helpers import loop_restrict_fit
 
         c = composed(*constants, *dims)
@@ -46,22 +43,21 @@ class TestBlockFit:
                 continue   # a dim-1 bracket vanishes: nothing to fit
             for n_pairs, seed in ((8, 0), (13, 5)):
                 monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
-                got = _restrict_fit(c, component, product, seed, 1e-8)
-                lam, residual = loop_restrict_fit(c, component, product, seed)
+                got = restrict_alpha(c, component, seed, 1e-8)
+                lam, residual = loop_restrict_fit(c, component, seed)
                 assert got.measured_factor == lam
                 assert got.fit_residual == float(residual)
 
     def test_rejected_pairs_are_resampled_in_stream_order(self, monkeypatch):
         from hamalg import uniqueness
-        from hamalg.uniqueness import _restrict_fit
         from tests.helpers import loop_restrict_fit
 
         # a degenerate-pair threshold that rejects about half of the draws
         # exercises the resampling blocks; the loop rejects the same pairs
         monkeypatch.setattr(uniqueness, "_DEGENERATE_RTOL", 0.4)
         c = composed(1.0, 2.0, 1.5, 2, 2)
-        got = _restrict_fit(c, "left", "alpha", 3, 1e-8)
-        lam, residual = loop_restrict_fit(c, "left", "alpha", 3, rtol=0.4)
+        got = restrict_alpha(c, "left", 3, 1e-8)
+        lam, residual = loop_restrict_fit(c, "left", 3, rtol=0.4)
         assert (got.measured_factor, got.fit_residual) == (lam, float(residual))
 
 
@@ -125,15 +121,6 @@ class TestRestrictAlpha:
 
 
 class TestRestrictSigma:
-    @pytest.mark.parametrize("constants", [(1, 1, 1), (1, 4, 9), (0.25, 2, 5)])
-    def test_unit_factor_for_all_constants(self, constants):
-        c = composed(*constants)
-        left = restrict_sigma(c, "left")
-        right = restrict_sigma(c, "right")
-        assert left.measured_factor == pytest.approx(1.0, abs=1e-12)
-        assert right.measured_factor == pytest.approx(1.0, abs=1e-12)
-        assert left.expected_factor == right.expected_factor == 1.0
-
     def test_unit_pair_maps_to_unit(self):
         c = composed(1.0, 4.0, 9.0)
         e = c.unit()
