@@ -30,8 +30,6 @@ from .elements import OperatorElement, PhaseSpacePoly, QuantumConstant
 from .errors import AlgebraError, HamalgError, ShapeError
 from .identities import (
     Identity,
-    IdentityCheck,
-    VerificationReport,
     check_identity,
     run_axiom_suite,
 )
@@ -46,7 +44,6 @@ from .measurement import (
 )
 from .serialize import element_from_json, element_to_json
 from .uniqueness import (
-    RestrictionResult,
     restrict_alpha,
     scan_constants,
     uniqueness_check,
@@ -63,7 +60,6 @@ __all__ = [
     "HamiltonAlgebra",
     "HybridElement",
     "Identity",
-    "IdentityCheck",
     "KERNEL_BACKEND",
     "KroneckerElement",
     "MeasurementConfig",
@@ -74,10 +70,8 @@ __all__ = [
     "PhaseSpacePoly",
     "QuantumConstant",
     "Regime",
-    "RestrictionResult",
     "ShapeError",
     "Trajectory",
-    "VerificationReport",
     "back_reaction_gap",
     "check_identity",
     "compose_product_on_terms",

@@ -28,6 +28,7 @@ from .elements import (
     product_monomials,
 )
 from .errors import AlgebraError, ShapeError
+from .kernels import _ieee_quiet
 
 DEFAULT_RANDOM_DEGREE = 3
 
@@ -116,12 +117,15 @@ class HamiltonAlgebra:
 
 
 class OperatorAlgebra(HamiltonAlgebra):
-    """Quantum realization on dim x dim Hermitian matrices."""
+    """Quantum realization on dim x dim Hermitian matrices, with the
+    constant ``a`` > 0 (hbar = 2*sqrt(a)); the default a = 0.25 is hbar = 1.
+    The constant is kept as given: hbar = 2*sqrt(a) converted back by
+    ``QuantumConstant.from_hbar`` may differ from a in the last bit."""
 
-    def __init__(self, dim: int, hbar: float = 1.0):
+    def __init__(self, dim: int, a: float = 0.25):
         if dim < 1:
             raise AlgebraError(f"dim must be >= 1, got {dim}")
-        constant = QuantumConstant.from_hbar(hbar)
+        constant = QuantumConstant(float(a))
         if constant.is_classical:
             raise AlgebraError("operator realization needs a > 0 (hbar > 0)")
         super().__init__(constant)
@@ -140,6 +144,7 @@ class OperatorAlgebra(HamiltonAlgebra):
         self._check_operands(f, g)
         return OperatorElement._trusted(0.5 * (f.entries @ g.entries + g.entries @ f.entries))
 
+    @_ieee_quiet
     def alpha(self, f: OperatorElement, g: OperatorElement) -> OperatorElement:
         self._check_operands(f, g)
         hbar = self.constant.hbar

@@ -21,6 +21,12 @@ option's range lives in its type (``_at_least``, ``_finite``,
 ``_positive_finite``), so argparse refuses a value out of range, from a
 flag or the config file, with a message naming the option; the
 ``cmd_*`` functions check only rules that tie options together.
+argparse reads a token that starts with ``-`` and is not a plain decimal
+such as ``-0.5`` as an option, so a negative value in exponent form is
+joined to its option: ``simulate --g0=-1e-3``, not ``--g0 -1e-3``.
+Each report is a dict that its ``cmd_*`` function assembles here; the
+modules below return the report's entries (``identities.check_identity``
+a check, ``uniqueness.uniqueness_check`` a verdict).
 All reports validate against the schema shipped at
 ``hamalg/schemas/report.schema.json``, with one ``jsonschema.validate``
 call each.  Only the root ``oneOf``, a tagged union keyed by
@@ -57,7 +63,7 @@ from .brackets import (
     measure_defects,
 )
 from .compose import ComposedAlgebra
-from .elements import product_monomials
+from .elements import QuantumConstant, product_monomials
 from .errors import HamalgError
 from .identities import run_axiom_suite
 from .kernels import plan_scope
@@ -453,16 +459,15 @@ def _build_algebra(args) -> object:
     if args.composed:
         if None in (args.a1, args.a2, args.a12):
             raise UsageError("--a1, --a2, --a12 required with --composed")
-        return ComposedAlgebra(OperatorAlgebra(args.dim1, hbar=2 * math.sqrt(args.a1)),
-                               OperatorAlgebra(args.dim2, hbar=2 * math.sqrt(args.a2)),
-                               a12=args.a12)
+        return ComposedAlgebra(OperatorAlgebra(args.dim1, a=args.a1),
+                               OperatorAlgebra(args.dim2, a=args.a2), a12=args.a12)
     if args.hybrid:
         a1 = args.a1 if args.a1 is not None else 1.0
-        return ComposedAlgebra(OperatorAlgebra(args.dim, hbar=2 * math.sqrt(a1)),
+        return ComposedAlgebra(OperatorAlgebra(args.dim, a=a1),
                                _phase_space(args, default_degree=2),
                                a12=args.a12 if args.a12 is not None else a1)
     if args.realization == "operator":
-        return OperatorAlgebra(args.dim, hbar=args.hbar)
+        return OperatorAlgebra(args.dim, a=QuantumConstant.from_hbar(args.hbar).a)
     return _phase_space(args, default_degree=3)
 
 
@@ -473,15 +478,23 @@ def _phase_space(args, default_degree: int) -> PhaseSpaceAlgebra:
 
 
 def cmd_verify(args) -> int:
-    report = run_axiom_suite(_build_algebra(args), trials=args.trials,
-                             tolerance=args.tolerance, seed=args.seed)
-    for check in report.checks:
-        status = "pass" if check.passed else "FAIL"
-        print(f"[{status}] {check.identity.value:<20} max defect "
-              f"{check.max_relative_defect:.3e} (tolerance {check.tolerance:.1e})",
+    alg = _build_algebra(args)
+    checks = run_axiom_suite(alg, args.trials, args.tolerance, args.seed)
+    for check in checks:
+        status = "pass" if check["passed"] else "FAIL"
+        print(f"[{status}] {check['identity']:<20} max defect "
+              f"{check['max_relative_defect']:.3e} (tolerance {check['tolerance']:.1e})",
               file=sys.stderr)
-    _write_report(report.to_json(), args.out)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    passed = all(check["passed"] for check in checks)
+    report = {
+        "report_kind": "verify",
+        "algebra": alg.describe(),
+        "checks": checks,
+        "passed": passed,
+        "timestamp": _timestamp(),
+    }
+    _write_report(report, args.out)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -617,47 +630,38 @@ def _scan_csv(verdicts) -> str:
 
 
 def cmd_uniqueness(args) -> int:
-    seed, tolerance = args.seed, args.tolerance
     constants = ("a1", "a2", "a12")
     if args.mode == "scan":
         for name in constants:
             if getattr(args, name) is not None:
                 raise UsageError(f"--{name} does not apply to the scan mode")
-        values = _parse_grid(args.grid)
-        verdicts = scan_constants(values, tolerance=tolerance, seed=seed)
+        verdicts = scan_constants(_parse_grid(args.grid), tolerance=args.tolerance,
+                                  seed=args.seed)
         # the theory predicts the pass set is exactly the diagonal
-        diagonal_ok = all(
-            v["passed"] == (v["a1"] == v["a2"] == v["a12"]) for v in verdicts
-        )
+        diagonal = all(v["passed"] == (v["a1"] == v["a2"] == v["a12"]) for v in verdicts)
+        passed, out = diagonal, args.json_out
         _write_text(_scan_csv(verdicts), args.out, "scan")
-        report = {
-            "report_kind": "uniqueness",
-            "verdicts": verdicts,
-            "pass_set_is_diagonal": diagonal_ok,
-            "passed": diagonal_ok,
-            "timestamp": _timestamp(),
-        }
-        if args.json_out:
-            _write_report(report, args.json_out)
-        return EXIT_PASS if diagonal_ok else EXIT_FAIL
-
-    named = ["--json-out"] if args.json_out is not None else []
-    named += ["--grid"] if args.grid != _defaults("uniqueness").grid else []
-    if named:
-        raise UsageError(f"{', '.join(named)} not used without the scan mode")
-    for name in constants:
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required (or use the scan mode)")
-    verdict = uniqueness_check(args.a1, args.a2, args.a12, tolerance=tolerance, seed=seed)
+    else:
+        named = ["--json-out"] if args.json_out is not None else []
+        named += ["--grid"] if args.grid != _defaults("uniqueness").grid else []
+        if named:
+            raise UsageError(f"{', '.join(named)} not used without the scan mode")
+        for name in constants:
+            if getattr(args, name) is None:
+                raise UsageError(f"--{name} is required (or use the scan mode)")
+        verdicts = [uniqueness_check(args.a1, args.a2, args.a12, tolerance=args.tolerance,
+                                     seed=args.seed)]
+        diagonal, passed, out = None, verdicts[0]["passed"], args.out
     report = {
         "report_kind": "uniqueness",
-        "verdicts": [verdict],
-        "pass_set_is_diagonal": None,
-        "passed": verdict["passed"],
+        "verdicts": verdicts,
+        "pass_set_is_diagonal": diagonal,
+        "passed": passed,
         "timestamp": _timestamp(),
     }
-    _write_report(report, args.out)
-    return EXIT_PASS if verdict["passed"] else EXIT_FAIL
+    if args.mode is None or out:   # the scan writes its report only to --json-out
+        _write_report(report, out)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +733,12 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
     p_sim.add_argument("--regime", choices=[r.value for r in Regime], default="qq")
     p_sim.add_argument("--m1", type=_positive_finite, default=1.0)
     p_sim.add_argument("--m2", type=_positive_finite, default=1.0)
-    p_sim.add_argument("--g0", type=_finite, default=0.7)
-    p_sim.add_argument("--t0", type=_finite, default=0.0)
+    p_sim.add_argument("--g0", type=_finite, default=0.7,
+                       help="coupling inside the window [t0, t0 + dt); give a negative "
+                            "value in exponent form as --g0=-1e-3")
+    p_sim.add_argument("--t0", type=_finite, default=0.0,
+                       help="start of the coupling window; give a negative value in "
+                            "exponent form as --t0=-1e-3")
     p_sim.add_argument("--dt", type=_positive_finite, default=1.3)
     p_sim.add_argument("--hbar", type=_positive_finite, default=1.0,
                        help="validated (> 0) and echoed into the summary's config.hbar "

@@ -158,6 +158,7 @@ class OperatorElement:
             raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
         check_trials(self.trials, other.trials)
 
+    @_ieee_quiet
     def __add__(self, other: "OperatorElement") -> "OperatorElement":
         self._check_like(other)
         return self._derived(self.entries + other.entries)
@@ -169,6 +170,7 @@ class OperatorElement:
     def __neg__(self) -> "OperatorElement":
         return self._derived(-self.entries)
 
+    @_ieee_quiet
     def scale(self, c: complex) -> "OperatorElement":
         return self._derived(c * self.entries)
 

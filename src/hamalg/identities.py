@@ -11,6 +11,11 @@ a bracket that is not antisymmetric.  A failing identity is a reported
 result, never an exception, so the same machinery certifies honest
 algebras and exposes corrupted ones.
 
+``check_identity`` returns its result in the one form the ``verify``
+report holds it: the dict of an entry of the report's ``checks``, which
+the schema validates.  ``run_axiom_suite`` returns the list of those
+entries, and ``cli`` assembles the report around them.
+
 ``scan`` draws and scores the input tuples a block at a time: an algebra
 draws a block of T input tuples in one call, as elements whose
 coefficients carry a trial axis, (T, n, n) for a matrix, (T,) or
@@ -27,8 +32,6 @@ are those of the trial-by-trial loop, to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 
 import numpy as np
@@ -111,68 +114,6 @@ def identity_defect(alg: HamiltonAlgebra, identity: Identity, elements) -> float
     return relative_defect(diff.norm(), norms)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: Identity
-    trials: int = 200
-    tolerance: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-
-
-@dataclass
-class CheckResult:
-    identity: Identity
-    trials: int
-    tolerance: float
-    seed: int
-    max_relative_defect: float
-    mean_relative_defect: float
-    worst_witness: list
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity.value,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "max_relative_defect": self.max_relative_defect,
-            "mean_relative_defect": self.mean_relative_defect,
-            "worst_witness": self.worst_witness,
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class VerificationReport:
-    algebra: dict
-    checks: list = field(default_factory=list)
-    timestamp: str = ""
-
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = datetime.now(timezone.utc).isoformat()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "report_kind": "verify",
-            "algebra": self.algebra,
-            "checks": [c.to_json() for c in self.checks],
-            "passed": self.passed,
-            "timestamp": self.timestamp,
-        }
-
-
 def block_trials(alg: HamiltonAlgebra) -> int:
     """Trials per block for the algebra's block draws."""
     return max(1, min(MAX_BLOCK_TRIALS, BLOCK_PAIRS // alg.block_entries))
@@ -223,44 +164,45 @@ def first_over(blocks, threshold: float):
     return None
 
 
-def check_identity(alg: HamiltonAlgebra, check: IdentityCheck) -> CheckResult:
-    """Run one identity check: `trials` random tuples, worst case kept.
+def check_identity(alg: HamiltonAlgebra, identity: Identity, trials: int,
+                   tolerance: float, seed: int) -> dict:
+    """Run one identity check, ``trials`` random tuples with the worst case
+    kept, and return its entry of the ``verify`` report's ``checks``.
 
-    Deterministic given the check's seed; the RNG stream is salted with
-    the identity so the checks of a suite draw independent inputs.  The
+    Deterministic given the seed; the RNG stream is salted with the
+    identity so the checks of a suite draw independent inputs.  The
     tuples are scanned in blocks of ``block_trials(alg)`` and reduced by
     ``worst_trial``: the mean is the sum over the trials, and the witness,
     serialized once at the end, is the last tuple attaining the max defect.
     A NaN trial makes the max defect NaN, which fails the check; the
     witness is still the last maximal finite trial.
     """
-    identity = Identity(check.identity)
-    rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    identity = Identity(identity)
+    rng = np.random.default_rng([seed, list(Identity).index(identity)])
     worst, inputs, nan_seen, total = worst_trial(
-        scan(alg, identity, rng, check.trials, block_trials(alg)))
+        scan(alg, identity, rng, trials, block_trials(alg)))
     max_defect = math.nan if nan_seen else worst
-    return CheckResult(
-        identity=identity,
-        trials=check.trials,
-        tolerance=check.tolerance,
-        seed=check.seed,
-        max_relative_defect=max_defect,
-        mean_relative_defect=total / check.trials,
-        worst_witness=[element_to_json(e) for e in inputs or ()],
-        passed=max_defect <= check.tolerance,
-    )
+    return {
+        "identity": identity.value,
+        "trials": trials,
+        "tolerance": tolerance,
+        "seed": seed,
+        "max_relative_defect": max_defect,
+        "mean_relative_defect": total / trials,
+        "worst_witness": [element_to_json(e) for e in inputs or ()],
+        "passed": max_defect <= tolerance,
+    }
 
 
-def run_axiom_suite(alg: HamiltonAlgebra, trials: int = 200, tolerance: float = 1e-9,
-                    seed: int = 0) -> VerificationReport:
-    """All identity checks against one algebra; aggregate pass is their
-    conjunction."""
-    report = VerificationReport(algebra=alg.describe())
-    for identity in Identity:
-        check = IdentityCheck(identity=identity, trials=trials,
-                              tolerance=tolerance, seed=seed)
-        report.checks.append(check_identity(alg, check))
-    return report
+def run_axiom_suite(alg: HamiltonAlgebra, trials: int, tolerance: float,
+                    seed: int) -> list:
+    """The ``checks`` entries of every identity against one algebra, in
+    the order of ``Identity``."""
+    return [check_identity(alg, identity, trials, tolerance, seed) for identity in Identity]
 
 
 def replay_witness(alg: HamiltonAlgebra, identity: Identity, witness: list) -> float:

@@ -13,11 +13,17 @@ embedded pairs, so the scaling law itself is validated rather than
 assumed; the closed form enters only as the expected value.  The pairs
 are drawn and evaluated in blocks, with the stream, the accepted pairs
 and the fit of the pair-by-pair loop, to the bit.
+
+Results are returned in the one form the ``uniqueness`` report holds
+them: ``restrict_alpha`` returns a component's ``restriction_result``
+dict and ``uniqueness_check`` a triple's verdict dict, both as the
+schema validates them, and ``cli`` assembles the report around the
+verdicts.  The components are built from the constants a1 and a2
+themselves, so the verdict echoes them and the closed-form factor
+sqrt(a_k / a12) unrounded.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,25 +44,6 @@ MAX_DRAWS_PER_PAIR = 20
 _DEGENERATE_RTOL = 1e-12
 
 
-@dataclass
-class RestrictionResult:
-    component: str           # "left" or "right"
-    measured_factor: float
-    expected_factor: float
-    fit_residual: float      # relative to the reference magnitude
-    satisfies_requirement: bool
-
-    def to_json(self) -> dict:
-        return {
-            "component": self.component,
-            "product": "alpha",
-            "measured_factor": self.measured_factor,
-            "expected_factor": self.expected_factor,
-            "fit_residual": self.fit_residual,
-            "satisfies_requirement": self.satisfies_requirement,
-        }
-
-
 def _require_qq(c: ComposedAlgebra):
     if c.kind != "qq" or c.a1 <= 0 or c.a2 <= 0:
         raise AlgebraError("restriction analysis needs quantum (x) quantum with "
@@ -75,12 +62,13 @@ def _sum_of_squares(norms) -> float:
 
 
 def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
-                   tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> RestrictionResult:
+                   tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> dict:
     """Scaling factor of the composed bracket on one component: the
     least-squares scalar lambda with alpha12(f (x) e, g (x) e) =
-    lambda * alpha(f, g) (x) e, over MIN_FIT_PAIRS random pairs.  A
-    residual above tolerance means the restricted bracket is not
-    proportional to the embedded one, which is an internal error."""
+    lambda * alpha(f, g) (x) e, over MIN_FIT_PAIRS random pairs, returned
+    as the component's ``restriction_result`` entry of a ``uniqueness``
+    verdict.  A residual above tolerance means the restricted bracket is
+    not proportional to the embedded one, which is an internal error."""
     _require_qq(c)
     if component == "left":
         comp, other, a = c.left, c.right, c.a1
@@ -130,13 +118,14 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
             f"restricted alpha is not proportional to the component product "
             f"(residual {residual:.3e}); composition is inconsistent"
         )
-    return RestrictionResult(
-        component=component,
-        measured_factor=lam,
-        expected_factor=float(np.sqrt(a / c.a12)),
-        fit_residual=float(residual),
-        satisfies_requirement=abs(lam - 1.0) <= tolerance,
-    )
+    return {
+        "component": component,
+        "product": "alpha",
+        "measured_factor": lam,
+        "expected_factor": float(np.sqrt(a / c.a12)),
+        "fit_residual": float(residual),
+        "satisfies_requirement": abs(lam - 1.0) <= tolerance,
+    }
 
 
 def uniqueness_check(a1: float, a2: float, a12: float,
@@ -147,18 +136,16 @@ def uniqueness_check(a1: float, a2: float, a12: float,
     a1 = a12 = a2."""
     if min(a1, a2, a12) <= 0:
         raise AlgebraError("uniqueness analysis needs positive constants")
-    c = ComposedAlgebra(OperatorAlgebra(2, hbar=2.0 * np.sqrt(a1)),
-                        OperatorAlgebra(2, hbar=2.0 * np.sqrt(a2)),
-                        a12=a12)
+    c = ComposedAlgebra(OperatorAlgebra(2, a=a1), OperatorAlgebra(2, a=a2), a12=a12)
     left = restrict_alpha(c, "left", seed, tolerance)
     right = restrict_alpha(c, "right", seed + 1, tolerance)
     return {
         "a1": float(a1),
         "a2": float(a2),
         "a12": float(a12),
-        "left": left.to_json(),
-        "right": right.to_json(),
-        "passed": left.satisfies_requirement and right.satisfies_requirement,
+        "left": left,
+        "right": right,
+        "passed": left["satisfies_requirement"] and right["satisfies_requirement"],
     }
 
 

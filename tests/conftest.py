@@ -18,7 +18,7 @@ def paulis():
 @pytest.fixture
 def qha2():
     """Quantum algebra with hbar = 2 (a = 1) on 2x2 matrices."""
-    return OperatorAlgebra(2, hbar=2.0)
+    return OperatorAlgebra(2, a=1.0)
 
 
 @pytest.fixture

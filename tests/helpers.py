@@ -253,27 +253,27 @@ def loop_identity_defects(alg, identity, blocks):
             for t in range(blocks[0].trials)]
 
 
-def loop_check_identity(alg, check):
+def loop_check_identity(alg, identity, trials, tolerance, seed):
     """The trial loop of ``check_identity``: each tuple drawn and scored
     alone, the running worst replaced on ``>=``."""
-    from hamalg.identities import _ARITY, CheckResult, Identity, identity_defect
+    from hamalg.identities import _ARITY, Identity, identity_defect
     from hamalg.serialize import element_to_json
 
-    identity = Identity(check.identity)
-    rng = np.random.default_rng([check.seed, list(Identity).index(identity)])
+    identity = Identity(identity)
+    rng = np.random.default_rng([seed, list(Identity).index(identity)])
     worst, worst_elements, total, nan_seen = 0.0, [], 0.0, False
-    for _ in range(check.trials):
+    for _ in range(trials):
         elements = loop_element_draws(alg, rng, 1, _ARITY[identity])[0]
         defect = identity_defect(alg, identity, elements)
         total += defect
         nan_seen = nan_seen or np.isnan(defect)
         if defect >= worst:
             worst, worst_elements = defect, elements
-    return CheckResult(identity=identity, trials=check.trials, tolerance=check.tolerance,
-                       seed=check.seed, max_relative_defect=worst,
-                       mean_relative_defect=total / check.trials,
-                       worst_witness=[element_to_json(e) for e in worst_elements],
-                       passed=worst <= check.tolerance and not nan_seen)
+    return {"identity": identity.value, "trials": trials, "tolerance": tolerance,
+            "seed": seed, "max_relative_defect": worst,
+            "mean_relative_defect": total / trials,
+            "worst_witness": [element_to_json(e) for e in worst_elements],
+            "passed": worst <= tolerance and not nan_seen}
 
 
 def loop_restrict_fit(c, component, seed, rtol=1e-12):

@@ -136,8 +136,8 @@ class TestBracketValues:
         assert np.allclose(out_rev.terms[(0, 0)], -PAULI_Y @ PAULI_X)
 
     def test_hybrid_matches_composed_bracket(self, rng):
-        hbar = 2.0
-        hybrid_alg = ComposedAlgebra(OperatorAlgebra(2, hbar=hbar),
+        a, hbar = 1.0, 2.0
+        hybrid_alg = ComposedAlgebra(OperatorAlgebra(2, a=a),
                                      PhaseSpaceAlgebra(1, max_random_degree=2))
         for _ in range(5):
             u = random_hybrid_observable(rng, degree=2)

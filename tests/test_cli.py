@@ -142,6 +142,23 @@ class TestVerify:
         assert code == 0
         assert read_json(out)["algebra"]["kind"] == "qq"
 
+    def test_composed_echoes_the_constants_given(self, tmp_path):
+        # a2 = 2 is kept as given, not recovered from hbar = 2 sqrt(2) as
+        # hbar**2 / 4 = 2.0000000000000004
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--composed", "--a1", "1", "--a2", "2", "--a12", "1.5",
+                       "--trials", "2", "--out", str(out)) == 0
+        algebra = read_json(out)["algebra"]
+        assert (algebra["a1"], algebra["a2"], algebra["a12"]) == (1.0, 2.0, 1.5)
+        assert (algebra["left"]["a"], algebra["right"]["a"]) == (1.0, 2.0)
+
+    def test_hbar_is_converted_once(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--hbar", "0.7", "--trials", "2", "--out", str(out)) == 0
+        algebra = read_json(out)["algebra"]
+        assert algebra["a"] == 0.7 * 0.7 / 4
+        assert algebra["hbar"] == 2 * math.sqrt(0.7 * 0.7 / 4)
+
     def test_hybrid(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli("verify", "--hybrid", "--a1", "1", "--trials", "20",
@@ -149,15 +166,16 @@ class TestVerify:
         assert code == 0
         assert read_json(out)["algebra"]["kind"] == "qc"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_defects_fail(self, tmp_path, capsys):
         # at hbar 1e-160 the bracket overflows, and every Jacobi and
-        # canonical-relation defect is NaN: no defect is under the tolerance
+        # canonical-relation defect is NaN: no defect is under the tolerance.
+        # The overflow is quiet: the suite turns a RuntimeWarning into an error
         out = tmp_path / "report.json"
         assert run_cli("verify", "--hbar", "1e-160", "--trials", "3",
                        "--out", str(out)) == 1
         checks = {c["identity"]: c for c in read_json(out)["checks"]}
         err = capsys.readouterr().err
+        assert "Warning" not in err
         for name in ("jacobi", "canonical_relation"):
             assert math.isnan(checks[name]["mean_relative_defect"])
             assert math.isnan(checks[name]["max_relative_defect"])
@@ -420,6 +438,37 @@ class TestSimulate:
         assert code == 0
         assert read_json(summary)["report_kind"] == "simulate"
 
+    @pytest.mark.parametrize("option", ["--g0", "--t0"])
+    def test_negative_exponent_form_joined_to_its_option(self, option, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        assert run_cli("simulate", f"{option}=-1e-3", "--t-end", "2",
+                       "--out", str(tmp_path / "traj.csv"),
+                       "--summary-out", str(summary)) == 0
+        assert read_json(summary)["config"][option[2:]] == -1e-3
+        # the help names that form
+        assert argparse_exit_code("simulate", "--help") == 0
+        assert f"{option}=-1e-3" in " ".join(capsys.readouterr().out.split())
+
+    def test_negative_exponent_after_a_space(self, tmp_path, capsys):
+        # older argparse reads "-1e-3" as an option, not as a negative
+        # number; newer argparse reads it as the value, as a bare parser shows
+        probe = argparse.ArgumentParser()
+        probe.add_argument("--x", type=float)
+        try:
+            reads_value = probe.parse_args(["--x", "-1e-3"]).x == -1e-3
+        except SystemExit:
+            reads_value = False
+        capsys.readouterr()
+        summary = tmp_path / "summary.json"
+        argv = ("simulate", "--g0", "-1e-3", "--t-end", "2",
+                "--out", str(tmp_path / "traj.csv"), "--summary-out", str(summary))
+        if not reads_value:
+            assert argparse_exit_code(*argv) == 2
+            assert "argument --g0: expected one argument" in capsys.readouterr().err
+        else:
+            assert run_cli(*argv) == 0
+            assert read_json(summary)["config"]["g0"] == -1e-3
+
     def test_bad_samples_usage_error(self, capsys):
         assert argparse_exit_code("simulate", "--samples", "1") == 2
         assert "argument --samples: must be >= 2, got 1" in capsys.readouterr().err
@@ -475,6 +524,17 @@ class TestUniqueness:
 
     def test_missing_constant_usage_error(self):
         assert run_cli("uniqueness", "--a1", "1", "--a2", "1") == 2
+
+    def test_diagonal_expected_factor_is_exactly_one(self, tmp_path):
+        # sqrt(a_k / a12) on the diagonal, from the constants as given:
+        # 2 sqrt(0.3) squared over 4 is not 0.3, which gave 0.9999999999999999
+        out = tmp_path / "verdict.json"
+        assert run_cli("uniqueness", "--a1", "0.3", "--a2", "0.3", "--a12", "0.3",
+                       "--out", str(out)) == 0
+        verdict = read_json(out)["verdicts"][0]
+        assert (verdict["a1"], verdict["a2"], verdict["a12"]) == (0.3, 0.3, 0.3)
+        assert verdict["left"]["expected_factor"] == 1.0
+        assert verdict["right"]["expected_factor"] == 1.0
 
     def test_scan_diagonal_only(self, tmp_path):
         out = tmp_path / "scan.csv"

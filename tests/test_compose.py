@@ -41,12 +41,12 @@ from tests.helpers import (
 
 
 def qq_algebra(a1=1.0, a2=1.0, a12=1.0, d1=2, d2=2):
-    return ComposedAlgebra(OperatorAlgebra(d1, hbar=2 * math.sqrt(a1)),
-                           OperatorAlgebra(d2, hbar=2 * math.sqrt(a2)), a12=a12)
+    return ComposedAlgebra(OperatorAlgebra(d1, a=a1),
+                           OperatorAlgebra(d2, a=a2), a12=a12)
 
 
 def qc_algebra(a=1.0, a12=None, dim=2, pairs=1, degree=2):
-    return ComposedAlgebra(OperatorAlgebra(dim, hbar=2 * math.sqrt(a)),
+    return ComposedAlgebra(OperatorAlgebra(dim, a=a),
                            PhaseSpaceAlgebra(pairs, max_random_degree=degree), a12=a12)
 
 
@@ -233,13 +233,13 @@ class TestEqualConstantPath:
         """At fixed component-product values the assembled bracket law is
         identical for every equal constant (unit coefficients), while the
         symmetric law keeps an explicit -a on its cross term."""
-        base = OperatorAlgebra(2, hbar=2.0)
+        base = OperatorAlgebra(2, a=1.0)
         f1, g1, f2, g2 = (base.random_element(rng) for _ in range(4))
         u, v = simple_tensor(f1, f2), simple_tensor(g1, g2)
         scale = 1 + u.norm() * v.norm()
 
         for a in (1.0, 4.0):
-            comp = OperatorAlgebra(2, hbar=2 * math.sqrt(a))
+            comp = OperatorAlgebra(2, a=a)
             s1, s2 = comp.sigma(f1, g1), comp.sigma(f2, g2)
             b1, b2 = comp.alpha(f1, g1), comp.alpha(f2, g2)
             c = qq_algebra(a, a, a)
@@ -265,11 +265,11 @@ class TestEqualConstantPath:
 class TestConstruction:
     def test_qq_requires_explicit_a12(self):
         with pytest.raises(AlgebraError):
-            ComposedAlgebra(OperatorAlgebra(2, hbar=1.0), OperatorAlgebra(2, hbar=1.0))
+            ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25))
 
     def test_quantum_pairing_rejects_zero_a12(self):
         with pytest.raises(AlgebraError):
-            ComposedAlgebra(OperatorAlgebra(2, hbar=1.0), OperatorAlgebra(2, hbar=1.0),
+            ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25),
                             a12=0.0)
         with pytest.raises(AlgebraError):
             qc_algebra(a=1.0, a12=0.0)
@@ -282,7 +282,7 @@ class TestConstruction:
 
     def test_classical_quantum_order_rejected(self):
         with pytest.raises(AlgebraError):
-            ComposedAlgebra(PhaseSpaceAlgebra(1), OperatorAlgebra(2, hbar=1.0), a12=1.0)
+            ComposedAlgebra(PhaseSpaceAlgebra(1), OperatorAlgebra(2, a=0.25), a12=1.0)
 
     def test_element_shape_checks(self, rng):
         c = qq_algebra(a1=1.0, a2=1.0, a12=1.0)

@@ -5,6 +5,8 @@ hand) or recomputed inline with raw numpy expressions, never through the
 methods under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hamalg import (
     OperatorElement,
     PhaseSpaceAlgebra,
     PhaseSpacePoly,
+    QuantumConstant,
     relative_defect,
 )
 from tests.helpers import PAULI_X, PAULI_Y, PAULI_Z, loop_phase_space_draw
@@ -34,39 +37,46 @@ class TestOperatorProducts:
         assert np.allclose(got.entries, PAULI_Z)
 
     def test_sigma_unit_law(self, rng):
-        alg = OperatorAlgebra(4, hbar=1.0)
+        alg = OperatorAlgebra(4, a=0.25)
         f = alg.random_element(rng)
         assert np.allclose(alg.sigma(alg.unit(), f).entries, f.entries)
 
     def test_alpha_antisymmetry_on_equal_args(self, rng):
-        alg = OperatorAlgebra(3, hbar=0.5)
+        alg = OperatorAlgebra(3, a=0.0625)
         f = alg.random_element(rng)
         assert alg.alpha(f, f).norm() == 0.0
 
     def test_alpha_with_unit_vanishes(self, rng):
-        alg = OperatorAlgebra(3, hbar=1.0)
+        alg = OperatorAlgebra(3, a=0.25)
         f = alg.random_element(rng)
         assert alg.alpha(f, alg.unit()).norm() == 0.0
 
     def test_products_with_zero(self, rng):
-        alg = OperatorAlgebra(3, hbar=1.0)
+        alg = OperatorAlgebra(3, a=0.25)
         f = alg.random_element(rng)
         z = OperatorElement(np.zeros((3, 3)))
         assert alg.sigma(f, z).norm() == 0.0
         assert alg.alpha(z, f).norm() == 0.0
 
     def test_shape_mismatch(self, rng):
-        alg = OperatorAlgebra(2, hbar=1.0)
+        alg = OperatorAlgebra(2, a=0.25)
         f = alg.random_element(rng)
-        g = OperatorAlgebra(3, hbar=1.0).random_element(rng)
+        g = OperatorAlgebra(3, a=0.25).random_element(rng)
         with pytest.raises(Exception):
             alg.sigma(f, g)
 
+    @pytest.mark.parametrize("a", [2.0, 0.3, 0.7])
+    def test_operator_algebra_keeps_its_constant(self, a):
+        # each of these changes on the round trip through hbar = 2 sqrt(a)
+        assert QuantumConstant.from_hbar(2 * math.sqrt(a)).a != a
+        assert OperatorAlgebra(2, a=a).constant.a == a
+        assert OperatorAlgebra(2, a=a).describe()["a"] == a
+
     def test_operator_algebra_requires_quantum_constant(self):
         with pytest.raises(AlgebraError):
-            OperatorAlgebra(2, hbar=0.0)
+            OperatorAlgebra(2, a=0.0)
         with pytest.raises(AlgebraError):
-            OperatorAlgebra(0, hbar=1.0)
+            OperatorAlgebra(0, a=0.25)
 
 
 def tau_parts(alg, f, g):
@@ -78,12 +88,12 @@ def tau_parts(alg, f, g):
 
 class TestEnvelope:
     def test_tau_equals_matrix_product(self, rng):
-        alg = OperatorAlgebra(3, hbar=1.0)
+        alg = OperatorAlgebra(3, a=0.25)
         f, g = alg.random_element(rng), alg.random_element(rng)
         assert np.allclose(alg.tau(f, g).entries, f.entries @ g.entries, atol=1e-13)
 
     def test_tau_associative(self, rng):
-        alg = OperatorAlgebra(4, hbar=0.5)
+        alg = OperatorAlgebra(4, a=0.0625)
         f, g, h = (alg.random_element(rng) for _ in range(3))
         diff = alg.tau(alg.tau(f, g), h) - alg.tau(f, alg.tau(g, h))
         assert relative_defect(diff.norm(), [f.norm(), g.norm(), h.norm()]) <= 1e-12
@@ -105,7 +115,7 @@ class TestEnvelope:
         assert alp.norm() <= 1e-15
 
     def test_recover_products_random_dim5(self, rng):
-        alg = OperatorAlgebra(5, hbar=1.3)
+        alg = OperatorAlgebra(5, a=0.4225)
         f, g = alg.random_element(rng), alg.random_element(rng)
         sig, alp = tau_parts(alg, f, g)
         scale = 1.0 + f.norm() * g.norm()
@@ -137,7 +147,7 @@ class TestAssociator:
     def test_associator_degenerate_f_equals_h(self, rng):
         # with f = h the canonical relation right side dies by antisymmetry,
         # leaving the Jordan-type residual, which must vanish
-        alg = OperatorAlgebra(3, hbar=2.0)
+        alg = OperatorAlgebra(3, a=1.0)
         f, g = alg.random_element(rng), alg.random_element(rng)
         residual = alg.associator_sigma(f, g, f) - alg.alpha(alg.alpha(f, f), g).scale(
             alg.constant.a
@@ -164,18 +174,18 @@ class TestPhaseSpaceProducts:
 
 class TestRandomElements:
     def test_deterministic_given_state(self):
-        alg = OperatorAlgebra(4, hbar=1.0)
+        alg = OperatorAlgebra(4, a=0.25)
         a = alg.random_element(np.random.default_rng(42))
         b = alg.random_element(np.random.default_rng(42))
         assert np.array_equal(a.entries, b.entries)
 
     def test_operator_exactly_hermitian(self, rng):
-        alg = OperatorAlgebra(6, hbar=1.0)
+        alg = OperatorAlgebra(6, a=0.25)
         f = alg.random_element(rng)
         assert np.linalg.norm(f.entries - f.entries.conj().T) <= 1e-15
 
     def test_different_seeds_differ(self):
-        alg = OperatorAlgebra(3, hbar=1.0)
+        alg = OperatorAlgebra(3, a=0.25)
         a = alg.random_element(np.random.default_rng(1))
         b = alg.random_element(np.random.default_rng(2))
         assert abs(a.norm() - b.norm()) > 0
@@ -227,7 +237,7 @@ class TestCentrality:
         # alpha(f, x) = 0 for every Hermitian f forces x = c * unit: the
         # kernel of x -> [alpha(b, x) for b in basis], built column by
         # column through the algebra's own bracket, is the span of the unit
-        alg = OperatorAlgebra(dim, hbar=1.0)
+        alg = OperatorAlgebra(dim, a=0.25)
         basis = [OperatorElement(b) for b in hermitian_basis(dim)]
         assert len(basis) == dim * dim
         columns = []

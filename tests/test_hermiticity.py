@@ -8,8 +8,6 @@ bracket it adds and the associative product do not.  Each check measures
 ||X - X^H|| / ||X|| on every trial of a block drawn from Hermitian inputs.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -41,10 +39,10 @@ def hermitian_defects(x):
 
 
 ALGEBRAS = {
-    "operator": OperatorAlgebra(3, hbar=1.0),
-    "qq": ComposedAlgebra(OperatorAlgebra(2, hbar=2.0),
-                          OperatorAlgebra(3, hbar=2 * math.sqrt(2.0)), a12=1.5),
-    "qc": ComposedAlgebra(OperatorAlgebra(2, hbar=2.0),
+    "operator": OperatorAlgebra(3, a=0.25),
+    "qq": ComposedAlgebra(OperatorAlgebra(2, a=1.0),
+                          OperatorAlgebra(3, a=2.0), a12=1.5),
+    "qc": ComposedAlgebra(OperatorAlgebra(2, a=1.0),
                           PhaseSpaceAlgebra(1, max_random_degree=2)),
 }
 

@@ -9,7 +9,6 @@ from hamalg import (
     ComposedAlgebra,
     CorruptedAlgebra,
     Identity,
-    IdentityCheck,
     OperatorAlgebra,
     PhaseSpaceAlgebra,
     PhaseSpacePoly,
@@ -22,61 +21,65 @@ from hamalg.serialize import element_to_json
 from tests.helpers import TIES_AND_NANS, sequential_sum
 
 
+#: the ``verify`` command's default tolerance
+TOLERANCE = 1e-9
+
+
 def composed(a1, a2, a12, d1=2, d2=2):
-    return ComposedAlgebra(OperatorAlgebra(d1, hbar=2 * math.sqrt(a1)),
-                           OperatorAlgebra(d2, hbar=2 * math.sqrt(a2)), a12=a12)
+    return ComposedAlgebra(OperatorAlgebra(d1, a=a1),
+                           OperatorAlgebra(d2, a=a2), a12=a12)
 
 
 class TestCheckIdentity:
     def test_operator_canonical_relation_passes(self):
-        alg = OperatorAlgebra(3, hbar=1.0)
-        res = check_identity(alg, IdentityCheck(Identity.CANONICAL_RELATION, trials=200))
-        assert res.passed
-        assert res.max_relative_defect <= 1e-10
+        alg = OperatorAlgebra(3, a=0.25)
+        res = check_identity(alg, Identity.CANONICAL_RELATION, 200, TOLERANCE, 0)
+        assert res["passed"]
+        assert res["max_relative_defect"] <= 1e-10
 
     def test_phase_space_canonical_relation_is_associativity(self):
         alg = PhaseSpaceAlgebra(1, max_random_degree=3)
-        res = check_identity(alg, IdentityCheck(Identity.CANONICAL_RELATION, trials=100))
-        assert res.passed
+        res = check_identity(alg, Identity.CANONICAL_RELATION, 100, TOLERANCE, 0)
+        assert res["passed"]
 
     def test_corrupted_algebra_fails_loudly(self):
-        base = OperatorAlgebra(3, hbar=1.0)
+        base = OperatorAlgebra(3, a=0.25)
         bad = CorruptedAlgebra(base, alpha_scale=1.1)
-        honest = check_identity(base, IdentityCheck(Identity.CANONICAL_RELATION, trials=50))
-        broken = check_identity(bad, IdentityCheck(Identity.CANONICAL_RELATION, trials=50))
-        assert not broken.passed
+        honest = check_identity(base, Identity.CANONICAL_RELATION, 50, TOLERANCE, 0)
+        broken = check_identity(bad, Identity.CANONICAL_RELATION, 50, TOLERANCE, 0)
+        assert not broken["passed"]
         # scaling the bracket by 1.1 scales the double-bracket side by 1.21,
         # leaving a defect of order 0.21 * a * (input scale)
-        assert broken.max_relative_defect > 1e-2
-        assert broken.max_relative_defect >= 1e3 * honest.max_relative_defect
+        assert broken["max_relative_defect"] > 1e-2
+        assert broken["max_relative_defect"] >= 1e3 * honest["max_relative_defect"]
 
     def test_corruption_spares_homogeneous_identities(self):
-        bad = CorruptedAlgebra(OperatorAlgebra(3, hbar=1.0), alpha_scale=1.1)
+        bad = CorruptedAlgebra(OperatorAlgebra(3, a=0.25), alpha_scale=1.1)
         for identity in (Identity.ANTISYMMETRY, Identity.JACOBI, Identity.SYMMETRY,
                          Identity.DERIVATION):
-            res = check_identity(bad, IdentityCheck(identity, trials=30))
-            assert res.passed, identity
+            res = check_identity(bad, identity, 30, TOLERANCE, 0)
+            assert res["passed"], identity
 
     def test_determinism_bit_identical(self):
-        alg = OperatorAlgebra(4, hbar=2.0)
-        check = IdentityCheck(Identity.JACOBI, trials=25, seed=77)
-        a = check_identity(alg, check)
-        b = check_identity(alg, check)
-        assert a.max_relative_defect == b.max_relative_defect
-        assert a.mean_relative_defect == b.mean_relative_defect
-        assert a.worst_witness == b.worst_witness
+        alg = OperatorAlgebra(4, a=1.0)
+        check = (Identity.JACOBI, 25, TOLERANCE, 77)
+        a = check_identity(alg, *check)
+        b = check_identity(alg, *check)
+        assert a["max_relative_defect"] == b["max_relative_defect"]
+        assert a["mean_relative_defect"] == b["mean_relative_defect"]
+        assert a["worst_witness"] == b["worst_witness"]
 
     def test_different_seeds_draw_different_inputs(self):
-        alg = OperatorAlgebra(4, hbar=2.0)
-        a = check_identity(alg, IdentityCheck(Identity.JACOBI, trials=5, seed=0))
-        b = check_identity(alg, IdentityCheck(Identity.JACOBI, trials=5, seed=1))
-        assert a.worst_witness != b.worst_witness
+        alg = OperatorAlgebra(4, a=1.0)
+        a = check_identity(alg, Identity.JACOBI, 5, TOLERANCE, 0)
+        b = check_identity(alg, Identity.JACOBI, 5, TOLERANCE, 1)
+        assert a["worst_witness"] != b["worst_witness"]
 
     def test_witness_replay_reproduces_defect(self):
         alg = PhaseSpaceAlgebra(2, max_random_degree=2)
-        res = check_identity(alg, IdentityCheck(Identity.DERIVATION, trials=20))
-        replayed = replay_witness(alg, res.identity, res.worst_witness)
-        assert replayed == pytest.approx(res.max_relative_defect, rel=1e-12, abs=1e-15)
+        res = check_identity(alg, Identity.DERIVATION, 20, TOLERANCE, 0)
+        replayed = replay_witness(alg, res["identity"], res["worst_witness"])
+        assert replayed == pytest.approx(res["max_relative_defect"], rel=1e-12, abs=1e-15)
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
         from hamalg import identities
@@ -95,18 +98,18 @@ class TestCheckIdentity:
 
         monkeypatch.setattr(identities, "identity_defect", scripted)
         monkeypatch.setattr(identities, "element_to_json", counting)
-        res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=7))
+        res = check_identity(OperatorAlgebra(2), Identity.JACOBI, 7, TOLERANCE, 0)
         assert [b[0].trials for b in drawn] == [3, 3, 1]
         # a NaN trial makes the max NaN, as in ``measure_defects``
-        assert math.isnan(res.max_relative_defect)
-        assert not res.passed
+        assert math.isnan(res["max_relative_defect"])
+        assert not res["passed"]
         # the witness is serialized once, from the last maximal trial: trial 5,
         # which is trial 2 of the second block
         assert len(serialized) == 3
         for got, block in zip(serialized, drawn[1]):
             assert got.entries.tobytes() == block.entries[2].tobytes()
-        assert res.worst_witness == [element_to_json(b.trial(2)) for b in drawn[1]]
-        assert math.isnan(res.mean_relative_defect)
+        assert res["worst_witness"] == [element_to_json(b.trial(2)) for b in drawn[1]]
+        assert math.isnan(res["mean_relative_defect"])
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
         from hamalg import identities
@@ -118,45 +121,48 @@ class TestCheckIdentity:
             return np.full(elements[0].trials, math.nan)
 
         monkeypatch.setattr(identities, "identity_defect", scripted)
-        res = check_identity(OperatorAlgebra(2), IdentityCheck(Identity.JACOBI, trials=3))
+        res = check_identity(OperatorAlgebra(2), Identity.JACOBI, 3, TOLERANCE, 0)
         assert blocks == [2, 1]
-        assert math.isnan(res.max_relative_defect)
-        assert res.worst_witness == []
-        assert not res.passed
+        assert math.isnan(res["max_relative_defect"])
+        assert res["worst_witness"] == []
+        assert not res["passed"]
 
     def test_check_validation(self):
-        with pytest.raises(ValueError):
-            IdentityCheck(Identity.JACOBI, trials=0)
-        with pytest.raises(ValueError):
-            IdentityCheck(Identity.JACOBI, tolerance=0.0)
+        alg = OperatorAlgebra(2)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            check_identity(alg, Identity.JACOBI, 0, TOLERANCE, 0)
+        with pytest.raises(ValueError, match="tolerance must be > 0, got 0.0"):
+            check_identity(alg, Identity.JACOBI, 1, 0.0, 0)
 
 
 class TestAxiomSuite:
-    @pytest.mark.parametrize("dim,hbar", [(2, 2.0), (3, 1.0), (4, 0.5)])
-    def test_operator_suites_pass(self, dim, hbar):
-        report = run_axiom_suite(OperatorAlgebra(dim, hbar=hbar), trials=60)
-        assert report.passed
-        assert {c.identity for c in report.checks} == set(Identity)
+    @pytest.mark.parametrize("dim,a", [(2, 1.0), (3, 0.25), (4, 0.0625)])
+    def test_operator_suites_pass(self, dim, a):
+        checks = run_axiom_suite(OperatorAlgebra(dim, a=a), 60, TOLERANCE, 0)
+        assert all(c["passed"] for c in checks)
+        assert [c["identity"] for c in checks] == [i.value for i in Identity]
 
     def test_classical_suite_passes(self):
-        report = run_axiom_suite(PhaseSpaceAlgebra(1, max_random_degree=3), trials=40)
-        assert report.passed
+        checks = run_axiom_suite(PhaseSpaceAlgebra(1, max_random_degree=3), 40, TOLERANCE, 0)
+        assert all(c["passed"] for c in checks)
 
     def test_composed_suite_passes_theorem(self):
-        report = run_axiom_suite(composed(1.0, 4.0, 9.0), trials=40)
-        assert report.passed
+        checks = run_axiom_suite(composed(1.0, 4.0, 9.0), 40, TOLERANCE, 0)
+        assert all(c["passed"] for c in checks)
 
-    def test_report_json_validates_against_schema(self):
-        report = run_axiom_suite(OperatorAlgebra(2, hbar=1.0), trials=5)
-        doc = json.loads(json.dumps(report.to_json()))
-        jsonschema.validate(doc, _load_schema())
+    def test_entries_validate_as_report_checks(self):
+        schema = _load_schema()
+        entry = {"$ref": "#/$defs/check_result", "$defs": schema["$defs"]}
+        checks = run_axiom_suite(OperatorAlgebra(2, a=0.25), 5, TOLERANCE, 3)
+        for check in json.loads(json.dumps(checks)):
+            jsonschema.validate(check, entry)
+            assert (check["trials"], check["tolerance"], check["seed"]) == (5, TOLERANCE, 3)
 
-    def test_aggregate_pass_is_conjunction(self):
-        bad = CorruptedAlgebra(OperatorAlgebra(2, hbar=1.0), alpha_scale=1.1)
-        report = run_axiom_suite(bad, trials=20)
-        assert not report.passed
-        assert any(c.passed for c in report.checks)
-        assert any(not c.passed for c in report.checks)
+    def test_entries_of_a_corrupted_algebra_pass_and_fail(self):
+        bad = CorruptedAlgebra(OperatorAlgebra(2, a=0.25), alpha_scale=1.1)
+        checks = run_axiom_suite(bad, 20, TOLERANCE, 0)
+        assert any(c["passed"] for c in checks)
+        assert any(not c["passed"] for c in checks)
 
 
 class TestLemmas:
@@ -164,19 +170,19 @@ class TestLemmas:
 
     @pytest.mark.parametrize("identity", AXIOM_IDENTITIES)
     def test_lemmas_on_unequal_constants(self, identity):
-        res = check_identity(composed(1.0, 1.0, 2.0), IdentityCheck(identity, trials=50))
-        assert res.passed, (identity, res.max_relative_defect)
+        res = check_identity(composed(1.0, 1.0, 2.0), identity, 50, TOLERANCE, 0)
+        assert res["passed"], (identity, res["max_relative_defect"])
 
     def test_lemma_on_hybrid(self):
-        hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=2.0),
+        hybrid = ComposedAlgebra(OperatorAlgebra(2, a=1.0),
                                  PhaseSpaceAlgebra(1, max_random_degree=2), a12=1.0)
-        res = check_identity(hybrid, IdentityCheck(Identity.CANONICAL_RELATION, trials=50))
-        assert res.passed
+        res = check_identity(hybrid, Identity.CANONICAL_RELATION, 50, TOLERANCE, 0)
+        assert res["passed"]
 
     def test_lemma5_fails_on_scaled_bracket(self):
         bad = CorruptedAlgebra(composed(1.0, 1.0, 2.0), alpha_scale=1.1)
-        res = check_identity(bad, IdentityCheck(Identity.CANONICAL_RELATION, trials=30))
-        assert not res.passed
+        res = check_identity(bad, Identity.CANONICAL_RELATION, 30, TOLERANCE, 0)
+        assert not res["passed"]
 
     def test_lemma1_fails_on_symmetric_admixture(self):
         # plant a bug that actually breaks antisymmetry: leak a bit of the
@@ -197,34 +203,34 @@ class TestLemmas:
             tau = staticmethod(base.tau)
             associator_sigma = staticmethod(base.associator_sigma)
 
-        res = check_identity(Leaky(), IdentityCheck(Identity.ANTISYMMETRY, trials=20))
-        assert not res.passed
-        assert res.max_relative_defect > 1e-3
+        res = check_identity(Leaky(), Identity.ANTISYMMETRY, 20, TOLERANCE, 0)
+        assert not res["passed"]
+        assert res["max_relative_defect"] > 1e-3
 
 
 class TestMutationMonotonicity:
     @pytest.mark.parametrize("factory", [
-        lambda: OperatorAlgebra(2, hbar=2.0),
-        lambda: OperatorAlgebra(6, hbar=0.5),
+        lambda: OperatorAlgebra(2, a=1.0),
+        lambda: OperatorAlgebra(6, a=0.0625),
         lambda: composed(1.0, 4.0, 9.0),
-        lambda: ComposedAlgebra(OperatorAlgebra(2, hbar=2.0),
+        lambda: ComposedAlgebra(OperatorAlgebra(2, a=1.0),
                                 PhaseSpaceAlgebra(1, max_random_degree=2), a12=1.0),
     ])
     def test_scaled_bracket_breaks_canonical_relation(self, factory):
         base = factory()
         bad = CorruptedAlgebra(base, alpha_scale=1.1)
-        honest = check_identity(base, IdentityCheck(Identity.CANONICAL_RELATION, trials=30))
-        broken = check_identity(bad, IdentityCheck(Identity.CANONICAL_RELATION, trials=30))
-        assert honest.passed
-        assert not broken.passed
-        assert broken.max_relative_defect >= 1e3 * broken.tolerance
-        assert broken.max_relative_defect >= 1e3 * max(honest.max_relative_defect, 1e-300)
+        honest = check_identity(base, Identity.CANONICAL_RELATION, 30, TOLERANCE, 0)
+        broken = check_identity(bad, Identity.CANONICAL_RELATION, 30, TOLERANCE, 0)
+        assert honest["passed"]
+        assert not broken["passed"]
+        assert broken["max_relative_defect"] >= 1e3 * broken["tolerance"]
+        assert broken["max_relative_defect"] >= 1e3 * max(honest["max_relative_defect"], 1e-300)
 
 
 def matrix_algebras():
     """Operator algebras at dims 1-6 and quantum (x) quantum compositions at
     several dims and constants, ħ and a12 varied."""
-    ops = [OperatorAlgebra(d, hbar=h) for d, h in zip(range(1, 7), (1.0, 2.0, 0.5) * 2)]
+    ops = [OperatorAlgebra(d, a=a) for d, a in zip(range(1, 7), (0.25, 1.0, 0.0625) * 2)]
     qq = [composed(a1, a2, a12, d1, d2)
           for (a1, a2, a12), (d1, d2) in zip([(1.0, 1.0, 1.0), (1.0, 2.0, 1.5),
                                               (0.25, 4.0, 1.0), (1.0, 4.0, 9.0),
@@ -236,10 +242,10 @@ def matrix_algebras():
 def hybrid_algebras():
     """Quantum (x) classical compositions at several dims, pairs, degrees
     and constants."""
-    return [ComposedAlgebra(OperatorAlgebra(dim, hbar=hbar),
+    return [ComposedAlgebra(OperatorAlgebra(dim, a=a),
                             PhaseSpaceAlgebra(pairs, max_random_degree=degree), a12=a12)
-            for dim, hbar, pairs, degree, a12 in [(2, 2.0, 1, 2, None), (3, 0.5, 1, 1, 1.5),
-                                                  (2, 1.0, 2, 1, 0.3), (1, 1.0, 1, 3, None)]]
+            for dim, a, pairs, degree, a12 in [(2, 1.0, 1, 2, None), (3, 0.0625, 1, 1, 1.5),
+                                               (2, 0.25, 2, 1, 0.3), (1, 0.25, 1, 3, None)]]
 
 
 class TestTrialBlocks:
@@ -277,16 +283,16 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("identity", [Identity.JACOBI, Identity.CANONICAL_RELATION,
                                           Identity.JORDAN])
-    @pytest.mark.parametrize("factory", [lambda: OperatorAlgebra(2, hbar=0.5),
-                                         lambda: OperatorAlgebra(6, hbar=2.0),
+    @pytest.mark.parametrize("factory", [lambda: OperatorAlgebra(2, a=0.0625),
+                                         lambda: OperatorAlgebra(6, a=1.0),
                                          lambda: composed(1.0, 2.0, 1.5),
                                          lambda: hybrid_algebras()[0]])   # 45-trial blocks
     def test_check_identity_matches_loop_across_the_cap(self, identity, factory):
         from tests.helpers import loop_check_identity
 
         alg = factory()
-        check = IdentityCheck(identity, trials=300, seed=4)   # past the 256-trial cap
-        assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
+        check = (identity, 300, TOLERANCE, 4)   # past the 256-trial cap
+        assert check_identity(alg, *check) == loop_check_identity(alg, *check)
 
     @pytest.mark.parametrize("identity", [Identity.ANTISYMMETRY, Identity.JACOBI,
                                           Identity.CANONICAL_RELATION])
@@ -296,8 +302,8 @@ class TestTrialBlocks:
 
         monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
         alg = composed(1.0, 2.0, 1.5, 2, 3)
-        check = IdentityCheck(identity, trials=8, seed=1)
-        assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
+        check = (identity, 8, TOLERANCE, 1)
+        assert check_identity(alg, *check) == loop_check_identity(alg, *check)
 
     @pytest.mark.parametrize("base", [composed(1.0, 1.0, 2.0), hybrid_algebras()[0]],
                              ids=["qq", "qc"])
@@ -315,11 +321,11 @@ class TestTrialBlocks:
 
         monkeypatch.setattr(identities, "identity_defect", spy)
         bad = CorruptedAlgebra(base, alpha_scale=1.1)
-        check = IdentityCheck(Identity.CANONICAL_RELATION, trials=10)
-        got = check_identity(bad, check)
+        check = (Identity.CANONICAL_RELATION, 10, TOLERANCE, 0)
+        got = check_identity(bad, *check)
         assert seen == [4, 4, 2]
-        assert not got.passed
-        assert got.to_json() == loop_check_identity(bad, check).to_json()
+        assert not got["passed"]
+        assert got == loop_check_identity(bad, *check)
 
     def test_blocks_are_capped_by_entries(self, monkeypatch):
         from hamalg.cli import _build_algebra, build_parser
@@ -476,6 +482,6 @@ class TestPhaseSpaceBlocks:
         from hamalg.identities import block_trials
         from tests.helpers import loop_check_identity
 
-        check = IdentityCheck(identity, trials=300, seed=2)
-        assert block_trials(alg) < check.trials
-        assert check_identity(alg, check).to_json() == loop_check_identity(alg, check).to_json()
+        check = (identity, 300, TOLERANCE, 2)
+        assert block_trials(alg) < check[1]
+        assert check_identity(alg, *check) == loop_check_identity(alg, *check)

@@ -19,7 +19,10 @@ Matrix coefficients of quantum (x) classical elements multiply through
 no ``matmul``, ``einsum`` or ``dot`` call, and in ``compose.py`` only the
 quantum (x) quantum products ``_lr_table`` and ``ComposedAlgebra.tau`` do.
 The dense oracle keeps ``@`` for its hybrid products, so it shares no
-product formula with the main path."""
+product formula with the main path.
+
+Every report is assembled in ``cli.py``: no other module writes the
+``"report_kind"`` tag, and the modules below return report entries."""
 
 import ast
 from pathlib import Path
@@ -286,3 +289,32 @@ def test_every_matrix_product_form_is_seen(tmp_path, source, scope):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert matrix_product_scopes(path) == [scope]
+
+
+def string_keys(path):
+    """Every string constant in ``path``, docstrings included, and every
+    keyword argument's name: the ways a module can write a dict key."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def test_only_cli_writes_report_kind():
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "report_kind" in string_keys(path)] == ["cli.py"]
+
+
+@pytest.mark.parametrize("source, seen", [
+    ('report = {"report_kind": "verify"}', True),
+    ("def kind(doc):\n    return doc['report_kind']", True),
+    ('"""Writes the report_kind tag."""', False),
+    ('report = dict(report_kind="verify")', True),
+])
+def test_every_report_kind_literal_is_seen(tmp_path, source, seen):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert ("report_kind" in string_keys(path)) == seen

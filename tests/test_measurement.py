@@ -303,7 +303,7 @@ class TestFreezing:
         # Hamiltonians (2x2 coefficients, one pair, degree 2) and the basis
         # of classical observables up to degree 3: zero, since the hybrid
         # bracket has no classical-bracket term
-        hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0),
+        hybrid = ComposedAlgebra(OperatorAlgebra(2, a=0.25),
                                  PhaseSpaceAlgebra(1, max_random_degree=2))
         rng = np.random.default_rng(0)
         classical_basis = [HybridElement(2, 1, {e: np.eye(2)})

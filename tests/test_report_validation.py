@@ -154,6 +154,20 @@ def test_write_report_rejects_as_stock(reports):
         (want.message, list(want.absolute_path))
 
 
+def test_restriction_product_sigma_is_rejected(reports):
+    # the restriction fit measures the bracket alone
+    from hamalg.cli import _write_report
+
+    stock = jsonschema.Draft7Validator(_load_schema())
+    for component in ("left", "right"):
+        doc = mutated(reports["uniqueness_scan"], ("verdicts", 0, component, "product"),
+                      "sigma")
+        assert not stock.is_valid(doc)
+        with pytest.raises(jsonschema.ValidationError, match="'alpha' was expected") as exc:
+            _write_report(doc, None)
+        assert list(exc.value.absolute_path) == ["verdicts", 0, component, "product"]
+
+
 def test_write_report_writes_json_dumps_text(reports, tmp_path):
     from hamalg.cli import _write_report
 

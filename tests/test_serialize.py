@@ -29,7 +29,7 @@ def round_trip(el):
 
 class TestRoundTrips:
     def test_operator(self, rng):
-        el = OperatorAlgebra(3, hbar=1.0).random_element(rng)
+        el = OperatorAlgebra(3, a=0.25).random_element(rng)
         back = round_trip(el)
         assert np.array_equal(back.entries, el.entries)
 
@@ -43,7 +43,7 @@ class TestRoundTrips:
         assert round_trip(el).terms == el.terms
 
     def test_kronecker(self, rng):
-        c = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0), OperatorAlgebra(3, hbar=2.0),
+        c = ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(3, a=1.0),
                             a12=1.0)
         el = c.random_element(rng)
         back = round_trip(el)
@@ -110,10 +110,10 @@ class TestWireFormat:
         schema = _load_schema()
         element_schema = {"$ref": "#/$defs/element", "$defs": schema["$defs"]}
         els = [
-            OperatorAlgebra(2, hbar=1.0).random_element(rng),
+            OperatorAlgebra(2, a=0.25).random_element(rng),
             PhaseSpaceAlgebra(1).random_element(rng),
             HybridElement(2, 1, {(1, 0): PAULI_Y}),
-            ComposedAlgebra(OperatorAlgebra(2, hbar=1.0), OperatorAlgebra(2, hbar=1.0),
+            ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25),
                             a12=1.0).random_element(rng),
         ]
         for el in els:

@@ -20,8 +20,8 @@ from hamalg import (
 
 
 def composed(a1, a2, a12, d1=2, d2=2):
-    return ComposedAlgebra(OperatorAlgebra(d1, hbar=2 * math.sqrt(a1)),
-                           OperatorAlgebra(d2, hbar=2 * math.sqrt(a2)), a12=a12)
+    return ComposedAlgebra(OperatorAlgebra(d1, a=a1),
+                           OperatorAlgebra(d2, a=a2), a12=a12)
 
 
 class TestBlockFit:
@@ -45,8 +45,8 @@ class TestBlockFit:
                 monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
                 got = restrict_alpha(c, component, seed, 1e-8)
                 lam, residual = loop_restrict_fit(c, component, seed)
-                assert got.measured_factor == lam
-                assert got.fit_residual == float(residual)
+                assert got["measured_factor"] == lam
+                assert got["fit_residual"] == float(residual)
 
     def test_rejected_pairs_are_resampled_in_stream_order(self, monkeypatch):
         from hamalg import uniqueness
@@ -58,39 +58,39 @@ class TestBlockFit:
         c = composed(1.0, 2.0, 1.5, 2, 2)
         got = restrict_alpha(c, "left", 3, 1e-8)
         lam, residual = loop_restrict_fit(c, "left", 3, rtol=0.4)
-        assert (got.measured_factor, got.fit_residual) == (lam, float(residual))
+        assert (got["measured_factor"], got["fit_residual"]) == (lam, float(residual))
 
 
 class TestRestrictAlpha:
     def test_left_factor_matches_closed_form(self):
         res = restrict_alpha(composed(1.0, 4.0, 4.0), "left")
-        assert res.expected_factor == pytest.approx(0.5)
-        assert res.measured_factor == pytest.approx(0.5, abs=1e-10)
-        assert not res.satisfies_requirement
+        assert res["expected_factor"] == pytest.approx(0.5)
+        assert res["measured_factor"] == pytest.approx(0.5, abs=1e-10)
+        assert not res["satisfies_requirement"]
 
     def test_unit_factor_when_constants_match(self):
         res = restrict_alpha(composed(2.25, 1.0, 2.25), "left")
-        assert res.measured_factor == pytest.approx(1.0, abs=1e-10)
-        assert res.satisfies_requirement
+        assert res["measured_factor"] == pytest.approx(1.0, abs=1e-10)
+        assert res["satisfies_requirement"]
 
     def test_right_component(self):
         res = restrict_alpha(composed(1.0, 9.0, 9.0), "right")
-        assert res.measured_factor == pytest.approx(1.0, abs=1e-10)
+        assert res["measured_factor"] == pytest.approx(1.0, abs=1e-10)
         res = restrict_alpha(composed(1.0, 4.0, 9.0), "right")
-        assert res.measured_factor == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert res["measured_factor"] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_factor_law_over_grid(self):
         for a1 in (0.25, 1.0):
             for a12 in (0.5, 2.0):
                 res = restrict_alpha(composed(a1, 1.0, a12), "left")
-                assert abs(res.measured_factor - math.sqrt(a1 / a12)) <= 1e-10
+                assert abs(res["measured_factor"] - math.sqrt(a1 / a12)) <= 1e-10
 
     def test_fit_residual_small(self):
         res = restrict_alpha(composed(0.25, 2.0, 5.0), "left")
-        assert res.fit_residual <= 1e-10
+        assert res["fit_residual"] <= 1e-10
 
     def test_rejects_hybrid_composition(self):
-        hybrid = ComposedAlgebra(OperatorAlgebra(2, hbar=1.0),
+        hybrid = ComposedAlgebra(OperatorAlgebra(2, a=0.25),
                                  PhaseSpaceAlgebra(1))
         with pytest.raises(AlgebraError):
             restrict_alpha(hybrid, "left")
@@ -101,7 +101,7 @@ class TestRestrictAlpha:
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("from hamalg import AlgebraError, ComposedAlgebra, OperatorAlgebra\n"
                 "from hamalg import restrict_alpha\n"
-                "one = OperatorAlgebra(1, hbar=2.0)\n"
+                "one = OperatorAlgebra(1, a=1.0)\n"
                 "try:\n"
                 "    restrict_alpha(ComposedAlgebra(one, one, a12=1.0), 'left')\n"
                 "except AlgebraError as exc:\n"
