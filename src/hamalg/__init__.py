@@ -12,7 +12,6 @@ from .algebra import (
     relative_defect,
 )
 from .brackets import (
-    DefectTriple,
     MixedBracketKind,
     find_violation_witness,
     measure_defects,
@@ -55,7 +54,6 @@ __all__ = [
     "AlgebraError",
     "ComposedAlgebra",
     "CorruptedAlgebra",
-    "DefectTriple",
     "HamalgError",
     "HamiltonAlgebra",
     "HybridElement",

@@ -30,9 +30,6 @@ from .elements import (
 from .errors import AlgebraError, ShapeError
 from .kernels import _ieee_quiet
 
-DEFAULT_RANDOM_DEGREE = 3
-
-
 def relative_defect(diff_norm: float, arg_norms) -> float:
     """Defect normalization: ||LHS - RHS|| / (1 + prod of argument norms);
     on arrays of per-trial norms, the array of per-trial defects."""
@@ -118,11 +115,11 @@ class HamiltonAlgebra:
 
 class OperatorAlgebra(HamiltonAlgebra):
     """Quantum realization on dim x dim Hermitian matrices, with the
-    constant ``a`` > 0 (hbar = 2*sqrt(a)); the default a = 0.25 is hbar = 1.
-    The constant is kept as given: hbar = 2*sqrt(a) converted back by
-    ``QuantumConstant.from_hbar`` may differ from a in the last bit."""
+    constant ``a`` > 0 (hbar = 2*sqrt(a)).  The constant is kept as given:
+    hbar = 2*sqrt(a) converted back by ``QuantumConstant.from_hbar`` may
+    differ from a in the last bit."""
 
-    def __init__(self, dim: int, a: float = 0.25):
+    def __init__(self, dim: int, a: float):
         if dim < 1:
             raise AlgebraError(f"dim must be >= 1, got {dim}")
         constant = QuantumConstant(float(a))
@@ -179,7 +176,7 @@ class OperatorAlgebra(HamiltonAlgebra):
 class PhaseSpaceAlgebra(HamiltonAlgebra):
     """Classical realization (a = 0) on phase-space polynomials."""
 
-    def __init__(self, num_pairs: int, max_random_degree: int = DEFAULT_RANDOM_DEGREE):
+    def __init__(self, num_pairs: int, max_random_degree: int):
         super().__init__(QuantumConstant(0.0))
         if num_pairs < 1:
             raise AlgebraError(f"num_pairs must be >= 1, got {num_pairs}")

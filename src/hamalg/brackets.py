@@ -33,19 +33,25 @@ blocks of random hybrid observables, drawn by ``compose`` as the quantum
 (x) classical algebra draws its elements), defining each defect (Jacobi as the
 left-nested cyclic sum), scanning the trials and picking the witness.
 
+``measure_defects`` returns a bracket's result in the one form the
+``brackets`` report holds it, the ``defects[]`` entry dict the schema
+validates, together with the scans a witness search reads; ``cli``
+assembles the report.
+
 A witness search reads the scan its desideratum's measurement made, so
 each (bracket, desideratum) is scanned once.  While ``measure_defects``
-reduces a desideratum's trials it notes the first one over
-VIOLATION_THRESHOLD or NaN and the generator state after the last; a
-search returns the noted trial if the budget reaches it, and otherwise
-draws only the trials past the measured ones, in blocks of at most
-MAX_BLOCK_TRIALS.  It finds the trial, the defect and the inputs of the
-trial-by-trial loop, to the bit.
+reduces a desideratum's trials it notes, in a ``MeasuredScan``, the
+algebra, the trial count, the first trial over VIOLATION_THRESHOLD or
+NaN and the generator state after the last; a search returns the noted
+trial if the budget reaches it, and otherwise resumes from the noted
+state alone, drawing only the trials past the measured ones, in blocks
+of at most MAX_BLOCK_TRIALS.  It finds the trial, the defect and the
+inputs of the trial-by-trial loop, to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -129,7 +135,7 @@ _BRACKETS = {
 
 
 def mixed_bracket(kind: MixedBracketKind, u: HybridElement, v: HybridElement,
-                  hbar: float = 1.0) -> HybridElement:
+                  hbar: float) -> HybridElement:
     """Evaluate one mixed bracket on two hybrid observables."""
     if hbar <= 0:
         raise AlgebraError(f"hbar must be > 0, got {hbar}")
@@ -157,61 +163,40 @@ class BracketAlgebra:
 @dataclass(frozen=True)
 class MeasuredScan:
     """What a witness search reads of one desideratum's measured trials:
-    ``hit``, the first trial over VIOLATION_THRESHOLD or NaN as
+    ``alg``, the bracket algebra scanned; ``trials``, how many were
+    measured; ``hit``, the first trial over VIOLATION_THRESHOLD or NaN as
     ``first_over`` gives it, (trial, defect, inputs), or None; and
     ``rng_state``, the PCG64 state after the last measured trial, from
     which every search resumes alike."""
+    alg: BracketAlgebra
+    trials: int
     hit: tuple | None
     rng_state: dict
 
 
-@dataclass
-class DefectTriple:
-    kind: MixedBracketKind
-    antisymmetry_defect: float = 0.0
-    jacobi_defect: float = 0.0
-    derivation_defect: float = 0.0
-    witnesses: dict = field(default_factory=dict)
-    trials: int = 0
-    seed: int = 0
-    hbar: float = 1.0
-    #: desideratum -> MeasuredScan; not part of the report
-    scans: dict = field(default_factory=dict, repr=False)
+#: the notes of each bracket's ``defects[]`` entry
+NOTES = {
+    MixedBracketKind.BOUCHER_TRASCHEN: (
+        "simple-product bracket extended bilinearly to general elements",),
+    MixedBracketKind.ALEKSANDROV: (),
+    MixedBracketKind.ANDERSON: (
+        "Poisson term orders matrix coefficients left-to-right as written; "
+        "the source rule fixes no ordering",),
+    MixedBracketKind.HYBRID_PAPER: (),
+}
 
-    def defect(self, desideratum: str) -> float:
-        return getattr(self, f"{desideratum}_defect")
 
-    def matches_expected_pattern(self) -> bool:
-        """Each clean desideratum under PASS_TOLERANCE and each broken one
-        over VIOLATION_THRESHOLD; a NaN defect is neither."""
-        expected = EXPECTED_CLEAN[self.kind]
-        for name in DESIDERATA:
-            if expected[name] and not self.defect(name) <= PASS_TOLERANCE:
-                return False
-            if not expected[name] and not self.defect(name) > VIOLATION_THRESHOLD:
-                return False
-        return True
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "trials": self.trials,
-            "seed": self.seed,
-            "antisymmetry_defect": self.antisymmetry_defect,
-            "jacobi_defect": self.jacobi_defect,
-            "derivation_defect": self.derivation_defect,
-            "witnesses": self.witnesses,
-            "matches_expected_pattern": self.matches_expected_pattern(),
-            "notes": self._notes(),
-        }
-
-    def _notes(self) -> list:
-        notes = ["simple-product bracket extended bilinearly to general elements"] \
-            if self.kind is MixedBracketKind.BOUCHER_TRASCHEN else []
-        if self.kind is MixedBracketKind.ANDERSON:
-            notes.append("Poisson term orders matrix coefficients left-to-right as written; "
-                         "the source rule fixes no ordering")
-        return notes
+def matches_expected_pattern(kind: MixedBracketKind, defects: dict) -> bool:
+    """Each clean desideratum of ``kind`` under PASS_TOLERANCE and each
+    broken one over VIOLATION_THRESHOLD, for ``defects`` mapping each
+    desideratum to its defect; a NaN defect is neither."""
+    expected = EXPECTED_CLEAN[kind]
+    for name in DESIDERATA:
+        if expected[name] and not defects[name] <= PASS_TOLERANCE:
+            return False
+        if not expected[name] and not defects[name] > VIOLATION_THRESHOLD:
+            return False
+    return True
 
 
 def _noting_first_hit(blocks, found: list):
@@ -226,59 +211,71 @@ def _noting_first_hit(blocks, found: list):
         yield block
 
 
-def measure_defects(kind: MixedBracketKind, trials: int = 200, seed: int = 0,
-                    hbar: float = 1.0) -> DefectTriple:
+def measure_defects(kind: MixedBracketKind, trials: int, seed: int, hbar: float):
     """Max relative defect of each desideratum over random hybrid triples,
     with the worst witness kept per desideratum: the last trial attaining
     the max, serialized once at the end.  A desideratum with a NaN trial
     reports a NaN defect; its witness is still the last maximal finite
-    trial.  The triple also keeps, in ``scans``, what a witness search
-    from it reads: each desideratum's first trial over VIOLATION_THRESHOLD
-    or NaN and its generator's state after the measured trials."""
+    trial.
+
+    Returns ``(entry, scans)``: ``entry`` is the bracket's ``defects[]``
+    entry of the ``brackets`` report, and ``scans`` maps each desideratum
+    to the ``MeasuredScan`` a witness search from it reads."""
     if trials < 1:
         raise AlgebraError(f"trials must be >= 1, got {trials}")
     kind = MixedBracketKind(kind)
-    result = DefectTriple(kind=kind, trials=trials, seed=seed, hbar=hbar)
     alg = BracketAlgebra(kind, hbar)
+    defects, witnesses, scans = {}, {}, {}
     for di, name in enumerate(DESIDERATA):
         rng = np.random.default_rng([seed, di])
         hits = []
         worst, inputs, nan_seen, _ = worst_trial(
             _noting_first_hit(scan(alg, name, rng, trials, MAX_BLOCK_TRIALS), hits))
-        setattr(result, f"{name}_defect", np.nan if nan_seen else worst)
-        result.witnesses[name] = {
+        defects[name] = np.nan if nan_seen else worst
+        witnesses[name] = {
             "defect": worst,
             "elements": None if inputs is None else [element_to_json(e) for e in inputs],
         }
-        result.scans[name] = MeasuredScan(hits[0] if hits else None, rng.bit_generator.state)
-    return result
+        scans[name] = MeasuredScan(alg, trials, hits[0] if hits else None,
+                                   rng.bit_generator.state)
+    entry = {
+        "kind": kind.value,
+        "trials": trials,
+        "seed": seed,
+        "antisymmetry_defect": defects["antisymmetry"],
+        "jacobi_defect": defects["jacobi"],
+        "derivation_defect": defects["derivation"],
+        "witnesses": witnesses,
+        "matches_expected_pattern": matches_expected_pattern(kind, defects),
+        "notes": list(NOTES[kind]),
+    }
+    return entry, scans
 
 
-def find_violation_witness(measured: DefectTriple, desideratum: str, budget: int):
+def find_violation_witness(scans: dict, desideratum: str, budget: int):
     """First random tuple of trials 0 to ``budget`` - 1 whose defect
     exceeds VIOLATION_THRESHOLD or is NaN; None if there is none.
 
-    ``measured`` is the ``measure_defects`` triple whose scan the search
-    continues: its kind, seed and hbar are the search's, its noted first
-    hit is the answer if it lies within the budget, and otherwise the
-    trials from its ``trials`` to the budget are drawn, in blocks, from
-    its noted generator state."""
+    ``scans`` are the ``measure_defects`` scans the search continues: the
+    desideratum's noted first hit is the answer if it lies within the
+    budget, and otherwise the trials from the measured ones to the budget
+    are drawn, in blocks, from the noted generator state."""
     if budget < 1:
         raise AlgebraError(f"budget must be >= 1, got {budget}")
-    noted = measured.scans[desideratum]
+    noted = scans[desideratum]
     if noted.hit is not None:
         hit = noted.hit if noted.hit[0] < budget else None
     else:
-        rng = np.random.default_rng([measured.seed, DESIDERATA.index(desideratum)])
-        rng.bit_generator.state = noted.rng_state
-        hit = first_over(scan(BracketAlgebra(measured.kind, measured.hbar), desideratum, rng,
-                              budget, MAX_BLOCK_TRIALS, start=measured.trials),
+        bits = np.random.PCG64()   # its seed is overwritten by the noted state
+        bits.state = noted.rng_state
+        hit = first_over(scan(noted.alg, desideratum, np.random.Generator(bits), budget,
+                              MAX_BLOCK_TRIALS, start=noted.trials),
                          VIOLATION_THRESHOLD)
     if hit is None:
         return None
     trial, defect, inputs = hit
     return {
-        "kind": measured.kind.value,
+        "kind": noted.alg.kind.value,
         "desideratum": desideratum,
         "trial": trial,
         "defect": defect,

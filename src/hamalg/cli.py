@@ -26,7 +26,8 @@ such as ``-0.5`` as an option, so a negative value in exponent form is
 joined to its option: ``simulate --g0=-1e-3``, not ``--g0 -1e-3``.
 Each report is a dict that its ``cmd_*`` function assembles here; the
 modules below return the report's entries (``identities.check_identity``
-a check, ``uniqueness.uniqueness_check`` a verdict).
+a check, ``brackets.measure_defects`` a bracket's defects and
+``uniqueness.uniqueness_check`` a verdict).
 All reports validate against the schema shipped at
 ``hamalg/schemas/report.schema.json``, with one ``jsonschema.validate``
 call each.  Only the root ``oneOf``, a tagged union keyed by
@@ -126,7 +127,7 @@ def _both(first, second):
     return lambda x: first(x) and second(x)
 
 
-def _compile_check(schema, root: dict, refs: tuple = ()):
+def _compile_check(schema, root: dict, refs: tuple):
     """A predicate for instances of ``schema`` (draft-07), or None.
 
     The predicate is one-sided: it returns True only where stock
@@ -519,13 +520,13 @@ def cmd_brackets(args) -> int:
     searches = []
     passed = True
     for kind in kinds:
-        triple = measure_defects(kind, trials=trials, seed=seed, hbar=hbar)
-        defects.append(triple.to_json())
-        passed = passed and triple.matches_expected_pattern()
+        entry, scans = measure_defects(kind, trials=trials, seed=seed, hbar=hbar)
+        defects.append(entry)
+        passed = passed and entry["matches_expected_pattern"]
         for desideratum in _SEARCH_PLAN[kind]:
-            witness = find_violation_witness(triple, desideratum, budget)
+            witness = find_violation_witness(scans, desideratum, budget)
             expect_clean = EXPECTED_CLEAN[kind][desideratum]
-            entry = {
+            search = {
                 "kind": kind.value,
                 "desideratum": desideratum,
                 "budget": budget,
@@ -536,19 +537,19 @@ def cmd_brackets(args) -> int:
             }
             if witness is not None:
                 replayed = replay_defect(witness, hbar=hbar)
-                entry["replay_defect"] = replayed
-                entry["replay_agrees"] = (
+                search["replay_defect"] = replayed
+                search["replay_agrees"] = (
                     abs(replayed - witness["defect"])
                     <= 1e-10 * max(1.0, abs(witness["defect"]))
                 )
-                passed = passed and entry["replay_agrees"]
+                passed = passed and search["replay_agrees"]
             # a clean desideratum must yield no witness; a broken one must
             passed = passed and ((witness is None) == expect_clean)
-            searches.append(entry)
-        print(f"[{'pass' if triple.matches_expected_pattern() else 'FAIL'}] {kind.value:<18} "
-              f"antisym {triple.antisymmetry_defect:.2e}  "
-              f"jacobi {triple.jacobi_defect:.2e}  "
-              f"derivation {triple.derivation_defect:.2e}", file=sys.stderr)
+            searches.append(search)
+        print(f"[{'pass' if entry['matches_expected_pattern'] else 'FAIL'}] {kind.value:<18} "
+              f"antisym {entry['antisymmetry_defect']:.2e}  "
+              f"jacobi {entry['jacobi_defect']:.2e}  "
+              f"derivation {entry['derivation_defect']:.2e}", file=sys.stderr)
 
     report = {
         "report_kind": "brackets",

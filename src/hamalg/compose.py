@@ -292,25 +292,18 @@ def _lr_table(u: KroneckerElement, v: KroneckerElement):
 
 
 class ComposedAlgebra(HamiltonAlgebra):
-    """Tensor product of two Hamilton algebras with constant a12.
-
-    a12 > 0 is a free parameter.  It must be given explicitly for
-    quantum (x) quantum (kind ``qq``); for quantum (x) classical (kind
-    ``qc``) it defaults to the quantum component's constant.
+    """Tensor product of two Hamilton algebras with constant a12, a free
+    parameter > 0: quantum (x) quantum (kind ``qq``) or quantum (x)
+    classical (kind ``qc``).
     """
 
-    def __init__(self, left: HamiltonAlgebra, right: HamiltonAlgebra,
-                 a12: float | None = None):
+    def __init__(self, left: HamiltonAlgebra, right: HamiltonAlgebra, a12: float):
         if isinstance(left, PhaseSpaceAlgebra) and isinstance(right, OperatorAlgebra):
             raise AlgebraError("classical (x) quantum unsupported; put the quantum factor first")
         if isinstance(left, OperatorAlgebra) and isinstance(right, OperatorAlgebra):
             self.kind = "qq"
-            if a12 is None:
-                raise AlgebraError("quantum (x) quantum composition needs an explicit a12")
         elif isinstance(left, OperatorAlgebra) and isinstance(right, PhaseSpaceAlgebra):
             self.kind = "qc"
-            if a12 is None:
-                a12 = left.constant.a
         else:
             raise AlgebraError(
                 f"unsupported component algebras {type(left).__name__}, {type(right).__name__}"

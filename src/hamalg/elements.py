@@ -58,7 +58,11 @@ class QuantumConstant:
     def from_hbar(cls, hbar: float) -> "QuantumConstant":
         if not math.isfinite(hbar) or hbar < 0:
             raise AlgebraError(f"hbar must be finite and >= 0, got {hbar}")
-        return cls(a=hbar * hbar / 4.0)
+        a = hbar * hbar / 4.0
+        if hbar > 0 and not 0 < a < math.inf:
+            raise AlgebraError(f"hbar {hbar} gives a = hbar**2/4 = {a}; "
+                               "a must be positive and finite")
+        return cls(a=a)
 
 
 def check_trials(mine, theirs) -> None:

@@ -67,8 +67,8 @@ class MeasurementConfig:
     g0: float
     t0: float
     dt: float
-    hbar: float = 1.0
-    regime: Regime = Regime.QUANTUM_QUANTUM
+    hbar: float
+    regime: Regime
 
     def __post_init__(self):
         for name in ("m1", "m2", "g0", "t0", "dt", "hbar"):

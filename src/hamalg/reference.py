@@ -232,7 +232,7 @@ def dense_mixed_bracket(kind: str, a: np.ndarray, b: np.ndarray, hbar: float,
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
-def replay_defect(witness: dict, hbar: float = 1.0) -> float:
+def replay_defect(witness: dict, hbar: float) -> float:
     """Re-derive a serialized witness's defect entirely in dense arrays."""
     kind = witness["kind"]
     desideratum = witness["desideratum"]

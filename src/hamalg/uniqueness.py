@@ -33,7 +33,6 @@ from .elements import frobenius_norms
 from .errors import AlgebraError
 from .identities import block_trials
 
-DEFAULT_FACTOR_TOLERANCE = 1e-8
 FIT_RESIDUAL_TOLERANCE = 1e-10
 #: random pairs each restriction fit uses
 MIN_FIT_PAIRS = 8
@@ -61,8 +60,7 @@ def _sum_of_squares(norms) -> float:
     return total
 
 
-def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
-                   tolerance: float = DEFAULT_FACTOR_TOLERANCE) -> dict:
+def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: float) -> dict:
     """Scaling factor of the composed bracket on one component: the
     least-squares scalar lambda with alpha12(f (x) e, g (x) e) =
     lambda * alpha(f, g) (x) e, over MIN_FIT_PAIRS random pairs, returned
@@ -128,9 +126,7 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int = 0,
     }
 
 
-def uniqueness_check(a1: float, a2: float, a12: float,
-                     tolerance: float = DEFAULT_FACTOR_TOLERANCE,
-                     seed: int = 0) -> dict:
+def uniqueness_check(a1: float, a2: float, a12: float, tolerance: float, seed: int) -> dict:
     """Verdict on one constant triple, on 2x2 matrix components: passes
     iff both restriction factors are unit within tolerance, i.e. iff
     a1 = a12 = a2."""
@@ -149,8 +145,7 @@ def uniqueness_check(a1: float, a2: float, a12: float,
     }
 
 
-def scan_constants(values, tolerance: float = DEFAULT_FACTOR_TOLERANCE,
-                   seed: int = 0) -> list:
+def scan_constants(values, tolerance: float, seed: int) -> list:
     """Verdict table over a grid: every (a1, a2, a12) triple from the
     flat list ``values``."""
     values = list(values)

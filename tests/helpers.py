@@ -129,14 +129,14 @@ def loop_defects(kind, desideratum, blocks, hbar):
 
 
 def loop_measure_defects(kind, trials, seed=0, hbar=1.0):
-    """The trial loop of ``measure_defects``: each tuple drawn and scored
-    alone, the running worst replaced on ``>=``, the defect NaN if any
-    trial's is."""
-    from hamalg.brackets import DESIDERATA, DefectTriple, MixedBracketKind
+    """The trial loop of ``measure_defects``, as its ``defects[]`` entry:
+    each tuple drawn and scored alone, the running worst replaced on
+    ``>=``, the defect NaN if any trial's is."""
+    from hamalg.brackets import DESIDERATA, NOTES, MixedBracketKind, matches_expected_pattern
     from hamalg.serialize import element_to_json
 
     kind = MixedBracketKind(kind)
-    result = DefectTriple(kind=kind, trials=trials, seed=seed)
+    defects, witnesses = {}, {}
     for di, name in enumerate(DESIDERATA):
         rng = np.random.default_rng([seed, di])
         arity = 2 if name == "antisymmetry" else 3
@@ -147,9 +147,19 @@ def loop_measure_defects(kind, trials, seed=0, hbar=1.0):
             if d >= worst:
                 worst = d
                 worst_witness = [element_to_json(e) for e in elements]
-        setattr(result, f"{name}_defect", np.nan if nan_seen else worst)
-        result.witnesses[name] = {"defect": float(worst), "elements": worst_witness}
-    return result
+        defects[name] = np.nan if nan_seen else worst
+        witnesses[name] = {"defect": float(worst), "elements": worst_witness}
+    return {
+        "kind": kind.value,
+        "trials": trials,
+        "seed": seed,
+        "antisymmetry_defect": defects["antisymmetry"],
+        "jacobi_defect": defects["jacobi"],
+        "derivation_defect": defects["derivation"],
+        "witnesses": witnesses,
+        "matches_expected_pattern": matches_expected_pattern(kind, defects),
+        "notes": list(NOTES[kind]),
+    }
 
 
 def loop_find_violation_witness(kind, desideratum, budget, seed=0, threshold=1e-6,

@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from hamalg.brackets import (
 from hamalg.compose import coefficient_product
 from hamalg.elements import monomials_up_to_degree
 from hamalg import cli, identities, kernels
+from hamalg.cli import _load_schema
 from hamalg.algebra import relative_defect
 from hamalg.identities import Identity, identity_defect, replay_witness
 from hamalg.errors import ShapeError
@@ -138,7 +140,7 @@ class TestBracketValues:
     def test_hybrid_matches_composed_bracket(self, rng):
         a, hbar = 1.0, 2.0
         hybrid_alg = ComposedAlgebra(OperatorAlgebra(2, a=a),
-                                     PhaseSpaceAlgebra(1, max_random_degree=2))
+                                     PhaseSpaceAlgebra(1, max_random_degree=2), a12=a)
         for _ in range(5):
             u = random_hybrid_observable(rng, degree=2)
             v = random_hybrid_observable(rng, degree=2)
@@ -155,59 +157,71 @@ class TestBracketValues:
 
 class TestDefectProfiles:
     def test_expected_patterns(self):
-        bt = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=60, seed=0)
-        assert bt.antisymmetry_defect <= 1e-12
-        assert bt.jacobi_defect > VIOLATION_THRESHOLD
-        assert bt.derivation_defect > VIOLATION_THRESHOLD
-        assert bt.matches_expected_pattern()
+        bt, _ = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=60, seed=0, hbar=HBAR)
+        assert bt["antisymmetry_defect"] <= 1e-12
+        assert bt["jacobi_defect"] > VIOLATION_THRESHOLD
+        assert bt["derivation_defect"] > VIOLATION_THRESHOLD
+        assert bt["matches_expected_pattern"]
 
-        al = measure_defects(MixedBracketKind.ALEKSANDROV, trials=60, seed=0)
-        assert al.antisymmetry_defect <= 1e-12
-        assert al.jacobi_defect > VIOLATION_THRESHOLD
+        al, _ = measure_defects(MixedBracketKind.ALEKSANDROV, trials=60, seed=0, hbar=HBAR)
+        assert al["antisymmetry_defect"] <= 1e-12
+        assert al["jacobi_defect"] > VIOLATION_THRESHOLD
 
-        an = measure_defects(MixedBracketKind.ANDERSON, trials=60, seed=0)
-        assert an.antisymmetry_defect > VIOLATION_THRESHOLD
-        assert an.matches_expected_pattern()
+        an, _ = measure_defects(MixedBracketKind.ANDERSON, trials=60, seed=0, hbar=HBAR)
+        assert an["antisymmetry_defect"] > VIOLATION_THRESHOLD
+        assert an["matches_expected_pattern"]
 
-        hy = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=60, seed=0)
-        assert hy.antisymmetry_defect <= 1e-10
-        assert hy.jacobi_defect <= 1e-10
-        assert hy.derivation_defect <= 1e-10
-        assert hy.matches_expected_pattern()
+        hy, _ = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=60, seed=0, hbar=HBAR)
+        assert hy["antisymmetry_defect"] <= 1e-10
+        assert hy["jacobi_defect"] <= 1e-10
+        assert hy["derivation_defect"] <= 1e-10
+        assert hy["matches_expected_pattern"]
 
     def test_determinism(self):
-        a = measure_defects(MixedBracketKind.ANDERSON, trials=20, seed=3)
-        b = measure_defects(MixedBracketKind.ANDERSON, trials=20, seed=3)
-        assert a.jacobi_defect == b.jacobi_defect
-        assert a.witnesses == b.witnesses
+        a, _ = measure_defects(MixedBracketKind.ANDERSON, trials=20, seed=3, hbar=HBAR)
+        b, _ = measure_defects(MixedBracketKind.ANDERSON, trials=20, seed=3, hbar=HBAR)
+        assert a["jacobi_defect"] == b["jacobi_defect"]
+        assert a["witnesses"] == b["witnesses"]
 
     def test_anderson_ordering_note_in_report(self):
-        an = measure_defects(MixedBracketKind.ANDERSON, trials=5, seed=0)
-        assert any("order" in note for note in an.to_json()["notes"])
+        an, _ = measure_defects(MixedBracketKind.ANDERSON, trials=5, seed=0, hbar=HBAR)
+        assert any("order" in note for note in an["notes"])
+
+    @pytest.mark.parametrize("kind", list(MixedBracketKind))
+    def test_entries_validate_as_report_defects(self, kind):
+        schema = _load_schema()
+        entry_schema = {"$ref": "#/$defs/defect_triple", "$defs": schema["$defs"]}
+        entry, _ = measure_defects(kind, trials=3, seed=2, hbar=0.7)
+        jsonschema.validate(entry, entry_schema)
+        assert list(entry) == ["kind", "trials", "seed", "antisymmetry_defect",
+                               "jacobi_defect", "derivation_defect", "witnesses",
+                               "matches_expected_pattern", "notes"]
+        assert (entry["kind"], entry["trials"], entry["seed"]) == (kind.value, 3, 2)
+        assert list(entry["witnesses"]) == list(DESIDERATA)
 
 
 class TestWitnessSearch:
     def test_product_rule_jacobi_witness_found(self):
-        triple = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1)
-        w = find_violation_witness(triple, "jacobi", budget=1000)
+        _, scans = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1, seed=0, hbar=HBAR)
+        w = find_violation_witness(scans, "jacobi", budget=1000)
         assert w is not None
         assert w["defect"] > VIOLATION_THRESHOLD
 
     def test_hybrid_yields_no_witness(self):
-        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1)
-        assert find_violation_witness(triple, "jacobi", budget=1000) is None
+        _, scans = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1, seed=0, hbar=HBAR)
+        assert find_violation_witness(scans, "jacobi", budget=1000) is None
         for d in ("antisymmetry", "derivation"):
-            assert find_violation_witness(triple, d, budget=200) is None
+            assert find_violation_witness(scans, d, budget=200) is None
 
     def test_anderson_antisymmetry_witness_found(self):
-        triple = measure_defects(MixedBracketKind.ANDERSON, trials=1)
-        w = find_violation_witness(triple, "antisymmetry", budget=1000)
+        _, scans = measure_defects(MixedBracketKind.ANDERSON, trials=1, seed=0, hbar=HBAR)
+        w = find_violation_witness(scans, "antisymmetry", budget=1000)
         assert w is not None
         assert w["defect"] > VIOLATION_THRESHOLD
 
     def test_witness_replays_through_main_path(self):
-        triple = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1)
-        w = find_violation_witness(triple, "jacobi", budget=100)
+        _, scans = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1, seed=0, hbar=HBAR)
+        w = find_violation_witness(scans, "jacobi", budget=100)
         replayed = replay_witness(BracketAlgebra(w["kind"], HBAR), w["desideratum"],
                                   w["elements"])
         assert replayed == pytest.approx(w["defect"], rel=1e-12)
@@ -216,16 +230,16 @@ class TestWitnessSearch:
         for kind, desideratum in ((MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"),
                                   (MixedBracketKind.ANDERSON, "antisymmetry"),
                                   (MixedBracketKind.ALEKSANDROV, "jacobi")):
-            w = find_violation_witness(measure_defects(kind, trials=1), desideratum,
-                                       budget=200)
+            _, scans = measure_defects(kind, trials=1, seed=0, hbar=HBAR)
+            w = find_violation_witness(scans, desideratum, budget=200)
             assert w is not None
             replayed = replay_defect(w, hbar=HBAR)
             assert abs(replayed - w["defect"]) <= 1e-10 * max(1.0, w["defect"])
 
     def test_budget_validation(self):
-        triple = measure_defects(MixedBracketKind.ANDERSON, trials=1)
+        _, scans = measure_defects(MixedBracketKind.ANDERSON, trials=1, seed=0, hbar=HBAR)
         with pytest.raises(AlgebraError):
-            find_violation_witness(triple, "jacobi", budget=0)
+            find_violation_witness(scans, "jacobi", budget=0)
 
 
 class TestDenseOracleAgreement:
@@ -640,40 +654,40 @@ class TestTrialBlocks:
         monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
         want = loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
         assert want is not None and want["trial"] >= 6
-        triple = measure_defects(kind, trials=1)
-        assert find_violation_witness(triple, desideratum, 12) == want
+        _, scans = measure_defects(kind, trials=1, seed=0, hbar=HBAR)
+        assert find_violation_witness(scans, desideratum, 12) == want
 
     def test_trial_zero_find_draws_one_trial(self, drawn_blocks):
         # the measurement draws trial 0 of each desideratum; a broken
         # bracket fails there, so its search draws nothing more
-        triple = measure_defects(MixedBracketKind.ANDERSON, trials=1)
+        _, scans = measure_defects(MixedBracketKind.ANDERSON, trials=1, seed=0, hbar=HBAR)
         assert drawn_blocks == [(1, 2), (1, 3), (1, 3)]
         drawn_blocks.clear()
-        w = find_violation_witness(triple, "antisymmetry", budget=1000)
+        w = find_violation_witness(scans, "antisymmetry", budget=1000)
         assert w["trial"] == 0
         assert drawn_blocks == []
         assert w == loop_find_violation_witness(MixedBracketKind.ANDERSON, "antisymmetry", 1)
 
     def test_blocks_never_exceed_the_cap(self, monkeypatch, drawn_blocks):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
-        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1)
+        _, scans = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1, seed=0, hbar=HBAR)
         drawn_blocks.clear()
-        assert find_violation_witness(triple, "jacobi", 11) is None
+        assert find_violation_witness(scans, "jacobi", 11) is None
         assert drawn_blocks == [(4, 3), (4, 3), (2, 3)]
         drawn_blocks.clear()
-        measure_defects(MixedBracketKind.HYBRID_PAPER, trials=9)
+        measure_defects(MixedBracketKind.HYBRID_PAPER, trials=9, seed=0, hbar=HBAR)
         assert [t for t, _ in drawn_blocks] == [4, 4, 1] * len(DESIDERATA)
 
     @pytest.mark.parametrize("kind", list(MixedBracketKind))
     def test_measure_defects_matches_loop_over_several_blocks(self, kind, monkeypatch):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
-        got = measure_defects(kind, trials=7, seed=2, hbar=0.3)
-        assert got.to_json() == loop_measure_defects(kind, 7, seed=2, hbar=0.3).to_json()
+        got, _ = measure_defects(kind, trials=7, seed=2, hbar=0.3)
+        assert got == loop_measure_defects(kind, 7, seed=2, hbar=0.3)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_too_few_trials_are_refused_before_any_draw(self, trials, drawn_blocks):
         with pytest.raises(AlgebraError, match="trials must be >= 1"):
-            measure_defects(MixedBracketKind.ANDERSON, trials=trials)
+            measure_defects(MixedBracketKind.ANDERSON, trials=trials, seed=0, hbar=HBAR)
         assert drawn_blocks == []
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):
@@ -688,12 +702,12 @@ class TestTrialBlocks:
 
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
         monkeypatch.setattr(identities, "identity_defect", scripted)
-        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=7, seed=4)
+        entry, _ = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=7, seed=4, hbar=HBAR)
         for di, name in enumerate(DESIDERATA):
             rng = np.random.default_rng([4, di])
             want = loop_draws(rng, 7, 2 if name == "antisymmetry" else 3)[5]
-            assert math.isnan(triple.defect(name))
-            assert triple.witnesses[name] == {
+            assert math.isnan(entry[f"{name}_defect"])
+            assert entry["witnesses"][name] == {
                 "defect": 2.0, "elements": [element_to_json(e) for e in want]}
 
     def test_nan_defect_ends_a_search_as_a_hit(self, monkeypatch):
@@ -707,17 +721,17 @@ class TestTrialBlocks:
 
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
         monkeypatch.setattr(identities, "identity_defect", scripted)
-        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1)
-        w = find_violation_witness(triple, "jacobi", 10)
+        _, scans = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=1, seed=0, hbar=HBAR)
+        w = find_violation_witness(scans, "jacobi", 10)
         assert w["trial"] == 2 and math.isnan(w["defect"])
 
     def test_nan_only_defects_keep_no_witness(self, monkeypatch):
         monkeypatch.setattr(identities, "identity_defect",
                             lambda alg, identity, block: np.full(block[0].trials, np.nan))
-        triple = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=3)
-        assert triple.witnesses["jacobi"] == {"defect": 0.0, "elements": None}
-        assert all(math.isnan(triple.defect(name)) for name in DESIDERATA)
-        assert not triple.matches_expected_pattern()
+        entry, _ = measure_defects(MixedBracketKind.HYBRID_PAPER, trials=3, seed=0, hbar=HBAR)
+        assert entry["witnesses"]["jacobi"] == {"defect": 0.0, "elements": None}
+        assert all(math.isnan(entry[f"{name}_defect"]) for name in DESIDERATA)
+        assert not entry["matches_expected_pattern"]
 
     @pytest.mark.parametrize("kind", list(MixedBracketKind))
     def test_one_nan_defect_breaks_the_expected_pattern(self, kind, monkeypatch):
@@ -730,11 +744,12 @@ class TestTrialBlocks:
             return np.full(block[0].trials, value)
 
         monkeypatch.setattr(identities, "identity_defect", scripted)
-        triple = measure_defects(kind, trials=2)
-        assert math.isnan(triple.derivation_defect)
-        assert not triple.matches_expected_pattern()
-        triple.derivation_defect = 0.0 if expected["derivation"] else 1.0
-        assert triple.matches_expected_pattern()
+        entry, _ = measure_defects(kind, trials=2, seed=0, hbar=HBAR)
+        assert math.isnan(entry["derivation_defect"])
+        assert not entry["matches_expected_pattern"]
+        defects = {name: entry[f"{name}_defect"] for name in DESIDERATA}
+        defects["derivation"] = 0.0 if expected["derivation"] else 1.0
+        assert brackets.matches_expected_pattern(kind, defects)
 
 
 class TestSharedScan:
@@ -746,20 +761,20 @@ class TestSharedScan:
     @pytest.mark.parametrize("kind", list(MixedBracketKind))
     def test_measured_searches_match_the_loops(self, kind, trials, budget, monkeypatch):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 3)
-        triple = measure_defects(kind, trials=trials, seed=1, hbar=0.7)
+        entry, scans = measure_defects(kind, trials=trials, seed=1, hbar=0.7)
         want = loop_measure_defects(kind, trials, seed=1, hbar=0.7)
-        assert json.dumps(triple.to_json()) == json.dumps(want.to_json())
+        assert json.dumps(entry) == json.dumps(want)
         for desideratum in cli._SEARCH_PLAN[kind]:
-            got = find_violation_witness(triple, desideratum, budget)
+            got = find_violation_witness(scans, desideratum, budget)
             want = loop_find_violation_witness(kind, desideratum, budget, seed=1, hbar=0.7)
             assert json.dumps(got) == json.dumps(want)
 
     @pytest.mark.parametrize("kind", [k for k in MixedBracketKind
                                       if k is not MixedBracketKind.HYBRID_PAPER])
     def test_a_broken_brackets_search_draws_nothing(self, kind, drawn_blocks):
-        triple = measure_defects(kind, trials=3)
+        _, scans = measure_defects(kind, trials=3, seed=0, hbar=HBAR)
         drawn_blocks.clear()
-        found = {d: find_violation_witness(triple, d, 25)
+        found = {d: find_violation_witness(scans, d, 25)
                  for d in cli._SEARCH_PLAN[kind]}
         assert drawn_blocks == []
         for desideratum, w in found.items():
@@ -770,11 +785,11 @@ class TestSharedScan:
                                                                 drawn_blocks):
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
         kind = MixedBracketKind.HYBRID_PAPER
-        triple = measure_defects(kind, trials=3)
+        _, scans = measure_defects(kind, trials=3, seed=0, hbar=HBAR)
         assert drawn_blocks == [(3, 2), (3, 3), (3, 3)]
         for desideratum, arity in zip(DESIDERATA, (2, 3, 3)):
             drawn_blocks.clear()
-            assert find_violation_witness(triple, desideratum, 11) is None
+            assert find_violation_witness(scans, desideratum, 11) is None
             assert drawn_blocks == [(4, arity), (4, arity)]
 
     def test_a_measured_hit_past_the_budget_is_not_reported(self, monkeypatch,
@@ -782,10 +797,10 @@ class TestSharedScan:
         kind, desideratum = MixedBracketKind.BOUCHER_TRASCHEN, "jacobi"
         threshold = broken_from_trial(kind, desideratum, 6)
         monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
-        triple = measure_defects(kind, trials=12)
-        assert triple.scans[desideratum].hit[0] >= 6
+        _, scans = measure_defects(kind, trials=12, seed=0, hbar=HBAR)
+        assert scans[desideratum].hit[0] >= 6
         drawn_blocks.clear()
-        assert find_violation_witness(triple, desideratum, 6) is None
+        assert find_violation_witness(scans, desideratum, 6) is None
         assert drawn_blocks == []
         assert loop_find_violation_witness(kind, desideratum, 6, threshold=threshold) is None
 
@@ -795,12 +810,12 @@ class TestSharedScan:
         threshold = broken_from_trial(kind, desideratum, 6)
         monkeypatch.setattr(brackets, "MAX_BLOCK_TRIALS", 4)
         monkeypatch.setattr(brackets, "VIOLATION_THRESHOLD", threshold)
-        triple = measure_defects(kind, trials=3)
-        assert triple.scans[desideratum].hit is None
+        _, scans = measure_defects(kind, trials=3, seed=0, hbar=HBAR)
+        assert scans[desideratum].hit is None
         drawn_blocks.clear()
-        first = find_violation_witness(triple, desideratum, 12)
+        first = find_violation_witness(scans, desideratum, 12)
         draws = list(drawn_blocks)
-        assert find_violation_witness(triple, desideratum, 12) == first
+        assert find_violation_witness(scans, desideratum, 12) == first
         assert drawn_blocks == draws * 2
         assert first == loop_find_violation_witness(kind, desideratum, 12, threshold=threshold)
         assert first["trial"] >= 6
@@ -808,12 +823,12 @@ class TestSharedScan:
     @pytest.mark.parametrize("other", [dict(kind=MixedBracketKind.ALEKSANDROV),
                                        dict(seed=1), dict(hbar=0.5)])
     def test_the_search_follows_its_triples_scan(self, other):
-        # kind, seed and hbar come from the triple alone, for a measured hit
-        # and for a search that resumes past the measured trials
+        # kind, seed and hbar come from the measured scans alone, for a
+        # measured hit and for a search that resumes past the measured trials
         scan = {"kind": MixedBracketKind.ANDERSON, "seed": 0, "hbar": 1.0, **other}
-        triple = measure_defects(trials=2, **scan)
+        _, scans = measure_defects(trials=2, **scan)
         for desideratum in DESIDERATA:
-            got = find_violation_witness(triple, desideratum, 5)
+            got = find_violation_witness(scans, desideratum, 5)
             assert got == loop_find_violation_witness(desideratum=desideratum, budget=5,
                                                       **scan)
             assert got is None or got["kind"] == scan["kind"].value

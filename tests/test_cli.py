@@ -159,6 +159,22 @@ class TestVerify:
         assert algebra["a"] == 0.7 * 0.7 / 4
         assert algebra["hbar"] == 2 * math.sqrt(0.7 * 0.7 / 4)
 
+    @pytest.mark.parametrize("hbar, a", [("1e-200", "0.0"), ("1e300", "inf")])
+    def test_hbar_whose_a_leaves_the_floats_is_refused(self, hbar, a, tmp_path, capsys):
+        # a = hbar**2 / 4 underflows to 0 or overflows to inf
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--hbar", hbar, "--trials", "1", "--out", str(out)) == 2
+        assert (f"error: hbar {float(hbar)} gives a = hbar**2/4 = {a}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_hybrid_a12_falls_back_to_a1(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--hybrid", "--a1", "2.25", "--trials", "1",
+                       "--out", str(out)) == 0
+        algebra = read_json(out)["algebra"]
+        assert (algebra["a1"], algebra["a12"]) == (2.25, 2.25)
+
     def test_hybrid(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli("verify", "--hybrid", "--a1", "1", "--trials", "20",

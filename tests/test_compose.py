@@ -46,8 +46,10 @@ def qq_algebra(a1=1.0, a2=1.0, a12=1.0, d1=2, d2=2):
 
 
 def qc_algebra(a=1.0, a12=None, dim=2, pairs=1, degree=2):
+    """Quantum (x) classical at a12 = a unless a12 is given."""
     return ComposedAlgebra(OperatorAlgebra(dim, a=a),
-                           PhaseSpaceAlgebra(pairs, max_random_degree=degree), a12=a12)
+                           PhaseSpaceAlgebra(pairs, max_random_degree=degree),
+                           a12=a if a12 is None else a12)
 
 
 class TestSimpleTensor:
@@ -172,10 +174,6 @@ class TestComposedProductsQQ:
 
 
 class TestComposedProductsQC:
-    def test_default_constant_is_quantum_side(self):
-        c = qc_algebra(a=2.25)
-        assert c.a12 == 2.25
-
     def test_sigma12_drops_cross_term(self, rng):
         c = qc_algebra(a=1.0)
         ut, u = simple_tensor_terms(c, rng, 2)
@@ -184,7 +182,7 @@ class TestComposedProductsQC:
         assert (c.sigma(u, v) - oracle).norm() <= 1e-12 * (1 + u.norm() * v.norm())
 
     def test_alpha12_is_quantum_bracket_times_product(self, rng):
-        c = qc_algebra(a=1.0)  # a12 defaults to a, so the prefactor is 1
+        c = qc_algebra(a=1.0)  # a12 = a, so the prefactor is 1
         ut, u = simple_tensor_terms(c, rng, 2)
         vt, v = simple_tensor_terms(c, rng, 2)
         oracle = compose_product_on_terms(c.left.alpha, c.right.sigma, ut, vt)
@@ -263,10 +261,6 @@ class TestEqualConstantPath:
 
 
 class TestConstruction:
-    def test_qq_requires_explicit_a12(self):
-        with pytest.raises(AlgebraError):
-            ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25))
-
     def test_quantum_pairing_rejects_zero_a12(self):
         with pytest.raises(AlgebraError):
             ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25),
@@ -276,13 +270,13 @@ class TestConstruction:
 
     def test_classical_pair_is_refused(self):
         with pytest.raises(AlgebraError):
-            ComposedAlgebra(PhaseSpaceAlgebra(1), PhaseSpaceAlgebra(1))
+            ComposedAlgebra(PhaseSpaceAlgebra(1, 3), PhaseSpaceAlgebra(1, 3), a12=1.0)
         with pytest.raises(AlgebraError):
             simple_tensor(PhaseSpacePoly.unit(1), PhaseSpacePoly.unit(1))
 
     def test_classical_quantum_order_rejected(self):
         with pytest.raises(AlgebraError):
-            ComposedAlgebra(PhaseSpaceAlgebra(1), OperatorAlgebra(2, a=0.25), a12=1.0)
+            ComposedAlgebra(PhaseSpaceAlgebra(1, 3), OperatorAlgebra(2, a=0.25), a12=1.0)
 
     def test_element_shape_checks(self, rng):
         c = qq_algebra(a1=1.0, a2=1.0, a12=1.0)
@@ -496,7 +490,7 @@ class TestMatrixBlocks:
 
     def test_mixing_blocks_and_elements_is_refused(self):
         rng = np.random.default_rng(7)
-        for alg in (OperatorAlgebra(2), qq_algebra()):
+        for alg in (OperatorAlgebra(2, a=0.25), qq_algebra()):
             u = alg.random_element(rng)
             two = alg.random_element(rng, block=(2, 1))[0]
             three = alg.random_element(rng, block=(3, 1))[0]
@@ -556,7 +550,7 @@ class TestKroneckerIsAnOperator:
                 simple_tensor(f, g)
 
     def test_operator_algebra_refuses_kronecker_elements(self, rng):
-        alg = OperatorAlgebra(4)
+        alg = OperatorAlgebra(4, a=0.25)
         k = KroneckerElement(2, 2, np.eye(4))
         block = qq_algebra().random_element(rng, block=(3, 1))[0]
         for op in (alg.sigma, alg.alpha, alg.tau):

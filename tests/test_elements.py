@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ class TestQuantumConstant:
     def test_from_hbar(self):
         assert QuantumConstant.from_hbar(2.0).a == 1.0
         assert QuantumConstant.from_hbar(1.0).a == 0.25
+        assert QuantumConstant.from_hbar(0.0).is_classical
+        assert 0 < QuantumConstant.from_hbar(1e-160).a < 1e-300   # subnormal
 
     def test_classical_marker(self):
         assert QuantumConstant(0.0).is_classical
@@ -34,6 +37,11 @@ class TestQuantumConstant:
             QuantumConstant(float("nan"))
         with pytest.raises(AlgebraError):
             QuantumConstant.from_hbar(-2.0)
+
+    @pytest.mark.parametrize("hbar", [1e-200, 1e300])
+    def test_from_hbar_refuses_an_a_out_of_the_floats(self, hbar):
+        with pytest.raises(AlgebraError, match=re.escape(f"hbar {hbar} gives a = ")):
+            QuantumConstant.from_hbar(hbar)
 
 
 class TestOperatorElement:

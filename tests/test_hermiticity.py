@@ -43,7 +43,7 @@ ALGEBRAS = {
     "qq": ComposedAlgebra(OperatorAlgebra(2, a=1.0),
                           OperatorAlgebra(3, a=2.0), a12=1.5),
     "qc": ComposedAlgebra(OperatorAlgebra(2, a=1.0),
-                          PhaseSpaceAlgebra(1, max_random_degree=2)),
+                          PhaseSpaceAlgebra(1, max_random_degree=2), a12=1.0),
 }
 
 

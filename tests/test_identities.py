@@ -98,7 +98,7 @@ class TestCheckIdentity:
 
         monkeypatch.setattr(identities, "identity_defect", scripted)
         monkeypatch.setattr(identities, "element_to_json", counting)
-        res = check_identity(OperatorAlgebra(2), Identity.JACOBI, 7, TOLERANCE, 0)
+        res = check_identity(OperatorAlgebra(2, a=0.25), Identity.JACOBI, 7, TOLERANCE, 0)
         assert [b[0].trials for b in drawn] == [3, 3, 1]
         # a NaN trial makes the max NaN, as in ``measure_defects``
         assert math.isnan(res["max_relative_defect"])
@@ -121,14 +121,14 @@ class TestCheckIdentity:
             return np.full(elements[0].trials, math.nan)
 
         monkeypatch.setattr(identities, "identity_defect", scripted)
-        res = check_identity(OperatorAlgebra(2), Identity.JACOBI, 3, TOLERANCE, 0)
+        res = check_identity(OperatorAlgebra(2, a=0.25), Identity.JACOBI, 3, TOLERANCE, 0)
         assert blocks == [2, 1]
         assert math.isnan(res["max_relative_defect"])
         assert res["worst_witness"] == []
         assert not res["passed"]
 
     def test_check_validation(self):
-        alg = OperatorAlgebra(2)
+        alg = OperatorAlgebra(2, a=0.25)
         with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
             check_identity(alg, Identity.JACOBI, 0, TOLERANCE, 0)
         with pytest.raises(ValueError, match="tolerance must be > 0, got 0.0"):
@@ -244,8 +244,8 @@ def hybrid_algebras():
     and constants."""
     return [ComposedAlgebra(OperatorAlgebra(dim, a=a),
                             PhaseSpaceAlgebra(pairs, max_random_degree=degree), a12=a12)
-            for dim, a, pairs, degree, a12 in [(2, 1.0, 1, 2, None), (3, 0.0625, 1, 1, 1.5),
-                                               (2, 0.25, 2, 1, 0.3), (1, 0.25, 1, 3, None)]]
+            for dim, a, pairs, degree, a12 in [(2, 1.0, 1, 2, 1.0), (3, 0.0625, 1, 1, 1.5),
+                                               (2, 0.25, 2, 1, 0.3), (1, 0.25, 1, 3, 0.25)]]
 
 
 class TestTrialBlocks:
@@ -333,16 +333,16 @@ class TestTrialBlocks:
         from hamalg.identities import block_trials
         from hamalg.kernels import BLOCK_PAIRS
 
-        assert block_trials(OperatorAlgebra(2)) == 256
-        assert block_trials(OperatorAlgebra(64)) == BLOCK_PAIRS // 64 ** 2
-        assert block_trials(OperatorAlgebra(128)) == 1
+        assert block_trials(OperatorAlgebra(2, a=0.25)) == 256
+        assert block_trials(OperatorAlgebra(64, a=0.25)) == BLOCK_PAIRS // 64 ** 2
+        assert block_trials(OperatorAlgebra(128, a=0.25)) == 1
         assert block_trials(composed(1.0, 1.0, 1.0, 8, 8)) == 2
         # a phase-space trial's largest element holds every monomial of
         # degree <= 4 deg: C(2n + 4 deg, 4 deg) of them
-        assert block_trials(PhaseSpaceAlgebra(1)) == BLOCK_PAIRS // 91 == 90
+        assert block_trials(PhaseSpaceAlgebra(1, 3)) == BLOCK_PAIRS // 91 == 90
         assert block_trials(PhaseSpaceAlgebra(2, max_random_degree=3)) == 4
         assert block_trials(PhaseSpaceAlgebra(1, max_random_degree=1)) == 256
-        assert block_trials(CorruptedAlgebra(OperatorAlgebra(30))) == BLOCK_PAIRS // 900
+        assert block_trials(CorruptedAlgebra(OperatorAlgebra(30, a=0.25))) == BLOCK_PAIRS // 900
 
         # a quantum (x) classical trial's largest element is its deepest
         # product: a d x d coefficient on each of C(2n + 4 deg, 4 deg) monomials

@@ -22,7 +22,8 @@ The dense oracle keeps ``@`` for its hybrid products, so it shares no
 product formula with the main path.
 
 Every report is assembled in ``cli.py``: no other module writes the
-``"report_kind"`` tag, and the modules below return report entries."""
+``"report_kind"`` tag, and the modules below return report entries as
+the dicts the schema validates, so no module defines a ``to_json``."""
 
 import ast
 from pathlib import Path
@@ -318,3 +319,28 @@ def test_every_report_kind_literal_is_seen(tmp_path, source, seen):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert ("report_kind" in string_keys(path)) == seen
+
+
+def defined_names(path):
+    """The name of every function, method and class defined anywhere in
+    ``path``."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_no_module_defines_to_json():
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "to_json" in defined_names(path)] == []
+
+
+@pytest.mark.parametrize("source, seen", [
+    ("def to_json(x):\n    return {}", True),
+    ("class Entry:\n    def to_json(self):\n        return {}", True),
+    ("def f():\n    async def to_json():\n        return {}", True),
+    ("entry = thing.to_json()", False),
+    ("def element_to_json(x):\n    return {}", False),
+])
+def test_every_to_json_definition_is_seen(tmp_path, source, seen):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert ("to_json" in defined_names(path)) == seen

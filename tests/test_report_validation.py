@@ -194,13 +194,13 @@ class TestCompiledChecks:
         part = branches[3]["properties"]["parts"]["items"]
         for sub in (defs["complex_pairs"], defs["complex_pairs"]["items"], poly, part,
                     poly["properties"]["exponents"], {"$ref": "#/$defs/complex_pairs"}):
-            assert _compile_check(sub, schema) is not None
+            assert _compile_check(sub, schema, ()) is not None
 
     def test_shipped_schema_compiles_whole(self, reports):
         """A schema edit that adds a keyword no check covers fails here,
         instead of quietly sending every report through stock jsonschema."""
         schema = _load_schema()
-        check = _compile_check({"oneOf": schema["oneOf"]}, schema)
+        check = _compile_check({"oneOf": schema["oneOf"]}, schema, ())
         assert check is not None
         for doc in reports.values():
             assert check(doc) is True
@@ -215,11 +215,11 @@ class TestCompiledChecks:
         {"oneOf": [{"type": "integer"}, {"type": "number"}]},
     ])
     def test_other_schemas_give_no_check(self, sub):
-        assert _compile_check(sub, _load_schema()) is None
+        assert _compile_check(sub, _load_schema(), ()) is None
 
     def test_cyclic_reference_gives_no_check(self):
         schema = {"$defs": {"a": {"type": "array", "items": {"$ref": "#/$defs/a"}}}}
-        assert _compile_check({"$ref": "#/$defs/a"}, schema) is None
+        assert _compile_check({"$ref": "#/$defs/a"}, schema, ()) is None
 
     @pytest.mark.parametrize("sub, value", [
         ({"type": "number"}, True), ({"type": "number"}, np.float64(0.5)),
@@ -235,10 +235,10 @@ class TestCompiledChecks:
         ({"type": ["integer", "null"]}, 2.0),
     ])
     def test_checks_are_one_sided(self, sub, value):
-        assert _compile_check(sub, {})(value) is False
+        assert _compile_check(sub, {}, ())(value) is False
 
     def test_tagged_union_passes_only_stock_valid_instances(self):
-        check = _compile_check(TAGGED, {})
+        check = _compile_check(TAGGED, {}, ())
         stock = jsonschema.Draft7Validator(TAGGED)
         for value in ({"kind": "a"}, {"kind": "a", "n": 1.5}, {"kind": "b", "n": 1}):
             assert check(value) is True and stock.is_valid(value)
@@ -250,7 +250,7 @@ class TestCompiledChecks:
         {"kind": ["a"]}, {"kind": 1}, {"kind": None}, {"kind": "c"}, {"kind": "A"},
     ])
     def test_tagged_union_without_a_known_string_tag_fails(self, value):
-        assert _compile_check(TAGGED, {})(value) is False
+        assert _compile_check(TAGGED, {}, ())(value) is False
 
     @pytest.mark.parametrize("branches, defs", [
         # two branches share a tag
@@ -279,18 +279,19 @@ class TestCompiledChecks:
         ([], {}),
     ])
     def test_other_one_ofs_give_no_check(self, branches, defs):
-        assert _compile_check({"oneOf": branches}, {"$defs": defs}) is None
+        assert _compile_check({"oneOf": branches}, {"$defs": defs}, ()) is None
 
     def test_tagged_union_follows_branch_references(self):
         root = {"$defs": {"a": TAGGED["oneOf"][0], "b": TAGGED["oneOf"][1]}}
-        check = _compile_check({"oneOf": [{"$ref": "#/$defs/a"}, {"$ref": "#/$defs/b"}]}, root)
+        check = _compile_check({"oneOf": [{"$ref": "#/$defs/a"}, {"$ref": "#/$defs/b"}]},
+                               root, ())
         assert check({"kind": "b", "n": 1}) is True
         assert check({"kind": "b", "n": "1"}) is False
 
     def test_uncovered_keyword_falls_back_to_stock(self, reports):
         schema = copy.deepcopy(_load_schema())
         schema["$defs"]["complex_pairs"]["items"]["uniqueItems"] = True
-        assert _compile_check(schema["$defs"]["complex_pairs"], schema) is None
+        assert _compile_check(schema["$defs"]["complex_pairs"], schema, ()) is None
         doc = mutated(reports["verify_operator"],
                       ("checks", 0, "worst_witness", 0, "entries", 0), [0.25, 0.25])
         jsonschema.validate(doc, _load_schema(), cls=_report_validator())

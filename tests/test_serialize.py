@@ -51,7 +51,7 @@ class TestRoundTrips:
         assert (back.left_dim, back.right_dim) == (2, 3)
 
     def test_kronecker_trial_round_trips_bitwise(self, rng):
-        c = ComposedAlgebra(OperatorAlgebra(2), OperatorAlgebra(3), a12=1.0)
+        c = ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(3, a=0.25), a12=1.0)
         block = c.random_element(rng, block=(4, 1))[0]
         for t in range(4):
             single = block.trial(t)
@@ -76,8 +76,8 @@ class TestRoundTrips:
         from hamalg.brackets import random_hybrid_observable
         from hamalg.errors import ShapeError
 
-        qq = ComposedAlgebra(OperatorAlgebra(2), OperatorAlgebra(2), a12=1.0)
-        for block in (OperatorAlgebra(2).random_element(rng, block=(3, 1))[0],
+        qq = ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25), a12=1.0)
+        for block in (OperatorAlgebra(2, a=0.25).random_element(rng, block=(3, 1))[0],
                       qq.random_element(rng, block=(3, 1))[0],
                       random_hybrid_observable(rng, block=(3, 1))[0]):
             with pytest.raises(ShapeError, match="block"):
@@ -111,7 +111,7 @@ class TestWireFormat:
         element_schema = {"$ref": "#/$defs/element", "$defs": schema["$defs"]}
         els = [
             OperatorAlgebra(2, a=0.25).random_element(rng),
-            PhaseSpaceAlgebra(1).random_element(rng),
+            PhaseSpaceAlgebra(1, 3).random_element(rng),
             HybridElement(2, 1, {(1, 0): PAULI_Y}),
             ComposedAlgebra(OperatorAlgebra(2, a=0.25), OperatorAlgebra(2, a=0.25),
                             a12=1.0).random_element(rng),

@@ -63,37 +63,37 @@ class TestBlockFit:
 
 class TestRestrictAlpha:
     def test_left_factor_matches_closed_form(self):
-        res = restrict_alpha(composed(1.0, 4.0, 4.0), "left")
+        res = restrict_alpha(composed(1.0, 4.0, 4.0), "left", 0, 1e-8)
         assert res["expected_factor"] == pytest.approx(0.5)
         assert res["measured_factor"] == pytest.approx(0.5, abs=1e-10)
         assert not res["satisfies_requirement"]
 
     def test_unit_factor_when_constants_match(self):
-        res = restrict_alpha(composed(2.25, 1.0, 2.25), "left")
+        res = restrict_alpha(composed(2.25, 1.0, 2.25), "left", 0, 1e-8)
         assert res["measured_factor"] == pytest.approx(1.0, abs=1e-10)
         assert res["satisfies_requirement"]
 
     def test_right_component(self):
-        res = restrict_alpha(composed(1.0, 9.0, 9.0), "right")
+        res = restrict_alpha(composed(1.0, 9.0, 9.0), "right", 0, 1e-8)
         assert res["measured_factor"] == pytest.approx(1.0, abs=1e-10)
-        res = restrict_alpha(composed(1.0, 4.0, 9.0), "right")
+        res = restrict_alpha(composed(1.0, 4.0, 9.0), "right", 0, 1e-8)
         assert res["measured_factor"] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_factor_law_over_grid(self):
         for a1 in (0.25, 1.0):
             for a12 in (0.5, 2.0):
-                res = restrict_alpha(composed(a1, 1.0, a12), "left")
+                res = restrict_alpha(composed(a1, 1.0, a12), "left", 0, 1e-8)
                 assert abs(res["measured_factor"] - math.sqrt(a1 / a12)) <= 1e-10
 
     def test_fit_residual_small(self):
-        res = restrict_alpha(composed(0.25, 2.0, 5.0), "left")
+        res = restrict_alpha(composed(0.25, 2.0, 5.0), "left", 0, 1e-8)
         assert res["fit_residual"] <= 1e-10
 
     def test_rejects_hybrid_composition(self):
         hybrid = ComposedAlgebra(OperatorAlgebra(2, a=0.25),
-                                 PhaseSpaceAlgebra(1))
+                                 PhaseSpaceAlgebra(1, 3), a12=0.25)
         with pytest.raises(AlgebraError):
-            restrict_alpha(hybrid, "left")
+            restrict_alpha(hybrid, "left", 0, 1e-8)
 
     def test_vanishing_bracket_raises_instead_of_hanging(self):
         # a dim-1 bracket is identically zero, so no draw is usable; run in
@@ -103,7 +103,7 @@ class TestRestrictAlpha:
                 "from hamalg import restrict_alpha\n"
                 "one = OperatorAlgebra(1, a=1.0)\n"
                 "try:\n"
-                "    restrict_alpha(ComposedAlgebra(one, one, a12=1.0), 'left')\n"
+                "    restrict_alpha(ComposedAlgebra(one, one, a12=1.0), 'left', 0, 1e-8)\n"
                 "except AlgebraError as exc:\n"
                 "    print(exc)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -117,7 +117,7 @@ class TestRestrictAlpha:
 
     def test_rejects_bad_component_name(self):
         with pytest.raises(AlgebraError):
-            restrict_alpha(composed(1, 1, 1), "middle")
+            restrict_alpha(composed(1, 1, 1), "middle", 0, 1e-8)
 
 
 class TestRestrictSigma:
@@ -139,11 +139,11 @@ class TestTauRestriction:
 
 class TestUniquenessCheck:
     def test_diagonal_passes(self):
-        assert uniqueness_check(1.0, 1.0, 1.0)["passed"]
-        assert uniqueness_check(2.25, 2.25, 2.25)["passed"]
+        assert uniqueness_check(1.0, 1.0, 1.0, 1e-8, 0)["passed"]
+        assert uniqueness_check(2.25, 2.25, 2.25, 1e-8, 0)["passed"]
 
     def test_off_diagonal_fails_with_known_factors(self):
-        v = uniqueness_check(1.0, 4.0, 9.0)
+        v = uniqueness_check(1.0, 4.0, 9.0, 1e-8, 0)
         assert not v["passed"]
         assert v["left"]["measured_factor"] == pytest.approx(1 / 3, abs=1e-10)
         assert v["right"]["measured_factor"] == pytest.approx(2 / 3, abs=1e-10)
@@ -151,20 +151,20 @@ class TestUniquenessCheck:
     def test_verdict_equivalence(self):
         # passes iff both constants match a12 within tolerance
         for a1, a2, a12 in [(1, 1, 1.0000000001), (1, 1, 2), (2, 1, 2), (1, 2, 2)]:
-            v = uniqueness_check(a1, a2, a12, tolerance=1e-8)
+            v = uniqueness_check(a1, a2, a12, tolerance=1e-8, seed=0)
             expected = (abs(math.sqrt(a1 / a12) - 1) <= 1e-8
                         and abs(math.sqrt(a2 / a12) - 1) <= 1e-8)
             assert v["passed"] == expected, (a1, a2, a12)
 
     def test_rejects_nonpositive_constants(self):
         with pytest.raises(AlgebraError):
-            uniqueness_check(0.0, 1.0, 1.0)
+            uniqueness_check(0.0, 1.0, 1.0, 1e-8, 0)
 
 
 class TestScan:
     def test_pass_set_is_exactly_the_diagonal(self):
         values = np.geomspace(0.25, 4.0, 3)  # 27 triples, keeps the test fast
-        verdicts = scan_constants(values)
+        verdicts = scan_constants(values, 1e-8, 0)
         for v in verdicts:
             on_diagonal = v["a1"] == v["a2"] == v["a12"]
             assert v["passed"] == on_diagonal, v
