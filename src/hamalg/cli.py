@@ -35,8 +35,9 @@ call each.  Only the root ``oneOf``, a tagged union keyed by
 branch the report's tag names, which covers the whole report, and
 jsonschema's own keyword runs only where that check does not pass, so
 every rejection and its message still come from jsonschema.  A valid
-report's text is built by
-``serialize.dumps_indent2``, equal to ``json.dumps(report, indent=2)``.
+report's text is built by ``serialize.dumps_indent2``, equal to
+``json.dumps(report, indent=2)``: witness term lists are written by one
+cached template each, and the rest of the report item by item.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from datetime import datetime, timezone
 from importlib import resources
 
 import jsonschema
-import numpy as np
 
 from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
 from .brackets import (
@@ -592,7 +592,7 @@ def cmd_simulate(args) -> int:
             "m1": cfg.m1, "m2": cfg.m2, "g0": cfg.g0, "t0": cfg.t0, "dt": cfg.dt,
             "hbar": cfg.hbar, "regime": cfg.regime.value,
         },
-        "back_reaction_gap": back_reaction_gap(cfg, t_end),
+        "back_reaction_gap": back_reaction_gap(traj),
         "t_end": t_end,
         "samples": samples,
         "timestamp": _timestamp(),
@@ -614,7 +614,11 @@ def _parse_grid(spec: str):
         raise UsageError(f"--grid must be lo:hi:n, got {spec!r}")
     if not (0 < lo < hi < math.inf and n >= 1):
         raise UsageError(f"--grid needs 0 < lo < hi < inf and n >= 1, got {spec!r}")
-    return np.geomspace(lo, hi, n)
+    if n == 1:
+        return [lo]
+    # endpoints pinned, so that a power-of-two ratio gives exact points
+    inner = (lo * (hi / lo) ** (k / (n - 1)) for k in range(1, n - 1))
+    return [lo, *inner, hi]
 
 
 def _scan_csv(verdicts) -> str:

@@ -231,16 +231,14 @@ def evolve_rk4(cfg: MeasurementConfig, t_end: float) -> np.ndarray:
     return phi
 
 
-def back_reaction_gap(cfg: MeasurementConfig, t_end: float) -> float:
-    """Coefficient norm of p2(t_end) - p2(0).
+def back_reaction_gap(traj: Trajectory) -> float:
+    """Coefficient norm of p2(t_end) - p2(0), read off the trajectory's last
+    sample, whose propagator the walk to t_end alone would give.
 
     Quantum-quantum: |g0| * dt once the window has closed (the momentum
     transferred onto p1's coefficient).  Quantum-classical: 0, the
     classical side is frozen.
     """
-    phi = propagator(cfg, t_end)
-    i = BASIS.index("p2")
-    diff = phi[i, :].copy()
-    diff[i] -= 1.0
+    diff = traj.observable("p2")[-1].copy()
+    diff[BASIS.index("p2")] -= 1.0
     return float(np.linalg.norm(diff))
-

@@ -232,8 +232,13 @@ def dense_mixed_bracket(kind: str, a: np.ndarray, b: np.ndarray, hbar: float,
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def replay_defect(witness: dict, hbar: float) -> float:
-    """Re-derive a serialized witness's defect entirely in dense arrays."""
+    """Re-derive a serialized witness's defect entirely in dense arrays.
+
+    Overflow yields inf/nan silently, as on the sparse path that found the
+    witness, so a non-finite defect replays to a non-finite one.
+    """
     kind = witness["kind"]
     desideratum = witness["desideratum"]
     elements = [hybrid_json_to_dense(e) for e in witness["elements"]]

@@ -11,17 +11,30 @@ Schema (one object per element, discriminated by "kind"):
 * hybrid:    {"kind": "hybrid", "dim": d, "num_pairs": n,
               "parts": [{"exponents": [...], "matrix": [[re, im], ...]}]}
 
-Floating-point values are written by ``json``'s shortest round-trip
-repr, which reads back to the same IEEE double, so serialized witnesses
-replay to the bit: an element is its arrays, so it loads back equal.
+The poly and hybrid forms are built from the element's arrays: one
+lexicographic sort of the exponent rows, the order of ``sorted`` on
+exponent tuples, and one ``tolist`` per array.  Floating-point values
+are written by ``json``'s shortest round-trip repr, which reads back to
+the same IEEE double, so serialized witnesses replay to the bit: an
+element is its arrays, so it loads back equal.
 
 ``dumps_indent2`` writes a whole report: the text of
-``json.dumps(report, indent=2)``, built faster.
+``json.dumps(report, indent=2)``, built faster.  A list whose items all
+share one shape -- exact ints, finite exact floats, equal-length lists
+of those, or records with one key sequence whose values have such
+shapes, like a poly's ``terms`` and a hybrid's ``parts`` -- is written
+by one ``%`` over a template cached per item shape and indent.  Any
+other list is written item by item, and a value of any other type sends
+the whole report to ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,6 +54,13 @@ def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def _sorted_rows(el):
+    """``el``'s exponent rows as lists and its coefficient stack, both in
+    the order of ``sorted`` on exponent tuples."""
+    order = np.lexsort(el.exps.T[::-1])   # np.lexsort's last key is the primary one
+    return el.exps[order].tolist(), el.coeffs[order]
+
+
 def element_to_json(el) -> dict:
     if getattr(el, "trials", None) is not None:
         raise ShapeError("cannot serialize a block of trials; serialize trial(t)")
@@ -50,13 +70,15 @@ def element_to_json(el) -> dict:
     if isinstance(el, OperatorElement):
         return {"kind": "operator", "dim": el.dim, "entries": _matrix_to_pairs(el.entries)}
     if isinstance(el, PhaseSpacePoly):
-        terms = [{"exponents": list(e), "coeff": float(c)}
-                 for e, c in sorted(el.terms.items())]
+        rows, coeffs = _sorted_rows(el)
+        terms = [{"exponents": e, "coeff": c} for e, c in zip(rows, coeffs.tolist())]
         return {"kind": "poly", "num_pairs": el.num_pairs, "terms": terms}
     if isinstance(el, HybridElement):
-        parts = [{"exponents": list(e), "matrix": _matrix_to_pairs(m)}
-                 for e, m in sorted(el.terms.items())]
-        return {"kind": "hybrid", "dim": el.dim, "num_pairs": el.num_pairs, "parts": parts}
+        rows, coeffs = _sorted_rows(el)
+        d = el.dim
+        pairs = np.stack([coeffs.real, coeffs.imag], -1).reshape(len(rows), d * d, 2)
+        parts = [{"exponents": e, "matrix": m} for e, m in zip(rows, pairs.tolist())]
+        return {"kind": "hybrid", "dim": d, "num_pairs": el.num_pairs, "parts": parts}
     raise ShapeError(f"cannot serialize {type(el).__name__}")
 
 
@@ -90,6 +112,77 @@ class _Unsupported(Exception):
 _encode_string = json.encoder.encode_basestring_ascii
 
 
+def _shared_shape(values: list):
+    """The shape every item of the non-empty list ``values`` has, and their
+    leaves in order; None when the items do not share one.
+
+    A shape is ``"d"`` (an exact int), ``"r"`` (a finite exact float),
+    ``("list", n, item)`` (a list of n items of shape ``item``; None for
+    n = 0) or ``("dict", keys, shapes)`` (a dict with the str keys
+    ``keys``, in that order, whose values have the shapes ``shapes``).
+    Each test runs over the whole list at C level.
+    """
+    types = set(map(type, values))
+    if len(types) != 1:
+        return None
+    t = types.pop()
+    if t is int:
+        return "d", values
+    if t is float:
+        return ("r", values) if all(map(math.isfinite, values)) else None
+    if t is list:
+        lengths = set(map(len, values))
+        if len(lengths) != 1:
+            return None
+        n = lengths.pop()
+        if n == 0:
+            return ("list", 0, None), []
+        inner = _shared_shape(list(chain.from_iterable(values)))
+        return None if inner is None else (("list", n, inner[0]), inner[1])
+    if t is dict:
+        key_orders = set(map(tuple, values))
+        if len(key_orders) != 1:
+            return None
+        keys = key_orders.pop()
+        if set(map(type, keys)) - {str}:
+            return None
+        shapes, runs = [], []
+        for key in keys:
+            column = _shared_shape(list(map(itemgetter(key), values)))
+            if column is None:
+                return None
+            shapes.append(column[0])
+            size = len(column[1]) // len(values)
+            if size:   # each item's leaves of this key, as one tuple per item
+                runs.append(zip(*[iter(column[1])] * size))
+        leaves = list(chain.from_iterable(chain.from_iterable(zip(*runs))))
+        return ("dict", keys, tuple(shapes)), leaves
+    return None
+
+
+def _join(items, newline: str, brackets: str = "[]") -> str:
+    """Text items at the depth ``newline`` marks, bracketed as json does."""
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape, newline: str) -> str:
+    """The ``%`` template of a value of ``shape`` written at the depth
+    ``newline`` marks."""
+    if type(shape) is str:
+        return "%" + shape
+    if shape[0] == "list":
+        n, item = shape[1], shape[2]
+        return "[]" if n == 0 else _join([_template(item, newline + "  ")] * n, newline)
+    keys, shapes = shape[1], shape[2]
+    if not keys:
+        return "{}"
+    inner = newline + "  "
+    return _join([_encode_string(k).replace("%", "%%") + ": " + _template(s, inner)
+                  for k, s in zip(keys, shapes)], newline, "{}")
+
+
 def _text(o, newline: str) -> str:
     """``o`` as ``json.dumps(indent=2)`` writes it at the depth ``newline``
     (a newline and the current indent) marks."""
@@ -112,13 +205,11 @@ def _text(o, newline: str) -> str:
         if not o:
             return "[]"
         inner = newline + "  "
-        # [re, im] pairs of finite floats are the bulk of every witness
-        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-        items = [pair % (v[0], v[1])
-                 if type(v) is list and len(v) == 2 and type(v[0]) is float
-                 and type(v[1]) is float and v[0] - v[0] == 0.0 and v[1] - v[1] == 0.0
-                 else _text(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        shared = _shared_shape(o)
+        if shared is None:
+            return _join([_text(v, inner) for v in o], newline)
+        shape, leaves = shared
+        return _join([_template(shape, inner)] * len(o), newline) % tuple(leaves)
     if t is dict:
         if not o:
             return "{}"
@@ -128,13 +219,14 @@ def _text(o, newline: str) -> str:
             if type(key) is not str:
                 raise _Unsupported
             items.append(_encode_string(key) + ": " + _text(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _join(items, newline, "{}")
     raise _Unsupported
 
 
 def dumps_indent2(obj) -> str:
     """The text of ``json.dumps(obj, indent=2)``, built by one recursive
-    join instead of json's pure-Python encoder.
+    join instead of json's pure-Python encoder, with one cached template
+    per list whose items share a shape (see ``_shared_shape``).
 
     Only exact builtin types are written here: on anything else (a float
     subclass such as ``np.float64``, a tuple, a non-str key) and on a

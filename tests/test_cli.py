@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hamalg import measurement
 from hamalg.cli import (
     MAX_PRODUCT_MONOMIALS,
     UsageError,
@@ -18,6 +19,7 @@ from hamalg.cli import (
     _check_polynomial_size,
     _defaults,
     _load_schema,
+    _parse_grid,
     build_parser,
     main,
 )
@@ -385,7 +387,6 @@ class TestBrackets:
         assert argparse_exit_code("brackets", "--kind", "anderson", "--budget", "0") == 2
         assert "argument --budget: must be >= 1, got 0" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_search_is_no_clean_result(self, tmp_path):
         # at hbar 1e-160 every Jacobi defect of the hybrid bracket is NaN
         out = tmp_path / "brackets.json"
@@ -397,7 +398,6 @@ class TestBrackets:
         assert jacobi["replay_agrees"] is False
         assert not doc["passed"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_defect_is_reported(self, tmp_path, capsys):
         # the same run: every Jacobi trial is NaN, and the defect says so
         out = tmp_path / "brackets.json"
@@ -439,6 +439,17 @@ class TestSimulate:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["back_reaction_gap"] <= 1e-12
+
+    def test_segments_walked_once(self, tmp_path, monkeypatch):
+        # the gap is read off the trajectory, not from a second walk to t_end
+        calls = []
+        original = measurement.eom_generator
+        monkeypatch.setattr(measurement, "eom_generator",
+                            lambda cfg, t: calls.append(t) or original(cfg, t))
+        assert run_cli("simulate", "--regime", "qq", "--t0", "1", "--dt", "1",
+                       "--t-end", "5", "--samples", "11",
+                       "--out", str(tmp_path / "traj.csv")) == 0
+        assert len(calls) == 3
 
     def test_missing_out_streams_csv(self, capsys):
         code = run_cli("simulate", "--regime", "qq", "--samples", "3")
@@ -568,6 +579,16 @@ class TestUniqueness:
         doc = read_json(jout)
         jsonschema.validate(doc, _load_schema())
         assert doc["pass_set_is_diagonal"]
+
+    @pytest.mark.parametrize("spec, points", [
+        (_defaults("uniqueness").grid, [0.25, 0.5, 1.0, 2.0, 4.0]),
+        ("0.25:4:3", [0.25, 1.0, 4.0]),
+        ("0.1:10:3", [0.1, 1.0, 10.0]),
+        ("0.3:0.7:2", [0.3, 0.7]),
+        ("0.3:0.7:1", [0.3]),
+    ])
+    def test_grid_endpoints_and_power_of_two_points_are_exact(self, spec, points):
+        assert _parse_grid(spec) == points
 
     def test_scan_bad_grid_usage_error(self):
         assert run_cli("uniqueness", "scan", "--grid", "4:1:5") == 2

@@ -287,14 +287,14 @@ class TestEvolution:
 
 class TestBackReaction:
     def test_qq_gap_value(self):
-        assert back_reaction_gap(config(), 2.0) == pytest.approx(0.91, abs=1e-12)
+        assert back_reaction_gap(evolve(config(), 2.0, 2)) == pytest.approx(0.91, abs=1e-12)
 
     def test_qc_gap_zero(self):
-        assert back_reaction_gap(config(regime=Regime.QUANTUM_CLASSICAL), 2.0) <= 1e-12
+        assert back_reaction_gap(evolve(config(regime=Regime.QUANTUM_CLASSICAL), 2.0, 2)) <= 1e-12
 
     def test_zero_coupling_gap_zero(self):
         for regime in Regime:
-            assert back_reaction_gap(config(regime=regime, g0=0.0), 2.0) == 0.0
+            assert back_reaction_gap(evolve(config(regime=regime, g0=0.0), 2.0, 2)) == 0.0
 
 
 class TestFreezing:
