@@ -34,8 +34,10 @@ call each.  Only the root ``oneOf``, a tagged union keyed by
 ``report_kind``, is hooked: it first runs the compiled check of the
 branch the report's tag names, which covers the whole report, and
 jsonschema's own keyword runs only where that check does not pass, so
-every rejection and its message still come from jsonschema.  A valid
-report's text is built by ``serialize.dumps_indent2``, equal to
+every rejection and its message still come from jsonschema.  The check
+covers exactly the constructs the shipped schema uses; a schema edit
+that adds any other raises ``ValueError``, naming it, at the first
+report.  A valid report's text is built by ``serialize.dumps_indent2``, equal to
 ``json.dumps(report, indent=2)``: witness term lists are written by one
 cached template each, and the rest of the report item by item.
 """
@@ -101,34 +103,38 @@ def _load_schema() -> dict:
 #: the Python types a compiled check accepts for each draft-07 type name
 _TYPES = {"number": (int, float), "integer": (int,), "string": (str,),
           "boolean": (bool,), "null": (type(None),), "array": (list,), "object": (dict,)}
-#: the keywords a compiled check covers that constrain one kind of instance
-_KEYWORD_KINDS = {"minimum": "number", "exclusiveMinimum": "number", "minItems": "array",
-                  "maxItems": "array", "items": "array", "required": "object",
-                  "properties": "object"}
-#: the keywords a compiled check covers that constrain any kind of instance
-_ANY_KIND = {"type", "const", "enum", "oneOf"}
+#: the keywords a compiled check covers, each with the kind of instance it
+#: constrains, or None for a keyword that constrains any kind
+_KINDS = {"type": None, "const": None, "enum": None, "oneOf": None,
+          "minimum": "number", "exclusiveMinimum": "number", "minItems": "array",
+          "maxItems": "array", "items": "array", "required": "object",
+          "properties": "object"}
 
 
-def _deref(schema: dict, root: dict, refs: tuple):
-    """The target of ``schema``'s lone ``$ref`` to ``#/$defs/<name>`` of
-    ``root`` and the references followed to it, or None."""
-    ref = schema["$ref"]
+def _resolve(schema, root: dict) -> dict:
+    """``schema``, or where it is a lone ``$ref`` to ``#/$defs/<name>`` of
+    ``root``, the schema that the reference leads to."""
+    if type(schema) is not dict:
+        raise ValueError(f"the report check covers object schemas, not {schema!r}")
+    if "$ref" not in schema:
+        return schema
     prefix = "#/$defs/"
-    name = ref[len(prefix):] if type(ref) is str and ref.startswith(prefix) else None
-    defs = root.get("$defs", {})
-    # draft-07 ignores the siblings of $ref; "~" and "%" would need unescaping
-    if (len(schema) > 1 or name not in defs or any(c in name for c in "/~%")
-            or ref in refs):
-        return None
-    return defs[name], refs + (ref,)
+    ref = schema["$ref"]
+    name = ref[len(prefix):]
+    # draft-07 ignores the siblings of $ref
+    if len(schema) > 1 or not ref.startswith(prefix) or name not in root["$defs"]:
+        raise ValueError(f"the report check covers a lone $ref to {prefix}<name>, "
+                         f"not {schema!r}")
+    return _resolve(root["$defs"][name], root)
 
 
 def _both(first, second):
     return lambda x: first(x) and second(x)
 
 
-def _compile_check(schema, root: dict, refs: tuple):
-    """A predicate for instances of ``schema`` (draft-07), or None.
+def _compile_check(schema, root: dict):
+    """A predicate for instances of ``schema`` (draft-07), a node of the
+    shipped report schema ``root``.
 
     The predicate is one-sided: it returns True only where stock
     validation of the instance against ``schema`` yields no error, and
@@ -136,85 +142,59 @@ def _compile_check(schema, root: dict, refs: tuple):
     ``float`` exactly, ``integer`` for ``int``, ``array`` for ``list`` and
     ``object`` for ``dict``; ``const`` and ``enum`` hold only for strings.
     So bools as numbers, numpy scalars, ``2.0`` as an integer and NaN
-    against a bound all give False.  A ``oneOf`` compiles only as a tagged
-    union (see ``_compile_tagged_union``): its check runs the one branch
-    that the instance's string tag names.  None means that ``schema`` uses
-    something else: a keyword outside ``type``, ``const``, ``enum``,
-    ``oneOf``, ``minimum``, ``exclusiveMinimum``, ``minItems``,
-    ``maxItems``, ``items``, ``required``, ``properties`` and a lone
-    ``$ref`` to ``#/$defs/<name>`` of ``root``; a ``const`` or ``enum`` of
-    anything but strings; keywords for two kinds of instance; a ``oneOf``
-    that is no tagged union; or a cyclic reference.
+    against a bound all give False.
+
+    The check covers what the shipped schema uses and nothing else: the
+    keywords of ``_KINDS``, a lone ``$ref`` to ``#/$defs/<name>`` of
+    ``root``, keywords for one kind of instance per node, and a ``oneOf``
+    that is a tagged union (see ``_compile_tagged_union``).  Anything else
+    raises ``ValueError`` naming it, and a cyclic ``$ref`` raises
+    ``RecursionError``, so a schema edit fails at the first report.
     """
-    if type(schema) is not dict:
-        return None
-    if "$ref" in schema:
-        target = _deref(schema, root, refs)
-        return None if target is None else _compile_check(target[0], root, target[1])
-    if any(key not in _KEYWORD_KINDS and key not in _ANY_KIND for key in schema):
-        return None
-    kinds = {_KEYWORD_KINDS[key] for key in schema if key in _KEYWORD_KINDS}
-    if len(kinds) > 1:
-        return None
+    schema = _resolve(schema, root)
+    uncovered = schema.keys() - _KINDS.keys()
+    if uncovered:
+        raise ValueError(f"the report check does not cover the keywords {sorted(uncovered)}")
+    kinds = {_KINDS[key] for key in schema} - {None}
     names = schema.get("type", list(_TYPES))
-    names = [names] if type(names) is str else names
-    if type(names) is not list or any(type(n) is not str or n not in _TYPES for n in names):
-        return None
-    allowed = {t for n in names for t in _TYPES[n]}
-    kind = kinds.pop() if kinds else None
-    if kind:
+    allowed = {t for n in ([names] if type(names) is str else names) for t in _TYPES[n]}
+    for kind in kinds:
         allowed &= set(_TYPES[kind])
-        if not allowed:   # the type excludes every instance the keywords constrain
-            return None
+    # no type is of two kinds, so this also refuses keywords for two kinds
+    if kinds and not allowed:
+        raise ValueError(f"the report check covers one kind of instance per node, "
+                         f"not {schema!r}")
+    kind = kinds.pop() if kinds else None
     checks = []
     if kind or "type" in schema:
-        checks.append(_kind_check(kind, schema, frozenset(allowed), root, refs))
+        checks.append(_kind_check(kind, schema, frozenset(allowed), root))
     if "const" in schema:
         const = schema["const"]
-        if type(const) is not str:
-            return None
         checks.append(lambda x: type(x) is str and x == const)
     if "enum" in schema:
-        enum = schema["enum"]
-        if type(enum) is not list or any(type(e) is not str for e in enum):
-            return None
-        members = frozenset(enum)
+        members = frozenset(schema["enum"])
         checks.append(lambda x: type(x) is str and x in members)
     if "oneOf" in schema:
-        checks.append(_compile_tagged_union(schema["oneOf"], root, refs))
-    if None in checks:
-        return None
+        checks.append(_compile_tagged_union(schema["oneOf"], root))
     return functools.reduce(_both, checks) if checks else lambda x: True
 
 
-def _kind_check(kind, schema: dict, allowed: frozenset, root: dict, refs: tuple):
-    """The check of ``type`` and of the keywords of ``kind``, or None."""
+def _kind_check(kind, schema: dict, allowed: frozenset, root: dict):
+    """The check of ``type`` and of the keywords of ``kind``."""
     if kind == "number":
         low = schema.get("minimum", -math.inf)
         above = schema.get("exclusiveMinimum", -math.inf)
-        if type(low) not in (int, float) or type(above) not in (int, float):
-            return None
         return lambda x: type(x) in allowed and x >= low and x > above
     if kind == "array":
         low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        if type(low) not in (int, float) or type(high) not in (int, float):
-            return None
         if "items" not in schema:
             return lambda x: type(x) is list and low <= len(x) <= high
-        item = _compile_check(schema["items"], root, refs)
-        if item is None:
-            return None
+        item = _compile_check(schema["items"], root)
         return lambda x: type(x) is list and low <= len(x) <= high and all(map(item, x))
     if kind == "object":
         required = schema.get("required", [])
-        properties = schema.get("properties", {})
-        if (type(required) is not list or any(type(key) is not str for key in required)
-                or type(properties) is not dict):
-            return None
-        checks = tuple((key, _compile_check(sub, root, refs))
-                       for key, sub in properties.items())
-        if any(check is None for _, check in checks):
-            return None
+        checks = tuple((key, _compile_check(sub, root))
+                       for key, sub in schema.get("properties", {}).items())
 
         def check_object(x) -> bool:
             if type(x) is not dict:
@@ -230,27 +210,23 @@ def _kind_check(kind, schema: dict, allowed: frozenset, root: dict, refs: tuple)
     return lambda x: type(x) in allowed
 
 
-def _compile_tagged_union(branches, root: dict, refs: tuple = ()):
-    """The check of a ``oneOf`` over ``branches`` that is a tagged union,
-    or None.
+def _compile_tagged_union(branches: list, root: dict):
+    """The check of a ``oneOf`` over ``branches`` that is a tagged union.
 
-    A tagged union's branches all compile, and, each after its lone
-    ``$ref`` is followed, all require one common key whose property is a
-    string ``const`` (the tag); no two share a tag.  The check reads the
-    instance's tag, only from a dict and only as a string, and runs that
-    one branch's check.  It is one-sided, because an instance carrying one
-    branch's tag fails every other branch's ``const``.
+    A tagged union's branches, each after its lone ``$ref`` is followed,
+    all require one common key whose property is a ``const`` (the tag); no
+    two share a tag.  The check reads the instance's tag, only from a dict
+    and only as a string, and runs that one branch's check.  It is
+    one-sided, because an instance carrying one branch's tag fails every
+    other branch's ``const``.  Any other ``oneOf`` raises ``ValueError``.
     """
-    if type(branches) is not list or not branches:
-        return None
-    checks = [_compile_check(branch, root, refs) for branch in branches]
-    if None in checks:
-        return None
-    tags = [_tags(branch, root, refs) for branch in branches]
+    checks = [_compile_check(branch, root) for branch in branches]
+    tags = [_tags(branch, root) for branch in branches]
     key = next((k for k in tags[0] if all(k in t for t in tags)), None)
     by_tag = dict(zip((t.get(key) for t in tags), checks))
     if key is None or len(by_tag) < len(branches):
-        return None
+        raise ValueError(f"the report check covers a oneOf only as a tagged union, "
+                         f"not {branches!r}")
 
     def check_tagged(x) -> bool:
         tag = x.get(key) if type(x) is dict else None
@@ -258,11 +234,10 @@ def _compile_tagged_union(branches, root: dict, refs: tuple = ()):
     return check_tagged
 
 
-def _tags(schema: dict, root: dict, refs: tuple) -> dict:
+def _tags(schema: dict, root: dict) -> dict:
     """The keys that ``schema`` requires and pins with a ``const``, each
-    with its ``const``.  ``schema`` compiled, so each ``const`` is a string."""
-    if "$ref" in schema:
-        schema = _deref(schema, root, refs)[0]
+    with its ``const``."""
+    schema = _resolve(schema, root)
     properties = schema.get("properties", {})
     return {key: properties[key]["const"] for key in schema.get("required", [])
             if "const" in properties.get(key, {})}
@@ -274,18 +249,19 @@ def _one_of_checked_validator(schema: dict) -> type:
     tagged union on the instance.
 
     Where the check passes, the keyword yields no error, as the stock
-    keyword would.  Where it fails, on any other ``oneOf``, or when no
-    check compiled, the stock keyword runs unchanged, so every rejection,
-    its message, its path and ``best_match`` come from jsonschema.  The
-    root's branch list is compared by identity, so the class falls back to
-    the stock keyword on any schema but ``schema``.
+    keyword would.  Where it fails, and on any other ``oneOf``, the stock
+    keyword runs unchanged, so every rejection, its message, its path and
+    ``best_match`` come from jsonschema.  The root's branch list is
+    compared by identity, so the class runs the stock keyword on any
+    schema but ``schema``.  A ``schema`` that the check does not cover
+    raises ``ValueError``.
     """
     stock = jsonschema.Draft7Validator.VALIDATORS["oneOf"]
-    root = schema.get("oneOf")
+    root = schema["oneOf"]
     check = _compile_tagged_union(root, schema)
 
     def one_of(validator, branches, instance, parent_schema):
-        if check is not None and branches is root and check(instance):
+        if branches is root and check(instance):
             return
         yield from stock(validator, branches, instance, parent_schema)
 
@@ -502,12 +478,11 @@ def cmd_verify(args) -> int:
 # brackets
 # ---------------------------------------------------------------------------
 
-#: witness searches demanded by the expected failure pattern
+#: witness searches demanded by the expected failure pattern: each bracket
+#: searches its first broken desideratum, and a bracket with none broken all three
 _SEARCH_PLAN = {
-    MixedBracketKind.BOUCHER_TRASCHEN: ("jacobi",),
-    MixedBracketKind.ALEKSANDROV: ("jacobi",),
-    MixedBracketKind.ANDERSON: ("antisymmetry",),
-    MixedBracketKind.HYBRID_PAPER: DESIDERATA,
+    kind: next(((name,) for name in DESIDERATA if not clean[name]), DESIDERATA)
+    for kind, clean in EXPECTED_CLEAN.items()
 }
 
 
