@@ -550,7 +550,7 @@ def _trajectory_csv(traj) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = MeasurementConfig(m1=args.m1, m2=args.m2, g0=args.g0, t0=args.t0, dt=args.dt,
-                            hbar=args.hbar, regime=args.regime)
+                            regime=args.regime)
     t_end, samples = args.t_end, args.samples
     if t_end is None:
         t_end = cfg.t0 + cfg.dt + 0.5
@@ -565,7 +565,7 @@ def cmd_simulate(args) -> int:
         "report_kind": "simulate",
         "config": {
             "m1": cfg.m1, "m2": cfg.m2, "g0": cfg.g0, "t0": cfg.t0, "dt": cfg.dt,
-            "hbar": cfg.hbar, "regime": cfg.regime.value,
+            "hbar": args.hbar, "regime": cfg.regime.value,
         },
         "back_reaction_gap": back_reaction_gap(traj),
         "t_end": t_end,
@@ -722,7 +722,7 @@ def _parser(seed_env: str | None) -> argparse.ArgumentParser:
     p_sim.add_argument("--dt", type=_positive_finite, default=1.3)
     p_sim.add_argument("--hbar", type=_positive_finite, default=1.0,
                        help="validated (> 0) and echoed into the summary's config.hbar "
-                            "only: the generator does not depend on hbar, to the bit")
+                            "only: the measurement model takes no hbar")
     p_sim.add_argument("--t-end", dest="t_end", type=_positive_finite,
                        help="end of the sampled interval (default: t0 + dt + 0.5)")
     p_sim.add_argument("--samples", type=_at_least(2), default=21)

@@ -16,10 +16,12 @@ canonical forms.  A quantum (x) quantum element is a matrix on the l*r
 dimensional product space, an algebra of the same type as its factors:
 ``KroneckerElement`` is an ``OperatorElement`` that adds only its factor
 layout (l, r).  A quantum (x) classical element, ``HybridElement``, is a
-polynomial with matrix coefficients.  The envelope product tau12 is
-implemented as an independent route (plain associative multiplication of
-canonical forms) and serves as a cross-check against the sigma/alpha
-composition path.
+polynomial with matrix coefficients.  The envelope product tau12 is the
+plain associative product of canonical forms (a matrix product, or the
+hybrid convolution), computed without sigma12 or alpha12.  So the
+``tau_associativity`` check of a composed algebra tests that product, not
+the composition law above: scaling sigma12 or alpha12 leaves its defect
+unchanged.
 
 Supported pairings: quantum (x) quantum at a free a12, and its
 hbar2 -> 0 limit, quantum (x) classical.
@@ -375,8 +377,11 @@ class ComposedAlgebra(HamiltonAlgebra):
                                                 - coefficient_product(B, A)) / (1j * h1))
 
     def tau(self, u, v):
-        """Envelope product, computed on the independent route: plain
-        associative multiplication of canonical forms."""
+        """Envelope product as the plain associative product of canonical
+        forms: ``u.entries @ v.entries`` (quantum (x) quantum) or the hybrid
+        convolution (quantum (x) classical).  It calls neither sigma12 nor
+        alpha12, so an associativity check of tau reads nothing of the
+        composition law."""
         self._check_element(u)
         self._check_element(v)
         if self.kind == "qq":

@@ -55,31 +55,27 @@ class MeasurementConfig:
     """h = p1^2/(2 m1) + p2^2/(2 m2) + g(t) p1 x2, g piecewise constant:
     g0 inside the window [t0, t0 + dt), zero outside.
 
-    ``hbar`` is validated (finite, > 0) and echoed into the summary's
-    ``config.hbar`` only: the generator does not depend on it, to the bit,
-    since each canonical variable's bracket with h is the Poisson bracket
-    weighted by hbar_j / hbar12, which is 1 or 0 whatever hbar is.  The
-    model draws nothing, so ``simulate`` accepts ``--seed`` only for the
-    command line every subcommand shares, and never reads it."""
+    The model takes no hbar: each canonical variable's bracket with h is
+    the Poisson bracket weighted by hbar_j / hbar12, which is 1 or 0
+    whatever hbar is (``generator_from_hamiltonian``).  It draws nothing
+    either, so ``simulate`` accepts ``--seed`` only for the command line
+    every subcommand shares, and never reads it."""
 
     m1: float
     m2: float
     g0: float
     t0: float
     dt: float
-    hbar: float
     regime: Regime
 
     def __post_init__(self):
-        for name in ("m1", "m2", "g0", "t0", "dt", "hbar"):
+        for name in ("m1", "m2", "g0", "t0", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise AlgebraError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.m1 > 0 and self.m2 > 0):
             raise AlgebraError("masses must be positive")
         if not self.dt > 0:
             raise AlgebraError("measurement window dt must be positive")
-        if not self.hbar > 0:
-            raise AlgebraError("hbar must be positive")
         object.__setattr__(self, "regime", Regime(self.regime))
 
     def coupling(self, t: float) -> float:
@@ -109,9 +105,10 @@ def generator_from_hamiltonian(h: dict, cfg: MeasurementConfig) -> np.ndarray:
     exactly, whatever the ordering of h: the commutator of a canonical
     variable with any polynomial is i hbar times their Poisson bracket,
     and the other pair enters through sigma alone.  Here c_j is the
-    composition-law coefficient sqrt(a_j/a12) = hbar_j/hbar12: 1 on a
-    quantum pair, 0 on the classical pair of the quantum-classical
-    regime, which freezes x2 and p2 (no back-reaction).
+    composition-law coefficient sqrt(a_j/a12) = hbar_j/hbar12, with
+    hbar12 = hbar1: 1 on pair 1, 1 on pair 2 in the quantum-quantum regime
+    and 0 in the quantum-classical one, which freezes x2 and p2 (no
+    back-reaction).  No weight depends on hbar, so the model takes none.
 
     So one Poisson bracket of two blocks gives every row: trial i holds
     basis observable i weighted by its pair's c_j, against h in every
@@ -119,9 +116,9 @@ def generator_from_hamiltonian(h: dict, cfg: MeasurementConfig) -> np.ndarray:
     (p1, x1, p2, x2, 1); degree growth means the canonical span is not
     closed and is rejected.
     """
-    hbars = {"1": cfg.hbar, "2": cfg.hbar if cfg.regime is Regime.QUANTUM_QUANTUM else 0.0}
-    # c_j of each variable's pair, with hbar12 = hbar1; the unit has no pair
-    weights = [hbars[name[1:]] / cfg.hbar if name in TRACKED else 0.0 for name in BASIS]
+    pair_weights = {"1": 1.0, "2": 1.0 if cfg.regime is Regime.QUANTUM_QUANTUM else 0.0}
+    # c_j of each variable's pair; the unit has no pair
+    weights = [pair_weights[name[1:]] if name in TRACKED else 0.0 for name in BASIS]
     f = PhaseSpacePoly._trusted(exponent_rows([_BASIS_EXPONENTS[name] for name in BASIS], 4),
                                 np.diag(weights))
     h_block = np.array([[v] * len(BASIS) for v in h.values()]).reshape(len(h), len(BASIS))

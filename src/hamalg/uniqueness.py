@@ -8,11 +8,15 @@ requirement -- that the composed bracket restrict to the component
 bracket with unit factor -- therefore forces a1 = a12 and a2 = a12: one
 constant for every composable pair.
 
-The factor is measured numerically by a least-squares fit over random
-embedded pairs, so the scaling law itself is validated rather than
-assumed; the closed form enters only as the expected value.  The pairs
-are drawn and evaluated in blocks, with the stream, the accepted pairs
-and the fit of the pair-by-pair loop, to the bit.
+The factor is measured numerically by a least-squares fit over
+MIN_FIT_PAIRS random embedded pairs, so the scaling law itself is
+validated rather than assumed; the closed form enters only as the
+expected value.  The pairs are drawn once each, in blocks, with the
+stream and the fit of the pair-by-pair loop, to the bit, and every pair
+drawn is fitted: lambda = sum <ref, val> / sum |ref|^2, to which a pair
+whose component bracket nearly vanishes adds a near-zero term on both
+sides.  Only a dim-1 component, whose bracket is identically zero,
+leaves nothing to fit, and it is refused before any draw.
 
 Results are returned in the one form the ``uniqueness`` report holds
 them: ``restrict_alpha`` returns a component's ``restriction_result``
@@ -34,19 +38,13 @@ from .errors import AlgebraError
 from .identities import block_trials
 
 FIT_RESIDUAL_TOLERANCE = 1e-10
-#: random pairs each restriction fit uses
+#: random pairs each restriction fit draws and fits
 MIN_FIT_PAIRS = 8
-#: draws allowed per fit pair; a dim-1 bracket vanishes on every draw
-MAX_DRAWS_PER_PAIR = 20
-#: a pair whose component bracket is below this, relative to 1 + |f||g|,
-#: is degenerate and resampled
-_DEGENERATE_RTOL = 1e-12
 
 
 def _require_qq(c: ComposedAlgebra):
-    if c.kind != "qq" or c.a1 <= 0 or c.a2 <= 0:
-        raise AlgebraError("restriction analysis needs quantum (x) quantum with "
-                           "positive constants")
+    if c.kind != "qq":
+        raise AlgebraError("restriction analysis needs quantum (x) quantum")
 
 
 def _sum_of_squares(norms) -> float:
@@ -74,6 +72,9 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
         comp, other, a = c.right, c.left, c.a2
     else:
         raise AlgebraError(f"component must be 'left' or 'right', got {component!r}")
+    if comp.dim == 1:
+        raise AlgebraError(f"the {component} component has dim 1, where alpha vanishes "
+                           f"identically; the restriction factor cannot be fitted")
 
     unit = other.unit().entries
 
@@ -87,25 +88,16 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
     num = 0.0
     den = 0.0
     refs, vals = [], []
-    cap = MAX_DRAWS_PER_PAIR * MIN_FIT_PAIRS
-    attempts = 0
-    while len(refs) < MIN_FIT_PAIRS and attempts < cap:
-        # as many pairs as are still needed, so no pair past the last is drawn
-        size = min(MIN_FIT_PAIRS - len(refs), cap - attempts, block_trials(c))
-        f, g = comp.random_element(rng, block=(size, 2))
-        attempts += size
+    size = block_trials(c)
+    for first in range(0, MIN_FIT_PAIRS, size):
+        f, g = comp.random_element(rng, block=(min(size, MIN_FIT_PAIRS - first), 2))
         ref = embed(comp.alpha(f, g))
-        degenerate = ref.norm() < _DEGENERATE_RTOL * (1.0 + f.norm() * g.norm())
         val = c.alpha(embed(f), embed(g))
-        for t in np.flatnonzero(~degenerate).tolist():  # the rest is resampled
-            num += float(np.real(np.vdot(ref.entries[t], val.entries[t])))
-            den += float(np.real(np.vdot(ref.entries[t], ref.entries[t])))
-            refs.append(ref.entries[t])
-            vals.append(val.entries[t])
-    if len(refs) < MIN_FIT_PAIRS:
-        raise AlgebraError(f"the {component} component's alpha vanished on "
-                           f"{attempts - len(refs)} of {attempts} random pairs "
-                           f"(dim {comp.dim}); the restriction factor cannot be fitted")
+        for r, v in zip(ref.entries, val.entries):
+            num += float(np.real(np.vdot(r, v)))
+            den += float(np.real(np.vdot(r, r)))
+            refs.append(r)
+            vals.append(v)
     lam = num / den
     refs, vals = np.array(refs), np.array(vals)
     resid_sq = _sum_of_squares(frobenius_norms(vals - lam * refs))
@@ -129,9 +121,7 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
 def uniqueness_check(a1: float, a2: float, a12: float, tolerance: float, seed: int) -> dict:
     """Verdict on one constant triple, on 2x2 matrix components: passes
     iff both restriction factors are unit within tolerance, i.e. iff
-    a1 = a12 = a2."""
-    if min(a1, a2, a12) <= 0:
-        raise AlgebraError("uniqueness analysis needs positive constants")
+    a1 = a12 = a2; the constructors refuse a constant <= 0."""
     c = ComposedAlgebra(OperatorAlgebra(2, a=a1), OperatorAlgebra(2, a=a2), a12=a12)
     left = restrict_alpha(c, "left", seed, tolerance)
     right = restrict_alpha(c, "right", seed + 1, tolerance)

@@ -286,7 +286,7 @@ def loop_check_identity(alg, identity, trials, tolerance, seed):
             "passed": worst <= tolerance and not nan_seen}
 
 
-def loop_restrict_fit(c, component, seed, rtol=1e-12):
+def loop_restrict_fit(c, component, seed):
     """(measured factor, fit residual) of the bracket's restriction fit,
     pair by pair: each pair drawn, embedded with ``np.kron`` and scored
     alone."""
@@ -302,12 +302,9 @@ def loop_restrict_fit(c, component, seed, rtol=1e-12):
     rng = np.random.default_rng(seed)
     num = den = 0.0
     samples = []
-    while len(samples) < MIN_FIT_PAIRS:
+    for _ in range(MIN_FIT_PAIRS):
         f, g = loop_operator_element(rng, comp.dim), loop_operator_element(rng, comp.dim)
         ref = embed(comp.alpha(f, g))
-        if float(np.linalg.norm(ref.entries)) < rtol * (
-                1.0 + float(np.linalg.norm(f.entries)) * float(np.linalg.norm(g.entries))):
-            continue
         val = c.alpha(embed(f), embed(g))
         num += float(np.real(np.vdot(ref.entries, val.entries)))
         den += float(np.real(np.vdot(ref.entries, ref.entries)))
@@ -468,21 +465,20 @@ def loop_normal_ordered_mul(f, g, hbars):
     return {e: c for e, c in out.items() if c != 0}
 
 
-def loop_evolution_bracket(f, h, cfg):
+def loop_evolution_bracket(f, h, regime, hbar):
     """(f h - h f) / (i hbar) on normal-ordered polynomials, as complex
     coefficients: both pairs carry hbar in the quantum-quantum regime, the
     second pair none in the quantum-classical one."""
     from hamalg.measurement import Regime
 
-    hbars = ((cfg.hbar, cfg.hbar) if cfg.regime is Regime.QUANTUM_QUANTUM
-             else (cfg.hbar, 0.0))
+    hbars = (hbar, hbar) if regime is Regime.QUANTUM_QUANTUM else (hbar, 0.0)
     out = dict(loop_normal_ordered_mul(f, h, hbars))
     for e, c in loop_normal_ordered_mul(h, f, hbars).items():
         out[e] = out.get(e, 0) - c
-    return {e: c / (1j * cfg.hbar) for e, c in out.items() if c != 0}
+    return {e: c / (1j * hbar) for e, c in out.items() if c != 0}
 
 
-def loop_generator(h, cfg):
+def loop_generator(h, regime, hbar):
     """The 5x5 generator, row i the loop bracket of basis observable i with
     h decomposed over the basis; a non-real coefficient fails."""
     from hamalg.measurement import _BASIS_EXPONENTS, BASIS
@@ -490,7 +486,8 @@ def loop_generator(h, cfg):
     basis_index = {_BASIS_EXPONENTS[name]: i for i, name in enumerate(BASIS)}
     gen = np.zeros((len(BASIS), len(BASIS)))
     for i, name in enumerate(BASIS):
-        for e, c in loop_evolution_bracket({_BASIS_EXPONENTS[name]: 1.0}, h, cfg).items():
+        for e, c in loop_evolution_bracket({_BASIS_EXPONENTS[name]: 1.0}, h, regime,
+                                           hbar).items():
             assert abs(c.imag) <= 1e-13 * max(1.0, abs(c)), (name, e, c)
             gen[i, basis_index[e]] = c.real
     return gen

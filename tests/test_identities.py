@@ -328,32 +328,38 @@ class TestTrialBlocks:
         assert got == loop_check_identity(bad, *check)
 
     def test_blocks_are_capped_by_entries(self, monkeypatch):
+        from hamalg import identities
         from hamalg.cli import _build_algebra, build_parser
-        from hamalg.elements import product_monomials
         from hamalg.identities import block_trials
-        from hamalg.kernels import BLOCK_PAIRS
+        from hamalg.kernels import MAX_BLOCK_TRIALS
 
-        assert block_trials(OperatorAlgebra(2, a=0.25)) == 256
-        assert block_trials(OperatorAlgebra(64, a=0.25)) == BLOCK_PAIRS // 64 ** 2
-        assert block_trials(OperatorAlgebra(128, a=0.25)) == 1
-        assert block_trials(composed(1.0, 1.0, 1.0, 8, 8)) == 2
-        # a phase-space trial's largest element holds every monomial of
-        # degree <= 4 deg: C(2n + 4 deg, 4 deg) of them
-        assert block_trials(PhaseSpaceAlgebra(1, 3)) == BLOCK_PAIRS // 91 == 90
-        assert block_trials(PhaseSpaceAlgebra(2, max_random_degree=3)) == 4
-        assert block_trials(PhaseSpaceAlgebra(1, max_random_degree=1)) == 256
-        assert block_trials(CorruptedAlgebra(OperatorAlgebra(30, a=0.25))) == BLOCK_PAIRS // 900
-
-        # a quantum (x) classical trial's largest element is its deepest
-        # product: a d x d coefficient on each of C(2n + 4 deg, 4 deg) monomials
         def hybrid(*options):
             return _build_algebra(build_parser().parse_args(
                 ["verify", "--hybrid", "--seed", "0", *options]))
 
-        assert hybrid().block_entries == product_monomials(2, 2) * 2 ** 2 == 180
-        assert block_trials(hybrid()) == 45
-        assert block_trials(hybrid("--pairs", "4")) == 1
-        assert block_trials(CorruptedAlgebra(hybrid())) == 45
+        # (algebra, coefficient entries of the largest element one trial
+        # forms): a matrix's n^2; on phase space every monomial of degree
+        # <= 4 deg, C(2n + 4 deg, 4 deg) of them; and for quantum (x)
+        # classical a d x d coefficient on each of those monomials
+        cases = [
+            (OperatorAlgebra(2, a=0.25), 4),
+            (OperatorAlgebra(64, a=0.25), 4096),
+            (OperatorAlgebra(128, a=0.25), 16384),
+            (composed(1.0, 1.0, 1.0, 8, 8), 4096),
+            (PhaseSpaceAlgebra(1, 3), math.comb(2 + 12, 12)),
+            (PhaseSpaceAlgebra(2, max_random_degree=3), math.comb(4 + 12, 12)),
+            (PhaseSpaceAlgebra(1, max_random_degree=1), math.comb(2 + 4, 4)),
+            (CorruptedAlgebra(OperatorAlgebra(30, a=0.25)), 900),
+            (hybrid(), 180),
+            (hybrid("--pairs", "4"), math.comb(8 + 8, 8) * 4),
+            (CorruptedAlgebra(hybrid()), 180),
+        ]
+        # the rule, at today's budget and at a four times larger one
+        for budget in (8192, 32768):
+            monkeypatch.setattr(identities, "BLOCK_PAIRS", budget)
+            for alg, entries in cases:
+                assert alg.block_entries == entries
+                assert block_trials(alg) == max(1, min(MAX_BLOCK_TRIALS, budget // entries))
 
 
 class TestHybridBlocks:

@@ -11,8 +11,10 @@ defines no defect of its own and scores its desiderata through the
 identity scan.  ``measurement.py`` reaches polynomial arithmetic only
 through ``PhaseSpacePoly``: it imports nothing from the kernel and forms
 no binomial or factorial weights of a product of its own, and it
-imports nothing of the package but ``elements`` and ``errors``.  No module imports a name it never reads, except the one
-import ``perfbench/tracing.py`` wraps, marked ``# noqa: F401``.
+imports nothing of the package but ``elements`` and ``errors``.  Its
+code names no ``hbar``: no weight of its generator depends on one.  No
+module imports a name it never reads, except the one import
+``perfbench/tracing.py`` wraps, marked ``# noqa: F401``.
 
 Matrix coefficients of quantum (x) classical elements multiply through
 ``compose.coefficient_product`` alone: ``brackets.py`` holds no ``@`` and
@@ -137,6 +139,43 @@ def test_every_product_weight_call_is_seen(tmp_path, source, found):
     path = tmp_path / "module.py"
     path.write_text(source + "\n")
     assert found in called_names(path) & PRODUCT_WEIGHTS
+
+
+def code_names(path):
+    """Every identifier the code of ``path`` names: each variable, field,
+    attribute, parameter and keyword argument.  Docstrings and comments
+    name nothing."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def test_measurement_model_takes_no_hbar():
+    # the generator weighs each pair's Poisson bracket by hbar_j / hbar12,
+    # 1 or 0 whatever hbar is, so the model has no hbar to take
+    assert "hbar" not in code_names(SRC / "measurement.py")
+
+
+@pytest.mark.parametrize("source, seen", [
+    ("class Config:\n    hbar: float", True),
+    ("def weight(cfg):\n    return 1.0 / cfg.hbar", True),
+    ("def generator(h, hbar):\n    return h", True),
+    ("Config(m1=1.0, hbar=1.0)", True),
+    ("hbar = 1.0", True),
+    ('"""The model takes no hbar."""\nx = 1.0  # nor hbar', False),
+])
+def test_every_hbar_name_is_seen(tmp_path, source, seen):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n")
+    assert ("hbar" in code_names(path)) == seen
 
 
 def test_every_algebra_declares_block_draws():
