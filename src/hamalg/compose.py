@@ -17,11 +17,11 @@ dimensional product space, an algebra of the same type as its factors:
 ``KroneckerElement`` is an ``OperatorElement`` that adds only its factor
 layout (l, r).  A quantum (x) classical element, ``HybridElement``, is a
 polynomial with matrix coefficients.  The envelope product tau12 is the
-plain associative product of canonical forms (a matrix product, or the
-hybrid convolution), computed without sigma12 or alpha12.  So the
-``tau_associativity`` check of a composed algebra tests that product, not
-the composition law above: scaling sigma12 or alpha12 leaves its defect
-unchanged.
+base algebra's, sigma12 + (i*hbar12/2) alpha12, so the
+``tau_associativity`` check of a composed algebra tests the composition
+law above.  The law's coefficients are formed from the hbars,
+sqrt(a1*a2) = hbar1*hbar2/4 and sqrt(a_k/a12) = hbar_k/hbar12, which
+overflow only where the coefficient itself does.
 
 Supported pairings: quantum (x) quantum at a free a12, and its
 hbar2 -> 0 limit, quantum (x) classical.
@@ -36,8 +36,7 @@ Quantum (x) classical products and the mixed brackets run through
 also multiplies real polynomials, and form every product of two matrix
 coefficients with ``coefficient_product``: elementwise sums over k, never
 ``@``, so a pair's product has the same bits in a block as alone.  Only
-the quantum (x) quantum products (``_lr_table`` and ``tau``) keep ``@``
-and ``einsum``.
+the quantum (x) quantum table ``_lr_table`` keeps ``@`` and ``einsum``.
 """
 
 from __future__ import annotations
@@ -353,7 +352,7 @@ class ComposedAlgebra(HamiltonAlgebra):
             LL, LR, RL, RR = _lr_table(u, v)
             sig_sig = 0.25 * (LL + LR + RL + RR)
             alp_alp = -(LL - LR - RL + RR) / (h1 * h2)
-            return u._derived(sig_sig - math.sqrt(self.a1 * self.a2) * alp_alp)
+            return u._derived(sig_sig - (h1 * h2 / 4) * alp_alp)
         # cross term carries sqrt(a1 * a2) = 0 for a classical right
         # component, so only the factorwise symmetric products remain
         return u.pair_sum(v, lambda A, B: 0.5 * (coefficient_product(A, B)
@@ -362,32 +361,17 @@ class ComposedAlgebra(HamiltonAlgebra):
     def alpha(self, u, v):
         self._check_element(u)
         self._check_element(v)
-        c1 = math.sqrt(self.a1 / self.a12)
-        c2 = math.sqrt(self.a2 / self.a12)
+        h1, h2, h12 = self.left.constant.hbar, self.right.constant.hbar, self.constant.hbar
+        c1, c2 = h1 / h12, h2 / h12
         if self.kind == "qq":
-            h1, h2 = self.left.constant.hbar, self.right.constant.hbar
             LL, LR, RL, RR = _lr_table(u, v)
             alp_sig = (LL + LR - RL - RR) / (2j * h1)
             sig_alp = (LL - LR + RL - RR) / (2j * h2)
             return u._derived(c1 * alp_sig + c2 * sig_alp)
         # quantum (x) classical: c2 = 0 kills the classical-bracket term,
         # which is the algebraic root of the no-back-reaction result
-        h1 = self.left.constant.hbar
         return u.pair_sum(v, lambda A, B: c1 * (coefficient_product(A, B)
                                                 - coefficient_product(B, A)) / (1j * h1))
-
-    def tau(self, u, v):
-        """Envelope product as the plain associative product of canonical
-        forms: ``u.entries @ v.entries`` (quantum (x) quantum) or the hybrid
-        convolution (quantum (x) classical).  It calls neither sigma12 nor
-        alpha12, so an associativity check of tau reads nothing of the
-        composition law."""
-        self._check_element(u)
-        self._check_element(v)
-        if self.kind == "qq":
-            u._check_like(v)
-            return u._derived(u.entries @ v.entries)
-        return u.assoc_product(v)
 
     # -- elements -------------------------------------------------------
 

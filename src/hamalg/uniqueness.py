@@ -3,10 +3,10 @@ resulting pin on the quantum constant.
 
 Restricting the composed bracket alpha12 to one component (other factor
 held at its unit) always yields a scalar multiple of that component's
-bracket alpha; the scalar is sqrt(a_k / a12).  The standard restriction
-requirement -- that the composed bracket restrict to the component
-bracket with unit factor -- therefore forces a1 = a12 and a2 = a12: one
-constant for every composable pair.
+bracket alpha; the scalar is sqrt(a_k / a12) = hbar_k / hbar12.  The
+standard restriction requirement -- that the composed bracket restrict
+to the component bracket with unit factor -- therefore forces a1 = a12
+and a2 = a12: one constant for every composable pair.
 
 The factor is measured numerically by a least-squares fit over
 MIN_FIT_PAIRS random embedded pairs, so the scaling law itself is
@@ -16,15 +16,20 @@ stream and the fit of the pair-by-pair loop, to the bit, and every pair
 drawn is fitted: lambda = sum <ref, val> / sum |ref|^2, to which a pair
 whose component bracket nearly vanishes adds a near-zero term on both
 sides.  Only a dim-1 component, whose bracket is identically zero,
-leaves nothing to fit, and it is refused before any draw.
+leaves nothing to fit, and it is refused before any draw.  The fit's
+residual is |val - lambda*ref| / |val| over all pairs, the misfit
+relative to the fitted values themselves: at most 1 by least squares,
+and independent of lambda, so one tolerance holds at every constant.
+A NaN residual fails it too.
 
 Results are returned in the one form the ``uniqueness`` report holds
 them: ``restrict_alpha`` returns a component's ``restriction_result``
 dict and ``uniqueness_check`` a triple's verdict dict, both as the
 schema validates them, and ``cli`` assembles the report around the
 verdicts.  The components are built from the constants a1 and a2
-themselves, so the verdict echoes them and the closed-form factor
-sqrt(a_k / a12) unrounded.
+themselves, so the verdict echoes them unrounded, and the closed-form
+factor as sqrt(a_k) / sqrt(a12), the bits of the coefficient hbar_k /
+hbar12 that alpha12 applies.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
     lambda * alpha(f, g) (x) e, over MIN_FIT_PAIRS random pairs, returned
     as the component's ``restriction_result`` entry of a ``uniqueness``
     verdict.  A residual above tolerance means the restricted bracket is
-    not proportional to the embedded one, which is an internal error."""
+    not proportional to the embedded one, which is an internal error, as
+    is a NaN fit."""
     _require_qq(c)
     if component == "left":
         comp, other, a = c.left, c.right, c.a1
@@ -101,9 +107,9 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
     lam = num / den
     refs, vals = np.array(refs), np.array(vals)
     resid_sq = _sum_of_squares(frobenius_norms(vals - lam * refs))
-    ref_sq = _sum_of_squares(frobenius_norms(refs))
-    residual = np.sqrt(resid_sq) / np.sqrt(ref_sq)
-    if residual > FIT_RESIDUAL_TOLERANCE:
+    val_sq = _sum_of_squares(frobenius_norms(vals))
+    residual = np.sqrt(resid_sq) / np.sqrt(val_sq)
+    if not residual <= FIT_RESIDUAL_TOLERANCE:
         raise AlgebraError(
             f"restricted alpha is not proportional to the component product "
             f"(residual {residual:.3e}); composition is inconsistent"
@@ -112,7 +118,7 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
         "component": component,
         "product": "alpha",
         "measured_factor": lam,
-        "expected_factor": float(np.sqrt(a / c.a12)),
+        "expected_factor": float(np.sqrt(a) / np.sqrt(c.a12)),
         "fit_residual": float(residual),
         "satisfies_requirement": abs(lam - 1.0) <= tolerance,
     }

@@ -312,8 +312,8 @@ def loop_restrict_fit(c, component, seed):
     lam = num / den
     resid_sq = sequential_sum(float(np.linalg.norm(val.entries - lam * ref.entries)) ** 2
                               for ref, val in samples)
-    ref_sq = sequential_sum(float(np.linalg.norm(ref.entries)) ** 2 for ref, _ in samples)
-    return lam, np.sqrt(resid_sq) / np.sqrt(ref_sq)
+    val_sq = sequential_sum(float(np.linalg.norm(val.entries)) ** 2 for _, val in samples)
+    return lam, np.sqrt(resid_sq) / np.sqrt(val_sq)
 
 
 # The dense oracle's products as double loops over exponent pairs, the

@@ -19,7 +19,7 @@ module imports a name it never reads, except the one import
 Matrix coefficients of quantum (x) classical elements multiply through
 ``compose.coefficient_product`` alone: ``brackets.py`` holds no ``@`` and
 no ``matmul``, ``einsum`` or ``dot`` call, and in ``compose.py`` only the
-quantum (x) quantum products ``_lr_table`` and ``ComposedAlgebra.tau`` do.
+quantum (x) quantum table ``_lr_table`` does.
 The dense oracle keeps ``@`` for its hybrid products, so it shares no
 product formula with the main path.
 
@@ -304,7 +304,7 @@ def test_brackets_forms_no_matrix_product_of_its_own():
 
 
 def test_compose_keeps_matrix_products_to_the_quantum_quantum_routes():
-    assert set(matrix_product_scopes(SRC / "compose.py")) == {"_lr_table", "ComposedAlgebra.tau"}
+    assert set(matrix_product_scopes(SRC / "compose.py")) == {"_lr_table"}
 
 
 def test_reference_keeps_its_own_hybrid_products():

@@ -84,6 +84,42 @@ class TestRestrictAlpha:
         res = restrict_alpha(composed(0.25, 2.0, 5.0), "left", 0, 1e-8)
         assert res["fit_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("constants", [(1e6, 1.0, 1e-6), (1.0, 1e10, 1e-10),
+                                           (1e-10, 1.0, 1e10)])
+    def test_residual_does_not_grow_with_the_factor(self, constants):
+        # divided by the fitted values' norm, not the reference's, the
+        # residual is the relative misfit whatever lambda is
+        v = uniqueness_check(*constants, 1e-8, 0)
+        assert not v["passed"]
+        for side in ("left", "right"):
+            assert v[side]["fit_residual"] <= 1e-14
+
+    def test_extreme_factors_are_finite(self):
+        # sqrt(a1 / a12) = 1e300 is a float although a1 / a12 is not
+        v = uniqueness_check(1e300, 1.0, 1e-300, 1e-8, 0)
+        assert v["left"]["expected_factor"] == pytest.approx(1e300, rel=1e-15)
+        assert v["right"]["expected_factor"] == pytest.approx(1e150, rel=1e-15)
+        for side in ("left", "right"):
+            assert v[side]["measured_factor"] == pytest.approx(v[side]["expected_factor"])
+
+    def test_relative_misfit_raises_at_a_small_factor(self, monkeypatch):
+        # a 1e-6 relative miss at lambda = 1e-10 read 1e-16 relative to
+        # the reference; relative to the fitted values it reads ~1e-6
+        c = composed(1e-10, 1.0, 1e10)
+        assert restrict_alpha(c, "left", 0, 1e-8)["fit_residual"] <= 1e-14
+        exact = ComposedAlgebra.alpha
+        skew = 1 + 1e-6 * np.arange(16).reshape(4, 4)
+        monkeypatch.setattr(ComposedAlgebra, "alpha",
+                            lambda self, u, v: u._derived(exact(self, u, v).entries * skew))
+        with pytest.raises(AlgebraError, match="not proportional"):
+            restrict_alpha(c, "left", 0, 1e-8)
+
+    def test_nan_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(ComposedAlgebra, "alpha",
+                            lambda self, u, v: u._derived(np.full_like(u.entries, np.nan)))
+        with pytest.raises(AlgebraError, match="residual nan"):
+            restrict_alpha(composed(1.0, 1.0, 1.0), "left", 0, 1e-8)
+
     def test_rejects_hybrid_composition(self):
         hybrid = ComposedAlgebra(OperatorAlgebra(2, a=0.25),
                                  PhaseSpaceAlgebra(1, 3), a12=0.25)

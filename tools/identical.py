@@ -23,9 +23,10 @@ The corpus (``corpus()``) is every report of the benchmark's workloads on
 each pool seed, read from ``perfbench/workloads.py``, and the command
 lines of ``EXTRA``: each subcommand at its defaults, the heavy ``verify``
 variants, ``uniqueness`` triples and grids, ``simulate`` in both regimes,
-the NaN and small-hbar cases, and the usage errors of ``tests/test_cli.py``
-that need no input file.  In a command line ``{json}`` and ``{csv}`` name
-its output files and ``{dir}`` its output directory.
+the NaN, small-hbar and extreme-constant cases, and the usage errors of
+``tests/test_cli.py`` that need no input file.  In a command line
+``{json}`` and ``{csv}`` name its output files and ``{dir}`` its output
+directory.
 """
 
 from __future__ import annotations
@@ -95,6 +96,13 @@ EXTRA = (
     ("verify-composed-1e-8", ("verify", "--composed", "--a1", "1e-8", "--a2", "1e-8",
                               "--a12", "1e-8", "--trials", "20")),
     ("verify-degree1", ("verify", "--realization", "phase-space", "--degree", "1")),
+    # constants whose products a1 * a2 or a1 / a12 leave the floats, and a
+    # restriction factor of 1e6
+    ("verify-composed-1e300", ("verify", "--composed", "--a1", "1e300", "--a2", "1e300",
+                               "--a12", "1")),
+    ("uniqueness-1e6", ("uniqueness", "--a1", "1e6", "--a2", "1", "--a12", "1e-6")),
+    ("uniqueness-1e300", ("uniqueness", "--a1", "1e300", "--a2", "1", "--a12", "1e-300",
+                          "--out", "{json}")),
     # usage errors
     *((f"usage-{i}", argv) for i, argv in enumerate((
         ("verify", "--hybrid", "--hbar", "5", "--trials", "1"),
