@@ -29,15 +29,15 @@ modules below return the report's entries (``identities.check_identity``
 a check, ``brackets.measure_defects`` a bracket's defects and
 ``uniqueness.uniqueness_check`` a verdict).
 All reports validate against the schema shipped at
-``hamalg/schemas/report.schema.json``, with one ``jsonschema.validate``
-call each.  Only the root ``oneOf``, a tagged union keyed by
-``report_kind``, is hooked: it first runs the compiled check of the
-branch the report's tag names, which covers the whole report, and
-jsonschema's own keyword runs only where that check does not pass, so
-every rejection and its message still come from jsonschema.  The check
-covers exactly the constructs the shipped schema uses; a schema edit
-that adds any other raises ``ValueError``, naming it, at the first
-report.  A valid report's text is built by ``serialize.dumps_indent2``, equal to
+``hamalg/schemas/report.schema.json``.  A report is written once the
+compiled check of the root ``oneOf``, a tagged union keyed by
+``report_kind``, passes it; that check covers the whole report, so a
+valid report never loads jsonschema.  Only a report the check refuses
+goes through stock Draft-7 ``jsonschema.validate``, so every rejection
+and its message still come from jsonschema.  The check covers exactly
+the constructs the shipped schema uses; a schema edit that adds any
+other raises ``ValueError``, naming it, at the first report.
+A valid report's text is built by ``serialize.dumps_indent2``, equal to
 ``json.dumps(report, indent=2)``: witness term lists are written by one
 cached template each, and the rest of the report item by item.
 """
@@ -54,8 +54,6 @@ import os
 import sys
 from datetime import datetime, timezone
 from importlib import resources
-
-import jsonschema
 
 from .algebra import OperatorAlgebra, PhaseSpaceAlgebra
 from .brackets import (
@@ -97,7 +95,7 @@ def _load_schema() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report validation: a compiled check of the whole report behind the root ``oneOf``
+# report validation: a compiled check of the whole report, from the root ``oneOf``
 # ---------------------------------------------------------------------------
 
 #: the Python types a compiled check accepts for each draft-07 type name
@@ -243,34 +241,20 @@ def _tags(schema: dict, root: dict) -> dict:
             if "const" in properties.get(key, {})}
 
 
-def _one_of_checked_validator(schema: dict) -> type:
-    """A draft-07 validator class for ``schema`` whose ``oneOf`` keyword, on
-    the root's own branch list, first runs the compiled check of that
-    tagged union on the instance.
-
-    Where the check passes, the keyword yields no error, as the stock
-    keyword would.  Where it fails, and on any other ``oneOf``, the stock
-    keyword runs unchanged, so every rejection, its message, its path and
-    ``best_match`` come from jsonschema.  The root's branch list is
-    compared by identity, so the class runs the stock keyword on any
-    schema but ``schema``.  A ``schema`` that the check does not cover
-    raises ``ValueError``.
-    """
-    stock = jsonschema.Draft7Validator.VALIDATORS["oneOf"]
-    root = schema["oneOf"]
-    check = _compile_tagged_union(root, schema)
-
-    def one_of(validator, branches, instance, parent_schema):
-        if branches is root and check(instance):
-            return
-        yield from stock(validator, branches, instance, parent_schema)
-
-    return jsonschema.validators.extend(jsonschema.Draft7Validator, {"oneOf": one_of})
+#: the root keys that a report check reads or that carry no constraint
+_ROOT_KEYS = frozenset({"$schema", "$id", "title", "oneOf", "$defs"})
 
 
 @functools.cache
-def _report_validator() -> type:
-    return _one_of_checked_validator(_load_schema())
+def _report_check():
+    """The one-sided check of the shipped schema's root ``oneOf``, which it
+    reads alone: any other constraining root key raises ``ValueError``."""
+    schema = _load_schema()
+    uncovered = schema.keys() - _ROOT_KEYS
+    if uncovered:
+        raise ValueError(f"the report check reads only the root's oneOf, "
+                         f"not the root keys {sorted(uncovered)}")
+    return _compile_tagged_union(schema["oneOf"], schema)
 
 
 def _timestamp() -> str:
@@ -327,8 +311,12 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
-    """Validate against the shipped schema, then write or print."""
-    jsonschema.validate(report, _load_schema(), cls=_report_validator())
+    """Validate against the shipped schema, then write or print.  Only a
+    report the compiled check refuses loads jsonschema, whose import costs
+    more than a valid report's whole check; stock Draft-7 then raises."""
+    if not _report_check()(report):
+        import jsonschema
+        jsonschema.validate(report, _load_schema(), cls=jsonschema.Draft7Validator)
     _write_text(dumps_indent2(report) + "\n", out_path, "report")
 
 

@@ -3,6 +3,9 @@ refactor that renames or moves one must update the wrap table, or that
 layer silently reads zero in every traced run."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,17 @@ def test_traced_brackets_search_counts_its_budget(load_perfbench_module, tmp_pat
             if s[tracing.NAME] == "brackets.search"] == [4, 4, 4]
 
 
+#: a child that runs one command and reports whether it loaded jsonschema
+CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from hamalg.cli import main
+status = main(sys.argv[2:])
+print("jsonschema loaded:", "jsonschema" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--dim", "2", "--trials", "1", "--out", "{dir}/r.json"),
     ("brackets", "--kind", "anderson", "--trials", "1", "--budget", "1",
@@ -40,13 +54,25 @@ def test_traced_brackets_search_counts_its_budget(load_perfbench_module, tmp_pat
      "--json-out", "{dir}/r.json"),
     ("simulate", "--out", "{dir}/r.csv", "--summary-out", "{dir}/r.json"),
 ])
-def test_each_report_calls_jsonschema_validate_once(argv, tmp_path, monkeypatch):
-    """The tracer times report validation at ``jsonschema.validate``
-    (``cli.schema_validate``); a report validated another way would leave
-    that layer reading zero."""
+def test_valid_report_does_not_load_jsonschema(argv, tmp_path):
+    """A valid report passes the compiled check alone and never imports
+    jsonschema, so the tracer's ``cli.schema_validate`` wrap point
+    (``jsonschema.validate``) reads 0 calls on a passing run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", CHILD, src,
+                           *(a.format(dir=tmp_path) for a in argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "jsonschema loaded: False" in proc.stderr
+    with open(tmp_path / "r.json") as fh:
+        assert json.load(fh)["report_kind"] == argv[0]
+
+
+def test_refused_report_calls_jsonschema_validate_once(monkeypatch):
+    """A refused report reaches the ``cli.schema_validate`` wrap point once."""
     import jsonschema
 
-    from hamalg.cli import main
+    from hamalg.cli import _write_report
 
     calls = []
     validate = jsonschema.validate
@@ -56,7 +82,7 @@ def test_each_report_calls_jsonschema_validate_once(argv, tmp_path, monkeypatch)
         return validate(*args, **kwargs)
 
     monkeypatch.setattr(jsonschema, "validate", counting)
-    assert main([a.format(dir=tmp_path) for a in argv]) == 0
-    assert len(calls) == 1
-    with open(tmp_path / "r.json") as fh:
-        assert calls[0]["report_kind"] == json.load(fh)["report_kind"]
+    report = {"report_kind": "verify"}
+    with pytest.raises(jsonschema.ValidationError):
+        _write_report(report, None)
+    assert calls == [report]
