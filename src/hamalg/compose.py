@@ -57,6 +57,7 @@ from .elements import (
     PhaseSpacePoly,
     QuantumConstant,
     TermArray,
+    check_trials,
     exponent_rows,
     exponent_tuple,
     frobenius_norms,
@@ -109,18 +110,21 @@ class KroneckerElement(OperatorElement):
 
 
 def coefficient_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product of the trailing (d, d) axes of two broadcast
-    coefficient stacks, written as sum_k A[..., :, k] B[..., k, :]: the
-    k = 0 term, then the others added in turn, k ascending.
+    """Matrix product of the matrix axes 2 and 3 of two broadcast
+    coefficient stacks, (rows, Nb, d, d) or, in a block, (rows, Nb, d, d,
+    T): written as sum_k A[:, :, :, k] B[:, :, k, :], the k = 0 term, then
+    the others added in turn, k ascending.
 
     Each entry is formed by elementwise multiplies and adds alone, so a
     pair's product has the same bits whatever the stacks around it: in a
-    batch of term pairs and trials as in a call on that pair alone.  One
-    (..., d, d) product a k is the only temporary.
+    batch of term pairs and trials as in a call on that pair alone.  The
+    trial axis, where there is one, is innermost, so each multiply and add
+    runs over contiguous runs of trials.  One (rows, Nb, d, d[, T])
+    product a k is the only temporary.
     """
-    out = A[..., :, :1] * B[..., :1, :]
-    for k in range(1, A.shape[-1]):
-        out += A[..., :, k:k + 1] * B[..., k:k + 1, :]
+    out = A[:, :, :, :1] * B[:, :, :1]
+    for k in range(1, A.shape[3]):
+        out += A[:, :, :, k:k + 1] * B[:, :, k:k + 1]
     return out
 
 
@@ -128,8 +132,9 @@ class HybridElement(TermArray):
     """Element of quantum (x) classical: a polynomial in the classical
     canonical pairs whose coefficients are dim x dim complex matrices, a
     ``TermArray`` of complex128 coefficients (N, dim, dim), or
-    (N, trials, dim, dim) in a block.  An observable-valued function has a
-    Hermitian coefficient on every monomial.
+    (N, dim, dim, trials) in a block, the trial axis innermost.  An
+    observable-valued function has a Hermitian coefficient on every
+    monomial.
     """
 
     __slots__ = ()
@@ -149,7 +154,7 @@ class HybridElement(TermArray):
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[-1]
+        return self.coeffs.shape[1]
 
     def norm(self):
         """Frobenius norm over all coefficients; in a block, an array of the
@@ -159,10 +164,13 @@ class HybridElement(TermArray):
         squared as a Python float, ``n ** 2``, which is not always
         ``n * n``, and the squares are added in turn, in row order,
         starting from the first; the norm is the square root of that sum.
+        In a block, each (row, trial) matrix is first copied out of the
+        trial-innermost stack into C order, as ``trial(t)`` holds it.
         """
         trials = 1 if self.trials is None else self.trials
-        norms = frobenius_norms(self.coeffs.reshape(-1, self.dim, self.dim))  # row-major
-        squares = np.array([n ** 2 for n in norms]).reshape(-1, trials)
+        d = self.dim
+        mats = self.coeffs.reshape(-1, d, d, trials).transpose(0, 3, 1, 2).reshape(-1, d, d)
+        squares = np.array([n ** 2 for n in frobenius_norms(mats)]).reshape(-1, trials)
         # running sums down each trial's column: sequential, unlike np.sum
         totals = np.add.accumulate(squares)[-1] if len(squares) else np.zeros(trials)
         return math.sqrt(totals[0]) if self.trials is None else np.sqrt(totals)
@@ -204,9 +212,9 @@ def random_hybrid_observable(rng: np.random.Generator, dim: int = 2, num_pairs: 
     monos = monomials_up_to_degree(2 * num_pairs, degree)
     trials, arity = block or (1, 1)
     h = hermitian_from_normals(rng.standard_normal((trials, arity, len(monos), 2, dim, dim)))
-    # by element, then monomial: each coefficient (trials, dim, dim)
+    # by element, then monomial: each coefficient (dim, dim, trials)
     exps = exponent_rows(monos, 2 * num_pairs)
-    drawn = [HybridElement._trusted(exps, c) for c in h.transpose(1, 2, 0, 3, 4)]
+    drawn = [HybridElement._trusted(exps, c) for c in h.transpose(1, 2, 3, 4, 0)]
     return drawn if block else drawn[0].trial(0)
 
 
@@ -219,11 +227,18 @@ def simple_tensor(f, g):
 
     quantum (x) quantum   -> KroneckerElement
     quantum (x) classical -> HybridElement
+
+    Blocks pair trial by trial, and only with blocks of as many trials:
+    trial t of the result is ``simple_tensor`` of the factors' trials t.
     """
     if type(f) is OperatorElement and type(g) is OperatorElement:
-        return KroneckerElement._trusted(f.dim, g.dim, np.kron(f.entries, g.entries))
+        check_trials(f.trials, g.trials)
+        return KroneckerElement._trusted(f.dim, g.dim, kron_blocks(f.entries, g.entries))
     if type(f) is OperatorElement and isinstance(g, PhaseSpacePoly):
-        return HybridElement._trusted(g.exps, g.coeffs[:, None, None] * f.entries)
+        check_trials(f.trials, g.trials)
+        # (N[, T]) scalars times (d, d[, T]) matrices: (N, d, d[, T])
+        mats = f.entries if f.trials is None else f.entries.transpose(1, 2, 0)
+        return HybridElement._trusted(g.exps, g.coeffs[:, None, None] * mats)
     raise AlgebraError(
         f"unsupported tensor pairing {type(f).__name__} (x) {type(g).__name__}; "
         "put the quantum factor on the left"

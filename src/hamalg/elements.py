@@ -209,8 +209,10 @@ class TermArray:
 
     A subclass fixes the coefficient: ``COEFF_RANK`` trailing axes, 0 for a
     scalar, 2 for a matrix.  A *block* of ``trials`` elements carries a
-    trial axis before those, so that one call of each operation evaluates
-    all of its trials; a row stays unless its coefficient is zero in every
+    trial axis after those, the last and innermost axis of the stack, so
+    that one call of each operation evaluates all of its trials on
+    contiguous runs of trials: (N, trials) for a scalar, (N, d, d, trials)
+    for a matrix.  A row stays unless its coefficient is zero in every
     trial, and ``trial(t)`` slices out one ordinary element.  Blocks combine
     only with blocks of as many trials.  The element holds its two arrays
     and nothing else: ``num_pairs`` and ``trials`` are read off their
@@ -245,7 +247,7 @@ class TermArray:
 
     @property
     def trials(self) -> int | None:
-        return self.coeffs.shape[1] if self.coeffs.ndim > 1 + self.COEFF_RANK else None
+        return self.coeffs.shape[-1] if self.coeffs.ndim > 1 + self.COEFF_RANK else None
 
     @property
     def terms(self) -> dict:
@@ -262,7 +264,7 @@ class TermArray:
         are zero in that trial."""
         if self.trials is None:
             raise ShapeError("trial() needs a block")
-        return self._trusted(self.exps, self.coeffs[:, t])
+        return self._trusted(self.exps, self.coeffs[..., t])
 
     def _check_like(self, other: "TermArray"):
         if type(other) is not type(self):

@@ -18,12 +18,12 @@ entries, and ``cli`` assembles the report around them.
 
 ``scan`` draws and scores the input tuples a block at a time: an algebra
 draws a block of T input tuples in one call, as elements whose
-coefficients carry a trial axis, (T, n, n) for a matrix, (T,) or
-(T, d, d) per monomial for a polynomial, and each product of an identity
-then runs once per block.  ``check_identity`` takes T at most
-``kernels.MAX_BLOCK_TRIALS`` and at most ``kernels.BLOCK_PAIRS`` over the
-``block_entries`` coefficient entries of the largest element one trial
-forms.  ``worst_trial`` reduces a scan (the last maximal trial wins, a NaN
+coefficients carry a trial axis, (T, n, n) for a matrix, and (T,) or
+(d, d, T), the trial axis innermost, per monomial for a polynomial; each
+product of an identity then runs once per block.  ``check_identity``
+takes T at most ``kernels.MAX_BLOCK_TRIALS`` and at most
+``kernels.BLOCK_PAIRS`` over the ``block_entries`` coefficient entries of
+the largest element one trial forms.  ``worst_trial`` reduces a scan (the last maximal trial wins, a NaN
 never does) and ``first_over`` stops one at its first defect over a
 threshold or NaN.  The RNG stream, every defect, the mean and the witness
 are those of the trial-by-trial loop, to the bit.

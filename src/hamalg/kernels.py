@@ -4,10 +4,10 @@ A polynomial in ``n`` canonical pairs is a *term array*: exponent rows
 ``exps`` of shape (N, 2n), int64, listing the canonical variables in the
 order (x1, p1, x2, p2, ...), and a coefficient stack ``coeffs`` of shape
 (N, *c).  The coefficient shape c is () for a real polynomial, (d, d) for
-one with matrix coefficients, led by a trial axis T in a block: (T,) or
-(T, d, d).  Every coefficient, scalar or matrix, goes through the one
-engine ``term_pair_sum``; ``mul`` and ``poisson`` are thin adaptors for
-polynomials written as dicts from exponent tuples to floats.
+one with matrix coefficients, followed in a block by a trial axis T, the
+innermost: (T,) or (d, d, T).  Every coefficient, scalar or matrix, goes
+through the one engine ``term_pair_sum``; ``mul`` and ``poisson`` are thin
+adaptors for polynomials written as dicts from exponent tuples to floats.
 
 Each coefficient is accumulated sequentially in the order of the loop
 

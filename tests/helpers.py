@@ -62,14 +62,29 @@ def random_hybrid(rng, dim, num_pairs, degree, density=0.6):
     return HybridElement(dim, num_pairs, terms)
 
 
+def one_pair(A, B):
+    """Two coefficients, (d, d) or a block's (d, d, T), as the stacks
+    (1, 1, ...) of one term pair: what the engine hands ``combine`` for a
+    pair alone."""
+    return A[None, None], B[None, None]
+
+
+def pair_product(A, B):
+    """``coefficient_product`` of one term pair's coefficients alone."""
+    from hamalg.compose import coefficient_product
+
+    return coefficient_product(*one_pair(A, B))[0, 0]
+
+
 def loop_term_pairs(u, v, combine):
     """The literal term-pair loop the batched engine replaces: each
-    exponent's matrix summed in loop order, zero matrices dropped."""
+    exponent's matrix summed in loop order, zero matrices dropped;
+    ``combine`` takes each pair alone (``one_pair``)."""
     out = {}
     for ea, ma in u.terms.items():
         for eb, mb in v.terms.items():
             ec = tuple(a + b for a, b in zip(ea, eb))
-            val = combine(ma, mb)
+            val = combine(*one_pair(ma, mb))[0, 0]
             out[ec] = out[ec] + val if ec in out else val
     return {e: m for e, m in out.items() if np.any(m != 0)}
 
@@ -86,7 +101,7 @@ def assert_nan_alike(got, want):
     """Two arrays equal to the bit, signed zeros too, except that any NaN
     matches any NaN: IEEE 754 leaves a NaN's sign and payload open."""
     assert got.shape == want.shape
-    g, w = got.view(np.float64), want.view(np.float64)
+    g, w = (np.ascontiguousarray(x).view(np.float64) for x in (got, want))
     nan = np.isnan(w)
     assert np.array_equal(np.isnan(g), nan)
     assert g[~nan].tobytes() == w[~nan].tobytes()

@@ -60,6 +60,7 @@ from tests.helpers import (
     loop_find_violation_witness,
     loop_measure_defects,
     loop_term_pairs,
+    pair_product,
     random_hybrid,
 )
 
@@ -270,7 +271,7 @@ def loop_product_rule(u, v, hbar):
     for ea, ma in u.terms.items():
         for eb, mb in v.terms.items():
             ec = tuple(a + b for a, b in zip(ea, eb))
-            ab, ba = coefficient_product(ma, mb), coefficient_product(mb, ma)
+            ab, ba = pair_product(ma, mb), pair_product(mb, ma)
             acc(ec, (ab - ba) / (1j * hbar))
             anti = 0.5 * (ab + ba)
             for k in range(u.num_pairs):
@@ -295,7 +296,7 @@ def loop_ordered_poisson(u, v):
 
     for ea, ma in u.terms.items():
         for eb, mb in v.terms.items():
-            prod = coefficient_product(ma, mb)
+            prod = pair_product(ma, mb)
             for k in range(u.num_pairs):
                 ix, ip = 2 * k, 2 * k + 1
                 w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
@@ -374,7 +375,7 @@ def with_entry(u, value):
     """u with entry (0, 1) of its first coefficient set to ``value``, in
     every trial of a block."""
     coeffs = u.coeffs.copy()
-    coeffs[0, ..., 0, 1] = value
+    coeffs[0, 0, 1] = value
     return HybridElement._trusted(u.exps, coeffs)
 
 
@@ -385,8 +386,8 @@ def random_block(rng, dim, num_pairs, degree, trials):
     if trials is None:
         return u
     shape = (len(u), trials, dim, dim)
-    return HybridElement._trusted(u.exps, rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape))
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return HybridElement._trusted(u.exps, c.transpose(0, 2, 3, 1))
 
 
 class TestTermPairEngine:
@@ -467,7 +468,7 @@ class TestTermPairEngine:
 
         def block(exps):
             c = rng.standard_normal((len(exps), 256, 2, 2, 2)).view(np.complex128)[..., 0]
-            return HybridElement._trusted(np.array(exps), c)
+            return HybridElement._trusted(np.array(exps), c.transpose(0, 2, 3, 1))
 
         u = block([(i, 0) for i in range(15, -1, -1)] + [(0, 15)])
         v = block([(j, 0) for j in range(17)] + [(0, p_max)])
@@ -629,9 +630,13 @@ class TestTrialBlocks:
         rng_block, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
         block = random_hybrid_observable(rng_block, dim, num_pairs, degree, block=(4, 3))
         singles = loop_draws(rng_loop, 4, 3, dim, num_pairs, degree)
+        monos = monomials_up_to_degree(2 * num_pairs, degree)
         for i, b in enumerate(block):
             assert b.trials == 4
-            assert np.array_equal(b.coeffs, b.coeffs.conj().swapaxes(2, 3))
+            # (N, d, d, T), the trial axis innermost, in C order
+            assert b.coeffs.shape == (len(monos), dim, dim, 4)
+            assert b.coeffs.flags.c_contiguous
+            assert np.array_equal(b.coeffs, b.coeffs.conj().swapaxes(1, 2))
             for t in range(4):
                 assert_terms_bitwise(b.trial(t).terms, singles[t][i].terms)
         # the same stream was consumed

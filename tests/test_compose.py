@@ -35,6 +35,7 @@ from tests.helpers import (
     assert_nan_alike,
     assert_terms_bitwise,
     loop_term_pairs,
+    pair_product,
     random_hybrid,
     sequential_sum,
     simple_tensor_terms,
@@ -78,6 +79,40 @@ class TestSimpleTensor:
         sx, _, _ = paulis
         with pytest.raises(AlgebraError):
             simple_tensor(PhaseSpacePoly.unit(1), sx)
+
+    @pytest.mark.parametrize("right", [OperatorAlgebra(3, a=0.5),
+                                       PhaseSpaceAlgebra(2, max_random_degree=2)])
+    def test_block_trials_are_the_trials_tensors_bitwise(self, right, rng):
+        # a zero coefficient in one trial drops that row from the trial alone
+        f = OperatorAlgebra(2, a=0.25).random_element(rng, block=(4, 1))[0]
+        g = right.random_element(rng, block=(4, 1))[0]
+        if isinstance(g, PhaseSpacePoly):
+            c = g.coeffs.copy()
+            c[1, 2] = 0.0
+            g = PhaseSpacePoly._trusted(g.exps, c)
+        block = simple_tensor(f, g)
+        assert block.trials == 4
+        if isinstance(block, HybridElement):
+            assert block.coeffs.shape == (len(g), 2, 2, 4)
+        for t in range(4):
+            single = simple_tensor(f.trial(t), g.trial(t))
+            assert single.trials is None
+            if isinstance(block, HybridElement):
+                assert_terms_bitwise(block.trial(t).terms, single.terms)
+            else:
+                assert (block.left_dim, block.right_dim) == (2, 3)
+                assert block.trial(t).entries.tobytes() == single.entries.tobytes()
+
+    @pytest.mark.parametrize("right", [OperatorAlgebra(3, a=0.5),
+                                       PhaseSpaceAlgebra(1, max_random_degree=1)])
+    def test_mismatched_trials_are_refused(self, right, rng):
+        left = OperatorAlgebra(2, a=0.25)
+        single, two, three = (left.random_element(rng),
+                              *(left.random_element(rng, block=(n, 1))[0] for n in (2, 3)))
+        g_single, g_two = right.random_element(rng), right.random_element(rng, block=(2, 1))[0]
+        for f, g in ((single, g_two), (three, g_two), (two, g_single)):
+            with pytest.raises(ShapeError, match="trials"):
+                simple_tensor(f, g)
 
 
 class TestSwitchingMap:
@@ -336,7 +371,7 @@ def block_of(*elements):
     """A block whose trial t is elements[t] (every element on the same keys)."""
     first = elements[0]
     assert all(np.array_equal(el.exps, first.exps) for el in elements)
-    return HybridElement._trusted(first.exps, np.stack([el.coeffs for el in elements], axis=1))
+    return HybridElement._trusted(first.exps, np.stack([el.coeffs for el in elements], axis=-1))
 
 
 class TestPruneOnce:
@@ -485,8 +520,8 @@ class TestMatrixBlocks:
 
         rng = np.random.default_rng(6)
         u = random_hybrid_observable(rng, dim=3, num_pairs=1, degree=2, block=(7, 1))[0]
-        strided = HybridElement._trusted(u.exps, u.coeffs[:, ::2])
-        flipped = HybridElement._trusted(u.exps, u.coeffs.swapaxes(2, 3)[:, :, ::-1])
+        strided = HybridElement._trusted(u.exps, u.coeffs[..., ::2])
+        flipped = HybridElement._trusted(u.exps, u.coeffs.swapaxes(1, 2)[:, ::-1])
         for block in (u, strided, flipped):
             norms = block.norm()
             for t in range(block.trials):
@@ -498,7 +533,7 @@ class TestMatrixBlocks:
                 assert single.norm() == want
         assert HybridElement(2, 1, {}).norm() == 0.0
         empty = HybridElement._trusted(np.empty((0, 2), np.int64),
-                                       np.empty((0, 3, 2, 2), np.complex128))
+                                       np.empty((0, 2, 2, 3), np.complex128))
         assert empty.norm().tolist() == [0.0, 0.0, 0.0]
 
     def test_hybrid_norm_squares_each_norm_as_a_python_float(self):
@@ -509,7 +544,7 @@ class TestMatrixBlocks:
         odd = [n for n in pool if n ** 2 != n * n]
         trials = [(x, y) for x, y in zip(odd[::2], odd[1::2])
                   if math.sqrt(x ** 2 + y ** 2) != math.sqrt(x * x + y * y)][:8]
-        values = np.array(trials).T.reshape(2, len(trials), 1, 1)
+        values = np.array(trials).T.reshape(2, 1, 1, len(trials))
         u = HybridElement._trusted(np.array([[1, 0], [0, 1]]), values.astype(complex))
         want = [math.sqrt(sequential_sum(n ** 2 for n in t)) for t in trials]
         assert u.norm().tolist() == want
@@ -681,11 +716,11 @@ def loop_coefficient_product(A, B):
 
 
 def coefficient_stacks(rng, d, trials, special):
-    """(A, B) stacks (Na, trials, d, d) and (Nb, trials, d, d) of complex
+    """(A, B) stacks (Na, d, d, trials) and (Nb, d, d, trials) of complex
     coefficients in several memory layouts, with ``special`` put in a few
     entries of each."""
     def draw(n, t=trials):
-        x = rng.standard_normal((n, t, d, d)) + 1j * rng.standard_normal((n, t, d, d))
+        x = rng.standard_normal((n, d, d, t)) + 1j * rng.standard_normal((n, d, d, t))
         for value in special:
             x.flat[rng.integers(x.size, size=2)] = value
         return x
@@ -695,9 +730,9 @@ def coefficient_stacks(rng, d, trials, special):
     return [
         (a, b),                                          # contiguous
         (a[:1], b[:1]),                                  # length 1
-        (a.swapaxes(-1, -2), b.swapaxes(-1, -2)),        # transposed
-        (wide[:, ::2], b),                               # trial-strided
-        (np.broadcast_to(a[:, :1], a.shape), b),         # broadcast over trials
+        (a.swapaxes(1, 2), b.swapaxes(1, 2)),            # transposed
+        (wide[..., ::2], b),                             # trial-strided
+        (np.broadcast_to(a[..., :1], a.shape), b),       # broadcast over trials
         (np.asfortranarray(a), b[::-1]),                 # Fortran order, reversed
     ]
 
@@ -711,10 +746,11 @@ class TestCoefficientProduct:
         rng = np.random.default_rng(d)
         A = rng.standard_normal((5, 1, 3, d, d)) + 1j * rng.standard_normal((5, 1, 3, d, d))
         B = rng.standard_normal((1, 6, 3, d, d)) + 1j * rng.standard_normal((1, 6, 3, d, d))
-        got = coefficient_product(A, B)
-        assert got.shape == (5, 6, 3, d, d)
+        got = coefficient_product(np.moveaxis(A, 2, -1), np.moveaxis(B, 2, -1))
+        assert got.shape == (5, 6, d, d, 3)
         scale = np.abs(A) @ np.abs(B)  # sum_k |A_ik| |B_kj|
-        assert np.all(np.abs(got - A @ B) <= 4 * d * np.finfo(float).eps * scale)
+        assert np.all(np.abs(np.moveaxis(got, -1, 2) - A @ B)
+                      <= 4 * d * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("special", [(), (-0.0,), (np.inf, -np.inf), (np.nan,),
                                          (-0.0, np.inf, np.nan)])
@@ -725,16 +761,34 @@ class TestCoefficientProduct:
             for a, b in coefficient_stacks(rng, d, 3, special):
                 got = coefficient_product(a[:, None], b[None])
                 for i, j, t in np.ndindex(len(a), len(b), 3):
-                    alone = coefficient_product(a[i, t], b[j, t])
-                    assert_nan_alike(got[i, j, t], alone)
-                    assert_nan_alike(alone, loop_coefficient_product(a[i, t], b[j, t]))
+                    alone = pair_product(a[i, ..., t], b[j, ..., t])
+                    assert_nan_alike(got[i, j, ..., t], alone)
+                    assert_nan_alike(alone, loop_coefficient_product(a[i, ..., t],
+                                                                     b[j, ..., t]))
+
+    @pytest.mark.parametrize("trials", [1, 3, 256])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trial_runs_equal_each_trial_alone_bitwise(self, d, trials):
+        # the product on contiguous runs of trials against the same product
+        # on each trial's (rows, Nb, d, d) stacks, whose innermost axis is a
+        # matrix axis: a numpy build that fused the multiply and add of its
+        # contiguous loops would round them differently
+        rng = np.random.default_rng([d, trials])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for a, b in coefficient_stacks(rng, d, trials, (-0.0, np.inf, -np.inf, np.nan)):
+                got = coefficient_product(a[:, None], b[None])
+                assert got.shape == (len(a), len(b), d, d, trials)
+                for t in range(trials):
+                    alone = coefficient_product(np.ascontiguousarray(a[:, None, ..., t]),
+                                                np.ascontiguousarray(b[None, ..., t]))
+                    assert_nan_alike(got[..., t], alone)
 
     def test_k_ascending_from_the_k0_term(self):
         # (1 + 1e16) - 1e16 is 0 in doubles, 1 summed the other way round
         A = np.array([[1.0, 1e16, -1e16]] * 3, dtype=complex)
         B = np.ones((3, 3), dtype=complex)
-        assert np.all(coefficient_product(A, B) == 0)
+        assert np.all(pair_product(A, B) == 0)
         # the sum starts at the k = 0 term, not at +0.0: -0.0 stays
-        zero = coefficient_product(np.ones((1, 1), dtype=complex),
-                                   np.full((1, 1), complex(-0.0, 0.0)))
+        zero = pair_product(np.ones((1, 1), dtype=complex),
+                            np.full((1, 1), complex(-0.0, 0.0)))
         assert np.signbit(zero.real).all()

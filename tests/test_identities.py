@@ -376,7 +376,7 @@ class TestHybridBlocks:
         loop = loop_element_draws(alg, rngs[2], 6, 3)
         for i, b in enumerate(blocks):
             assert b.trials == 6
-            assert np.array_equal(b.coeffs, b.coeffs.conj().swapaxes(2, 3))
+            assert np.array_equal(b.coeffs, b.coeffs.conj().swapaxes(1, 2))
             assert not any(m.flags.writeable for m in b.terms.values())
             for t in range(6):
                 assert singles[t][i].trials is None

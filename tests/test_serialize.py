@@ -171,8 +171,8 @@ def term_array_trials(draw):
         size = len(exps) * trials * dim * dim
         re, im = (np.array(draw(st.lists(COEFFS, min_size=size, max_size=size)))
                   for _ in range(2))
-        block = HybridElement._trusted(rows, (re + 1j * im).reshape(len(exps), trials,
-                                                                    dim, dim))
+        c = (re + 1j * im).reshape(len(exps), trials, dim, dim)
+        block = HybridElement._trusted(rows, c.transpose(0, 2, 3, 1))
     return block.trial(draw(st.integers(0, trials - 1)))
 
 

@@ -22,9 +22,10 @@ status is 1 on any difference and 0 on none.
 The corpus (``corpus()``) is every report of the benchmark's workloads on
 each pool seed, read from ``perfbench/workloads.py``, and the command
 lines of ``EXTRA``: each subcommand at its defaults, the heavy ``verify``
-variants, ``uniqueness`` triples and grids, ``simulate`` in both regimes,
-the NaN, small-hbar and extreme-constant cases, and the usage errors of
-``tests/test_cli.py`` that need no input file.  In a command line
+variants, hybrid blocks at d = 3 on two pairs, a bracket scan past
+``MAX_BLOCK_TRIALS``, ``uniqueness`` triples and grids, ``simulate`` in
+both regimes, the NaN, small-hbar and extreme-constant cases, and the
+usage errors of ``tests/test_cli.py`` that need no input file.  In a command line
 ``{json}`` and ``{csv}`` name its output files and ``{dir}`` its output
 directory.
 """
@@ -66,6 +67,12 @@ EXTRA = (
     ("brackets", ("brackets",)),
     ("brackets-aleksandrov", ("brackets", "--kind", "aleksandrov", "--hbar", "0.3",
                               "--seed", "5", "--out", "{json}")),
+    # hybrid blocks past d = 2 and one pair, and a witness search that scans
+    # a block of MAX_BLOCK_TRIALS trials, then a shorter one
+    ("verify-hybrid-dim3-pairs2", ("verify", "--hybrid", "--dim", "3", "--pairs", "2",
+                                   "--trials", "20")),
+    ("brackets-anderson-300", ("brackets", "--kind", "anderson", "--trials", "300",
+                               "--budget", "600")),
     ("simulate", ("simulate",)),
     ("uniqueness-scan", ("uniqueness", "scan")),
     ("uniqueness-scan-files", ("uniqueness", "scan", "--out", "{csv}", "--json-out", "{json}")),
