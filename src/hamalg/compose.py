@@ -36,7 +36,9 @@ Quantum (x) classical products and the mixed brackets run through
 also multiplies real polynomials, and form every product of two matrix
 coefficients with ``coefficient_product``: elementwise sums over k, never
 ``@``, so a pair's product has the same bits in a block as alone.  Only
-the quantum (x) quantum table ``_lr_table`` keeps ``@`` and ``einsum``.
+the quantum (x) quantum table ``_lr_table`` keeps ``@``: one matrix
+product of a stack, each trial its own, whose mixed orders come from
+partial transposes of the right factor.
 """
 
 from __future__ import annotations
@@ -284,6 +286,15 @@ def kron_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (l * r, l * r))
 
 
+def _right_swapped(x: np.ndarray, l: int, r: int) -> np.ndarray:
+    """x's trailing l*r square matrices as a (..., l, r, l, r) view with
+    the two r axes swapped: T_R, the transpose of the right factor,
+    (A (x) B)^{T_R} = A (x) B^T extended linearly.  Reshaped back it is
+    x^{T_R}; a contiguous x assigned a (..., l, r, l, r) value through it
+    holds T_R of that value."""
+    return x.reshape(x.shape[:-2] + (l, r, l, r)).swapaxes(-3, -1)
+
+
 def _lr_table(u: KroneckerElement, v: KroneckerElement):
     """Factorwise products of two Kronecker-form elements (or blocks, trial
     by trial: each trial's products are the single elements' to the bit).
@@ -291,20 +302,30 @@ def _lr_table(u: KroneckerElement, v: KroneckerElement):
     Writing L/R for left/right multiplication order in a factor, returns
     (LL, LR, RL, RR) where e.g. LR(u, v) multiplies the left factors in
     order u.v and the right factors in order v.u.  Every composed product
-    is a linear combination of these four; evaluating them with einsum on
-    the 4-index reshape is exactly the bilinear extension of the
-    factorwise component products over matrix-unit decompositions.
+    is a linear combination of these four.  On u = sum A (x) B and
+    v = sum C (x) D, u^{T_R} v^{T_R} = sum AC (x) B^T D^T = sum AC (x)
+    (DB)^T, so
+
+        LR(u, v) = sum (AC) (x) (DB) = (u^{T_R} v^{T_R})^{T_R}
+        RL(u, v) = sum (CA) (x) (BD) = (v^{T_R} u^{T_R})^{T_R}
+
+    the bilinear extension of the factorwise component products over
+    matrix-unit decompositions.  One ``@`` of the stack [u, u^{T_R},
+    v^{T_R}, v] with its reverse gives LL, LR^{T_R}, RL^{T_R} and RR; each
+    trial is still a matrix product of its own.
     """
     u._check_like(v)
     l, r = u.left_dim, u.right_dim
     shape = u.entries.shape
-    U = u.entries.reshape(shape[:-2] + (l, r, l, r))
-    V = v.entries.reshape(shape[:-2] + (l, r, l, r))
-    LL = u.entries @ v.entries
-    RR = v.entries @ u.entries
-    LR = np.einsum("...iakb,...kjla->...ijlb", U, V).reshape(shape)
-    RL = np.einsum("...iakb,...kjla->...ijlb", V, U).reshape(shape)
-    return LL, LR, RL, RR
+    # [u, u^{T_R}, v^{T_R}, v]; its reverse pairs each with its partner
+    stack = np.empty((4,) + shape, np.complex128)
+    stack[0], stack[3] = u.entries, v.entries
+    factors = (2,) + shape[:-2] + (l, r, l, r)
+    _right_swapped(stack[1:3], l, r)[...] = stack[::3].reshape(factors)
+    # LL, LR^{T_R}, RL^{T_R}, RR
+    products = stack @ stack[::-1]
+    mixed = _right_swapped(products[1:3], l, r).reshape((2,) + shape)
+    return products[0], mixed[0], mixed[1], products[3]
 
 
 class ComposedAlgebra(HamiltonAlgebra):

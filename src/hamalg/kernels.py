@@ -189,10 +189,10 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
 
     Where ``combine`` forms the same bits on the broadcast stacks as on
     one pair (elementwise multiplies and adds do, so scalar coefficients
-    and ``compose.coefficient_product`` do; ``einsum`` does not), every
-    trial of a block gives the written-out loop's result, key order
-    included; only the sign and payload of a NaN, which IEEE 754 leaves
-    open, may differ.  Where packed keys would overflow int64, the
+    and ``compose.coefficient_product`` do; a library contraction need
+    not), every trial of a block gives the written-out loop's result, key
+    order included; only the sign and payload of a NaN, which IEEE 754
+    leaves open, may differ.  Where packed keys would overflow int64, the
     exponent rows are the keys; ``ShapeError`` only where a Poisson weight
     could overflow.
     """

@@ -12,10 +12,12 @@ The factor is measured numerically by a least-squares fit over
 MIN_FIT_PAIRS random embedded pairs, so the scaling law itself is
 validated rather than assumed; the closed form enters only as the
 expected value.  The pairs are drawn once each, in blocks, with the
-stream and the fit of the pair-by-pair loop, to the bit, and every pair
-drawn is fitted: lambda = sum <ref, val> / sum |ref|^2, to which a pair
-whose component bracket nearly vanishes adds a near-zero term on both
-sides.  Only a dim-1 component, whose bracket is identically zero,
+stream of the pair-by-pair loop, and every pair drawn is fitted: the
+entries of all pairs are joined into one array first, and lambda =
+Re <ref, val> / |ref|^2 over it, to which a pair whose component
+bracket nearly vanishes adds a near-zero term on both sides.  Every
+reduction runs on the joined array, so the fit does not depend on the
+block size.  Only a dim-1 component, whose bracket is identically zero,
 leaves nothing to fit, and it is refused before any draw.  The fit's
 residual is |val - lambda*ref| / |val| over all pairs, the misfit
 relative to the fitted values themselves: at most 1 by least squares,
@@ -38,7 +40,6 @@ import numpy as np
 
 from .algebra import OperatorAlgebra
 from .compose import ComposedAlgebra, KroneckerElement, kron_blocks
-from .elements import frobenius_norms
 from .errors import AlgebraError
 from .identities import block_trials
 
@@ -50,17 +51,6 @@ MIN_FIT_PAIRS = 8
 def _require_qq(c: ComposedAlgebra):
     if c.kind != "qq":
         raise AlgebraError("restriction analysis needs quantum (x) quantum")
-
-
-def _sum_of_squares(norms) -> float:
-    """The square of each norm, ``n ** 2``, added in turn from the first,
-    as ``HybridElement.norm`` adds its squares: unlike the builtin ``sum``,
-    which compensates float rounding since Python 3.12, an order that
-    does not change with the interpreter."""
-    total = 0.0
-    for n in norms:
-        total += n ** 2
-    return total
 
 
 def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: float) -> dict:
@@ -91,24 +81,16 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
         return KroneckerElement._trusted(c.left.dim, c.right.dim, ent)
 
     rng = np.random.default_rng(seed)
-    num = 0.0
-    den = 0.0
     refs, vals = [], []
     size = block_trials(c)
     for first in range(0, MIN_FIT_PAIRS, size):
         f, g = comp.random_element(rng, block=(min(size, MIN_FIT_PAIRS - first), 2))
-        ref = embed(comp.alpha(f, g))
-        val = c.alpha(embed(f), embed(g))
-        for r, v in zip(ref.entries, val.entries):
-            num += float(np.real(np.vdot(r, v)))
-            den += float(np.real(np.vdot(r, r)))
-            refs.append(r)
-            vals.append(v)
-    lam = num / den
-    refs, vals = np.array(refs), np.array(vals)
-    resid_sq = _sum_of_squares(frobenius_norms(vals - lam * refs))
-    val_sq = _sum_of_squares(frobenius_norms(vals))
-    residual = np.sqrt(resid_sq) / np.sqrt(val_sq)
+        refs.append(embed(comp.alpha(f, g)).entries)
+        vals.append(c.alpha(embed(f), embed(g)).entries)
+    # every pair's entries in one array, so no reduction sees a block
+    ref, val = np.concatenate(refs), np.concatenate(vals)
+    lam = float(np.vdot(ref, val).real / np.vdot(ref, ref).real)
+    residual = float(np.linalg.norm(val - lam * ref) / np.linalg.norm(val))
     if not residual <= FIT_RESIDUAL_TOLERANCE:
         raise AlgebraError(
             f"restricted alpha is not proportional to the component product "
@@ -119,7 +101,7 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
         "product": "alpha",
         "measured_factor": lam,
         "expected_factor": float(np.sqrt(a) / np.sqrt(c.a12)),
-        "fit_residual": float(residual),
+        "fit_residual": residual,
         "satisfies_requirement": abs(lam - 1.0) <= tolerance,
     }
 

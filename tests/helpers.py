@@ -258,18 +258,6 @@ def simple_tensor_terms(alg, rng, n_terms):
     return terms, out
 
 
-def loop_lr_table(u, v):
-    """The factorwise products of two single Kronecker elements, as written
-    out before blocks: one ``einsum`` on the 4-index reshape per mixed order."""
-    l, r = u.left_dim, u.right_dim
-    U = u.entries.reshape(l, r, l, r)
-    V = v.entries.reshape(l, r, l, r)
-    return (u.entries @ v.entries,
-            np.einsum("iakb,kjla->ijlb", U, V).reshape(l * r, l * r),
-            np.einsum("iakb,kjla->ijlb", V, U).reshape(l * r, l * r),
-            v.entries @ u.entries)
-
-
 def loop_identity_defects(alg, identity, blocks):
     """Defects of a tuple of blocks, trial by trial on single elements."""
     from hamalg.identities import identity_defect
@@ -299,36 +287,6 @@ def loop_check_identity(alg, identity, trials, tolerance, seed):
             "mean_relative_defect": total / trials,
             "worst_witness": [element_to_json(e) for e in worst_elements],
             "passed": worst <= tolerance and not nan_seen}
-
-
-def loop_restrict_fit(c, component, seed):
-    """(measured factor, fit residual) of the bracket's restriction fit,
-    pair by pair: each pair drawn, embedded with ``np.kron`` and scored
-    alone."""
-    from hamalg.compose import simple_tensor
-    from hamalg.uniqueness import MIN_FIT_PAIRS
-
-    comp, other = (c.left, c.right) if component == "left" else (c.right, c.left)
-
-    def embed(f):
-        return (simple_tensor(f, other.unit()) if component == "left"
-                else simple_tensor(other.unit(), f))
-
-    rng = np.random.default_rng(seed)
-    num = den = 0.0
-    samples = []
-    for _ in range(MIN_FIT_PAIRS):
-        f, g = loop_operator_element(rng, comp.dim), loop_operator_element(rng, comp.dim)
-        ref = embed(comp.alpha(f, g))
-        val = c.alpha(embed(f), embed(g))
-        num += float(np.real(np.vdot(ref.entries, val.entries)))
-        den += float(np.real(np.vdot(ref.entries, ref.entries)))
-        samples.append((ref, val))
-    lam = num / den
-    resid_sq = sequential_sum(float(np.linalg.norm(val.entries - lam * ref.entries)) ** 2
-                              for ref, val in samples)
-    val_sq = sequential_sum(float(np.linalg.norm(val.entries)) ** 2 for _, val in samples)
-    return lam, np.sqrt(resid_sq) / np.sqrt(val_sq)
 
 
 # The dense oracle's products as double loops over exponent pairs, the

@@ -1,8 +1,12 @@
 """Tensor composition against the literal simple-tensor law.
 
-The canonical-form products (einsum / the term-pair engine) are cross-checked
-against compose_product_on_terms, which applies the component products
-factor by factor across the switching map -- the definitional route.
+The canonical-form products (matrix products of partial transposes / the
+term-pair engine) are cross-checked against compose_product_on_terms,
+which applies the component products factor by factor across the
+switching map -- the definitional route.  The quantum (x) quantum table
+``_lr_table`` is also pinned on its own: each trial of a block to the
+single call's bits, and against its definition over matrix-unit
+decompositions, exactly on small-integer inputs.
 """
 
 import math
@@ -462,26 +466,80 @@ class TestBlocks:
                 assert_terms_bitwise(got.trial(t).terms, op(x, y).terms)
 
 
+def matrix_unit_terms(x, l, r):
+    """An l*r square matrix as simple tensors over the l x l matrix units:
+    the pairs (E_ij, x's r x r block (i, j)), whose ``np.kron`` sum is x."""
+    blocks = x.reshape(l, r, l, r).swapaxes(1, 2)
+    terms = []
+    for i in range(l):
+        for j in range(l):
+            unit = np.zeros((l, l), dtype=complex)
+            unit[i, j] = 1
+            terms.append((unit, blocks[i, j]))
+    return terms
+
+
+def definition_lr_table(u, v):
+    """(LL, LR, RL, RR) of two single Kronecker elements by definition:
+    with u = sum A (x) B and v = sum C (x) D over matrix units, the
+    factorwise products of every pair of terms in each order, tensored
+    with ``np.kron`` and added in turn."""
+    l, r = u.left_dim, u.right_dim
+    tables = [np.zeros((l * r, l * r), dtype=complex) for _ in range(4)]
+    for A, B in matrix_unit_terms(u.entries, l, r):
+        for C, D in matrix_unit_terms(v.entries, l, r):
+            orders = ((A @ C, B @ D), (A @ C, D @ B), (C @ A, B @ D), (C @ A, D @ B))
+            for table, (left, right) in zip(tables, orders):
+                table += np.kron(left, right)
+    return tuple(tables)
+
+
 class TestMatrixBlocks:
     """Operator and Kronecker blocks against single elements, to the bit."""
 
-    def test_lr_table_matches_the_written_out_einsum(self):
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_lr_table_blocks_equal_single_trials_bitwise(self, l, r):
         from hamalg.compose import _lr_table
-        from tests.helpers import loop_lr_table
 
-        rng = np.random.default_rng(2)
+        n = l * r
+        rng = np.random.default_rng([2, l, r])
+        ent = rng.standard_normal((2, 5, n, n)) + 1j * rng.standard_normal((2, 5, n, n))
+        u, v = (KroneckerElement._trusted(l, r, e) for e in ent)
+        blocks = _lr_table(u, v)
+        for t in range(5):
+            for b, single in zip(blocks, _lr_table(u.trial(t), v.trial(t))):
+                assert b[t].tobytes() == single.tobytes()
+
+    def test_lr_table_equals_the_definition_on_exact_inputs(self):
+        # small-integer entries: every product and sum on both sides is
+        # exact in floats, so the tables agree to the bit, not just
+        # closely; adding 0.0 only turns a -0.0, whose sign a matrix
+        # product's summation order may set, into 0.0
+        from hamalg.compose import _lr_table
+
+        rng = np.random.default_rng(12)
         for l in range(1, 5):
             for r in range(1, 4):
                 n = l * r
-                ent = rng.standard_normal((2, 5, n, n)) + 1j * rng.standard_normal((2, 5, n, n))
+                ent = (rng.integers(-3, 4, (2, n, n))
+                       + 1j * rng.integers(-3, 4, (2, n, n)))
                 u, v = (KroneckerElement._trusted(l, r, e) for e in ent)
-                blocks = _lr_table(u, v)
-                for t in range(5):
-                    single = _lr_table(u.trial(t), v.trial(t))
-                    want = loop_lr_table(u.trial(t), v.trial(t))
-                    for b, got, w in zip(blocks, single, want):
-                        assert got.tobytes() == w.tobytes()
-                        assert b[t].tobytes() == w.tobytes()
+                for got, want in zip(_lr_table(u, v), definition_lr_table(u, v)):
+                    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    def test_lr_table_is_near_the_definition_on_generic_inputs(self):
+        from hamalg.compose import _lr_table
+
+        rng = np.random.default_rng(13)
+        for l in range(1, 5):
+            for r in range(1, 4):
+                n = l * r
+                ent = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+                u, v = (KroneckerElement._trusted(l, r, e) for e in ent)
+                bound = 1e-15 * (1 + u.norm() * v.norm())
+                for got, want in zip(_lr_table(u, v), definition_lr_table(u, v)):
+                    assert np.linalg.norm(got - want) <= bound
 
     def test_kron_blocks_matches_np_kron(self):
         from hamalg.compose import kron_blocks

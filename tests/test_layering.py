@@ -19,7 +19,8 @@ module imports a name it never reads, except the one import
 Matrix coefficients of quantum (x) classical elements multiply through
 ``compose.coefficient_product`` alone: ``brackets.py`` holds no ``@`` and
 no ``matmul``, ``einsum`` or ``dot`` call, and in ``compose.py`` only the
-quantum (x) quantum table ``_lr_table`` does.
+quantum (x) quantum table ``_lr_table`` does, with ``@`` alone: no
+module uses ``einsum``.
 The dense oracle keeps ``@`` for its hybrid products, so it shares no
 product formula with the main path.
 
@@ -305,6 +306,14 @@ def test_brackets_forms_no_matrix_product_of_its_own():
 
 def test_compose_keeps_matrix_products_to_the_quantum_quantum_routes():
     assert set(matrix_product_scopes(SRC / "compose.py")) == {"_lr_table"}
+
+
+def test_no_module_uses_einsum():
+    for path in sorted(SRC.glob("*.py")):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert "einsum" not in names, path.name
 
 
 def test_reference_keeps_its_own_hybrid_products():

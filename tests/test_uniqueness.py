@@ -20,40 +20,60 @@ def composed(a1, a2, a12, d1=2, d2=2):
                            OperatorAlgebra(d2, a=a2), a12=a12)
 
 
-class TestBlockFit:
-    """The block fit against the pair-by-pair loop, to the bit."""
+#: (a1, a2, a12), (dim1, dim2) of the restriction-fit cases
+FIT_CASES = [
+    ((1.0, 1.0, 1.0), (2, 2)),
+    ((1.0, 2.0, 1.5), (2, 3)),
+    ((0.25, 4.0, 1.0), (3, 2)),
+    ((4.0, 0.25, 0.5), (1, 2)),
+]
 
-    @pytest.mark.parametrize("constants, dims", [
-        ((1.0, 1.0, 1.0), (2, 2)),
-        ((1.0, 2.0, 1.5), (2, 3)),
-        ((0.25, 4.0, 1.0), (3, 2)),
-        ((4.0, 0.25, 0.5), (1, 2)),
-    ])
-    def test_fit_matches_loop_bitwise(self, constants, dims, monkeypatch):
-        from hamalg import uniqueness
-        from tests.helpers import loop_restrict_fit
+
+def fit_runs(c):
+    """(component, MIN_FIT_PAIRS, seed) of each fit of a case: two pair
+    counts on each component whose bracket does not vanish."""
+    return [(component, n_pairs, seed)
+            for component in ("left", "right")
+            if (c.left if component == "left" else c.right).dim > 1
+            for n_pairs, seed in ((8, 0), (13, 5))]
+
+
+def ulp_distance(x, y):
+    """Distance of two positive floats in units in the last place."""
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+class TestBlockFit:
+    """The fit reduces over all pairs at once: the same verdict whatever
+    the block size, and the closed-form factor within a few ulp."""
+
+    @pytest.mark.parametrize("constants, dims", FIT_CASES)
+    def test_fit_does_not_depend_on_the_block_size(self, constants, dims, monkeypatch):
+        from hamalg import identities, uniqueness
+        from hamalg.identities import block_trials
 
         c = composed(*constants, *dims)
-        for component in ("left", "right"):
-            if c.left.dim == 1 and component == "left":
-                continue   # a dim-1 bracket vanishes: nothing to fit
-            for n_pairs, seed in ((8, 0), (13, 5)):
-                monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
-                got = restrict_alpha(c, component, seed, 1e-8)
-                lam, residual = loop_restrict_fit(c, component, seed)
-                assert got["measured_factor"] == lam
-                assert got["fit_residual"] == float(residual)
+        for component, n_pairs, seed in fit_runs(c):
+            monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
+            assert block_trials(c) >= n_pairs   # one block at the default
+            whole = restrict_alpha(c, component, seed, 1e-8)
+            # blocks of 3, 3 and a short last one (and 3, 3, 3, 3 and 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
+                assert block_trials(c) == 3
+                assert restrict_alpha(c, component, seed, 1e-8) == whole
 
-    def test_fit_in_several_blocks_matches_loop(self, monkeypatch):
-        from hamalg import identities
-        from tests.helpers import loop_restrict_fit
+    @pytest.mark.parametrize("constants, dims", FIT_CASES)
+    def test_measured_factor_is_within_4_ulp_of_the_closed_form(self, constants, dims,
+                                                                monkeypatch):
+        from hamalg import uniqueness
 
-        # blocks of 3, 3 and a short last one of 2 pairs
-        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
-        c = composed(1.0, 2.0, 1.5, 2, 2)
-        got = restrict_alpha(c, "left", 3, 1e-8)
-        lam, residual = loop_restrict_fit(c, "left", 3)
-        assert (got["measured_factor"], got["fit_residual"]) == (lam, float(residual))
+        c = composed(*constants, *dims)
+        for component, n_pairs, seed in fit_runs(c):
+            monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
+            got = restrict_alpha(c, component, seed, 1e-8)
+            a = c.a1 if component == "left" else c.a2
+            assert ulp_distance(got["measured_factor"], math.sqrt(a) / math.sqrt(c.a12)) <= 4
 
 
 class TestRestrictAlpha:

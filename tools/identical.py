@@ -22,10 +22,11 @@ status is 1 on any difference and 0 on none.
 The corpus (``corpus()``) is every report of the benchmark's workloads on
 each pool seed, read from ``perfbench/workloads.py``, and the command
 lines of ``EXTRA``: each subcommand at its defaults, the heavy ``verify``
-variants, hybrid blocks at d = 3 on two pairs, a bracket scan past
-``MAX_BLOCK_TRIALS``, ``uniqueness`` triples and grids, ``simulate`` in
-both regimes, the NaN, small-hbar and extreme-constant cases, and the
-usage errors of ``tests/test_cli.py`` that need no input file.  In a command line
+variants, composed algebras on 2 x 3 and 3 x 1 factors, hybrid blocks at
+d = 3 on two pairs, a bracket scan past ``MAX_BLOCK_TRIALS``,
+``uniqueness`` triples and grids, ``simulate`` in both regimes, the NaN,
+small-hbar and extreme-constant cases, and the usage errors of
+``tests/test_cli.py`` that need no input file.  In a command line
 ``{json}`` and ``{csv}`` name its output files and ``{dir}`` its output
 directory.
 """
@@ -64,6 +65,12 @@ EXTRA = (
     ("verify-phase-space-20", ("verify", "--realization", "phase-space", "--trials", "20")),
     ("verify-phase-space-pairs2", ("verify", "--realization", "phase-space", "--pairs", "2")),
     ("verify-composed", ("verify", "--composed", "--a1", "1", "--a2", "2", "--a12", "1.5")),
+    # composed layouts with l != r and with r = 1, where a partial transpose
+    # of the right factor is easiest to get wrong
+    ("verify-composed-2x3", ("verify", "--composed", "--dim1", "2", "--dim2", "3",
+                             "--a1", "1", "--a2", "2", "--a12", "1.5")),
+    ("verify-composed-3x1", ("verify", "--composed", "--dim1", "3", "--dim2", "1",
+                             "--a1", "1", "--a2", "1", "--a12", "1")),
     ("brackets", ("brackets",)),
     ("brackets-aleksandrov", ("brackets", "--kind", "aleksandrov", "--hbar", "0.3",
                               "--seed", "5", "--out", "{json}")),
