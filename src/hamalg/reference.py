@@ -8,16 +8,24 @@ tautology.
 
 A product of two dense arrays multiplies every nonzero exponent cell of
 its left operand with every nonzero cell of the right one in one
-broadcast call; zero cells are never multiplied.  It then loops over the
-nonzero cells ``ea`` of the left operand in ascending (C) order and adds
-each one's products into the output box at ``ea`` with one slice-add.
-Every output cell thus receives its terms in the order of the literal
-double loop over exponent pairs, and holds the same bits; only the sign
-and payload of a NaN, which IEEE 754 leaves open, may differ.  A Poisson
-term of pair ``k`` lands on ``ea + eb - delta_k``; for one ``ea``, that
-cell's ``eb`` is later for a smaller ``k``, so the pairs are added in
-descending ``k``.  Only slicing, boolean masks and broadcasting are used:
-no sorts, no packed keys, no scatter-adds.
+broadcast call and adds each left cell's products into the output box at
+that cell; zero cells are never multiplied, so an infinite coefficient
+meets no zero cell.  Every Poisson bracket -- of polynomials, the
+Boucher-Traschen anticommutator term and the ordered matrix term -- takes
+the same route: the pair products, each weighted by
+``w_k = ea[x_k] eb[p_k] - ea[p_k] eb[x_k]`` and moved to
+``ea + eb - delta_k``.  Only slicing, boolean masks and broadcasting are
+used: no sorts, no packed keys, no scatter-adds.
+
+The oracle promises values, not a summation order.  On exact inputs --
+small-integer or Gaussian-integer coefficients, hbar 1/2, 1 or 2, and
+NaN cells, whose spread through a sum does not depend on its order -- it
+agrees with the main path to the bit, any NaN matching any NaN; on
+generic inputs, to rounding.  Infinite cells agree as well, except in a
+plain product of matrix coefficients: an entry with an infinite factor
+is inf + inf j from elementwise complex products but nan + nan j from a
+BLAS matrix product.  A bracket, which divides by i hbar or weighs
+complex products, turns every such entry into NaN on both routes.
 
 Serialized witnesses are replayed by parsing their JSON directly into
 dense arrays and re-deriving the reported defect.
@@ -46,7 +54,7 @@ def _pair_products(a: np.ndarray, b: np.ndarray, nza: np.ndarray, nzb: np.ndarra
 
 def _add_products(out: np.ndarray, nza: np.ndarray, prods: np.ndarray) -> None:
     """Add row i of ``_pair_products`` into the box ``ea + eb`` of the i-th
-    nonzero cell ``ea``, ``ea`` ascending."""
+    nonzero cell ``ea``."""
     eas = np.argwhere(nza)
     ends = eas + prods.shape[1:1 + nza.ndim]
     for ea, end, term in zip(eas.tolist(), ends.tolist(), prods):
@@ -69,25 +77,23 @@ def _poisson_boxes(ea: tuple, shape: tuple, k: int) -> tuple:
 def _add_poisson_terms(out: np.ndarray, nza: np.ndarray, prods: np.ndarray,
                        num_pairs: int) -> None:
     """Add ``w_k * prods[i, eb]`` into ``ea + eb - delta_k`` for the i-th
-    nonzero cell ``ea``, ``ea`` ascending and, for each, ``k`` descending,
-    where ``w_k = ea[x_k] eb[p_k] - ea[p_k] eb[x_k]``; a zero weight adds
+    nonzero cell ``ea`` and every pair ``k``, where
+    ``w_k = ea[x_k] eb[p_k] - ea[p_k] eb[x_k]``; a zero weight adds
     nothing."""
     eas = np.argwhere(nza)
     shape_b = prods.shape[1:1 + nza.ndim]
     grid = np.indices(shape_b)
     per_row = (-1,) + (1,) * nza.ndim
     over_matrix = (...,) + (None,) * (prods.ndim - 1 - nza.ndim)
-    terms = []
     for k in range(num_pairs):
         ix, ip = 2 * k, 2 * k + 1
         w = eas[:, ix].reshape(per_row) * grid[ip] - eas[:, ip].reshape(per_row) * grid[ix]
-        terms.append(np.multiply(w[over_matrix], prods, out=np.zeros_like(prods),
-                                 where=(w != 0)[over_matrix]))
-    for ea, *rows in zip(map(tuple, eas.tolist()), *terms):
-        for k in reversed(range(num_pairs)):
-            if ea[2 * k] or ea[2 * k + 1]:
+        weighted = np.multiply(w[over_matrix], prods, out=np.zeros_like(prods),
+                               where=(w != 0)[over_matrix])
+        for ea, row in zip(map(tuple, eas.tolist()), weighted):
+            if ea[ix] or ea[ip]:
                 src, dst = _poisson_boxes(ea, shape_b, k)
-                out[dst] += rows[k][src]
+                out[dst] += row[src]
 
 
 # ---------------------------------------------------------------------------
@@ -172,38 +178,26 @@ def dense_hybrid_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_hybrid_partial(a: np.ndarray, var: int) -> np.ndarray:
-    shape = list(_exp_shape(a))
-    n = shape[var]
-    shape[var] = max(n - 1, 1)
-    out = np.zeros(tuple(shape) + a.shape[-2:], dtype=np.complex128)
-    lead = (slice(None),) * var
-    weights = np.arange(1, n).reshape((-1,) + (1,) * (a.ndim - var - 1))
-    out[lead + (slice(0, n - 1),)] += weights * a[lead + (slice(1, n),)]
+def _hybrid_poisson(a: np.ndarray, b: np.ndarray, num_pairs: int, product) -> np.ndarray:
+    """Sum over term pairs of {x^ea, x^eb}_P product(A, B)."""
+    out = np.zeros(_sum_shape(_exp_shape(a), _exp_shape(b)) + a.shape[-2:],
+                   dtype=np.complex128)
+    nza = a.any(axis=(-2, -1))
+    _add_poisson_terms(out, nza, _pair_products(a, b, nza, b.any(axis=(-2, -1)), product),
+                       num_pairs)
     return out
 
 
 def dense_product_rule_poisson(a: np.ndarray, b: np.ndarray, num_pairs: int) -> np.ndarray:
     """Sum over term pairs of {x^ea, x^eb}_P [A, B]+ : the Poisson half of
     the Boucher-Traschen simple-product rule."""
-    out = np.zeros(_sum_shape(_exp_shape(a), _exp_shape(b)) + a.shape[-2:],
-                   dtype=np.complex128)
-    nza = a.any(axis=(-2, -1))
-    plus = _pair_products(a, b, nza, b.any(axis=(-2, -1)),
-                          lambda ma, mb: 0.5 * (ma @ mb + mb @ ma))
-    _add_poisson_terms(out, nza, plus, num_pairs)
-    return out
+    return _hybrid_poisson(a, b, num_pairs, lambda ma, mb: 0.5 * (ma @ mb + mb @ ma))
 
 
 def dense_ordered_poisson(a: np.ndarray, b: np.ndarray, num_pairs: int) -> np.ndarray:
-    out = None
-    for k in range(num_pairs):
-        ix, ip = 2 * k, 2 * k + 1
-        t1 = dense_hybrid_mul(dense_hybrid_partial(a, ix), dense_hybrid_partial(b, ip))
-        t2 = dense_hybrid_mul(dense_hybrid_partial(a, ip), dense_hybrid_partial(b, ix))
-        term = dense_hybrid_add(t1, -t2)
-        out = term if out is None else dense_hybrid_add(out, term)
-    return out
+    """{U,V}_P with matrix coefficients multiplied in written order: the
+    sum over term pairs of {x^ea, x^eb}_P A B."""
+    return _hybrid_poisson(a, b, num_pairs, np.matmul)
 
 
 def dense_commutator_bracket(a: np.ndarray, b: np.ndarray, hbar: float) -> np.ndarray:

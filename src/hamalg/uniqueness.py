@@ -11,13 +11,11 @@ and a2 = a12: one constant for every composable pair.
 The factor is measured numerically by a least-squares fit over
 MIN_FIT_PAIRS random embedded pairs, so the scaling law itself is
 validated rather than assumed; the closed form enters only as the
-expected value.  The pairs are drawn once each, in blocks, with the
-stream of the pair-by-pair loop, and every pair drawn is fitted: the
-entries of all pairs are joined into one array first, and lambda =
-Re <ref, val> / |ref|^2 over it, to which a pair whose component
-bracket nearly vanishes adds a near-zero term on both sides.  Every
-reduction runs on the joined array, so the fit does not depend on the
-block size.  Only a dim-1 component, whose bracket is identically zero,
+expected value.  The pairs are drawn in one block, with the stream of
+the pair-by-pair loop, and every pair drawn is fitted: lambda =
+Re <ref, val> / |ref|^2 over the entries of all pairs at once, to which
+a pair whose component bracket nearly vanishes adds a near-zero term on
+both sides.  Only a dim-1 component, whose bracket is identically zero,
 leaves nothing to fit, and it is refused before any draw.  The fit's
 residual is |val - lambda*ref| / |val| over all pairs, the misfit
 relative to the fitted values themselves: at most 1 by least squares,
@@ -41,7 +39,6 @@ import numpy as np
 from .algebra import OperatorAlgebra
 from .compose import ComposedAlgebra, KroneckerElement, kron_blocks
 from .errors import AlgebraError
-from .identities import block_trials
 
 FIT_RESIDUAL_TOLERANCE = 1e-10
 #: random pairs each restriction fit draws and fits
@@ -80,15 +77,9 @@ def restrict_alpha(c: ComposedAlgebra, component: str, seed: int, tolerance: flo
                else kron_blocks(unit, f.entries))
         return KroneckerElement._trusted(c.left.dim, c.right.dim, ent)
 
-    rng = np.random.default_rng(seed)
-    refs, vals = [], []
-    size = block_trials(c)
-    for first in range(0, MIN_FIT_PAIRS, size):
-        f, g = comp.random_element(rng, block=(min(size, MIN_FIT_PAIRS - first), 2))
-        refs.append(embed(comp.alpha(f, g)).entries)
-        vals.append(c.alpha(embed(f), embed(g)).entries)
-    # every pair's entries in one array, so no reduction sees a block
-    ref, val = np.concatenate(refs), np.concatenate(vals)
+    f, g = comp.random_element(np.random.default_rng(seed), block=(MIN_FIT_PAIRS, 2))
+    ref = embed(comp.alpha(f, g)).entries
+    val = c.alpha(embed(f), embed(g)).entries
     lam = float(np.vdot(ref, val).real / np.vdot(ref, ref).real)
     residual = float(np.linalg.norm(val - lam * ref) / np.linalg.norm(val))
     if not residual <= FIT_RESIDUAL_TOLERANCE:

@@ -1,6 +1,8 @@
-"""Helpers of the tests: Pauli matrices, scripted inputs, and the literal
-loops that the batched main path is checked against.  Each loop is an
-oracle written out the plain way, never a second route of the package.
+"""Helpers of the tests: Pauli matrices, scripted inputs, draws one
+element at a time, the trial loops of the bracket scans, and the
+normal-ordered commutator the measurement generator is checked against.
+Each loop is written out the plain way, never a second route of the
+package.
 
 Imported as ``tests.helpers``, a name of its own, so that it resolves when
 ``perfbench/tests`` is collected in the same run."""
@@ -256,147 +258,6 @@ def simple_tensor_terms(alg, rng, n_terms):
     for f1, f2 in terms[1:]:
         out = out + simple_tensor(f1, f2)
     return terms, out
-
-
-def loop_identity_defects(alg, identity, blocks):
-    """Defects of a tuple of blocks, trial by trial on single elements."""
-    from hamalg.identities import identity_defect
-
-    return [identity_defect(alg, identity, [b.trial(t) for b in blocks])
-            for t in range(blocks[0].trials)]
-
-
-def loop_check_identity(alg, identity, trials, tolerance, seed):
-    """The trial loop of ``check_identity``: each tuple drawn and scored
-    alone, the running worst replaced on ``>=``."""
-    from hamalg.identities import _ARITY, Identity, identity_defect
-    from hamalg.serialize import element_to_json
-
-    identity = Identity(identity)
-    rng = np.random.default_rng([seed, list(Identity).index(identity)])
-    worst, worst_elements, total, nan_seen = 0.0, [], 0.0, False
-    for _ in range(trials):
-        elements = loop_element_draws(alg, rng, 1, _ARITY[identity])[0]
-        defect = identity_defect(alg, identity, elements)
-        total += defect
-        nan_seen = nan_seen or np.isnan(defect)
-        if defect >= worst:
-            worst, worst_elements = defect, elements
-    return {"identity": identity.value, "trials": trials, "tolerance": tolerance,
-            "seed": seed, "max_relative_defect": worst,
-            "mean_relative_defect": total / trials,
-            "worst_witness": [element_to_json(e) for e in worst_elements],
-            "passed": worst <= tolerance and not nan_seen}
-
-
-# The dense oracle's products as double loops over exponent pairs, the
-# semantics ``reference.py`` vectorizes.
-
-def loop_dense_poly_mul(a, b):
-    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    out = np.zeros(shape)
-    for ea in np.ndindex(a.shape):
-        ca = a[ea]
-        if ca == 0.0:
-            continue
-        for eb in np.ndindex(b.shape):
-            cb = b[eb]
-            if cb == 0.0:
-                continue
-            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
-    return out
-
-
-def loop_dense_poly_poisson(a, b, num_pairs):
-    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    out = np.zeros(shape)
-    for ea in np.ndindex(a.shape):
-        ca = a[ea]
-        if ca == 0.0:
-            continue
-        for eb in np.ndindex(b.shape):
-            cb = b[eb]
-            if cb == 0.0:
-                continue
-            for k in range(num_pairs):
-                ix, ip = 2 * k, 2 * k + 1
-                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
-                if w == 0:
-                    continue
-                e = list(x + y for x, y in zip(ea, eb))
-                e[ix] -= 1
-                e[ip] -= 1
-                out[tuple(e)] += ca * cb * w
-    return out
-
-
-def loop_dense_to_poly_terms(arr):
-    return {e: float(arr[e]) for e in np.ndindex(arr.shape) if arr[e] != 0.0}
-
-
-def loop_dense_hybrid_mul(a, b):
-    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape[:-2], b.shape[:-2]))
-    out = np.zeros(shape + a.shape[-2:], dtype=np.complex128)
-    for ea in np.ndindex(a.shape[:-2]):
-        ma = a[ea]
-        if not ma.any():
-            continue
-        for eb in np.ndindex(b.shape[:-2]):
-            mb = b[eb]
-            if not mb.any():
-                continue
-            out[tuple(x + y for x, y in zip(ea, eb))] += ma @ mb
-    return out
-
-
-def loop_dense_product_rule_poisson(a, b, num_pairs):
-    shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape[:-2], b.shape[:-2]))
-    pois = np.zeros(shape + a.shape[-2:], dtype=np.complex128)
-    for ea in np.ndindex(a.shape[:-2]):
-        ma = a[ea]
-        if not ma.any():
-            continue
-        for eb in np.ndindex(b.shape[:-2]):
-            mb = b[eb]
-            if not mb.any():
-                continue
-            plus = 0.5 * (ma @ mb + mb @ ma)
-            for k in range(num_pairs):
-                ix, ip = 2 * k, 2 * k + 1
-                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
-                if w == 0:
-                    continue
-                e = list(x + y for x, y in zip(ea, eb))
-                e[ix] -= 1
-                e[ip] -= 1
-                pois[tuple(e)] += w * plus
-    return pois
-
-
-def loop_dense_hybrid_partial(a, var):
-    shape = list(a.shape[:-2])
-    shape[var] = max(shape[var] - 1, 1)
-    out = np.zeros(tuple(shape) + a.shape[-2:], dtype=np.complex128)
-    for e in np.ndindex(a.shape[:-2]):
-        if e[var] == 0:
-            continue
-        de = list(e)
-        de[var] -= 1
-        out[tuple(de)] += e[var] * a[e]
-    return out
-
-
-def loop_hybrid_json_to_dense(data):
-    dim = int(data["dim"])
-    extent = [1] * (2 * int(data["num_pairs"]))
-    for p in data["parts"]:
-        for i, v in enumerate(p["exponents"]):
-            extent[i] = max(extent[i], v + 1)
-    out = np.zeros(tuple(extent) + (dim, dim), dtype=np.complex128)
-    for p in data["parts"]:
-        mat = np.array([complex(re, im) for re, im in p["matrix"]]).reshape(dim, dim)
-        out[tuple(p["exponents"])] += mat
-    return out
 
 
 # The normal-ordered commutator of two canonical pairs, the route by which

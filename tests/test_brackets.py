@@ -539,20 +539,31 @@ coeffs = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=Fa
 
 
 @st.composite
-def hybrid_pairs(draw):
+def hybrid_pairs(draw, entry=coeffs, specials=()):
     """Two hybrid elements of one shape: dim 1-3, 1-2 canonical pairs,
-    up to five terms of degree <= 2 with complex coefficients."""
+    up to five terms of degree <= 2 with complex coefficients, each real
+    and imaginary part drawn from ``entry``; with ``specials``, at times
+    one part of one coefficient is one of them."""
     dim = draw(st.integers(1, 3))
     num_pairs = draw(st.integers(1, 2))
     monos = monomials_up_to_degree(2 * num_pairs, 2)
-    entries = st.lists(coeffs, min_size=2 * dim * dim, max_size=2 * dim * dim)
+    entries = st.lists(entry, min_size=2 * dim * dim, max_size=2 * dim * dim)
 
     def element():
         exps = draw(st.lists(st.sampled_from(monos), max_size=5, unique=True))
+        parts = {e: draw(entries) for e in exps}
+        special = draw(st.sampled_from((None, None, *specials))) if specials and exps else None
+        if special is not None:
+            e = draw(st.sampled_from(exps))
+            parts[e][draw(st.integers(0, 2 * dim * dim - 1))] = special
         return HybridElement(dim, num_pairs, {
-            e: np.array(draw(entries)).view(np.complex128).reshape(dim, dim) for e in exps})
+            e: np.array(p).view(np.complex128).reshape(dim, dim) for e, p in parts.items()})
 
     return element(), element()
+
+
+#: Gaussian-integer coefficients, on which every sum of products is exact
+GAUSSIAN_INTEGERS = st.integers(-3, 3).map(float)
 
 
 def dense(u):
@@ -563,7 +574,25 @@ def assert_matches_dense(got, want, scale):
     assert dense_hybrid_norm(dense_hybrid_add(dense(got), -want)) <= 1e-12 * (1 + scale)
 
 
+def assert_equals_dense(got, want):
+    """``got``, densely, equals ``want`` to the bit on the box holding
+    both, a zero of either sign matching a zero and any NaN any NaN."""
+    got = dense(got)
+    nexp = got.ndim - 2
+    box = tuple(max(g, w) for g, w in zip(got.shape[:nexp], want.shape[:nexp]))
+    padded = []
+    for x in (got, want):
+        out = np.zeros(box + x.shape[nexp:], dtype=np.complex128)
+        out[tuple(slice(0, n) for n in x.shape[:nexp])] = x
+        padded.append(out + 0.0)
+    assert_nan_alike(*padded)
+
+
 class TestDenseOracleProperties:
+    """The main path against the dense oracle: within rounding on generic
+    inputs, and to the bit on exact ones, where every summation order
+    gives the same result."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(pair=hybrid_pairs(), hbar=st.sampled_from([0.5, 1.0, 2.0]))
     def test_mixed_brackets_match_dense_oracle(self, pair, hbar):
@@ -579,6 +608,29 @@ class TestDenseOracleProperties:
         u, v = pair
         assert_matches_dense(u.assoc_product(v), dense_hybrid_mul(dense(u), dense(v)),
                              u.norm() * v.norm())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(pair=hybrid_pairs(GAUSSIAN_INTEGERS, (np.inf, -np.inf, np.nan)),
+           hbar=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_mixed_brackets_equal_dense_oracle_on_exact_inputs(self, pair, hbar):
+        # an infinite part spreads as NaN: dividing by i hbar and the complex
+        # Poisson weights turn every non-finite entry into NaN + NaN j
+        for x, y in (pair, pair[::-1]):
+            for kind in MixedBracketKind:
+                want = dense_mixed_bracket(kind.value, dense(x), dense(y), hbar, x.num_pairs)
+                assert_equals_dense(mixed_bracket(kind, x, y, hbar), want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(pair=hybrid_pairs(GAUSSIAN_INTEGERS, (np.nan,)))
+    def test_assoc_product_equals_dense_oracle_on_exact_inputs(self, pair):
+        # NaN cells only: a product entry with an infinite factor is
+        # inf + inf j from elementwise complex products but nan + nan j
+        # from BLAS, so where an infinity lands as such depends on the
+        # algorithm
+        for x, y in (pair, pair[::-1]):
+            assert_equals_dense(x.assoc_product(y), dense_hybrid_mul(dense(x), dense(y)))
 
 
 def draw_blocks(seed, trials, arity):
@@ -755,6 +807,28 @@ class TestTrialBlocks:
         defects = {name: entry[f"{name}_defect"] for name in DESIDERATA}
         defects["derivation"] = 0.0 if expected["derivation"] else 1.0
         assert brackets.matches_expected_pattern(kind, defects)
+
+    @pytest.mark.parametrize("kind, desideratum, value, matches", [
+        # a clean desideratum passes up to PASS_TOLERANCE, 1e-10, and no further
+        (MixedBracketKind.HYBRID_PAPER, "jacobi", 1e-9, False),
+        (MixedBracketKind.HYBRID_PAPER, "jacobi", 1e-10, True),
+        # a broken one must lie strictly over VIOLATION_THRESHOLD, 1e-6
+        (MixedBracketKind.ALEKSANDROV, "jacobi", VIOLATION_THRESHOLD, False),
+        (MixedBracketKind.ALEKSANDROV, "jacobi", math.nextafter(1e-6, 1), True),
+    ], ids=["clean-1e-9", "clean-1e-10", "broken-at-threshold", "broken-past-threshold"])
+    def test_the_pattern_bounds(self, kind, desideratum, value, matches, monkeypatch):
+        # the one desideratum at ``value``, the others at 0.0 if clean, else 1.0
+        expected = brackets.EXPECTED_CLEAN[kind]
+
+        def scripted(alg, identity, block):
+            got = (value if identity.value == desideratum
+                   else 0.0 if expected[identity.value] else 1.0)
+            return np.full(block[0].trials, got)
+
+        monkeypatch.setattr(identities, "identity_defect", scripted)
+        entry, _ = measure_defects(kind, trials=2, seed=0, hbar=HBAR)
+        assert entry[f"{desideratum}_defect"] == value
+        assert entry["matches_expected_pattern"] == matches
 
 
 class TestSharedScan:

@@ -1,6 +1,7 @@
 """``tools/identical.py`` on a two-command corpus over two copies of
 ``src``: identical copies differ nowhere, and a one-ulp change to one
-report value is reported at that value's JSON path."""
+report value is reported at that value's JSON path; a CSV cell's change,
+at its row and column."""
 
 import importlib.util
 import math
@@ -51,6 +52,19 @@ def test_one_ulp_change_is_reported_at_its_json_path(identical, tmp_path):
     [found] = identical.compare_trees(old, new, CORPUS, tmp_path / "work")
     assert found.startswith("simulate: out/report.json: $.back_reaction_gap: ")
     assert found.endswith(" (1 ulp)")
+
+
+@pytest.mark.parametrize("is_csv", [True, False], ids=["csv-file", "csv-stdout"])
+def test_one_ulp_change_in_a_csv_cell_is_reported_at_its_row_and_column(identical, is_csv):
+    rows = [f"{a},{math.sqrt(a) / 3:.17g},0" for a in range(1, 8)]
+    old = "\n".join(["a1,factor,passed", *rows]) + "\n"
+    cell = rows[4].split(",")[1]
+    moved = f"{math.nextafter(float(cell), 1.0):.17g}"
+    assert identical.text_differences(old, old.replace(cell, moved), is_csv) == [
+        ("row 5 factor", f"{float(cell)!r} -> {float(moved)!r} (1 ulp)")]
+    # every moved cell is shown, more than the lines of a text that is not CSV
+    flags = identical.text_differences(old, old.replace(",0\n", ",1\n"), is_csv)
+    assert [where for where, _ in flags] == [f"row {i} passed" for i in range(1, 8)]
 
 
 @pytest.mark.parametrize("old, new, found", [

@@ -30,6 +30,19 @@ def composed(a1, a2, a12, d1=2, d2=2):
                            OperatorAlgebra(d2, a=a2), a12=a12)
 
 
+def assert_block_size_free(alg, check, monkeypatch):
+    """``check_identity(alg, *check)`` gives the same entry with blocks of
+    at most 1 and at most 3 trials as at the default cap; return it."""
+    from hamalg import identities
+
+    want = check_identity(alg, *check)
+    for cap in (1, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "MAX_BLOCK_TRIALS", cap)
+            assert check_identity(alg, *check) == want, cap
+    return want
+
+
 class TestCheckIdentity:
     def test_operator_canonical_relation_passes(self):
         alg = OperatorAlgebra(3, a=0.25)
@@ -126,6 +139,34 @@ class TestCheckIdentity:
         assert math.isnan(res["max_relative_defect"])
         assert res["worst_witness"] == []
         assert not res["passed"]
+
+    @pytest.mark.parametrize("identity", [Identity.ANTISYMMETRY, Identity.JACOBI])
+    def test_inputs_come_from_the_seed_salted_with_the_identity(self, identity, monkeypatch):
+        from hamalg import identities
+        from hamalg.identities import _ARITY
+        from tests.helpers import loop_element_draws
+
+        # every trial ties at 0, so the witness is the last trial drawn
+        monkeypatch.setattr(identities, "identity_defect",
+                            lambda alg, identity, elements: np.zeros(elements[0].trials))
+        alg = OperatorAlgebra(2, a=0.25)
+        res = check_identity(alg, identity, 3, TOLERANCE, 5)
+        rng = np.random.default_rng([5, list(Identity).index(identity)])
+        last = loop_element_draws(alg, rng, 3, _ARITY[identity])[-1]
+        assert res["worst_witness"] == [element_to_json(e) for e in last]
+
+    def test_mean_is_the_trial_order_sum_over_the_trials(self, monkeypatch):
+        from hamalg import identities
+        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 2)
+        # added in trial order, each 1.0 rounds away against 1e16; sums per
+        # block [0, 2), [2, 4), [4], in reverse or compensated keep some
+        defects = (1e16, 1.0, 1.0, 1.0, 1.0)
+        script = iter(defects)
+        monkeypatch.setattr(identities, "identity_defect", lambda alg, identity, elements: (
+            np.array([next(script) for _ in range(elements[0].trials)])))
+        res = check_identity(OperatorAlgebra(2, a=0.25), Identity.JACOBI, 5, TOLERANCE, 0)
+        assert sequential_sum(defects) == 1e16
+        assert res["mean_relative_defect"] == 1e16 / 5
 
     def test_check_validation(self):
         alg = OperatorAlgebra(2, a=0.25)
@@ -254,7 +295,6 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("identity", list(Identity))
     def test_block_defects_match_loop_bitwise(self, identity):
         from hamalg.identities import _ARITY, identity_defect
-        from tests.helpers import loop_identity_defects
 
         rng = np.random.default_rng([3, list(Identity).index(identity)])
         for alg in matrix_algebras():
@@ -262,7 +302,8 @@ class TestTrialBlocks:
                 blocks = alg.random_element(rng, block=(trials, _ARITY[identity]))
                 got = identity_defect(alg, identity, blocks)
                 assert got.shape == (trials,)
-                want = np.array(loop_identity_defects(alg, identity, blocks))
+                want = np.array([identity_defect(alg, identity, [b.trial(t) for b in blocks])
+                                 for t in range(trials)])
                 assert got.tobytes() == want.tobytes(), alg.describe()
 
     @pytest.mark.parametrize("alg", matrix_algebras()[1::2],
@@ -287,31 +328,27 @@ class TestTrialBlocks:
                                          lambda: OperatorAlgebra(6, a=1.0),
                                          lambda: composed(1.0, 2.0, 1.5),
                                          lambda: hybrid_algebras()[0]])   # 45-trial blocks
-    def test_check_identity_matches_loop_across_the_cap(self, identity, factory):
-        from tests.helpers import loop_check_identity
-
-        alg = factory()
+    def test_check_identity_across_the_cap_does_not_depend_on_the_block_size(
+            self, identity, factory, monkeypatch):
         check = (identity, 300, TOLERANCE, 4)   # past the 256-trial cap
-        assert check_identity(alg, *check) == loop_check_identity(alg, *check)
+        assert_block_size_free(factory(), check, monkeypatch)
 
     @pytest.mark.parametrize("identity", [Identity.ANTISYMMETRY, Identity.JACOBI,
                                           Identity.CANONICAL_RELATION])
-    def test_lemma_max_terms_path_matches_loop(self, identity, monkeypatch):
-        from hamalg import identities
-        from tests.helpers import loop_check_identity
-
-        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
-        alg = composed(1.0, 2.0, 1.5, 2, 3)
+    def test_lemma_max_terms_path_does_not_depend_on_the_block_size(self, identity,
+                                                                   monkeypatch):
         check = (identity, 8, TOLERANCE, 1)
-        assert check_identity(alg, *check) == loop_check_identity(alg, *check)
+        assert_block_size_free(composed(1.0, 2.0, 1.5, 2, 3), check, monkeypatch)
 
     @pytest.mark.parametrize("base", [composed(1.0, 1.0, 2.0), hybrid_algebras()[0]],
                              ids=["qq", "qc"])
     def test_corrupted_algebra_forwards_block_draws(self, base, monkeypatch):
         from hamalg import identities
-        from tests.helpers import loop_check_identity
 
-        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 4)
+        bad = CorruptedAlgebra(base, alpha_scale=1.1)
+        check = (Identity.CANONICAL_RELATION, 10, TOLERANCE, 0)
+        want = assert_block_size_free(bad, check, monkeypatch)
+        assert not want["passed"]
         seen = []
         original = identities.identity_defect
 
@@ -319,13 +356,10 @@ class TestTrialBlocks:
             seen.append(elements[0].trials)
             return original(alg, identity, elements)
 
+        monkeypatch.setattr(identities, "MAX_BLOCK_TRIALS", 4)
         monkeypatch.setattr(identities, "identity_defect", spy)
-        bad = CorruptedAlgebra(base, alpha_scale=1.1)
-        check = (Identity.CANONICAL_RELATION, 10, TOLERANCE, 0)
-        got = check_identity(bad, *check)
+        assert check_identity(bad, *check) == want
         assert seen == [4, 4, 2]
-        assert not got["passed"]
-        assert got == loop_check_identity(bad, *check)
 
     def test_blocks_are_capped_by_entries(self, monkeypatch):
         from hamalg import identities
@@ -451,7 +485,6 @@ class TestPhaseSpaceBlocks:
     @pytest.mark.parametrize("identity", list(Identity))
     def test_block_defects_match_loop_bitwise(self, identity):
         from hamalg.identities import _ARITY, identity_defect
-        from tests.helpers import loop_identity_defects
 
         rng = np.random.default_rng([4, list(Identity).index(identity)])
         for alg in phase_space_algebras():
@@ -459,7 +492,8 @@ class TestPhaseSpaceBlocks:
                 blocks = alg.random_element(rng, block=(trials, _ARITY[identity]))
                 got = identity_defect(alg, identity, blocks)
                 assert got.shape == (trials,)
-                want = np.array(loop_identity_defects(alg, identity, blocks))
+                want = np.array([identity_defect(alg, identity, [b.trial(t) for b in blocks])
+                                 for t in range(trials)])
                 assert got.tobytes() == want.tobytes(), alg.describe()
 
     def test_block_norms_equal_trial_norms_bitwise(self):
@@ -484,10 +518,10 @@ class TestPhaseSpaceBlocks:
     @pytest.mark.parametrize("alg", [PhaseSpaceAlgebra(1, max_random_degree=1),   # 256-trial cap
                                      PhaseSpaceAlgebra(2, max_random_degree=1)],  # 117 a block
                              ids=["pairs1", "pairs2"])
-    def test_check_identity_matches_loop_across_the_cap(self, alg, identity):
+    def test_check_identity_across_the_cap_does_not_depend_on_the_block_size(
+            self, alg, identity, monkeypatch):
         from hamalg.identities import block_trials
-        from tests.helpers import loop_check_identity
 
         check = (identity, 300, TOLERANCE, 2)
         assert block_trials(alg) < check[1]
-        assert check_identity(alg, *check) == loop_check_identity(alg, *check)
+        assert_block_size_free(alg, check, monkeypatch)

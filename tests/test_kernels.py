@@ -1,9 +1,11 @@
 """The polynomial kernel: equivalence and algebraic properties.
 
-The kernel must agree with the brute-force dense expansion, and to the
-bit (coefficients and term order) with the literal dict loop below,
-which is the semantics it vectorizes, on each of its three slotting
-routes: a dense box, sorted packed keys and exponent rows.
+The kernel must agree with the brute-force dense expansion, to the bit
+on exact inputs (small integers, infinities and NaNs) and within rounding
+on generic ones, and to the bit (coefficients and term order) with the
+literal dict loop below, which is the semantics it vectorizes, on each
+of its three slotting routes: a dense box, sorted packed keys and
+exponent rows.
 
 Slotting plans: a product or sum built on a plan kept from an earlier
 call equals one that builds its plan afresh, to the bit (any NaN
@@ -129,6 +131,47 @@ def test_poisson_matches_dense_reference(num_pairs, degree):
                            poly_terms_to_dense(b, 2 * num_pairs), num_pairs)
     )
     assert terms_close(got, expected)
+
+
+@st.composite
+def exact_operands(draw):
+    """(num_pairs, a, b): up to eight terms of degree <= 3 on 1-3 pairs,
+    each coefficient a small nonzero integer, and at times one of them
+    infinite or NaN.  Every sum of their products is exact, and the
+    spread of an infinity or a NaN through a sum does not depend on its
+    order."""
+    num_pairs = draw(st.integers(1, 3))
+    monos = monomials_up_to_degree(2 * num_pairs, 3)
+
+    def operand():
+        terms = draw(st.dictionaries(st.sampled_from(monos),
+                                     st.integers(-3, 3).filter(bool).map(float),
+                                     min_size=1, max_size=8))
+        special = draw(st.sampled_from((None, None, np.inf, -np.inf, np.nan)))
+        if special is not None:
+            terms[draw(st.sampled_from(sorted(terms)))] = special
+        return terms
+
+    return num_pairs, operand(), operand()
+
+
+def assert_equal_values(got, want):
+    """Equal terms, in any order: every coefficient equal, a NaN to a NaN."""
+    assert set(got) == set(want)
+    for e, c in want.items():
+        assert got[e] == c or (np.isnan(got[e]) and np.isnan(c)), (e, got[e], c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(exact_operands())
+def test_mul_and_poisson_equal_dense_reference_on_exact_inputs(case):
+    num_pairs, a, b = case
+    da, db = (poly_terms_to_dense(x, 2 * num_pairs) for x in (a, b))
+    assert_equal_values(kernels.mul(a, b, 2 * num_pairs),
+                        dense_to_poly_terms(dense_poly_mul(da, db)))
+    assert_equal_values(kernels.poisson(a, b, num_pairs),
+                        dense_to_poly_terms(dense_poly_poisson(da, db, num_pairs)))
 
 
 @pytest.mark.parametrize("num_pairs,d1,d2,route", [

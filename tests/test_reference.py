@@ -1,161 +1,92 @@
-"""The dense oracle against its literal loops.
+"""The dense oracle against values worked out from the definitions.
 
-Each vectorized product in ``reference.py`` must give the bits of the
-double loop over exponent pairs in ``helpers.py``: the same terms, added
-into each output cell in the same order.  Inputs are sparse boxes of
-every shape up to three pairs, some holding an infinity, a NaN, a huge or
-tiny value or signed zeros, so that a term the loops skip cannot hide in
-the vectorized sum.
+``test_kernels.py`` and ``test_brackets.py`` hold the oracle against the
+main path: to the bit on exact inputs, within rounding on generic ones.
+Here each of its routes meets a few products and brackets worked out by
+hand, on small-integer inputs where no summation order can move a bit,
+so that a mistake the oracle shared with the main path would still
+show: the sign of a Poisson weight, the pair a term moves on, the order
+of a matrix product, the half of an anticommutator, a zero cell that
+meets an infinity, and the real and imaginary parts of a witness.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hamalg.reference import (
     dense_hybrid_mul,
-    dense_hybrid_partial,
+    dense_ordered_poisson,
     dense_poly_mul,
     dense_poly_poisson,
     dense_product_rule_poisson,
     dense_to_poly_terms,
     hybrid_json_to_dense,
+    poly_terms_to_dense,
 )
-from tests.helpers import (
-    loop_dense_hybrid_mul,
-    loop_dense_hybrid_partial,
-    loop_dense_poly_mul,
-    loop_dense_poly_poisson,
-    loop_dense_product_rule_poisson,
-    loop_dense_to_poly_terms,
-    loop_hybrid_json_to_dense,
-)
+from tests.helpers import PAULI_X, PAULI_Y, PAULI_Z
 
-SPECIALS = (None, np.inf, -np.inf, np.nan, 1e300, 1e-300)
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+I2 = np.eye(2)
 
 
-def assert_same_bits(got, want):
-    """Equal shapes and dtypes and equal bits in every entry, except that a
-    NaN need only meet a NaN: IEEE 754 leaves the sign and payload of an
-    operation's NaN result to the implementation, and numpy's contiguous
-    and strided loops pick differently."""
-    assert got.shape == want.shape and got.dtype == want.dtype
-    g, w = got.view(np.float64), want.view(np.float64)
-    nan = np.isnan(w)
-    assert np.array_equal(np.isnan(g), nan)
-    assert np.where(nan, 0.0, g).tobytes() == np.where(nan, 0.0, w).tobytes()
+@pytest.mark.parametrize("a, b, want", [
+    # {x1, p1} = 1 and {p1, x1} = -1, on each pair of two (x1, p1, x2, p2)
+    ({(1, 0, 0, 0): 1.0}, {(0, 1, 0, 0): 1.0}, {(0, 0, 0, 0): 1.0}),
+    ({(0, 1, 0, 0): 1.0}, {(1, 0, 0, 0): 1.0}, {(0, 0, 0, 0): -1.0}),
+    ({(0, 0, 1, 0): 1.0}, {(0, 0, 0, 1): 1.0}, {(0, 0, 0, 0): 1.0}),
+    # {x1^2 x2, 3 p1 p2} = 2 x1 x2 * 3 p2 + x1^2 * 3 p1
+    ({(2, 0, 1, 0): 1.0}, {(0, 1, 0, 1): 3.0}, {(1, 0, 1, 1): 6.0, (2, 1, 0, 0): 3.0}),
+    # {x1 p2, x2 p1} = p2 * x2 - x1 * p1
+    ({(1, 0, 0, 1): 1.0}, {(0, 1, 1, 0): 1.0}, {(0, 0, 1, 1): 1.0, (1, 1, 0, 0): -1.0}),
+])
+def test_poly_poisson_on_monomials(a, b, want):
+    got = dense_poly_poisson(poly_terms_to_dense(a, 4), poly_terms_to_dense(b, 4), 2)
+    assert dense_to_poly_terms(got) == want
 
 
-@st.composite
-def operand(draw, shape, dim):
-    """A dense array on the exponent box ``shape`` (with (dim, dim) matrix
-    cells unless ``dim`` is None): a random subset of nonzero cells, the
-    zero ones of either sign, and at times one special entry."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    full = shape + (() if dim is None else (dim, dim))
-    x = rng.standard_normal(full)
-    if dim is not None:
-        x = x + 1j * rng.standard_normal(full)
-    zero = rng.uniform(size=shape) >= draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
-    x[zero] = draw(st.sampled_from((0.0, -0.0)))
-    special = draw(st.sampled_from(SPECIALS))
-    if special is not None:
-        at = tuple(int(rng.integers(n)) for n in full)
-        if dim is None:
-            x[at] = special
-        else:
-            x[at] = complex(special, 0.0) if rng.uniform() < 0.5 else complex(0.0, special)
-    return x
+def test_poly_mul_on_a_binomial():
+    # (2 x + p)(x - p) = 2 x^2 - x p - p^2
+    got = dense_poly_mul(poly_terms_to_dense({(1, 0): 2.0, (0, 1): 1.0}, 2),
+                         poly_terms_to_dense({(1, 0): 1.0, (0, 1): -1.0}, 2))
+    assert dense_to_poly_terms(got) == {(2, 0): 2.0, (1, 1): -1.0, (0, 2): -1.0}
 
 
-@st.composite
-def operands(draw, matrix):
-    """(num_pairs, a, b) on independent boxes of 1-3 pairs; the extents run
-    to 3 up to two pairs, to 2 at three pairs."""
-    num_pairs = draw(st.integers(1, 3))
-    extent = st.integers(1, 3 if num_pairs < 3 else 2)
-    box = st.lists(extent, min_size=2 * num_pairs, max_size=2 * num_pairs).map(tuple)
-    dim = draw(st.integers(1, 3)) if matrix else None
-    return num_pairs, draw(operand(draw(box), dim)), draw(operand(draw(box), dim))
+def test_a_zero_cell_never_meets_an_infinity():
+    # (inf x)(1 + x^2) and {inf x, p + x^2}: the x^0 cell of the left
+    # operand and the x^1 and x p cells of the right ones are zero, so no
+    # cell holds inf * 0
+    a = poly_terms_to_dense({(1, 0): np.inf}, 2)
+    b = poly_terms_to_dense({(0, 0): 1.0, (2, 0): 1.0}, 2)
+    assert dense_poly_mul(a, b)[:, 0].tolist() == [0.0, np.inf, 0.0, np.inf]
+    assert dense_poly_poisson(a, poly_terms_to_dense({(0, 1): 1.0, (2, 0): 1.0}, 2),
+                              1).tolist() == [[np.inf, 0.0]] + [[0.0, 0.0]] * 3
 
 
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=True))
-def test_hybrid_mul_equals_loop(case):
-    _, a, b = case
-    assert_same_bits(dense_hybrid_mul(a, b), loop_dense_hybrid_mul(a, b))
+def hybrid(terms):
+    """A one-pair dense hybrid array from {(i, j): matrix of x^i p^j}."""
+    out = np.zeros((3, 3, 2, 2), dtype=np.complex128)
+    for e, m in terms.items():
+        out[e] = m
+    return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=True))
-def test_product_rule_poisson_equals_loop(case):
-    num_pairs, a, b = case
-    assert_same_bits(dense_product_rule_poisson(a, b, num_pairs),
-                     loop_dense_product_rule_poisson(a, b, num_pairs))
+def test_hybrid_products_keep_the_written_order():
+    # XY = iZ = -YX
+    u, v = hybrid({(1, 0): PAULI_X}), hybrid({(0, 1): PAULI_Y})
+    assert np.array_equal(dense_hybrid_mul(u, v)[1, 1], 1j * PAULI_Z)
+    assert np.array_equal(dense_hybrid_mul(v, u)[1, 1], -1j * PAULI_Z)
+    # {x, p} XY = iZ and {p, x} YX = (-1)(-iZ) = iZ
+    assert np.array_equal(dense_ordered_poisson(u, v, 1)[0, 0], 1j * PAULI_Z)
+    assert np.array_equal(dense_ordered_poisson(v, u, 1)[0, 0], 1j * PAULI_Z)
+    # the anticommutator's half: {x, p} (XX + XX) / 2 = I
+    w = hybrid({(0, 1): PAULI_X})
+    assert np.array_equal(dense_product_rule_poisson(u, w, 1)[0, 0], I2)
+    assert np.array_equal(dense_product_rule_poisson(u, v, 1)[0, 0], 0 * I2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=True))
-def test_hybrid_partial_equals_loop(case):
-    num_pairs, a, _ = case
-    for var in range(2 * num_pairs):
-        assert_same_bits(dense_hybrid_partial(a, var), loop_dense_hybrid_partial(a, var))
-
-
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=False))
-def test_poly_mul_equals_loop(case):
-    _, a, b = case
-    assert_same_bits(dense_poly_mul(a, b), loop_dense_poly_mul(a, b))
-
-
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=False))
-def test_poly_poisson_equals_loop(case):
-    num_pairs, a, b = case
-    assert_same_bits(dense_poly_poisson(a, b, num_pairs),
-                     loop_dense_poly_poisson(a, b, num_pairs))
-
-
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=False))
-def test_dense_to_poly_terms_equals_loop(case):
-    _, a, _ = case
-    got, want = dense_to_poly_terms(a), loop_dense_to_poly_terms(a)
-    assert list(got) == list(want)
-    assert all(type(c) is float for c in got.values())
-    assert_same_bits(np.array(list(got.values())), np.array(list(want.values())))
-
-
-@settings(max_examples=60, deadline=None)
-@given(operands(matrix=True))
-def test_hybrid_json_to_dense_equals_loop(case):
-    num_pairs, a, _ = case
-    dim = a.shape[-1]
-    data = {"dim": dim, "num_pairs": num_pairs, "parts": [
-        {"exponents": list(e), "matrix": [[z.real, z.imag] for z in a[e].ravel().tolist()]}
-        for e in np.ndindex(a.shape[:-2])]}
-    assert_same_bits(hybrid_json_to_dense(data), loop_hybrid_json_to_dense(data))
-
-
-@pytest.mark.parametrize("matrix", [False, True])
-def test_poisson_terms_of_one_cell_arrive_pair_k_descending(matrix):
-    # cell (1,0,1,0) gets 1e16 from a's x1 (pair 0), then 1 (pair 0) and
-    # -1e16 (pair 1) from a's x1 x2: the loop meets b's (0,0,1,1) before
-    # (1,1,0,0), so the sum is (1e16 - 1e16) + 1 = 1, where pair 0 first
-    # would give (1e16 + 1) - 1e16 = 0
-    a = np.zeros((2, 1, 2, 1))
-    a[1, 0, 0, 0] = a[1, 0, 1, 0] = 1.0
-    b = np.zeros((2, 2, 2, 2))
-    b[1, 1, 1, 0], b[1, 1, 0, 0], b[0, 0, 1, 1] = 1e16, 1.0, -1e16
-    if matrix:
-        a, b = (x.astype(np.complex128)[..., None, None] for x in (a, b))
-        got, want = (dense_product_rule_poisson(a, b, 2),
-                     loop_dense_product_rule_poisson(a, b, 2))
-    else:
-        got, want = dense_poly_poisson(a, b, 2), loop_dense_poly_poisson(a, b, 2)
-    assert want[1, 0, 1, 0] == 1.0
-    assert_same_bits(got, want)
+def test_hybrid_json_to_dense_reads_re_im_pairs_row_by_row():
+    data = {"dim": 2, "num_pairs": 1, "parts": [
+        {"exponents": [0, 2], "matrix": [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, -3.0]]}]}
+    got = hybrid_json_to_dense(data)
+    assert got.shape == (1, 3, 2, 2)
+    assert got[0, 2].tolist() == [[1.0, 1j], [2.0, -3j]]
+    assert not got[0, :2].any()

@@ -44,24 +44,8 @@ def ulp_distance(x, y):
 
 
 class TestBlockFit:
-    """The fit reduces over all pairs at once: the same verdict whatever
-    the block size, and the closed-form factor within a few ulp."""
-
-    @pytest.mark.parametrize("constants, dims", FIT_CASES)
-    def test_fit_does_not_depend_on_the_block_size(self, constants, dims, monkeypatch):
-        from hamalg import identities, uniqueness
-        from hamalg.identities import block_trials
-
-        c = composed(*constants, *dims)
-        for component, n_pairs, seed in fit_runs(c):
-            monkeypatch.setattr(uniqueness, "MIN_FIT_PAIRS", n_pairs)
-            assert block_trials(c) >= n_pairs   # one block at the default
-            whole = restrict_alpha(c, component, seed, 1e-8)
-            # blocks of 3, 3 and a short last one (and 3, 3, 3, 3 and 1)
-            with monkeypatch.context() as patch:
-                patch.setattr(identities, "MAX_BLOCK_TRIALS", 3)
-                assert block_trials(c) == 3
-                assert restrict_alpha(c, component, seed, 1e-8) == whole
+    """The fit reduces over all pairs at once: the closed-form factor
+    within a few ulp."""
 
     @pytest.mark.parametrize("constants, dims", FIT_CASES)
     def test_measured_factor_is_within_4_ulp_of_the_closed_form(self, constants, dims,

@@ -16,8 +16,10 @@ Compared are the exit codes, stdout and stderr with the tree's paths
 replaced by placeholders, and every output file with its ``"timestamp"``
 value blanked.  Each difference prints as command, stream or file, and
 JSON path, with the old and new values and, for floats, their distance in
-units in the last place; a text that is not JSON prints by line.  The exit
-status is 1 on any difference and 0 on none.
+units in the last place.  A CSV text -- a ``*.csv`` file, or a text whose
+header and every row hold the same number of cells, two or more -- prints
+the same way by row and column name, and any other text by line.  The
+exit status is 1 on any difference and 0 on none.
 
 The corpus (``corpus()``) is every report of the benchmark's workloads on
 each pool seed, read from ``perfbench/workloads.py``, and the command
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -53,7 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: the output file names that ``{json}`` and ``{csv}`` stand for
 OUTPUT_NAMES = {"json": "report.json", "csv": "out.csv"}
-#: differing lines printed per text that is not JSON
+#: differing lines printed per text that is neither JSON nor CSV
 SHOWN_LINES = 5
 
 #: (label, argv) of the command lines run besides the workloads' reports
@@ -252,9 +255,47 @@ def json_differences(old, new, path: str = "$") -> list:
     return [] if repr(old) == repr(new) else [(path, _value_text(old, new))]
 
 
-def text_differences(old: str, new: str) -> list:
+def _csv_rows(text: str, is_csv: bool):
+    """The rows of a CSV text: always for a ``*.csv`` file (``is_csv``),
+    otherwise only if the header and every row hold the same number of
+    cells, two or more; else None."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not is_csv and not (rows and len(rows[0]) >= 2
+                           and all(len(row) == len(rows[0]) for row in rows)):
+        return None
+    return rows
+
+
+def _cell_value(text: str):
+    """A CSV cell as a float where it reads as one, else as its text."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def csv_differences(old: list, new: list) -> list:
+    """(row and column, description) of each cell that differs between
+    two CSV texts' rows; rows count from 1 after the header, and a column
+    is named by the old header."""
+    header = old[0] if old else []
+    found = []
+    for i, (a, b) in enumerate(zip(old, new)):
+        where = "header" if i == 0 else f"row {i}"
+        found += [(f"{where} {header[j] if j < len(header) else j}",
+                   _value_text(_cell_value(x), _cell_value(y)))
+                  for j, (x, y) in enumerate(zip(a, b)) if x != y]
+        if len(a) != len(b):
+            found.append((where, f"cells {len(a)} -> {len(b)}"))
+    if len(old) != len(new):
+        found.append(("rows", f"{len(old) - 1} -> {len(new) - 1}"))
+    return found
+
+
+def text_differences(old: str, new: str, is_csv: bool) -> list:
     """(where, description) of the differences between two texts: by JSON
-    path when both parse as JSON, else by line, at most ``SHOWN_LINES``
+    path when both parse as JSON, by row and column when both are CSV
+    (always, with ``is_csv``), else by line, at most ``SHOWN_LINES``
     lines."""
     if old == new:
         return []
@@ -264,6 +305,9 @@ def text_differences(old: str, new: str) -> list:
         found = []
     if found:
         return found
+    old_rows, new_rows = _csv_rows(old, is_csv), _csv_rows(new, is_csv)
+    if old_rows is not None and new_rows is not None and old_rows != new_rows:
+        return csv_differences(old_rows, new_rows)
     old_lines, new_lines = old.splitlines(), new.splitlines()
     lines = [(f"line {i + 1}", _value_text(a, b))
              for i, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b]
@@ -297,7 +341,7 @@ def compare_runs(lines: list, old: tuple, new: tuple) -> list:
                 continue
             texts = [_read(p, run, src) for p, (src, run) in zip(paths, (old, new))]
             found += [f"{label}: {name}: {where}: {what}"
-                      for where, what in text_differences(*texts)]
+                      for where, what in text_differences(*texts, name.endswith(".csv"))]
     return found
 
 
