@@ -1,24 +1,29 @@
 """Published mixed quantum-classical brackets and their defect profiles.
 
 All brackets act on observable-valued functions (HybridElement): matrix
-coefficients on classical monomials.  Writing [A,B]- = (AB - BA)/(i*hbar),
-[A,B]+ = (AB + BA)/2 and {.,.}_P for the Poisson bracket, where each
-matrix product AB is ``compose.coefficient_product`` (sums over k, never
-``@``, so a term pair's product has the same bits in a block of trials as
-alone; the dense oracle ``reference.py`` deliberately keeps ``@``, so the
-two routes share no product formula):
+coefficients on classical monomials.  Writing [A,B]- = (AB - BA)/(i*hbar)
+and {.,.}_P for the Poisson bracket, each sums, over the term pairs
+(A x^m, B x^n) of its arguments, x^m x^n [A,B]- plus {x^m, x^n}_P times
+a Poisson part:
 
-* product_rule (``boucher_traschen``): defined on simple products Xx and
-  extended bilinearly, {Xx, Yy} -> xy [X,Y]- + {x,y}_P [X,Y]+ (the
-  composition rule valid only at equal constants, misapplied to a
-  classical factor)
-* symmetrized (``aleksandrov``): [U,V]- + ({U,V}_P - {V,U}_P)/2 on whole
-  elements, with matrix coefficients multiplied in written order
-* unsymmetrized (``anderson``): [U,V]- + {U,V}_P, written order (not
-  antisymmetric; the written-order choice is itself an interpretation,
-  flagged in reports)
-* hybrid (``hybrid_paper``): [U,V]- with classical parts multiplied
-  pointwise; the bracket of the quantum (x) classical Hamilton algebra
+* product_rule (``boucher_traschen``): [A,B]+ = (AB + BA)/2; the rule
+  {Xx, Yy} -> xy [X,Y]- + {x,y}_P [X,Y]+ on simple products, extended
+  bilinearly (the composition rule valid only at equal constants,
+  misapplied to a classical factor)
+* symmetrized (``aleksandrov``): [A,B]+ too; its whole-element form
+  [U,V]- + ({U,V}_P - {V,U}_P)/2, coefficients multiplied in written
+  order, reduces to it pair by pair, as {x^n, x^m}_P = -{x^m, x^n}_P
+* unsymmetrized (``anderson``): AB, from [U,V]- + {U,V}_P in written
+  order (not antisymmetric; the written-order choice is itself an
+  interpretation, flagged in reports)
+* hybrid (``hybrid_paper``): none; the bracket of the quantum (x)
+  classical Hamilton algebra
+
+``mixed_bracket`` forms each in one ``HybridElement.pair_sum``, every
+matrix product by ``compose.coefficient_product`` (sums over k, never
+``@``, so a pair's product has the same bits in a block of trials as
+alone).  The dense oracle ``reference.py`` keeps each published form as
+written, with ``@``, so the two routes share no formula.
 
 Every bracket is scored against the three dynamics desiderata:
 antisymmetry, the Jacobi identity, and the derivation identity over the
@@ -89,57 +94,31 @@ EXPECTED_CLEAN = {
 }
 
 
-def _commutator_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
-    """[U,V]- : commutator/(i*hbar) on coefficients, pointwise classical
-    product.  This is also the hybrid Hamilton-algebra bracket."""
-    return u.pair_sum(v, lambda A, B: (coefficient_product(A, B)
-                                       - coefficient_product(B, A)) / (1j * hbar))
-
-
-def ordered_poisson(u: HybridElement, v: HybridElement) -> HybridElement:
-    """{U,V}_P with matrix coefficients multiplied in written order:
-    sum_k dU/dx_k . dV/dp_k - dU/dp_k . dV/dx_k."""
-    return u.pair_sum(v, coefficient_product, plain=False, poisson=True)
-
-
-def _product_rule_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
-    """Simple-product definition extended bilinearly: each monomial term
-    A x^m is a simple product, so
-    {U,V} = sum (x^m x^n)[A,B]- + {x^m, x^n}_P [A,B]+ ."""
-    def combine(A, B):
-        AB, BA = coefficient_product(A, B), coefficient_product(B, A)
-        return (AB - BA) / (1j * hbar), 0.5 * (AB + BA)
-
-    return u.pair_sum(v, combine, poisson=True)
-
-
-def _symmetrized_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
-    """Whole-element form: [U,V]- + half the antisymmetrized ordered
-    Poisson bracket.  Coincides with the simple-product rule on all
-    inputs; kept as a distinct code path (cross-checked in tests)."""
-    sym = (ordered_poisson(u, v) - ordered_poisson(v, u)).scale(0.5)
-    return _commutator_bracket(u, v, hbar) + sym
-
-
-def _unsymmetrized_bracket(u: HybridElement, v: HybridElement, hbar: float) -> HybridElement:
-    """[U,V]- + {U,V}_P with the ordered Poisson term taken as written."""
-    return _commutator_bracket(u, v, hbar) + ordered_poisson(u, v)
-
-
-_BRACKETS = {
-    MixedBracketKind.BOUCHER_TRASCHEN: _product_rule_bracket,
-    MixedBracketKind.ALEKSANDROV: _symmetrized_bracket,
-    MixedBracketKind.ANDERSON: _unsymmetrized_bracket,
-    MixedBracketKind.HYBRID_PAPER: _commutator_bracket,
+#: each bracket's Poisson part Q from a term pair's products AB and BA,
+#: or None where it has none
+_POISSON_PARTS = {
+    MixedBracketKind.BOUCHER_TRASCHEN: lambda AB, BA: 0.5 * (AB + BA),
+    MixedBracketKind.ALEKSANDROV: lambda AB, BA: 0.5 * (AB + BA),
+    MixedBracketKind.ANDERSON: lambda AB, BA: AB,
+    MixedBracketKind.HYBRID_PAPER: None,
 }
 
 
 def mixed_bracket(kind: MixedBracketKind, u: HybridElement, v: HybridElement,
                   hbar: float) -> HybridElement:
-    """Evaluate one mixed bracket on two hybrid observables."""
+    """Evaluate one mixed bracket on two hybrid observables: one sum over
+    their term pairs of [A,B]- on x^m x^n and the kind's Poisson part on
+    {x^m, x^n}_P."""
     if hbar <= 0:
         raise AlgebraError(f"hbar must be > 0, got {hbar}")
-    return _BRACKETS[MixedBracketKind(kind)](u, v, hbar)
+    part = _POISSON_PARTS[MixedBracketKind(kind)]
+
+    def combine(A, B):
+        AB, BA = coefficient_product(A, B), coefficient_product(B, A)
+        comm = (AB - BA) / (1j * hbar)
+        return comm if part is None else (comm, part(AB, BA))
+
+    return u.pair_sum(v, combine, poisson=part is not None)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ composed elements range over the whole space: Hermitian matrices on
 C^l (x) C^r, or polynomials with a Hermitian coefficient on every monomial
 up to the classical degree.
 
-Quantum (x) classical products and the mixed brackets run through
+Quantum (x) classical products, and each mixed bracket, are one
 ``HybridElement.pair_sum`` on ``kernels.term_pair_sum``, the engine that
 also multiplies real polynomials, and form every product of two matrix
 coefficients with ``coefficient_product``: elementwise sums over k, never
@@ -42,8 +42,6 @@ partial transposes of the right factor.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -62,7 +60,6 @@ from .elements import (
     check_trials,
     exponent_rows,
     exponent_tuple,
-    frobenius_norms,
     monomials_up_to_degree,
     product_monomials,
 )
@@ -142,11 +139,11 @@ class HybridElement(TermArray):
     __slots__ = ()
     COEFF_RANK = 2
 
-    def __init__(self, dim: int, num_pairs: int, terms: dict | None = None):
+    def __init__(self, dim: int, num_pairs: int, terms: dict):
         if dim < 1 or num_pairs < 1:
             raise ShapeError(f"invalid dim={dim} / num_pairs={num_pairs}")
         keys, mats = [], []
-        for exps, mat in (terms or {}).items():
+        for exps, mat in terms.items():
             keys.append(exponent_tuple(exps, 2 * num_pairs))
             mats.append(np.array(mat, dtype=np.complex128))
             if mats[-1].shape != (dim, dim):
@@ -158,36 +155,18 @@ class HybridElement(TermArray):
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    def norm(self):
-        """Frobenius norm over all coefficients; in a block, an array of the
-        norm of each trial, equal to ``trial(t).norm()`` to the bit.
-
-        The norm of each coefficient, ``float(np.linalg.norm(m))``, is
-        squared as a Python float, ``n ** 2``, which is not always
-        ``n * n``, and the squares are added in turn, in row order,
-        starting from the first; the norm is the square root of that sum.
-        In a block, each (row, trial) matrix is first copied out of the
-        trial-innermost stack into C order, as ``trial(t)`` holds it.
-        """
-        trials = 1 if self.trials is None else self.trials
-        d = self.dim
-        mats = self.coeffs.reshape(-1, d, d, trials).transpose(0, 3, 1, 2).reshape(-1, d, d)
-        squares = np.array([n ** 2 for n in frobenius_norms(mats)]).reshape(-1, trials)
-        # running sums down each trial's column: sequential, unlike np.sum
-        totals = np.add.accumulate(squares)[-1] if len(squares) else np.zeros(trials)
-        return math.sqrt(totals[0]) if self.trials is None else np.sqrt(totals)
-
-    def pair_sum(self, other: "HybridElement", combine, plain: bool = True,
+    def pair_sum(self, other: "HybridElement", combine,
                  poisson: bool = False) -> "HybridElement":
         """The sum over term pairs of ``combine`` of their coefficients, as
-        ``kernels.term_pair_sum`` forms it: with ``plain`` the plain term,
-        with ``poisson`` the canonical pairs' terms.  ``combine`` gets the
-        broadcast stacks (rows, 1, ...) and (1, Nb, ...) of every pair at
-        once; one that multiplies them with ``coefficient_product`` gives
-        each pair's coefficient the bits of a call on that pair alone."""
+        ``kernels.term_pair_sum`` forms it: the plain term of each pair,
+        and with ``poisson`` its canonical pairs' terms, ``combine`` then
+        giving both parts.  ``combine`` gets the broadcast stacks
+        (rows, 1, ...) and (1, Nb, ...) of every pair at once; one that
+        multiplies them with ``coefficient_product`` gives each pair's
+        coefficient the bits of a call on that pair alone."""
         self._check_like(other)
         return HybridElement._trusted(*term_pair_sum(self.exps, other.exps, self.coeffs,
-                                                     other.coeffs, combine, plain, poisson))
+                                                     other.coeffs, combine, True, poisson))
 
     def assoc_product(self, other: "HybridElement") -> "HybridElement":
         """Associative product: matrix coefficients multiply in written

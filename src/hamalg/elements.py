@@ -13,7 +13,8 @@ trial blocks from ``TermArray``, and their sums, products and Poisson
 brackets run on the one engine of :mod:`hamalg.kernels`.
 
 All are immutable values holding only their arrays; every operation
-returns a new element.
+returns a new element.  Every element's norm is ``column_norms`` of its
+entries, one column a trial.
 """
 
 from __future__ import annotations
@@ -73,20 +74,16 @@ def check_trials(mine, theirs) -> None:
 
 
 @_ieee_quiet
-def frobenius_norms(stack: np.ndarray) -> list:
-    """Frobenius norm of each ``stack[i]``, as Python floats:
-    sqrt(re.re + im.im) over the slice in C order.
-
-    On a C-contiguous complex matrix this is what ``np.linalg.norm``
-    computes, both dot products reaching BLAS ``ddot`` at the same strides,
-    so each norm is that call's to the bit; one ``np.vecdot`` call serves
-    the whole stack.  Only there: ``np.linalg.norm`` sums a Fortran-ordered
-    or transposed matrix in memory order, this helper always in C order,
-    so on such entries the two may differ in the last bits.
-    """
-    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
-    re, im = flat.real, flat.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+def column_norms(stack: np.ndarray) -> np.ndarray:
+    """The norm of each column of an (M, T) stack: sqrt of the sum of |x|^2
+    down it, added in turn from row 0.  So trial t of a block, a column,
+    has the bits of trial t alone, whose dropped zero rows add nothing."""
+    squares = stack.real * stack.real
+    if np.iscomplexobj(stack):
+        squares += stack.imag * stack.imag
+    if not len(squares):
+        return np.zeros(stack.shape[1])
+    return np.sqrt(np.add.accumulate(squares)[-1])   # sequential, unlike np.sum
 
 
 class OperatorElement:
@@ -143,11 +140,10 @@ class OperatorElement:
         return cls(np.eye(dim))
 
     def norm(self):
-        """Frobenius norm; in a block, an array of the norm of each trial,
-        equal to ``trial(t).norm()`` to the bit."""
-        if self.trials is None:
-            return frobenius_norms(self.entries[None])[0]
-        return np.array(frobenius_norms(self.entries))
+        """Frobenius norm, ``column_norms`` of the entries in C order; in a
+        block, an array of the norm of each trial."""
+        norms = column_norms(self.entries.reshape(-1, self.dim ** 2).T)
+        return float(norms[0]) if self.trials is None else norms
 
     def trial(self, t: int) -> "OperatorElement":
         """Trial t of a block as an ordinary element."""
@@ -259,6 +255,13 @@ class TermArray:
     def __len__(self) -> int:
         return len(self.exps)
 
+    def norm(self):
+        """sqrt of the sum of |c|^2 over every coefficient entry,
+        ``column_norms`` of the stack in C order; in a block, an array of
+        the norm of each trial."""
+        norms = column_norms(self.coeffs.reshape(-1, 1 if self.trials is None else self.trials))
+        return float(norms[0]) if self.trials is None else norms
+
     def trial(self, t: int):
         """Trial t of a block as an ordinary element, without the rows that
         are zero in that trial."""
@@ -316,10 +319,9 @@ class PhaseSpacePoly(TermArray):
 
     __slots__ = ()
 
-    def __init__(self, num_pairs: int, terms: dict | None = None):
+    def __init__(self, num_pairs: int, terms: dict):
         if num_pairs < 1:
             raise ShapeError(f"num_pairs must be >= 1, got {num_pairs}")
-        terms = terms or {}
         exps = exponent_rows([exponent_tuple(e, 2 * num_pairs) for e in terms], 2 * num_pairs)
         coeffs = np.array([float(c) for c in terms.values()], dtype=np.float64)
         _check_finite(exps, coeffs)
@@ -348,15 +350,6 @@ class PhaseSpacePoly(TermArray):
 
     def degree(self) -> int:
         return int(self.exps.sum(axis=1).max(initial=0))
-
-    @_ieee_quiet
-    def norm(self):
-        """sqrt of the sum of the squared coefficients, each square added in
-        turn, in row order, starting from the first; in a block, an array of
-        the norm of each trial, equal to ``trial(t).norm()`` to the bit."""
-        squares = np.cumsum(self.coeffs * self.coeffs, axis=0)  # sequential sums
-        total = squares[-1] if len(squares) else np.zeros(self.coeffs.shape[1:])
-        return math.sqrt(total) if self.trials is None else np.sqrt(total)
 
     def scale(self, c: float) -> "PhaseSpacePoly":
         return super().scale(float(c))

@@ -138,18 +138,23 @@ def eom_generator(cfg: MeasurementConfig, t: float) -> np.ndarray:
     return generator_from_hamiltonian(cfg.hamiltonian(t), cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _expm_nilpotent(gen: np.ndarray, dt: float) -> np.ndarray:
-    """exp(gen*dt) as a finite series; the generator must be nilpotent."""
+    """exp(gen*dt) as a finite series; the generator must be nilpotent.  A
+    term or sum past the float range is refused as such, never read as a
+    term that does not vanish."""
     n = gen.shape[0]
     out = np.eye(n)
     term = np.eye(n)
     for k in range(1, n + 2):
         term = term @ (gen * dt) / k
-        if not np.any(term):
-            return out
+        if not np.any(term) or not np.isfinite(term).all():
+            break
         if k > n:
             raise AlgebraError("generator is not nilpotent")
         out = out + term
+    if not (np.isfinite(term).all() and np.isfinite(out).all()):
+        raise AlgebraError(f"exp(G*dt) overflows over a segment of length {float(dt)}")
     return out
 
 

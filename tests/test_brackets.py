@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import json
 import math
 
@@ -25,9 +27,6 @@ from hamalg.brackets import (
     DESIDERATA,
     VIOLATION_THRESHOLD,
     BracketAlgebra,
-    _commutator_bracket,
-    _product_rule_bracket,
-    ordered_poisson,
     random_hybrid_observable,
 )
 from hamalg.compose import coefficient_product
@@ -60,7 +59,6 @@ from tests.helpers import (
     loop_find_violation_witness,
     loop_measure_defects,
     loop_term_pairs,
-    pair_product,
     random_hybrid,
 )
 
@@ -108,16 +106,6 @@ class TestBracketValues:
         assert set(out.terms) == {(1, 1)}
         assert np.allclose(out.terms[(1, 1)], comm)
 
-    def test_product_rule_equals_symmetrized_form(self, rng):
-        # the simple-product rule extended bilinearly and the whole-element
-        # symmetrized form are the same bilinear map; two code paths agree
-        for _ in range(5):
-            u = random_hybrid_observable(rng, degree=2)
-            v = random_hybrid_observable(rng, degree=2)
-            bt = mixed_bracket(MixedBracketKind.BOUCHER_TRASCHEN, u, v, hbar=HBAR)
-            al = mixed_bracket(MixedBracketKind.ALEKSANDROV, u, v, hbar=HBAR)
-            assert (bt - al).norm() <= 1e-12 * (1 + u.norm() * v.norm())
-
     def test_equal_arguments(self, rng):
         u = random_hybrid_observable(rng, degree=2)
         assert mixed_bracket(MixedBracketKind.BOUCHER_TRASCHEN, u, u, hbar=HBAR).norm() \
@@ -130,13 +118,35 @@ class TestBracketValues:
         anderson = mixed_bracket(MixedBracketKind.ANDERSON, u, u, hbar=HBAR)
         assert anderson.norm() > 1e-6
 
-    def test_ordered_poisson_written_order(self):
-        _, _, u, v = hybrid_xy()
-        out = ordered_poisson(u, v)
-        assert set(out.terms) == {(0, 0)}
-        assert np.allclose(out.terms[(0, 0)], PAULI_X @ PAULI_Y)
-        out_rev = ordered_poisson(v, u)
-        assert np.allclose(out_rev.terms[(0, 0)], -PAULI_Y @ PAULI_X)
+    @pytest.mark.parametrize("kind, poisson_part", [
+        # [A, B]- = Z on x p for every kind; {x, p}_P = 1 carries the
+        # Poisson part: (AB + BA)/2 = I, AB = I + iZ, or nothing
+        (MixedBracketKind.BOUCHER_TRASCHEN, np.eye(2)),
+        (MixedBracketKind.ALEKSANDROV, np.eye(2)),
+        (MixedBracketKind.ANDERSON, np.eye(2) + 1j * PAULI_Z),
+        (MixedBracketKind.HYBRID_PAPER, None),
+    ])
+    def test_hand_worked_values(self, kind, poisson_part):
+        # A = X on x, B = X + Y on p, hbar 2: AB = I + iZ, BA = I - iZ, so
+        # (AB - BA)/(2i) = Z; every product, sum and quotient is exact
+        A, B = PAULI_X, PAULI_X + PAULI_Y
+        u = HybridElement(2, 1, {(1, 0): A})
+        v = HybridElement(2, 1, {(0, 1): B})
+        want = {(1, 1): PAULI_Z}
+        if poisson_part is not None:
+            want[(0, 0)] = poisson_part
+        got = mixed_bracket(kind, u, v, hbar=2.0).terms
+        assert list(got) == list(want)
+        for e, m in want.items():
+            assert np.array_equal(got[e], m)
+        # written the other way round, {p, x}_P = -1 and Anderson's part is
+        # BA = I - iZ: -(I - iZ) on the unit monomial
+        back = mixed_bracket(kind, v, u, hbar=2.0).terms
+        assert np.array_equal(back[(1, 1)], -PAULI_Z)
+        if kind is MixedBracketKind.ANDERSON:
+            assert np.array_equal(back[(0, 0)], -(np.eye(2) - 1j * PAULI_Z))
+        elif poisson_part is not None:
+            assert np.array_equal(back[(0, 0)], -poisson_part)
 
     def test_hybrid_matches_composed_bracket(self, rng):
         a, hbar = 1.0, 2.0
@@ -259,72 +269,10 @@ class TestDenseOracleAgreement:
         assert abs(main - dense) <= 1e-10 * max(1.0, main)
 
 
-def loop_product_rule(u, v, hbar):
-    """The literal simple-product-rule loop: the commutator on the product
-    monomial, then the anticommutator on each canonical pair's term of the
-    monomial Poisson bracket, k ascending."""
-    out = {}
-
-    def acc(e, m):
-        out[e] = out[e] + m if e in out else m
-
-    for ea, ma in u.terms.items():
-        for eb, mb in v.terms.items():
-            ec = tuple(a + b for a, b in zip(ea, eb))
-            ab, ba = pair_product(ma, mb), pair_product(mb, ma)
-            acc(ec, (ab - ba) / (1j * hbar))
-            anti = 0.5 * (ab + ba)
-            for k in range(u.num_pairs):
-                ix, ip = 2 * k, 2 * k + 1
-                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
-                if w == 0:
-                    continue
-                e = list(ec)
-                e[ix] -= 1
-                e[ip] -= 1
-                acc(tuple(e), float(w) * anti)
-    return {e: m for e, m in out.items() if np.any(m != 0)}
-
-
-def loop_ordered_poisson(u, v):
-    """The literal ordered Poisson loop: each canonical pair's term of the
-    monomial Poisson bracket on the written-order product, k ascending."""
-    out = {}
-
-    def acc(e, m):
-        out[e] = out[e] + m if e in out else m
-
-    for ea, ma in u.terms.items():
-        for eb, mb in v.terms.items():
-            prod = pair_product(ma, mb)
-            for k in range(u.num_pairs):
-                ix, ip = 2 * k, 2 * k + 1
-                w = ea[ix] * eb[ip] - ea[ip] * eb[ix]
-                if w == 0:
-                    continue
-                e = [a + b for a, b in zip(ea, eb)]
-                e[ix] -= 1
-                e[ip] -= 1
-                acc(tuple(e), float(w) * prod)
-    return {e: m for e, m in out.items() if np.any(m != 0)}
-
-
-def bracket_loops(hbar):
-    return [
-        (_commutator_bracket,
-         lambda u, v: loop_term_pairs(u, v, lambda A, B: (coefficient_product(A, B)
-                                                          - coefficient_product(B, A))
-                                      / (1j * hbar))),
-        (_product_rule_bracket, lambda u, v: loop_product_rule(u, v, hbar)),
-        (lambda u, v, hbar: ordered_poisson(u, v), loop_ordered_poisson),
-    ]
-
-
-def engine_loops(hbar):
-    """``bracket_loops`` plus the associative product and its loop."""
-    return bracket_loops(hbar) + [
-        (lambda u, v, hbar: u.assoc_product(v),
-         lambda u, v: loop_term_pairs(u, v, coefficient_product))]
+def engine_ops(hbar):
+    """Every mixed bracket and the associative product, as maps of (u, v)."""
+    return [functools.partial(mixed_bracket, kind, hbar=hbar) for kind in MixedBracketKind] \
+        + [lambda u, v: u.assoc_product(v)]
 
 
 def engine_routes(u, v):
@@ -334,6 +282,31 @@ def engine_routes(u, v):
     pairs = len(u) * len(v)
     return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson))
             for poisson in (False, True)}
+
+
+ROUTES = ("dense", "sorted", "rows")
+
+
+@contextlib.contextmanager
+def forced_route(route):
+    """Every term-pair sum and term sum inside slotted by ``route``: the
+    packed routes by their limits, the rows route by keys that are the
+    exponent rows, as where packed keys would overflow."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "rows":
+            mp.setattr(kernels, "key_strides", lambda radix: None)
+        else:
+            per_pair, box_slots = FORCED_ROUTES[route]
+            mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
+            mp.setattr(kernels, "DENSE_BOX_SLOTS", box_slots)
+        yield
+
+
+def gaussian_integers(u, rng):
+    """u's terms with Gaussian-integer coefficients, on which every sum of
+    products is exact."""
+    parts = rng.integers(-3, 4, (2,) + u.coeffs.shape).astype(float)
+    return HybridElement._trusted(u.exps, parts[0] + 1j * parts[1])
 
 
 def with_far_term(u):
@@ -363,12 +336,24 @@ def assert_terms_nan_alike(got, want):
         assert_nan_alike(got[e], m)
 
 
-def assert_engine_matches_loops(cases, same=assert_terms_bitwise):
+def assert_assoc_matches_loop(cases, same=assert_terms_bitwise):
     for u, v, route in cases:
         assert engine_routes(u, v) == {route}
-        for bracket, loop in engine_loops(HBAR):
-            same(bracket(u, v, HBAR).terms, loop(u, v))
+        same(u.assoc_product(v).terms, loop_term_pairs(u, v, coefficient_product))
 
+
+def assert_brackets_equal_dense_oracle(u, v, hbar):
+    """Every mixed bracket of exact u and v, on every route: equal to the
+    dense oracle, and the same terms in the same order on each route."""
+    for kind in MixedBracketKind:
+        got = {}
+        for route in ROUTES:
+            with forced_route(route):
+                got[route] = mixed_bracket(kind, u, v, hbar)
+        assert_equals_dense(got["dense"], dense_mixed_bracket(kind.value, dense(u), dense(v),
+                                                              hbar, u.num_pairs))
+        for route in ROUTES[1:]:
+            assert_terms_bitwise(got[route].terms, got["dense"].terms)
 
 
 def with_entry(u, value):
@@ -391,27 +376,26 @@ def random_block(rng, dim, num_pairs, degree, trials):
 
 
 class TestTermPairEngine:
-    """The term-pair brackets, the ordered Poisson term and the associative
-    product against their literal loops, to the bit, on each slotting
-    route of the engine."""
+    """The term-pair engine on each slotting route: the associative product
+    against its literal loop, to the bit; every mixed bracket equal to the
+    dense oracle on exact inputs, and the same bits on every route."""
 
     @pytest.mark.parametrize("num_pairs", [1, 2])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_loop_bitwise(self, dim, num_pairs):
+    def test_brackets_equal_dense_oracle_on_every_route(self, dim, num_pairs):
         rng = np.random.default_rng([dim, num_pairs, 1])
-        for hbar in (1.0, 0.3):
-            for bracket, loop in engine_loops(hbar):
-                for _ in range(3):
-                    u = random_hybrid(rng, dim, num_pairs, 2)
-                    v = random_hybrid(rng, dim, num_pairs, 3)
-                    assert_terms_bitwise(bracket(u, v, hbar).terms, loop(u, v))
+        for _ in range(2):
+            u = gaussian_integers(random_hybrid(rng, dim, num_pairs, 2), rng)
+            v = gaussian_integers(random_hybrid(rng, dim, num_pairs, 3), rng)
+            for hbar in (0.5, 1.0, 2.0):
+                assert_brackets_equal_dense_oracle(u, v, hbar)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_every_route_matches_loop_bitwise(self, dim):
         rng = np.random.default_rng([dim, 2])
         u = random_hybrid(rng, dim, 1, 2, density=1.0)
         v = random_hybrid(rng, dim, 1, 3, density=1.0)
-        assert_engine_matches_loops(route_cases(u, v))
+        assert_assoc_matches_loop(route_cases(u, v))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value,same", [
@@ -423,7 +407,7 @@ class TestTermPairEngine:
         rng = np.random.default_rng(6)
         u = with_entry(random_hybrid(rng, 2, 1, 2, density=1.0), value)
         v = with_entry(random_hybrid(rng, 2, 1, 3, density=1.0), -value)
-        assert_engine_matches_loops(route_cases(u, v), same)
+        assert_assoc_matches_loop(route_cases(u, v), same)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("trials", [None, 3])
@@ -438,25 +422,24 @@ class TestTermPairEngine:
         v = with_entry(random_block(rng, 2, 1, 3, trials), -value)
         assert len(v) * u.coeffs[0].size > 7
         same = assert_terms_nan_alike if np.isnan(value) else assert_terms_bitwise
-        assert_engine_matches_loops(route_cases(u, v), same)
+        assert_assoc_matches_loop(route_cases(u, v), same)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", [1.0, np.inf, np.nan, complex(np.inf, np.nan)])
-    def test_dense_and_sorted_routes_agree(self, value):
-        # the same blocks through both packed routes: the same terms, to
-        # the bit, NaNs too
+    def test_every_route_gives_the_same_bits(self, value):
+        # the same blocks through every route: the same terms, to the bit,
+        # NaNs too, for every bracket and the associative product
         rng = np.random.default_rng(8)
         u = with_far_term(with_entry(random_hybrid(rng, 3, 1, 2, density=1.0), value))
         v = with_entry(random_hybrid(rng, 3, 1, 3, density=1.0), -value)
         got = {}
-        for route, (per_pair, box_slots) in FORCED_ROUTES.items():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
-                mp.setattr(kernels, "DENSE_BOX_SLOTS", box_slots)
+        for route in ROUTES:
+            with forced_route(route):
                 assert engine_routes(u, v) == {route}
-                got[route] = [bracket(u, v, HBAR).terms for bracket, _ in engine_loops(HBAR)]
-        for dense, sorted_ in zip(got["dense"], got["sorted"]):
-            assert_terms_bitwise(dense, sorted_)
+                got[route] = [op(u, v).terms for op in engine_ops(HBAR)]
+        for route in ROUTES[1:]:
+            for terms, dense_terms in zip(got[route], got["dense"]):
+                assert_terms_bitwise(terms, dense_terms)
 
     @pytest.mark.parametrize("p_max", [16, 17])
     def test_a_block_takes_the_route_of_its_box(self, p_max):
@@ -475,42 +458,43 @@ class TestTermPairEngine:
         box = 32 * (15 + p_max + 1)
         assert box * u.coeffs[0].size >= 1 << 20
         assert box <= kernels.DENSE_SLOTS_PER_PAIR * 17 * 18
-        assert_engine_matches_loops([(u, v, "dense")])
+        assert_assoc_matches_loop([(u, v, "dense")])
 
-    def test_matches_loop_bitwise_over_several_blocks(self):
+    def test_brackets_equal_dense_oracle_over_several_blocks(self):
+        # 70 x 70 term pairs, three contributions each: several blocks
         rng = np.random.default_rng(4)
-        u = random_hybrid(rng, 2, 2, 4, density=1.0)
-        v = random_hybrid(rng, 2, 2, 4, density=1.0)
-        for bracket, loop in bracket_loops(HBAR):
-            assert_terms_bitwise(bracket(u, v, HBAR).terms, loop(u, v))
+        u = gaussian_integers(random_hybrid(rng, 2, 2, 4, density=1.0), rng)
+        v = gaussian_integers(random_hybrid(rng, 2, 2, 4, density=1.0), rng)
+        assert len(u) * len(v) * 3 * 4 > kernels.BLOCK_PAIRS
+        assert_brackets_equal_dense_oracle(u, v, HBAR)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_empty_operand(self, dim):
         u = random_hybrid(np.random.default_rng(dim), dim, 2, 2, density=1.0)
         empty = HybridElement(dim, 2, {})
-        for bracket, _ in bracket_loops(HBAR):
-            assert bracket(u, empty, HBAR).terms == {}
-            assert bracket(empty, u, HBAR).terms == {}
+        for op in engine_ops(HBAR):
+            assert op(u, empty).terms == {}
+            assert op(empty, u).terms == {}
 
     def test_cancellation_prunes_every_key(self):
-        u = HybridElement(2, 1, {(1, 1): PAULI_X + PAULI_Z})
-        assert _commutator_bracket(u, u, HBAR).terms == {}
         # {x p, x p}_P = 0 and [A, A]- = 0: nothing survives
-        assert _product_rule_bracket(u, u, HBAR).terms == {}
+        u = HybridElement(2, 1, {(1, 1): PAULI_X + PAULI_Z})
+        for kind in MixedBracketKind:
+            assert mixed_bracket(kind, u, u, HBAR).terms == {}
 
-    def test_signed_zeros_match_loop(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_signed_zeros_on_every_route(self, route):
         # weight -1 on the anticommutator I puts -0.0 off the diagonal, as
-        # the first contribution to its key; in the rows case, weight -801
+        # the first contribution to its key
         u = HybridElement(2, 1, {(0, 1): PAULI_X})
         v = HybridElement(2, 1, {(1, 0): PAULI_X + PAULI_Z})
-        for x, y, route in route_cases(u, v):
-            assert engine_routes(x, y) == {route}
-            got = _product_rule_bracket(x, y, HBAR).terms
-            assert_terms_bitwise(got, loop_product_rule(x, y, HBAR))
-            ec = [a + b for a, b in zip(next(iter(x.terms)), next(iter(y.terms)))]
-            assert np.signbit(got[(ec[0] - 1, ec[1] - 1, *ec[2:])].real).any()  # pair 1's key
+        with forced_route(route):
+            for kind in (MixedBracketKind.BOUCHER_TRASCHEN, MixedBracketKind.ALEKSANDROV):
+                got = mixed_bracket(kind, u, v, HBAR).terms
+                assert np.array_equal(got[(0, 0)], -np.eye(2))
+                assert np.signbit(got[(0, 0)].real).all()
 
-    def test_nested_bracket_past_int64_keys_matches_loop(self):
+    def test_nested_bracket_past_int64_keys(self):
         # 12 pairs at degree 2: the outer bracket of a Jacobi triple has
         # radix 7 on each of its 24 variables, past int64 packed keys, so
         # the engine keys exponent rows, over several blocks
@@ -520,19 +504,26 @@ class TestTermPairEngine:
         def element():
             # every x_i**2 and p_i**2, plus a few other monomials
             el = random_hybrid(rng, 2, 12, 2, density=0.03)
-            return el + HybridElement(2, 12, {e: rng.standard_normal((2, 2)) for e in squares})
+            el = el + HybridElement(2, 12, {e: rng.standard_normal((2, 2)) for e in squares})
+            return gaussian_integers(el, rng)
 
         u, v, w = element(), element(), element()
-        for bracket, loop in bracket_loops(HBAR):
-            inner = _commutator_bracket(v, w, HBAR)
-            assert engine_routes(u, inner) == {"rows"}
-            assert_terms_bitwise(bracket(u, inner, HBAR).terms, loop(u, inner))
+        inner = mixed_bracket(MixedBracketKind.HYBRID_PAPER, v, w, HBAR)
+        assert engine_routes(u, inner) == {"rows"}
+        assert_terms_bitwise(u.assoc_product(inner).terms,
+                             loop_term_pairs(u, inner, coefficient_product))
+        # on exact inputs the antisymmetric brackets cancel to the bit
+        for kind in MixedBracketKind:
+            if kind is not MixedBracketKind.ANDERSON:
+                there = mixed_bracket(kind, u, inner, HBAR)
+                assert len(there) > 0
+                assert (there + mixed_bracket(kind, inner, u, HBAR)).terms == {}
 
     def test_weight_overflow_is_rejected(self):
         u = HybridElement(2, 2, {(2 ** 32,) * 4: PAULI_X})
-        for bracket, _ in bracket_loops(HBAR):
+        for op in engine_ops(HBAR):
             with pytest.raises(ShapeError):
-                bracket(u, u, HBAR)
+                op(u, u)
 
 
 coeffs = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)

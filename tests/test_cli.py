@@ -639,6 +639,14 @@ class TestNonFiniteInputs:
         assert f"argument {named}: must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_an_overflowing_propagator_is_refused(self, tmp_path, capsys):
+        # G^4 = 0 exactly inside the window, but G^3 dt^3 / 6 overflows
+        assert run_cli("simulate", "--dt", "1e150", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exp(G*dt) overflows over a segment")
+        assert "RuntimeWarning" not in err and "nilpotent" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_grid_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("uniqueness", "scan", "--grid", "1:inf:2",
                        "--out", str(tmp_path / "out")) == 2

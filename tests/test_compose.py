@@ -28,7 +28,7 @@ from hamalg import (
     switching_map,
 )
 from hamalg import kernels
-from hamalg.brackets import ordered_poisson
+from hamalg.brackets import mixed_bracket
 from hamalg.compose import coefficient_product
 from hamalg.errors import ShapeError
 from hamalg.identities import Identity, check_identity
@@ -44,6 +44,11 @@ from tests.helpers import (
     sequential_sum,
     simple_tensor_terms,
 )
+
+
+def anderson(u, v):
+    """The Anderson bracket, which has both a plain and a Poisson part."""
+    return mixed_bracket("anderson", u, v, 1.0)
 
 
 def qq_algebra(a1=1.0, a2=1.0, a12=1.0, d1=2, d2=2):
@@ -407,9 +412,9 @@ class TestPruneOnce:
         u, v = random_hybrid(rng, 2, 1, 2), random_hybrid(rng, 2, 1, 2)
         block = random_hybrid_observable(rng, block=(3, 2))
         f, g = OperatorElement(PAULI_X), PhaseSpacePoly(1, {(1, 0): 2.0})
-        derived = [u + v, u - v, u.scale(0.5), ordered_poisson(u, v), u.assoc_product(v),
+        derived = [u + v, u - v, u.scale(0.5), anderson(u, v), u.assoc_product(v),
                    simple_tensor(f, g), random_hybrid_observable(rng), *block,
-                   block[0] + block[1], block[0].scale(2.0), ordered_poisson(*block),
+                   block[0] + block[1], block[0].scale(2.0), anderson(*block),
                    block[0].assoc_product(block[1]), block[0].trial(2)]
         for el in derived:
             assert el.terms
@@ -458,7 +463,7 @@ class TestBlocks:
         u, v = block_of(*(s[0] for s in singles)), block_of(*(s[1] for s in singles))
         c = qc_algebra(a=0.7, a12=1.9)
         ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.scale(0.3),
-               ordered_poisson, lambda x, y: x.assoc_product(y), c.sigma, c.alpha]
+               anderson, lambda x, y: x.assoc_product(y), c.sigma, c.alpha]
         for op in ops:
             got = op(u, v)
             assert got.trials == 3
@@ -570,8 +575,9 @@ class TestMatrixBlocks:
                 assert norms.shape == (len(entries),)
                 for t in range(len(entries)):
                     assert norms[t].tobytes() == np.float64(block.trial(t).norm()).tobytes()
-            for t in range(12):   # a contiguous single norm is np.linalg.norm's
-                assert make(big[t]).norm() == float(np.linalg.norm(big[t]))
+            for t in range(12):   # |x|^2 of each entry added in turn, in C order
+                assert make(big[t]).norm() == math.sqrt(sequential_sum(
+                    x.real * x.real + x.imag * x.imag for x in big[t].ravel().tolist()))
 
     def test_hybrid_block_norms_equal_slice_norms_bitwise(self):
         from hamalg.compose import random_hybrid_observable
@@ -585,28 +591,14 @@ class TestMatrixBlocks:
             for t in range(block.trials):
                 single = block.trial(t)
                 want = math.sqrt(sequential_sum(
-                    float(np.linalg.norm(np.ascontiguousarray(m))) ** 2
-                    for m in single.terms.values()))
+                    x.real * x.real + x.imag * x.imag
+                    for m in single.terms.values() for x in m.ravel().tolist()))
                 assert norms[t].tobytes() == np.float64(single.norm()).tobytes()
                 assert single.norm() == want
         assert HybridElement(2, 1, {}).norm() == 0.0
         empty = HybridElement._trusted(np.empty((0, 2), np.int64),
                                        np.empty((0, 2, 2, 3), np.complex128))
         assert empty.norm().tolist() == [0.0, 0.0, 0.0]
-
-    def test_hybrid_norm_squares_each_norm_as_a_python_float(self):
-        # 1 x 1 coefficients, whose norms are their absolute values, in
-        # two rows: trials where the platform's pow gives n ** 2 other bits
-        # than n * n, enough to move the norm
-        pool = np.sqrt(np.random.default_rng(8).uniform(0, 10, 200_000)).tolist()
-        odd = [n for n in pool if n ** 2 != n * n]
-        trials = [(x, y) for x, y in zip(odd[::2], odd[1::2])
-                  if math.sqrt(x ** 2 + y ** 2) != math.sqrt(x * x + y * y)][:8]
-        values = np.array(trials).T.reshape(2, 1, 1, len(trials))
-        u = HybridElement._trusted(np.array([[1, 0], [0, 1]]), values.astype(complex))
-        want = [math.sqrt(sequential_sum(n ** 2 for n in t)) for t in trials]
-        assert u.norm().tolist() == want
-        assert [u.trial(t).norm() for t in range(len(trials))] == want
 
     def test_mixing_blocks_and_elements_is_refused(self):
         rng = np.random.default_rng(7)
@@ -758,21 +750,6 @@ class TestTermPairEngine:
                 op(u, u)
 
 
-def loop_coefficient_product(A, B):
-    """The product of two single (d, d) coefficients written out entry by
-    entry: the k = 0 term, then each k ascending added to it, every term
-    the product of two one-element arrays."""
-    d = A.shape[-1]
-    out = np.empty((d, d), dtype=np.result_type(A, B))
-    for i in range(d):
-        for j in range(d):
-            acc = A[i, 0:1] * B[0, j:j + 1]
-            for k in range(1, d):
-                acc = acc + A[i, k:k + 1] * B[k, j:j + 1]
-            out[i, j] = acc[0]
-    return out
-
-
 def coefficient_stacks(rng, d, trials, special):
     """(A, B) stacks (Na, d, d, trials) and (Nb, d, d, trials) of complex
     coefficients in several memory layouts, with ``special`` put in a few
@@ -810,6 +787,19 @@ class TestCoefficientProduct:
         assert np.all(np.abs(np.moveaxis(got, -1, 2) - A @ B)
                       <= 4 * d * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_matmul_on_gaussian_integers_bitwise(self, d):
+        # small Gaussian integers: every sum of products is exact, in any
+        # order, so the product is ``@``'s to the bit, whatever the layout;
+        # only the sign of an exact zero, which the order sets, may differ
+        rng = np.random.default_rng([d, 5])
+        for a, b in coefficient_stacks(rng, d, 3, ()):
+            a, b = (np.round(4 * x) for x in (a, b))
+            got = coefficient_product(a[:, None], b[None])
+            want = np.moveaxis(np.moveaxis(a, -1, 1)[:, None] @ np.moveaxis(b, -1, 1)[None],
+                               2, -1)
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
     @pytest.mark.parametrize("special", [(), (-0.0,), (np.inf, -np.inf), (np.nan,),
                                          (-0.0, np.inf, np.nan)])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -821,8 +811,6 @@ class TestCoefficientProduct:
                 for i, j, t in np.ndindex(len(a), len(b), 3):
                     alone = pair_product(a[i, ..., t], b[j, ..., t])
                     assert_nan_alike(got[i, j, ..., t], alone)
-                    assert_nan_alike(alone, loop_coefficient_product(a[i, ..., t],
-                                                                     b[j, ..., t]))
 
     @pytest.mark.parametrize("trials", [1, 3, 256])
     @pytest.mark.parametrize("d", [1, 2, 3])

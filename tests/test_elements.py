@@ -187,3 +187,42 @@ class TestPhaseSpacePoly:
         assert u.terms == {(0, 0, 0, 0): 1.0}
         assert z.terms == {}
         assert z.norm() == 0.0
+
+
+#: entries 3 and 4i beside zeros, whose norm is 5 exactly
+TRIANGLE = np.array([[3, 4j], [0, 0]])
+
+
+def triangle_elements():
+    """Each kind of element, single, holding the entries of ``TRIANGLE``,
+    or 3 and -4 where its coefficients are real."""
+    from hamalg import HybridElement, KroneckerElement
+
+    return [
+        OperatorElement(TRIANGLE),
+        KroneckerElement(1, 2, TRIANGLE),
+        PhaseSpacePoly(1, {(1, 0): 3.0, (0, 1): -4.0}),
+        HybridElement(2, 1, {(1, 0): TRIANGLE}),
+        HybridElement(2, 1, {(1, 0): TRIANGLE.real, (0, 1): 1j * TRIANGLE.imag}),
+    ]
+
+
+class TestNorms:
+    """One norm for every element: the square root of the sum of |x|^2
+    over its entries, exact on a Pythagorean triple."""
+
+    @pytest.mark.parametrize("el", triangle_elements(), ids=repr)
+    def test_a_3_4_5_norm_is_exact(self, el):
+        assert el.norm() == 5.0
+        assert type(el.norm()) is float
+
+    @pytest.mark.parametrize("el", triangle_elements(), ids=repr)
+    def test_a_block_holds_the_norm_of_each_trial(self, el):
+        # trials el, 2 el and 0: the trial axis is the first of an
+        # operator's entries and the last of a term array's coefficients
+        if isinstance(el, OperatorElement):
+            block = el._derived(np.stack([el.entries, 2 * el.entries, 0 * el.entries]))
+        else:
+            c = el.coeffs[..., None] * np.array([1.0, 2.0, 0.0])
+            block = el._trusted(el.exps, c)
+        assert block.norm().tolist() == [5.0, 10.0, 0.0]

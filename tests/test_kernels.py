@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamalg import kernels
-from hamalg.brackets import _product_rule_bracket, mixed_bracket, ordered_poisson
+from hamalg.brackets import mixed_bracket
 from hamalg.cli import main
 from hamalg.compose import random_hybrid_observable
 from hamalg.elements import monomials_up_to_degree
@@ -602,23 +602,29 @@ def test_blocks_of_any_trials_share_one_plan(builds):
             assert_same_elements(g, w)
 
 
-@pytest.mark.parametrize("order", ["ordered_first", "product_rule_first"])
-def test_a_plain_part_of_none_gets_its_own_plan(order, builds):
-    # ordered_poisson's combine gives P = None: its plan has no plain
-    # slots, while the product rule's on the same rows has them
+@pytest.mark.parametrize("order", ["poisson_first", "product_rule_first"])
+def test_a_sum_without_its_plain_part_gets_its_own_plan(order, builds):
+    # the Poisson bracket of real coefficients has no plain slots, while
+    # the product rule's plan on the same rows has them
     u, v = random_hybrid_observable(np.random.default_rng(16), dim=2, num_pairs=1, degree=2,
                                     block=(3, 2))
-    ops = [ordered_poisson, lambda a, b: _product_rule_bracket(a, b, 1.0)]
+    U, V = (x.coeffs[:, 0, 0].real for x in (u, v))
+
+    def product_rule():
+        w = mixed_bracket("boucher_traschen", u, v, 1.0)
+        return w.exps, w.coeffs
+
+    ops = [lambda: kernels.poisson_terms(u.exps, v.exps, U, V), product_rule]
     if order == "product_rule_first":
         ops.reverse()
-    want = [op(u, v) for op in ops]
+    want = [op() for op in ops]
     builds.clear()
     with kernels.plan_scope():
-        got = [op(u, v) for op in ops]
+        got = [op() for op in ops]
         assert len(kernels._plans) == 2
     assert len(builds) == 2 and len(builds[0].slots) != len(builds[1].slots)
     for g, w in zip(got, want):
-        assert_same_elements(g, w)
+        assert_same_result(g, w)
 
 
 def test_an_operand_with_a_cancelled_row_gets_its_own_plan(builds):

@@ -267,6 +267,21 @@ class TestEvolution:
         with pytest.raises(AlgebraError):
             evolve(config(), 1.0, 1)
 
+    def test_series_refuses_a_non_nilpotent_generator(self):
+        with pytest.raises(AlgebraError, match="generator is not nilpotent"):
+            measurement._expm_nilpotent(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+
+    def test_series_keeps_a_large_finite_exponential(self):
+        got = measurement._expm_nilpotent(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e308)
+        assert got.tolist() == [[1.0, 1e308], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("dt", [1e103, 1e150, 1e300])
+    def test_an_overflowing_segment_is_refused_as_such(self, dt):
+        # inside the window G^4 = 0 exactly, but G^3 dt^3 passes the float
+        # range: an overflow, not a term that never vanishes
+        with pytest.raises(AlgebraError, match=r"exp\(G\*dt\) overflows over a segment"):
+            evolve(config(dt=dt), dt, 2)
+
     @pytest.mark.parametrize("t", [np.inf, np.nan])
     def test_non_finite_end_time_is_refused(self, t):
         with pytest.raises(AlgebraError, match="finite"):

@@ -202,7 +202,7 @@ class TestWireFormsFromArrays:
         assert_same_wire_form(el)
 
     def test_zero_term_elements(self):
-        for el in (PhaseSpacePoly(2), HybridElement(2, 1), HybridElement(3, 2, {})):
+        for el in (PhaseSpacePoly(2, {}), HybridElement(2, 1, {}), HybridElement(3, 2, {})):
             assert_same_wire_form(el)
             assert element_to_json(el)["terms" if isinstance(el, PhaseSpacePoly)
                                        else "parts"] == []

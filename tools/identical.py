@@ -27,7 +27,7 @@ lines of ``EXTRA``: each subcommand at its defaults, the heavy ``verify``
 variants, composed algebras on 2 x 3 and 3 x 1 factors, hybrid blocks at
 d = 3 on two pairs, a bracket scan past ``MAX_BLOCK_TRIALS``,
 ``uniqueness`` triples and grids, ``simulate`` in both regimes, the NaN,
-small-hbar and extreme-constant cases, and the usage errors of
+small-hbar and extreme-value cases, and the usage errors of
 ``tests/test_cli.py`` that need no input file.  In a command line
 ``{json}`` and ``{csv}`` name its output files and ``{dir}`` its output
 directory.
@@ -120,6 +120,8 @@ EXTRA = (
     ("uniqueness-1e6", ("uniqueness", "--a1", "1e6", "--a2", "1", "--a12", "1e-6")),
     ("uniqueness-1e300", ("uniqueness", "--a1", "1e300", "--a2", "1", "--a12", "1e-300",
                           "--out", "{json}")),
+    # a measurement window whose exp(G dt) passes the float range
+    ("simulate-dt-1e150", ("simulate", "--dt", "1e150")),
     # usage errors
     *((f"usage-{i}", argv) for i, argv in enumerate((
         ("verify", "--hybrid", "--hbar", "5", "--trials", "1"),
