@@ -577,6 +577,8 @@ def _parse_grid(spec: str):
         raise UsageError(f"--grid must be lo:hi:n, got {spec!r}")
     if not (0 < lo < hi < math.inf and n >= 1):
         raise UsageError(f"--grid needs 0 < lo < hi < inf and n >= 1, got {spec!r}")
+    if hi / lo == math.inf:
+        raise UsageError(f"--grid needs a finite ratio hi/lo, got {spec!r}")
     if n == 1:
         return [lo]
     # endpoints pinned, so that a power-of-two ratio gives exact points
@@ -746,6 +748,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except (UsageError, HamalgError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:  # inputs too large for this machine: no check ran
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .algebra import HamiltonAlgebra, relative_defect
 from .kernels import BLOCK_PAIRS, MAX_BLOCK_TRIALS
-from .serialize import element_from_json, element_to_json
+from .serialize import element_to_json
 
 
 class Identity(str, Enum):
@@ -202,8 +202,3 @@ def run_axiom_suite(alg: HamiltonAlgebra, trials: int, tolerance: float,
     the order of ``Identity``."""
     return [check_identity(alg, identity, trials, tolerance, seed) for identity in Identity]
 
-
-def replay_witness(alg: HamiltonAlgebra, identity: Identity, witness: list) -> float:
-    """Recompute the defect of a serialized witness tuple."""
-    elements = [element_from_json(w) for w in witness]
-    return identity_defect(alg, Identity(identity), elements)

@@ -33,23 +33,22 @@ contributions, whatever the coefficient shape, so blocks of 1 and of 256
 trials share one; leaving the scope drops every plan.  Outside a scope
 each call builds its plan and discards it.
 
-Exponent rows are packed into int64 mixed-radix keys, the radix of each
-variable being one more than the largest exponent a product can give it,
-so adding two keys adds the exponents and every key lies in the box
-``range(prod(radix))``.  ``slot_plan`` slots the keys, in blocks of rows
-of the left operand, by one of three routes (``route``):
+``slot_plan`` slots the contributions, in blocks of rows of the left
+operand, by one of two routes (``route``) chosen from the key box
+``range(prod(radix))``, the radix of each variable being one more than
+the largest exponent a product can give it:
 
-* ``dense``: the packed key indexes the box, which records the position
-  of each key's first contribution and its slot.  Taken when the box has
-  at most ``DENSE_SLOTS_PER_PAIR`` slots per contribution, and at most
-  ``DENSE_BOX_SLOTS`` slots in all, whatever the coefficient shape;
-* ``sorted``: packed keys too sparse in their box, or a box too large,
-  get slots by a stable sort of each block on its own, whose distinct
-  keys are then looked up among the earlier blocks' slots;
-* ``rows``: where packed keys would overflow int64, the exponent rows are
-  the keys, each row one bytes key, slotted as ``sorted`` slots.
+* ``dense``: exponent rows are packed into int64 mixed-radix keys, so
+  adding two keys adds the exponents, and the packed key indexes the
+  box, which records the position of each key's first contribution and
+  its slot.  Taken when the box has at most ``DENSE_SLOTS_PER_PAIR``
+  slots per contribution, and at most ``DENSE_BOX_SLOTS`` slots in all,
+  whatever the coefficient shape, so packed keys never overflow;
+* ``sorted``: every other box, past int64 included, gets slots by a
+  stable sort of each block on its own, each exponent row one bytes key,
+  whose distinct rows are then looked up among the earlier blocks' slots.
 
-Every route gives the same plan.  Past the dense route's one box,
+Both routes give the same plan.  Past the dense route's one box,
 slotting a block costs time in proportion to that block alone.
 
 The sum of two term arrays, ``term_sum``, slots both operands' rows the
@@ -192,9 +191,8 @@ def term_pair_sum(ea, eb, A, B, combine, plain: bool, poisson: bool):
     and ``compose.coefficient_product`` do; a library contraction need
     not), every trial of a block gives the written-out loop's result, key
     order included; only the sign and payload of a NaN, which IEEE 754
-    leaves open, may differ.  Where packed keys would overflow int64, the
-    exponent rows are the keys; ``ShapeError`` only where a Poisson weight
-    could overflow.
+    leaves open, may differ.  ``ShapeError`` only where an exponent sum or
+    a Poisson weight could overflow int64.
     """
     shape = A.shape[1:]
     if not len(ea) or not len(eb):
@@ -241,14 +239,13 @@ def product_plan(ea: np.ndarray, eb: np.ndarray, plain: bool, poisson: bool) -> 
 
 
 def _product_plan(ea, eb, plain: bool, poisson: bool) -> Plan:
-    radix, strides = product_box(ea, eb)
-    ka, kb = keys_of(ea, strides), keys_of(eb, strides)
     # exponent shift per contribution: the plain term, then each canonical pair
     num_pairs = ea.shape[1] // 2
     shifts = np.eye(1 + num_pairs, num_pairs, -1, dtype=np.int64).repeat(2, axis=1)
-    offsets = keys_of(shifts[1 - plain:1 + num_pairs * poisson], strides)
+    shifts = shifts[1 - plain:1 + num_pairs * poisson]
 
-    def blocks():
+    def blocks(strides):
+        ka, kb, offsets = (keys_of(e, strides) for e in (ea, eb, shifts))
         for rows in row_blocks(len(ka), len(kb) * len(offsets)):
             keys = (ka[rows, None] + kb)[:, :, None] - offsets
             live = None
@@ -259,14 +256,13 @@ def _product_plan(ea, eb, plain: bool, poisson: bool) -> Plan:
                 live = live.ravel()
             yield keys.reshape((-1,) + kb.shape[1:]), live
 
-    return slot_plan(blocks(), radix, strides, len(ka) * len(kb) * len(offsets))
+    return slot_plan(blocks, product_box(ea, eb), len(ea) * len(eb) * len(shifts))
 
 
 def _sum_plan(ea, eb) -> Plan:
     rows = np.concatenate([ea, eb])
     radix = rows.max(axis=0, initial=0) + 1
-    strides = key_strides(radix)
-    return slot_plan([(keys_of(rows, strides), None)], radix, strides, len(rows))
+    return slot_plan(lambda strides: [(keys_of(rows, strides), None)], radix, len(rows))
 
 
 def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -275,34 +271,32 @@ def poisson_weights(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     return ea[:, None, 0::2] * eb[:, 1::2] - ea[:, None, 1::2] * eb[:, 0::2]
 
 
-def product_box(ea: np.ndarray, eb: np.ndarray):
-    """The key radix and strides of each variable for the products of rows
-    of ``ea`` and ``eb``.
-
-    A radix product past int64 gives ``strides`` None: the keys are then
-    the exponent rows.  ``ShapeError`` only where an exponent sum or a
-    Poisson weight could overflow int64.
-    """
+def product_box(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """The radix of each variable for the products of rows of ``ea`` and
+    ``eb``.  ``ShapeError`` only where an exponent sum or a Poisson weight
+    could overflow int64: a radix wrapped below 1, or a box past int64
+    whose largest radix squared passes it too."""
     if ea.min() < 0 or eb.min() < 0:
         raise ShapeError("exponents must be >= 0")
     radix = ea.max(axis=0) + eb.max(axis=0) + 1  # wraps below 1 past int64
-    strides = key_strides(radix)
-    if strides is None and not (radix.min() >= 1 and max(radix.tolist()) ** 2 <= _INT64_MAX):
-        raise ShapeError(f"exponent ranges {radix.tolist()} overflow int64 packed keys")
-    return radix, strides
+    top = max(radix.tolist())
+    if radix.min() < 1 or (top * top > _INT64_MAX
+                           and math.prod(radix.tolist()) > _INT64_MAX):
+        raise ShapeError(f"exponent ranges {radix.tolist()} could overflow int64 exponent "
+                         "sums or Poisson weights")
+    return radix
 
 
-def key_strides(radix: np.ndarray) -> np.ndarray | None:
-    """Packed-key stride of each variable; None where the box passes int64."""
-    if radix.min() < 1 or math.prod(radix.tolist()) > _INT64_MAX:
-        return None
+def key_strides(radix: np.ndarray) -> np.ndarray:
+    """Packed-key stride of each variable of a dense route's box."""
     strides = np.ones(len(radix), dtype=np.int64)
     strides[:-1] = np.cumprod(radix[:0:-1])[::-1]
     return strides
 
 
 def keys_of(exps: np.ndarray, strides: np.ndarray | None) -> np.ndarray:
-    """Keys of exponent rows: packed int64, or the rows where ``strides`` is None."""
+    """Keys of exponent rows: packed int64 by ``strides``, or the rows
+    themselves where ``strides`` is None, as on the sorted route."""
     return exps if strides is None else exps @ strides
 
 
@@ -312,38 +306,38 @@ def row_blocks(num_rows: int, width: int):
         yield slice(start, start + step)
 
 
-def route(radix: np.ndarray, strides: np.ndarray | None, pairs: int) -> str:
-    """How ``slot_plan`` slots keys: ``"dense"``, ``"sorted"`` or ``"rows"``
-    (see the module docstring), from the key box and the number of
-    contributions the plan slots."""
-    if strides is None:
-        return "rows"
+def route(radix: np.ndarray, pairs: int) -> str:
+    """How ``slot_plan`` slots keys, ``"dense"`` or ``"sorted"`` (see the
+    module docstring), from the key box and the number of contributions
+    the plan slots; a radix wrapped below 1 gives a sorted box."""
     size = math.prod(radix.tolist())
-    if size <= DENSE_SLOTS_PER_PAIR * pairs and size <= DENSE_BOX_SLOTS:
+    if 0 < size <= DENSE_SLOTS_PER_PAIR * pairs and size <= DENSE_BOX_SLOTS:
         return "dense"
     return "sorted"
 
 
-def slot_plan(blocks, radix: np.ndarray, strides: np.ndarray | None, pairs: int) -> Plan:
-    """The plan of ``pairs`` contributions given as (keys, live) blocks in
-    loop order: keys packed int64, or exponent rows where ``strides`` is
-    None; ``live`` None, or a mask whose False marks a contribution of
-    zero weight, which gets slot -1.  Slots are numbered in
-    first-occurrence order, on every route (``route``) alike."""
-    def live_blocks():  # (keys, positions in loop order) of the live contributions
+def slot_plan(blocks, radix: np.ndarray, pairs: int) -> Plan:
+    """The plan of ``pairs`` contributions in the box of ``radix``.
+    ``blocks(strides)`` gives them as (keys, live) blocks in loop order:
+    keys packed int64 by ``strides`` on the dense route, exponent rows
+    where ``strides`` is None, on the sorted route; ``live`` None, or a
+    mask whose False marks a contribution of zero weight, which gets slot
+    -1.  Slots are numbered in first-occurrence order, on both routes
+    (``route``) alike."""
+    def live_blocks(strides):  # (keys, positions in loop order) of the live contributions
         seen = 0
-        for keys, live in blocks:
+        for keys, live in blocks(strides):
             at = np.arange(seen, seen + len(keys))
             seen += len(keys)
             yield (keys, at) if live is None else (keys[live], at[live])
 
-    kind = route(radix, strides, pairs)
     slots = np.full(pairs, -1, np.min_scalar_type(-1 - pairs))  # no more slots than pairs
-    if kind == "dense":
-        slot_keys = _dense_slots(live_blocks(), math.prod(radix.tolist()), slots)
+    if route(radix, pairs) == "dense":
+        strides = key_strides(radix)
+        slot_keys = _dense_slots(live_blocks(strides), math.prod(radix.tolist()), slots)
+        exps = slot_keys[:, None] // strides % radix
     else:
-        slot_keys = _sorted_slots(live_blocks(), kind == "rows", len(radix), slots)
-    exps = slot_keys if kind == "rows" else slot_keys[:, None] // strides % radix
+        exps = _sorted_slots(live_blocks(None), len(radix), slots)
     return Plan(slots.astype(np.min_scalar_type(-1 - len(exps)), copy=False), exps)
 
 
@@ -393,21 +387,20 @@ def _dense_slots(blocks, size: int, slots: np.ndarray) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, np.int64)
 
 
-def _sorted_slots(blocks, rows: bool, nvars: int, slots: np.ndarray) -> np.ndarray:
-    """Keys of the slots in first-occurrence order, from (keys, positions)
-    blocks, with the slot of the contribution at each position written to
-    ``slots``.  Each block is sorted alone, an exponent row as one bytes
-    key; its distinct keys are looked up in a dict of the earlier slots,
-    built once a second block arrives, and its new keys take the next
-    slots."""
-    key_type = np.dtype(f"V{8 * nvars}" if rows else np.int64)
+def _sorted_slots(blocks, nvars: int, slots: np.ndarray) -> np.ndarray:
+    """Exponent rows of the slots in first-occurrence order, from (rows,
+    positions) blocks, with the slot of the contribution at each position
+    written to ``slots``.  Each block is sorted alone, an exponent row as
+    one bytes key; its distinct keys are looked up in a dict of the
+    earlier slots, built once a second block arrives, and its new keys
+    take the next slots."""
+    key_type = np.dtype(f"V{8 * nvars}")
     found = []  # each block's new keys, in slot order
     count, index = 0, None  # slots so far, and a dict of their keys
     for keys, at in blocks:
         if len(keys) == 0:
             continue
-        if rows:
-            keys = np.ascontiguousarray(keys).view(key_type).ravel()
+        keys = np.ascontiguousarray(keys).view(key_type).ravel()
         order = np.argsort(keys, kind="stable")
         ranked = keys[order]
         head = np.empty(len(keys), dtype=bool)
@@ -432,6 +425,4 @@ def _sorted_slots(blocks, rows: bool, nvars: int, slots: np.ndarray) -> np.ndarr
         count += len(distinct)
         slots[at] = slot[local]
     slot_keys = np.concatenate(found) if found else np.empty(0, key_type)
-    if rows:
-        slot_keys = slot_keys.view(np.int64).reshape(-1, nvars)
-    return slot_keys
+    return slot_keys.view(np.int64).reshape(-1, nvars)

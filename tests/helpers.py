@@ -18,7 +18,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: (kernels.DENSE_SLOTS_PER_PAIR, kernels.DENSE_BOX_SLOTS) that force each
-#: packed-key route of ``kernels.slot_plan``
+#: of the two routes of ``kernels.slot_plan`` on a box within int64
 FORCED_ROUTES = {"dense": (10 ** 9, 10 ** 9), "sorted": (0, 0)}
 
 def sequential_sum(values):

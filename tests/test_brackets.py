@@ -34,7 +34,7 @@ from hamalg.elements import monomials_up_to_degree
 from hamalg import cli, identities, kernels
 from hamalg.cli import _load_schema
 from hamalg.algebra import relative_defect
-from hamalg.identities import Identity, identity_defect, replay_witness
+from hamalg.identities import Identity, identity_defect
 from hamalg.errors import ShapeError
 from hamalg.reference import (
     dense_hybrid_add,
@@ -44,7 +44,7 @@ from hamalg.reference import (
     hybrid_json_to_dense,
     replay_defect,
 )
-from hamalg.serialize import element_to_json
+from hamalg.serialize import element_from_json, element_to_json
 from tests.helpers import (
     FORCED_ROUTES,
     PAULI_X,
@@ -233,8 +233,8 @@ class TestWitnessSearch:
     def test_witness_replays_through_main_path(self):
         _, scans = measure_defects(MixedBracketKind.BOUCHER_TRASCHEN, trials=1, seed=0, hbar=HBAR)
         w = find_violation_witness(scans, "jacobi", budget=100)
-        replayed = replay_witness(BracketAlgebra(w["kind"], HBAR), w["desideratum"],
-                                  w["elements"])
+        replayed = identity_defect(BracketAlgebra(w["kind"], HBAR), w["desideratum"],
+                                   [element_from_json(e) for e in w["elements"]])
         assert replayed == pytest.approx(w["defect"], rel=1e-12)
 
     def test_witness_replays_through_dense_oracle(self):
@@ -278,27 +278,23 @@ def engine_ops(hbar):
 def engine_routes(u, v):
     """The slotting routes of the term-pair engine on u and v, for the
     plain term pairs and with the canonical pairs' Poisson terms."""
-    radix, strides = kernels.product_box(u.exps, v.exps)
+    radix = kernels.product_box(u.exps, v.exps)
     pairs = len(u) * len(v)
-    return {kernels.route(radix, strides, pairs * (1 + u.num_pairs * poisson))
+    return {kernels.route(radix, pairs * (1 + u.num_pairs * poisson))
             for poisson in (False, True)}
 
 
-ROUTES = ("dense", "sorted", "rows")
+ROUTES = tuple(FORCED_ROUTES)
 
 
 @contextlib.contextmanager
 def forced_route(route):
-    """Every term-pair sum and term sum inside slotted by ``route``: the
-    packed routes by their limits, the rows route by keys that are the
-    exponent rows, as where packed keys would overflow."""
+    """Every term-pair sum and term sum inside slotted by ``route``, by the
+    dense route's limits."""
+    per_pair, box_slots = FORCED_ROUTES[route]
     with pytest.MonkeyPatch.context() as mp:
-        if route == "rows":
-            mp.setattr(kernels, "key_strides", lambda radix: None)
-        else:
-            per_pair, box_slots = FORCED_ROUTES[route]
-            mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
-            mp.setattr(kernels, "DENSE_BOX_SLOTS", box_slots)
+        mp.setattr(kernels, "DENSE_SLOTS_PER_PAIR", per_pair)
+        mp.setattr(kernels, "DENSE_BOX_SLOTS", box_slots)
         yield
 
 
@@ -316,17 +312,18 @@ def with_far_term(u):
                                   np.concatenate([u.coeffs, far]))
 
 
-def spread_to_rows(u):
+def spread_past_int64(u):
     """A one-pair u on four canonical pairs: each exponent tuple repeated
-    four times and raised by 400, so packed keys would overflow int64."""
+    four times and raised by 400, so its box passes int64."""
     return HybridElement._trusted(np.tile(u.exps, 4) + 400, u.coeffs)
 
 
 def route_cases(u, v):
     """(u, v, route) for each route of the engine, from one-pair u and v
-    whose box the term pairs fill."""
+    whose box the term pairs fill: that box, one left sparse by a far
+    term, and one past int64."""
     return [(u, v, "dense"), (with_far_term(u), v, "sorted"),
-            (spread_to_rows(u), spread_to_rows(v), "rows")]
+            (spread_past_int64(u), spread_past_int64(v), "sorted")]
 
 
 def assert_terms_nan_alike(got, want):
@@ -496,8 +493,8 @@ class TestTermPairEngine:
 
     def test_nested_bracket_past_int64_keys(self):
         # 12 pairs at degree 2: the outer bracket of a Jacobi triple has
-        # radix 7 on each of its 24 variables, past int64 packed keys, so
-        # the engine keys exponent rows, over several blocks
+        # radix 7 on each of its 24 variables, a box past int64, so the
+        # engine sorts exponent rows, over several blocks
         rng = np.random.default_rng(12)
         squares = [tuple(2 * (i == j) for j in range(24)) for i in range(24)]
 
@@ -509,7 +506,7 @@ class TestTermPairEngine:
 
         u, v, w = element(), element(), element()
         inner = mixed_bracket(MixedBracketKind.HYBRID_PAPER, v, w, HBAR)
-        assert engine_routes(u, inner) == {"rows"}
+        assert engine_routes(u, inner) == {"sorted"}
         assert_terms_bitwise(u.assoc_product(inner).terms,
                              loop_term_pairs(u, inner, coefficient_product))
         # on exact inputs the antisymmetric brackets cancel to the bit

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hamalg import measurement
+from hamalg import OperatorAlgebra, measurement
 from hamalg.cli import (
     MAX_PRODUCT_MONOMIALS,
     UsageError,
@@ -268,6 +268,19 @@ class TestVerify:
     ])
     def test_config_values_are_checked_like_flags(self, tmp_path, command, cfg):
         assert argparse_exit_code(command, "--config", write_config(tmp_path, cfg)) == 2
+
+    def test_an_allocation_failure_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a draw too large for the machine ran no check: exit 2, not the
+        # failed check's 1; the draw raises, so nothing is allocated
+        def draw(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(OperatorAlgebra, "random_element", draw)
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--trials", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 29.1 TiB for an array\n"
+        assert not out.exists()
 
     def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, {"trials": 3, "dim": 3})
@@ -586,6 +599,7 @@ class TestUniqueness:
         ("0.1:10:3", [0.1, 1.0, 10.0]),
         ("0.3:0.7:2", [0.3, 0.7]),
         ("0.3:0.7:1", [0.3]),
+        ("1e-300:1e8:2", [1e-300, 1e8]),  # a ratio near the float maximum
     ])
     def test_grid_endpoints_and_power_of_two_points_are_exact(self, spec, points):
         assert _parse_grid(spec) == points
@@ -652,6 +666,15 @@ class TestNonFiniteInputs:
                        "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --grid needs")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("points", ["2", "3"])
+    def test_a_grid_ratio_past_the_floats_is_a_usage_error(self, tmp_path, capsys, points):
+        # hi / lo overflows: no inner point may become inf
+        assert run_cli("uniqueness", "scan", "--grid", f"1e-300:1e300:{points}",
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --grid needs a finite ratio hi/lo, got '1e-300:1e300:{points}'\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -736,9 +736,11 @@ class TestTermPairEngine:
 
     def test_key_space_past_int64_matches_loop(self):
         # the loops summed Python ints: radix 2**21 + 1 on 4 variables
-        # overflows packed int64 keys, so the engine keys exponent rows
+        # gives a box past int64, so the engine sorts exponent rows
         u = HybridElement(2, 2, {(2 ** 20,) * 4: PAULI_X, (2 ** 20, 0, 1, 2): PAULI_Y})
-        assert kernels.product_box(u.exps, u.exps)[1] is None
+        radix = kernels.product_box(u.exps, u.exps)
+        assert math.prod(radix.tolist()) > np.iinfo(np.int64).max
+        assert kernels.route(radix, len(u) ** 2) == "sorted"
         for op, combine in self.qc_products(2, 2):
             assert_terms_bitwise(op(u, u).terms, loop_term_pairs(u, u, combine))
 

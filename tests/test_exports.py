@@ -15,6 +15,7 @@ UNREAD = {
     "CorruptedAlgebra": "tests corrupt an algebra to show a check fails",
     "KERNEL_BACKEND": "perfbench/run.py records which kernel backend ran",
     "compose_product_on_terms": "the literal switching-map oracle of the tests",
+    "element_from_json": "loads a report's witness elements back, as the tests replay them",
 }
 
 

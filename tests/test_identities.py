@@ -16,8 +16,8 @@ from hamalg import (
     run_axiom_suite,
 )
 from hamalg.cli import _load_schema
-from hamalg.identities import AXIOM_IDENTITIES, replay_witness
-from hamalg.serialize import element_to_json
+from hamalg.identities import AXIOM_IDENTITIES, identity_defect
+from hamalg.serialize import element_from_json, element_to_json
 from tests.helpers import TIES_AND_NANS, sequential_sum
 
 
@@ -91,7 +91,8 @@ class TestCheckIdentity:
     def test_witness_replay_reproduces_defect(self):
         alg = PhaseSpaceAlgebra(2, max_random_degree=2)
         res = check_identity(alg, Identity.DERIVATION, 20, TOLERANCE, 0)
-        replayed = replay_witness(alg, res["identity"], res["worst_witness"])
+        replayed = identity_defect(alg, res["identity"],
+                                   [element_from_json(w) for w in res["worst_witness"]])
         assert replayed == pytest.approx(res["max_relative_defect"], rel=1e-12, abs=1e-15)
 
     def test_last_maximal_trial_wins_and_nan_never_does(self, monkeypatch):

@@ -4,8 +4,8 @@ The kernel must agree with the brute-force dense expansion, to the bit
 on exact inputs (small integers, infinities and NaNs) and within rounding
 on generic ones, and to the bit (coefficients and term order) with the
 literal dict loop below, which is the semantics it vectorizes, on each
-of its three slotting routes: a dense box, sorted packed keys and
-exponent rows.
+of its two slotting routes: a dense box of packed keys, and sorted
+exponent rows, whether their box is sparse or past int64.
 
 Slotting plans: a product or sum built on a plan kept from an earlier
 call equals one that builds its plan afresh, to the bit (any NaN
@@ -90,11 +90,10 @@ def assert_same_terms(got, want):
 
 def kernel_routes(a, b, num_pairs):
     """The slotting route of ``mul`` and of ``poisson`` on a and b."""
-    radix, strides = kernels.product_box(kernels.dict_rows(a, 2 * num_pairs)[0],
-                                         kernels.dict_rows(b, 2 * num_pairs)[0])
+    radix = kernels.product_box(kernels.dict_rows(a, 2 * num_pairs)[0],
+                                kernels.dict_rows(b, 2 * num_pairs)[0])
     pairs = len(a) * len(b)
-    return (kernels.route(radix, strides, pairs),
-            kernels.route(radix, strides, pairs * num_pairs))
+    return kernels.route(radix, pairs), kernels.route(radix, pairs * num_pairs)
 
 
 def assert_bitwise(a, b, num_pairs, route=None):
@@ -189,7 +188,7 @@ def test_matches_loop_bitwise(num_pairs, d1, d2, route):
 
 @pytest.mark.parametrize("num_pairs,num_terms,max_exp", [(1, 12, 40), (2, 40, 9), (2, 120, 14)])
 def test_sparse_keys_match_loop_bitwise(num_pairs, num_terms, max_exp):
-    # few terms in a large box: sorted packed keys; the last case spans
+    # few terms in a large box: sorted exponent rows; the last case spans
     # several blocks of term pairs
     rng = np.random.default_rng([num_pairs, num_terms])
     a = random_sparse_terms(rng, num_pairs, num_terms, max_exp)
@@ -219,14 +218,13 @@ def test_dense_slot_limit(corner, route):
     ([1089, 1], 272, "sorted"),          # one slot more
     ([1024, 1024], 2 ** 18, "dense"),    # DENSE_BOX_SLOTS slots
     ([1025, 1024], 2 ** 20, "sorted"),   # past it, though 4 a pair allow more
+    ([2 ** 32, 2 ** 32], 2 ** 62, "sorted"),  # a box past int64
+    ([-2 ** 63, 2], 1, "sorted"),        # a radix wrapped past int64
 ])
 def test_route_rule(radix, pairs, route):
     # the box and the contributions alone pick the route: a plan is shared
     # by every coefficient shape, and the box holds no coefficient
-    radix = np.array(radix)
-    strides = np.array([radix[1], 1])
-    assert kernels.route(radix, strides, pairs) == route
-    assert kernels.route(radix, None, pairs) == "rows"
+    assert kernels.route(np.array(radix), pairs) == route
 
 
 coeffs = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
@@ -268,12 +266,12 @@ FEW_PAIRS = 7
 def route_inputs(a, b):
     """(a, b, num_pairs, route) for each route: the grids fill a small box;
     one far term leaves that box sparse; shifted and doubled to 8
-    variables, their keys overflow int64."""
+    variables, their box passes int64, and the rows are sorted too."""
     far = {(200, 0, 200, 0): 0.5, **a}
 
     def shifted(t):
         return {tuple(v + 400 for v in e * 2): c for e, c in t.items()}
-    return [(a, b, 2, "dense"), (far, b, 2, "sorted"), (shifted(a), shifted(b), 4, "rows")]
+    return [(a, b, 2, "dense"), (far, b, 2, "sorted"), (shifted(a), shifted(b), 4, "sorted")]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -320,7 +318,7 @@ def array_route_inputs(ea, eb, A, B):
     far = np.concatenate([np.full((1,) + A.shape[1:], 0.5), A])
     return [(ea, eb, A, B, "dense"),
             (np.vstack([[200, 0, 200, 0], ea]), eb, far, B, "sorted"),
-            (np.tile(ea, 2) + 400, np.tile(eb, 2) + 400, A, B, "rows")]
+            (np.tile(ea, 2) + 400, np.tile(eb, 2) + 400, A, B, "sorted")]
 
 
 def special_coefficients(rng, n):
@@ -347,9 +345,8 @@ def test_every_route_matches_loop_over_many_blocks(trials, monkeypatch):
         A, B = A[:, 1], B[:, 1]
     for x, y, X, Y, route in array_route_inputs(ea, eb, A, B):
         for op, poisson in ((kernels.mul_terms, False), (kernels.poisson_terms, True)):
-            radix, strides = kernels.product_box(x, y)
             pairs = len(x) * len(y) * (x.shape[1] // 2 if poisson else 1)
-            assert kernels.route(radix, strides, pairs) == route
+            assert kernels.route(kernels.product_box(x, y), pairs) == route
             assert len(y) > FEW_PAIRS and len(x) > 10  # one block per term of x
             exps, coeffs = op(x, y, X, Y)
             want = loop_pair_sum(x, y, X, Y, poisson)
@@ -358,20 +355,20 @@ def test_every_route_matches_loop_over_many_blocks(trials, monkeypatch):
 
 
 def test_each_block_is_sorted_alone(monkeypatch):
-    """The sorted and rows routes of the plan builder sort no more keys
-    than the block being slotted holds, however many slots the earlier
-    blocks found: slotting is linear in the term pairs, not quadratic in
-    the blocks."""
+    """The sorted route of the plan builder, on a sparse box and on one
+    past int64, sorts no more keys than the block being slotted holds,
+    however many slots the earlier blocks found: slotting is linear in
+    the term pairs, not quadratic in the blocks."""
     monkeypatch.setattr(kernels, "BLOCK_PAIRS", FEW_PAIRS)
     blocks, sorts = [], []  # keys of each block; (block, keys) of each sort
     slot_plan = kernels.slot_plan
 
-    def spied_slot_plan(pairs, *args):
-        def counted():
-            for keys, live in pairs:
+    def spied_slot_plan(keyed, *args):
+        def counted(strides):
+            for keys, live in keyed(strides):
                 blocks.append(len(keys))
                 yield keys, live
-        return slot_plan(counted(), *args)
+        return slot_plan(counted, *args)
 
     def spy(sort, size):
         def spied(a, *args, **kwargs):
@@ -411,7 +408,7 @@ def test_term_sum_matches_dict_merge_on_every_route(a, b):
     for x, y, num_pairs, route in route_inputs(a, b):
         (ex, cx), (ey, cy) = (kernels.dict_rows(t, 2 * num_pairs) for t in (x, y))
         radix = np.concatenate([ex, ey]).max(axis=0) + 1
-        assert kernels.route(radix, kernels.key_strides(radix), len(x) + len(y)) == route
+        assert kernels.route(radix, len(x) + len(y)) == route
         exps, coeffs = kernels.term_sum(ex, ey, cx, cy)
         assert_same_terms(dict(zip(map(tuple, exps.tolist()), coeffs.tolist())), loop_sum(x, y))
 
@@ -514,14 +511,25 @@ def test_exponent_sum_past_int64_is_rejected():
         kernels.poisson(a, a, 1)
 
 
-#: two polynomials in 4 pairs whose key radix, 801 on 8 variables,
-#: overflows packed int64 keys, so the kernel keys exponent rows
+#: two polynomials in 4 pairs whose key radix, 801 on 8 variables, gives
+#: a box past int64: the kernel sorts their exponent rows
 PAST_INT64 = ({(400,) * 8: 1.5, (400, 1, 0, 399, 2, 400, 7, 0): -0.25, (1,) * 8: 2.0},
               {(400,) * 8: 0.5, (0, 400, 399, 1, 400, 2, 0, 7): 3.0, (2, 1) * 4: -1.0})
 
 
 def test_key_space_past_int64_matches_loop():
-    assert_bitwise(*PAST_INT64, 4, "rows")
+    assert_bitwise(*PAST_INT64, 4, "sorted")
+
+
+def test_sum_of_the_largest_exponents_matches_dict_merge():
+    # the radix of a sum's box, one more than int64 max, wraps below 1:
+    # the rows are sorted, never packed
+    top = np.iinfo(np.int64).max
+    a, b = {(top, 0): 1.5, (0, 1): -0.25}, {(top, 1): 2.0, (0, 1): 0.25}
+    (ea, ca), (eb, cb) = (kernels.dict_rows(t, 2) for t in (a, b))
+    assert kernels.route(np.concatenate([ea, eb]).max(axis=0) + 1, 4) == "sorted"
+    exps, coeffs = kernels.term_sum(ea, eb, ca, cb)
+    assert_same_terms(dict(zip(map(tuple, exps.tolist()), coeffs.tolist())), loop_sum(a, b))
 
 
 @pytest.fixture
@@ -551,8 +559,8 @@ def assert_same_elements(got, want):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("route", ["dense", "sorted", "rows"])
-def test_a_plan_hit_equals_a_miss_on_every_route(route, builds, monkeypatch):
+@pytest.mark.parametrize("case", range(3), ids=["dense", "sorted", "past-int64"])
+def test_a_plan_hit_equals_a_miss_on_every_route(case, builds, monkeypatch):
     # many blocks of term pairs; the plan is built on finite scalar
     # coefficients and reused on a block of 3 trials holding -0.0, +-inf
     # and NaN
@@ -560,9 +568,8 @@ def test_a_plan_hit_equals_a_miss_on_every_route(route, builds, monkeypatch):
     rng = np.random.default_rng(14)
     ea, eb = (np.array(GRID_2PAIRS)[rng.permutation(len(GRID_2PAIRS))] for _ in range(2))
     A, B = special_coefficients(rng, len(GRID_2PAIRS))
-    (x, y, X, Y, _), = [case for case in array_route_inputs(ea, eb, A, B) if case[-1] == route]
-    radix, strides = kernels.product_box(x, y)
-    assert kernels.route(radix, strides, len(x) * len(y)) == route
+    x, y, X, Y, route = array_route_inputs(ea, eb, A, B)[case]
+    assert kernels.route(kernels.product_box(x, y), len(x) * len(y)) == route
     for op in (kernels.mul_terms, kernels.poisson_terms, kernels.term_sum):
         want = op(x, y, X, Y)  # outside a scope: the plan is built and dropped
         builds.clear()
@@ -573,10 +580,10 @@ def test_a_plan_hit_equals_a_miss_on_every_route(route, builds, monkeypatch):
         assert_same_result(got, want)
 
 
-def test_rows_route_inside_a_scope(builds):
+def test_past_int64_keys_inside_a_scope(builds):
     with kernels.plan_scope():
         for _ in range(2):
-            assert_bitwise(*PAST_INT64, 4, "rows")
+            assert_bitwise(*PAST_INT64, 4, "sorted")
     assert len(builds) == 2  # one for mul, one for poisson
 
 

@@ -27,7 +27,8 @@ lines of ``EXTRA``: each subcommand at its defaults, the heavy ``verify``
 variants, composed algebras on 2 x 3 and 3 x 1 factors, hybrid blocks at
 d = 3 on two pairs, a bracket scan past ``MAX_BLOCK_TRIALS``,
 ``uniqueness`` triples and grids, ``simulate`` in both regimes, the NaN,
-small-hbar and extreme-value cases, and the usage errors of
+small-hbar and extreme-value cases, a phase-space check whose products'
+box passes int64, and the usage errors of
 ``tests/test_cli.py`` that need no input file.  In a command line
 ``{json}`` and ``{csv}`` name its output files and ``{dir}`` its output
 directory.
@@ -113,6 +114,9 @@ EXTRA = (
     ("verify-composed-1e-8", ("verify", "--composed", "--a1", "1e-8", "--a2", "1e-8",
                               "--a12", "1e-8", "--trials", "20")),
     ("verify-degree1", ("verify", "--realization", "phase-space", "--degree", "1")),
+    # 14 pairs: products whose exponent rows' box passes int64
+    ("verify-phase-space-pairs14", ("verify", "--realization", "phase-space", "--pairs", "14",
+                                    "--degree", "1", "--trials", "2")),
     # constants whose products a1 * a2 or a1 / a12 leave the floats, and a
     # restriction factor of 1e6
     ("verify-composed-1e300", ("verify", "--composed", "--a1", "1e300", "--a2", "1e300",
@@ -155,6 +159,7 @@ EXTRA = (
         ("uniqueness", "--a1", "1", "--a2", "1", "--a12", "1", "--grid", "1:2:9"),
         ("uniqueness", "--a2", "nan"),
         ("uniqueness", "--a1", "inf", "--a2", "2", "--a12", "1.5"),
+        ("uniqueness", "scan", "--grid", "1e-300:1e300:3"),
     ))),
 )
 
